@@ -54,13 +54,19 @@
 // Both paths are failure-hardened. transport.SimNetwork carries a
 // schedulable fault plane (directed partitions and heals, node
 // crash/restart, latency spikes, lost acknowledgements) driven by the
-// simulation clock. Delivery survives it: failed sends park on
-// per-type retry queues with their delivery sequence frozen (sealed
-// envelope v2), receivers dedupe at-least-once replays with a bounded
-// protocol.ReplayFilter, parent re-probes are gated by jittered
-// exponential backoff, and after repeated failures batches fail over
-// through sibling fog nodes (transport.KindRelay) with origin
-// identity intact. MaxPendingReadings bounds outage buffering, with
+// simulation clock. Delivery survives it, by one mechanism: whatever
+// a fog node sends upward — raw batches, degrade summaries,
+// continuous-query alerts — is sealed into an item under a frozen
+// delivery identity (origin, seq; sealed envelope v2), queued on its
+// sensor type's outbox, sent at least once in queue order by the one
+// send path, and removed only when acknowledged; what differs per
+// kind is a table (rank within a type, relay eligibility, overflow
+// policy). Receivers dedupe at-least-once replays with one atomic
+// check-and-mark on a bounded protocol.ReplayFilter, parent re-probes
+// are gated by jittered exponential backoff, and after repeated
+// failures batches fail over through sibling fog nodes
+// (transport.KindRelay) with origin identity intact.
+// MaxPendingReadings bounds outage buffering, with
 // shed readings counted (Node.DroppedDuringOutage) rather than lost
 // silently; federated reads skip unreachable tiers and flag partial
 // results (query.Engine.RangeDetailed, AggregateDetailed). The
@@ -73,14 +79,15 @@
 // Durability (off by default) makes those guarantees survive process
 // death. A durable node journals its delivery state to an
 // append-only, CRC-framed write-ahead log with generation-rotated
-// snapshots (internal/wal) and recovers it at construction: retry
-// queues with frozen delivery sequences, pending buffers, the
-// sequence counter, and the replay-filter marks that dedupe retried
-// deliveries across the restart; the cloud journals and recovers its
-// archive. Replay is torn-write safe (recovery truncates the corrupt
-// tail back to the last intact record), snapshots rotate atomically,
-// and recovery ordering is snapshot, then log tail, then retry
-// queues. Enable per node (fognode/cloud Config.Durability), per
+// snapshots (internal/wal) — one seal -> commit record pair for every
+// item, whatever its kind — and recovers it at construction:
+// outboxes with frozen delivery identities, pending and degrade
+// buffers, the sequence counter, and the replay-filter marks that
+// dedupe retried deliveries across the restart; the cloud journals
+// and recovers its archive. Replay is torn-write safe (recovery
+// truncates the corrupt tail back to the last intact record),
+// snapshots rotate atomically, and recovery ordering is snapshot,
+// then log tail, then installation. Enable per node (fognode/cloud Config.Durability), per
 // system (core.Options.DataDir, one journal directory per node id),
 // or with f2cd -data-dir; core.System.Reboot simulates a process
 // restart, and the chaos crash-recovery scenario asserts zero loss
@@ -115,12 +122,15 @@
 // planned, lossless failover: sealed state moves verbatim with origin
 // identity and delivery sequences intact, so the shared parent's
 // replay filter keeps delivery exactly-once across the ownership
-// flip, and WAL start/commit/absorb records make it crash-safe at
-// every boundary. One type's migration, source side:
+// flip, and WAL start/absorb records plus the per-item commits make
+// it crash-safe at every boundary. One type's migration, source side:
 //
-//	OWNED ──MigrateOut──▶ FROZEN   pending sealed, recMigrateStart
-//	FROZEN ──chunks acked──▶ MOVED recMigrateCommit; routing flips
-//	FROZEN ──send fails──▶ OWNED   state reinstalled, sequences kept
+//	OWNED ──MigrateOut──▶ CLAIMED   buffers sealed, outbox claimed
+//	                                under its send lock, recMigrateStart
+//	CLAIMED ──chunks acked──▶ MOVED acknowledged items leave the outbox
+//	                                and are committed; routing flips
+//	CLAIMED ──send fails──▶ OWNED   the unsent items never left the
+//	                                outbox; the claim is released
 //
 // and target side: dedup (From, TransferSeq) -> ack; otherwise
 // journal the raw chunk (recMigrateIn), absorb verbatim, deliver
@@ -138,9 +148,10 @@
 // f2cctl subscribe / "subscriptions" in the deployment document), and
 // fog layer 1 evaluates it incrementally on the ingest hot path — no
 // polling, no raw readings re-read. Fired alerts seal into
-// transport.KindAlertPush batches that ride the delivery plane
-// upward with the same guarantees as data: at-least-once through the
-// frozen-sequence retry queues, instance-level dedup at the cloud
+// transport.KindAlertPush items that move upward with the same
+// guarantees as data because they are the same mechanism: queued on
+// the type's outbox behind its batches, at-least-once under a frozen
+// identity, instance-level dedup at the cloud
 // (protocol.Alert.Key), journaled subscription state so alerts
 // survive System.Reboot, and subscription routing through the
 // ownership rings so a standing query follows its shard across live

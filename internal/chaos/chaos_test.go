@@ -339,3 +339,39 @@ func TestChaosSeedReproducible(t *testing.T) {
 		t.Errorf("same seed diverged:\n first %+v\nsecond %+v", a, b)
 	}
 }
+
+// TestChaosDurableDegradeConservation closes the degrade tier's crash
+// hole end to end: the crash schedule that reboots nodes at every tier
+// from their journals, run with the buffer bound folding readings into
+// summaries. A reboot may land between a fold and the push that
+// carries it, with a sealed push parked, or — at fog layer 2 — with a
+// child's absorbed summary waiting in the degrade buffer; with
+// acknowledgements reliable the ledger must still be exact.
+func TestChaosDurableDegradeConservation(t *testing.T) {
+	for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
+		sc := Scenario{
+			Name: "durable degrade conservation", Kind: KindCrashRecovery, Durable: true,
+			MaxPendingReadings: 10, DegradeToSummary: true,
+			ReplyLoss: -1, Seed: seed,
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Degraded == 0 || res.Reboots == 0 {
+			t.Fatalf("seed %d: vacuous run: %d readings degraded, %d reboots", seed, res.Degraded, res.Reboots)
+		}
+		if got := int64(res.Preserved) + res.Degraded + res.Shed; got != int64(res.Accepted) {
+			t.Fatalf("seed %d: ledger %d != accepted %d (%+v)", seed, got, res.Accepted, res)
+		}
+		again, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != again {
+			t.Errorf("seed %d: durable degrade run diverged:\n first %+v\nsecond %+v", seed, res, again)
+		}
+		t.Logf("seed %d: accepted %d = preserved %d + degraded %d + shed %d across %d reboots",
+			seed, res.Accepted, res.Preserved, res.Degraded, res.Shed, res.Reboots)
+	}
+}

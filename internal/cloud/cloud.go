@@ -346,6 +346,24 @@ func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
 	return nil
 }
 
+// accept is the one receive path for everything that arrives under a
+// delivery identity — batches, alert pushes, summary pushes: a copy of
+// a delivery that already landed is acknowledged without applying it,
+// and check-and-mark is atomic (protocol.ReplayFilter.Accept). The
+// filter is keyed by the delivery's origin, not the hop that carried
+// it, so a copy arriving through a sibling relay and a direct retry
+// dedupe against each other.
+func (n *Node) accept(origin string, seq uint64, apply func() error) ([]byte, error) {
+	dup, err := n.replay.Accept(origin, seq, apply)
+	if err != nil {
+		return nil, err
+	}
+	if dup {
+		n.dupBatches.Inc()
+	}
+	return []byte("ok"), nil
+}
+
 // acceptSummaryPush folds a degraded summary push into the cloud's
 // per-type window summaries, deduped by (origin, seq) exactly like
 // batches. The windows merge decomposably, so retries and multi-hop
@@ -640,34 +658,20 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		// At-least-once dedup, keyed by the batch's origin so a copy
-		// arriving through a sibling relay and a direct retry dedupe
-		// against each other (see fognode.Handle).
-		if n.replay.Seen(b.NodeID, seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
-		}
 		// preserve journals batch + mark as one record and marks the
-		// filter itself after a successful archive.
-		if err := n.preserve(b, msg.From, seq); err != nil {
-			return nil, err
+		// filter itself, under the journal mutex, once archived.
+		ack, err := n.accept(b.NodeID, seq, func() error { return n.preserve(b, msg.From, seq) })
+		if err == nil {
+			n.maybeCheckpoint()
+			n.maybeExpire()
 		}
-		n.maybeCheckpoint()
-		n.maybeExpire()
-		return []byte("ok"), nil
+		return ack, err
 	case transport.KindAlertPush:
 		push, err := protocol.DecodeAlertPush(msg.Payload)
 		if err != nil {
 			return nil, err
 		}
-		if n.replay.Seen(push.Origin, push.Seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
-		}
-		if err := n.acceptAlertPush(push, msg.Payload); err != nil {
-			return nil, err
-		}
-		return []byte("ok"), nil
+		return n.accept(push.Origin, push.Seq, func() error { return n.acceptAlertPush(push, msg.Payload) })
 	case transport.KindSummaryPush:
 		var push protocol.SummaryPush
 		if err := protocol.DecodeJSON(msg.Payload, &push); err != nil {
@@ -676,13 +680,10 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		if err := push.Validate(); err != nil {
 			return nil, err
 		}
-		if n.replay.Seen(push.Origin, push.Seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
-		}
-		n.acceptSummaryPush(push)
-		n.replay.Mark(push.Origin, push.Seq)
-		return []byte("ok"), nil
+		return n.accept(push.Origin, push.Seq, func() error {
+			n.acceptSummaryPush(push)
+			return nil
+		})
 	case transport.KindQuery:
 		var req protocol.QueryRequest
 		if err := protocol.DecodeJSON(msg.Payload, &req); err != nil {

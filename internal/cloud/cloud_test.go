@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -277,5 +278,48 @@ func TestOpenDataAPI(t *testing.T) {
 	_, body = get("/opendata/v1/types/weather/readings")
 	if string(body) != "[]\n" {
 		t.Errorf("empty readings body = %q, want []", body)
+	}
+}
+
+// TestConcurrentDuplicateDeliveryArchivedOnce: a timed-out send's retry
+// can overlap its still-running original, so N copies of one sealed
+// envelope arrive at once. Exactly one may be archived; the others are
+// acknowledged as duplicates.
+func TestConcurrentDuplicateDeliveryArchivedOnce(t *testing.T) {
+	n := newCloud(t)
+	// A fat batch keeps each copy inside the preserve long enough for
+	// the others to arrive.
+	const readings, copies = 2000, 8
+	vals := make([]float64, readings)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	payload, err := (&protocol.Sealer{}).SealSeq(nil, trafficBatch("fog2/d01", t0, vals...), aggregate.CodecZip, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < copies; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			msg := transport.Message{From: "fog2/d01", Kind: transport.KindBatch, Payload: payload}
+			if _, err := n.Handle(context.Background(), msg); err != nil {
+				t.Errorf("copy rejected: %v", err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := n.Archive().Stats().Readings; got != readings {
+		t.Errorf("archived %d readings, want %d: a duplicate was preserved", got, readings)
+	}
+	if got := len(n.Historical("traffic", t0.Add(-time.Hour), t0.Add(time.Hour))); got != readings {
+		t.Errorf("query series holds %d readings, want %d", got, readings)
+	}
+	if got := n.DuplicateBatches(); got != copies-1 {
+		t.Errorf("DuplicateBatches = %d, want %d", got, copies-1)
 	}
 }

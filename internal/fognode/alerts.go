@@ -1,33 +1,27 @@
 package fognode
 
-// Continuous-query alert plane: standing subscriptions (internal/cq)
-// evaluated incrementally in the ingest hot path, with fired alerts
-// moving upward under transport.KindAlertPush through the same
-// frozen-sequence retry machinery batches and degrade summaries use.
+// Continuous queries: standing subscriptions (internal/cq) evaluated
+// incrementally in the ingest hot path, whose fired alerts move upward
+// as transport.KindAlertPush items on the type's outbox (shard.go).
 //
 // Evaluation: every accepted batch is offered to the cq engine right
 // after it lands in the temporal store (threshold subscriptions fire
 // here); each flush first harvests the windows that closed since the
 // last one (window subscriptions fire there). Fired alerts seal into
-// an AlertPush under a fresh sequence from the node's shared space
-// and queue on the owning shard; flush workers deliver them after the
-// type's batches and summaries, parent-only (never sibling relays —
-// the relay path exists to drain bulk data around a dead parent, and
-// alerts must not arrive ahead of the readings that explain them).
+// an AlertPush under a fresh sequence from the node's shared space.
+// A fog tier that receives a child's push queues it verbatim —
+// store-and-forward, original identity preserved.
 //
 // Delivery is at-least-once with two dedup tiers: the receiving
 // tier's replay filter drops a retried push by its (Origin, Seq), and
 // the cloud stores alerts keyed by their instance identity
 // (FiredBy, SubID, StartUnix, Kind), which also absorbs re-batched
-// copies when retry-queue overflow folds an old push's alerts into a
-// younger push. On a durable node every seal and commit is journaled
-// (recAlertSeal / recAlertCommit) so a rebooted node resumes its
-// subscriptions, its queued pushes, and — critically — the emitted
+// copies when overflow folds an old push's alerts into a younger
+// push. On a durable node the journaled seals also carry the emitted
 // marks that stop a recovered window from firing twice.
 
 import (
-	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -37,20 +31,6 @@ import (
 	"f2c/internal/transport"
 )
 
-// sealedAlert is one alert push frozen under a delivery sequence,
-// sharing the node's batch sequence space so the parent's per-origin
-// replay filter dedups retried pushes exactly like batches.
-type sealedAlert struct {
-	push protocol.AlertPush
-	seq  uint64
-}
-
-// maxAlertsPerPush bounds how many alert instances retry-queue
-// folding may accumulate into one push; beyond it the oldest
-// instances are dropped (and counted shed) — the alert tier's
-// last-resort bound, mirroring the summary retry tier's.
-const maxAlertsPerPush = 4096
-
 // Subscribe registers a standing continuous query on this node. On a
 // durable node the registration is journaled first (the acceptance
 // gate), so a rebooted node still evaluates it.
@@ -59,7 +39,11 @@ func (n *Node) Subscribe(sub cq.Subscription) error {
 		return fmt.Errorf("fognode %s: %w", n.cfg.Spec.ID, err)
 	}
 	if n.journal != nil {
-		if err := n.journal.appendSubscribe(sub); err != nil {
+		doc, err := json.Marshal(sub)
+		if err == nil {
+			err = n.journal.appendPayload(recSubscribe, doc)
+		}
+		if err != nil {
 			return fmt.Errorf("fognode %s: subscribe: %w", n.cfg.Spec.ID, err)
 		}
 	}
@@ -112,11 +96,10 @@ func (n *Node) sealAlerts(alerts []cq.Alert) {
 	}
 }
 
-// sealAlertGroup freezes one type's fired alerts into a push under a
-// fresh delivery sequence, journals the seal, queues it for the next
-// flush, and reports it to the alert observer — the fire point of the
-// exactly-once ledger. Alerts in the group share a type but may come
-// from different subscriptions.
+// sealAlertGroup freezes one type's fired alerts into a push item
+// under a fresh delivery sequence and reports it to the alert observer
+// — the fire point of the exactly-once ledger. Alerts in the group
+// share a type but may come from different subscriptions.
 func (n *Node) sealAlertGroup(alerts []cq.Alert) {
 	if len(alerts) == 0 {
 		return
@@ -142,18 +125,16 @@ func (n *Node) sealAlertGroup(alerts []cq.Alert) {
 			Value:     a.Value,
 		})
 	}
+	payload, err := protocol.EncodeAlertPush(&push)
+	if err != nil {
+		// An alert the wire codec refuses can never be delivered.
+		n.alertsShed.Add(int64(len(push.Alerts)))
+		return
+	}
 	sh := n.shardFor(typ)
 	sh.mu.Lock()
-	if n.journal != nil {
-		// Best-effort, like batch seals: a lost record degrades toward
-		// the window refiring after a crash — a duplicate instance the
-		// cloud's instance dedup absorbs — never toward loss.
-		if payload, err := protocol.EncodeAlertPush(&push); err == nil {
-			_ = n.journal.appendAlertSeal(payload)
-		}
-	}
-	sh.alerts[typ] = append(sh.alerts[typ], sealedAlert{push: push, seq: push.Seq})
-	n.boundAlertsLocked(sh, typ)
+	_ = n.sealLocked(sh, typ, item{kind: transport.KindAlertPush, origin: me, seq: push.Seq, class: push.Category, payload: payload}, false)
+	n.boundLocked(sh, typ)
 	sh.mu.Unlock()
 	n.alertsFired.Add(int64(len(push.Alerts)))
 	if n.cfg.AlertObserver != nil {
@@ -161,93 +142,36 @@ func (n *Node) sealAlertGroup(alerts []cq.Alert) {
 	}
 }
 
-// boundAlertsLocked caps a type's alert retry queue at MaxAlertRetry
-// pushes. Overflow does not drop alerts: the oldest push's instances
-// fold into its successor (each alert carries its own FiredBy
-// instance identity, so re-batching under the younger push's
-// sequence stays exactly-once downstream), and the fold is journaled
-// as a re-seal of the merged push plus a commit of the folded one.
-// Only past maxAlertsPerPush are the oldest instances finally shed.
-// The caller holds the shard lock.
-func (n *Node) boundAlertsLocked(sh *pendingShard, typ string) {
-	max := n.cfg.MaxAlertRetry
-	q := sh.alerts[typ]
-	for max > 0 && len(q) > max {
-		merged := make([]protocol.Alert, 0, len(q[0].push.Alerts)+len(q[1].push.Alerts))
-		merged = append(merged, q[0].push.Alerts...)
-		merged = append(merged, q[1].push.Alerts...)
-		if over := len(merged) - maxAlertsPerPush; over > 0 {
-			n.alertsShed.Add(int64(over))
-			merged = merged[over:]
-		}
-		folded := q[0]
-		q[1].push.Alerts = merged
-		if n.journal != nil {
-			// Re-seal the merged push under its unchanged (origin, seq)
-			// — replay replaces the earlier seal — then commit the
-			// folded push so recovery cannot resurrect its original.
-			if payload, err := protocol.EncodeAlertPush(&q[1].push); err == nil {
-				_ = n.journal.appendAlertSeal(payload)
-			}
-			_ = n.journal.appendAlertCommit(typ, folded.push.Origin, folded.seq)
-		}
-		n.alertFolds.Inc()
-		q[0] = sealedAlert{}
-		q = q[1:]
+// foldAlertLocked is the alert kind's overflow policy: the push at
+// index i folds into its successor instead of being dropped (each
+// alert carries its own FiredBy instance identity, so re-batching
+// under the younger push's sequence stays exactly-once downstream).
+// The fold is journaled as a re-seal of the merged push — replay
+// replaces the earlier seal in place — plus a commit of the folded
+// one. Only past maxAlertsPerPush are the oldest instances finally
+// shed. The caller holds the shard lock.
+func (n *Node) foldAlertLocked(typ string, q *outbox, i int) {
+	folded, into := &q.items[i], &q.items[i+1]
+	old, err := protocol.DecodeAlertPush(folded.payload)
+	next, err2 := protocol.DecodeAlertPush(into.payload)
+	if err != nil || err2 != nil {
+		return // not payloads this codec sealed: keep both, over the cap
 	}
-	sh.alerts[typ] = q
-}
-
-// requeueAlerts parks unsent pushes back on their type's alert retry
-// queue, sequences frozen.
-func (n *Node) requeueAlerts(typ string, pushes []sealedAlert) {
-	if len(pushes) == 0 {
+	merged := append(old.Alerts, next.Alerts...)
+	over := max(len(merged)-maxAlertsPerPush, 0)
+	next.Alerts = merged[over:]
+	payload, err := protocol.EncodeAlertPush(next)
+	if err != nil {
 		return
 	}
-	sh := n.shardFor(typ)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.alerts[typ] = append(sh.alerts[typ], pushes...)
-	n.boundAlertsLocked(sh, typ)
-}
-
-// deliverAlert sends one sealed push to the parent. Like degrade
-// summaries, alerts never ride sibling relays.
-func (n *Node) deliverAlert(ctx context.Context, sa sealedAlert) error {
-	now := n.cfg.Clock.Now()
-	if !n.up.parentDue(now) {
-		return errDeferred
+	n.alertsShed.Add(int64(over))
+	n.alertFolds.Inc()
+	into.payload = payload
+	if n.journal != nil {
+		_ = n.journal.appendSeal(typ, into)
 	}
-	payload, err := protocol.EncodeAlertPush(&sa.push)
-	if err != nil {
-		return err
-	}
-	msg := transport.Message{
-		From:    n.cfg.Spec.ID,
-		To:      n.cfg.Spec.Parent,
-		Kind:    transport.KindAlertPush,
-		Class:   sa.push.Category,
-		Payload: payload,
-	}
-	start := time.Now()
-	if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
-		n.up.onParentSuccess()
-		if n.ctl != nil {
-			n.ctl.observeRTT(time.Since(start))
-		}
-		n.alertPushesOut.Inc()
-		n.flushedBytes.Add(msg.WireSize())
-		return nil
-	} else if errors.Is(err, transport.ErrBackpressure) || transport.IsOverload(err) {
-		if n.ctl != nil {
-			n.ctl.onBackpressure()
-		}
-		n.deferredFlushes.Inc()
-		return errDeferred
-	} else {
-		n.up.onParentFailure(now)
-		return err
-	}
+	n.commit(typ, folded)
+	q.remove(i)
 }
 
 // handleAlertPush is a fog tier's receiving half: a child's push is
@@ -260,26 +184,22 @@ func (n *Node) handleAlertPush(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.replay.Seen(push.Origin, push.Seq) {
-		n.dupBatches.Inc()
-		return []byte("ok"), nil
-	}
-	sh := n.shardFor(push.TypeName)
-	sh.mu.Lock()
-	if n.journal != nil {
-		if err := n.journal.appendAlertSeal(payload); err != nil {
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("fognode %s: alert push: %w", n.cfg.Spec.ID, err)
+	return n.accept(push.Origin, push.Seq, func() error {
+		// The transport owns payload once Handle returns.
+		it := item{kind: transport.KindAlertPush, origin: push.Origin, seq: push.Seq, class: push.Category, payload: append([]byte(nil), payload...)}
+		sh := n.shardFor(push.TypeName)
+		sh.mu.Lock()
+		err := n.sealLocked(sh, push.TypeName, it, true)
+		if err == nil {
+			n.boundLocked(sh, push.TypeName)
 		}
-	}
-	sh.alerts[push.TypeName] = append(sh.alerts[push.TypeName], sealedAlert{push: *push, seq: push.Seq})
-	n.boundAlertsLocked(sh, push.TypeName)
-	sh.mu.Unlock()
-	n.alertsIn.Add(int64(len(push.Alerts)))
-	// Mark only after the state landed: marking earlier would
-	// blackhole the child's retry of a failed absorb.
-	n.replay.Mark(push.Origin, push.Seq)
-	return []byte("ok"), nil
+		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("fognode %s: alert push: %w", n.cfg.Spec.ID, err)
+		}
+		n.alertsIn.Add(int64(len(push.Alerts)))
+		return nil
+	})
 }
 
 // AlertsFired reports how many alert instances this node's

@@ -1,8 +1,7 @@
 package fognode
 
 import (
-	"context"
-	"errors"
+	"fmt"
 	"sort"
 	"time"
 
@@ -15,23 +14,18 @@ import (
 // Graceful degradation: when MaxPendingReadings trims a type's upward
 // buffer, a degrading node folds the trimmed readings into
 // per-time-window decomposable summaries (the PR 3 push-down type)
-// instead of dropping them, and forwards the summaries upward under
-// transport.KindSummaryPush at the next flush. An overloaded fog node
-// then loses resolution, not information; the raw-shed path remains
-// only as the last resort when the degrade tier itself overflows.
+// instead of dropping them; the next flush seals the buffer into a
+// transport.KindSummaryPush item on the type's outbox (shard.go). An
+// overloaded fog node then loses resolution, not information; the
+// raw-shed path remains only as the last resort when the summary
+// kind's own overflow policy drops a push.
 //
-// Degraded windows live in memory only (they are the fallback for
-// readings the journal has already recorded as trimmed), so a crash
-// between degrade and push loses at most the degraded resolution —
-// never journaled raw data.
-
-// sealedSummary is one summary push frozen under a delivery sequence,
-// sharing the node's batch sequence space so the parent's per-origin
-// replay filter dedups retried pushes exactly like batches.
-type sealedSummary struct {
-	push protocol.SummaryPush
-	seq  uint64
-}
+// On a durable node the degrade tier is as crash-safe as the raw one:
+// the trim is journaled (replay folds the same readings again), a
+// child's absorbed push is journaled before it is acknowledged, the
+// buffer is part of every snapshot, and a sealed push is an item like
+// any other — so preserved + degraded + shed == accepted holds across
+// a crash between fold and push.
 
 // degradeBuf accumulates one type's degraded readings as per-window
 // decomposable summaries, keyed by the window's start instant
@@ -39,6 +33,10 @@ type sealedSummary struct {
 type degradeBuf struct {
 	category model.Category
 	windows  map[int64]aggregate.Summary
+}
+
+func newDegradeBuf(cat model.Category) *degradeBuf {
+	return &degradeBuf{category: cat, windows: make(map[int64]aggregate.Summary)}
 }
 
 // fold merges one reading into its time window. When the buffer is at
@@ -60,6 +58,13 @@ func (d *degradeBuf) fold(r model.Reading, window time.Duration, maxWindows int)
 	d.windows[ws] = d.windows[ws].Observe(r.Value)
 }
 
+// foldAll folds a run of readings at the package's window cap.
+func (d *degradeBuf) foldAll(readings []model.Reading, window time.Duration) {
+	for _, r := range readings {
+		d.fold(r, window, maxDegradedWindows)
+	}
+}
+
 func abs64(v int64) int64 {
 	if v < 0 {
 		return -v
@@ -67,112 +72,71 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// degradeLocked folds readings being trimmed from a type's buffer into
-// the shard's degrade buffer. Caller holds the shard lock.
-func (n *Node) degradeLocked(sh *pendingShard, typ string, cat model.Category, readings []model.Reading) {
-	buf, ok := sh.degraded[typ]
-	if !ok {
-		buf = &degradeBuf{category: cat, windows: make(map[int64]aggregate.Summary)}
-		sh.degraded[typ] = buf
+// absorb merges a push's windows into the buffer.
+func (d *degradeBuf) absorb(push *protocol.SummaryPush) {
+	for _, w := range push.Windows {
+		d.windows[w.StartUnix] = d.windows[w.StartUnix].Merge(w.Summary)
 	}
-	window := n.cfg.DegradeWindow
-	for _, r := range readings {
-		buf.fold(r, window, n.cfg.MaxDegradedWindows)
-	}
-	n.degradedReads.Add(int64(len(readings)))
 }
 
-// sealSummaryLocked freezes a type's degrade buffer into an immutable
-// push under a fresh delivery sequence, windows in time order. Caller
-// holds the shard lock.
-func (n *Node) sealSummaryLocked(typ string, buf *degradeBuf) sealedSummary {
-	window := int64(n.cfg.DegradeWindow)
+// push freezes the buffer's windows, in time order, as a summary push.
+func (d *degradeBuf) push(origin string, seq uint64, typ string, window time.Duration) protocol.SummaryPush {
 	push := protocol.SummaryPush{
-		Origin:   n.cfg.Spec.ID,
-		Seq:      n.seq.Add(1),
+		Origin:   origin,
+		Seq:      seq,
 		TypeName: typ,
-		Category: buf.category.String(),
-		Windows:  make([]protocol.SummaryWindow, 0, len(buf.windows)),
+		Category: d.category.String(),
+		Windows:  make([]protocol.SummaryWindow, 0, len(d.windows)),
 	}
-	for ws, s := range buf.windows {
+	for ws, s := range d.windows {
 		push.Windows = append(push.Windows, protocol.SummaryWindow{
-			StartUnix: ws, EndUnix: ws + window, Summary: s,
+			StartUnix: ws, EndUnix: ws + int64(window), Summary: s,
 		})
 	}
 	sort.Slice(push.Windows, func(i, j int) bool {
 		return push.Windows[i].StartUnix < push.Windows[j].StartUnix
 	})
-	return sealedSummary{push: push, seq: push.Seq}
+	return push
 }
 
-// deliverSummary sends one sealed push to the parent. Summaries never
-// ride sibling relays: they exist to relieve an overload, and shifting
-// them sideways would spread it.
-func (n *Node) deliverSummary(ctx context.Context, ss sealedSummary) error {
-	now := n.cfg.Clock.Now()
-	if !n.up.parentDue(now) {
-		return errDeferred
+// degradeBufLocked returns a type's degrade buffer, creating it on
+// first use. The caller holds the shard lock.
+func (sh *pendingShard) degradeBufLocked(typ string, cat model.Category) *degradeBuf {
+	buf, ok := sh.degraded[typ]
+	if !ok {
+		buf = newDegradeBuf(cat)
+		sh.degraded[typ] = buf
 	}
-	payload, err := protocol.EncodeJSON(ss.push)
+	return buf
+}
+
+// degradeLocked folds readings being trimmed from a type's buffer into
+// the shard's degrade buffer. Caller holds the shard lock.
+func (n *Node) degradeLocked(sh *pendingShard, typ string, cat model.Category, readings []model.Reading) {
+	sh.degradeBufLocked(typ, cat).foldAll(readings, n.cfg.DegradeWindow)
+	n.degradedReads.Add(int64(len(readings)))
+}
+
+// sealSummaryLocked freezes a type's degrade buffer into a push item
+// under a fresh delivery sequence. Caller holds the shard lock.
+func (n *Node) sealSummaryLocked(sh *pendingShard, typ string, buf *degradeBuf) {
+	push := buf.push(n.cfg.Spec.ID, n.seq.Add(1), typ, n.cfg.DegradeWindow)
+	delete(sh.degraded, typ)
+	payload, err := protocol.EncodeJSON(push)
 	if err != nil {
-		return err
-	}
-	msg := transport.Message{
-		From:    n.cfg.Spec.ID,
-		To:      n.cfg.Spec.Parent,
-		Kind:    transport.KindSummaryPush,
-		Class:   ss.push.Category,
-		Payload: payload,
-	}
-	start := time.Now()
-	if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
-		n.up.onParentSuccess()
-		if n.ctl != nil {
-			n.ctl.observeRTT(time.Since(start))
-		}
-		n.summariesEmitted.Inc()
-		n.flushedBytes.Add(msg.WireSize())
-		return nil
-	} else if errors.Is(err, transport.ErrBackpressure) || transport.IsOverload(err) {
-		if n.ctl != nil {
-			n.ctl.onBackpressure()
-		}
-		n.deferredFlushes.Inc()
-		return errDeferred
-	} else {
-		n.up.onParentFailure(now)
-		return err
-	}
-}
-
-// requeueSummaries parks unsent pushes back on their type's summary
-// retry queue, sequences frozen. The queue is bounded by
-// MaxSummaryRetry; beyond it the oldest push is dropped and its folded
-// readings finally counted as shed — the degrade tier is exhausted and
-// raw-shed is the last resort left.
-func (n *Node) requeueSummaries(typ string, pushes []sealedSummary) {
-	if len(pushes) == 0 {
+		// Finite summaries always encode; what cannot be sent is shed.
+		n.shedReads.Add(push.Readings())
 		return
 	}
-	sh := n.shardFor(typ)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	q := append(sh.sumRetry[typ], pushes...)
-	max := n.cfg.MaxSummaryRetry
-	for max > 0 && len(q) > max {
-		n.shedReads.Add(q[0].push.Readings())
-		q[0] = sealedSummary{}
-		q = q[1:]
-	}
-	sh.sumRetry[typ] = q
+	_ = n.sealLocked(sh, typ, item{kind: transport.KindSummaryPush, origin: push.Origin, seq: push.Seq, class: push.Category, payload: payload}, false)
 }
 
-// handleSummaryPush is the receiving half of degradation: a child (or
-// this node's own lower tier) pushed degraded windows upward. They are
-// deduped by (origin, seq) against retries, then folded into this
-// node's own degrade buffer, to be re-emitted upward under this node's
-// identity at its next flush — the same combine-and-forward shape the
-// batch path has.
+// handleSummaryPush is the receiving half of degradation: a child
+// pushed degraded windows upward. They are deduped by (origin, seq)
+// against retries, journaled as the acceptance gate, then folded into
+// this node's own degrade buffer, to be re-emitted upward under this
+// node's identity at its next flush — the same combine-and-forward
+// shape the batch path has.
 func (n *Node) handleSummaryPush(payload []byte) ([]byte, error) {
 	var push protocol.SummaryPush
 	if err := protocol.DecodeJSON(payload, &push); err != nil {
@@ -181,27 +145,20 @@ func (n *Node) handleSummaryPush(payload []byte) ([]byte, error) {
 	if err := push.Validate(); err != nil {
 		return nil, err
 	}
-	if n.replay.Seen(push.Origin, push.Seq) {
-		n.dupBatches.Inc()
-		return []byte("ok"), nil
-	}
-	cat, _ := model.ParseCategory(push.Category)
-	sh := n.shardFor(push.TypeName)
-	sh.mu.Lock()
-	buf, ok := sh.degraded[push.TypeName]
-	if !ok {
-		buf = &degradeBuf{category: cat, windows: make(map[int64]aggregate.Summary)}
-		sh.degraded[push.TypeName] = buf
-	}
-	for _, w := range push.Windows {
-		s := buf.windows[w.StartUnix]
-		s = s.Merge(w.Summary)
-		buf.windows[w.StartUnix] = s
-	}
-	sh.mu.Unlock()
-	n.degradedIn.Add(push.Readings())
-	n.replay.Mark(push.Origin, push.Seq)
-	return []byte("ok"), nil
+	return n.accept(push.Origin, push.Seq, func() error {
+		cat, _ := model.ParseCategory(push.Category)
+		sh := n.shardFor(push.TypeName)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if n.journal != nil {
+			if err := n.journal.appendPayload(recAbsorb, payload); err != nil {
+				return fmt.Errorf("fognode %s: summary push: %w", n.cfg.Spec.ID, err)
+			}
+		}
+		sh.degradeBufLocked(push.TypeName, cat).absorb(&push)
+		n.degradedIn.Add(push.Readings())
+		return nil
+	})
 }
 
 // DegradedReadings reports how many buffered readings this node folded

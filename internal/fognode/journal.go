@@ -4,92 +4,91 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"time"
 
 	"f2c/internal/cq"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sensor"
+	"f2c/internal/transport"
 	"f2c/internal/wal"
 )
 
 // The fog-node journal persists exactly the state the upward-delivery
-// guarantee depends on, as one record per state transition:
+// guarantee depends on, as one record per state transition. Records
+// are appended under the same lock as the state change they describe
+// (the pending-shard mutex), so replaying the log reproduces the
+// per-type state machine transition by transition. Recovery ordering
+// is snapshot first, then the log tail, then installation into the
+// shards.
 //
-//	recBatch   readings accepted into the per-type pending buffer;
-//	           when the batch arrived sequenced over the transport,
-//	           the record also carries its (origin, seq) replay-filter
-//	           mark, so acceptance and dedup state commit atomically —
-//	           a recovered receiver either has both the batch and its
-//	           mark or neither, and a sender's retry is either
-//	           recognized or re-accepted exactly once
-//	recSeal    a pending buffer frozen under a delivery sequence
-//	           (it becomes one retry-queue batch until committed)
-//	recCommit  a sealed batch delivered and acknowledged upward
-//	recShed    readings dropped oldest-first by MaxPendingReadings
-//
-// plus the live shard-migration records (see migrate.go):
-//
-//	recMigrateStart   a type's state frozen for handoff to a new
+//	recBatch          readings accepted into a type's pending buffer;
+//	                  when the batch arrived sequenced over the
+//	                  transport the record also carries its
+//	                  (origin, seq) replay-filter mark, so acceptance
+//	                  and dedup state commit atomically — a recovered
+//	                  receiver either has both the batch and its mark
+//	                  or neither, and a sender's retry is either
+//	                  recognized or re-accepted exactly once
+//	recShed           readings trimmed oldest-first by
+//	                  MaxPendingReadings; replay drops them again or,
+//	                  on a DegradeToSummary node, folds them into the
+//	                  recovered degrade buffer again
+//	recAbsorb         a child's summary push merged into the degrade
+//	                  buffer (raw payload, with its (origin, seq) mark)
+//	recSeal           a batch item frozen onto its type's outbox, O(1):
+//	                  (seq, count) freezes the next count journaled
+//	                  readings of the pending buffer
+//	recPushSeal       a push item frozen onto its type's outbox, with
+//	                  its payload; an own summary seal also empties the
+//	                  degrade buffer it froze. Replay is keyed by
+//	                  (kind, origin, seq), so an alert fold's re-seal of
+//	                  the merged push replaces the earlier seal in place
+//	recItemCommit     an item delivered and acknowledged upward, handed
+//	                  to a new owner by a migration, or dropped by its
+//	                  overflow policy; replay removes it
+//	recMigrateStart   a type's state claimed for handoff to a new
 //	                  owner, with the counter after the handoff's
-//	                  transfer sequences were reserved — an
-//	                  uncommitted handoff keeps the moved batches in
-//	                  their seal groups (recovery lands on local
+//	                  transfer sequences were reserved — the items stay
+//	                  queued until committed (recovery lands on local
 //	                  ownership) but the counter must stay past the
 //	                  reserved sequences the target may have marked
-//	recMigrateCommit  the handoff's moved sequences acknowledged by
-//	                  the new owner; replay removes them from the
-//	                  seal groups (like recCommit, batched)
-//	recMigrateIn      one absorbed handoff chunk, raw transfer
-//	                  payload; replay re-absorbs the entries and
-//	                  marks verbatim (degrade summaries stay
-//	                  in-memory-only, matching the degrade tier's
-//	                  crash contract)
+//	recMigrateIn      one absorbed handoff chunk, raw transfer payload;
+//	                  replay re-absorbs the items and marks verbatim
+//	recSubscribe      a standing subscription registered (JSON)
+//	recUnsubscribe    a subscription cancelled (or handed off by a
+//	                  completed shard migration)
 //
-// Record appends happen under the same locks as the state changes
-// they describe (the pending-shard mutex), so replaying the log
-// reproduces the per-type state machine transition by transition.
-// Recovery ordering is snapshot first, then the log tail, then the
-// retry queues and pending buffers are installed into the shards.
+// recBatch, recAbsorb, recMigrateIn, recSubscribe and the recPushSeal
+// of a push absorbed from another node are acceptance gates: if the
+// record cannot be appended the operation fails and the sender
+// retries. The other records are best-effort — losing one degrades
+// toward re-delivery (which the receiver-side replay filter or the
+// cloud's per-instance alert dedup absorbs) rather than loss.
 //
-// plus the continuous-query alert plane (see alerts.go):
-//
-//	recSubscribe    a standing subscription registered (JSON
-//	                definition) — the Subscribe acceptance gate
-//	recUnsubscribe  a subscription cancelled (or handed off by a
-//	                completed shard migration)
-//	recAlertSeal    one alert push frozen on a shard's alert queue,
-//	                raw wire payload; keyed by the push's
-//	                (origin, seq) on replay, so a retry-fold's
-//	                re-seal of the merged push replaces the earlier
-//	                seal at its original queue position
-//	recAlertCommit  a push delivered and acknowledged upward (or
-//	                handed off by a completed shard migration)
-//
-// Record appends happen under the same locks as the state changes
-// they describe. recBatch, recMigrateIn, recSubscribe and the
-// inbound-absorb recAlertSeal are acceptance gates: if the record
-// cannot be appended the operation fails and the sender retries. The
-// other records are best-effort — losing one degrades toward
-// re-delivery (which the receiver-side replay filter or the cloud's
-// per-instance alert dedup absorbs) rather than loss.
+// Read-only, for logs written before the one-outbox journal:
+// recCommit (a batch commit without an origin), recMigrateCommit (a
+// handoff's moved batch sequences, batched) and recAlertSeal (an alert
+// push seal without a kind) replay onto the same recovery state;
+// recItemCommit is the record alert commits always were.
 const (
 	// journalVersion is the snapshot layout version written by
-	// checkpoints; version-1 snapshots (pre-alert-plane) still decode.
-	journalVersion = 2
+	// checkpoints; versions 1 and 2 still decode.
+	journalVersion = 3
 
-	recBatch  = 1
-	recSeal   = 2
-	recCommit = 3
-	recShed   = 4
-
+	recBatch         = 1
+	recSeal          = 2
+	recCommit        = 3 // read-only
+	recShed          = 4
 	recMigrateStart  = 5
-	recMigrateCommit = 6
+	recMigrateCommit = 6 // read-only
 	recMigrateIn     = 7
-
-	recSubscribe   = 8
-	recUnsubscribe = 9
-	recAlertSeal   = 10
-	recAlertCommit = 11
+	recSubscribe     = 8
+	recUnsubscribe   = 9
+	recAlertSeal     = 10 // read-only
+	recItemCommit    = 11
+	recPushSeal      = 12
+	recAbsorb        = 13
 )
 
 // journal wraps the node's wal.Store with the record codec. Its mutex
@@ -109,6 +108,19 @@ func openJournal(cfg wal.Config) (*journal, error) {
 	return &journal{store: st}, nil
 }
 
+// write appends one record, built by fill into the reused scratch.
+// A closed journal refuses: acceptance gates fail on that, best-effort
+// callers drop the error like any other.
+func (j *journal) write(fill func(buf []byte) []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return fmt.Errorf("fognode: journal closed")
+	}
+	j.buf = fill(j.buf[:0])
+	return j.store.Append(j.buf)
+}
+
 // appendBatch journals readings accepted into the pending buffer,
 // together with the delivery mark (origin, seq) of the transport hop
 // that carried them (zero when the batch arrived unsequenced — a
@@ -123,166 +135,78 @@ func (j *journal) appendBatch(nodeID string, b *model.Batch, origin string, seq 
 		Collected: b.Collected,
 		Readings:  b.Readings,
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recBatch)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendString(j.buf, origin)
-	j.buf = sensor.AppendBatch(j.buf, &up)
-	return j.store.Append(j.buf)
+	return j.write(func(buf []byte) []byte {
+		buf = append(buf, recBatch)
+		buf = wal.AppendUint64(buf, seq)
+		buf = wal.AppendString(buf, origin)
+		return sensor.AppendBatch(buf, &up)
+	})
 }
 
-func (j *journal) appendSeal(typ string, seq uint64, count int) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recSeal)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendUvarint(j.buf, uint64(count))
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+// appendSeal journals one item frozen onto a type's outbox: O(1) for a
+// batch, whose readings the log already holds, with the payload for a
+// push.
+func (j *journal) appendSeal(typ string, it *item) error {
+	return j.write(func(buf []byte) []byte {
+		if it.b == nil {
+			buf = append(buf, recPushSeal, byte(rank(it.kind)))
+			return wal.AppendBytes(buf, it.payload)
+		}
+		buf = append(buf, recSeal)
+		buf = wal.AppendUint64(buf, it.seq)
+		buf = wal.AppendUvarint(buf, uint64(len(it.b.Readings)))
+		return wal.AppendString(buf, typ)
+	})
 }
 
-func (j *journal) appendCommit(typ string, seq uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recCommit)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+// appendCommit journals an item leaving a type's outbox for good.
+func (j *journal) appendCommit(typ, origin string, seq uint64) error {
+	return j.write(func(buf []byte) []byte {
+		buf = append(buf, recItemCommit)
+		buf = wal.AppendUint64(buf, seq)
+		buf = wal.AppendString(buf, origin)
+		return wal.AppendString(buf, typ)
+	})
 }
 
 func (j *journal) appendShed(typ string, count int) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recShed)
-	j.buf = wal.AppendUvarint(j.buf, uint64(count))
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+	return j.write(func(buf []byte) []byte {
+		buf = append(buf, recShed)
+		buf = wal.AppendUvarint(buf, uint64(count))
+		return wal.AppendString(buf, typ)
+	})
 }
 
-// appendMigrateStart journals a type's state leaving the shard maps
-// for a handoff, carrying the sequence counter after the handoff's
-// transfer sequences were reserved. Best-effort, like seals: the moved
-// state is covered either way (replay keeps uncommitted batches in
-// their seal groups), but the watermark keeps a recovered counter past
-// the reserved transfer sequences — the target may have marked them,
-// and a reused sequence would be deduped there silently.
+// appendMigrateStart journals a type's state claimed for a handoff,
+// carrying the sequence counter after the handoff's transfer sequences
+// were reserved. Best-effort, like own seals: the state is covered
+// either way (uncommitted items stay queued), but the watermark keeps
+// a recovered counter past the reserved transfer sequences — the
+// target may have marked them, and a reused sequence would be deduped
+// there silently.
 func (j *journal) appendMigrateStart(typ, target string, seqHigh uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recMigrateStart)
-	j.buf = wal.AppendString(j.buf, typ)
-	j.buf = wal.AppendString(j.buf, target)
-	j.buf = wal.AppendUint64(j.buf, seqHigh)
-	return j.store.Append(j.buf)
+	return j.write(func(buf []byte) []byte {
+		buf = append(buf, recMigrateStart)
+		buf = wal.AppendString(buf, typ)
+		buf = wal.AppendString(buf, target)
+		return wal.AppendUint64(buf, seqHigh)
+	})
 }
 
-// appendMigrateCommit journals the sequences a completed handoff
-// moved off this node: the new owner acknowledged them, so recovery
-// must not resurrect them here.
-func (j *journal) appendMigrateCommit(typ string, seqs []uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recMigrateCommit)
-	j.buf = wal.AppendString(j.buf, typ)
-	j.buf = wal.AppendUvarint(j.buf, uint64(len(seqs)))
-	for _, seq := range seqs {
-		j.buf = wal.AppendUint64(j.buf, seq)
-	}
-	return j.store.Append(j.buf)
-}
-
-// appendMigrateIn journals one absorbed handoff chunk, raw transfer
-// payload. Like appendBatch it is the acceptance gate: a failure
-// rejects the chunk and the source keeps the state.
-func (j *journal) appendMigrateIn(payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recMigrateIn)
-	j.buf = wal.AppendBytes(j.buf, payload)
-	return j.store.Append(j.buf)
-}
-
-// appendSubscribe journals a standing subscription's registration —
-// the Subscribe acceptance gate: a failure rejects the registration.
-func (j *journal) appendSubscribe(sub cq.Subscription) error {
-	doc, err := json.Marshal(sub)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recSubscribe)
-	j.buf = wal.AppendBytes(j.buf, doc)
-	return j.store.Append(j.buf)
+// appendPayload journals a record that is one opaque document: an
+// absorbed handoff chunk (recMigrateIn), an absorbed summary push
+// (recAbsorb), a subscription definition (recSubscribe). All three are
+// acceptance gates: a failure rejects what the document carried.
+func (j *journal) appendPayload(rec byte, payload []byte) error {
+	return j.write(func(buf []byte) []byte {
+		return wal.AppendBytes(append(buf, rec), payload)
+	})
 }
 
 func (j *journal) appendUnsubscribe(id string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recUnsubscribe)
-	j.buf = wal.AppendString(j.buf, id)
-	return j.store.Append(j.buf)
-}
-
-// appendAlertSeal journals one alert push (raw wire payload) frozen
-// on a shard's alert queue. For a push absorbed from a child it is
-// the acceptance gate (a failure rejects the push and the child
-// retries); for this node's own fires the caller treats it as
-// best-effort — a lost record degrades toward the window refiring
-// after a crash, a duplicate instance the cloud's dedup absorbs.
-func (j *journal) appendAlertSeal(payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = append(j.buf[:0], recAlertSeal)
-	j.buf = wal.AppendBytes(j.buf, payload)
-	return j.store.Append(j.buf)
-}
-
-// appendAlertCommit journals a push delivered and acknowledged
-// upward (or folded into a successor, or handed off by a completed
-// migration): recovery must not resurrect it.
-func (j *journal) appendAlertCommit(typ, origin string, seq uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.buf = append(j.buf[:0], recAlertCommit)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendString(j.buf, origin)
-	j.buf = wal.AppendString(j.buf, typ)
-	return j.store.Append(j.buf)
+	return j.write(func(buf []byte) []byte {
+		return wal.AppendString(append(buf, recUnsubscribe), id)
+	})
 }
 
 // checkpointDue reports whether the log has grown past the automatic
@@ -324,23 +248,26 @@ func (j *journal) close() error {
 	return j.store.Close()
 }
 
-// Snapshot layout (version 2; version 1 ends after the entries):
+// Snapshot layout (version 3):
 //
 //	[version u8]
 //	[seq counter u64]
 //	[origins uvarint] { [origin string] [n uvarint] { [seq u64] }* }*
-//	[entries uvarint] { [kind u8: 0 pending, 1 sealed] [seq u64]
-//	                    [batch bytes (sensor wire, uvarint-framed)] }*
+//	[entries uvarint] { [kind u8] [seq u64] [body, uvarint-framed] }*
 //	[subs uvarint]    { [cq.SubSnapshot JSON, uvarint-framed] }*
-//	[alerts uvarint]  { [alert push wire payload, uvarint-framed] }*
 //
-// Entries are grouped per type — sealed batches in retry-queue order,
-// then the pending buffer — and route by the embedded batch's type on
-// decode; queued alert pushes likewise route by their embedded type,
-// per-type queue order preserved.
+// An entry is a pending buffer (kind 0, sensor-wire batch, seq 0), an
+// outbox item (kind 1 + rank: a batch item's body is its sensor-wire
+// batch, a push item's its payload) or a degrade buffer (kind 4, a
+// SummaryPush JSON without identity). Entries route by the type
+// embedded in their body; a type's items keep their queue order.
+// Version 1 ends after the entries and knows kinds 0 and 1; version 2
+// additionally ends with [alerts uvarint] { alert push payload }*,
+// the queued alert pushes that version 3 writes as entries.
 const (
-	snapEntryPending = 0
-	snapEntrySealed  = 1
+	snapEntryPending  = 0
+	snapEntryItem     = 1 // + rank
+	snapEntryDegraded = snapEntryItem + len(kindTable)
 )
 
 func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64, shards []pendingShard, subs []cq.SubSnapshot) ([]byte, error) {
@@ -350,28 +277,41 @@ func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64
 	entries := 0
 	for i := range shards {
 		sh := &shards[i]
-		for _, q := range sh.retry {
-			entries += len(q)
+		entries += len(sh.pending) + len(sh.degraded)
+		for _, q := range sh.outbox {
+			entries += len(q.items)
 		}
-		entries += len(sh.pending)
 	}
 	dst = wal.AppendUvarint(dst, uint64(entries))
 	var wire []byte
-	appendEntry := func(kind byte, seq uint64, b *model.Batch) {
-		dst = append(dst, kind)
+	appendEntry := func(kind int, seq uint64, body []byte) {
+		dst = append(dst, byte(kind))
 		dst = wal.AppendUint64(dst, seq)
-		wire = sensor.AppendBatch(wire[:0], b)
-		dst = wal.AppendBytes(dst, wire)
+		dst = wal.AppendBytes(dst, body)
 	}
 	for i := range shards {
 		sh := &shards[i]
-		for _, q := range sh.retry {
-			for _, sb := range q {
-				appendEntry(snapEntrySealed, sb.seq, sb.b)
+		for _, q := range sh.outbox {
+			for k := range q.items {
+				it := &q.items[k]
+				body := it.payload
+				if it.b != nil {
+					wire = sensor.AppendBatch(wire[:0], it.b)
+					body = wire
+				}
+				appendEntry(snapEntryItem+rank(it.kind), it.seq, body)
 			}
 		}
 		for _, b := range sh.pending {
-			appendEntry(snapEntryPending, 0, b)
+			wire = sensor.AppendBatch(wire[:0], b)
+			appendEntry(snapEntryPending, 0, wire)
+		}
+		for typ, buf := range sh.degraded {
+			doc, err := protocol.EncodeJSON(buf.push("", 0, typ, 0))
+			if err != nil {
+				return nil, err
+			}
+			appendEntry(snapEntryDegraded, 0, doc)
 		}
 	}
 	dst = wal.AppendUvarint(dst, uint64(len(subs)))
@@ -382,38 +322,23 @@ func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64
 		}
 		dst = wal.AppendBytes(dst, doc)
 	}
-	nAlerts := 0
-	for i := range shards {
-		for _, q := range shards[i].alerts {
-			nAlerts += len(q)
-		}
-	}
-	dst = wal.AppendUvarint(dst, uint64(nAlerts))
-	for i := range shards {
-		for _, q := range shards[i].alerts {
-			for k := range q {
-				payload, err := protocol.EncodeAlertPush(&q[k].push)
-				if err != nil {
-					return nil, err
-				}
-				dst = wal.AppendBytes(dst, payload)
-			}
-		}
-	}
 	return dst, nil
 }
 
 // recoveryState accumulates the replayed delivery state before it is
 // installed into a node.
 type recoveryState struct {
-	// self is the recovering node's ID: it decides which alert
-	// sequences advance the counter (own pushes) and which fired
-	// alerts re-mark the engine's emitted sets (own fires).
-	self       string
-	seqCounter uint64
-	sawSeq     bool
-	marks      []markEntry
-	types      map[string]*typeRecovery
+	// self is the recovering node's ID: it decides which item
+	// sequences advance the counter (own seals) and which fired alerts
+	// re-mark the engine's emitted sets (own fires).
+	self string
+	// degradeWindow is the node's DegradeWindow when it degrades to
+	// summaries (replayed trims then fold instead of dropping), else 0.
+	degradeWindow time.Duration
+	seqCounter    uint64
+	sawSeq        bool
+	marks         []markEntry
+	types         map[string]*typeRecovery
 	// stored collects every replayed batch for the local time-series
 	// store: recovery restores real-time reads over the checkpoint
 	// window, not just the undelivered buffers.
@@ -425,17 +350,12 @@ type recoveryState struct {
 	// the checkpoint (batches still pending included), so re-observing
 	// snapshot entries would double-count their readings. alertMarks
 	// carries the (sub, window-start) of every alert this node's own
-	// subscriptions fired, from all seal records — applied before the
-	// re-observation so a sealed window cannot refire.
+	// subscriptions fired, from all alert items ever sealed — applied
+	// before the re-observation so a sealed window cannot refire.
 	snapSubs   []cq.SubSnapshot
 	subEvents  []subOp
 	observed   []*model.Batch
 	alertMarks []alertMark
-	// Queued alert pushes, keyed (origin, seq) in first-seen order: a
-	// fold's re-seal of the merged push replaces the earlier seal at
-	// its original position, and a commit removes the key.
-	alertOrder []alertKey
-	alertByKey map[alertKey]*protocol.AlertPush
 }
 
 type markEntry struct {
@@ -457,40 +377,17 @@ type alertMark struct {
 	start int64
 }
 
-type alertKey struct {
-	origin string
-	seq    uint64
-}
-
+// typeRecovery is one type's replayed delivery state: its outbox
+// (nothing is claimed during replay), pending buffer and degrade
+// buffer.
 type typeRecovery struct {
-	groups  []sealedBatch // retry queue, seal order
-	pending *model.Batch
+	outbox
+	pending  *model.Batch
+	degraded *degradeBuf
 }
 
 func newRecoveryState() *recoveryState {
-	return &recoveryState{
-		types:      make(map[string]*typeRecovery),
-		alertByKey: make(map[alertKey]*protocol.AlertPush),
-	}
-}
-
-// addAlertPush folds one sealed alert push into the recovery state:
-// counter watermark for own sequences, emitted marks for own fires,
-// and the keyed queue entry (replace on re-seal, append otherwise).
-func (rs *recoveryState) addAlertPush(p *protocol.AlertPush) {
-	if p.Origin == rs.self {
-		rs.noteSeq(p.Seq)
-	}
-	for i := range p.Alerts {
-		if p.Alerts[i].FiredBy == rs.self {
-			rs.alertMarks = append(rs.alertMarks, alertMark{subID: p.Alerts[i].SubID, start: p.Alerts[i].StartUnix})
-		}
-	}
-	k := alertKey{origin: p.Origin, seq: p.Seq}
-	if _, ok := rs.alertByKey[k]; !ok {
-		rs.alertOrder = append(rs.alertOrder, k)
-	}
-	rs.alertByKey[k] = p
+	return &recoveryState{types: make(map[string]*typeRecovery)}
 }
 
 func (rs *recoveryState) typeState(typ string) *typeRecovery {
@@ -507,6 +404,172 @@ func (rs *recoveryState) noteSeq(seq uint64) {
 		rs.seqCounter = seq
 	}
 	rs.sawSeq = true
+}
+
+// buffer appends replayed readings to a type's pending buffer. Clone:
+// rs.stored keeps b for the local-store replay, and later merges and
+// trims must not touch the store's copy.
+func (tr *typeRecovery) buffer(b *model.Batch) {
+	if tr.pending == nil {
+		tr.pending = b.Clone()
+	} else {
+		tr.pending.Readings = append(tr.pending.Readings, b.Readings...)
+	}
+}
+
+// degradeBuf returns the type's recovered degrade buffer.
+func (tr *typeRecovery) degradeBuf(cat model.Category) *degradeBuf {
+	if tr.degraded == nil {
+		tr.degraded = newDegradeBuf(cat)
+	}
+	return tr.degraded
+}
+
+// pushItem builds the outbox item of an encoded push, reading the
+// delivery identity, type and class out of the payload.
+func pushItem(kind transport.Kind, payload []byte) (typ string, it item, err error) {
+	it = item{kind: kind, payload: payload}
+	switch kind {
+	case transport.KindSummaryPush:
+		var p protocol.SummaryPush
+		if err = protocol.DecodeJSON(payload, &p); err == nil {
+			typ, it.origin, it.seq, it.class = p.TypeName, p.Origin, p.Seq, p.Category
+		}
+	case transport.KindAlertPush:
+		var p *protocol.AlertPush
+		if p, err = protocol.DecodeAlertPush(payload); err == nil {
+			typ, it.origin, it.seq, it.class = p.TypeName, p.Origin, p.Seq, p.Category
+		}
+	default:
+		err = fmt.Errorf("fognode: no push of kind %q", kind)
+	}
+	return typ, it, err
+}
+
+// addItem queues one replayed item: counter watermark for own
+// sequences, emitted marks for own fires, and the queue entry —
+// replaced in place when (kind, origin, seq) is already queued (an
+// alert fold's re-seal), queued behind its rank otherwise.
+func (rs *recoveryState) addItem(typ string, it item) {
+	if it.origin == rs.self {
+		rs.noteSeq(it.seq)
+	}
+	tr := rs.typeState(typ)
+	if it.kind == transport.KindAlertPush {
+		if p, err := protocol.DecodeAlertPush(it.payload); err == nil {
+			for i := range p.Alerts {
+				if p.Alerts[i].FiredBy == rs.self {
+					rs.alertMarks = append(rs.alertMarks, alertMark{subID: p.Alerts[i].SubID, start: p.Alerts[i].StartUnix})
+				}
+			}
+		}
+		for i := range tr.items {
+			if q := &tr.items[i]; q.kind == it.kind && q.origin == it.origin && q.seq == it.seq {
+				*q = it
+				return
+			}
+		}
+	}
+	tr.put(it)
+}
+
+// addPush queues one replayed push item from its payload.
+func (rs *recoveryState) addPush(kind transport.Kind, payload []byte) error {
+	typ, it, err := pushItem(kind, payload)
+	if err != nil {
+		return fmt.Errorf("fognode: recovered %s: %w", kind, err)
+	}
+	if it.kind == transport.KindSummaryPush && it.origin == rs.self {
+		// The seal froze the whole degrade buffer.
+		rs.typeState(typ).degraded = nil
+	}
+	rs.addItem(typ, it)
+	return nil
+}
+
+// sealPending replays a batch seal: the next count readings of the
+// type's pending buffer freeze under seq.
+func (rs *recoveryState) sealPending(typ string, seq uint64, count int) {
+	rs.noteSeq(seq)
+	tr := rs.typeState(typ)
+	b := tr.pending
+	if b == nil {
+		return // seal of an empty buffer: nothing to freeze
+	}
+	// A seal covers the whole buffer or, chunked by the adaptive
+	// controller, its head; the count also bounds the item defensively
+	// if log and buffer ever disagree.
+	if count < len(b.Readings) {
+		rest := *b
+		rest.Readings = b.Readings[count:]
+		tr.pending = &rest
+		head := *b
+		head.Readings = b.Readings[:count:count]
+		b = &head
+	} else {
+		tr.pending = nil
+	}
+	tr.put(item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b})
+}
+
+// commit replays an item leaving its outbox; a record written before
+// commits carried an origin has none and matches by sequence alone.
+func (rs *recoveryState) commit(typ, origin string, seq uint64) {
+	if origin == "" || origin == rs.self {
+		// The sequence was used by this node even if its seal record
+		// was lost: keep the recovered counter past it so a fresh item
+		// can never reuse a sequence the parent already marked (which
+		// would be silently deduped — loss, not re-delivery).
+		rs.noteSeq(seq)
+	}
+	rs.typeState(typ).drop(origin, seq)
+}
+
+// shed replays boundReadingsLocked: the same trim, dropping the
+// readings or, on a degrading node, folding them into the degrade
+// buffer again.
+func (rs *recoveryState) shed(tr *typeRecovery, drop int) {
+	tr.trimOldest(tr.pending, drop, func(b *model.Batch, k int, _ bool) {
+		if rs.degradeWindow > 0 {
+			tr.degradeBuf(b.Category).foldAll(b.Readings[:k], rs.degradeWindow)
+		}
+	})
+}
+
+// transferItems decodes one migration chunk's sealed batches, summary
+// pushes and alert pushes into outbox items, identities preserved.
+func transferItems(t *protocol.MigrateTransfer) (items []item, readings int64, err error) {
+	items = make([]item, 0, len(t.Entries)+len(t.Summaries)+len(t.Alerts))
+	for i, e := range t.Entries {
+		b, _, seq, err := protocol.DecodeBatchPayloadSeq(e.Payload)
+		if err != nil {
+			return nil, 0, fmt.Errorf("migrate entry %d: %w", i, err)
+		}
+		if seq != e.Seq {
+			return nil, 0, fmt.Errorf("migrate entry %d: envelope seq %d != entry seq %d", i, seq, e.Seq)
+		}
+		if b.TypeName != t.TypeName {
+			return nil, 0, fmt.Errorf("migrate entry %d: type %q in a %q transfer", i, b.TypeName, t.TypeName)
+		}
+		items = append(items, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b})
+		readings += int64(len(b.Readings))
+	}
+	for i := range t.Summaries {
+		s := &t.Summaries[i]
+		doc, err := protocol.EncodeJSON(s.Push)
+		if err != nil {
+			return nil, 0, fmt.Errorf("migrate summary %d: %w", i, err)
+		}
+		items = append(items, item{kind: transport.KindSummaryPush, origin: s.Push.Origin, seq: s.Seq, class: s.Push.Category, payload: doc})
+	}
+	for i := range t.Alerts {
+		_, it, err := pushItem(transport.KindAlertPush, t.Alerts[i].Payload)
+		if err != nil {
+			return nil, 0, fmt.Errorf("migrate alert %d: %w", i, err)
+		}
+		items = append(items, it)
+	}
+	return items, readings, nil
 }
 
 func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
@@ -537,81 +600,76 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 		if len(rest) == 0 {
 			return fmt.Errorf("fognode: truncated snapshot entry")
 		}
-		kind := rest[0]
+		kind := int(rest[0])
 		rest = rest[1:]
 		var seq uint64
 		seq, rest, err = wal.ReadUint64(rest)
 		if err != nil {
 			return err
 		}
-		var wire []byte
-		wire, rest, err = wal.ReadBytes(rest)
+		var body []byte
+		body, rest, err = wal.ReadBytes(rest)
 		if err != nil {
 			return err
 		}
-		b, err := sensor.DecodeBatch(wire)
-		if err != nil {
-			return fmt.Errorf("fognode: snapshot batch: %w", err)
-		}
-		tr := rs.typeState(b.TypeName)
-		switch kind {
-		case snapEntrySealed:
-			// Clone: rs.stored keeps b for the local-store replay, and
-			// a shed replayed from the tail trims the group's readings
-			// in place — that must not eat into the store's copy.
-			tr.groups = append(tr.groups, sealedBatch{b: b.Clone(), seq: seq})
-			rs.noteSeq(seq)
-		case snapEntryPending:
-			// Clone: rs.stored keeps b for the local-store replay, and
-			// the pending buffer must not mutate it when later entries
-			// merge in.
-			if tr.pending == nil {
-				tr.pending = b.Clone()
-			} else {
-				tr.pending.Readings = append(tr.pending.Readings, b.Readings...)
+		switch {
+		case kind == snapEntryPending || kind == snapEntryItem:
+			b, err := sensor.DecodeBatch(body)
+			if err != nil {
+				return fmt.Errorf("fognode: snapshot batch: %w", err)
 			}
+			rs.stored = append(rs.stored, b)
+			if kind == snapEntryPending {
+				rs.typeState(b.TypeName).buffer(b)
+			} else {
+				// Clone for the same reason buffer does.
+				rs.addItem(b.TypeName, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b.Clone()})
+			}
+		case kind > snapEntryItem && kind < snapEntryDegraded:
+			if err := rs.addPush(kindTable[kind-snapEntryItem].kind, body); err != nil {
+				return err
+			}
+		case kind == snapEntryDegraded:
+			var push protocol.SummaryPush
+			if err := protocol.DecodeJSON(body, &push); err != nil {
+				return fmt.Errorf("fognode: snapshot degrade buffer: %w", err)
+			}
+			cat, _ := model.ParseCategory(push.Category)
+			rs.typeState(push.TypeName).degradeBuf(cat).absorb(&push)
 		default:
 			return fmt.Errorf("fognode: unknown snapshot entry kind %d", kind)
 		}
-		rs.stored = append(rs.stored, b)
 	}
-	if version >= 2 {
-		nSubs, r, err := wal.ReadUvarint(rest)
+	if version == 1 {
+		return nil
+	}
+	rest, err = readDocs(rest, func(doc []byte) error {
+		snap, err := cq.DecodeSubSnapshot(doc)
 		if err != nil {
-			return err
+			return fmt.Errorf("fognode: snapshot subscription: %w", err)
 		}
-		rest = r
-		for i := uint64(0); i < nSubs; i++ {
-			var doc []byte
-			doc, rest, err = wal.ReadBytes(rest)
-			if err != nil {
-				return err
-			}
-			snap, err := cq.DecodeSubSnapshot(doc)
-			if err != nil {
-				return fmt.Errorf("fognode: snapshot subscription: %w", err)
-			}
-			rs.snapSubs = append(rs.snapSubs, *snap)
-		}
-		nAlerts, r2, err := wal.ReadUvarint(rest)
-		if err != nil {
-			return err
-		}
-		rest = r2
-		for i := uint64(0); i < nAlerts; i++ {
-			var payload []byte
-			payload, rest, err = wal.ReadBytes(rest)
-			if err != nil {
-				return err
-			}
-			p, err := protocol.DecodeAlertPush(payload)
-			if err != nil {
-				return fmt.Errorf("fognode: snapshot alert push: %w", err)
-			}
-			rs.addAlertPush(p)
+		rs.snapSubs = append(rs.snapSubs, *snap)
+		return nil
+	})
+	if err == nil && version == 2 {
+		_, err = readDocs(rest, func(payload []byte) error {
+			return rs.addPush(transport.KindAlertPush, payload)
+		})
+	}
+	return err
+}
+
+// readDocs reads one [count uvarint] { [document, uvarint-framed] }*
+// snapshot section.
+func readDocs(rest []byte, each func(doc []byte) error) ([]byte, error) {
+	n, rest, err := wal.ReadUvarint(rest)
+	for i := uint64(0); err == nil && i < n; i++ {
+		var doc []byte
+		if doc, rest, err = wal.ReadBytes(rest); err == nil {
+			err = each(doc)
 		}
 	}
-	return nil
+	return rest, err
 }
 
 // applyRecord replays one log record onto the recovery state, the same
@@ -641,14 +699,7 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			// sender's retry.
 			rs.marks = append(rs.marks, markEntry{origin: origin, seq: seq})
 		}
-		tr := rs.typeState(b.TypeName)
-		// Clone for the same reason as the snapshot pending entries:
-		// the merge below must not grow the stored batch.
-		if tr.pending == nil {
-			tr.pending = b.Clone()
-		} else {
-			tr.pending.Readings = append(tr.pending.Readings, b.Readings...)
-		}
+		rs.typeState(b.TypeName).buffer(b)
 		rs.stored = append(rs.stored, b)
 		// Tail batches were accepted after the checkpoint's engine
 		// snapshot, so the cq engine must re-observe them (snapshot
@@ -667,29 +718,36 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.noteSeq(seq)
-		tr := rs.typeState(typ)
-		if tr.pending == nil {
-			return nil // seal of an empty buffer: nothing to freeze
+		rs.sealPending(typ, seq, int(count))
+	case recPushSeal:
+		if len(body) == 0 || int(body[0]) >= len(kindTable) {
+			return fmt.Errorf("fognode: journal seal of unknown kind")
 		}
-		b := tr.pending
-		// The seal covers the whole pending buffer; the journaled
-		// count double-checks replay consistency and bounds the group
-		// defensively if the two ever disagree.
-		if n := int(count); n < len(b.Readings) {
-			head := &model.Batch{
-				NodeID: b.NodeID, TypeName: b.TypeName, Category: b.Category,
-				Collected: b.Collected, Readings: b.Readings[:n:n],
-			}
-			tr.pending = &model.Batch{
-				NodeID: b.NodeID, TypeName: b.TypeName, Category: b.Category,
-				Collected: b.Collected, Readings: b.Readings[n:],
-			}
-			b = head
-		} else {
-			tr.pending = nil
+		payload, _, err := wal.ReadBytes(body[1:])
+		if err != nil {
+			return err
 		}
-		tr.groups = append(tr.groups, sealedBatch{b: b, seq: seq})
+		return rs.addPush(kindTable[body[0]].kind, payload)
+	case recAlertSeal:
+		payload, _, err := wal.ReadBytes(body)
+		if err != nil {
+			return err
+		}
+		return rs.addPush(transport.KindAlertPush, payload)
+	case recItemCommit:
+		seq, rest, err := wal.ReadUint64(body)
+		if err != nil {
+			return err
+		}
+		origin, rest, err := wal.ReadString(rest)
+		if err != nil {
+			return err
+		}
+		typ, _, err := wal.ReadString(rest)
+		if err != nil {
+			return err
+		}
+		rs.commit(typ, origin, seq)
 	case recCommit:
 		seq, rest, err := wal.ReadUint64(body)
 		if err != nil {
@@ -699,18 +757,7 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		// The committed sequence was used by this node even if its
-		// seal record was lost: keep the recovered counter past it so
-		// a fresh batch can never reuse a sequence the parent already
-		// marked (which would be silently deduped — loss, not re-delivery).
-		rs.noteSeq(seq)
-		tr := rs.typeState(typ)
-		for i, g := range tr.groups {
-			if g.seq == seq {
-				tr.groups = append(tr.groups[:i], tr.groups[i+1:]...)
-				break
-			}
-		}
+		rs.commit(typ, "", seq)
 	case recShed:
 		count, rest, err := wal.ReadUvarint(body)
 		if err != nil {
@@ -720,15 +767,27 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.typeState(typ).shed(int(count))
+		rs.shed(rs.typeState(typ), int(count))
+	case recAbsorb:
+		payload, _, err := wal.ReadBytes(body)
+		if err != nil {
+			return err
+		}
+		var push protocol.SummaryPush
+		if err := protocol.DecodeJSON(payload, &push); err != nil {
+			return fmt.Errorf("fognode: journal summary push: %w", err)
+		}
+		cat, _ := model.ParseCategory(push.Category)
+		rs.typeState(push.TypeName).degradeBuf(cat).absorb(&push)
+		rs.marks = append(rs.marks, markEntry{origin: push.Origin, seq: push.Seq})
 	case recMigrateStart:
-		// An uncommitted handoff keeps its batches in the seal groups
-		// the preceding records rebuilt, so the recovered source still
-		// owns them and drains upward — the shared parent dedupes if
-		// the target also absorbed a copy. The watermark advances the
-		// counter past the handoff's reserved transfer sequences: the
-		// target may hold replay marks for them, and minting one again
-		// would get a fresh forward silently deduped there.
+		// An uncommitted handoff keeps its items queued, so the
+		// recovered source still owns them and drains upward — the
+		// shared parent dedupes if the target also absorbed a copy. The
+		// watermark advances the counter past the handoff's reserved
+		// transfer sequences: the target may hold replay marks for
+		// them, and minting one again would get a fresh forward
+		// silently deduped there.
 		_, rest, err := wal.ReadString(body)
 		if err != nil {
 			return err
@@ -751,22 +810,13 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		tr := rs.typeState(typ)
 		for i := uint64(0); i < count; i++ {
 			var seq uint64
 			seq, rest, err = wal.ReadUint64(rest)
 			if err != nil {
 				return err
 			}
-			// Same contract as recCommit: the sequence was used even if
-			// its seal record was lost, so keep the counter past it.
-			rs.noteSeq(seq)
-			for k, g := range tr.groups {
-				if g.seq == seq {
-					tr.groups = append(tr.groups[:k], tr.groups[k+1:]...)
-					break
-				}
-			}
+			rs.commit(typ, "", seq)
 		}
 	case recMigrateIn:
 		payload, _, err := wal.ReadBytes(body)
@@ -777,16 +827,15 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("fognode: journal migrate chunk: %w", err)
 		}
-		tr := rs.typeState(t.TypeName)
-		for i := range t.Entries {
-			b, _, seq, err := protocol.DecodeBatchPayloadSeq(t.Entries[i].Payload)
-			if err != nil {
-				return fmt.Errorf("fognode: journal migrate entry %d: %w", i, err)
-			}
-			// Absorbed verbatim, foreign identity preserved; the moved
-			// sequences belong to the source's space, so they do not
-			// advance this node's counter.
-			tr.groups = append(tr.groups, sealedBatch{b: b, seq: seq})
+		items, _, err := transferItems(t)
+		if err != nil {
+			return fmt.Errorf("fognode: journal %w", err)
+		}
+		// Absorbed verbatim, foreign identity preserved; the moved
+		// sequences belong to the source's space, so they do not
+		// advance this node's counter.
+		for _, it := range items {
+			rs.addItem(t.TypeName, it)
 		}
 		for origin, seqs := range t.Marks {
 			for _, seq := range seqs {
@@ -801,16 +850,6 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			}
 			rs.subEvents = append(rs.subEvents, subOp{snap: snap})
 		}
-		for i := range t.Alerts {
-			p, err := protocol.DecodeAlertPush(t.Alerts[i].Payload)
-			if err != nil {
-				return fmt.Errorf("fognode: journal migrate alert %d: %w", i, err)
-			}
-			rs.addAlertPush(p)
-		}
-		// Degrade summaries are in-memory-only (the degrade tier's
-		// crash contract): a crash between absorb and push loses the
-		// degraded resolution, never journaled raw data.
 	case recSubscribe:
 		doc, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -827,66 +866,23 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			return err
 		}
 		rs.subEvents = append(rs.subEvents, subOp{remove: true, id: id})
-	case recAlertSeal:
-		payload, _, err := wal.ReadBytes(body)
-		if err != nil {
-			return err
-		}
-		p, err := protocol.DecodeAlertPush(payload)
-		if err != nil {
-			return fmt.Errorf("fognode: journal alert seal: %w", err)
-		}
-		rs.addAlertPush(p)
-	case recAlertCommit:
-		seq, rest, err := wal.ReadUint64(body)
-		if err != nil {
-			return err
-		}
-		origin, _, err := wal.ReadString(rest)
-		if err != nil {
-			return err
-		}
-		if origin == rs.self {
-			// Same contract as recCommit: the sequence was used even if
-			// its seal record was lost, so keep the counter past it.
-			rs.noteSeq(seq)
-		}
-		delete(rs.alertByKey, alertKey{origin: origin, seq: seq})
 	default:
 		return fmt.Errorf("fognode: unknown journal record type %d", rec[0])
 	}
 	return nil
 }
 
-// shed mirrors boundTypeLocked: drop oldest first — retry-queue heads,
-// then the pending buffer's head.
-func (tr *typeRecovery) shed(drop int) {
-	for drop > 0 && len(tr.groups) > 0 {
-		head := tr.groups[0].b
-		k := min(len(head.Readings), drop)
-		head.Readings = head.Readings[k:]
-		drop -= k
-		if len(head.Readings) == 0 {
-			tr.groups = tr.groups[1:]
-		}
-	}
-	if drop > 0 && tr.pending != nil {
-		k := min(len(tr.pending.Readings), drop)
-		tr.pending.Readings = tr.pending.Readings[k:]
-		if len(tr.pending.Readings) == 0 {
-			tr.pending = nil
-		}
-	}
-}
-
 // recover rebuilds the node's delivery state from the journal opened
 // at construction: snapshot, then the log tail, then installation into
-// the pending shards, retry queues, sequence counter, replay filter
-// and the local time-series store. Metrics are not re-counted —
-// recovered state was already accounted by its first life.
+// the shards, sequence counter, replay filter and the local
+// time-series store. Metrics are not re-counted — recovered state was
+// already accounted by its first life.
 func (n *Node) recover(j *journal) error {
 	rs := newRecoveryState()
 	rs.self = n.cfg.Spec.ID
+	if n.cfg.DegradeToSummary {
+		rs.degradeWindow = n.cfg.DegradeWindow
+	}
 	if err := decodeNodeSnapshot(j.store.Snapshot(), rs); err != nil {
 		return err
 	}
@@ -930,24 +926,16 @@ func (n *Node) recover(j *journal) error {
 		}
 		n.recoveredAlerts = append(n.recoveredAlerts, n.cqe.Observe(b)...)
 	}
-	for _, k := range rs.alertOrder {
-		p, ok := rs.alertByKey[k]
-		if !ok {
-			continue // committed
-		}
-		sh := n.shardFor(p.TypeName)
-		sh.alerts[p.TypeName] = append(sh.alerts[p.TypeName], sealedAlert{push: *p, seq: p.Seq})
-	}
 	for typ, tr := range rs.types {
-		if len(tr.groups) == 0 && tr.pending == nil {
-			continue
-		}
 		sh := n.shardFor(typ)
-		if len(tr.groups) > 0 {
-			sh.retry[typ] = tr.groups
+		if len(tr.items) > 0 {
+			sh.box(typ).items = tr.items
 		}
-		if tr.pending != nil {
+		if tr.pending != nil && len(tr.pending.Readings) > 0 {
 			sh.pending[typ] = tr.pending
+		}
+		if tr.degraded != nil && len(tr.degraded.windows) > 0 {
+			sh.degraded[typ] = tr.degraded
 		}
 	}
 	if rs.sawSeq {

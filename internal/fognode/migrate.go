@@ -5,43 +5,46 @@ package fognode
 //
 // When the elastic topology reassigns a sensor type from this node to
 // a sibling (a node joined or is leaving the district), the old owner
-// hands the type's buffered delivery state — pending buffer, frozen-
-// sequence retry queue, degrade-summary buffers, queued alert pushes,
-// standing continuous-query subscriptions with their live window
-// state, replay-filter marks — to the new owner over
-// transport.KindMigrate, then forwards any
-// still-arriving edge ingest of the type until the routing tier
-// catches up. The handoff is exactly-once without a two-phase commit
-// because everything moves as SEALED state verbatim:
+// hands the type's delivery state — its outbox (the pending and
+// degrade buffers are sealed onto it first), its standing
+// continuous-query subscriptions with their live window state, and
+// the replay-filter marks — to the new owner over
+// transport.KindMigrate, then forwards any still-arriving edge ingest
+// of the type until the routing tier catches up. The handoff is
+// exactly-once without a two-phase commit because everything moves as
+// SEALED items verbatim:
 //
-//   - the moved batches keep their origin identity and delivery
-//     sequences (the same SealSeq envelopes the upward path sends), so
-//     the shared parent's per-origin replay filter keeps deduping them
-//     no matter which sibling finally delivers;
+//   - the moved items keep their origin identity and delivery
+//     sequences (batches travel as the same SealSeq envelopes the
+//     upward path sends), so the shared parent's per-origin replay
+//     filter keeps deduping them no matter which sibling finally
+//     delivers;
 //   - the target marks each chunk's (From, TransferSeq) in its replay
 //     filter and journals the raw chunk before acknowledging, so a
 //     retried chunk is acknowledged without re-absorbing and a target
 //     crash recovers the absorbed state;
 //   - the source journals the handoff (recMigrateStart before the
-//     sends, recMigrateCommit after the last acknowledgement), so a
-//     source crash at any boundary recovers to a state where at worst
-//     BOTH siblings hold a copy — and both drain to the same deduping
+//     sends, a commit per item the target acknowledged), so a source
+//     crash at any boundary recovers to a state where at worst BOTH
+//     siblings hold a copy — and both drain to the same deduping
 //     parent, which keeps delivery exactly-once.
 //
 // State machine of one type's handoff, source side:
 //
-//	OWNED ──MigrateOut──▶ FROZEN   pending sealed, state out of maps,
+//	OWNED ──MigrateOut──▶ CLAIMED  buffers sealed, the whole outbox
+//	                               claimed under the type's send lock,
 //	                               recMigrateStart journaled
-//	FROZEN ──chunks acked──▶ MOVED recMigrateCommit journaled; the
-//	                               caller flips routing to the target
-//	FROZEN ──send fails──▶ OWNED   unsent tail reinstalled on the
-//	                               retry queues, sequences kept
+//	CLAIMED ──chunks acked──▶ MOVED acknowledged items leave the outbox
+//	                               and are committed; the caller flips
+//	                               routing to the target
+//	CLAIMED ──send fails──▶ OWNED  the unsent items never left the
+//	                               outbox; the claim is released
 //
 // and target side:
 //
 //	chunk ──dedup (From,TransferSeq)──▶ ack (already absorbed)
-//	chunk ──recMigrateIn──▶ retry queue (entries verbatim) ──▶ next
-//	        flush delivers under the ORIGINAL origins and sequences
+//	chunk ──recMigrateIn──▶ outbox (items verbatim) ──▶ next flush
+//	        delivers under the ORIGINAL origins and sequences
 
 import (
 	"context"
@@ -111,23 +114,21 @@ func sortBatchReadings(b *model.Batch) {
 }
 
 // MigrateOut moves one sensor type's buffered delivery state to a new
-// owner. The pending buffer is frozen under a fresh delivery sequence
-// (journaled like any seal), then everything the type has queued —
-// retry batches, summary pushes, the degrade buffer — leaves the
-// shard maps and travels to the target in bounded KindMigrate chunks,
+// owner. The pending and degrade buffers are sealed like a flush would
+// seal them, then every item on the type's outbox is claimed under its
+// send lock and travels to the target in bounded KindMigrate chunks,
 // along with a snapshot of this node's replay-filter marks so the
-// target inherits the dedup horizon. On a send failure the unsent
-// tail is reinstalled with its sequences intact and the error is
-// returned; the caller may retry — a chunk the target already
-// absorbed is deduped there, and even a chunk absorbed under a lost
+// target inherits the dedup horizon. An item leaves the outbox when
+// the chunk that carried it is acknowledged; on a send failure the
+// rest is simply still there, sequences intact, and the error is
+// returned. The caller may retry — a chunk the target already absorbed
+// is deduped there, and even a chunk absorbed under a lost
 // acknowledgement only yields a second copy that the shared parent
 // dedupes by its frozen (origin, seq).
 //
 // MigrateOut does not flip routing: the caller (the elastic topology
 // layer) sets the route on this node and its ring before or after the
-// handoff. In-flight flushes of the type may hold batches outside the
-// shard maps; on failure those requeue here and drain upward under
-// this node's identity, which the parent-side dedup absorbs.
+// handoff.
 func (n *Node) MigrateOut(ctx context.Context, typ, target string) error {
 	me := n.cfg.Spec.ID
 	if typ == "" || target == "" || target == me {
@@ -141,159 +142,114 @@ func (n *Node) MigrateOut(ctx context.Context, typ, target string) error {
 
 	sh := n.shardFor(typ)
 	sh.mu.Lock()
-	if p, ok := sh.pending[typ]; ok {
-		if len(p.Readings) > 0 {
-			sb := sealedBatch{b: p, seq: n.seq.Add(1)}
-			if n.journal != nil {
-				// Best-effort, like any seal: a lost record degrades
-				// toward re-delivery under a fresh sequence.
-				_ = n.journal.appendSeal(typ, sb.seq, len(p.Readings))
-			}
-			sh.retry[typ] = append(sh.retry[typ], sb)
-		}
-		delete(sh.pending, typ)
+	q := sh.box(typ)
+	sh.mu.Unlock()
+	q.sendMu.Lock()
+	defer q.sendMu.Unlock()
+
+	sh.mu.Lock()
+	n.sealPendingLocked(sh, typ, 0)
+	if buf, ok := sh.degraded[typ]; ok && len(buf.windows) > 0 {
+		n.sealSummaryLocked(sh, typ, buf)
 	}
-	entries := sh.retry[typ]
-	delete(sh.retry, typ)
-	sums := sh.sumRetry[typ]
-	delete(sh.sumRetry, typ)
-	if buf, ok := sh.degraded[typ]; ok {
-		if len(buf.windows) > 0 {
-			sums = append(sums, n.sealSummaryLocked(typ, buf))
-		}
-		delete(sh.degraded, typ)
-	}
-	alerts := sh.alerts[typ]
-	delete(sh.alerts, typ)
+	q.claimed = len(q.items)
+	items := q.items[:q.claimed:q.claimed]
 	sh.mu.Unlock()
 	// Standing subscriptions leave with the type, live window state
 	// included, so a half-built window keeps accumulating on the new
 	// owner instead of silently losing its partial aggregate.
 	subs := n.cqe.Extract(typ)
 
-	if err := n.sendTransfers(ctx, typ, target, entries, sums, alerts, subs); err != nil {
+	moved := make([]bool, len(items))
+	subsMoved, err := n.sendTransfers(ctx, typ, target, items, subs, moved)
+
+	sh.mu.Lock()
+	kept := q.items[:0]
+	for i := range q.items {
+		if i < len(moved) && moved[i] {
+			// Acknowledged by the new owner: no longer this node's
+			// responsibility, and recovery must not resurrect it here.
+			n.commit(typ, &q.items[i])
+		} else {
+			kept = append(kept, q.items[i])
+		}
+	}
+	clear(q.items[len(kept):])
+	q.items, q.claimed = kept, 0
+	if err != nil {
+		n.boundLocked(sh, typ)
+	}
+	sh.mu.Unlock()
+	if !subsMoved {
+		for i := range subs {
+			_ = n.cqe.Install(subs[i])
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("fognode %s: migrate %s to %s: %w", me, typ, target, err)
 	}
 	return nil
 }
 
-// sendTransfers seals and ships one type's extracted state in chunks
-// bounded by protocol.MaxMigrateWireSize. At least one chunk is always
-// sent — an empty handoff still carries the replay-mark snapshot and
-// acts as the ownership handshake that clears the target's stale
-// route. On failure the unsent tail (the failed chunk included) is
-// reinstalled on the retry queues; the continuous-query state (queued
-// alert pushes and subscription snapshots, which ride only the first
-// chunk) is reinstalled unless that chunk was already acknowledged.
-func (n *Node) sendTransfers(ctx context.Context, typ, target string, entries []sealedBatch, sums []sealedSummary, alerts []sealedAlert, subs []cq.SubSnapshot) error {
+// sendTransfers seals and ships one type's claimed items in chunks
+// bounded by protocol.MaxMigrateWireSize, setting moved[i] for every
+// item whose chunk the target acknowledged. At least one chunk is
+// always sent — an empty handoff still carries the replay-mark
+// snapshot and acts as the ownership handshake that clears the
+// target's stale route. The first chunk additionally carries the
+// continuous-query state (every alert item and the subscription
+// snapshots); subsMoved reports whether it was acknowledged.
+func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []item, subs []cq.SubSnapshot, moved []bool) (subsMoved bool, err error) {
 	me := n.cfg.Spec.ID
 	now := n.cfg.Clock.Now()
 
-	reinstallCQ := func() {
-		for i := range subs {
-			_ = n.cqe.Install(subs[i])
-		}
-		n.requeueAlerts(typ, alerts)
-	}
-
-	// Seal every entry up front; the encoded sizes drive the chunking.
+	// Seal every item up front; the encoded sizes drive the chunking.
 	sc := n.getScratch()
-	payloads := make([][]byte, len(entries))
-	for i := range entries {
-		b := entries[i].b
-		sortBatchReadings(b)
-		b.Collected = now
-		payload, err := sc.sealer.SealSeq(nil, b, n.cfg.Codec, entries[i].seq)
-		if err != nil {
+	payloads := make([][]byte, len(items))
+	for i := range items {
+		if payloads[i], err = n.sealItem(sc, nil, &items[i], now); err != nil {
 			n.putScratch(sc)
-			n.requeue(entries)
-			n.requeueSummaries(typ, sums)
-			reinstallCQ()
-			return fmt.Errorf("seal entry: %w", err)
+			return false, fmt.Errorf("seal entry: %w", err)
 		}
-		payloads[i] = payload
 	}
 	n.putScratch(sc)
-
-	docs := make([][]byte, len(sums))
-	for i := range sums {
-		doc, err := protocol.EncodeJSON(sums[i].push)
-		if err != nil {
-			n.requeue(entries)
-			n.requeueSummaries(typ, sums)
-			reinstallCQ()
-			return fmt.Errorf("encode summary: %w", err)
-		}
-		docs[i] = doc
-	}
-
 	subDocs := make([][]byte, len(subs))
-	alertWires := make([]protocol.MigrateAlert, len(alerts))
 	cqCost := 0
-	{
-		var err error
-		for i := range subs {
-			if subDocs[i], err = cq.EncodeSubSnapshot(&subs[i]); err != nil {
-				break
-			}
-			cqCost += len(subDocs[i]) + 10
+	for i := range subs {
+		if subDocs[i], err = cq.EncodeSubSnapshot(&subs[i]); err != nil {
+			return false, fmt.Errorf("encode cq state: %w", err)
 		}
-		for i := range alerts {
-			if err != nil {
-				break
-			}
-			var wire []byte
-			if wire, err = protocol.EncodeAlertPush(&alerts[i].push); err != nil {
-				break
-			}
-			alertWires[i] = protocol.MigrateAlert{Seq: alerts[i].seq, Payload: wire}
-			cqCost += len(wire) + 19
-		}
-		if err != nil {
-			n.requeue(entries)
-			n.requeueSummaries(typ, sums)
-			reinstallCQ()
-			return fmt.Errorf("encode cq state: %w", err)
-		}
+		cqCost += len(subDocs[i]) + 10
 	}
 
-	// Greedy chunk assignment by encoded size. Chunk boundaries are
-	// (entryEnd, sumEnd) watermarks: a chunk covers entries[prevE:e]
-	// and sums[prevS:s], entries first. The first chunk additionally
-	// carries the replay-mark snapshot and the continuous-query state.
+	// Greedy chunk assignment by encoded size, in queue order except
+	// that the alert items (the queue's tail) go first: they ride the
+	// first chunk whatever its size, beside the replay-mark snapshot
+	// and the subscriptions.
 	marks := n.replay.Dump()
-	marksCost := 16 + cqCost
+	size := 16 + cqCost // first chunk starts with the marks and subs
 	for origin, seqs := range marks {
-		marksCost += len(origin) + 10 + 9*len(seqs)
+		size += len(origin) + 10 + 9*len(seqs)
 	}
 	budget := protocol.MaxMigrateWireSize() - 512
-	type watermark struct{ e, s int }
-	var chunks []watermark
-	size := marksCost // first chunk starts with the marks
-	e, s := 0, 0
-	for e < len(entries) || s < len(sums) {
-		var cost int
-		if e < len(entries) {
-			cost = len(payloads[e]) + 16
-		} else {
-			cost = len(docs[s]) + 16
-		}
+	firstAlert := len(items)
+	for firstAlert > 0 && items[firstAlert-1].kind == transport.KindAlertPush {
+		firstAlert--
+	}
+	chunks := [][]int{nil}
+	for k := range items {
+		i := (firstAlert + k) % len(items)
+		cost := len(payloads[i]) + 19
 		// Rotate a non-empty chunk when the next item would overflow
 		// it; an item that overflows an empty chunk is taken anyway
 		// (progress) and left for the encoder's size check to reject.
-		if size+cost > budget && size > 0 {
-			chunks = append(chunks, watermark{e, s})
+		if size+cost > budget && size > 0 && i < firstAlert {
+			chunks = append(chunks, nil)
 			size = 0
-			continue
 		}
+		chunks[len(chunks)-1] = append(chunks[len(chunks)-1], i)
 		size += cost
-		if e < len(entries) {
-			e++
-		} else {
-			s++
-		}
 	}
-	chunks = append(chunks, watermark{len(entries), len(sums)})
 
 	// Reserve every chunk's transfer sequence up front and journal the
 	// advanced counter (recMigrateStart) before the first send. The
@@ -307,10 +263,7 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, entries []
 		_ = n.journal.appendMigrateStart(typ, target, seqHigh)
 	}
 
-	var movedSeqs []uint64
-	movedCQ := false
-	prev := watermark{0, 0}
-	for ci, wm := range chunks {
+	for ci, chunk := range chunks {
 		t := &protocol.MigrateTransfer{
 			TypeName:    typ,
 			From:        me,
@@ -320,83 +273,70 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, entries []
 		if ci == 0 {
 			t.Marks = marks
 			t.Subs = subDocs
-			t.Alerts = alertWires
 		}
 		readings := int64(0)
-		for i := prev.e; i < wm.e; i++ {
-			t.Entries = append(t.Entries, protocol.MigrateEntry{Seq: entries[i].seq, Payload: payloads[i]})
-			readings += int64(len(entries[i].b.Readings))
-		}
-		for i := prev.s; i < wm.s; i++ {
-			t.Summaries = append(t.Summaries, protocol.MigrateSummary{Seq: sums[i].seq, Push: sums[i].push})
+		for _, i := range chunk {
+			switch it := &items[i]; it.kind {
+			case transport.KindBatch:
+				t.Entries = append(t.Entries, protocol.MigrateEntry{Seq: it.seq, Payload: payloads[i]})
+				readings += int64(len(it.b.Readings))
+			case transport.KindSummaryPush:
+				s := protocol.MigrateSummary{Seq: it.seq}
+				if err := protocol.DecodeJSON(it.payload, &s.Push); err != nil {
+					return subsMoved, fmt.Errorf("summary item: %w", err)
+				}
+				t.Summaries = append(t.Summaries, s)
+			case transport.KindAlertPush:
+				t.Alerts = append(t.Alerts, protocol.MigrateAlert{Seq: it.seq, Payload: payloads[i]})
+			}
 		}
 		payload, err := protocol.EncodeMigrateTransfer(t)
-		if err == nil {
-			msg := transport.Message{
-				From:    me,
-				To:      target,
-				Kind:    transport.KindMigrate,
-				Class:   transport.ClassMigrate,
-				Payload: payload,
-			}
-			_, err = n.cfg.Transport.Send(ctx, msg)
-			if err == nil {
-				n.migOutTransfers.Inc()
-				n.migOutReads.Add(readings)
-				n.migOutBytes.Add(msg.WireSize())
-				for i := prev.e; i < wm.e; i++ {
-					movedSeqs = append(movedSeqs, entries[i].seq)
+		if err != nil {
+			return subsMoved, err
+		}
+		msg := transport.Message{
+			From:    me,
+			To:      target,
+			Kind:    transport.KindMigrate,
+			Class:   transport.ClassMigrate,
+			Payload: payload,
+		}
+		// A failed chunk ends the handoff; a retried MigrateOut
+		// re-chunks under fresh transfer sequences, and any chunk the
+		// target absorbed under a lost acknowledgement is deduped
+		// downstream by its frozen origins.
+		if _, err := n.cfg.Transport.Send(ctx, msg); err != nil {
+			return subsMoved, err
+		}
+		n.migOutTransfers.Inc()
+		n.migOutReads.Add(readings)
+		n.migOutBytes.Add(msg.WireSize())
+		for _, i := range chunk {
+			moved[i] = true
+		}
+		if ci == 0 {
+			// The subscriptions rode this chunk and now belong to the
+			// target: journal the handoff so a recovered source does
+			// not re-evaluate them.
+			subsMoved = true
+			if n.journal != nil {
+				for i := range subs {
+					_ = n.journal.appendUnsubscribe(subs[i].Sub.ID)
 				}
-				if ci == 0 {
-					// The continuous-query state rode this chunk and now
-					// belongs to the target: journal the handoff so a
-					// recovered source neither re-evaluates the moved
-					// subscriptions nor resurrects the moved pushes.
-					movedCQ = true
-					if n.journal != nil {
-						for i := range subs {
-							_ = n.journal.appendUnsubscribe(subs[i].Sub.ID)
-						}
-						for i := range alerts {
-							_ = n.journal.appendAlertCommit(typ, alerts[i].push.Origin, alerts[i].seq)
-						}
-					}
-				}
-				prev = wm
-				continue
 			}
 		}
-		// Reinstall everything from the failed chunk on, sequences
-		// frozen; a retried MigrateOut re-chunks under fresh transfer
-		// sequences, and any chunk the target absorbed under a lost
-		// acknowledgement is deduped downstream by its frozen origins.
-		n.requeue(entries[prev.e:])
-		n.requeueSummaries(typ, sums[prev.s:])
-		if !movedCQ {
-			reinstallCQ()
-		}
-		if n.journal != nil && len(movedSeqs) > 0 {
-			_ = n.journal.appendMigrateCommit(typ, movedSeqs)
-		}
-		return err
 	}
-	if n.journal != nil && len(movedSeqs) > 0 {
-		// Acknowledged by the new owner: the moved batches are no
-		// longer this node's responsibility and recovery must not
-		// resurrect them here.
-		_ = n.journal.appendMigrateCommit(typ, movedSeqs)
-	}
-	return nil
+	return subsMoved, nil
 }
 
-// handleMigrate absorbs one handoff chunk: the entries enter the
-// retry queue VERBATIM — origin identities and frozen sequences
-// preserved, no re-ingest — so this node's next flush delivers them
-// exactly as the old owner would have, and every replay filter
-// downstream keeps working. The raw chunk is journaled (recMigrateIn)
-// before any state change, the chunk's own (From, TransferSeq) mark
-// makes retries idempotent, and the moved replay marks merge into
-// this node's filter so it inherits the source's dedup horizon.
+// handleMigrate absorbs one handoff chunk: the items enter the outbox
+// VERBATIM — origin identities and frozen sequences preserved, no
+// re-ingest — so this node's next flush delivers them exactly as the
+// old owner would have, and every replay filter downstream keeps
+// working. The raw chunk is journaled (recMigrateIn) before any state
+// change, the chunk's own (From, TransferSeq) mark makes retries
+// idempotent, and the moved replay marks merge into this node's filter
+// so it inherits the source's dedup horizon.
 func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 	me := n.cfg.Spec.ID
 	t, err := protocol.DecodeMigrateTransfer(msg.Payload)
@@ -406,28 +346,12 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 	if t.To != me {
 		return nil, fmt.Errorf("fognode %s: migrate chunk addressed to %q", me, t.To)
 	}
-	if n.replay.Seen(t.From, t.TransferSeq) {
-		n.dupBatches.Inc()
-		return []byte("ok"), nil
+	// Decode every section up front: a malformed chunk is rejected
+	// whole, before any state or journal change.
+	items, readings, err := transferItems(t)
+	if err != nil {
+		return nil, fmt.Errorf("fognode %s: %w", me, err)
 	}
-	ents := make([]sealedBatch, 0, len(t.Entries))
-	readings := int64(0)
-	for i, e := range t.Entries {
-		b, _, seq, err := protocol.DecodeBatchPayloadSeq(e.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("fognode %s: migrate entry %d: %w", me, i, err)
-		}
-		if seq != e.Seq {
-			return nil, fmt.Errorf("fognode %s: migrate entry %d: envelope seq %d != entry seq %d", me, i, seq, e.Seq)
-		}
-		if b.TypeName != t.TypeName {
-			return nil, fmt.Errorf("fognode %s: migrate entry %d: type %q in a %q transfer", me, i, b.TypeName, t.TypeName)
-		}
-		ents = append(ents, sealedBatch{b: b, seq: seq})
-		readings += int64(len(b.Readings))
-	}
-	// Decode the continuous-query sections up front too: a malformed
-	// chunk is rejected whole, before any state or journal change.
 	subs := make([]*cq.SubSnapshot, 0, len(t.Subs))
 	for i := range t.Subs {
 		snap, err := cq.DecodeSubSnapshot(t.Subs[i])
@@ -436,76 +360,69 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 		}
 		subs = append(subs, snap)
 	}
-	pushes := make([]sealedAlert, 0, len(t.Alerts))
-	for i := range t.Alerts {
-		p, err := protocol.DecodeAlertPush(t.Alerts[i].Payload)
-		if err != nil {
-			return nil, fmt.Errorf("fognode %s: migrate alert %d: %w", me, i, err)
+	return n.accept(t.From, t.TransferSeq, func() error {
+		sh := n.shardFor(t.TypeName)
+		sh.mu.Lock()
+		if n.journal != nil {
+			// The journal append is the acceptance gate, exactly like a
+			// batch ingest: if the chunk cannot be made durable it is
+			// rejected and the source keeps the state.
+			if err := n.journal.appendPayload(recMigrateIn, msg.Payload); err != nil {
+				sh.mu.Unlock()
+				return fmt.Errorf("fognode %s: migrate: %w", me, err)
+			}
 		}
-		pushes = append(pushes, sealedAlert{push: *p, seq: t.Alerts[i].Seq})
-	}
-
-	sh := n.shardFor(t.TypeName)
-	sh.mu.Lock()
-	if n.journal != nil {
-		// The journal append is the acceptance gate, exactly like a
-		// batch ingest: if the chunk cannot be made durable it is
-		// rejected and the source keeps (or reinstalls) the state.
-		if err := n.journal.appendMigrateIn(msg.Payload); err != nil {
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("fognode %s: migrate: %w", me, err)
+		q := sh.box(t.TypeName)
+		for _, it := range items {
+			q.put(it)
 		}
-	}
-	sh.retry[t.TypeName] = append(sh.retry[t.TypeName], ents...)
-	for _, s := range t.Summaries {
-		sh.sumRetry[t.TypeName] = append(sh.sumRetry[t.TypeName], sealedSummary{push: s.Push, seq: s.Seq})
-	}
-	// Absorbed alert pushes queue VERBATIM, original identities
-	// preserved, exactly like the batches above; recMigrateIn's raw
-	// payload covers them on replay.
-	if len(pushes) > 0 {
-		sh.alerts[t.TypeName] = append(sh.alerts[t.TypeName], pushes...)
-		n.boundAlertsLocked(sh, t.TypeName)
-	}
-	n.boundTypeLocked(sh, t.TypeName)
-	sh.mu.Unlock()
+		n.boundLocked(sh, t.TypeName)
+		sh.mu.Unlock()
 
-	// Moved subscriptions install with their live window state; Install
-	// merges if this node already watches the type with the same
-	// definition (its own partial windows survive the merge).
-	for _, snap := range subs {
-		_ = n.cqe.Install(*snap)
-	}
-
-	for origin, seqs := range t.Marks {
-		for _, seq := range seqs {
-			n.replay.Mark(origin, seq)
+		// Moved subscriptions install with their live window state;
+		// Install merges if this node already watches the type with the
+		// same definition (its own partial windows survive the merge).
+		for _, snap := range subs {
+			_ = n.cqe.Install(*snap)
 		}
-	}
-	// Mark the chunk itself only after the state landed: marking
-	// earlier would blackhole the source's retry of a failed absorb.
-	n.replay.Mark(t.From, t.TransferSeq)
-	// Receiving a chunk is the ownership handshake: this node owns the
-	// type now, so a stale forwarding route must not bounce it back.
-	n.ClearRoute(t.TypeName)
-	n.migInTransfers.Inc()
-	n.migInReads.Add(readings)
-	return []byte("ok"), nil
+		for origin, seqs := range t.Marks {
+			for _, seq := range seqs {
+				n.replay.Mark(origin, seq)
+			}
+		}
+		// Receiving a chunk is the ownership handshake: this node owns
+		// the type now, so a stale forwarding route must not bounce it
+		// back.
+		n.ClearRoute(t.TypeName)
+		n.migInTransfers.Inc()
+		n.migInReads.Add(readings)
+		return nil
+	})
 }
 
 // ingestRouted handles an edge ingest of a type whose ownership
 // migrated away: the batch is journaled and merged into the pending
-// buffer like any acceptance, immediately frozen under a fresh
-// sequence (the same transitions recovery replays), and forwarded to
-// the new owner as a single-entry transfer whose TransferSeq is the
-// batch's own sequence. If the forward fails the sealed batch parks
-// on the local retry queue under that same frozen sequence — whether
-// it later drains upward from here, is re-forwarded by a MigrateOut,
-// or was absorbed by the target under a lost acknowledgement, the
-// shared parent sees one (origin, seq) and keeps it exactly once.
+// buffer like any acceptance, immediately sealed onto the outbox (the
+// same transitions recovery replays), and forwarded to the new owner
+// as a single-entry transfer whose TransferSeq is the batch's own
+// sequence. If the forward fails the item simply stays queued under
+// that same frozen sequence — whether it later drains upward from
+// here, moves with a MigrateOut, or was absorbed by the target under a
+// lost acknowledgement, the shared parent sees one (origin, seq) and
+// keeps it exactly once.
 func (n *Node) ingestRouted(b *model.Batch, target string) error {
 	me := n.cfg.Spec.ID
-	sh := n.shardFor(b.TypeName)
+	typ := b.TypeName
+	sh := n.shardFor(typ)
+	sh.mu.Lock()
+	q := sh.box(typ)
+	sh.mu.Unlock()
+	// The forward is a send of this type like any other: under the
+	// type's send lock, with the queue claimed while the item is read
+	// outside the shard lock.
+	q.sendMu.Lock()
+	defer q.sendMu.Unlock()
+
 	sh.mu.Lock()
 	if n.journal != nil {
 		if err := n.journal.appendBatch(me, b, "", 0); err != nil {
@@ -513,57 +430,49 @@ func (n *Node) ingestRouted(b *model.Batch, target string) error {
 			return fmt.Errorf("fognode %s: ingest: %w", me, err)
 		}
 	}
-	cur, ok := sh.pending[b.TypeName]
-	if !ok {
-		cur = b.Clone()
-		cur.NodeID = me
-	} else {
-		cur.Readings = append(cur.Readings, b.Readings...)
-		delete(sh.pending, b.TypeName)
-	}
-	sb := sealedBatch{b: cur, seq: n.seq.Add(1)}
-	if n.journal != nil {
-		// The seal covers the whole (merged) buffer, so replay's
-		// freeze matches this transition exactly.
-		_ = n.journal.appendSeal(b.TypeName, sb.seq, len(cur.Readings))
-	}
+	n.bufferLocked(sh, b)
+	it := n.sealPendingLocked(sh, typ, 0)
+	q.claimed = len(q.items)
 	sh.mu.Unlock()
 
-	if n.cfg.Transport != nil {
-		if err := n.forwardSealed(sb, target); err == nil {
-			if n.journal != nil {
-				_ = n.journal.appendCommit(b.TypeName, sb.seq)
-			}
-			return nil
-		}
+	err := n.forwardSealed(&it, target)
+
+	sh.mu.Lock()
+	q.claimed = 0
+	if err == nil {
+		q.drop(it.origin, it.seq)
+	} else {
+		n.boundLocked(sh, typ)
 	}
-	// Forward failed: keep the frozen batch; it drains upward from
-	// here or moves with the next MigrateOut.
-	n.requeue([]sealedBatch{sb})
+	sh.mu.Unlock()
+	if err == nil {
+		n.commit(typ, &it)
+	}
 	return nil
 }
 
-// forwardSealed ships one sealed batch to a type's new owner as a
+// forwardSealed ships one batch item to a type's new owner as a
 // single-entry migration transfer.
-func (n *Node) forwardSealed(sb sealedBatch, target string) error {
+func (n *Node) forwardSealed(it *item, target string) error {
 	me := n.cfg.Spec.ID
+	if n.cfg.Transport == nil {
+		return fmt.Errorf("fognode %s: no transport configured", me)
+	}
 	sc := n.getScratch()
-	payload, err := sc.sealer.SealSeq(sc.payload[:0], sb.b, n.cfg.Codec, sb.seq)
+	defer n.putScratch(sc)
+	payload, err := sc.sealer.SealSeq(sc.payload[:0], it.b, n.cfg.Codec, it.seq)
 	if err != nil {
-		n.putScratch(sc)
 		return err
 	}
 	sc.payload = payload
-	t := &protocol.MigrateTransfer{
-		TypeName:    sb.b.TypeName,
+	wire, err := protocol.EncodeMigrateTransfer(&protocol.MigrateTransfer{
+		TypeName:    it.b.TypeName,
 		From:        me,
 		To:          target,
-		TransferSeq: sb.seq,
-		Entries:     []protocol.MigrateEntry{{Seq: sb.seq, Payload: payload}},
-	}
-	wire, err := protocol.EncodeMigrateTransfer(t)
+		TransferSeq: it.seq,
+		Entries:     []protocol.MigrateEntry{{Seq: it.seq, Payload: payload}},
+	})
 	if err != nil {
-		n.putScratch(sc)
 		return err
 	}
 	msg := transport.Message{
@@ -573,13 +482,11 @@ func (n *Node) forwardSealed(sb sealedBatch, target string) error {
 		Class:   transport.ClassMigrate,
 		Payload: wire,
 	}
-	_, err = n.cfg.Transport.Send(context.Background(), msg)
-	n.putScratch(sc)
-	if err != nil {
+	if _, err = n.cfg.Transport.Send(context.Background(), msg); err != nil {
 		return err
 	}
 	n.migOutTransfers.Inc()
-	n.migOutReads.Add(int64(len(sb.b.Readings)))
+	n.migOutReads.Add(int64(len(it.b.Readings)))
 	n.migOutBytes.Add(msg.WireSize())
 	return nil
 }

@@ -556,8 +556,8 @@ func TestMigrateJournalReplay(t *testing.T) {
 	// the counter past them.
 	rs := newRecoveryState()
 	for _, seq := range []uint64{100, 101, 102} {
-		rs.typeState("traffic").groups = append(rs.typeState("traffic").groups,
-			sealedBatch{b: typedBatch("traffic", t0, float64(seq)), seq: seq})
+		rs.typeState("traffic").items = append(rs.typeState("traffic").items,
+			item{kind: transport.KindBatch, b: typedBatch("traffic", t0, float64(seq)), seq: seq})
 	}
 	rec := []byte{recMigrateCommit}
 	rec = wal.AppendString(rec, "traffic")
@@ -567,7 +567,7 @@ func TestMigrateJournalReplay(t *testing.T) {
 	if err := rs.applyRecord(rec); err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.types["traffic"].groups; len(got) != 1 || got[0].seq != 101 {
+	if got := rs.types["traffic"].items; len(got) != 1 || got[0].seq != 101 {
 		t.Fatalf("after migrate commit, groups = %+v, want only seq 101", got)
 	}
 	if !rs.sawSeq || rs.seqCounter < 102 {
@@ -583,7 +583,7 @@ func TestMigrateJournalReplay(t *testing.T) {
 	if err := rs.applyRecord(start); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.types["traffic"].groups) != 1 {
+	if len(rs.types["traffic"].items) != 1 {
 		t.Fatal("migrate start changed the recovered groups")
 	}
 	if rs.seqCounter != 150 {
@@ -612,7 +612,7 @@ func TestMigrateJournalReplay(t *testing.T) {
 	if err := rs2.applyRecord(in); err != nil {
 		t.Fatal(err)
 	}
-	groups := rs2.types["traffic"].groups
+	groups := rs2.types["traffic"].items
 	if len(groups) != 1 || groups[0].seq != 55 || groups[0].b.NodeID != "fog1/d01-s01" {
 		t.Fatalf("replayed absorb groups = %+v, want one foreign batch at seq 55", groups)
 	}

@@ -12,6 +12,16 @@
 // and flushes move the sharded pending buffers upward with a bounded
 // worker pool.
 //
+// Upward delivery is one mechanism (shard.go): whatever leaves the
+// node — raw batches, degrade summaries, continuous-query alerts — is
+// sealed into an item under a frozen (origin, seq), journaled, queued
+// on its sensor type's outbox, sent at least once in queue order by
+// the one send path (deliver), committed on acknowledgement, and
+// carried verbatim by sibling relay and shard migration. What differs
+// between the kinds is a table (kindTable): rank, relay eligibility,
+// overflow policy. Receivers dedupe by (origin, seq) through one
+// atomic check-and-mark (accept).
+//
 // Overload is handled in three tiers. Admission (Config.Scheduler): a
 // per-class weighted-fair scheduler gates Handle so queries keep their
 // share of the node's capacity under an ingest burst, rejecting an
@@ -100,24 +110,12 @@ type Config struct {
 	// at the next flush (transport.KindSummaryPush) — the node loses
 	// resolution, not information. Counted in flush.degraded_readings
 	// and flush.summaries_emitted; raw shed remains the last resort
-	// once the summary retry tier overflows.
+	// once a type parks more unsent summary pushes than
+	// maxParkedPushes.
 	DegradeToSummary bool
 	// DegradeWindow is the time-window granularity degraded readings
 	// are summarized at (default 1 minute).
 	DegradeWindow time.Duration
-	// MaxDegradedWindows bounds how many distinct windows one type's
-	// degrade buffer may hold (default 64); beyond it new readings
-	// fold into the nearest existing window — coarser, still counted.
-	MaxDegradedWindows int
-	// MaxSummaryRetry bounds a type's unsent summary-push retry queue
-	// (default 64); beyond it the oldest push is dropped and its
-	// readings finally counted as shed.
-	MaxSummaryRetry int
-	// MaxAlertRetry bounds a type's unsent continuous-query alert
-	// retry queue (default 64); beyond it the oldest push's alert
-	// instances fold into its successor — alerts are re-batched, not
-	// dropped, until maxAlertsPerPush is also exceeded.
-	MaxAlertRetry int
 	// AlertObserver, when set, sees every alert push this node's own
 	// subscriptions fire, at seal time — the hook the exactly-once
 	// chaos ledger (and local alerting sinks) attach to. Called
@@ -177,13 +175,13 @@ type Config struct {
 	// receive path. Zero selects protocol.DefaultReplayWindow.
 	ReplayWindow int
 	// Durability, when set, makes the node journal its upward-delivery
-	// state (accepted readings, sealed delivery sequences, commits,
-	// sheds, replay-filter marks) to a write-ahead log with periodic
+	// state (accepted readings, sealed items, commits, sheds,
+	// replay-filter marks) to a write-ahead log with periodic
 	// snapshots in Durability.Dir, and recover that state at
 	// construction — so a restarted node resumes with its pending
-	// shards, retry queues, sequence counter and dedup marks intact
-	// instead of starting empty. Nil (the default) keeps the node
-	// fully in-memory.
+	// and degrade buffers, outboxes, sequence counter and dedup marks
+	// intact instead of starting empty. Nil (the default) keeps the
+	// node fully in-memory.
 	Durability *wal.Config
 	// Storage, when set, backs the temporal store with the tiered
 	// segment engine (WAL-journaled memtable flushing to mmap'd
@@ -250,15 +248,6 @@ func (c *Config) applyDefaults() error {
 	if c.DegradeWindow <= 0 {
 		c.DegradeWindow = time.Minute
 	}
-	if c.MaxDegradedWindows <= 0 {
-		c.MaxDegradedWindows = 64
-	}
-	if c.MaxSummaryRetry <= 0 {
-		c.MaxSummaryRetry = 64
-	}
-	if c.MaxAlertRetry <= 0 {
-		c.MaxAlertRetry = 64
-	}
 	return nil
 }
 
@@ -286,10 +275,11 @@ type Node struct {
 	seq    atomic.Uint64
 
 	// journal is the durability write-ahead log (nil when off).
-	// flightMu excludes checkpoints (write side) from flushes (read
-	// side): a checkpoint must not run while collected batches are in
-	// flight outside the shards, or their seal records could rotate
-	// away while the batches still await a retry.
+	// flightMu excludes checkpoints (write side) from senders (read
+	// side). Every item a sender works on is still on its outbox, so
+	// a snapshot cannot miss it; but a sender sorts and stamps a
+	// claimed batch in place outside the shard lock, and the snapshot
+	// encoder must not read it meanwhile.
 	journal  *journal
 	flightMu sync.RWMutex
 
@@ -335,6 +325,8 @@ type Node struct {
 	alertsIn         *metrics.Counter
 	alertFolds       *metrics.Counter
 	alertsShed       *metrics.Counter
+	// sent counts the items the parent acknowledged, by kind rank.
+	sent [len(kindTable)]*metrics.Counter
 
 	// scratch recycles per-flush-worker buffers (wire encoding,
 	// sealed payload, collected batch slice) so steady-state flushes
@@ -444,6 +436,7 @@ func New(cfg Config) (*Node, error) {
 	n.alertsIn = reg.Counter(prefix + "cq.alerts_in")
 	n.alertFolds = reg.Counter(prefix + "cq.retry_folds")
 	n.alertsShed = reg.Counter(prefix + "cq.alerts_shed")
+	n.sent = [...]*metrics.Counter{n.flushedBatches, n.summariesEmitted, n.alertPushesOut}
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, reg, prefix+"sched.")
 	}
@@ -574,12 +567,12 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 }
 
 // enqueue merges a filtered batch into the per-type pending buffer
-// that the next flush will move upward, shedding the oldest buffered
-// readings when a bound is configured and exceeded (prolonged parent
-// outage). On a durable node the acceptance is journaled first, under
-// the shard lock, so the log's record order matches the buffer's
-// reading order; a journal failure rejects the ingest (the sender
-// retries) instead of accepting data the node cannot preserve.
+// that the next flush will seal and move upward, applying the overflow
+// bound (prolonged parent outage). On a durable node the acceptance is
+// journaled first, under the shard lock, so the log's record order
+// matches the buffer's reading order; a journal failure rejects the
+// ingest (the sender retries) instead of accepting data the node
+// cannot preserve.
 func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -588,91 +581,141 @@ func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint
 			return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
 		}
 	}
-	cur, ok := sh.pending[b.TypeName]
-	if !ok {
-		cp := b.Clone()
-		cp.NodeID = n.cfg.Spec.ID // upward batches carry this node's identity
-		sh.pending[b.TypeName] = cp
-	} else {
-		cur.Readings = append(cur.Readings, b.Readings...)
+	n.bufferLocked(sh, b)
+	if n.cfg.MaxPendingReadings > 0 { // the one bound an ingest can cross
+		n.boundLocked(sh, b.TypeName)
 	}
-	n.boundTypeLocked(sh, b.TypeName)
 	return nil
 }
 
-// boundTypeLocked enforces MaxPendingReadings across everything a
-// type has buffered upward — the retry queue (failed sends held
-// through an outage) plus the fresh pending buffer — trimming oldest
-// first: the front of the retry queue, then the pending buffer's
-// head. Without DegradeToSummary the trimmed readings are shed;
-// readings dropped from the retry queue are additionally counted as
-// DroppedDuringOutage: they were lost because the parent stayed
-// unreachable past the buffer budget, the signal operators alarm on.
-// With DegradeToSummary the trimmed readings are instead folded into
-// the type's per-window degrade buffer (resolution lost, counts
-// preserved) to be pushed upward at the next flush. Either way the
-// trim itself is journaled (best effort) so recovery does not
-// resurrect readings the bound already removed — degraded windows
-// themselves are in-memory only. The caller holds the shard lock.
-func (n *Node) boundTypeLocked(sh *pendingShard, typ string) {
-	max := n.cfg.MaxPendingReadings
-	if max <= 0 {
+// bufferLocked appends a batch's readings to its type's pending
+// buffer. The caller holds the shard lock.
+func (n *Node) bufferLocked(sh *pendingShard, b *model.Batch) {
+	if cur, ok := sh.pending[b.TypeName]; ok {
+		cur.Readings = append(cur.Readings, b.Readings...)
 		return
 	}
-	total := 0
-	for _, sb := range sh.retry[typ] {
-		total += len(sb.b.Readings)
+	cp := b.Clone()
+	cp.NodeID = n.cfg.Spec.ID // upward batches carry this node's identity
+	sh.pending[b.TypeName] = cp
+}
+
+// sealLocked freezes an item onto its type's outbox, journaling the
+// seal first. For an item absorbed from another node the journal
+// append is the acceptance gate (gate set: a failure rejects the item
+// and the sender retries); for this node's own seals it is best
+// effort — a lost record degrades toward re-delivery under a fresh
+// sequence, or a refired window, which the receiver's dedup absorbs,
+// never toward loss. The caller holds the shard lock.
+func (n *Node) sealLocked(sh *pendingShard, typ string, it item, gate bool) error {
+	if n.journal != nil {
+		if err := n.journal.appendSeal(typ, &it); err != nil && gate {
+			return err
+		}
 	}
-	if p, ok := sh.pending[typ]; ok {
-		total += len(p.Readings)
+	sh.box(typ).put(it)
+	return nil
+}
+
+// sealPendingLocked freezes a type's pending buffer as one batch item,
+// or as a run of items of at most size readings (size > 0: the
+// adaptive controller's current batch size), each under its own fresh
+// sequence. The seal record lands in the journal strictly after the
+// acceptance records it covers and before any later ingest of the
+// type; replay peels the same runs off the recovered buffer's head.
+// Returns the last item sealed. The caller holds the shard lock.
+func (n *Node) sealPendingLocked(sh *pendingShard, typ string, size int) (last item) {
+	p, ok := sh.pending[typ]
+	if !ok {
+		return last
+	}
+	delete(sh.pending, typ)
+	if size <= 0 || size > len(p.Readings) {
+		size = len(p.Readings)
+	}
+	for start := 0; start < len(p.Readings); start += size {
+		end := min(start+size, len(p.Readings))
+		cb := p
+		if end-start < len(p.Readings) {
+			chunk := *p
+			chunk.Readings = p.Readings[start:end:end]
+			cb = &chunk
+		}
+		last = item{kind: transport.KindBatch, origin: p.NodeID, seq: n.seq.Add(1), class: p.Category.String(), b: cb}
+		_ = n.sealLocked(sh, typ, last, false)
+	}
+	return last
+}
+
+// commit journals that an item is no longer this node's
+// responsibility — acknowledged upward, handed to a new owner, or
+// dropped by its overflow policy — so recovery does not resurrect it.
+// Best effort: a lost record degrades toward re-delivery.
+func (n *Node) commit(typ string, it *item) {
+	if n.journal != nil {
+		_ = n.journal.appendCommit(typ, it.origin, it.seq)
+	}
+}
+
+// boundLocked enforces the overflow policy of every kind (see
+// kindTable) on the unclaimed part of a type's backlog. The caller
+// holds the shard lock.
+func (n *Node) boundLocked(sh *pendingShard, typ string) {
+	q := sh.box(typ)
+	if max := n.cfg.MaxPendingReadings; max > 0 {
+		n.boundReadingsLocked(sh, typ, q, max)
+	}
+	for lo, hi := q.span(transport.KindSummaryPush); hi-lo > maxParkedPushes; hi-- {
+		// The degrade tier is exhausted: raw shed is what is left.
+		var push protocol.SummaryPush
+		if err := protocol.DecodeJSON(q.items[lo].payload, &push); err == nil {
+			n.shedReads.Add(push.Readings())
+		}
+		n.commit(typ, &q.items[lo])
+		q.remove(lo)
+	}
+	for lo, hi := q.span(transport.KindAlertPush); hi-lo > maxParkedPushes; hi-- {
+		n.foldAlertLocked(typ, q, lo)
+	}
+}
+
+// boundReadingsLocked trims a type's buffered readings to max, oldest
+// first: the heads of the parked batch items, then the pending
+// buffer's head. Without DegradeToSummary the trimmed readings are
+// shed; those trimmed from parked items are additionally counted as
+// DroppedDuringOutage: they were lost because the parent stayed
+// unreachable past the buffer budget, the signal operators alarm on.
+// With DegradeToSummary they fold into the type's degrade buffer
+// instead (resolution lost, counts preserved). The trim is journaled
+// (best effort: losing the record degrades toward re-delivery, never
+// toward loss) so recovery repeats it — dropping the same readings, or
+// folding them into the recovered degrade buffer.
+func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max int) {
+	p := sh.pending[typ]
+	total := 0
+	if p != nil {
+		total = len(p.Readings)
+	}
+	for lo, hi := q.span(transport.KindBatch); lo < hi; lo++ {
+		total += len(q.items[lo].b.Readings)
 	}
 	drop := total - max
 	if drop <= 0 {
 		return
 	}
 	if n.journal != nil {
-		// Journal the trim so recovery does not resurrect readings the
-		// bound already removed. Best-effort: losing the record
-		// degrades toward re-delivery, never toward loss.
 		_ = n.journal.appendShed(typ, drop)
 	}
-	degrade := n.cfg.DegradeToSummary
-	q := sh.retry[typ]
-	for drop > 0 && len(q) > 0 {
-		head := q[0].b
-		k := len(head.Readings)
-		if k > drop {
-			k = drop
+	q.trimOldest(p, drop, func(b *model.Batch, k int, parked bool) {
+		if n.cfg.DegradeToSummary {
+			n.degradeLocked(sh, typ, b.Category, b.Readings[:k])
+			return
 		}
-		if degrade {
-			n.degradeLocked(sh, typ, head.Category, head.Readings[:k])
-		} else {
-			n.shedReads.Add(int64(k))
+		n.shedReads.Add(int64(k))
+		if parked {
 			n.outageDrops.Add(int64(k))
 		}
-		head.Readings = head.Readings[k:]
-		drop -= k
-		if len(head.Readings) == 0 {
-			q[0] = sealedBatch{} // release the emptied batch
-			q = q[1:]
-		}
-	}
-	if len(q) == 0 {
-		delete(sh.retry, typ)
-	} else {
-		sh.retry[typ] = q
-	}
-	if drop > 0 {
-		p := sh.pending[typ]
-		if degrade {
-			n.degradeLocked(sh, typ, p.Category, p.Readings[:drop])
-		} else {
-			n.shedReads.Add(int64(drop))
-		}
-		kept := make([]model.Reading, len(p.Readings)-drop)
-		copy(kept, p.Readings[drop:])
-		p.Readings = kept
-	}
+	})
 }
 
 // ShedReadings reports how many buffered readings were dropped under
@@ -680,7 +723,7 @@ func (n *Node) boundTypeLocked(sh *pendingShard, typ string) {
 func (n *Node) ShedReadings() int64 { return n.shedReads.Value() }
 
 // DroppedDuringOutage reports how many readings the bound shed from
-// the retry queue — data lost because the parent stayed unreachable
+// parked batch items — data lost because the parent stayed unreachable
 // longer than the configured buffer budget could absorb.
 func (n *Node) DroppedDuringOutage() int64 { return n.outageDrops.Value() }
 
@@ -701,22 +744,16 @@ func (n *Node) DeferredFlushes() int64 { return n.deferredFlushes.Value() }
 func (n *Node) UpstreamState() UpstreamState { return n.up.state() }
 
 // PendingBatches returns how many delivery units await an upward
-// flush: the per-type pending buffers, every batch parked on a retry
-// queue, every unsent summary push, and each nonempty degrade buffer.
+// flush: the per-type pending buffers, every item on an outbox, and
+// each nonempty degrade buffer.
 func (n *Node) PendingBatches() int {
 	total := 0
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.mu.Lock()
 		total += len(sh.pending)
-		for _, q := range sh.retry {
-			total += len(q)
-		}
-		for _, q := range sh.sumRetry {
-			total += len(q)
-		}
-		for _, q := range sh.alerts {
-			total += len(q)
+		for _, q := range sh.outbox {
+			total += len(q.items)
 		}
 		for _, buf := range sh.degraded {
 			if len(buf.windows) > 0 {
@@ -729,8 +766,8 @@ func (n *Node) PendingBatches() int {
 }
 
 // PendingReadings returns how many readings are buffered for upward
-// delivery across all types (pending + retry) — the quantity
-// MaxPendingReadings bounds per type.
+// delivery across all types (pending buffers + batch items) — the
+// quantity MaxPendingReadings bounds per type.
 func (n *Node) PendingReadings() int {
 	total := 0
 	for i := range n.shards {
@@ -739,9 +776,11 @@ func (n *Node) PendingReadings() int {
 		for _, b := range sh.pending {
 			total += len(b.Readings)
 		}
-		for _, q := range sh.retry {
-			for _, sb := range q {
-				total += len(sb.b.Readings)
+		for _, q := range sh.outbox {
+			for k := range q.items {
+				if b := q.items[k].b; b != nil {
+					total += len(b.Readings)
+				}
 			}
 		}
 		sh.mu.Unlock()
@@ -785,15 +824,15 @@ func (n *Node) DedupEliminatedShare() float64 { return n.deduper.EliminatedShare
 // redundant-data-elimination phase.
 func (n *Node) DedupStats() (in, kept int64) { return n.deduper.Stats() }
 
-// Flush seals all pending batches and sends them to the parent,
-// compressed with the configured codec. Batches that fail to send
-// stay queued for the next flush. It also applies retention eviction.
-// On a durable node a flush is also the checkpoint safe point: when
-// the journal has grown past its snapshot threshold, the delivery
-// state is folded into a snapshot and the log truncated.
+// Flush seals all pending data and sends every queued item to the
+// parent, compressed with the configured codec. Items that fail to
+// send stay queued for the next flush. It also applies retention
+// eviction. On a durable node a flush is also the checkpoint safe
+// point: when the journal has grown past its snapshot threshold, the
+// delivery state is folded into a snapshot and the log truncated.
 func (n *Node) Flush(ctx context.Context) error {
 	n.flightMu.RLock()
-	err := n.flush(ctx, nil)
+	err := n.flush(ctx, "")
 	n.flightMu.RUnlock()
 	n.maybeCheckpoint()
 	return err
@@ -808,19 +847,18 @@ func (n *Node) FlushCategory(ctx context.Context, cat model.Category) error {
 		return fmt.Errorf("fognode %s: flush: invalid category %d", n.cfg.Spec.ID, int(cat))
 	}
 	n.flightMu.RLock()
-	err := n.flush(ctx, func(b *model.Batch) bool { return b.Category == cat })
+	err := n.flush(ctx, cat.String())
 	n.flightMu.RUnlock()
 	n.maybeCheckpoint()
 	return err
 }
 
-// Checkpoint folds a durable node's delivery state — pending buffers,
-// retry queues, sequence counter, replay-filter marks — into a
-// snapshot and truncates the journal, bounding recovery time. It is a
-// no-op on an in-memory node. Checkpoints exclude flushes (collected
-// batches in flight outside the shards must not lose their seal
-// records to a rotation) and hold every shard lock while encoding, so
-// the snapshot is a consistent cut.
+// Checkpoint folds a durable node's delivery state — pending and
+// degrade buffers, outboxes, sequence counter, replay-filter marks,
+// subscriptions — into a snapshot and truncates the journal, bounding
+// recovery time. It is a no-op on an in-memory node. Checkpoints
+// exclude senders (see flightMu) and hold every shard lock while
+// encoding, so the snapshot is a consistent cut.
 func (n *Node) Checkpoint() error {
 	if n.journal == nil {
 		return nil
@@ -850,34 +888,16 @@ func (n *Node) maybeCheckpoint() {
 	}
 }
 
-// typeWork is one sensor type's delivery unit for a flush: the retry
-// queue (frozen sequences, oldest first) followed by the fresh
-// pending batch(es), plus any degraded summary pushes (retried first,
-// then the freshly sealed degrade buffer). A worker sends the batches
-// in order and stops at the first failure, requeueing the unsent tail
-// (summaries included), so one type's readings never arrive out of
-// order within a flush.
-type typeWork struct {
-	typ       string
-	batches   []sealedBatch
-	summaries []sealedSummary
-	alerts    []sealedAlert
-}
-
 // errDeferred marks a delivery skipped because the parent link is
 // inside its backoff window and no sibling relay is available. The
-// batch stays queued; the flush reports success (nothing was lost,
+// item stays queued; the flush reports success (nothing was lost,
 // nothing was attempted).
 var errDeferred = errors.New("fognode: delivery deferred by backoff")
 
-// flush moves pending batches matching the filter (nil = all) upward,
-// encoding and sending with a bounded worker pool. Within one flush,
-// each sensor type is one ordered delivery unit (retry queue first,
-// then fresh data), so worker interleaving cannot reorder a type's
-// readings. (As before, two overlapping Flush calls can deliver a
-// type's batches out of order when the earlier one fails and
-// requeues.)
-func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
+// flush seals the pending and degrade buffers of the given class ("" =
+// all) onto their outboxes, then drains every outbox of the class
+// upward with a bounded worker pool, one type per worker at a time.
+func (n *Node) flush(ctx context.Context, class string) error {
 	defer n.store.Evict(n.cfg.Clock.Now())
 
 	now := n.cfg.Clock.Now()
@@ -892,152 +912,47 @@ func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
 	// flush, so their alert pushes ride the same round.
 	n.harvestAlerts(now)
 
-	// seal freezes a pending buffer under its delivery sequence. It
-	// runs under the shard lock so that, on a durable node, the seal
-	// record lands in the journal strictly after the acceptance
-	// records it covers and before any later ingest of the type.
-	seal := func(typ string, p *model.Batch) sealedBatch {
-		sb := sealedBatch{b: p, seq: n.seq.Add(1)}
-		if n.journal != nil {
-			// Best-effort: a lost seal record degrades toward
-			// re-delivery under a fresh sequence, which the receiver's
-			// replay filter absorbs.
-			_ = n.journal.appendSeal(typ, sb.seq, len(p.Readings))
-		}
-		return sb
+	size := 0
+	if n.ctl != nil {
+		size = n.ctl.batchSize()
 	}
-	// sealChunks freezes a pending buffer as one batch, or — under the
-	// adaptive controller — as a run of chunks bounded by the current
-	// batch size, each under its own sequence (the journal's seal
-	// replay peels the same chunks off the recovered buffer head).
-	sealChunks := func(typ string, p *model.Batch) []sealedBatch {
-		size := 0
-		if n.ctl != nil {
-			size = n.ctl.batchSize()
-		}
-		if size <= 0 || len(p.Readings) <= size {
-			return []sealedBatch{seal(typ, p)}
-		}
-		out := make([]sealedBatch, 0, (len(p.Readings)+size-1)/size)
-		for start := 0; start < len(p.Readings); start += size {
-			end := start + size
-			if end > len(p.Readings) {
-				end = len(p.Readings)
-			}
-			cb := &model.Batch{
-				NodeID: p.NodeID, TypeName: p.TypeName, Category: p.Category,
-				Collected: p.Collected, Readings: p.Readings[start:end:end],
-			}
-			out = append(out, seal(typ, cb))
-		}
-		return out
-	}
-	var works []typeWork
+	var types []string
 	for i := range n.shards {
 		sh := &n.shards[i]
-		// idx tracks this shard's works entries by type so summary
-		// collection joins the type's existing delivery unit (types are
-		// owned by exactly one shard).
-		idx := make(map[string]int)
 		sh.mu.Lock()
-		for typ, q := range sh.retry {
-			if match != nil && !match(q[0].b) {
-				continue
+		for typ, p := range sh.pending {
+			if class == "" || p.Category.String() == class {
+				n.sealPendingLocked(sh, typ, size)
 			}
-			w := typeWork{typ: typ, batches: q}
-			if p, ok := sh.pending[typ]; ok {
-				w.batches = append(w.batches, sealChunks(typ, p)...)
-				delete(sh.pending, typ)
-			}
-			delete(sh.retry, typ)
-			idx[typ] = len(works)
-			works = append(works, w)
-		}
-		for typ, b := range sh.pending {
-			if match == nil || match(b) {
-				idx[typ] = len(works)
-				works = append(works, typeWork{typ: typ, batches: sealChunks(typ, b)})
-				delete(sh.pending, typ)
-			}
-		}
-		for typ, q := range sh.sumRetry {
-			cat, _ := model.ParseCategory(q[0].push.Category)
-			if match != nil && !match(&model.Batch{TypeName: typ, Category: cat}) {
-				continue
-			}
-			j, ok := idx[typ]
-			if !ok {
-				j = len(works)
-				idx[typ] = j
-				works = append(works, typeWork{typ: typ})
-			}
-			works[j].summaries = append(works[j].summaries, q...)
-			delete(sh.sumRetry, typ)
 		}
 		for typ, buf := range sh.degraded {
-			if len(buf.windows) == 0 {
-				continue
+			if len(buf.windows) > 0 && (class == "" || buf.category.String() == class) {
+				n.sealSummaryLocked(sh, typ, buf)
 			}
-			if match != nil && !match(&model.Batch{TypeName: typ, Category: buf.category}) {
-				continue
-			}
-			ss := n.sealSummaryLocked(typ, buf)
-			delete(sh.degraded, typ)
-			j, ok := idx[typ]
-			if !ok {
-				j = len(works)
-				idx[typ] = j
-				works = append(works, typeWork{typ: typ})
-			}
-			works[j].summaries = append(works[j].summaries, ss)
 		}
-		for typ, q := range sh.alerts {
-			if match != nil {
-				cat, _ := model.ParseCategory(q[0].push.Category)
-				if !match(&model.Batch{TypeName: typ, Category: cat}) {
-					continue
-				}
+		for typ, q := range sh.outbox {
+			// A type's items all carry the type's one category.
+			if len(q.items) > 0 && (class == "" || q.items[0].class == class) {
+				types = append(types, typ)
 			}
-			j, ok := idx[typ]
-			if !ok {
-				j = len(works)
-				idx[typ] = j
-				works = append(works, typeWork{typ: typ})
-			}
-			works[j].alerts = append(works[j].alerts, q...)
-			delete(sh.alerts, typ)
 		}
 		sh.mu.Unlock()
 	}
-	if len(works) == 0 {
+	if len(types) == 0 {
 		if n.ctl != nil {
 			n.ctl.onFlushDone(0)
 		}
 		return nil
 	}
-	// Deterministic send/error order for tests and accounting. (Retry
-	// batches keep their frozen sequences; fresh batches were sealed
-	// at collection, per type in buffer order.)
-	sort.Slice(works, func(i, j int) bool { return works[i].typ < works[j].typ })
+	// Deterministic send/error order for tests and accounting.
+	sort.Strings(types)
 
-	if n.cfg.Spec.Parent == "" {
-		n.requeueWorks(works)
-		return fmt.Errorf("%w: %s", ErrNoParent, n.cfg.Spec.ID)
-	}
-	if n.cfg.Transport == nil {
-		n.requeueWorks(works)
-		return fmt.Errorf("fognode %s: no transport configured", n.cfg.Spec.ID)
-	}
-
-	errs := make([]error, len(works))
-	workers := n.cfg.FlushWorkers
-	if workers > len(works) {
-		workers = len(works)
-	}
+	errs := make([]error, len(types))
+	workers := min(n.cfg.FlushWorkers, len(types))
 	if workers <= 1 {
 		sc := n.getScratch()
-		for i := range works {
-			errs[i] = n.sendTypeWork(ctx, works[i], now, sc)
+		for i := range types {
+			errs[i] = n.drain(ctx, types[i], now, sc)
 		}
 		n.putScratch(sc)
 	} else {
@@ -1050,11 +965,11 @@ func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
 				wsc := n.getScratch()
 				defer n.putScratch(wsc)
 				for i := range jobs {
-					errs[i] = n.sendTypeWork(ctx, works[i], now, wsc)
+					errs[i] = n.drain(ctx, types[i], now, wsc)
 				}
 			}()
 		}
-		for i := range works {
+		for i := range types {
 			jobs <- i
 		}
 		close(jobs)
@@ -1069,113 +984,107 @@ func (n *Node) flush(ctx context.Context, match func(*model.Batch) bool) error {
 	return errors.Join(errs...)
 }
 
-// requeueWorks parks every batch and summary push of the given works
-// back on its retry queue (sequences preserved).
-func (n *Node) requeueWorks(works []typeWork) {
-	for _, w := range works {
-		n.requeue(w.batches)
-		n.requeueSummaries(w.typ, w.summaries)
-		n.requeueAlerts(w.typ, w.alerts)
-	}
-}
+// drain is the one send loop: under the type's send lock it delivers
+// the items queued when it started, head first, claiming each for the
+// duration of its send and removing it only once acknowledged. The
+// first failure stops the loop with the tail — failed item included —
+// still queued in order, and re-applies the overflow bound the claim
+// had held off. A backoff deferral is not an error.
+func (n *Node) drain(ctx context.Context, typ string, now time.Time, sc *flushScratch) error {
+	sh := n.shardFor(typ)
+	sh.mu.Lock()
+	q := sh.box(typ)
+	todo := len(q.items)
+	sh.mu.Unlock()
+	q.sendMu.Lock()
+	defer q.sendMu.Unlock()
+	for ; todo > 0; todo-- {
+		sh.mu.Lock()
+		if len(q.items) == 0 { // sent by the sender before us, or trimmed away
+			sh.mu.Unlock()
+			return nil
+		}
+		it := q.items[0]
+		q.claimed = 1
+		sh.mu.Unlock()
 
-// sendTypeWork delivers one type's batches in order, then its summary
-// pushes, stopping at the first failure and requeueing the unsent
-// tail. A backoff deferral is not an error: the tail stays queued for
-// a later flush.
-func (n *Node) sendTypeWork(ctx context.Context, w typeWork, now time.Time, sc *flushScratch) error {
-	for i := range w.batches {
-		if err := n.sendBatch(ctx, w.batches[i], now, sc); err != nil {
-			n.requeue(w.batches[i:])
-			n.requeueSummaries(w.typ, w.summaries)
-			n.requeueAlerts(w.typ, w.alerts)
+		payload, err := n.sealItem(sc, sc.payload[:0], &it, now)
+		if err == nil {
+			if it.b != nil {
+				sc.payload = payload // keep the grown buffer for the next seal
+			}
+			err = n.deliver(ctx, it.kind, it.class, payload)
+		}
+
+		sh.mu.Lock()
+		q.claimed = 0
+		if err != nil {
+			n.boundLocked(sh, typ)
+			sh.mu.Unlock()
 			if errors.Is(err, errDeferred) {
 				return nil
 			}
 			n.flushErrors.Inc()
-			return fmt.Errorf("fognode %s: flush %s: %w", n.cfg.Spec.ID, w.typ, err)
+			return fmt.Errorf("fognode %s: flush %s: %w", n.cfg.Spec.ID, typ, err)
 		}
-		if n.journal != nil {
-			// Acknowledged upward: the sealed batch is no longer this
-			// node's responsibility and recovery must not resend it.
-			_ = n.journal.appendCommit(w.typ, w.batches[i].seq)
-		}
-	}
-	for i := range w.summaries {
-		if err := n.deliverSummary(ctx, w.summaries[i]); err != nil {
-			n.requeueSummaries(w.typ, w.summaries[i:])
-			n.requeueAlerts(w.typ, w.alerts)
-			if errors.Is(err, errDeferred) {
-				return nil
-			}
-			n.flushErrors.Inc()
-			return fmt.Errorf("fognode %s: flush %s summaries: %w", n.cfg.Spec.ID, w.typ, err)
-		}
-	}
-	for i := range w.alerts {
-		if err := n.deliverAlert(ctx, w.alerts[i]); err != nil {
-			n.requeueAlerts(w.typ, w.alerts[i:])
-			if errors.Is(err, errDeferred) {
-				return nil
-			}
-			n.flushErrors.Inc()
-			return fmt.Errorf("fognode %s: flush %s alerts: %w", n.cfg.Spec.ID, w.typ, err)
-		}
-		if n.journal != nil {
-			// Acknowledged upward: recovery must not resend this push.
-			_ = n.journal.appendAlertCommit(w.typ, w.alerts[i].push.Origin, w.alerts[i].seq)
-		}
+		q.remove(0)
+		sh.mu.Unlock()
+		n.commit(typ, &it)
 	}
 	return nil
 }
 
-// sendBatch seals one batch into the worker's scratch buffers under
-// its frozen delivery sequence and hands it to the failover state
-// machine: the parent when due, otherwise a sibling relay.
-func (n *Node) sendBatch(ctx context.Context, sb sealedBatch, now time.Time, sc *flushScratch) error {
-	b := sb.b
-	// Concurrent child flushes interleave arrival order at a combining
-	// layer-2 node; sealing restores time order so upward payloads —
-	// and their compressed sizes — are deterministic for a given set
-	// of readings.
-	sortBatchReadings(b)
-	b.Collected = now
-	payload, err := sc.sealer.SealSeq(sc.payload[:0], b, n.cfg.Codec, sb.seq)
-	if err != nil {
-		return err
+// sealItem returns an item's wire payload. A batch item is sealed now,
+// into dst: concurrent child flushes interleave arrival order at a
+// combining layer-2 node, and sorting at seal time restores time order
+// so upward payloads — and their compressed sizes — are deterministic
+// for a given set of readings. A push item's payload was frozen when
+// it was sealed.
+func (n *Node) sealItem(sc *flushScratch, dst []byte, it *item, now time.Time) ([]byte, error) {
+	if it.b == nil {
+		return it.payload, nil
 	}
-	sc.payload = payload
-	return n.deliver(ctx, payload, b.Category.String())
+	sortBatchReadings(it.b)
+	it.b.Collected = now
+	return sc.sealer.SealSeq(dst, it.b, n.cfg.Codec, it.seq)
 }
 
-// deliver runs the failover policy for one sealed payload: probe the
-// parent when the backoff window allows, fall over to sibling relays
-// once the failure threshold is crossed, and defer when neither is
-// available. A parent success heals the state machine.
-func (n *Node) deliver(ctx context.Context, payload []byte, class string) error {
+// deliver is the one send path: it runs the failover policy for one
+// item's payload — probe the parent when the backoff window allows,
+// fall over to sibling relays (kinds that may, see kindTable) once the
+// failure threshold is crossed, and defer when neither is available.
+// A parent success heals the state machine.
+func (n *Node) deliver(ctx context.Context, kind transport.Kind, class string, payload []byte) error {
+	if n.cfg.Spec.Parent == "" {
+		return fmt.Errorf("%w: %s", ErrNoParent, n.cfg.Spec.ID)
+	}
+	if n.cfg.Transport == nil {
+		return fmt.Errorf("fognode %s: no transport configured", n.cfg.Spec.ID)
+	}
+	r := rank(kind)
 	now := n.cfg.Clock.Now()
+	msg := transport.Message{
+		From:    n.cfg.Spec.ID,
+		To:      n.cfg.Spec.Parent,
+		Kind:    kind,
+		Class:   class,
+		Payload: payload,
+	}
 	var parentErr error
 	if n.up.parentDue(now) {
-		msg := transport.Message{
-			From:    n.cfg.Spec.ID,
-			To:      n.cfg.Spec.Parent,
-			Kind:    transport.KindBatch,
-			Class:   class,
-			Payload: payload,
-		}
 		start := time.Now()
 		if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
 			n.up.onParentSuccess()
 			if n.ctl != nil {
 				n.ctl.observeRTT(time.Since(start))
 			}
-			n.flushedBatches.Inc()
+			n.sent[r].Inc()
 			n.flushedBytes.Add(msg.WireSize())
 			return nil
 		} else if errors.Is(err, transport.ErrBackpressure) || transport.IsOverload(err) {
 			// Backpressure (window full) and overload (parent's
 			// admission queue full) are not failure: the parent is
-			// alive but saturated. Keep the batch queued and defer to
+			// alive but saturated. Keep the item queued and defer to
 			// the next flush — escalating to sibling relays would only
 			// shift the overload sideways. The adaptive controller
 			// backs the batch size off in response.
@@ -1189,7 +1098,10 @@ func (n *Node) deliver(ctx context.Context, payload []byte, class string) error 
 			n.up.onParentFailure(now)
 		}
 	}
-	targets := n.up.relayTargets()
+	var targets []string
+	if kindTable[r].relay {
+		targets = n.up.relayTargets()
+	}
 	if len(targets) == 0 {
 		if parentErr != nil {
 			return parentErr
@@ -1197,17 +1109,12 @@ func (n *Node) deliver(ctx context.Context, payload []byte, class string) error 
 		return errDeferred
 	}
 	var relayErrs []error
+	msg.Kind = transport.KindRelay // same payload: the item keeps its identity
 	for _, sibling := range targets {
-		msg := transport.Message{
-			From:    n.cfg.Spec.ID,
-			To:      sibling,
-			Kind:    transport.KindRelay,
-			Class:   class,
-			Payload: payload,
-		}
+		msg.To = sibling
 		if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
 			n.relayedBatches.Inc()
-			n.flushedBatches.Inc()
+			n.sent[r].Inc()
 			n.flushedBytes.Add(msg.WireSize())
 			return nil
 		} else {
@@ -1220,19 +1127,23 @@ func (n *Node) deliver(ctx context.Context, payload []byte, class string) error 
 	return fmt.Errorf("parent and %d sibling relays failed: %w", len(targets), errors.Join(relayErrs...))
 }
 
-// requeue parks failed batches back on their type's retry queue in
-// order, sequences frozen, re-applying the MaxPendingReadings bound
-// so the buffer stays bounded across a long parent outage.
-func (n *Node) requeue(batches []sealedBatch) {
-	if len(batches) == 0 {
-		return
+// accept is the one receive path for everything that arrives under a
+// delivery identity — child batches, summary and alert pushes,
+// migration chunks: a copy of a delivery that already landed is
+// acknowledged without applying it, and check-and-mark is atomic
+// (protocol.ReplayFilter.Accept). The filter is keyed by the
+// delivery's origin, not the hop that carried it, so a copy arriving
+// through a sibling relay and a direct retry dedupe against each
+// other.
+func (n *Node) accept(origin string, seq uint64, apply func() error) ([]byte, error) {
+	dup, err := n.replay.Accept(origin, seq, apply)
+	if err != nil {
+		return nil, err
 	}
-	typ := batches[0].b.TypeName
-	sh := n.shardFor(typ)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.retry[typ] = append(sh.retry[typ], batches...)
-	n.boundTypeLocked(sh, typ)
+	if dup {
+		n.dupBatches.Inc()
+	}
+	return []byte("ok"), nil
 }
 
 // Status reports the node's state.
@@ -1275,25 +1186,9 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		// At-least-once dedup: a sender whose acknowledgement was lost
-		// retries the same sealed content under the same sequence; the
-		// replay filter recognizes it and the duplicate is acknowledged
-		// without re-ingesting. The filter is keyed by the batch's
-		// origin (not msg.From) so a copy arriving through a sibling
-		// relay and a direct retry dedupe against each other.
-		if n.replay.Seen(b.NodeID, seq) {
-			n.dupBatches.Inc()
-			return []byte("ok"), nil
-		}
 		// The ingest journals the (origin, seq) mark atomically with
 		// the acceptance on a durable node.
-		if err := n.ingest(b, b.NodeID, seq); err != nil {
-			return nil, err
-		}
-		// Mark only after a successful ingest: marking earlier would
-		// blackhole the sender's retry of a batch that failed to land.
-		n.replay.Mark(b.NodeID, seq)
-		return []byte("ok"), nil
+		return n.accept(b.NodeID, seq, func() error { return n.ingest(b, b.NodeID, seq) })
 	case transport.KindSummaryPush:
 		return n.handleSummaryPush(msg.Payload)
 	case transport.KindAlertPush:

@@ -440,8 +440,11 @@ func pendingValues(n *Node, typ string) []float64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var out []float64
-	for _, sb := range sh.retry[typ] {
-		for _, r := range sb.b.Readings {
+	for _, it := range sh.box(typ).items {
+		if it.b == nil {
+			continue
+		}
+		for _, r := range it.b.Readings {
 			out = append(out, r.Value)
 		}
 	}

@@ -1,6 +1,7 @@
 package fognode
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"f2c/internal/cq"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
+	"f2c/internal/transport"
 )
 
 // genShardState derives a random-but-valid delivery state from a seed:
@@ -49,9 +51,10 @@ func genShardState(seed int64) (shards []pendingShard, seqCounter uint64, marks 
 		// Route types to shards exactly like the node would.
 		target := &shards[shardIndex(typ, len(shards))]
 		for g := 0; g < rng.Intn(4); g++ {
-			target.retry[typ] = append(target.retry[typ], sealedBatch{
-				b:   genBatch(typ, 1+rng.Intn(5)),
-				seq: uint64(rng.Int63()) | 1,
+			target.box(typ).put(item{
+				kind: transport.KindBatch,
+				b:    genBatch(typ, 1+rng.Intn(5)),
+				seq:  uint64(rng.Int63()) | 1,
 			})
 		}
 		if rng.Intn(2) == 0 {
@@ -88,7 +91,11 @@ func genShardState(seed int64) (shards []pendingShard, seqCounter uint64, marks 
 					Value:     float64(rng.Intn(100)),
 				})
 			}
-			target.alerts[typ] = append(target.alerts[typ], sealedAlert{push: push, seq: push.Seq})
+			payload, err := protocol.EncodeAlertPush(&push)
+			if err != nil {
+				panic(err)
+			}
+			target.box(typ).put(item{kind: transport.KindAlertPush, origin: push.Origin, seq: push.Seq, payload: payload})
 		}
 	}
 	for s := 0; s < rng.Intn(3); s++ {
@@ -104,6 +111,26 @@ func genShardState(seed int64) (shards []pendingShard, seqCounter uint64, marks 
 			Emitted:   []int64{rng.Int63n(1 << 40)},
 			Watermark: rng.Int63n(1 << 40),
 		})
+	}
+	// The degrade tier: an unsealed degrade buffer and parked summary
+	// pushes.
+	for _, typ := range types[:rng.Intn(len(types))] {
+		target := &shards[shardIndex(typ, len(shards))]
+		buf := target.degradeBufLocked(typ, model.CategoryUrban)
+		for w := 0; w < 1+rng.Intn(3); w++ {
+			buf.windows[int64(w)*int64(time.Minute)] = aggregate.Summary{Count: 1 + int64(rng.Intn(9)), Sum: float64(rng.Intn(100)), Min: 1, Max: 9}
+		}
+		if rng.Intn(2) == 0 {
+			doc, err := protocol.EncodeJSON(buf.push("fog1/fuzz", uint64(rng.Int63())|1, typ, time.Minute))
+			if err != nil {
+				panic(err)
+			}
+			_, it, err := pushItem(transport.KindSummaryPush, doc)
+			if err != nil {
+				panic(err)
+			}
+			target.box(typ).put(it)
+		}
 	}
 	return shards, seqCounter, marks, subs
 }
@@ -126,6 +153,10 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(42), []byte{journalVersion})
 	f.Add(int64(7), []byte{journalVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x80})
 	f.Add(int64(1234567), []byte("garbage snapshot bytes"))
+	// Snapshots of the earlier layouts still decode.
+	f.Add(int64(3), []byte{1})
+	f.Add(int64(4), []byte{2})
+	f.Add(int64(5), legacySnapshot(f, "fog1/fuzz"))
 
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		// Arbitrary bytes: must error or succeed, never panic.
@@ -143,22 +174,26 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		// cq sections.
 		readings, entries, markCount, pushes, instances := 0, 0, 0, 0, 0
 		for i := range shards {
-			for _, q := range shards[i].retry {
-				entries += len(q)
-				for _, sb := range q {
-					readings += len(sb.b.Readings)
+			for _, q := range shards[i].outbox {
+				for _, it := range q.items {
+					if it.b != nil {
+						entries++
+						readings += len(it.b.Readings)
+					} else if it.kind == transport.KindAlertPush {
+						pushes++
+						instances += len(mustDecodeAlertPush(t, it.payload).Alerts)
+					} else {
+						pushes++
+						instances += 3 // windows
+					}
 				}
 			}
 			for _, b := range shards[i].pending {
 				entries++
 				readings += len(b.Readings)
 			}
-			for _, q := range shards[i].alerts {
-				pushes += len(q)
-				for _, sa := range q {
-					instances += len(sa.push.Alerts)
-				}
-			}
+			pushes += len(shards[i].degraded)
+			instances += 3 * len(shards[i].degraded)
 		}
 		for _, seqs := range marks {
 			markCount += len(seqs)
@@ -198,16 +233,28 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		// pending buffer must round-trip exactly.
 		for i := range shards {
 			sh := &shards[i]
-			for typ, q := range sh.retry {
+			// Outboxes: every queued item must recover at its queue
+			// position under its (kind, seq), batches with their
+			// readings and alert pushes with their instances intact.
+			for typ, q := range sh.outbox {
 				tr := rs.types[typ]
-				if tr == nil || len(tr.groups) != len(q) {
-					t.Fatalf("type %s: recovered %v groups, want %d", typ, tr, len(q))
+				if tr == nil || len(tr.items) != len(q.items) {
+					t.Fatalf("type %s: recovered %v items, want %d", typ, tr, len(q.items))
 				}
-				for gi := range q {
-					if tr.groups[gi].seq != q[gi].seq {
-						t.Fatalf("type %s group %d seq = %d, want %d", typ, gi, tr.groups[gi].seq, q[gi].seq)
+				for gi, want := range q.items {
+					got := tr.items[gi]
+					if got.kind != want.kind || got.seq != want.seq {
+						t.Fatalf("type %s item %d = (%s, %d), want (%s, %d)", typ, gi, got.kind, got.seq, want.kind, want.seq)
 					}
-					assertSameReadings(t, typ, tr.groups[gi].b.Readings, q[gi].b.Readings)
+					if want.b != nil {
+						assertSameReadings(t, typ, got.b.Readings, want.b.Readings)
+					} else if want.kind == transport.KindSummaryPush {
+						if got.origin != want.origin || !bytes.Equal(got.payload, want.payload) {
+							t.Fatalf("type %s summary push %d: payload %s, want %s", typ, want.seq, got.payload, want.payload)
+						}
+					} else if g, w := mustDecodeAlertPush(t, got.payload), mustDecodeAlertPush(t, want.payload); g.Origin != w.Origin || len(g.Alerts) != len(w.Alerts) {
+						t.Fatalf("type %s push %d: origin %s with %d alerts, want %s with %d", typ, want.seq, g.Origin, len(g.Alerts), w.Origin, len(w.Alerts))
+					}
 				}
 			}
 			for typ, p := range sh.pending {
@@ -217,16 +264,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				}
 				assertSameReadings(t, typ, tr.pending.Readings, p.Readings)
 			}
-			// Alert queues: every queued push must recover keyed by its
-			// (origin, seq) with its instances intact.
-			for typ, q := range sh.alerts {
-				for _, sa := range q {
-					got, ok := rs.alertByKey[alertKey{origin: sa.push.Origin, seq: sa.seq}]
-					if !ok {
-						t.Fatalf("type %s: queued push (%s, %d) lost", typ, sa.push.Origin, sa.seq)
-					}
-					if len(got.Alerts) != len(sa.push.Alerts) {
-						t.Fatalf("type %s push %d: %d alerts, want %d", typ, sa.seq, len(got.Alerts), len(sa.push.Alerts))
+			for typ, buf := range sh.degraded {
+				tr := rs.types[typ]
+				if tr == nil || tr.degraded == nil || tr.degraded.category != buf.category || len(tr.degraded.windows) != len(buf.windows) {
+					t.Fatalf("type %s: degrade buffer lost or reshaped", typ)
+				}
+				for ws, want := range buf.windows {
+					if got := tr.degraded.windows[ws]; got != want {
+						t.Fatalf("type %s degrade window %d = %+v, want %+v", typ, ws, got, want)
 					}
 				}
 			}
@@ -243,6 +288,15 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+func mustDecodeAlertPush(t *testing.T, payload []byte) *protocol.AlertPush {
+	t.Helper()
+	p, err := protocol.DecodeAlertPush(payload)
+	if err != nil {
+		t.Fatalf("queued alert push does not decode: %v", err)
+	}
+	return p
 }
 
 func assertSameReadings(t *testing.T, typ string, got, want []model.Reading) {

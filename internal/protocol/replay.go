@@ -14,8 +14,10 @@ const DefaultReplayWindow = 4096
 // path. Senders stamp each sealed batch with a per-origin delivery
 // sequence (Sealer.SealSeq); when an acknowledgement is lost the
 // sender retries the same sealed content with the same sequence, and
-// the receiver consults the filter to keep the retry from being
-// counted twice.
+// the receiver routes the delivery through Accept to keep the retry
+// from being counted twice. (Seen and Mark are the two halves of
+// Accept for single-threaded callers; used as a pair across goroutines
+// they let two copies of one delivery both pass Seen.)
 //
 // Memory is bounded: each origin keeps a FIFO window of the last
 // `window` distinct sequences. Eviction is strictly by insertion
@@ -34,6 +36,15 @@ type ReplayFilter struct {
 	window  int
 	origins map[string]*replayWindow
 	dups    int64
+	// claimed holds the deliveries Accept is applying right now; settled
+	// wakes the concurrent copies of them waiting for the outcome.
+	claimed map[replayKey]struct{}
+	settled sync.Cond
+}
+
+type replayKey struct {
+	origin string
+	seq    uint64
 }
 
 // replayWindow is one origin's FIFO of recently seen sequences.
@@ -49,10 +60,56 @@ func NewReplayFilter(window int) *ReplayFilter {
 	if window <= 0 {
 		window = DefaultReplayWindow
 	}
-	return &ReplayFilter{
+	f := &ReplayFilter{
 		window:  window,
 		origins: make(map[string]*replayWindow),
+		claimed: make(map[replayKey]struct{}),
 	}
+	f.settled.L = &f.mu
+	return f
+}
+
+// Accept is the receive path's check-and-mark, atomic per delivery:
+// it reports dup without calling apply when (origin, seq) already
+// landed, and otherwise claims the delivery, runs apply, and marks it
+// only if apply succeeded — marking earlier would blackhole the
+// sender's retry of a delivery that failed to land. A concurrent copy
+// of a claimed delivery (a timed-out send's retry overlapping its
+// still-running original) waits for the claim to settle: it is a
+// duplicate if the first copy landed and applies itself if that
+// failed. seq 0 is unidentified: never claimed, always applied.
+func (f *ReplayFilter) Accept(origin string, seq uint64, apply func() error) (dup bool, err error) {
+	if seq == 0 {
+		return false, apply()
+	}
+	key := replayKey{origin, seq}
+	f.mu.Lock()
+	for {
+		if w, ok := f.origins[origin]; ok {
+			if _, landed := w.seen[seq]; landed {
+				f.dups++
+				f.mu.Unlock()
+				return true, nil
+			}
+		}
+		if _, busy := f.claimed[key]; !busy {
+			break
+		}
+		f.settled.Wait()
+	}
+	f.claimed[key] = struct{}{}
+	f.mu.Unlock()
+
+	err = apply()
+
+	f.mu.Lock()
+	delete(f.claimed, key)
+	if err == nil {
+		f.markLocked(origin, seq)
+	}
+	f.mu.Unlock()
+	f.settled.Broadcast()
+	return false, err
 }
 
 // Seen reports whether (origin, seq) was already marked — a duplicate
@@ -85,6 +142,10 @@ func (f *ReplayFilter) Mark(origin string, seq uint64) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.markLocked(origin, seq)
+}
+
+func (f *ReplayFilter) markLocked(origin string, seq uint64) {
 	w, ok := f.origins[origin]
 	if !ok {
 		w = &replayWindow{

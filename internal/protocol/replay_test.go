@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"encoding/binary"
+	"errors"
+	"sync"
 	"testing"
 
 	"f2c/internal/aggregate"
@@ -222,4 +224,79 @@ func FuzzBatchIDDedup(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReplayFilterAccept covers the atomic check-and-mark: a delivery
+// is applied once however many copies race, a copy that arrives while
+// the first is still applying waits for the outcome — a duplicate if
+// it landed, applied itself if it failed — and sequence 0 is applied
+// every time.
+func TestReplayFilterAccept(t *testing.T) {
+	f := NewReplayFilter(0)
+	applied := 0
+	apply := func() error { applied++; return nil }
+	for i := 0; i < 2; i++ {
+		if dup, err := f.Accept("a", 0, apply); dup || err != nil {
+			t.Fatalf("sequence 0: dup=%v err=%v", dup, err)
+		}
+	}
+	if applied != 2 {
+		t.Fatalf("sequence 0 applied %d times, want every time", applied)
+	}
+
+	// The first copy fails while a second waits on its claim: the
+	// second must then apply, and a third find it landed.
+	entered, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := f.Accept("a", 7, func() error {
+			close(entered)
+			<-release
+			return errors.New("did not land")
+		})
+		first <- err
+	}()
+	<-entered
+	second := make(chan bool, 1)
+	go func() {
+		dup, err := f.Accept("a", 7, func() error { return nil })
+		if err != nil {
+			t.Errorf("second copy: %v", err)
+		}
+		second <- dup
+	}()
+	if f.Seen("a", 7) {
+		t.Fatal("a delivery still being applied reported seen")
+	}
+	close(release)
+	if err := <-first; err == nil {
+		t.Fatal("first copy's failure was swallowed")
+	}
+	if dup := <-second; dup {
+		t.Fatal("second copy deduped against a delivery that failed to land")
+	}
+	if dup, err := f.Accept("a", 7, func() error { t.Error("applied a landed delivery again"); return nil }); !dup || err != nil {
+		t.Fatalf("third copy: dup=%v err=%v, want a duplicate", dup, err)
+	}
+
+	// N racing copies: one applies.
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	landed, dups := 0, 0
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dup, _ := f.Accept("b", 9, func() error { mu.Lock(); landed++; mu.Unlock(); return nil })
+			if dup {
+				mu.Lock()
+				dups++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if landed != 1 || dups != 15 {
+		t.Fatalf("16 racing copies: %d applied, %d duplicates, want 1 and 15", landed, dups)
+	}
 }

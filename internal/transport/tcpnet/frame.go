@@ -27,7 +27,7 @@
 //
 //	request body:
 //	  byte     message kind (1 batch, 2 summary, 3 query, 4 control,
-//	           5 relay, 6 summary-push)
+//	           5 relay, 6 summary-push, 7 migrate, 8 alert-push)
 //	  uvarint  len + bytes  From (sender node id)
 //	  uvarint  len + bytes  To (addressed node id)
 //	  uvarint  len + bytes  Class (accounting class, e.g. category)
@@ -108,12 +108,14 @@ func (c Class) String() string {
 // classNames lists the class metric names in Class order.
 var classNames = []string{"ingest", "query", "relay"}
 
-// ClassOf maps a message kind onto its stream: batches ride ingest,
-// relays ride relay, and everything else (queries, summaries,
-// control) rides the latency-sensitive query stream.
+// ClassOf maps a message kind onto its stream: upward write traffic
+// (batches, summary and alert pushes) rides ingest, relays and
+// migrations ride relay, and everything else (queries, summaries,
+// control) rides the latency-sensitive query stream — the same
+// mapping as transport.ClassNameOf.
 func ClassOf(k transport.Kind) Class {
 	switch k {
-	case transport.KindBatch, transport.KindSummaryPush:
+	case transport.KindBatch, transport.KindSummaryPush, transport.KindAlertPush:
 		return ClassIngest
 	case transport.KindRelay, transport.KindMigrate:
 		return ClassRelay
@@ -131,6 +133,7 @@ var kindCodes = map[transport.Kind]byte{
 	transport.KindRelay:       5,
 	transport.KindSummaryPush: 6,
 	transport.KindMigrate:     7,
+	transport.KindAlertPush:   8,
 }
 
 var kindNames = map[byte]transport.Kind{
@@ -141,6 +144,7 @@ var kindNames = map[byte]transport.Kind{
 	5: transport.KindRelay,
 	6: transport.KindSummaryPush,
 	7: transport.KindMigrate,
+	8: transport.KindAlertPush,
 }
 
 // DefaultMaxFrame returns the frame-size bound derived from the batch

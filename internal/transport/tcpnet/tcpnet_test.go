@@ -10,10 +10,13 @@ import (
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/cloud"
+	"f2c/internal/cq"
 	"f2c/internal/fognode"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sensor"
+	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
 )
@@ -442,5 +445,61 @@ func TestFognodeDefersOnBackpressure(t *testing.T) {
 	}
 	if n := node.Status().PendingBatches; n != 0 {
 		t.Errorf("pending batches = %d after window release, want 0", n)
+	}
+}
+
+// TestAlertPushCrossesRealSockets: a fog layer-1 node with a firing
+// window subscription delivers every alert it fires to a cloud over
+// real sockets — the alert push kind has a wire code and rides the
+// ingest stream — and the flush that carries it succeeds.
+func TestAlertPushCrossesRealSockets(t *testing.T) {
+	clock := sim.NewVirtualClock(time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC))
+	cl, err := cloud.New(cloud.Config{ID: "cloud", Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer("cloud", "127.0.0.1:0", cl, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := New(Options{})
+	defer tr.Close()
+	tr.AddPeer("cloud", srv.Addr())
+	if got := ClassOf(transport.KindAlertPush); got != ClassIngest {
+		t.Errorf("alert pushes ride the %s stream, want ingest like transport.ClassNameOf says", got)
+	}
+
+	node, err := fognode.New(fognode.Config{
+		Spec:      topology.NodeSpec{ID: "fog1/d01-s01", Layer: topology.LayerFog1, Parent: "cloud", Name: "s01"},
+		Clock:     clock,
+		Transport: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Subscribe(cq.Subscription{ID: "w", TypeName: "temperature", Kind: cq.KindWindow, Window: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := model.TypeByName("temperature")
+	gen, err := sensor.NewGenerator(sensor.Config{Type: st, NodeID: "edge", Sensors: 5, Seed: 3, Redundancy: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		if err := node.Ingest(gen.Next(clock.Now())); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Minute)
+		if err := node.Flush(context.Background()); err != nil {
+			t.Fatalf("flush carrying an alert push: %v", err)
+		}
+	}
+	fired, archived := node.AlertsFired(), int64(len(cl.AlertInstances()))
+	if fired != 3 || archived != fired {
+		t.Errorf("fired %d alerts, cloud archived %d, want 3 and 3", fired, archived)
+	}
+	if n := node.PendingBatches(); n != 0 {
+		t.Errorf("%d delivery units still pending", n)
 	}
 }
