@@ -18,6 +18,18 @@ const (
 	// StorageExpiredSegments counts whole segments dropped by
 	// retention.
 	StorageExpiredSegments = "storage.expired_segments"
+	// StorageFlushErrors and StorageCompactErrors count memtable
+	// flushes and compaction rounds that failed (shutdown aborts are
+	// not failures); the background flusher retries on its next
+	// trigger.
+	StorageFlushErrors   = "storage.flush_errors"
+	StorageCompactErrors = "storage.compact_errors"
+	// StorageCompactionBytesIn and StorageCompactionBytesOut count the
+	// segment bytes compaction read as inputs and wrote as outputs.
+	// Out over the bytes flushed is the store's write amplification:
+	// how many times a stored byte has been rewritten.
+	StorageCompactionBytesIn  = "storage.compaction_bytes_in"
+	StorageCompactionBytesOut = "storage.compaction_bytes_out"
 )
 
 // StorageMetrics bundles one store instance's gauges and counters.
@@ -28,6 +40,11 @@ type StorageMetrics struct {
 	MemtableBytes   *Gauge
 	Compactions     *Counter
 	ExpiredSegments *Counter
+
+	FlushErrors        *Counter
+	CompactErrors      *Counter
+	CompactionBytesIn  *Counter
+	CompactionBytesOut *Counter
 }
 
 // Storage registers (or reuses) the storage metric family under the
@@ -39,5 +56,10 @@ func (r *Registry) Storage(prefix string) *StorageMetrics {
 		MemtableBytes:   r.Gauge(prefix + StorageMemtableBytes),
 		Compactions:     r.Counter(prefix + StorageCompactions),
 		ExpiredSegments: r.Counter(prefix + StorageExpiredSegments),
+
+		FlushErrors:        r.Counter(prefix + StorageFlushErrors),
+		CompactErrors:      r.Counter(prefix + StorageCompactErrors),
+		CompactionBytesIn:  r.Counter(prefix + StorageCompactionBytesIn),
+		CompactionBytesOut: r.Counter(prefix + StorageCompactionBytesOut),
 	}
 }

@@ -35,7 +35,10 @@
 // then sensor ID, value, unit, category, location), the same total
 // order the memtable and compaction use — which is what keeps
 // (T, Skip) page cursors stable across a memtable flush or a
-// compaction happening mid-walk.
+// compaction happening mid-walk. Reads go block by block through one
+// append-style decoder (sensor.AppendReadingsColumnar) straight into
+// a result presized from the index, materialising only the readings
+// inside the queried range.
 //
 // # Durability and DataDir layout
 //
@@ -55,6 +58,40 @@
 // from interrupted flushes or compactions), then replay the WAL
 // skipping every op at or below the manifest watermark — each
 // reading lands exactly once no matter where the crash fell.
+//
+// # Compaction
+//
+// Every flush adds a segment, and a query merges across all of them,
+// so a background loop merges segments back together. What it merges
+// is decided by size: a round takes a run of segments adjacent in size
+// order — at least CompactMinSegments of them, at most eight, none at
+// or above TargetSegmentBytes — in which the largest is no larger than
+// the rest together, and repeats until no such run is left. A segment
+// is therefore only rewritten along with at least its own size in
+// other inputs, which gives the policy its two bounds: every rewrite
+// at least doubles the segment a byte sits in, so over N equal flushes
+// compaction writes no more than log₂ N times the bytes flushed (the
+// rule it replaced, merge everything below the target, wrote N/8
+// times); and the segments no round will take grow geometrically in
+// size, so no more than CompactMinSegments·(log₂ N + 1) are live.
+//
+// A round is a streaming k-way merge, type by type, that holds one
+// decoded block per input and one block of output, and writes frames
+// to the new file as they fill: its memory is a few blocks, not the
+// segments it merges. A block that is already full, that no other
+// input holds a reading inside the time span of (one shared instant
+// at an end counts), and that falls where the output is at a block
+// boundary is not decoded at all — its frame is checksummed and
+// copied as it is, so merging segments that cover successive spans,
+// the common case, costs a memcpy for most of the bytes. The output
+// is byte for byte what decoding everything, sorting and encoding
+// would have written.
+//
+// storage.compaction_bytes_in and storage.compaction_bytes_out count
+// the segment bytes rounds consumed and produced; bytes_out over the
+// bytes ever flushed is the store's write amplification. A flush or a
+// round that fails counts in storage.flush_errors or
+// storage.compact_errors and is retried at the next trigger.
 //
 // # Retention tiers
 //

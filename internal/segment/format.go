@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,84 +55,11 @@ type blockMeta struct {
 	length     uint64 // full frame length (header + payload)
 }
 
-// typeRun is one type's readings in canonical order, the writer's
-// input unit.
+// typeRun is one type's readings in canonical order, what a memtable
+// hands the segment writer.
 type typeRun struct {
 	typ      string
 	readings []model.Reading
-}
-
-// appendSegment encodes runs (types sorted, readings canonical) into
-// a complete segment image. Blocks are cut every blockReadings
-// readings and on category changes, so the per-batch category byte
-// of the columnar codec stays lossless.
-func appendSegment(dst []byte, codec aggregate.Codec, blockReadings int, runs []typeRun) ([]byte, error) {
-	if blockReadings <= 0 {
-		blockReadings = DefaultBlockReadings
-	}
-	dst = append(dst, fileMagic...)
-	var metas []blockMeta
-	var total uint64
-	var payload, colBuf []byte
-	for _, run := range runs {
-		rs := run.readings
-		for len(rs) > 0 {
-			n := len(rs)
-			if n > blockReadings {
-				n = blockReadings
-			}
-			for i := 1; i < n; i++ {
-				if rs[i].Category != rs[0].Category {
-					n = i
-					break
-				}
-			}
-			chunk := rs[:n]
-			rs = rs[n:]
-			b := model.Batch{
-				TypeName:  run.typ,
-				Category:  chunk[0].Category,
-				Collected: chunk[0].Time,
-				Readings:  chunk,
-			}
-			colBuf = sensor.AppendBatchColumnar(colBuf[:0], &b)
-			payload = append(payload[:0], byte(codec))
-			var err error
-			payload, err = aggregate.AppendCompress(payload, codec, colBuf)
-			if err != nil {
-				return nil, fmt.Errorf("segment: compress block: %w", err)
-			}
-			off := uint64(len(dst))
-			dst = wal.AppendFrame(dst, payload)
-			metas = append(metas, blockMeta{
-				typ:    run.typ,
-				minT:   chunk[0].Time.UnixNano(),
-				maxT:   chunk[n-1].Time.UnixNano(),
-				count:  n,
-				off:    off,
-				length: uint64(len(dst)) - off,
-			})
-			total += uint64(n)
-		}
-	}
-	idx := []byte{indexVersion}
-	idx = wal.AppendUvarint(idx, uint64(len(metas)))
-	for _, m := range metas {
-		idx = wal.AppendString(idx, m.typ)
-		idx = wal.AppendUint64(idx, uint64(m.minT))
-		idx = wal.AppendUint64(idx, uint64(m.maxT))
-		idx = wal.AppendUvarint(idx, uint64(m.count))
-		idx = wal.AppendUvarint(idx, m.off)
-		idx = wal.AppendUvarint(idx, m.length)
-	}
-	idxOff := uint64(len(dst))
-	dst = wal.AppendFrame(dst, idx)
-	idxLen := uint64(len(dst)) - idxOff
-	dst = binary.LittleEndian.AppendUint64(dst, idxOff)
-	dst = binary.LittleEndian.AppendUint64(dst, idxLen)
-	dst = binary.LittleEndian.AppendUint64(dst, total)
-	dst = append(dst, footerMagic...)
-	return dst, nil
 }
 
 // parseFrame verifies and returns the payload of the frame at
@@ -282,57 +211,74 @@ func openSegmentFile(path string) (*segment, error) {
 	return g, nil
 }
 
-// blockReadings decodes one block frame back into readings.
-func (g *segment) blockReadings(m blockMeta) ([]model.Reading, error) {
+// inflateScratch pools the decompressed-block buffers of appendBlock:
+// a block's raw columnar bytes live only for the length of one decode.
+var inflateScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendBlock decodes one block frame and appends to dst its readings
+// within [fromNs, toNs], at most max of them when max > 0. The whole
+// block is checksummed, inflated and validated whatever the bounds.
+func (g *segment) appendBlock(dst []model.Reading, m blockMeta, fromNs, toNs int64, max int) ([]model.Reading, error) {
 	payload, err := parseFrame(g.data, m.off, m.length)
 	if err != nil {
-		return nil, fmt.Errorf("segment %s: block %w", g.path, err)
+		return dst, fmt.Errorf("segment %s: block %w", g.path, err)
 	}
 	if len(payload) < 1 {
-		return nil, fmt.Errorf("segment %s: empty block payload: %w", g.path, ErrCorrupt)
+		return dst, fmt.Errorf("segment %s: empty block payload: %w", g.path, ErrCorrupt)
 	}
-	raw, err := aggregate.AppendDecompress(nil, aggregate.Codec(payload[0]), payload[1:], maxBlockBytes)
+	scratch := inflateScratch.Get().(*[]byte)
+	defer inflateScratch.Put(scratch)
+	raw, err := aggregate.AppendDecompress((*scratch)[:0], aggregate.Codec(payload[0]), payload[1:], maxBlockBytes)
 	if err != nil {
-		return nil, fmt.Errorf("segment %s: block at %d: %w (%v)", g.path, m.off, ErrCorrupt, err)
+		return dst, fmt.Errorf("segment %s: block at %d: %w (%v)", g.path, m.off, ErrCorrupt, err)
 	}
-	b, err := sensor.DecodeBatchColumnar(raw)
+	*scratch = raw
+	out, typ, count, err := sensor.AppendReadingsColumnar(dst, raw, fromNs, toNs, max)
 	if err != nil {
-		return nil, fmt.Errorf("segment %s: block at %d: %w (%v)", g.path, m.off, ErrCorrupt, err)
+		return dst, fmt.Errorf("segment %s: block at %d: %w (%v)", g.path, m.off, ErrCorrupt, err)
 	}
-	if len(b.Readings) != m.count || b.TypeName != m.typ {
-		return nil, fmt.Errorf("segment %s: block at %d does not match its index entry: %w", g.path, m.off, ErrCorrupt)
+	if count != m.count || typ != m.typ {
+		return dst, fmt.Errorf("segment %s: block at %d does not match its index entry: %w", g.path, m.off, ErrCorrupt)
 	}
-	return b.Readings, nil
+	return out, nil
 }
 
-// fetch appends readings of typ within [fromNs, toNs] in canonical
-// order. max > 0 caps the result; the bool reports whether the cap
-// truncated the scan.
-func (g *segment) fetch(dst []model.Reading, typ string, fromNs, toNs int64, max int) ([]model.Reading, bool, error) {
-	n0 := len(dst)
-	for _, m := range g.byType[typ] {
-		if m.maxT < fromNs {
-			continue
-		}
-		if m.minT > toNs {
-			break // blocks of a type are time-ordered
-		}
-		rs, err := g.blockReadings(m)
-		if err != nil {
-			return dst, false, err
-		}
-		lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time.UnixNano() >= fromNs })
-		for _, r := range rs[lo:] {
-			if r.Time.UnixNano() > toNs {
-				return dst, false, nil
-			}
-			dst = append(dst, r)
-			if max > 0 && len(dst)-n0 >= max {
-				return dst, true, nil
-			}
-		}
+// frame returns block m's frame as stored, checksum verified: what a
+// compaction copies when the block needs no re-encoding.
+func (g *segment) frame(m blockMeta) ([]byte, error) {
+	if _, err := parseFrame(g.data, m.off, m.length); err != nil {
+		return nil, fmt.Errorf("segment %s: block %w", g.path, err)
 	}
-	return dst, false, nil
+	return g.data[m.off : m.off+m.length], nil
+}
+
+// blocksIn returns the blocks of typ overlapping [fromNs, toNs]; blocks
+// of a type are time-ordered, so they are one stretch of the index.
+func (g *segment) blocksIn(typ string, fromNs, toNs int64) []blockMeta {
+	bs := g.byType[typ]
+	lo := sort.Search(len(bs), func(i int) bool { return bs[i].maxT >= fromNs })
+	hi := lo + sort.Search(len(bs)-lo, func(i int) bool { return bs[lo+i].minT > toNs })
+	return bs[lo:hi]
+}
+
+// estimate guesses how many of the block's readings fall within
+// [fromNs, toNs], taking them as evenly spaced: exact for a block the
+// range covers, at most count+1 otherwise, and what keeps a narrow
+// range from presizing its result to whole blocks (see
+// BenchmarkSegmentNarrowRange). The interpolation is in 128-bit
+// integers: nanosecond instants are beyond float64 resolution.
+func (m blockMeta) estimate(fromNs, toNs int64) int {
+	lo, hi := max(fromNs, m.minT), min(toNs, m.maxT)
+	if hi < lo {
+		return 0
+	}
+	span, w := uint64(m.maxT)-uint64(m.minT), uint64(hi)-uint64(lo)
+	if w >= span {
+		return m.count
+	}
+	h, l := bits.Mul64(uint64(m.count), w)
+	q, _ := bits.Div64(h, l, span) // h < w < span: cannot overflow
+	return int(q) + 1
 }
 
 // size is the on-disk byte size.
@@ -377,39 +323,6 @@ func canonLess(a, b *model.Reading) bool {
 		return a.Location.Lat < b.Location.Lat
 	}
 	return a.Location.Lon < b.Location.Lon
-}
-
-// mergeSorted k-way merges canonical-order lists into one canonical
-// list. Ties across lists pick the lower list index; since only
-// fully identical readings compare equal under canonLess, the choice
-// is unobservable.
-func mergeSorted(lists [][]model.Reading) []model.Reading {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]model.Reading, 0, total)
-	heads := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best < 0 || canonLess(&l[heads[i]], &lists[best][heads[best]]) {
-				best = i
-			}
-		}
-		out = append(out, lists[best][heads[best]])
-		heads[best]++
-	}
-	return out
 }
 
 // normalizeBatch copies a batch into the exact form a columnar

@@ -62,19 +62,24 @@ func decodeOpBody(b []byte) (op, seq uint64, batch *model.Batch, rest []byte, er
 	return op, seq, batch, b, nil
 }
 
-// encodeSnapshotLocked serializes the rotation snapshot. The caller
-// holds s.mu exclusively, so counters, latest, and the memtable are
-// quiescent.
-func (s *Store) encodeSnapshotLocked() []byte {
-	dst := []byte{snapVersion}
+// encodeSnapshotLocked serializes the rotation snapshot into
+// s.snapBuf. The caller holds s.mu exclusively, so counters, latest,
+// and the memtable are quiescent — and appenders wait: every batch is
+// encoded through the one scratch buffer kept across rotations.
+func (s *Store) encodeSnapshotLocked() {
+	dst := append(s.snapBuf[:0], snapVersion)
+	col := s.snapCol
 	dst = wal.AppendUvarint(dst, s.opCounter)
 	dst = wal.AppendUvarint(dst, s.appliedSeq.Load())
 	s.latestMu.RLock()
 	dst = wal.AppendUvarint(dst, uint64(len(s.latest)))
+	var one [1]model.Reading
 	for id, r := range s.latest {
 		dst = wal.AppendString(dst, id)
-		b := model.Batch{TypeName: r.TypeName, Category: r.Category, Collected: r.Time, Readings: []model.Reading{r}}
-		dst = wal.AppendBytes(dst, sensor.AppendBatchColumnar(nil, &b))
+		one[0] = r
+		b := model.Batch{TypeName: r.TypeName, Category: r.Category, Collected: r.Time, Readings: one[:]}
+		col = sensor.AppendBatchColumnar(col[:0], &b)
+		dst = wal.AppendBytes(dst, col)
 	}
 	s.latestMu.RUnlock()
 	s.mem.mu.RLock()
@@ -82,10 +87,11 @@ func (s *Store) encodeSnapshotLocked() []byte {
 	for _, o := range s.mem.ops {
 		dst = wal.AppendUvarint(dst, o.op)
 		dst = wal.AppendUvarint(dst, o.seq)
-		dst = wal.AppendBytes(dst, sensor.AppendBatchColumnar(nil, o.b))
+		col = sensor.AppendBatchColumnar(col[:0], o.b)
+		dst = wal.AppendBytes(dst, col)
 	}
 	s.mem.mu.RUnlock()
-	return dst
+	s.snapBuf, s.snapCol = dst, col
 }
 
 // recoverWAL opens the memtable journal and replays it over the

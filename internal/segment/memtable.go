@@ -75,16 +75,16 @@ func (ms *memSeries) sortLocked() {
 }
 
 // fetch copies readings of typ within [fromNs, toNs] in canonical
-// order. max > 0 caps the copy; the bool reports truncation. The
-// result never aliases memtable storage — a later in-place sort
-// cannot race a caller still merging the page.
-func (m *memtable) fetch(typ string, fromNs, toNs int64, max int) ([]model.Reading, bool) {
+// order, the first max of them when max > 0. The result never aliases
+// memtable storage — a later in-place sort cannot race a caller still
+// merging the page.
+func (m *memtable) fetch(typ string, fromNs, toNs int64, max int) []model.Reading {
 	m.mu.RLock()
 	for {
 		ms := m.types[typ]
 		if ms == nil {
 			m.mu.RUnlock()
-			return nil, false
+			return nil
 		}
 		if ms.sorted {
 			break
@@ -103,16 +103,14 @@ func (m *memtable) fetch(typ string, fromNs, toNs int64, max int) ([]model.Readi
 	lo := sort.Search(len(rs), func(i int) bool { return rs[i].Time.UnixNano() >= fromNs })
 	hi := sort.Search(len(rs), func(i int) bool { return rs[i].Time.UnixNano() > toNs })
 	if lo >= hi {
-		return nil, false
+		return nil
 	}
-	truncated := false
 	if max > 0 && hi-lo > max {
 		hi = lo + max
-		truncated = true
 	}
 	out := make([]model.Reading, hi-lo)
 	copy(out, rs[lo:hi])
-	return out, truncated
+	return out
 }
 
 // sortedRuns returns every series in canonical order with type names

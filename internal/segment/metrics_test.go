@@ -50,8 +50,12 @@ func TestStorageMetricsExported(t *testing.T) {
 		}
 	}
 	counters := map[string]bool{ // name -> must be nonzero
-		"fog2/d01." + metrics.StorageCompactions:     true,
-		"fog2/d01." + metrics.StorageExpiredSegments: true,
+		"fog2/d01." + metrics.StorageCompactions:        true,
+		"fog2/d01." + metrics.StorageExpiredSegments:    true,
+		"fog2/d01." + metrics.StorageCompactionBytesIn:  true,
+		"fog2/d01." + metrics.StorageCompactionBytesOut: true,
+		"fog2/d01." + metrics.StorageFlushErrors:        false,
+		"fog2/d01." + metrics.StorageCompactErrors:      false,
 	}
 	for name, wantNonzero := range counters {
 		v, ok := exp.Counters[name]

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -58,11 +59,11 @@ type Options struct {
 	// BlockReadings caps readings per columnar block. Zero selects
 	// DefaultBlockReadings.
 	BlockReadings int
-	// TargetSegmentBytes is the compaction goal: segments below it
-	// are merge candidates. Zero selects DefaultTargetSegmentBytes.
+	// TargetSegmentBytes is the compaction goal: a segment at or above
+	// it is left alone. Zero selects DefaultTargetSegmentBytes.
 	TargetSegmentBytes int64
-	// CompactMinSegments is how many candidates must accumulate
-	// before a compaction runs. Zero selects
+	// CompactMinSegments is the fewest segments of comparable size one
+	// compaction round merges. Zero selects
 	// DefaultCompactMinSegments.
 	CompactMinSegments int
 	// Codec compresses segment blocks. Zero selects CodecFlate.
@@ -130,6 +131,12 @@ type Store struct {
 	walBuf    []byte
 	colBuf    []byte
 	opCounter uint64
+
+	// snapBuf and snapCol are the WAL-rotation snapshot and its
+	// per-batch encode scratch, kept across rotations (under maintMu)
+	// so the exclusive section of a flush does not run the allocator.
+	snapBuf []byte
+	snapCol []byte
 
 	flushedOp  uint64 // ops folded into published segments
 	appliedSeq atomic.Uint64
@@ -396,7 +403,7 @@ func clampNs(t time.Time) int64 {
 // canonical time order, merged across the memtable and every
 // segment. The returned slice is a copy.
 func (s *Store) QueryRange(typeName string, from, to time.Time) []model.Reading {
-	out, _, err := s.queryMerged(typeName, clampNs(from), clampNs(to), 0)
+	out, err := s.queryMerged(typeName, clampNs(from), clampNs(to), 0)
 	if err != nil {
 		return nil
 	}
@@ -407,9 +414,9 @@ func (s *Store) QueryRange(typeName string, from, to time.Time) []model.Reading 
 // within [from, to] plus the resume cursor — the same (T, Skip)
 // contract as store.TimeSeries.QueryRangePage, and the cursor stays
 // valid across a memtable flush or a compaction because every source
-// serves the one canonical order. Each source is fetched at most
-// skip+limit+1 readings deep, so a page over years of segments reads
-// a handful of blocks, not the range.
+// serves the one canonical order. The merge stops skip+limit+1
+// readings in, so a page over years of segments reads a handful of
+// blocks, not the range.
 func (s *Store) QueryRangePage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
 	var cur store.Cursor
 	haveCur := cursor != ""
@@ -427,61 +434,70 @@ func (s *Store) QueryRangePage(typeName string, from, to time.Time, limit int, c
 	if limit > 0 {
 		fetchN = cur.Skip + limit + 1
 	}
-	merged, truncated, err := s.queryMerged(typeName, fromNs, toNs, fetchN)
+	merged, err := s.queryMerged(typeName, fromNs, toNs, fetchN)
 	if err != nil {
 		return nil, "", err
 	}
-	_ = truncated
 	start, end, next := store.PageWindow(merged, limit, cur, haveCur)
 	if start >= end {
 		return nil, next, nil
 	}
-	out := make([]model.Reading, end-start)
-	copy(out, merged[start:end])
-	return out, next, nil
+	return merged[start:end:end], next, nil
 }
 
-// queryMerged fetches [fromNs, toNs] of one type from every source
-// (each capped at max readings when max > 0) and k-way merges into
-// canonical order. When max > 0 and any source truncated, the merged
-// prefix up to max is still the true global prefix — every global
-// first-max reading lies within its source's first max.
-func (s *Store) queryMerged(typeName string, fromNs, toNs int64, max int) ([]model.Reading, bool, error) {
+// maxPresize caps how many readings a query result is presized to
+// from the index alone, so a damaged index cannot demand an arbitrary
+// allocation; larger results grow by append.
+const maxPresize = 1 << 20
+
+// queryMerged merges [fromNs, toNs] of one type from every source into
+// canonical order — the first max readings of it when max > 0 — in a
+// slice the caller owns, presized from the index's block counts.
+func (s *Store) queryMerged(typeName string, fromNs, toNs int64, max int) ([]model.Reading, error) {
 	if fromNs > toNs {
-		return nil, false, nil
+		return nil, nil
 	}
 	mem, flushing, segs, err := s.sources()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer func() {
 		for _, g := range segs {
 			g.release()
 		}
 	}()
-	var lists [][]model.Reading
-	truncated := false
+	m := merger{fromNs: fromNs, toNs: toNs}
+	size := 0
 	for _, g := range segs {
-		rs, trunc, err := g.fetch(nil, typeName, fromNs, toNs, max)
-		if err != nil {
-			return nil, false, err
+		blocks := g.blocksIn(typeName, fromNs, toNs)
+		if len(blocks) == 0 {
+			continue
 		}
-		if len(rs) > 0 {
-			lists = append(lists, rs)
+		m.cs = append(m.cs, blockCursor{g: g, blocks: blocks})
+		for _, b := range blocks {
+			size += b.estimate(fromNs, toNs)
 		}
-		truncated = truncated || trunc
 	}
 	for _, mt := range []*memtable{flushing, mem} {
 		if mt == nil {
 			continue
 		}
-		rs, trunc := mt.fetch(typeName, fromNs, toNs, max)
-		if len(rs) > 0 {
-			lists = append(lists, rs)
+		if rs := mt.fetch(typeName, fromNs, toNs, max); len(rs) > 0 {
+			m.cs = append(m.cs, blockCursor{buf: rs})
+			size += len(rs)
 		}
-		truncated = truncated || trunc
 	}
-	return mergeSorted(lists), truncated, nil
+	switch {
+	case len(m.cs) == 0:
+		return nil, nil
+	case len(m.cs) == 1 && m.cs[0].g == nil:
+		return m.cs[0].buf, nil // the memtable's copy is already private
+	}
+	if max > 0 && size > max {
+		size = max
+	}
+	size = min(size, maxPresize)
+	return m.appendTo(make([]model.Reading, 0, size), max)
 }
 
 // Types returns the sorted union of type names across all tiers.
@@ -556,10 +572,12 @@ func (s *Store) SegmentCount() int {
 	return len(s.segs)
 }
 
-// run is the background flusher: a cap-triggered flush, then an
-// opportunistic compaction. Appends never wait on it — the memtable
-// keeps absorbing while a flush writes, which is what keeps the
-// PR 6 backpressure plane free of storage stalls.
+// run is the background flusher: a cap-triggered flush, then
+// compaction rounds until none finds a tier to merge — one flush can
+// complete a tier whose output completes the next. Appends never wait
+// on it — the memtable keeps absorbing while a flush writes, which is
+// what keeps the PR 6 backpressure plane free of storage stalls.
+// Failures are counted by Flush and Compact; the next trigger retries.
 func (s *Store) run() {
 	defer close(s.done)
 	for {
@@ -567,10 +585,14 @@ func (s *Store) run() {
 		case <-s.stopCh:
 			return
 		case <-s.flushCh:
-			if err := s.Flush(); err != nil {
+			if s.Flush() != nil {
 				continue
 			}
-			_, _ = s.Compact()
+			for {
+				if n, err := s.Compact(); n == 0 || err != nil {
+					break
+				}
+			}
 		}
 	}
 }
@@ -583,7 +605,17 @@ func (s *Store) run() {
 func (s *Store) Flush() error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	return s.flushLocked()
+	err := s.flushLocked()
+	if maintenanceFailed(err) {
+		s.sm.FlushErrors.Inc()
+	}
+	return err
+}
+
+// maintenanceFailed tells a flush or compaction that failed from one
+// that was merely cut short by shutdown.
+func maintenanceFailed(err error) bool {
+	return err != nil && !errors.Is(err, errStopped) && !errors.Is(err, ErrClosed)
 }
 
 func (s *Store) flushLocked() error {
@@ -610,7 +642,14 @@ func (s *Store) flushLocked() error {
 	frozenOp, frozenSeq := s.frozenOp, s.frozenSeq
 	s.mu.Unlock()
 
-	name, g, err := s.writeSegment(frozen.sortedRuns(), "flush")
+	name, g, err := s.writeSegment("flush", func(w *segmentWriter) error {
+		for _, run := range frozen.sortedRuns() {
+			if err := w.add(run.typ, run.readings); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -643,8 +682,8 @@ func (s *Store) flushLocked() error {
 			return err
 		}
 		s.mu.Lock()
-		snap := s.encodeSnapshotLocked()
-		err := s.wal.WriteSnapshot(snap)
+		s.encodeSnapshotLocked()
+		err := s.wal.WriteSnapshot(s.snapBuf)
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -653,21 +692,29 @@ func (s *Store) flushLocked() error {
 	return nil
 }
 
-// writeSegment durably writes runs as the next segment file and
-// opens it. Used by flush and compaction; kind names the failpoint
-// stages.
-func (s *Store) writeSegment(runs []typeRun, kind string) (string, *segment, error) {
+// writeSegment streams the next segment file through fill, makes it
+// durable (fsync, rename, directory fsync) and opens it. Used by flush
+// and compaction; kind names the failpoint stages. kind:encode falls
+// after the last block frame and before the index and footer, so a
+// failpoint there leaves what a crash mid-stream leaves: a .tmp of
+// frames with no footer, which the next Open sweeps. A round that
+// fails or is stopped while streaming removes its partial .tmp.
+func (s *Store) writeSegment(kind string, fill func(w *segmentWriter) error) (string, *segment, error) {
 	seq := s.man.NextSeg
 	name := fmt.Sprintf("%08d.seg", seq)
 	path := filepath.Join(s.o.Dir, name)
-	img, err := appendSegment(nil, s.o.Codec, s.o.BlockReadings, runs)
+	f, err := os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", nil, err
 	}
-	if err := s.checkpointAbort(kind + ":encode"); err != nil {
+	if err := s.streamSegment(f, kind, fill); err != nil {
+		f.Close()
+		if s.failpoint == nil { // a failpoint's abort stands for a crash: its torso stays
+			os.Remove(path + ".tmp")
+		}
 		return "", nil, err
 	}
-	if err := writeFileSync(path+".tmp", img); err != nil {
+	if err := f.Close(); err != nil {
 		return "", nil, err
 	}
 	if err := os.Rename(path+".tmp", path); err != nil {
@@ -687,6 +734,34 @@ func (s *Store) writeSegment(runs []typeRun, kind string) (string, *segment, err
 	return name, g, nil
 }
 
+// streamSegment writes and fsyncs one segment image into f.
+func (s *Store) streamSegment(f *os.File, kind string, fill func(w *segmentWriter) error) error {
+	out := bufio.NewWriterSize(f, 64<<10)
+	w, err := newSegmentWriter(out, s.o.Codec, s.o.BlockReadings)
+	if err != nil {
+		return err
+	}
+	if err := fill(w); err != nil {
+		return err
+	}
+	if err := w.flushPending(); err != nil {
+		return err
+	}
+	if err := out.Flush(); err != nil {
+		return err
+	}
+	if err := s.checkpointAbort(kind + ":encode"); err != nil {
+		return err
+	}
+	if err := w.finish(); err != nil {
+		return err
+	}
+	if err := out.Flush(); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
 // checkpointAbort aborts maintenance at a stage boundary when the
 // store is stopping (leaving a recoverable on-disk state) or when a
 // test failpoint injects a crash there.
@@ -702,15 +777,52 @@ func (s *Store) checkpointAbort(stage string) error {
 	return nil
 }
 
-// Compact merges small segments (below TargetSegmentBytes) into one,
-// returning how many inputs were merged. It runs when at least
-// CompactMinSegments candidates exist; readers holding references to
-// the replaced segments keep streaming from the unlinked files until
-// they release.
+// Compact runs one size-tiered compaction round and returns how many
+// segments it merged into one (0 when no tier is ready). Callers
+// wanting quiescence repeat it until it returns 0, as the background
+// loop does. Readers holding references to the replaced segments keep
+// streaming from the unlinked files until they release.
 func (s *Store) Compact() (int, error) {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	return s.compactLocked()
+	n, err := s.compactLocked()
+	if maintenanceFailed(err) {
+		s.sm.CompactErrors.Inc()
+	}
+	return n, err
+}
+
+// pickTier chooses one round's inputs among segs: segments below
+// target, at least minWidth and at most maxCompactInputs of them,
+// adjacent in size order, the largest no larger than the others
+// together. So a segment is only ever rewritten along with at least
+// its own size in other inputs: every rewrite at least doubles the
+// segment a byte sits in, a byte is rewritten O(log(target/flush))
+// times, and the segments no round will take grow geometrically in
+// size, which bounds their number the same way. Of the qualifying
+// stretches the one reaching the largest segment wins.
+func pickTier(segs []*segment, target int64, minWidth int) []*segment {
+	var cands []*segment
+	for _, g := range segs {
+		if g.size() < target {
+			cands = append(cands, g)
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].size() < cands[j].size() })
+	var tier []*segment
+	var others int64 // size of cands[lo:hi]
+	lo := 0
+	for hi, g := range cands {
+		if hi-lo == maxCompactInputs {
+			others -= cands[lo].size()
+			lo++
+		}
+		if hi+1-lo >= minWidth && g.size() <= others {
+			tier = cands[lo : hi+1]
+		}
+		others += g.size()
+	}
+	return tier
 }
 
 func (s *Store) compactLocked() (int, error) {
@@ -722,52 +834,31 @@ func (s *Store) compactLocked() (int, error) {
 		s.mu.RUnlock()
 		return 0, ErrClosed
 	}
-	var cands []*segment
-	for _, g := range s.segs {
-		if g.size() < s.o.TargetSegmentBytes {
-			cands = append(cands, g)
-		}
-	}
-	if len(cands) < s.o.CompactMinSegments {
-		s.mu.RUnlock()
-		return 0, nil
-	}
-	if len(cands) > maxCompactInputs {
-		cands = cands[:maxCompactInputs]
-	}
+	cands := pickTier(s.segs, s.o.TargetSegmentBytes, s.o.CompactMinSegments)
 	for _, g := range cands {
 		g.acquire()
 	}
 	s.mu.RUnlock()
+	if len(cands) == 0 {
+		return 0, nil
+	}
 	defer func() {
 		for _, g := range cands {
 			g.release()
 		}
 	}()
 
-	byType := make(map[string][][]model.Reading)
-	for _, g := range cands {
-		for typ := range g.byType {
-			rs, _, err := g.fetch(nil, typ, math.MinInt64, math.MaxInt64, 0)
-			if err != nil {
-				return 0, err
-			}
-			byType[typ] = append(byType[typ], rs)
-		}
-	}
-	runs := make([]typeRun, 0, len(byType))
-	for typ, lists := range byType {
-		runs = append(runs, typeRun{typ: typ, readings: mergeSorted(lists)})
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].typ < runs[j].typ })
-
-	name, g, err := s.writeSegment(runs, "compact")
+	name, g, err := s.writeSegment("compact", func(w *segmentWriter) error {
+		return s.mergeInto(w, cands)
+	})
 	if err != nil {
 		return 0, err
 	}
 	replaced := make(map[*segment]bool, len(cands))
+	var bytesIn int64
 	for _, c := range cands {
 		replaced[c] = true
+		bytesIn += c.size()
 	}
 	man := s.man
 	man.Segments = nil
@@ -801,8 +892,68 @@ func (s *Store) compactLocked() (int, error) {
 		c.release() // the store's own reference
 	}
 	s.sm.Compactions.Inc()
+	s.sm.CompactionBytesIn.Add(bytesIn)
+	s.sm.CompactionBytesOut.Add(g.size())
 	s.updateStorageGauges()
 	return len(cands), nil
+}
+
+// mergeInto streams the inputs' readings into w, type by type, through
+// a k-way merge that holds one decoded block per input. A block that
+// is already full, that no other input reaches into and that lands on
+// a block boundary of the output is not decoded at all: its frame is
+// checksummed and copied as it is.
+func (s *Store) mergeInto(w *segmentWriter, inputs []*segment) error {
+	typeSet := make(map[string]bool)
+	for _, g := range inputs {
+		for typ := range g.byType {
+			typeSet[typ] = true
+		}
+	}
+	types := make([]string, 0, len(typeSet))
+	for typ := range typeSet {
+		types = append(types, typ)
+	}
+	sort.Strings(types)
+
+	var block []model.Reading // decode scratch for whole-block runs
+	for _, typ := range types {
+		m := merger{fromNs: math.MinInt64, toNs: math.MaxInt64}
+		for _, g := range inputs {
+			if blocks := g.byType[typ]; len(blocks) > 0 {
+				m.cs = append(m.cs, blockCursor{g: g, blocks: blocks})
+			}
+		}
+		for {
+			if s.stopping.Load() {
+				return errStopped
+			}
+			run, ok, err := m.next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			switch {
+			case run.rs != nil:
+				err = w.add(typ, run.rs)
+			case run.blk.count == w.blockReadings && w.aligned(typ):
+				var frame []byte
+				if frame, err = run.g.frame(run.blk); err == nil {
+					err = w.copyFrame(run.blk, frame)
+				}
+			default:
+				if block, err = run.g.appendBlock(block[:0], run.blk, math.MinInt64, math.MaxInt64, 0); err == nil {
+					err = w.add(typ, block)
+				}
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Evict enforces retention by dropping whole segments whose newest

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"f2c/internal/model"
 )
@@ -59,38 +60,18 @@ func AppendBatchColumnar(dst []byte, b *model.Batch) []byte {
 	dst = append(dst, ts[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(b.Readings)))
 
-	// Sensor-ID and unit dictionaries, sorted for determinism.
-	idSet := make(map[string]struct{}, len(b.Readings))
-	unitSet := make(map[string]struct{}, 4)
-	for i := range b.Readings {
-		idSet[b.Readings[i].SensorID] = struct{}{}
-		unitSet[b.Readings[i].Unit] = struct{}{}
-	}
-	ids := make([]string, 0, len(idSet))
-	for id := range idSet {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	idIdx := make(map[string]uint64, len(ids))
-	for i, id := range ids {
-		idIdx[id] = uint64(i)
-	}
-	units := make([]string, 0, len(unitSet))
-	for u := range unitSet {
-		units = append(units, u)
-	}
-	sort.Strings(units)
-	unitIdx := make(map[string]uint64, len(units))
-	for i, u := range units {
-		unitIdx[u] = uint64(i)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = appendString(dst, id)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(units)))
-	for _, u := range units {
-		dst = appendString(dst, u)
+	// Sensor-ID and unit dictionaries, sorted for determinism. A
+	// one-reading batch (a WAL-snapshot latest entry) has one-entry
+	// dictionaries and every index 0, which is what a nil map reads as,
+	// so it skips the maps and slices.
+	var idIdx, unitIdx map[string]uint64
+	if len(b.Readings) == 1 {
+		dst = binary.AppendUvarint(dst, 1)
+		dst = appendString(dst, b.Readings[0].SensorID)
+		dst = binary.AppendUvarint(dst, 1)
+		dst = appendString(dst, b.Readings[0].Unit)
+	} else {
+		dst, idIdx, unitIdx = appendDictionaries(dst, b.Readings)
 	}
 
 	prevTime := b.Collected.UnixNano()
@@ -111,6 +92,41 @@ func AppendBatchColumnar(dst []byte, b *model.Batch) []byte {
 		dst = append(dst, geo[:]...)
 	}
 	return dst
+}
+
+// appendDictionaries appends the sorted sensor-ID and unit dictionaries
+// of rs and returns each entry's index.
+func appendDictionaries(dst []byte, rs []model.Reading) ([]byte, map[string]uint64, map[string]uint64) {
+	idIdx := make(map[string]uint64)
+	unitIdx := make(map[string]uint64, 4)
+	var ids, units []string
+	for i := range rs {
+		if _, ok := idIdx[rs[i].SensorID]; !ok {
+			idIdx[rs[i].SensorID] = 0
+			ids = append(ids, rs[i].SensorID)
+		}
+		if _, ok := unitIdx[rs[i].Unit]; !ok {
+			unitIdx[rs[i].Unit] = 0
+			units = append(units, rs[i].Unit)
+		}
+	}
+	sort.Strings(ids)
+	for i, id := range ids {
+		idIdx[id] = uint64(i)
+	}
+	sort.Strings(units)
+	for i, u := range units {
+		unitIdx[u] = uint64(i)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = appendString(dst, id)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(units)))
+	for _, u := range units {
+		dst = appendString(dst, u)
+	}
+	return dst, idIdx, unitIdx
 }
 
 type columnarReader struct {
@@ -160,133 +176,198 @@ func (r *columnarReader) str() (string, error) {
 	return string(b), nil
 }
 
-// DecodeBatchColumnar parses the columnar delta format.
-func DecodeBatchColumnar(data []byte) (*model.Batch, error) {
-	r := &columnarReader{data: data}
+// columnarHeader is the batch-level part of a columnar payload: what
+// DecodeBatchColumnar returns beside the readings. Count is the number
+// of readings the payload encodes, before any range filter.
+type columnarHeader struct {
+	NodeID    string
+	TypeName  string
+	Category  model.Category
+	Collected time.Time
+	Count     int
+}
+
+// columnarBody is a columnar payload opened up to its first reading:
+// header and dictionaries parsed, rows still encoded.
+type columnarBody struct {
+	r     columnarReader
+	hdr   columnarHeader
+	ids   []string
+	units []string
+}
+
+// openColumnar parses the header and both dictionaries.
+func openColumnar(data []byte) (cb columnarBody, err error) {
+	cb.r.data = data
+	r := &cb.r
 	magic, err := r.bytes(len(columnarMagic))
 	if err != nil || string(magic) != columnarMagic {
-		return nil, fmt.Errorf("columnar: bad magic")
+		return cb, fmt.Errorf("columnar: bad magic")
 	}
 	ver, err := r.bytes(1)
 	if err != nil || ver[0] != columnarVersion {
-		return nil, fmt.Errorf("columnar: unsupported version")
+		return cb, fmt.Errorf("columnar: unsupported version")
 	}
-	nodeID, err := r.str()
-	if err != nil {
-		return nil, err
+	if cb.hdr.NodeID, err = r.str(); err != nil {
+		return cb, err
 	}
-	typeName, err := r.str()
-	if err != nil {
-		return nil, err
+	if cb.hdr.TypeName, err = r.str(); err != nil {
+		return cb, err
 	}
 	catByte, err := r.bytes(1)
 	if err != nil {
-		return nil, err
+		return cb, err
 	}
-	cat := model.Category(catByte[0])
-	if !cat.Valid() {
-		return nil, fmt.Errorf("columnar: invalid category %d", catByte[0])
+	cb.hdr.Category = model.Category(catByte[0])
+	if !cb.hdr.Category.Valid() {
+		return cb, fmt.Errorf("columnar: invalid category %d", catByte[0])
 	}
 	tsRaw, err := r.bytes(8)
 	if err != nil {
-		return nil, err
+		return cb, err
 	}
-	collected := unixNano(int64(binary.BigEndian.Uint64(tsRaw)))
+	cb.hdr.Collected = unixNano(int64(binary.BigEndian.Uint64(tsRaw)))
 	count, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return cb, err
 	}
 	if count > uint64(len(data)) {
-		return nil, fmt.Errorf("columnar: count %d exceeds payload bound", count)
+		return cb, fmt.Errorf("columnar: count %d exceeds payload bound", count)
 	}
+	cb.hdr.Count = int(count)
 
 	nDict, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return cb, err
 	}
 	if nDict > count && nDict > 0 && count > 0 {
-		return nil, fmt.Errorf("columnar: dictionary size %d exceeds count %d", nDict, count)
+		return cb, fmt.Errorf("columnar: dictionary size %d exceeds count %d", nDict, count)
 	}
 	// Every dictionary entry costs at least one payload byte, so a
 	// size beyond the remaining bytes is corrupt; without this bound a
 	// hostile header (count 0, huge nDict) forces a massive
 	// allocation before any entry fails to parse.
 	if nDict > uint64(len(data)-r.off) {
-		return nil, fmt.Errorf("columnar: dictionary size %d overruns payload", nDict)
+		return cb, fmt.Errorf("columnar: dictionary size %d overruns payload", nDict)
 	}
-	ids := make([]string, nDict)
-	for i := range ids {
-		if ids[i], err = r.str(); err != nil {
-			return nil, err
+	cb.ids = make([]string, nDict)
+	for i := range cb.ids {
+		if cb.ids[i], err = r.str(); err != nil {
+			return cb, err
 		}
 	}
 	nUnits, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return cb, err
 	}
 	if nUnits > uint64(len(data)-r.off) {
-		return nil, fmt.Errorf("columnar: unit dictionary size %d overruns payload", nUnits)
+		return cb, fmt.Errorf("columnar: unit dictionary size %d overruns payload", nUnits)
 	}
-	units := make([]string, nUnits)
-	for i := range units {
-		if units[i], err = r.str(); err != nil {
-			return nil, err
+	cb.units = make([]string, nUnits)
+	for i := range cb.units {
+		if cb.units[i], err = r.str(); err != nil {
+			return cb, err
 		}
 	}
+	return cb, nil
+}
 
-	b := &model.Batch{
-		NodeID:    nodeID,
-		TypeName:  typeName,
-		Category:  cat,
-		Collected: collected,
-		Readings:  make([]model.Reading, 0, count),
-	}
-	prevTime := collected.UnixNano()
+// appendRows walks every encoded row — so a damaged payload errors no
+// matter the bounds — and appends to dst the rows timed within
+// [fromNs, toNs], at most max of them when max > 0. Rows outside the
+// bounds or past max are validated but never materialised.
+func (cb *columnarBody) appendRows(dst []model.Reading, fromNs, toNs int64, max int) ([]model.Reading, error) {
+	r := &cb.r
+	n0 := len(dst)
+	prevTime := cb.hdr.Collected.UnixNano()
 	var prevBits uint64
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < cb.hdr.Count; i++ {
 		idx, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		if idx >= uint64(len(ids)) {
-			return nil, fmt.Errorf("columnar: sensor index %d out of range", idx)
+		if idx >= uint64(len(cb.ids)) {
+			return dst, fmt.Errorf("columnar: sensor index %d out of range", idx)
 		}
 		dt, err := r.varint()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		prevTime += dt
 		bitsDelta, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		prevBits ^= bitsDelta
 		uIdx, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		if uIdx >= uint64(len(units)) {
-			return nil, fmt.Errorf("columnar: unit index %d out of range", uIdx)
+		if uIdx >= uint64(len(cb.units)) {
+			return dst, fmt.Errorf("columnar: unit index %d out of range", uIdx)
 		}
 		geo, err := r.bytes(8)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		b.Readings = append(b.Readings, model.Reading{
-			SensorID: ids[idx],
-			TypeName: typeName,
-			Category: cat,
+		if prevTime < fromNs || prevTime > toNs || (max > 0 && len(dst)-n0 >= max) {
+			continue
+		}
+		dst = append(dst, model.Reading{
+			SensorID: cb.ids[idx],
+			TypeName: cb.hdr.TypeName,
+			Category: cb.hdr.Category,
 			Time:     unixNano(prevTime),
 			Value:    math.Float64frombits(prevBits),
-			Unit:     units[uIdx],
+			Unit:     cb.units[uIdx],
 			Location: model.GeoPoint{
 				Lat: float64(math.Float32frombits(binary.BigEndian.Uint32(geo[:4]))),
 				Lon: float64(math.Float32frombits(binary.BigEndian.Uint32(geo[4:]))),
 			},
 		})
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("columnar: %d trailing bytes", len(data)-r.off)
+	if r.off != len(r.data) {
+		return dst, fmt.Errorf("columnar: %d trailing bytes", len(r.data)-r.off)
 	}
-	return b, nil
+	return dst, nil
+}
+
+// DecodeBatchColumnar parses the columnar delta format.
+func DecodeBatchColumnar(data []byte) (*model.Batch, error) {
+	cb, err := openColumnar(data)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := cb.appendRows(make([]model.Reading, 0, cb.hdr.Count), math.MinInt64, math.MaxInt64, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &model.Batch{
+		NodeID:    cb.hdr.NodeID,
+		TypeName:  cb.hdr.TypeName,
+		Category:  cb.hdr.Category,
+		Collected: cb.hdr.Collected,
+		Readings:  rs,
+	}, nil
+}
+
+// AppendReadingsColumnar is the range-bounded, append-style decoder
+// the segment store reads blocks through: it appends to dst, in
+// payload order, the readings of a columnar payload timed within
+// [fromNs, toNs] (unix nanos, inclusive), at most max of them when
+// max > 0, and returns the payload's type name and how many readings
+// it encodes in all (what a block's index entry must agree with). It
+// fails exactly when DecodeBatchColumnar fails and otherwise appends
+// exactly what filtering DecodeBatchColumnar's readings would give;
+// dst grows only by rows it keeps, so the caller's presizing is what
+// bounds allocation. On error dst comes back at its original length.
+func AppendReadingsColumnar(dst []model.Reading, data []byte, fromNs, toNs int64, max int) (out []model.Reading, typeName string, count int, err error) {
+	cb, err := openColumnar(data)
+	if err != nil {
+		return dst, "", 0, err
+	}
+	if out, err = cb.appendRows(dst, fromNs, toNs, max); err != nil {
+		return dst, "", 0, err
+	}
+	return out, cb.hdr.TypeName, cb.hdr.Count, nil
 }

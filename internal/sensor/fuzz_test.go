@@ -2,6 +2,11 @@ package sensor
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +136,102 @@ func FuzzDecodeBatch(f *testing.F) {
 			if r.SensorID != w.SensorID || !r.Time.Equal(w.Time) || r.Value != w.Value || r.Unit != w.Unit {
 				t.Fatalf("reading %d: got %+v want %+v", i, r, w)
 			}
+		}
+	})
+}
+
+// columnarCorpus returns the []byte inputs checked in for
+// FuzzBatchRoundTrip, so the range decoder's fuzz starts from every
+// columnar payload that ever broke the whole-batch decoder.
+func columnarCorpus(f *testing.F) [][]byte {
+	f.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzBatchRoundTrip", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out [][]byte
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if lit, ok := strings.CutPrefix(line, "[]byte("); ok {
+				if s, err := strconv.Unquote(strings.TrimSuffix(lit, ")")); err == nil {
+					out = append(out, []byte(s))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// FuzzColumnarRange holds the range-bounded append decoder to the
+// whole-batch one: for arbitrary bytes and bounds it fails exactly
+// when DecodeBatchColumnar fails, and otherwise appends exactly the
+// readings of DecodeBatchColumnar timed within [from, to], the first
+// max of them when max > 0, behind whatever dst already held — and
+// reports the same type name and count. It never panics.
+func FuzzColumnarRange(f *testing.F) {
+	seed := fuzzSeedBatch()
+	at := seed.Collected.UnixNano()
+	f.Add(EncodeBatchColumnar(seed), int64(math.MinInt64), int64(math.MaxInt64), 0)
+	f.Add(EncodeBatchColumnar(seed), at, at, 0)
+	f.Add(EncodeBatchColumnar(seed), at+1, int64(math.MaxInt64), 1)
+	f.Add(EncodeBatchColumnar(seed), at+1, at, 0) // empty range
+	f.Add(EncodeBatchColumnar(&model.Batch{NodeID: "n", TypeName: "t", Category: model.CategoryEnergy, Collected: time.Unix(0, 7)}), int64(0), int64(9), 3)
+	f.Add([]byte("F2CC\x01"), int64(0), int64(0), 0)
+	f.Add([]byte(nil), int64(0), int64(0), -1)
+	for _, data := range columnarCorpus(f) {
+		f.Add(data, int64(math.MinInt64), int64(math.MaxInt64), 0)
+		f.Add(data, at, at+int64(time.Minute), 1)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, from, to int64, max int) {
+		held := []model.Reading{{SensorID: "held"}}
+		got, typ, count, err := AppendReadingsColumnar(held, data, from, to, max)
+		b, wantErr := DecodeBatchColumnar(data)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("range decoder error %v, whole-batch decoder error %v", err, wantErr)
+		}
+		if err != nil {
+			if len(got) != 1 {
+				t.Fatalf("failed decode left %d readings in dst, want the 1 it held", len(got))
+			}
+			return
+		}
+		want := held
+		for _, r := range b.Readings {
+			if ns := r.Time.UnixNano(); ns >= from && ns <= to && (max <= 0 || len(want)-1 < max) {
+				want = append(want, r)
+			}
+		}
+		// Compare field by field: NaN values never DeepEqual.
+		if len(got) != len(want) {
+			t.Fatalf("range [%d, %d] max %d: %d readings, want %d", from, to, max, len(got)-1, len(want)-1)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+				t.Fatalf("reading %d: value bits differ", i)
+			}
+			g.Value, w.Value = 0, 0
+			g.Location, w.Location = model.GeoPoint{}, model.GeoPoint{}
+			if g != w {
+				t.Fatalf("reading %d: %+v, want %+v", i, got[i], want[i])
+			}
+			gl, wl := got[i].Location, want[i].Location
+			if math.Float64bits(gl.Lat) != math.Float64bits(wl.Lat) || math.Float64bits(gl.Lon) != math.Float64bits(wl.Lon) {
+				t.Fatalf("reading %d: location bits differ", i)
+			}
+		}
+		if typ != b.TypeName || count != len(b.Readings) {
+			t.Fatalf("type %q, count %d do not describe %+v", typ, count, b)
+		}
+		// The payload-derived bounds hold: the decoder never reserves
+		// more rows than the payload has bytes.
+		if cap(got) > 2*(len(data)+len(held))+4 {
+			t.Fatalf("dst grew to cap %d over a %d-byte payload", cap(got), len(data))
 		}
 	})
 }
