@@ -2,258 +2,168 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"f2c/internal/aggregate"
 	"f2c/internal/cloud"
 	"f2c/internal/config"
 	"f2c/internal/core"
-	"f2c/internal/cq"
 	"f2c/internal/fognode"
 	"f2c/internal/metrics"
-	"f2c/internal/sched"
-	"f2c/internal/segment"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
+	"f2c/internal/transport"
 	"f2c/internal/transport/tcpnet"
-	"f2c/internal/wal"
 )
 
-// liveOptions configures the hosted live city.
-type liveOptions struct {
-	city          string
-	districts     int
-	sections      int
-	codec         aggregate.Codec
-	dedup         bool
-	flush1        time.Duration
-	flush2        time.Duration
-	listenHost    string
-	dataDir       string // non-empty: every node journals under dataDir/<id>
-	segmentStore  bool   // tiered segment engine under dataDir/<id>/store
-	memtableBytes int64  // segment memtable cap (0 = engine default)
-	clusterOut    string
-	overload      bool              // admission scheduler on every handler path
-	ingestRate    int64             // ingest-class token-bucket rate, bytes/sec
-	maxPending    int               // per-type upward buffer bound (0 = unbounded)
-	degrade       bool              // degrade-to-summary on buffer trims
-	adaptive      bool              // RTT-driven flush batch/interval tuning
-	subs          []cq.Subscription // standing continuous queries registered on every fog1 node
-}
-
-// sched returns the admission-scheduler options for the live city's
-// nodes (nil when overload control is off).
-func (o liveOptions) sched() *sched.Options {
-	if !o.overload {
-		return nil
-	}
-	so := config.OverloadOptions(o.ingestRate)
-	return &so
-}
-
-// adaptiveCfg returns the flush-controller config for the live city's
-// fog nodes (nil keeps the fixed cadence).
-func (o liveOptions) adaptiveCfg() *fognode.AdaptiveConfig {
-	if !o.adaptive {
-		return nil
-	}
-	return &fognode.AdaptiveConfig{}
-}
-
-// durability maps a live node id into its WAL directory (nil when the
-// city is in-memory).
-func (o liveOptions) durability(id string) *wal.Config {
-	if o.dataDir == "" {
-		return nil
-	}
-	return &wal.Config{Dir: filepath.Join(o.dataDir, id)}
-}
-
-// storage maps a live node id into its segment-store directory beside
-// the delivery journal (nil when the tiered store is off).
-func (o liveOptions) storage(id string) *segment.Options {
-	if !o.segmentStore || o.dataDir == "" {
-		return nil
-	}
-	return &segment.Options{
-		Dir:           filepath.Join(o.dataDir, id, "store"),
-		MemtableBytes: o.memtableBytes,
-	}
-}
-
-// liveMember is one hosted node: its tcpnet server, its client
-// transport and fognode (fog layers; nil for the cloud), and its
-// shutdown hook.
+// liveMember is one hosted node: its tcpnet server, its private
+// metrics registry, and (fog layers; nil for the cloud) its client
+// transport and fognode.
 type liveMember struct {
-	id    string
-	srv   *tcpnet.Server
-	tr    *tcpnet.Transport
-	fog   *fognode.Node
-	close func(context.Context) error
+	id  string
+	reg *metrics.Registry
+	srv *tcpnet.Server
+	tr  *tcpnet.Transport
+	fog *fognode.Node
 }
 
-// runLive hosts a complete hierarchy in this process with every node
-// behind its own tcpnet server on a loopback port — real sockets,
-// real frames, zero-config. It writes the resulting cluster document
-// (transport "tcp", node id -> address) so f2cload and f2cctl can
-// drive the city, then serves until SIGINT/SIGTERM. Each node gets a
-// private metrics registry and transport, exactly as a multi-process
-// deployment would, so per-node OpMetrics scrapes are meaningful.
-func runLive(o liveOptions) error {
-	districts := make([]topology.District, o.districts)
-	for i := range districts {
-		districts[i] = topology.District{Name: fmt.Sprintf("d%02d", i+1), Sections: o.sections}
-	}
-	topo, err := topology.New(o.city, districts)
-	if err != nil {
-		return err
-	}
+// liveCity is a hierarchy hosted over loopback sockets: the cloud
+// first, then fog layer 2, then fog layer 1.
+type liveCity struct {
+	cloud   *cloud.Node
+	members []*liveMember
+	cluster config.Cluster
+}
 
-	var members []*liveMember
-	addrs := make(map[string]string)
-	shutdown := func() {
-		// Reverse order: fog1 first (they flush into fog2), cloud last.
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		for i := len(members) - 1; i >= 0; i-- {
-			m := members[i]
-			_ = m.srv.Close()
-			if m.close != nil {
-				_ = m.close(ctx)
-			}
-			if m.tr != nil {
-				_ = m.tr.Close()
-			}
+// hostLive hosts the deployment's complete hierarchy in this process
+// with every node behind its own tcpnet server on an ephemeral port of
+// host — real sockets, real frames, zero-config. Each node is built
+// from the same core.Options.Member projection as an f2cd daemon and
+// gets a private metrics registry and transport, exactly as a
+// multi-process deployment would, so per-node OpMetrics scrapes are
+// meaningful. The caller owns the returned city and must Close it.
+func hostLive(dep config.Deployment, host string) (*liveCity, error) {
+	opts, err := dep.Options(sim.WallClock{})
+	if err != nil {
+		return nil, err
+	}
+	topo := opts.Topology
+	c := &liveCity{cluster: config.Cluster{Transport: config.TransportTCP, Nodes: make(map[string]string)}}
+	serve := func(m *liveMember, h transport.Handler) error {
+		srv, err := tcpnet.NewServer(m.id, host+":0", h, tcpnet.ServerOptions{Registry: m.reg})
+		if err != nil {
+			return err
 		}
+		m.srv = srv
+		c.members = append(c.members, m)
+		c.cluster.Nodes[m.id] = srv.Addr()
+		return nil
 	}
 
 	// The cloud first: the fog layers dial upward.
-	cloudReg := metrics.NewRegistry()
-	cloudNode, err := cloud.New(core.CloudConfig(core.CloudID, core.MemberOptions{
-		City: o.city, Clock: sim.WallClock{}, Registry: cloudReg, Codec: o.codec,
-		Durability: o.durability(core.CloudID), Storage: o.storage(core.CloudID),
-		Overload: o.sched(),
-	}))
-	if err != nil {
-		return err
+	cm := &liveMember{id: core.CloudID, reg: metrics.NewRegistry()}
+	opts.Registry = cm.reg
+	if c.cloud, err = cloud.New(core.CloudConfig(core.CloudID, opts.Member(topo.Cloud(), nil, nil))); err != nil {
+		return nil, err
 	}
-	cloudSrv, err := tcpnet.NewServer(core.CloudID, o.listenHost+":0", cloudNode, tcpnet.ServerOptions{Registry: cloudReg})
-	if err != nil {
-		return err
-	}
-	members = append(members, &liveMember{
-		id: core.CloudID, srv: cloudSrv,
-		close: func(context.Context) error { return cloudNode.Close() },
-	})
-	addrs[core.CloudID] = cloudSrv.Addr()
-
-	fog2IDs := make([]string, 0, len(topo.Fog2Nodes()))
-	for _, spec := range topo.Fog2Nodes() {
-		fog2IDs = append(fog2IDs, spec.ID)
-	}
-	fog2Siblings := func(id string) []string {
-		var sibs []string
-		for _, other := range fog2IDs {
-			if other != id {
-				sibs = append(sibs, other)
-			}
-		}
-		return sibs
+	if err := serve(cm, c.cloud); err != nil {
+		_ = c.cloud.Close()
+		return nil, err
 	}
 
-	buildFog := func(spec topology.NodeSpec, flush time.Duration, retention time.Duration, siblings []string) error {
-		reg := metrics.NewRegistry()
-		tr := tcpnet.New(tcpnet.Options{Registry: reg})
-		node, err := fognode.New(core.FogConfig(spec, core.MemberOptions{
-			City: o.city, Clock: sim.WallClock{}, Transport: tr,
-			Retention: retention, FlushInterval: flush, Codec: o.codec,
-			Dedup: o.dedup, Quality: true, Registry: reg, Siblings: siblings,
-			Durability: o.durability(spec.ID), Storage: o.storage(spec.ID),
-			MaxPendingReadings: o.maxPending,
-			Overload:           o.sched(),
-			DegradeToSummary:   o.degrade,
-			Adaptive:           o.adaptiveCfg(),
-		}))
-		if err != nil {
-			_ = tr.Close()
-			return err
-		}
-		if spec.Layer == topology.LayerFog1 {
+	subs := dep.StandingQueries()
+	for _, spec := range append(topo.Fog2Nodes(), topo.Fog1Nodes()...) {
+		m := &liveMember{id: spec.ID, reg: metrics.NewRegistry()}
+		m.tr = tcpnet.New(tcpnet.Options{Registry: m.reg})
+		opts.Registry = m.reg
+		m.fog, err = fognode.New(core.FogConfig(spec, opts.Member(spec, m.tr, core.Siblings(topo, spec))))
+		if err == nil && spec.Layer == topology.LayerFog1 {
 			// Standing continuous queries land before the node serves
 			// its first batch, like f2cd's boot-time registration.
-			for _, sub := range o.subs {
-				if err := node.Subscribe(sub); err != nil {
-					_ = tr.Close()
-					return fmt.Errorf("subscribe %s on %s: %w", sub.ID, spec.ID, err)
+			for _, sub := range subs {
+				if err = m.fog.Subscribe(sub); err != nil {
+					err = fmt.Errorf("subscribe %s on %s: %w", sub.ID, spec.ID, err)
+					break
 				}
 			}
 		}
-		srv, err := tcpnet.NewServer(spec.ID, o.listenHost+":0", node, tcpnet.ServerOptions{Registry: reg})
+		if err == nil {
+			err = serve(m, m.fog)
+		}
 		if err != nil {
-			_ = tr.Close()
-			return err
-		}
-		members = append(members, &liveMember{id: spec.ID, srv: srv, tr: tr, fog: node, close: node.Close})
-		addrs[spec.ID] = srv.Addr()
-		return nil
-	}
-
-	for _, spec := range topo.Fog2Nodes() {
-		if err := buildFog(spec, o.flush2, 24*time.Hour, fog2Siblings(spec.ID)); err != nil {
-			shutdown()
-			return err
-		}
-	}
-	for _, spec := range topo.Fog1Nodes() {
-		if err := buildFog(spec, o.flush1, time.Hour, topo.Neighbors(spec.ID)); err != nil {
-			shutdown()
-			return err
+			if m.fog != nil {
+				m.fog.Discard()
+			}
+			_ = m.tr.Close()
+			c.Close()
+			return nil, err
 		}
 	}
 
 	// Every address is known now: wire each fog node's peers (parent,
 	// siblings, cloud — relays and federated queries need them all)
 	// and start the background flushers.
-	for _, m := range members {
+	for _, m := range c.members {
 		if m.tr == nil {
 			continue
 		}
-		for id, addr := range addrs {
+		for id, addr := range c.cluster.Nodes {
 			if id != m.id {
 				m.tr.AddPeer(id, addr)
 			}
 		}
 	}
-	for _, m := range members {
+	for _, m := range c.members {
 		if m.fog != nil {
 			m.fog.Start()
 		}
 	}
+	return c, nil
+}
 
-	cluster := config.Cluster{Transport: config.TransportTCP, Nodes: addrs}
-	if o.clusterOut != "" {
-		if err := cluster.Save(o.clusterOut); err != nil {
-			shutdown()
-			return err
+// Close shuts the city down in reverse order: fog1 first (they flush
+// into fog2), the cloud last.
+func (c *liveCity) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	var errs []error
+	for i := len(c.members) - 1; i >= 0; i-- {
+		m := c.members[i]
+		errs = append(errs, m.srv.Close())
+		if m.fog != nil {
+			errs = append(errs, m.fog.Close(ctx), m.tr.Close())
 		}
 	}
-	f1, f2, _ := topo.Counts()
-	log.Printf("live city %s ready: %d fog1 / %d fog2 / 1 cloud over tcpnet, cloud at %s",
-		o.city, f1, f2, addrs[core.CloudID])
-	if o.clusterOut != "" {
-		log.Printf("cluster document written to %s", o.clusterOut)
+	errs = append(errs, c.cloud.Close())
+	return errors.Join(errs...)
+}
+
+// runLive hosts the city, writes its cluster document (transport
+// "tcp", node id -> address) so f2cload and f2cctl can drive it, and
+// serves until SIGINT/SIGTERM.
+func runLive(dep config.Deployment, host, clusterOut string) error {
+	c, err := hostLive(dep, host)
+	if err != nil {
+		return err
 	}
+	if clusterOut != "" {
+		if err := c.cluster.Save(clusterOut); err != nil {
+			_ = c.Close()
+			return err
+		}
+		log.Printf("cluster document written to %s", clusterOut)
+	}
+	log.Printf("live city %s ready: %d nodes over tcpnet, cloud at %s",
+		dep.City, len(c.members), c.cluster.Nodes[core.CloudID])
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	log.Printf("received %v, shutting down live city", s)
-	shutdown()
-	return nil
+	return c.Close()
 }

@@ -7,6 +7,16 @@
 // At -scale 1 every one of the 1,005,019 catalog sensors is simulated;
 // larger scales divide the population to trade fidelity for speed (the
 // byte report extrapolates back).
+//
+// With -live it hosts the city over real loopback tcpnet sockets
+// instead and serves until SIGTERM — the target f2cload and f2cctl
+// drive:
+//
+//	citysim -live -flush1 1s -flush2 2s -cluster-out cluster.json
+//
+// Either way the city is one deployment document (-config; see
+// internal/config): without one, the flags sketch it over the
+// Barcelona default.
 package main
 
 import (
@@ -15,10 +25,8 @@ import (
 	"os"
 	"time"
 
-	"f2c/internal/aggregate"
 	"f2c/internal/config"
 	"f2c/internal/core"
-	"f2c/internal/cq"
 	"f2c/internal/experiment"
 	"f2c/internal/metrics"
 	"f2c/internal/model"
@@ -42,21 +50,14 @@ func run(args []string) error {
 	flush1 := fs.Duration("flush1", 15*time.Minute, "fog layer-1 flush interval")
 	flush2 := fs.Duration("flush2", time.Hour, "fog layer-2 flush interval")
 	category := fs.String("category", "", "restrict to one category (energy|noise|garbage|parking|urban)")
-	cfgPath := fs.String("config", "", "deployment JSON (overrides topology/codec/flush/retention flags)")
+	cfgPath := fs.String("config", "", "deployment JSON declaring the city and every node's profile (replaces the Barcelona default, the -codec/-dedup/-flush flags and the -live grid)")
 	writeCfg := fs.String("write-config", "", "write the Barcelona deployment JSON to this path and exit")
 	live := fs.Bool("live", false, "host the hierarchy over real loopback tcpnet sockets and serve until SIGTERM (load-harness target) instead of simulating")
 	liveDistricts := fs.Int("live-districts", 2, "districts of the live city")
 	liveSections := fs.Int("live-sections", 2, "sections per district of the live city")
 	liveHost := fs.String("live-host", "127.0.0.1", "host the live city's listeners bind")
-	liveDataDir := fs.String("live-data-dir", "", "durability directory for the live city: every node journals under <dir>/<node id> and recovers on restart (empty = in-memory)")
-	liveSegments := fs.Bool("live-segment-store", false, "back the live city's temporal stores with the tiered segment engine under <live-data-dir>/<node id>/store (requires -live-data-dir)")
-	liveMemtable := fs.Int64("live-memtable-bytes", 0, "live city segment-store memtable cap in bytes (0 = engine default)")
+	liveDataDir := fs.String("live-data-dir", "", "durability directory for the live city: every node keeps its journal under <dir>/<node id> and its segment store under <dir>/<node id>/store, and recovers both on restart (overrides the document's dataDir)")
 	clusterOut := fs.String("cluster-out", "", "write the live city's cluster JSON (node id -> address) to this path")
-	liveOverload := fs.Bool("live-overload", false, "gate every live node's handler path behind per-class weighted-fair admission scheduling")
-	liveIngestRate := fs.Int64("live-ingest-rate", 0, "token-bucket limit for the live city's ingest class, payload bytes/sec (requires -live-overload; 0 = unlimited)")
-	liveMaxPending := fs.Int("live-max-pending", 0, "per-type upward buffer bound on the live city's fog nodes (0 = unbounded)")
-	liveDegrade := fs.Bool("live-degrade", false, "fold buffer-trimmed readings into window summaries pushed upward instead of dropping them (needs -live-max-pending to bite)")
-	liveAdaptive := fs.Bool("live-adaptive-flush", false, "RTT-driven flush batch size and interval tuning on the live city's fog nodes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,53 +68,33 @@ func run(args []string) error {
 		fmt.Printf("wrote Barcelona deployment to %s\n", *writeCfg)
 		return nil
 	}
-	var codec aggregate.Codec
-	for _, c := range []aggregate.Codec{aggregate.CodecNone, aggregate.CodecFlate, aggregate.CodecGzip, aggregate.CodecZip} {
-		if c.String() == *codecName {
-			codec = c
+	// The deployment document declares the city either way; without
+	// one, the flags sketch it over the Barcelona default.
+	dep := config.Barcelona()
+	if *cfgPath != "" {
+		var err error
+		if dep, err = config.Load(*cfgPath); err != nil {
+			return err
 		}
-	}
-	if codec == 0 {
-		return fmt.Errorf("unknown codec %q", *codecName)
+	} else {
+		if *flush1 < time.Second || *flush2 < time.Second {
+			return fmt.Errorf("-flush1 and -flush2 must be at least 1s (the deployment document counts whole seconds)")
+		}
+		dep.Codec, dep.Dedup = *codecName, *dedup
+		dep.Fog1FlushSeconds = int(flush1.Seconds())
+		dep.Fog2FlushSeconds = int(flush2.Seconds())
+		if *live {
+			dep.Districts = make([]config.DistrictSpec, *liveDistricts)
+			for i := range dep.Districts {
+				dep.Districts[i] = config.DistrictSpec{Name: fmt.Sprintf("d%02d", i+1), Sections: *liveSections}
+			}
+		}
 	}
 	if *live {
-		if *liveSegments && *liveDataDir == "" {
-			return fmt.Errorf("-live-segment-store requires -live-data-dir")
+		if *liveDataDir != "" {
+			dep.DataDir = *liveDataDir
 		}
-		if *liveIngestRate > 0 && !*liveOverload {
-			return fmt.Errorf("-live-ingest-rate requires -live-overload")
-		}
-		// A deployment document supplies the live city's standing
-		// continuous queries; its topology flags stay with the
-		// -live-districts/-live-sections pair.
-		var subs []cq.Subscription
-		if *cfgPath != "" {
-			dep, err := config.Load(*cfgPath)
-			if err != nil {
-				return err
-			}
-			subs = dep.StandingQueries()
-		}
-		return runLive(liveOptions{
-			city:          "Barcelona",
-			districts:     *liveDistricts,
-			sections:      *liveSections,
-			codec:         codec,
-			dedup:         *dedup,
-			flush1:        *flush1,
-			flush2:        *flush2,
-			listenHost:    *liveHost,
-			dataDir:       *liveDataDir,
-			segmentStore:  *liveSegments,
-			memtableBytes: *liveMemtable,
-			clusterOut:    *clusterOut,
-			overload:      *liveOverload,
-			ingestRate:    *liveIngestRate,
-			maxPending:    *liveMaxPending,
-			degrade:       *liveDegrade,
-			adaptive:      *liveAdaptive,
-			subs:          subs,
-		})
+		return runLive(dep, *liveHost, *clusterOut)
 	}
 	var types []model.SensorType
 	if *category != "" {
@@ -127,25 +108,9 @@ func run(args []string) error {
 	start := time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
 	clock := sim.NewVirtualClock(start)
 	matrix := metrics.NewTrafficMatrix()
-	opts := core.Options{
-		Clock:             clock,
-		Dedup:             *dedup,
-		Quality:           true,
-		Codec:             codec,
-		Fog1FlushInterval: *flush1,
-		Fog2FlushInterval: *flush2,
-	}
-	var dep config.Deployment
-	if *cfgPath != "" {
-		var err error
-		dep, err = config.Load(*cfgPath)
-		if err != nil {
-			return err
-		}
-		opts, err = dep.Options(clock)
-		if err != nil {
-			return err
-		}
+	opts, err := dep.Options(clock)
+	if err != nil {
+		return err
 	}
 	opts.Matrix = matrix
 	sys, err := core.NewSystem(opts)

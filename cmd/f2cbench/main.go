@@ -6,9 +6,9 @@
 //	f2cbench -exp compress    # Zip compression measurement (§V.B)
 //	f2cbench -exp advantages  # quantified §IV.D claims
 //	f2cbench -exp daysim      # measured simulated day over the hierarchy
-//	f2cbench -exp rebalance   # live shard-migration ingest-p99 + traffic bench (BENCH_PR9)
-//	f2cbench -exp alerts      # continuous-query WAN-byte bench vs polling (BENCH_PR10)
-//	f2cbench -exp all         # every paper artifact (rebalance/alerts run separately)
+//	f2cbench -exp all         # every paper artifact
+//
+// Performance numbers live in bench/ (go -C bench run .), not here.
 package main
 
 import (
@@ -35,19 +35,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("f2cbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1|fig6|fig7|compress|advantages|daysim|rebalance|alerts|all")
+	exp := fs.String("exp", "all", "experiment: table1|fig6|fig7|compress|advantages|daysim|all")
 	scale := fs.Int("scale", 500, "daysim: sensor-count divisor")
 	duration := fs.Duration("duration", 2*time.Hour, "daysim: simulated span")
 	seed := fs.Int64("seed", 1, "workload seed")
 	codec := fs.String("codec", "zip", "compression codec: none|flate|gzip|zip")
-	jsonOut := fs.String("json", "", "rebalance: write the BENCH_PR9-style JSON artifact here")
-	samples := fs.Int("samples", 8000, "rebalance: timed ingests per phase")
-	minEvents := fs.Int("min-events", 8, "rebalance: scale events the churn phase must overlap")
-	sloRatio := fs.Float64("slo-ratio", 2, "rebalance: churn ingest p99 allowed as a multiple of idle p99")
-	sloFloor := fs.Float64("slo-floor-ms", 5, "rebalance: SLO noise floor in milliseconds")
-	hours := fs.Int("hours", 6, "alerts: simulated span in hours")
-	pollSecs := fs.Int("poll-seconds", 60, "alerts: polling cadence of the baseline service")
-	minRatio := fs.Float64("min-wan-ratio", 10, "alerts: required polling/incremental WAN byte ratio")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -62,24 +54,6 @@ func run(args []string) error {
 		"compress":   func() error { return compress(*seed) },
 		"advantages": advantages,
 		"daysim":     func() error { return daysim(*scale, *duration, *seed, cd) },
-		// rebalance is excluded from "all": it is the elastic-topology
-		// bench artifact (BENCH_PR9.json via scripts/rebalance.sh), not
-		// a paper figure.
-		"rebalance": func() error {
-			return rebalance(rebalanceParams{
-				JSONOut: *jsonOut, Samples: *samples, MinEvents: *minEvents,
-				SLORatio: *sloRatio, SLOFloorMs: *sloFloor, Seed: *seed,
-			})
-		},
-		// alerts is likewise excluded from "all": it is the
-		// continuous-query bench artifact (BENCH_PR10.json via
-		// scripts/alerts.sh), not a paper figure.
-		"alerts": func() error {
-			return alertsBench(alertsParams{
-				JSONOut: *jsonOut, Hours: *hours, PollSeconds: *pollSecs,
-				MinRatio: *minRatio, Seed: *seed,
-			})
-		},
 	}
 	if *exp == "all" {
 		for _, name := range []string{"table1", "fig6", "fig7", "compress", "advantages", "daysim"} {

@@ -22,24 +22,6 @@ func TestDaysimRuns(t *testing.T) {
 	}
 }
 
-func TestRebalanceRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("rebalance churns a live elastic city")
-	}
-	if err := run([]string{"-exp", "rebalance", "-samples", "500", "-min-events", "2"}); err != nil {
-		t.Fatalf("rebalance: %v", err)
-	}
-}
-
-func TestAlertsRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alerts simulates hours of workload")
-	}
-	if err := run([]string{"-exp", "alerts", "-hours", "2", "-seed", "3"}); err != nil {
-		t.Fatalf("alerts: %v", err)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-exp", "warp-drive"},

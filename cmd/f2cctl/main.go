@@ -1,13 +1,13 @@
 // Command f2cctl inspects and controls running f2cd nodes:
 //
-//	f2cctl -node http://localhost:8082 status
-//	f2cctl -node http://localhost:8082 flush
-//	f2cctl -node http://localhost:8082 metrics
-//	f2cctl -node http://localhost:8082 -node-id fog1/d01-s01 routes
-//	f2cctl -transport tcp -node localhost:9000 status
-//	f2cctl -node http://localhost:8082 latest <sensorID>
-//	f2cctl -node http://localhost:8082 range <type> <fromRFC3339> <toRFC3339>
-//	f2cctl -node http://localhost:8082 sum <type> <fromRFC3339> <toRFC3339>
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 status
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 flush
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 metrics
+//	f2cctl -node localhost:9002 -node-id fog1/d01-s01 routes
+//	f2cctl -transport http -node http://localhost:8080 status   # an all-in-one gateway
+//	f2cctl -node localhost:9000 latest <sensorID>
+//	f2cctl -node localhost:9000 range <type> <fromRFC3339> <toRFC3339>
+//	f2cctl -node localhost:9000 sum <type> <fromRFC3339> <toRFC3339>
 //	f2cctl -node ... -node-id fog1/d01-s01 subscribe <id> <type> window <width> [slide]
 //	f2cctl -node ... -node-id fog1/d01-s01 subscribe <id> <type> threshold <width> gt|lt <value>
 //	f2cctl -node ... -node-id fog1/d01-s01 unsubscribe <id>
@@ -60,9 +60,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("f2cctl", flag.ContinueOnError)
-	nodeURL := fs.String("node", "", "target node address: base URL (http transport) or host:port (tcp transport)")
+	nodeURL := fs.String("node", "", "target node address: host:port (tcp transport) or base URL (http transport)")
 	nodeID := fs.String("node-id", "cloud", "addressed node id (all-in-one gateways route by it)")
-	transportName := fs.String("transport", "http", "wire protocol the target serves: http|tcp")
+	transportName := fs.String("transport", config.TransportTCP, "wire protocol the target serves: tcp|http")
 	timeout := fs.Duration("timeout", 10*time.Second, "request timeout")
 	limit := fs.Int("limit", 0, "readings per range page (0 = server default)")
 	if err := fs.Parse(args); err != nil {

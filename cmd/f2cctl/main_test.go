@@ -66,50 +66,50 @@ func TestRemoteStatusAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run([]string{"-node", srv.URL, "status"}); err != nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "status"}); err != nil {
 		t.Errorf("status: %v", err)
 	}
-	if err := run([]string{"-node", srv.URL, "latest", "s1"}); err != nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "latest", "s1"}); err != nil {
 		t.Errorf("latest: %v", err)
 	}
-	if err := run([]string{"-node", srv.URL, "latest", "ghost"}); err != nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "latest", "ghost"}); err != nil {
 		t.Errorf("latest miss should print 'no data', not error: %v", err)
 	}
-	if err := run([]string{"-node", srv.URL, "range", "traffic",
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "range", "traffic",
 		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
 		t.Errorf("range: %v", err)
 	}
 	// Paged range: -limit 1 forces the cursor walk over every page.
-	if err := run([]string{"-node", srv.URL, "-limit", "1", "range", "traffic",
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "-limit", "1", "range", "traffic",
 		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
 		t.Errorf("paged range: %v", err)
 	}
 	// Aggregate push-down: only the summary crosses the wire.
-	if err := run([]string{"-node", srv.URL, "sum", "traffic",
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "sum", "traffic",
 		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
 		t.Errorf("sum: %v", err)
 	}
-	if err := run([]string{"-node", srv.URL, "sum", "ghost",
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "sum", "ghost",
 		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
 		t.Errorf("sum miss should print 'no data', not error: %v", err)
 	}
 	// Migration routing view: with no rebalance active the node
 	// reports zero counters and no forwarding routes.
-	if err := run([]string{"-node", srv.URL, "-node-id", "fog1/test", "routes"}); err != nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "-node-id", "fog1/test", "routes"}); err != nil {
 		t.Errorf("routes: %v", err)
 	}
 	n.SetRoute("traffic", "fog1/test2")
-	if err := run([]string{"-node", srv.URL, "-node-id", "fog1/test", "routes"}); err != nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "-node-id", "fog1/test", "routes"}); err != nil {
 		t.Errorf("routes with forwarding active: %v", err)
 	}
 	// Usage errors.
-	if err := run([]string{"-node", srv.URL, "latest"}); err == nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "latest"}); err == nil {
 		t.Error("latest without args must fail")
 	}
-	if err := run([]string{"-node", srv.URL, "range", "traffic", "not-a-time", "also-not"}); err == nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "range", "traffic", "not-a-time", "also-not"}); err == nil {
 		t.Error("bad times must fail")
 	}
-	if err := run([]string{"-node", srv.URL, "sum", "traffic", "bad", "worse"}); err == nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "sum", "traffic", "bad", "worse"}); err == nil {
 		t.Error("bad sum times must fail")
 	}
 }
@@ -129,7 +129,7 @@ func TestRemoteFlushFailsWithoutReachableParent(t *testing.T) {
 	}
 	_ = n2
 	// Empty node: flush succeeds trivially (nothing pending).
-	if err := run([]string{"-node", srv.URL, "flush"}); err != nil {
+	if err := run([]string{"-transport", "http", "-node", srv.URL, "flush"}); err != nil {
 		t.Errorf("empty flush: %v", err)
 	}
 }

@@ -21,44 +21,18 @@ import (
 //
 //	f2cd -all-in-one -listen :8080
 //	f2cload -node http://localhost:8080 -node-id fog1/d01-s01 ...
-//	f2cctl  -node http://localhost:8080 status   # routes to the cloud
+//	f2cctl  -transport http -node http://localhost:8080 status   # routes to the cloud
 //	curl http://localhost:8080/opendata/v1/categories
-func runAllInOne(cfgPath, listen, dataDir string, segmentStore bool, memtableBytes int64, elastic bool, virtualNodes int) error {
-	dep := config.Barcelona()
-	if cfgPath != "" {
-		var err error
-		dep, err = config.Load(cfgPath)
-		if err != nil {
-			return err
-		}
-	}
+//
+// This mode stays HTTP: one listener fronts every node, and tcpnet
+// addresses a node by its socket. The city is the deployment
+// document's — topology, profile, elasticOwnership (scale events need
+// this host: it owns the topology, the network and the rings), and
+// standing subscriptions.
+func runAllInOne(dep config.Deployment, listen string) error {
 	opts, err := dep.Options(sim.WallClock{})
 	if err != nil {
 		return err
-	}
-	if dataDir != "" {
-		// -data-dir overrides the deployment document: every node in
-		// the hosted hierarchy journals under dataDir/<node id>.
-		opts.DataDir = dataDir
-	}
-	if segmentStore {
-		// -segment-store overrides likewise: every node's temporal
-		// store becomes the tiered segment engine.
-		if opts.DataDir == "" {
-			return fmt.Errorf("-segment-store requires -data-dir (or dataDir in the deployment document)")
-		}
-		opts.SegmentStorage = true
-	}
-	if memtableBytes > 0 {
-		opts.MemtableBytes = memtableBytes
-	}
-	if elastic {
-		// -elastic overrides the document: ingest routes through the
-		// ownership rings and the hosted fog layer 1 can scale live.
-		opts.ElasticOwnership = true
-	}
-	if virtualNodes > 0 {
-		opts.VirtualNodes = virtualNodes
 	}
 	sys, err := core.NewSystem(opts)
 	if err != nil {

@@ -1,31 +1,39 @@
 // Command f2cd runs one F2C node as a network daemon, allowing a real
-// multi-process hierarchy to be assembled on any set of hosts:
+// multi-process hierarchy to be assembled on any set of hosts. The
+// message plane runs over tcpnet, the persistent-connection framed
+// transport; addresses are host:port, and a -cluster JSON document
+// (see internal/config.Cluster) wires every peer at once:
 //
-//	# cloud layer (also serves the open-data API)
-//	f2cd -id cloud -layer cloud -listen :8080
+//	# cloud layer
+//	f2cd -id cloud -layer cloud -listen :9000 -data-dir /var/lib/f2c
 //
 //	# a district (fog layer 2) node reporting to the cloud
 //	f2cd -id fog2/d01 -layer fog2 -parent cloud \
-//	     -parent-url http://localhost:8080 -listen :8081
+//	     -parent-addr localhost:9000 -listen :9001 -data-dir /var/lib/f2c
 //
 //	# a section (fog layer 1) node reporting to the district
 //	f2cd -id fog1/d01-s01 -layer fog1 -parent fog2/d01 \
-//	     -parent-url http://localhost:8081 -listen :8082 -flush 30s
+//	     -parent-addr localhost:9001 -listen :9002 -data-dir /var/lib/f2c
 //
-// Sensors POST batch envelopes to /f2c/v1/message; f2cctl inspects
+// Sensors send batch envelopes to the node's listener; f2cctl inspects
 // and controls running nodes.
 //
-// With -transport tcp the message plane runs over the persistent-
-// connection framed tcpnet transport instead of HTTP — the production
-// wire for a multi-process city. Addresses are host:port; a -cluster
-// JSON document (see internal/config.Cluster) wires every peer at
-// once:
+// The flags say what belongs to this process — which node it is and
+// where it listens, dials and keeps its files. What the node does
+// (codec, flush and retention periods, dedup, quality, ingest rate
+// cap, buffer bound, degrade-to-summary, adaptive flush, standing
+// subscriptions) is the deployment document's (-config, default
+// config.Barcelona()), shared by every daemon of the city. Admission
+// control is always on, and -data-dir always means journal and
+// segment store together: the profile the benchmark's durable
+// workloads measure.
 //
-//	f2cd -id cloud -layer cloud -transport tcp -listen :9000
-//	f2cd -id fog2/d01 -layer fog2 -transport tcp -parent cloud \
-//	     -parent-addr localhost:9000 -listen :9001
-//	f2cd -id fog1/d01-s01 -layer fog1 -transport tcp -parent fog2/d01 \
-//	     -parent-addr localhost:9001 -listen :9002 -flush 30s
+// -transport http serves the same messages as HTTP POSTs to
+// /f2c/v1/message (fog layers then take -parent-url):
+//
+//	f2cd -id cloud -layer cloud -transport http -listen :8080
+//	f2cd -id fog2/d01 -layer fog2 -transport http -parent cloud \
+//	     -parent-url http://localhost:8080 -listen :8081
 package main
 
 import (
@@ -37,23 +45,18 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
-	"f2c/internal/aggregate"
 	"f2c/internal/cloud"
 	"f2c/internal/config"
 	"f2c/internal/core"
 	"f2c/internal/cq"
 	"f2c/internal/fognode"
-	"f2c/internal/model"
-	"f2c/internal/sched"
-	"f2c/internal/segment"
+	"f2c/internal/metrics"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
-	"f2c/internal/wal"
 )
 
 func main() {
@@ -63,204 +66,169 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// daemon is the parsed command line: everything that is this
+// process's own.
+type daemon struct {
+	id, layer, parent     string
+	parentURL, parentAddr string
+	transport             string
+	clusterPath           string
+	listen                string
+	opendataListen        string
+	dataDir               string
+	cfgPath               string
+	allInOne              bool
+}
+
+func parseFlags(args []string) (daemon, error) {
+	var d daemon
 	fs := flag.NewFlagSet("f2cd", flag.ContinueOnError)
-	id := fs.String("id", "", "node id (e.g. fog1/d01-s01 or cloud)")
-	layer := fs.String("layer", "", "node layer: fog1|fog2|cloud")
-	parent := fs.String("parent", "", "parent node id (fog layers)")
-	parentURL := fs.String("parent-url", "", "parent base URL (fog layers, http transport)")
-	parentAddr := fs.String("parent-addr", "", "parent host:port (fog layers, tcp transport)")
-	transportName := fs.String("transport", "http", "wire protocol: http|tcp (tcp is the persistent-connection framed transport)")
-	clusterPath := fs.String("cluster", "", "cluster JSON mapping node ids to addresses (tcp transport; wires parent and sibling peers)")
-	listen := fs.String("listen", ":8080", "listen address")
-	opendataListen := fs.String("opendata-listen", "", "HTTP address for the cloud's open-data API when the message plane runs over tcp (empty = no open-data endpoint)")
-	city := fs.String("city", "Barcelona", "city name for description tags")
-	codecName := fs.String("codec", "zip", "upward compression: none|flate|gzip|zip")
-	flush := fs.Duration("flush", time.Minute, "upward flush interval")
-	retention := fs.Duration("retention", time.Hour, "temporal store retention (fog layers)")
-	dedup := fs.Bool("dedup", true, "redundant-data elimination (fog1)")
-	qual := fs.Bool("quality", true, "data-quality phase (fog1)")
-	dataDir := fs.String("data-dir", "", "durability directory: the node journals its state to a WAL with snapshots under <data-dir>/<id> and recovers it on restart (empty = in-memory)")
-	segmentStore := fs.Bool("segment-store", false, "back the temporal store with the tiered segment engine under <data-dir>/<id>/store (history in mmap'd segment files, RAM bounded by the memtable cap; requires -data-dir)")
-	memtableBytes := fs.Int64("memtable-bytes", 0, "segment-store memtable cap in bytes before a flush to disk (0 = engine default)")
-	overload := fs.Bool("overload", false, "gate the handler path behind per-class weighted-fair admission scheduling")
-	ingestRate := fs.Int64("ingest-rate", 0, "token-bucket limit for the ingest class in payload bytes/sec (requires -overload; 0 = unlimited)")
-	maxPending := fs.Int("max-pending", 0, "per-type upward buffer bound in readings during parent outages (fog layers; 0 = unbounded)")
-	degrade := fs.Bool("degrade-to-summary", false, "fold buffer-trimmed readings into window summaries pushed upward instead of dropping them (fog layers; needs -max-pending to bite)")
-	degradeWindow := fs.Duration("degrade-window", 0, "degraded-summary window width (0 = fognode default, 1m)")
-	adaptiveFlush := fs.Bool("adaptive-flush", false, "RTT-driven flush batch size and interval tuning (fog layers)")
-	cloudRetention := fs.Duration("cloud-retention", 0, "cloud archive retention window (cloud layer; 0 = keep forever)")
-	allInOne := fs.Bool("all-in-one", false, "run the whole hierarchy in this process (demo mode)")
-	cfgPath := fs.String("config", "", "deployment JSON: full city for -all-in-one (default: Barcelona); a fog1 daemon reads only its standing subscriptions from it")
-	elastic := fs.Bool("elastic", false, "all-in-one: route edge ingest through per-district consistent-hash ownership rings and allow runtime fog1 scale with live shard migration")
-	virtualNodes := fs.Int("virtual-nodes", 0, "ownership-ring virtual nodes per weight unit (requires -elastic; 0 = engine default)")
+	fs.StringVar(&d.id, "id", "", "node id (e.g. fog1/d01-s01 or cloud)")
+	fs.StringVar(&d.layer, "layer", "", "node layer: fog1|fog2|cloud")
+	fs.StringVar(&d.parent, "parent", "", "parent node id (fog layers)")
+	fs.StringVar(&d.parentURL, "parent-url", "", "parent base URL (fog layers, http transport)")
+	fs.StringVar(&d.parentAddr, "parent-addr", "", "parent host:port (fog layers, tcp transport)")
+	fs.StringVar(&d.transport, "transport", config.TransportTCP, "wire protocol: tcp|http (tcp is the persistent-connection framed transport)")
+	fs.StringVar(&d.clusterPath, "cluster", "", "cluster JSON mapping node ids to addresses (tcp transport; wires parent and sibling peers)")
+	fs.StringVar(&d.listen, "listen", ":8080", "listen address")
+	fs.StringVar(&d.opendataListen, "opendata-listen", "", "HTTP address for the cloud's open-data API when the message plane runs over tcp (empty = no open-data endpoint)")
+	fs.StringVar(&d.dataDir, "data-dir", "", "durability directory: the node keeps its journal under <data-dir>/<id> and its segment store under <data-dir>/<id>/store, and recovers both on restart (overrides the document's dataDir; empty with no dataDir = in-memory)")
+	fs.BoolVar(&d.allInOne, "all-in-one", false, "run the document's whole hierarchy in this process behind one HTTP listener (demo mode)")
+	fs.StringVar(&d.cfgPath, "config", "", "deployment JSON declaring the city and every node's profile (default: Barcelona)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return d, err
 	}
-	if *virtualNodes < 0 {
-		return errors.New("-virtual-nodes must be >= 0")
-	}
-	if *virtualNodes > 0 && !*elastic {
-		return errors.New("-virtual-nodes requires -elastic")
-	}
-	if *allInOne {
-		return runAllInOne(*cfgPath, *listen, *dataDir, *segmentStore, *memtableBytes, *elastic, *virtualNodes)
-	}
-	if *elastic {
-		return errors.New("-elastic applies to -all-in-one (single-node daemons scale through their system host)")
-	}
-	if *id == "" {
-		return errors.New("-id is required")
-	}
-	if *segmentStore && *dataDir == "" {
-		return errors.New("-segment-store requires -data-dir")
-	}
-	if *ingestRate < 0 {
-		return errors.New("-ingest-rate must be >= 0")
-	}
-	if *ingestRate > 0 && !*overload {
-		return errors.New("-ingest-rate requires -overload")
-	}
-	var schedOpts *sched.Options
-	if *overload {
-		so := config.OverloadOptions(*ingestRate)
-		schedOpts = &so
-	}
-	var adaptive *fognode.AdaptiveConfig
-	if *adaptiveFlush {
-		adaptive = &fognode.AdaptiveConfig{}
-	}
-	switch *transportName {
+	switch d.transport {
 	case config.TransportHTTP, config.TransportTCP:
 	default:
-		return fmt.Errorf("unknown transport %q (want http|tcp)", *transportName)
+		return d, fmt.Errorf("unknown transport %q (want tcp|http)", d.transport)
 	}
-	tcp := *transportName == config.TransportTCP
-	var cluster *config.Cluster
-	if *clusterPath != "" {
-		c, err := config.LoadCluster(*clusterPath)
-		if err != nil {
-			return err
-		}
-		cluster = &c
-	}
+	return d, nil
+}
 
-	switch *layer {
+// deployment loads the document the daemon runs under, with the
+// process's own data directory in place of the document's.
+func (d daemon) deployment() (config.Deployment, error) {
+	dep := config.Barcelona()
+	if d.cfgPath != "" {
+		var err error
+		if dep, err = config.Load(d.cfgPath); err != nil {
+			return dep, err
+		}
+	}
+	if d.dataDir != "" {
+		dep.DataDir = d.dataDir
+	}
+	return dep, nil
+}
+
+// spec places the process's node in the hierarchy from its identity
+// flags.
+func (d daemon) spec() (topology.NodeSpec, error) {
+	spec := topology.NodeSpec{ID: d.id, Parent: d.parent, Name: d.id}
+	if d.id == "" {
+		return spec, errors.New("-id is required")
+	}
+	switch d.layer {
 	case "cloud":
-		mo := core.MemberOptions{
-			City:           *city,
-			Clock:          sim.WallClock{},
-			Durability:     durabilityFor(*dataDir, *id),
-			Storage:        storageFor(*dataDir, *id, *segmentStore, *memtableBytes),
-			Overload:       schedOpts,
-			CloudRetention: *cloudRetention,
-		}
-		if tcp {
-			return runCloudTCP(*id, *listen, *opendataListen, mo)
-		}
-		return runCloud(*id, *listen, mo)
-	case "fog1", "fog2":
-		codec, err := parseCodec(*codecName)
+		spec.Layer, spec.Parent = topology.LayerCloud, ""
+	case "fog1":
+		spec.Layer = topology.LayerFog1
+	case "fog2":
+		spec.Layer = topology.LayerFog2
+	default:
+		return spec, fmt.Errorf("unknown layer %q (want fog1|fog2|cloud)", d.layer)
+	}
+	if spec.Layer != topology.LayerCloud && d.parent == "" {
+		return spec, errors.New("fog layers need -parent")
+	}
+	return spec, nil
+}
+
+// node resolves the flags and the document into the one node this
+// process hosts: its place in the hierarchy, the deployment options
+// core.Options.Member projects onto it, and (fog layer 1) the
+// document's standing subscriptions.
+func (d daemon) node() (topology.NodeSpec, core.Options, []cq.Subscription, error) {
+	spec, err := d.spec()
+	if err != nil {
+		return spec, core.Options{}, nil, err
+	}
+	dep, err := d.deployment()
+	if err != nil {
+		return spec, core.Options{}, nil, err
+	}
+	opts, err := dep.Options(sim.WallClock{})
+	if err != nil {
+		return spec, core.Options{}, nil, err
+	}
+	// One registry per process: the node, its transport and its
+	// listener export through the same metrics scrape.
+	opts.Registry = metrics.NewRegistry()
+	var subs []cq.Subscription
+	if spec.Layer == topology.LayerFog1 {
+		subs = dep.StandingQueries()
+	}
+	return spec, opts, subs, nil
+}
+
+func run(args []string) error {
+	d, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	if d.allInOne {
+		dep, err := d.deployment()
 		if err != nil {
 			return err
 		}
-		if *parent == "" {
-			return errors.New("fog layers need -parent")
+		return runAllInOne(dep, d.listen)
+	}
+	spec, opts, subs, err := d.node()
+	if err != nil {
+		return err
+	}
+	tcp := d.transport == config.TransportTCP
+	if spec.Layer == topology.LayerCloud {
+		if tcp {
+			return runCloudTCP(spec, opts, d.listen, d.opendataListen)
 		}
-		l := topology.LayerFog1
-		if *layer == "fog2" {
-			l = topology.LayerFog2
-		}
-		spec := topology.NodeSpec{ID: *id, Layer: l, Parent: *parent, Name: *id}
-		// A deployment document given to a single fog layer-1 daemon
-		// seeds its standing continuous queries at boot (the rest of
-		// the document describes the whole city and stays with
-		// -all-in-one).
-		var subs []cq.Subscription
-		if *cfgPath != "" && l == topology.LayerFog1 {
-			dep, err := config.Load(*cfgPath)
+		return runCloud(spec, opts, d.listen)
+	}
+	if tcp {
+		var cluster *config.Cluster
+		if d.clusterPath != "" {
+			c, err := config.LoadCluster(d.clusterPath)
 			if err != nil {
 				return err
 			}
-			subs = dep.StandingQueries()
+			cluster = &c
 		}
-		opts := core.MemberOptions{
-			City:               *city,
-			Clock:              sim.WallClock{},
-			Retention:          *retention,
-			FlushInterval:      *flush,
-			Codec:              codec,
-			Dedup:              *dedup,
-			Quality:            *qual,
-			Durability:         durabilityFor(*dataDir, *id),
-			Storage:            storageFor(*dataDir, *id, *segmentStore, *memtableBytes),
-			Overload:           schedOpts,
-			MaxPendingReadings: *maxPending,
-			DegradeToSummary:   *degrade,
-			DegradeWindow:      *degradeWindow,
-			Adaptive:           adaptive,
-		}
-		if tcp {
-			return runFogTCP(spec, opts, *parentAddr, *listen, cluster, subs)
-		}
-		if *parentURL == "" {
-			return errors.New("http transport needs -parent-url")
-		}
-		return runFog(core.FogConfig(spec, opts), *parentURL, *listen, subs)
-	default:
-		return fmt.Errorf("unknown layer %q (want fog1|fog2|cloud)", *layer)
+		return runFogTCP(spec, opts, d.parentAddr, d.listen, cluster, subs)
 	}
+	if d.parentURL == "" {
+		return errors.New("http transport needs -parent-url")
+	}
+	return runFog(spec, opts, d.parentURL, d.listen, subs)
 }
 
-func parseCodec(s string) (aggregate.Codec, error) {
-	for _, c := range []aggregate.Codec{aggregate.CodecNone, aggregate.CodecFlate, aggregate.CodecGzip, aggregate.CodecZip} {
-		if c.String() == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown codec %q", s)
-}
-
-// durabilityFor maps a node id into its WAL directory under dataDir
-// (nil when durability is off).
-func durabilityFor(dataDir, id string) *wal.Config {
-	if dataDir == "" {
-		return nil
-	}
-	return &wal.Config{Dir: filepath.Join(dataDir, id)}
-}
-
-// storageFor maps a node id into its segment-store directory under
-// dataDir, beside the delivery journal (nil when the tiered store is
-// off).
-func storageFor(dataDir, id string, enabled bool, memtableBytes int64) *segment.Options {
-	if !enabled || dataDir == "" {
-		return nil
-	}
-	return &segment.Options{
-		Dir:           filepath.Join(dataDir, id, "store"),
-		MemtableBytes: memtableBytes,
-	}
-}
-
-func runCloud(id, listen string, mo core.MemberOptions) error {
-	node, err := cloud.New(core.CloudConfig(id, mo))
+func runCloud(spec topology.NodeSpec, opts core.Options, listen string) error {
+	node, err := cloud.New(core.CloudConfig(spec.ID, opts.Member(spec, nil, nil)))
 	if err != nil {
 		return err
 	}
 	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(id, node))
+	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(spec.ID, node))
 	mux.Handle("/opendata/", node.OpenDataHandler())
-	log.Printf("cloud node %s listening on %s (message + open-data API)", id, listen)
+	log.Printf("cloud node %s listening on %s (message + open-data API)", spec.ID, listen)
 	// A durable cloud checkpoints and closes its journal on shutdown.
 	return serve(listen, mux, func(context.Context) error { return node.Close() })
 }
 
-func runFog(cfg fognode.Config, parentURL, listen string, subs []cq.Subscription) error {
+func runFog(spec topology.NodeSpec, opts core.Options, parentURL, listen string, subs []cq.Subscription) error {
 	tr := transport.NewHTTPTransport(30 * time.Second)
-	tr.AddPeer(cfg.Spec.Parent, parentURL)
-	cfg.Transport = tr
-	node, err := fognode.New(cfg)
+	tr.AddPeer(spec.Parent, parentURL)
+	node, err := fognode.New(core.FogConfig(spec, opts.Member(spec, tr, nil)))
 	if err != nil {
 		return err
 	}
@@ -269,10 +237,9 @@ func runFog(cfg fognode.Config, parentURL, listen string, subs []cq.Subscription
 	}
 	node.Start()
 	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(cfg.Spec.ID, node))
+	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(spec.ID, node))
 	log.Printf("%s node %s listening on %s, parent %s at %s",
-		cfg.Spec.Layer, cfg.Spec.ID, listen, cfg.Spec.Parent, parentURL)
-	_ = model.Catalog() // keep the catalog linked for -h docs
+		spec.Layer, spec.ID, listen, spec.Parent, parentURL)
 	return serve(listen, mux, node.Close)
 }
 

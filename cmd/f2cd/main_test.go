@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,25 +22,17 @@ func TestArgValidation(t *testing.T) {
 		{"-id", "x"},                   // missing layer
 		{"-id", "x", "-layer", "warp"}, // unknown layer
 		{"-id", "x", "-layer", "fog1"}, // missing parent
-		{"-id", "x", "-layer", "fog1", "-parent", "p"}, // missing parent-url
-		{"-id", "x", "-layer", "fog1", "-parent", "p", "-parent-url", "http://x", "-codec", "lzma"},
+		{"-id", "x", "-layer", "fog1", "-parent", "p"},                       // tcp is the default: missing -parent-addr / -cluster
+		{"-id", "x", "-layer", "fog1", "-parent", "p", "-transport", "http"}, // http: missing -parent-url
+		{"-id", "x", "-layer", "fog1", "-parent", "p", "-transport", "carrier-pigeon"},
+		{"-id", "x", "-layer", "cloud", "-config", filepath.Join(t.TempDir(), "missing.json")},
+		{"-id", "x", "-layer", "fog1", "-parent", "p", "-parent-addr", "127.0.0.1:1", "-flush", "30s"}, // a profile flag: the document's now
 		{"-bogus"},
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("case %d (%v): expected error", i, args)
 		}
-	}
-}
-
-func TestParseCodec(t *testing.T) {
-	for _, name := range []string{"none", "flate", "gzip", "zip"} {
-		if _, err := parseCodec(name); err != nil {
-			t.Errorf("parseCodec(%s): %v", name, err)
-		}
-	}
-	if _, err := parseCodec(""); err == nil {
-		t.Error("empty codec must fail")
 	}
 }
 

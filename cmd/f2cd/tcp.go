@@ -15,7 +15,6 @@ import (
 	"f2c/internal/core"
 	"f2c/internal/cq"
 	"f2c/internal/fognode"
-	"f2c/internal/metrics"
 	"f2c/internal/topology"
 	"f2c/internal/transport/tcpnet"
 )
@@ -24,14 +23,13 @@ import (
 // transport. The open-data API stays HTTP (it is a public REST
 // surface, not node-to-node traffic) on its own listener when
 // requested.
-func runCloudTCP(id, listen, opendataListen string, mo core.MemberOptions) error {
-	reg := metrics.NewRegistry()
-	mo.Registry = reg
-	node, err := cloud.New(core.CloudConfig(id, mo))
+func runCloudTCP(spec topology.NodeSpec, opts core.Options, listen, opendataListen string) error {
+	id := spec.ID
+	node, err := cloud.New(core.CloudConfig(id, opts.Member(spec, nil, nil)))
 	if err != nil {
 		return err
 	}
-	srv, err := tcpnet.NewServer(id, listen, node, tcpnet.ServerOptions{Registry: reg})
+	srv, err := tcpnet.NewServer(id, listen, node, tcpnet.ServerOptions{Registry: opts.Registry})
 	if err != nil {
 		return err
 	}
@@ -63,8 +61,8 @@ func runCloudTCP(id, listen, opendataListen string, mo core.MemberOptions) error
 // from -parent-addr or the cluster document; with a cluster, every
 // listed node becomes a dialable peer, so sibling relays and
 // federated queries work across the deployment.
-func runFogTCP(spec topology.NodeSpec, opts core.MemberOptions, parentAddr, listen string, cluster *config.Cluster, subs []cq.Subscription) error {
-	reg := metrics.NewRegistry()
+func runFogTCP(spec topology.NodeSpec, opts core.Options, parentAddr, listen string, cluster *config.Cluster, subs []cq.Subscription) error {
+	reg := opts.Registry
 	tr := tcpnet.New(tcpnet.Options{Registry: reg})
 	if cluster != nil {
 		for id, addr := range cluster.Nodes {
@@ -78,9 +76,7 @@ func runFogTCP(spec topology.NodeSpec, opts core.MemberOptions, parentAddr, list
 	} else if _, err := cluster.Addr(spec.Parent); err != nil {
 		return err
 	}
-	opts.Transport = tr
-	opts.Registry = reg
-	node, err := fognode.New(core.FogConfig(spec, opts))
+	node, err := fognode.New(core.FogConfig(spec, opts.Member(spec, tr, nil)))
 	if err != nil {
 		return err
 	}

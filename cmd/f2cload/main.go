@@ -69,7 +69,6 @@ type planeReport struct {
 // report is the JSON document -json writes.
 type report struct {
 	Transport    string       `json:"transport"`
-	SingleStream bool         `json:"singleStream,omitempty"`
 	Targets      []string     `json:"targets"`
 	Workers      int          `json:"workers"`
 	SensorsTotal int          `json:"sensorsTotal"`
@@ -95,7 +94,6 @@ func run(args []string, out *os.File) error {
 	queryWorkers := fs.Int("query-workers", 0, "concurrent query workers running while ingest drives")
 	queryRounds := fs.Int("query-rounds", 100, "latest-value queries per query worker")
 	seed := fs.Int64("seed", 1, "workload seed")
-	singleStream := fs.Bool("single-stream", false, "collapse all traffic onto one tcpnet stream (control run: disables class isolation)")
 	timeout := fs.Duration("timeout", 10*time.Second, "request timeout")
 	scrape := fs.Bool("scrape", false, "after the load, scrape every cluster node's metrics and sum the overload-control counters into the report")
 	jsonOut := fs.String("json", "", "write the measured report as JSON to this path")
@@ -123,7 +121,7 @@ func run(args []string, out *os.File) error {
 		transportName = cluster.Transport
 		switch cluster.Transport {
 		case config.TransportTCP:
-			ttr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout, SingleStream: *singleStream})
+			ttr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout})
 			for id, addr := range cluster.Nodes {
 				ttr.AddPeer(id, addr)
 			}
@@ -261,7 +259,6 @@ func run(args []string, out *os.File) error {
 
 	rep := report{
 		Transport:    transportName,
-		SingleStream: *singleStream,
 		Targets:      targets,
 		Workers:      *workers,
 		SensorsTotal: *workers * *sensors,

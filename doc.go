@@ -32,8 +32,8 @@
 // bounded (aggregate.SizeLimitError) so corrupt or hostile payloads
 // cannot exhaust memory. Benchmarks: BenchmarkSealBatch,
 // BenchmarkOpenBatch (internal/protocol), BenchmarkFlushHot
-// (internal/fognode); scripts/bench.sh records them in
-// BENCH_PR2.json.
+// (internal/fognode); the benchmark in bench/ (go -C bench run .)
+// states the same path's end-to-end cost per layer.
 //
 // The read path is federated through a hierarchical query engine
 // (internal/query). A tier-routing planner orders fog layer 1 (local
@@ -49,7 +49,7 @@
 // push down to the owning tier as decomposable summaries and merge at
 // the requester — only summary-sized payloads cross the WAN.
 // Benchmarks: BenchmarkQueryFanout, BenchmarkQueryPushdown
-// (internal/query); scripts/bench.sh records them in BENCH_PR3.json.
+// (internal/query).
 //
 // Both paths are failure-hardened. transport.SimNetwork carries a
 // schedulable fault plane (directed partitions and heals, node
@@ -73,11 +73,11 @@
 // internal/chaos harness runs seeded fault schedules over a full city
 // and asserts exactly-once preservation, bounded memory and
 // post-heal convergence; failing runs print the seed that reproduces
-// them (scripts/chaos.sh runs the long sweep; see README "Resilience
-// & chaos testing").
+// them (go test ./internal/chaos/ -chaos.seeds N runs the long sweep;
+// see README "Resilience & chaos testing").
 //
-// Durability (off by default) makes those guarantees survive process
-// death. A durable node journals its delivery state to an
+// Durability (a data dir; the library default is in-memory) makes
+// those guarantees survive process death. A durable node journals its delivery state to an
 // append-only, CRC-framed write-ahead log with generation-rotated
 // snapshots (internal/wal) — one seal -> commit record pair for every
 // item, whatever its kind — and recovers it at construction:
@@ -92,10 +92,9 @@
 // or with f2cd -data-dir; core.System.Reboot simulates a process
 // restart, and the chaos crash-recovery scenario asserts zero loss
 // through crashes at every tier (see README "Durability & recovery";
-// BenchmarkIngestWAL records the overhead in BENCH_PR5.json).
+// BenchmarkIngestWAL measures the overhead).
 //
-// Tiered segment storage (internal/segment, off by default) bounds
-// the memory of the temporal stores themselves: an LSM-lite engine
+// Tiered segment storage (internal/segment) bounds the memory of the temporal stores themselves: an LSM-lite engine
 // with a WAL-journaled memtable in front of immutable,
 // time-partitioned segment files of columnar-compressed blocks,
 // served by mmap behind a sparse (type, time) index. Memtable
@@ -106,11 +105,11 @@
 // watermark, exactly once. Query paging cursors are positions in the
 // canonical reading order, not physical pointers, so a page walk
 // straddling a flush or compaction never loses or repeats a reading.
-// Enable with core.Options.SegmentStorage / f2cd -segment-store /
-// "segmentStorage" in the deployment document (requires a data dir),
-// or per node via fognode/cloud Config.Storage; see README "Tiered
-// storage" (benchmarks in BENCH_PR7.json, including the steady-state
-// RSS bound).
+// Every daemon given a data dir runs it beside the journal (a
+// directory is reopened the way it was written: a journal ahead of
+// its segment store is refused at construction, not served short);
+// the library enables it with core.Options.SegmentStorage or per node
+// via fognode/cloud Config.Storage. See README "Tiered storage".
 //
 // The topology is elastic (core.Options.ElasticOwnership): each
 // district's sections form a consistent-hash ownership ring
@@ -137,9 +136,8 @@
 // under the original origins at the next flush. The chaos scale
 // schedules (scale-out, scale-in, rebalance-churn) prove the exact
 // conservation ledger, bounded migrate-class traffic and seed
-// reproducibility while membership churns; scripts/rebalance.sh
-// records the ingest-p99 and traffic-closure artifact in
-// BENCH_PR9.json (see README "Elastic topology").
+// reproducibility while membership churns (see README "Elastic
+// topology").
 //
 // Standing continuous queries (internal/cq) turn the one-shot read
 // path into subscriptions: register a windowed aggregate (tumbling or
@@ -156,10 +154,10 @@
 // survive System.Reboot, and subscription routing through the
 // ownership rings so a standing query follows its shard across live
 // migration. The chaos alert-churn schedule asserts the exactly-once
-// alert ledger under partitions and crashes; scripts/alerts.sh
-// records the incremental-vs-polling WAN-byte artifact in
-// BENCH_PR10.json (see README "Continuous queries & alerting" and
-// examples/congestion).
+// alert ledger under partitions and crashes, and
+// core.TestStandingQueries10x holds the incremental plane to at least
+// 10x fewer WAN bytes than polling the same windows (see README
+// "Continuous queries & alerting" and examples/congestion).
 //
 // A multi-process city runs over real sockets through the
 // internal/transport/tcpnet production transport: persistent framed
@@ -172,12 +170,17 @@
 // flow-control window per peer, so a saturated ingest stream cannot
 // head-of-line-block a real-time read — window exhaustion surfaces as
 // transport.ErrBackpressure, which the flush machinery treats as
-// "defer and retry" rather than parent failure. f2cd -transport tcp
-// serves it, citysim -live hosts a whole loopback city behind it, and
+// "defer and retry" rather than parent failure. f2cd serves it by
+// default, citysim -live hosts a whole loopback city behind it, and
 // cmd/f2cload drives O(100k)-sensor load planes against it
-// (scripts/tcpsmoke.sh is the multi-process smoke;
-// scripts/loadbench.sh records throughput, per-plane latency and the
-// class-isolation result in BENCH_PR6.json).
+// (cmd/f2cd TestThreeProcessCity is the multi-process smoke; bench/
+// states throughput and per-plane latency).
+//
+// One deployment document (internal/config) declares a city and what
+// every node in it does; core.Options.Member is the one projection
+// every host — NewSystem, f2cd, citysim -live — builds a node from,
+// and daemon flags say only what is the process's own: identity,
+// addresses, paths. See README "Deployment document".
 //
 // Quick start:
 //

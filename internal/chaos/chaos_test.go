@@ -9,7 +9,7 @@ import (
 	"f2c/internal/sim"
 )
 
-// seedsPerScenario is raised by the long sweep (scripts/chaos.sh).
+// seedsPerScenario is raised by the long sweep (-chaos.seeds 50).
 var seedsPerScenario = flag.Int("chaos.seeds", 3, "seeded runs per scenario")
 
 // scenarios are the acceptance fault schedules. Every run

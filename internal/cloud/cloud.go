@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -180,6 +181,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, cfg.Registry, cfg.ID+".sched.")
 	}
+	// abandon releases what construction opened; a store directory
+	// this call created is removed again, so a refused boot leaves the
+	// data dir as it found it.
+	abandon := func() {}
 	if cfg.Storage != nil {
 		so := *cfg.Storage
 		if so.Registry == nil {
@@ -188,28 +193,31 @@ func New(cfg Config) (*Node, error) {
 		if so.MetricsPrefix == "" {
 			so.MetricsPrefix = cfg.ID + "."
 		}
+		_, statErr := os.Stat(so.Dir)
 		gs, err := segment.Open(so)
 		if err != nil {
 			return nil, fmt.Errorf("cloud: storage: %w", err)
 		}
 		n.series, n.segStore = gs, gs
 		n.archive.SetScanSource(gs)
+		abandon = func() {
+			gs.Discard()
+			if os.IsNotExist(statErr) {
+				_ = os.RemoveAll(so.Dir)
+			}
+		}
 	} else {
 		n.series = ramSeries{store.NewTimeSeries(0)} // permanent
 	}
 	if cfg.Durability != nil {
 		j, err := openCloudJournal(*cfg.Durability)
 		if err != nil {
-			if n.segStore != nil {
-				n.segStore.Discard()
-			}
+			abandon()
 			return nil, fmt.Errorf("cloud: %w", err)
 		}
 		if err := n.recoverJournal(j); err != nil {
 			_ = j.close()
-			if n.segStore != nil {
-				n.segStore.Discard()
-			}
+			abandon()
 			return nil, fmt.Errorf("cloud: %w", err)
 		}
 		n.journal = j
@@ -230,6 +238,15 @@ func (n *Node) recoverJournal(j *cloudJournal) error {
 		if err := rs.applyRecord(rec); err != nil {
 			return err
 		}
+	}
+	// Replay below skips snapshot records for a segment-backed series
+	// on the assumption that the store already holds them. Enforce it:
+	// a snapshot that folded preserves the store never applied means
+	// the journal was written without a segment store (or store/ was
+	// removed), and serving on would answer range queries short.
+	if n.segStore != nil && len(rs.records) > 0 && n.segStore.AppliedSeq() < rs.preserveSeq {
+		return fmt.Errorf("storage mode mismatch: the journal in %s holds %d archived batches up to preserve #%d, but the segment store in %s recovered only up to #%d — the directory was written without a segment store, or its store/ was removed; reopen it the way it was written",
+			n.cfg.Durability.Dir, len(rs.records), rs.preserveSeq, n.segStore.Dir(), n.segStore.AppliedSeq())
 	}
 	now := n.cfg.Clock.Now()
 	counter := rs.preserveSeq

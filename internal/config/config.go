@@ -22,8 +22,7 @@ import (
 
 // Per-tier retention presets (paper §IV: fog layer 1 holds hours of
 // temporal data, fog layer 2 days of recent history, the cloud years
-// of preserved archive). Deployments use them by default; individual
-// nodes override via NodeRetentionSeconds.
+// of preserved archive). Deployments use them by default.
 const (
 	PresetFog1RetentionSeconds  = 60 * 60
 	PresetFog2RetentionSeconds  = 24 * 60 * 60
@@ -57,38 +56,33 @@ type Deployment struct {
 	// frequency for specific categories (keyed by category name) —
 	// the paper's per-business-model update policy.
 	Fog1FlushByCategorySeconds map[string]int `json:"fog1FlushByCategorySeconds,omitempty"`
-	// DataDir enables durability: every node journals its delivery
-	// state (the cloud its archive) to a write-ahead log with
-	// snapshots under DataDir/<node id> and recovers it on restart.
-	// Empty keeps the deployment in-memory.
+	// DataDir makes the deployment durable: every node journals its
+	// delivery state (the cloud its archive) to a write-ahead log with
+	// snapshots under DataDir/<node id> and keeps its temporal store in
+	// the tiered segment engine under DataDir/<node id>/store (history
+	// in mmap'd segment files, resident memory near the memtable cap),
+	// recovering both on restart. Empty keeps the deployment in-memory.
+	// The daemons' -data-dir flag overrides it: a path belongs to the
+	// process.
 	DataDir string `json:"dataDir,omitempty"`
-	// SegmentStorage backs every node's temporal store with the
-	// tiered segment engine under DataDir/<node id>/store: history
-	// lives in mmap'd on-disk segment files while resident memory
-	// stays near the memtable cap. Requires dataDir.
-	SegmentStorage bool `json:"segmentStorage,omitempty"`
 	// MemtableBytes caps each segment store's in-RAM memtable before
 	// it flushes to a segment file (0 = engine default).
 	MemtableBytes int64 `json:"memtableBytes,omitempty"`
 	// CloudRetentionSeconds bounds the cloud archive's age (0 keeps
 	// it forever — the pre-preset behavior).
 	CloudRetentionSeconds int64 `json:"cloudRetentionSeconds,omitempty"`
-	// NodeRetentionSeconds overrides the tier retention preset for
-	// individual nodes, keyed by node ID (e.g. "fog1/Gràcia/3",
-	// "fog2/Gràcia", "cloud").
-	NodeRetentionSeconds map[string]int64 `json:"nodeRetentionSeconds,omitempty"`
-	// Overload enables the per-class weighted-fair admission
-	// scheduler on every node's handler path.
-	Overload bool `json:"overload,omitempty"`
-	// IngestRateBytes rate-limits the ingest class to this many
-	// payload bytes per second (0 = unlimited; requires overload).
+	// IngestRateBytes rate-limits the ingest class of every node's
+	// admission scheduler (always on: per-class weighted-fair
+	// admission gates each handler path) to this many payload bytes
+	// per second (0 = unlimited).
 	IngestRateBytes int64 `json:"ingestRateBytes,omitempty"`
+	// MaxPendingReadings bounds each fog node's per-type upward buffer
+	// in readings during parent outages (0 = unbounded).
+	MaxPendingReadings int `json:"maxPendingReadings,omitempty"`
 	// DegradeToSummary folds buffer-trimmed readings into window
-	// summaries forwarded upward instead of dropping them.
+	// summaries forwarded upward instead of dropping them (needs
+	// maxPendingReadings to bite).
 	DegradeToSummary bool `json:"degradeToSummary,omitempty"`
-	// DegradeWindowSeconds is the degraded-summary window width
-	// (0 = fognode default, one minute).
-	DegradeWindowSeconds int `json:"degradeWindowSeconds,omitempty"`
 	// AdaptiveFlush enables RTT-driven flush batch/interval tuning.
 	AdaptiveFlush bool `json:"adaptiveFlush,omitempty"`
 	// ElasticOwnership routes each sensor type's edge ingest to its
@@ -96,9 +90,6 @@ type Deployment struct {
 	// enables runtime scale of fog layer 1 (AddFog1Node /
 	// RemoveFog1Node with live shard migration between siblings).
 	ElasticOwnership bool `json:"elasticOwnership,omitempty"`
-	// VirtualNodes sets the ownership rings' virtual nodes per weight
-	// unit (0 = engine default; requires elasticOwnership).
-	VirtualNodes int `json:"virtualNodes,omitempty"`
 	// Subscriptions are standing continuous queries registered at
 	// boot: windowed aggregates or threshold predicates evaluated
 	// incrementally in the fog layer-1 ingest path, with fired alerts
@@ -203,37 +194,17 @@ func (d Deployment) Validate() error {
 			return fmt.Errorf("config: fog1FlushByCategorySeconds[%s] must be positive", catName)
 		}
 	}
-	if d.SegmentStorage && d.DataDir == "" {
-		return fmt.Errorf("config: segmentStorage requires dataDir")
-	}
 	if d.MemtableBytes < 0 {
 		return fmt.Errorf("config: negative memtableBytes")
 	}
 	if d.CloudRetentionSeconds < 0 {
 		return fmt.Errorf("config: negative cloudRetentionSeconds")
 	}
-	for id, v := range d.NodeRetentionSeconds {
-		if id == "" {
-			return fmt.Errorf("config: nodeRetentionSeconds has an empty node id")
-		}
-		if v < 0 {
-			return fmt.Errorf("config: negative nodeRetentionSeconds[%s]", id)
-		}
-	}
 	if d.IngestRateBytes < 0 {
 		return fmt.Errorf("config: negative ingestRateBytes")
 	}
-	if d.IngestRateBytes > 0 && !d.Overload {
-		return fmt.Errorf("config: ingestRateBytes requires overload")
-	}
-	if d.DegradeWindowSeconds < 0 {
-		return fmt.Errorf("config: negative degradeWindowSeconds")
-	}
-	if d.VirtualNodes < 0 {
-		return fmt.Errorf("config: negative virtualNodes")
-	}
-	if d.VirtualNodes > 0 && !d.ElasticOwnership {
-		return fmt.Errorf("config: virtualNodes requires elasticOwnership")
+	if d.MaxPendingReadings < 0 {
+		return fmt.Errorf("config: negative maxPendingReadings")
 	}
 	for i := range d.Subscriptions {
 		sub := d.Subscriptions[i].Subscription()
@@ -273,7 +244,11 @@ func (d Deployment) Topology() (*topology.Topology, error) {
 }
 
 // Options assembles core.Options for the deployment on the given
-// clock.
+// clock. A document-built node is the production profile: admission
+// always gates its handlers, and a data dir always means journal and
+// segment store together — the configuration the benchmark's durable
+// workloads measure. Running either half alone is a library choice
+// (core.Options), not a deployment one.
 func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 	topo, err := d.Topology()
 	if err != nil {
@@ -294,21 +269,10 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 			byCat[cat] = time.Duration(secs) * time.Second
 		}
 	}
-	var overload *sched.Options
-	if d.Overload {
-		so := OverloadOptions(d.IngestRateBytes)
-		overload = &so
-	}
+	overload := OverloadOptions(d.IngestRateBytes)
 	var adaptive *fognode.AdaptiveConfig
 	if d.AdaptiveFlush {
 		adaptive = &fognode.AdaptiveConfig{}
-	}
-	var nodeRetention map[string]time.Duration
-	if len(d.NodeRetentionSeconds) > 0 {
-		nodeRetention = make(map[string]time.Duration, len(d.NodeRetentionSeconds))
-		for id, secs := range d.NodeRetentionSeconds {
-			nodeRetention[id] = time.Duration(secs) * time.Second
-		}
 	}
 	return core.Options{
 		Topology:            topo,
@@ -323,24 +287,21 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 		Fog2Retention:       time.Duration(d.Fog2RetentionSeconds) * time.Second,
 		Fog1FlushByCategory: byCat,
 		DataDir:             d.DataDir,
-		SegmentStorage:      d.SegmentStorage,
+		SegmentStorage:      d.DataDir != "",
 		MemtableBytes:       d.MemtableBytes,
 		CloudRetention:      time.Duration(d.CloudRetentionSeconds) * time.Second,
-		NodeRetention:       nodeRetention,
-		Overload:            overload,
+		Overload:            &overload,
+		MaxPendingReadings:  d.MaxPendingReadings,
 		DegradeToSummary:    d.DegradeToSummary,
-		DegradeWindow:       time.Duration(d.DegradeWindowSeconds) * time.Second,
 		AdaptiveFlush:       adaptive,
 		ElasticOwnership:    d.ElasticOwnership,
-		VirtualNodes:        d.VirtualNodes,
 	}, nil
 }
 
 // OverloadOptions builds a deployment's admission-scheduler options:
 // the default class weights, with the ingest class optionally
 // token-bucket limited to rateBytes payload bytes per second
-// (0 = unlimited). Shared by the deployment document and the daemon
-// flags so both spell overload identically.
+// (0 = unlimited).
 func OverloadOptions(rateBytes int64) sched.Options {
 	so := sched.DefaultOptions()
 	if rateBytes > 0 {

@@ -2,11 +2,13 @@ package config
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/core"
 	"f2c/internal/model"
 	"f2c/internal/sim"
 )
@@ -51,8 +53,7 @@ func TestElasticOwnershipMapping(t *testing.T) {
 	d, err := Parse([]byte(`{
 		"city": "x",
 		"districts": [{"name": "a", "sections": 3}],
-		"elasticOwnership": true,
-		"virtualNodes": 64
+		"elasticOwnership": true
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +62,8 @@ func TestElasticOwnershipMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.ElasticOwnership || opts.VirtualNodes != 64 {
-		t.Errorf("elastic mapping = %v / %d", opts.ElasticOwnership, opts.VirtualNodes)
+	if !opts.ElasticOwnership {
+		t.Error("elasticOwnership did not reach the options")
 	}
 	// Default stays off.
 	if opts, err := Barcelona().Options(sim.WallClock{}); err != nil || opts.ElasticOwnership {
@@ -88,15 +89,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
-		"bad json":        `{nope`,
-		"empty city":      `{"districts":[{"name":"a","sections":1}]}`,
-		"no districts":    `{"city":"x"}`,
-		"unnamed":         `{"city":"x","districts":[{"sections":1}]}`,
-		"zero sections":   `{"city":"x","districts":[{"name":"a","sections":0}]}`,
-		"bad codec":       `{"city":"x","codec":"lzma","districts":[{"name":"a","sections":1}]}`,
-		"negative":        `{"city":"x","fog1FlushSeconds":-1,"districts":[{"name":"a","sections":1}]}`,
-		"negative vnodes": `{"city":"x","elasticOwnership":true,"virtualNodes":-1,"districts":[{"name":"a","sections":1}]}`,
-		"vnodes no ring":  `{"city":"x","virtualNodes":64,"districts":[{"name":"a","sections":1}]}`,
+		"bad json":       `{nope`,
+		"empty city":     `{"districts":[{"name":"a","sections":1}]}`,
+		"no districts":   `{"city":"x"}`,
+		"unnamed":        `{"city":"x","districts":[{"sections":1}]}`,
+		"zero sections":  `{"city":"x","districts":[{"name":"a","sections":0}]}`,
+		"bad codec":      `{"city":"x","codec":"lzma","districts":[{"name":"a","sections":1}]}`,
+		"negative":       `{"city":"x","fog1FlushSeconds":-1,"districts":[{"name":"a","sections":1}]}`,
+		"negative rate":  `{"city":"x","ingestRateBytes":-1,"districts":[{"name":"a","sections":1}]}`,
+		"negative bound": `{"city":"x","maxPendingReadings":-1,"districts":[{"name":"a","sections":1}]}`,
 	}
 	for name, data := range cases {
 		if _, err := Parse([]byte(data)); err == nil {
@@ -177,6 +178,129 @@ func TestPerCategoryFlushPolicy(t *testing.T) {
 	for i, data := range bad {
 		if _, err := Parse([]byte(data)); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestProductionProfile: a document-built deployment always gates its
+// handlers behind admission, and a data dir always means journal and
+// segment store together; the overload fields reach the options.
+func TestProductionProfile(t *testing.T) {
+	d, err := Parse([]byte(`{
+		"city": "x",
+		"districts": [{"name": "a", "sections": 1}],
+		"dataDir": "/var/lib/f2c",
+		"ingestRateBytes": 4096,
+		"maxPendingReadings": 500,
+		"degradeToSummary": true,
+		"adaptiveFlush": true
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := d.Options(sim.WallClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.DataDir != "/var/lib/f2c" || !opts.SegmentStorage {
+		t.Errorf("dataDir %q / segment storage %v: a data dir must enable both", opts.DataDir, opts.SegmentStorage)
+	}
+	if opts.Overload == nil || opts.Overload.Classes["ingest"].Rate != 4096 {
+		t.Errorf("overload = %+v, want admission on with the ingest class capped at 4096 B/s", opts.Overload)
+	}
+	if opts.MaxPendingReadings != 500 || !opts.DegradeToSummary || opts.AdaptiveFlush == nil {
+		t.Errorf("bound %d / degrade %v / adaptive %v did not reach the options",
+			opts.MaxPendingReadings, opts.DegradeToSummary, opts.AdaptiveFlush)
+	}
+	ram, err := Barcelona().Options(sim.WallClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ram.Overload == nil || ram.Overload.Classes["ingest"].Rate != 0 || ram.DataDir != "" || ram.SegmentStorage {
+		t.Errorf("default profile = overload %+v, dataDir %q, segments %v; want unlimited admission, in-memory",
+			ram.Overload, ram.DataDir, ram.SegmentStorage)
+	}
+}
+
+// TestRetiredFieldsStillParse: documents written before the profile
+// moved into the document keep loading — the fields a document-built
+// node no longer chooses are ignored, not rejected.
+func TestRetiredFieldsStillParse(t *testing.T) {
+	d, err := Parse([]byte(`{
+		"city": "x",
+		"districts": [{"name": "a", "sections": 2}],
+		"overload": false,
+		"segmentStorage": false,
+		"virtualNodes": 64,
+		"degradeWindowSeconds": 30,
+		"nodeRetentionSeconds": {"cloud": 60}
+	}`))
+	if err != nil {
+		t.Fatalf("a parent-era document must still parse and validate: %v", err)
+	}
+	if opts, err := d.Options(sim.WallClock{}); err != nil || opts.Overload == nil {
+		t.Errorf("options from a parent-era document: overload %v, err %v", opts.Overload, err)
+	}
+}
+
+// hostOnly lists the core.Options fields the deployment document
+// deliberately does not carry: what a host supplies itself (clock,
+// topology, accounting, observers) and the tuning fields only tests,
+// chaos schedules and benchmarks move.
+var hostOnly = map[string]string{
+	"Matrix":           "host: traffic accounting sink",
+	"Registry":         "host: one per process / per hosted node",
+	"Emulate":          "host: latency emulation on the simulated network",
+	"Seed":             "host: simulated-network loss draws",
+	"AlertObserver":    "host: chaos fire-side ledger",
+	"FlushConcurrency": "tuning: System flush parallelism",
+	"FlushWorkers":     "tuning: per-node flush workers",
+	"PendingShards":    "tuning: pending-buffer shard count",
+	"QueryPageLimit":   "tuning: page size, tests only",
+	"RetryBase":        "tuning: resilience, chaos only",
+	"RetryMax":         "tuning: resilience, chaos only",
+	"FailoverAfter":    "tuning: resilience, chaos only",
+	"SnapshotEvery":    "tuning: checkpoint cadence, chaos only",
+}
+
+// TestOptionsSurfaceCannotDrift: every core.Options field is either
+// written by Deployment.Options or named in hostOnly. A field added to
+// core.Options lands in neither and fails here, so the document and
+// the library cannot grow apart silently again.
+func TestOptionsSurfaceCannotDrift(t *testing.T) {
+	d, err := Parse([]byte(`{
+		"city": "x",
+		"districts": [{"name": "a", "sections": 2}],
+		"codec": "gzip", "dedup": true, "quality": true,
+		"fog1FlushSeconds": 1, "fog2FlushSeconds": 2,
+		"fog1RetentionSeconds": 3, "fog2RetentionSeconds": 4,
+		"fog1FlushByCategorySeconds": {"urban": 5},
+		"dataDir": "d", "memtableBytes": 6, "cloudRetentionSeconds": 7,
+		"ingestRateBytes": 8, "maxPendingReadings": 9,
+		"degradeToSummary": true, "adaptiveFlush": true, "elasticOwnership": true
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := d.Options(sim.WallClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := reflect.ValueOf(opts)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		_, host := hostOnly[name]
+		written := !v.Field(i).IsZero()
+		switch {
+		case written && host:
+			t.Errorf("core.Options.%s is written by Deployment.Options and listed host-only: pick one", name)
+		case !written && !host:
+			t.Errorf("core.Options.%s is neither written by Deployment.Options (with every document field set) nor listed host-only", name)
+		}
+	}
+	for name := range hostOnly {
+		if _, ok := reflect.TypeOf(core.Options{}).FieldByName(name); !ok {
+			t.Errorf("hostOnly names %s, which core.Options no longer has", name)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func newElasticState(s *System) *elasticState {
 				next = sec + 1
 			}
 		}
-		el.rings[f2.ID] = placement.NewOwnership(s.opts.VirtualNodes, members)
+		el.rings[f2.ID] = placement.NewOwnership(0, members)
 		el.seen[f2.ID] = make(map[string]struct{})
 		el.nextSection[f2.ID] = next
 	}
@@ -258,7 +258,7 @@ func (s *System) AddFog1Node(ctx context.Context, district string) (string, erro
 	if err := s.topo.AddNode(spec); err != nil {
 		return "", fmt.Errorf("core: scale-out: %w", err)
 	}
-	n, err := s.buildFog1(spec)
+	n, err := s.buildFog(spec)
 	if err != nil {
 		_ = s.topo.RemoveNode(id)
 		return "", fmt.Errorf("core: scale-out %s: %w", id, err)

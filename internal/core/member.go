@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"time"
 
 	"f2c/internal/aggregate"
@@ -17,12 +18,8 @@ import (
 )
 
 // MemberOptions configures one node of a hierarchy independently of
-// how the hierarchy is hosted. NewSystem uses it to build every node
-// of the simulated city; f2cd uses it to build the single node of a
-// daemon process; citysim's live mode uses it to host the hierarchy
-// over real sockets. Keeping all three on one builder means a
-// multi-process deployment runs exactly the node the simulations and
-// tests exercise.
+// how the hierarchy is hosted. Options.Member derives it; FogConfig
+// and CloudConfig turn it into the node's own configuration.
 type MemberOptions struct {
 	// City names the deployment for description tags.
 	City string
@@ -65,9 +62,6 @@ type MemberOptions struct {
 	// DegradeToSummary folds buffer-trimmed readings into decomposable
 	// window summaries forwarded upward instead of dropping them.
 	DegradeToSummary bool
-	// DegradeWindow is the summary window width (zero selects the
-	// fognode default).
-	DegradeWindow time.Duration
 	// Adaptive enables RTT-driven flush batch/interval tuning (nil
 	// keeps the fixed FlushInterval and unchunked batches).
 	Adaptive *fognode.AdaptiveConfig
@@ -77,6 +71,78 @@ type MemberOptions struct {
 	// AlertObserver sees every continuous-query alert push the node's
 	// own subscriptions seal (see fognode.Config.AlertObserver).
 	AlertObserver func(push protocol.AlertPush)
+}
+
+// Member projects a deployment's options onto one of its nodes: the
+// layer's retention and flush period, the node's journal under
+// DataDir/<node id> and, with SegmentStorage, its segment store under
+// DataDir/<node id>/store. Every host builds its nodes from it —
+// NewSystem each node of the simulated city, f2cd the one node of a
+// daemon process, citysim's live mode a hierarchy over real sockets —
+// so the node an operator starts is the node the tests and the chaos
+// schedules ran. tr carries the node's upward and sibling traffic and
+// siblings are its failover relay targets (see Siblings); the cloud
+// takes neither. A host that wants per-node metrics sets o.Registry
+// before the call.
+func (o Options) Member(spec topology.NodeSpec, tr transport.Transport, siblings []string) MemberOptions {
+	o.applyNodeDefaults()
+	mo := MemberOptions{
+		City:               o.City,
+		Clock:              o.Clock,
+		Transport:          tr,
+		Codec:              o.Codec,
+		Dedup:              o.Dedup,
+		Quality:            o.Quality,
+		Registry:           o.Registry,
+		Siblings:           siblings,
+		PendingShards:      o.PendingShards,
+		FlushWorkers:       o.FlushWorkers,
+		MaxQueryPage:       o.QueryPageLimit,
+		MaxPendingReadings: o.MaxPendingReadings,
+		RetryBase:          o.RetryBase,
+		RetryMax:           o.RetryMax,
+		FailoverAfter:      o.FailoverAfter,
+		Overload:           o.Overload,
+		DegradeToSummary:   o.DegradeToSummary,
+		Adaptive:           o.AdaptiveFlush,
+		CloudRetention:     o.CloudRetention,
+		AlertObserver:      o.AlertObserver,
+	}
+	switch spec.Layer {
+	case topology.LayerFog1:
+		mo.Retention, mo.FlushInterval = o.Fog1Retention, o.Fog1FlushInterval
+	case topology.LayerFog2:
+		mo.Retention, mo.FlushInterval = o.Fog2Retention, o.Fog2FlushInterval
+	}
+	if o.DataDir != "" {
+		// Node ids contain '/' and become nested directories.
+		dir := filepath.Join(o.DataDir, spec.ID)
+		mo.Durability = &wal.Config{Dir: dir, SnapshotEvery: o.SnapshotEvery}
+		if o.SegmentStorage {
+			mo.Storage = &segment.Options{Dir: filepath.Join(dir, "store"), MemtableBytes: o.MemtableBytes}
+		}
+	}
+	return mo
+}
+
+// Siblings returns a node's failover relay targets in topo: a
+// section's district neighbours, a district's other districts (when
+// its own WAN uplink is partitioned, a healthy district relays the
+// sealed batches to the cloud).
+func Siblings(topo *topology.Topology, spec topology.NodeSpec) []string {
+	switch spec.Layer {
+	case topology.LayerFog1:
+		return topo.Neighbors(spec.ID)
+	case topology.LayerFog2:
+		var sibs []string
+		for _, other := range topo.Fog2Nodes() {
+			if other.ID != spec.ID {
+				sibs = append(sibs, other.ID)
+			}
+		}
+		return sibs
+	}
+	return nil
 }
 
 // FogConfig assembles the fognode.Config for one fog node of either
@@ -106,7 +172,6 @@ func FogConfig(spec topology.NodeSpec, o MemberOptions) fognode.Config {
 		Storage:            o.Storage,
 		Scheduler:          o.Overload,
 		DegradeToSummary:   o.DegradeToSummary,
-		DegradeWindow:      o.DegradeWindow,
 		Adaptive:           o.Adaptive,
 		AlertObserver:      o.AlertObserver,
 	}

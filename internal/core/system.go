@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -27,12 +26,10 @@ import (
 	"f2c/internal/protocol"
 	"f2c/internal/query"
 	"f2c/internal/sched"
-	"f2c/internal/segment"
 	"f2c/internal/sensor"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
-	"f2c/internal/wal"
 )
 
 // Options configures a System.
@@ -117,9 +114,6 @@ type Options struct {
 	// record threshold (see wal.Config.SnapshotEvery); zero selects
 	// the wal default, negative disables automatic checkpoints.
 	SnapshotEvery int
-	// WALSyncEveryAppend fsyncs every journal append (see
-	// wal.Config.SyncEveryAppend).
-	WALSyncEveryAppend bool
 	// SegmentStorage backs every node's temporal store (and the
 	// cloud's query series + open-data scans) with the tiered segment
 	// engine under DataDir/<node id>/store, beside the node's delivery
@@ -137,9 +131,6 @@ type Options struct {
 	// degradation: trimmed readings fold into decomposable window
 	// summaries forwarded upward instead of being dropped.
 	DegradeToSummary bool
-	// DegradeWindow is the degraded-summary window width (zero selects
-	// the fognode default, one minute).
-	DegradeWindow time.Duration
 	// AdaptiveFlush enables RTT-driven flush batch/interval tuning on
 	// every fog node (nil keeps the fixed cadence).
 	AdaptiveFlush *fognode.AdaptiveConfig
@@ -148,9 +139,6 @@ type Options struct {
 	// and enables runtime scale: AddFog1Node / RemoveFog1Node rebalance
 	// ownership with live shard migration (see elastic.go).
 	ElasticOwnership bool
-	// VirtualNodes sets the ownership rings' virtual nodes per weight
-	// unit (zero selects shard.DefaultVirtualNodes).
-	VirtualNodes int
 	// AlertObserver, when set, sees every continuous-query alert push
 	// any fog node's own subscriptions seal, at seal time — the
 	// fire-side ledger chaos harnesses compare against the cloud's
@@ -160,15 +148,11 @@ type Options struct {
 	// CloudRetention bounds the cloud archive's age — the paper's
 	// years-scale preservation tier made finite (zero keeps forever).
 	CloudRetention time.Duration
-	// NodeRetention overrides the layer preset for individual nodes,
-	// keyed by node ID (CloudID overrides CloudRetention).
-	NodeRetention map[string]time.Duration
 }
 
-func (o *Options) applyDefaults() {
-	if o.Topology == nil {
-		o.Topology = topology.Barcelona()
-	}
+// applyNodeDefaults fills the settings Member projects onto a single
+// node; hosts that build one node at a time need nothing else.
+func (o *Options) applyNodeDefaults() {
 	if o.Clock == nil {
 		o.Clock = sim.WallClock{}
 	}
@@ -189,6 +173,13 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Fog2FlushInterval <= 0 {
 		o.Fog2FlushInterval = time.Hour
+	}
+}
+
+func (o *Options) applyDefaults() {
+	o.applyNodeDefaults()
+	if o.Topology == nil {
+		o.Topology = topology.Barcelona()
 	}
 	if o.Matrix == nil {
 		o.Matrix = metrics.NewTrafficMatrix()
@@ -271,7 +262,7 @@ func NewSystem(opts Options) (*System, error) {
 	s.net.Register(CloudID, cl)
 
 	for _, spec := range s.topo.Fog2Nodes() {
-		n, err := s.buildFog2(spec)
+		n, err := s.buildFog(spec)
 		if err != nil {
 			return nil, fmt.Errorf("core: fog2 %s: %w", spec.ID, err)
 		}
@@ -279,13 +270,13 @@ func NewSystem(opts Options) (*System, error) {
 		s.fog2IDs = append(s.fog2IDs, spec.ID)
 		s.net.Register(spec.ID, n)
 		s.net.SetLink(spec.ID, CloudID, transport.WANLink)
-		for _, sib := range s.fog2Siblings(spec.ID) {
+		for _, sib := range Siblings(s.topo, spec) {
 			s.net.SetLink(spec.ID, sib, transport.MetroLink)
 		}
 	}
 
 	for _, spec := range s.topo.Fog1Nodes() {
-		n, err := s.buildFog1(spec)
+		n, err := s.buildFog(spec)
 		if err != nil {
 			return nil, fmt.Errorf("core: fog1 %s: %w", spec.ID, err)
 		}
@@ -306,109 +297,15 @@ func NewSystem(opts Options) (*System, error) {
 	return s, nil
 }
 
-// durabilityFor maps a node onto its WAL directory under DataDir (nil
-// when durability is off). Node ids contain '/' and become nested
-// directories.
-func (s *System) durabilityFor(id string) *wal.Config {
-	if s.opts.DataDir == "" {
-		return nil
-	}
-	return &wal.Config{
-		Dir:             filepath.Join(s.opts.DataDir, id),
-		SnapshotEvery:   s.opts.SnapshotEvery,
-		SyncEveryAppend: s.opts.WALSyncEveryAppend,
-	}
-}
-
-// storageFor maps a node onto its segment-store directory under
-// DataDir/<node id>/store, beside the node's delivery journal (nil
-// when segment storage is off). Retention, Registry and MetricsPrefix
-// are left zero for the node builders to default.
-func (s *System) storageFor(id string) *segment.Options {
-	if !s.opts.SegmentStorage || s.opts.DataDir == "" {
-		return nil
-	}
-	return &segment.Options{
-		Dir:             filepath.Join(s.opts.DataDir, id, "store"),
-		MemtableBytes:   s.opts.MemtableBytes,
-		Codec:           s.opts.Codec,
-		SyncEveryAppend: s.opts.WALSyncEveryAppend,
-	}
-}
-
-// memberOptions projects the system's Options onto the shared
-// per-node builder, with the node-specific fields filled by the
-// caller.
-func (s *System) memberOptions(retention, flush time.Duration, siblings []string, durability *wal.Config) MemberOptions {
-	return MemberOptions{
-		Overload:           s.opts.Overload,
-		DegradeToSummary:   s.opts.DegradeToSummary,
-		DegradeWindow:      s.opts.DegradeWindow,
-		Adaptive:           s.opts.AdaptiveFlush,
-		City:               s.opts.City,
-		Clock:              s.opts.Clock,
-		Transport:          s.net,
-		Retention:          retention,
-		FlushInterval:      flush,
-		Codec:              s.opts.Codec,
-		Dedup:              s.opts.Dedup,
-		Quality:            s.opts.Quality,
-		Registry:           s.opts.Registry,
-		Siblings:           siblings,
-		PendingShards:      s.opts.PendingShards,
-		FlushWorkers:       s.opts.FlushWorkers,
-		MaxQueryPage:       s.opts.QueryPageLimit,
-		MaxPendingReadings: s.opts.MaxPendingReadings,
-		RetryBase:          s.opts.RetryBase,
-		RetryMax:           s.opts.RetryMax,
-		FailoverAfter:      s.opts.FailoverAfter,
-		Durability:         durability,
-		AlertObserver:      s.opts.AlertObserver,
-	}
-}
-
-// retentionFor applies a per-node override on top of the layer preset.
-func (s *System) retentionFor(id string, preset time.Duration) time.Duration {
-	if r, ok := s.opts.NodeRetention[id]; ok {
-		return r
-	}
-	return preset
-}
-
+// buildCloud and buildFog are the only constructors of a hosted node:
+// NewSystem, Reboot and AddFog1Node all come through them, and they
+// add nothing to what Options.Member projects.
 func (s *System) buildCloud() (*cloud.Node, error) {
-	mo := s.memberOptions(0, 0, nil, s.durabilityFor(CloudID))
-	mo.Storage = s.storageFor(CloudID)
-	mo.CloudRetention = s.retentionFor(CloudID, s.opts.CloudRetention)
-	return cloud.New(CloudConfig(CloudID, mo))
+	return cloud.New(CloudConfig(CloudID, s.opts.Member(s.topo.Cloud(), s.net, nil)))
 }
 
-// fog2Siblings returns a district's failover siblings: the other
-// districts. When its own WAN uplink is partitioned, a healthy
-// district relays the sealed batches to the cloud.
-func (s *System) fog2Siblings(id string) []string {
-	var sibs []string
-	for _, other := range s.topo.Fog2Nodes() {
-		if other.ID != id {
-			sibs = append(sibs, other.ID)
-		}
-	}
-	return sibs
-}
-
-func (s *System) buildFog2(spec topology.NodeSpec) (*fognode.Node, error) {
-	mo := s.memberOptions(
-		s.retentionFor(spec.ID, s.opts.Fog2Retention), s.opts.Fog2FlushInterval,
-		s.fog2Siblings(spec.ID), s.durabilityFor(spec.ID))
-	mo.Storage = s.storageFor(spec.ID)
-	return fognode.New(FogConfig(spec, mo))
-}
-
-func (s *System) buildFog1(spec topology.NodeSpec) (*fognode.Node, error) {
-	mo := s.memberOptions(
-		s.retentionFor(spec.ID, s.opts.Fog1Retention), s.opts.Fog1FlushInterval,
-		s.topo.Neighbors(spec.ID), s.durabilityFor(spec.ID))
-	mo.Storage = s.storageFor(spec.ID)
-	return fognode.New(FogConfig(spec, mo))
+func (s *System) buildFog(spec topology.NodeSpec) (*fognode.Node, error) {
+	return fognode.New(FogConfig(spec, s.opts.Member(spec, s.net, Siblings(s.topo, spec))))
 }
 
 // Reboot simulates a process restart of one node, fog or cloud: the
@@ -439,32 +336,21 @@ func (s *System) Reboot(id string) error {
 	if !ok {
 		return fmt.Errorf("core: reboot: unknown node %q", id)
 	}
-	switch spec.Layer {
-	case topology.LayerFog2:
-		if old, ok := s.Fog2(id); ok {
-			old.Discard()
-		}
-		n, err := s.buildFog2(spec)
-		if err != nil {
-			return fmt.Errorf("core: reboot %s: %w", id, err)
-		}
-		s.nodeMu.Lock()
-		s.fog2[id] = n
-		s.nodeMu.Unlock()
-		s.net.Register(id, n)
-	default:
-		if old, ok := s.Fog1(id); ok {
-			old.Discard()
-		}
-		n, err := s.buildFog1(spec)
-		if err != nil {
-			return fmt.Errorf("core: reboot %s: %w", id, err)
-		}
-		s.nodeMu.Lock()
-		s.fog1[id] = n
-		s.nodeMu.Unlock()
-		s.net.Register(id, n)
+	nodes, get := s.fog1, s.Fog1
+	if spec.Layer == topology.LayerFog2 {
+		nodes, get = s.fog2, s.Fog2
 	}
+	if old, ok := get(id); ok {
+		old.Discard()
+	}
+	n, err := s.buildFog(spec)
+	if err != nil {
+		return fmt.Errorf("core: reboot %s: %w", id, err)
+	}
+	s.nodeMu.Lock()
+	nodes[id] = n
+	s.nodeMu.Unlock()
+	s.net.Register(id, n)
 	return nil
 }
 

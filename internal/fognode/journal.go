@@ -876,8 +876,9 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 // at construction: snapshot, then the log tail, then installation into
 // the shards, sequence counter, replay filter and the local
 // time-series store. Metrics are not re-counted — recovered state was
-// already accounted by its first life.
-func (n *Node) recover(j *journal) error {
+// already accounted by its first life. freshStore reports that the
+// segment store's directory did not exist before this construction.
+func (n *Node) recover(j *journal, freshStore bool) error {
 	rs := newRecoveryState()
 	rs.self = n.cfg.Spec.ID
 	if n.cfg.DegradeToSummary {
@@ -947,6 +948,13 @@ func (n *Node) recover(j *journal) error {
 	// A segment-backed store is self-durable: it already recovered its
 	// own WAL and segments at Open, so replaying the delivery
 	// journal's accepted batches into it would duplicate readings.
+	// That holds only for a store that lived beside the journal: one
+	// created just now has none of them, and serving on would answer
+	// range queries short.
+	if freshStore && len(rs.stored) > 0 {
+		return fmt.Errorf("storage mode mismatch: the journal in %s holds %d stored batches, but %s did not exist — the directory was written without a segment store, or its store/ was removed; reopen it the way it was written",
+			n.cfg.Durability.Dir, len(rs.stored), n.segStore.Dir())
+	}
 	if n.segStore == nil {
 		for _, b := range rs.stored {
 			if len(b.Readings) == 0 {

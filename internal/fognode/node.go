@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -383,6 +384,9 @@ func New(cfg Config) (*Node, error) {
 		cqe:       cq.NewEngine(),
 		lc:        newLifecycle(),
 	}
+	// freshStore: this call created the segment store's directory, so
+	// the store cannot hold what an existing journal says was stored.
+	freshStore := false
 	if cfg.Storage != nil {
 		so := *cfg.Storage
 		if so.Retention == 0 {
@@ -394,11 +398,13 @@ func New(cfg Config) (*Node, error) {
 		if so.MetricsPrefix == "" {
 			so.MetricsPrefix = cfg.Spec.ID + "."
 		}
+		_, statErr := os.Stat(so.Dir)
 		gs, err := segment.Open(so)
 		if err != nil {
 			return nil, fmt.Errorf("fognode %s: storage: %w", cfg.Spec.ID, err)
 		}
 		n.store, n.segStore = gs, gs
+		freshStore = os.IsNotExist(statErr)
 	} else {
 		n.store = store.NewTimeSeries(cfg.Retention)
 	}
@@ -456,18 +462,25 @@ func New(cfg Config) (*Node, error) {
 	n.stages = append(n.stages, cfg.Stages...)
 
 	if cfg.Durability != nil {
+		// abandon releases what construction opened; a store
+		// directory this call created is removed again, so a refused
+		// boot leaves the data dir as it found it.
+		abandon := func() {
+			if n.segStore != nil {
+				n.segStore.Discard()
+				if freshStore {
+					_ = os.RemoveAll(n.segStore.Dir())
+				}
+			}
+		}
 		j, err := openJournal(*cfg.Durability)
 		if err != nil {
-			if n.segStore != nil {
-				n.segStore.Discard()
-			}
+			abandon()
 			return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
 		}
-		if err := n.recover(j); err != nil {
+		if err := n.recover(j, freshStore); err != nil {
 			_ = j.close()
-			if n.segStore != nil {
-				n.segStore.Discard()
-			}
+			abandon()
 			return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
 		}
 		n.journal = j

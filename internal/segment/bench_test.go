@@ -1,7 +1,8 @@
 package segment
 
-// Perf-trajectory benchmarks for the tiered engine, recorded in
-// BENCH_PR7.json by scripts/bench.sh:
+// Microbenchmarks for working on the tiered engine one layer at a
+// time (the benchmark in bench/ restates the same costs end to end as
+// its segment.* rows):
 //
 //   - SegmentIngest: the hot append path — the RAM TimeSeries
 //     baseline against the tiered store with the WAL on (the

@@ -32,13 +32,6 @@ type Options struct {
 	// Conns is the connection-pool size per peer per class (default
 	// 2). Requests are multiplexed over the pool round-robin.
 	Conns int
-	// SingleStream collapses every message kind onto the ingest
-	// stream: one shared connection pool, window and server dispatch
-	// class. It exists as the experimental control for the class-
-	// isolation measurement (scripts/loadbench.sh) — queries queue
-	// behind bulk batches exactly as they would on a naive single-
-	// stream transport. Never enable it in a deployment.
-	SingleStream bool
 	// Registry receives transport metrics; nil allocates a private
 	// one.
 	Registry *metrics.Registry
@@ -215,9 +208,6 @@ func (t *Transport) Send(ctx context.Context, msg transport.Message) ([]byte, er
 	}
 
 	class := ClassOf(msg.Kind)
-	if t.opts.SingleStream {
-		class = ClassIngest
-	}
 	cs := t.stats.Class(class.String())
 	cp := &p.classes[class]
 	n := int64(len(msg.Payload))
