@@ -53,7 +53,7 @@ func hostLive(dep config.Deployment, host string) (*liveCity, error) {
 		return nil, err
 	}
 	topo := opts.Topology
-	c := &liveCity{cluster: config.Cluster{Transport: config.TransportTCP, Nodes: make(map[string]string)}}
+	c := &liveCity{cluster: config.Cluster{Nodes: make(map[string]string)}}
 	serve := func(m *liveMember, h transport.Handler) error {
 		srv, err := tcpnet.NewServer(m.id, host+":0", h, tcpnet.ServerOptions{Registry: m.reg})
 		if err != nil {
@@ -143,8 +143,8 @@ func (c *liveCity) Close() error {
 	return errors.Join(errs...)
 }
 
-// runLive hosts the city, writes its cluster document (transport
-// "tcp", node id -> address) so f2cload and f2cctl can drive it, and
+// runLive hosts the city, writes its cluster document (node id ->
+// tcpnet address) so f2cload and f2cctl can drive it, and
 // serves until SIGINT/SIGTERM.
 func runLive(dep config.Deployment, host, clusterOut string) error {
 	c, err := hostLive(dep, host)

@@ -4,7 +4,7 @@
 //	f2cctl -node localhost:9002 -node-id fog1/d01-s01 flush
 //	f2cctl -node localhost:9002 -node-id fog1/d01-s01 metrics
 //	f2cctl -node localhost:9002 -node-id fog1/d01-s01 routes
-//	f2cctl -transport http -node http://localhost:8080 status   # an all-in-one gateway
+//	f2cctl -node localhost:9000 -node-id fog2/d01 status   # any node an all-in-one port hosts
 //	f2cctl -node localhost:9000 latest <sensorID>
 //	f2cctl -node localhost:9000 range <type> <fromRFC3339> <toRFC3339>
 //	f2cctl -node localhost:9000 sum <type> <fromRFC3339> <toRFC3339>
@@ -39,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"f2c/internal/config"
 	"f2c/internal/core"
 	"f2c/internal/cq"
 	"f2c/internal/metrics"
@@ -60,9 +59,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("f2cctl", flag.ContinueOnError)
-	nodeURL := fs.String("node", "", "target node address: host:port (tcp transport) or base URL (http transport)")
-	nodeID := fs.String("node-id", "cloud", "addressed node id (all-in-one gateways route by it)")
-	transportName := fs.String("transport", config.TransportTCP, "wire protocol the target serves: tcp|http")
+	nodeAddr := fs.String("node", "", "target node's tcpnet address (host:port)")
+	nodeID := fs.String("node-id", "cloud", "addressed node id (an all-in-one port routes by it)")
 	timeout := fs.Duration("timeout", 10*time.Second, "request timeout")
 	limit := fs.Int("limit", 0, "readings per range page (0 = server default)")
 	if err := fs.Parse(args); err != nil {
@@ -84,27 +82,16 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *nodeURL == "" {
+	if *nodeAddr == "" {
 		return errors.New("-node is required for remote commands")
 	}
 	target := *nodeID
 	if target == "" {
 		target = "cloud"
 	}
-	var tr transport.Transport
-	switch *transportName {
-	case config.TransportHTTP:
-		htr := transport.NewHTTPTransport(*timeout)
-		htr.AddPeer(target, *nodeURL)
-		tr = htr
-	case config.TransportTCP:
-		ttr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout})
-		ttr.AddPeer(target, *nodeURL)
-		defer ttr.Close()
-		tr = ttr
-	default:
-		return fmt.Errorf("unknown transport %q (want http|tcp)", *transportName)
-	}
+	tr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout})
+	tr.AddPeer(target, *nodeAddr)
+	defer tr.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 

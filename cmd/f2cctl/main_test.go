@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 	"f2c/internal/model"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
-	"f2c/internal/transport"
+	"f2c/internal/transport/tcpnet"
 )
 
 func TestLocalCommands(t *testing.T) {
@@ -26,7 +25,8 @@ func TestArgErrors(t *testing.T) {
 	cases := [][]string{
 		{},
 		{"status"}, // missing -node
-		{"-node", "http://x", "teleport"},
+		{"-node", "127.0.0.1:1", "teleport"},
+		{"-transport", "http", "-node", "127.0.0.1:1", "status"}, // the retired HTTP plane's flag
 		{"-bogus"},
 	}
 	for i, args := range cases {
@@ -36,7 +36,9 @@ func TestArgErrors(t *testing.T) {
 	}
 }
 
-func testNodeServer(t *testing.T) (*fognode.Node, *httptest.Server) {
+// testNodeServer serves a fog node over tcpnet and returns it with a
+// runner addressing it by id through that listener.
+func testNodeServer(t *testing.T) (*fognode.Node, func(args ...string) error) {
 	t.Helper()
 	n, err := fognode.New(fognode.Config{
 		Spec: topology.NodeSpec{
@@ -48,13 +50,18 @@ func testNodeServer(t *testing.T) (*fognode.Node, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(transport.NewHTTPHandler("fog1/test", n))
-	t.Cleanup(srv.Close)
-	return n, srv
+	srv, err := tcpnet.NewServer("fog1/test", "127.0.0.1:0", n, tcpnet.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return n, func(args ...string) error {
+		return run(append([]string{"-node", srv.Addr(), "-node-id", "fog1/test"}, args...))
+	}
 }
 
 func TestRemoteStatusAndQueries(t *testing.T) {
-	n, srv := testNodeServer(t)
+	n, ctl := testNodeServer(t)
 	at := time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
 	if err := n.Ingest(&model.Batch{
 		NodeID: "edge", TypeName: "traffic", Category: model.CategoryUrban, Collected: at,
@@ -66,50 +73,46 @@ func TestRemoteStatusAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "status"}); err != nil {
+	if err := ctl("status"); err != nil {
 		t.Errorf("status: %v", err)
 	}
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "latest", "s1"}); err != nil {
+	if err := ctl("latest", "s1"); err != nil {
 		t.Errorf("latest: %v", err)
 	}
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "latest", "ghost"}); err != nil {
+	if err := ctl("latest", "ghost"); err != nil {
 		t.Errorf("latest miss should print 'no data', not error: %v", err)
 	}
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "range", "traffic",
-		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
+	if err := ctl("range", "traffic", "2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"); err != nil {
 		t.Errorf("range: %v", err)
 	}
 	// Paged range: -limit 1 forces the cursor walk over every page.
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "-limit", "1", "range", "traffic",
-		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
+	if err := ctl("-limit", "1", "range", "traffic", "2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"); err != nil {
 		t.Errorf("paged range: %v", err)
 	}
 	// Aggregate push-down: only the summary crosses the wire.
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "sum", "traffic",
-		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
+	if err := ctl("sum", "traffic", "2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"); err != nil {
 		t.Errorf("sum: %v", err)
 	}
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "sum", "ghost",
-		"2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"}); err != nil {
+	if err := ctl("sum", "ghost", "2017-06-01T00:00:00Z", "2017-06-01T01:00:00Z"); err != nil {
 		t.Errorf("sum miss should print 'no data', not error: %v", err)
 	}
 	// Migration routing view: with no rebalance active the node
 	// reports zero counters and no forwarding routes.
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "-node-id", "fog1/test", "routes"}); err != nil {
+	if err := ctl("routes"); err != nil {
 		t.Errorf("routes: %v", err)
 	}
 	n.SetRoute("traffic", "fog1/test2")
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "-node-id", "fog1/test", "routes"}); err != nil {
+	if err := ctl("routes"); err != nil {
 		t.Errorf("routes with forwarding active: %v", err)
 	}
 	// Usage errors.
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "latest"}); err == nil {
+	if err := ctl("latest"); err == nil {
 		t.Error("latest without args must fail")
 	}
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "range", "traffic", "not-a-time", "also-not"}); err == nil {
+	if err := ctl("range", "traffic", "not-a-time", "also-not"); err == nil {
 		t.Error("bad times must fail")
 	}
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "sum", "traffic", "bad", "worse"}); err == nil {
+	if err := ctl("sum", "traffic", "bad", "worse"); err == nil {
 		t.Error("bad sum times must fail")
 	}
 }
@@ -117,7 +120,7 @@ func TestRemoteStatusAndQueries(t *testing.T) {
 func TestRemoteFlushFailsWithoutReachableParent(t *testing.T) {
 	// The node has no transport to its parent: flush must surface
 	// the remote error.
-	_, srv := testNodeServer(t)
+	_, ctl := testNodeServer(t)
 	n2, err := fognode.New(fognode.Config{
 		Spec: topology.NodeSpec{
 			ID: "fog1/test2", Layer: topology.LayerFog1, Parent: "fog2/test", Name: "t2",
@@ -129,7 +132,7 @@ func TestRemoteFlushFailsWithoutReachableParent(t *testing.T) {
 	}
 	_ = n2
 	// Empty node: flush succeeds trivially (nothing pending).
-	if err := run([]string{"-transport", "http", "-node", srv.URL, "flush"}); err != nil {
+	if err := ctl("flush"); err != nil {
 		t.Errorf("empty flush: %v", err)
 	}
 }

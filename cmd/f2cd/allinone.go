@@ -4,36 +4,37 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net/http"
 
 	"f2c/internal/config"
 	"f2c/internal/core"
+	"f2c/internal/metrics"
 	"f2c/internal/sim"
 	"f2c/internal/transport"
 )
 
 // runAllInOne hosts the entire hierarchy inside one process: every
 // fog node over the in-process simulated network, the cloud, and a
-// single HTTP endpoint. Messages are routed by the X-F2C-To header,
-// so f2cload and f2cctl work unchanged against any node, and the
-// open-data API is served from the same port — a one-command demo
-// city:
+// single tcpnet listener in front of them all. Each frame is routed by
+// the node it addresses (its To field), so f2cload and f2cctl reach
+// any hosted node through the one port by -node-id, and the open-data
+// API is served on -opendata-listen — a one-command demo city:
 //
-//	f2cd -all-in-one -listen :8080
-//	f2cload -node http://localhost:8080 -node-id fog1/d01-s01 ...
-//	f2cctl  -transport http -node http://localhost:8080 status   # routes to the cloud
+//	f2cd -all-in-one -listen :9000 -opendata-listen :8080
+//	f2cload -node localhost:9000 -node-id fog1/d01-s01 ...
+//	f2cctl  -node localhost:9000 status   # -node-id defaults to the cloud
 //	curl http://localhost:8080/opendata/v1/categories
 //
-// This mode stays HTTP: one listener fronts every node, and tcpnet
-// addresses a node by its socket. The city is the deployment
-// document's — topology, profile, elasticOwnership (scale events need
-// this host: it owns the topology, the network and the rings), and
-// standing subscriptions.
-func runAllInOne(dep config.Deployment, listen string) error {
+// The city is the deployment document's — topology, profile,
+// elasticOwnership (scale events need this host: it owns the topology,
+// the network and the rings), and standing subscriptions.
+func runAllInOne(dep config.Deployment, listen, opendataListen string) error {
 	opts, err := dep.Options(sim.WallClock{})
 	if err != nil {
 		return err
 	}
+	// One registry per process: the hosted nodes and the listener
+	// export through the same metrics scrape.
+	opts.Registry = metrics.NewRegistry()
 	sys, err := core.NewSystem(opts)
 	if err != nil {
 		return err
@@ -52,71 +53,39 @@ func runAllInOne(dep config.Deployment, listen string) error {
 	}
 	sys.Start()
 
-	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, allInOneRouter{sys: sys})
-	mux.Handle("/opendata/", sys.Cloud().OpenDataHandler())
-
 	f1, f2, _ := sys.Topology().Counts()
-	log.Printf("all-in-one %s (%d fog1 / %d fog2 / 1 cloud) listening on %s", opts.City, f1, f2, listen)
-	return serve(listen, mux, sys.Close)
+	log.Printf("all-in-one %s: %d fog1 / %d fog2 / 1 cloud", opts.City, f1, f2)
+	return serveUntilSignal("all-in-one", listen, allInOneRouter{sys: sys}, opts.Registry,
+		opendataListen, sys.Cloud().OpenDataHandler(), sys.Close)
 }
 
-// allInOneRouter dispatches /f2c/v1/message requests to the addressed
-// node by the X-F2C-To header; an empty or "cloud" target goes to the
-// cloud node.
+// allInOneRouter dispatches each message to the hosted node its frame
+// addresses; an empty or "cloud" target reaches the cloud. An edge
+// batch addressed at any section is re-addressed to its sensor type's
+// ring owner first, as IngestAt does, so elastic rebalance stays
+// transparent to edge clients that keep sending to their nearest node.
 type allInOneRouter struct {
 	sys *core.System
 }
 
-func (r allInOneRouter) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	target := req.Header.Get(transport.HeaderTo)
-	if target == "" {
-		target = core.CloudID
+func (r allInOneRouter) Handle(ctx context.Context, msg transport.Message) ([]byte, error) {
+	if msg.To == "" || msg.To == core.CloudID {
+		return r.sys.Cloud().Handle(ctx, msg)
 	}
-	h, err := r.handlerFor(target)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	transport.NewHTTPHandler(target, h).ServeHTTP(w, req)
-}
-
-func (r allInOneRouter) handlerFor(target string) (transport.Handler, error) {
-	if target == core.CloudID {
-		return r.sys.Cloud(), nil
-	}
-	if n, ok := r.sys.Fog1(target); ok {
-		// Gateway ingest must honor the ownership rings like IngestAt
-		// does: a sealed batch addressed at any section lands on its
-		// type's ring owner, so elastic rebalance stays transparent to
-		// edge clients that keep posting to their nearest node.
-		return elasticIngestHandler{sys: r.sys, id: target, node: n}, nil
-	}
-	if n, ok := r.sys.Fog2(target); ok {
-		return n, nil
-	}
-	return nil, fmt.Errorf("unknown node %q", target)
-}
-
-// elasticIngestHandler fronts a hosted fog layer-1 node: edge batches
-// are re-addressed to the sensor type's ring owner before dispatch,
-// every other message kind passes through to the addressed node.
-type elasticIngestHandler struct {
-	sys  *core.System
-	id   string
-	node transport.Handler
-}
-
-func (h elasticIngestHandler) Handle(ctx context.Context, msg transport.Message) ([]byte, error) {
-	if msg.Kind == transport.KindBatch {
-		if owner := h.sys.ElasticBatchOwner(h.id, msg.Payload); owner != h.id {
-			if n, ok := h.sys.Fog1(owner); ok {
-				msg.To = owner
-				return n.Handle(ctx, msg)
+	if n, ok := r.sys.Fog1(msg.To); ok {
+		if msg.Kind == transport.KindBatch {
+			if owner := r.sys.ElasticBatchOwner(msg.To, msg.Payload); owner != msg.To {
+				if o, ok := r.sys.Fog1(owner); ok {
+					msg.To, n = owner, o
+				}
 			}
 		}
+		return n.Handle(ctx, msg)
 	}
-	return h.node.Handle(ctx, msg)
+	if n, ok := r.sys.Fog2(msg.To); ok {
+		return n.Handle(ctx, msg)
+	}
+	return nil, fmt.Errorf("unknown node %q", msg.To)
 }
 
-var _ http.Handler = allInOneRouter{}
+var _ transport.Handler = allInOneRouter{}

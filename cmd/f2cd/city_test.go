@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -243,5 +245,89 @@ func TestThreeProcessCity(t *testing.T) {
 	again.stop(t)
 	if out := cloud.output() + fog2.output() + fog1.output() + again.output(); strings.Contains(out, "panic") {
 		t.Errorf("a daemon panicked:\n%s", out)
+	}
+}
+
+var openDataRE = regexp.MustCompile(`open data on (http://[^\s]+)/opendata/v1/`)
+
+// TestAllInOneProcess runs the all-in-one daemon as a real process: the
+// default city behind one tcpnet port and an open-data HTTP port. It
+// ingests at a section, flushes each tier by control op through that
+// one port, reads the cloud's status and the open-data categories, and
+// requires a clean exit on SIGTERM.
+func TestAllInOneProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts an f2cd process")
+	}
+	const fog1ID, fog2ID, cloudID = "fog1/d01-s01", "fog2/d01", "cloud"
+	p := startDaemon(t, cloudID, "-all-in-one", "-opendata-listen", "127.0.0.1:0")
+	m := openDataRE.FindStringSubmatch(p.output())
+	if m == nil {
+		t.Fatalf("no open-data address logged:\n%s", p.output())
+	}
+
+	tr := tcpnet.New(tcpnet.Options{})
+	defer tr.Close()
+	for _, id := range []string{fog1ID, fog2ID, cloudID} {
+		tr.AddPeer(id, p.addr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	send := func(to string, kind transport.Kind, payload []byte) []byte {
+		t.Helper()
+		reply, err := tr.Send(ctx, transport.Message{From: "edge/smoke", To: to, Kind: kind, Payload: payload})
+		if err != nil {
+			t.Fatalf("%s to %s: %v", kind, to, err)
+		}
+		return reply
+	}
+	status := func(to string) protocol.StatusResponse {
+		t.Helper()
+		req, _ := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpStatus})
+		var st protocol.StatusResponse
+		if err := protocol.DecodeJSON(send(to, transport.KindControl, req), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	st, err := model.TypeByName("temperature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sensor.NewGenerator(sensor.Config{Type: st, NodeID: "edge/smoke", Sensors: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := protocol.EncodeBatchPayload(gen.Next(time.Now()), aggregate.CodecNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(fog1ID, transport.KindBatch, payload)
+	flush, _ := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpFlush})
+	send(fog1ID, transport.KindControl, flush)
+	send(fog2ID, transport.KindControl, flush)
+
+	fog1, cloud := status(fog1ID), status(cloudID)
+	if fog1.NodeID != fog1ID || cloud.NodeID != cloudID {
+		t.Fatalf("status answered by %q and %q, want %q and %q", fog1.NodeID, cloud.NodeID, fog1ID, cloudID)
+	}
+	if cloud.StoredReadings == 0 || cloud.StoredReadings != fog1.StoredReadings {
+		t.Errorf("cloud stores %d readings, fog1 stored %d", cloud.StoredReadings, fog1.StoredReadings)
+	}
+
+	resp, err := http.Get(m[1] + "/opendata/v1/categories")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "urban") {
+		t.Errorf("open-data categories: status %d, %v:\n%s", resp.StatusCode, err, body)
+	}
+
+	p.stop(t)
+	if strings.Contains(p.output(), "panic") {
+		t.Errorf("the daemon panicked:\n%s", p.output())
 	}
 }

@@ -1,11 +1,11 @@
 // Command f2cd runs one F2C node as a network daemon, allowing a real
-// multi-process hierarchy to be assembled on any set of hosts. The
-// message plane runs over tcpnet, the persistent-connection framed
-// transport; addresses are host:port, and a -cluster JSON document
-// (see internal/config.Cluster) wires every peer at once:
+// multi-process hierarchy to be assembled on any set of hosts. Nodes
+// talk to each other over tcpnet, the persistent-connection framed
+// transport, and only over it; addresses are host:port, and a -cluster
+// JSON document (see internal/config.Cluster) wires every peer at once:
 //
-//	# cloud layer
-//	f2cd -id cloud -layer cloud -listen :9000 -data-dir /var/lib/f2c
+//	# cloud layer, with its open-data REST API on an HTTP port
+//	f2cd -id cloud -layer cloud -listen :9000 -opendata-listen :8080 -data-dir /var/lib/f2c
 //
 //	# a district (fog layer 2) node reporting to the cloud
 //	f2cd -id fog2/d01 -layer fog2 -parent cloud \
@@ -16,7 +16,8 @@
 //	     -parent-addr localhost:9001 -listen :9002 -data-dir /var/lib/f2c
 //
 // Sensors send batch envelopes to the node's listener; f2cctl inspects
-// and controls running nodes.
+// and controls running nodes. -all-in-one hosts the document's whole
+// city behind one tcpnet port instead (see runAllInOne).
 //
 // The flags say what belongs to this process — which node it is and
 // where it listens, dials and keeps its files. What the node does
@@ -27,28 +28,15 @@
 // control is always on, and -data-dir always means journal and
 // segment store together: the profile the benchmark's durable
 // workloads measure.
-//
-// -transport http serves the same messages as HTTP POSTs to
-// /f2c/v1/message (fog layers then take -parent-url):
-//
-//	f2cd -id cloud -layer cloud -transport http -listen :8080
-//	f2cd -id fog2/d01 -layer fog2 -transport http -parent cloud \
-//	     -parent-url http://localhost:8080 -listen :8081
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
-	"f2c/internal/cloud"
 	"f2c/internal/config"
 	"f2c/internal/core"
 	"f2c/internal/cq"
@@ -56,7 +44,6 @@ import (
 	"f2c/internal/metrics"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
-	"f2c/internal/transport"
 )
 
 func main() {
@@ -69,15 +56,14 @@ func main() {
 // daemon is the parsed command line: everything that is this
 // process's own.
 type daemon struct {
-	id, layer, parent     string
-	parentURL, parentAddr string
-	transport             string
-	clusterPath           string
-	listen                string
-	opendataListen        string
-	dataDir               string
-	cfgPath               string
-	allInOne              bool
+	id, layer, parent string
+	parentAddr        string
+	clusterPath       string
+	listen            string
+	opendataListen    string
+	dataDir           string
+	cfgPath           string
+	allInOne          bool
 }
 
 func parseFlags(args []string) (daemon, error) {
@@ -86,24 +72,14 @@ func parseFlags(args []string) (daemon, error) {
 	fs.StringVar(&d.id, "id", "", "node id (e.g. fog1/d01-s01 or cloud)")
 	fs.StringVar(&d.layer, "layer", "", "node layer: fog1|fog2|cloud")
 	fs.StringVar(&d.parent, "parent", "", "parent node id (fog layers)")
-	fs.StringVar(&d.parentURL, "parent-url", "", "parent base URL (fog layers, http transport)")
-	fs.StringVar(&d.parentAddr, "parent-addr", "", "parent host:port (fog layers, tcp transport)")
-	fs.StringVar(&d.transport, "transport", config.TransportTCP, "wire protocol: tcp|http (tcp is the persistent-connection framed transport)")
-	fs.StringVar(&d.clusterPath, "cluster", "", "cluster JSON mapping node ids to addresses (tcp transport; wires parent and sibling peers)")
-	fs.StringVar(&d.listen, "listen", ":8080", "listen address")
-	fs.StringVar(&d.opendataListen, "opendata-listen", "", "HTTP address for the cloud's open-data API when the message plane runs over tcp (empty = no open-data endpoint)")
+	fs.StringVar(&d.parentAddr, "parent-addr", "", "parent host:port (fog layers)")
+	fs.StringVar(&d.clusterPath, "cluster", "", "cluster JSON mapping node ids to host:port addresses (wires parent and sibling peers)")
+	fs.StringVar(&d.listen, "listen", ":8080", "tcpnet listen address")
+	fs.StringVar(&d.opendataListen, "opendata-listen", "", "HTTP address for the cloud's open-data API (cloud and -all-in-one; empty = no open-data endpoint)")
 	fs.StringVar(&d.dataDir, "data-dir", "", "durability directory: the node keeps its journal under <data-dir>/<id> and its segment store under <data-dir>/<id>/store, and recovers both on restart (overrides the document's dataDir; empty with no dataDir = in-memory)")
-	fs.BoolVar(&d.allInOne, "all-in-one", false, "run the document's whole hierarchy in this process behind one HTTP listener (demo mode)")
+	fs.BoolVar(&d.allInOne, "all-in-one", false, "run the document's whole hierarchy in this process behind one tcpnet listener, routing each message to the node it addresses (demo mode)")
 	fs.StringVar(&d.cfgPath, "config", "", "deployment JSON declaring the city and every node's profile (default: Barcelona)")
-	if err := fs.Parse(args); err != nil {
-		return d, err
-	}
-	switch d.transport {
-	case config.TransportHTTP, config.TransportTCP:
-	default:
-		return d, fmt.Errorf("unknown transport %q (want tcp|http)", d.transport)
-	}
-	return d, nil
+	return d, fs.Parse(args)
 }
 
 // deployment loads the document the daemon runs under, with the
@@ -182,65 +158,24 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return runAllInOne(dep, d.listen)
+		return runAllInOne(dep, d.listen, d.opendataListen)
 	}
 	spec, opts, subs, err := d.node()
 	if err != nil {
 		return err
 	}
-	tcp := d.transport == config.TransportTCP
 	if spec.Layer == topology.LayerCloud {
-		if tcp {
-			return runCloudTCP(spec, opts, d.listen, d.opendataListen)
+		return runCloudTCP(spec, opts, d.listen, d.opendataListen)
+	}
+	var cluster *config.Cluster
+	if d.clusterPath != "" {
+		c, err := config.LoadCluster(d.clusterPath)
+		if err != nil {
+			return err
 		}
-		return runCloud(spec, opts, d.listen)
+		cluster = &c
 	}
-	if tcp {
-		var cluster *config.Cluster
-		if d.clusterPath != "" {
-			c, err := config.LoadCluster(d.clusterPath)
-			if err != nil {
-				return err
-			}
-			cluster = &c
-		}
-		return runFogTCP(spec, opts, d.parentAddr, d.listen, cluster, subs)
-	}
-	if d.parentURL == "" {
-		return errors.New("http transport needs -parent-url")
-	}
-	return runFog(spec, opts, d.parentURL, d.listen, subs)
-}
-
-func runCloud(spec topology.NodeSpec, opts core.Options, listen string) error {
-	node, err := cloud.New(core.CloudConfig(spec.ID, opts.Member(spec, nil, nil)))
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(spec.ID, node))
-	mux.Handle("/opendata/", node.OpenDataHandler())
-	log.Printf("cloud node %s listening on %s (message + open-data API)", spec.ID, listen)
-	// A durable cloud checkpoints and closes its journal on shutdown.
-	return serve(listen, mux, func(context.Context) error { return node.Close() })
-}
-
-func runFog(spec topology.NodeSpec, opts core.Options, parentURL, listen string, subs []cq.Subscription) error {
-	tr := transport.NewHTTPTransport(30 * time.Second)
-	tr.AddPeer(spec.Parent, parentURL)
-	node, err := fognode.New(core.FogConfig(spec, opts.Member(spec, tr, nil)))
-	if err != nil {
-		return err
-	}
-	if err := bootSubscriptions(node, subs); err != nil {
-		return err
-	}
-	node.Start()
-	mux := http.NewServeMux()
-	mux.Handle(transport.MessagePath, transport.NewHTTPHandler(spec.ID, node))
-	log.Printf("%s node %s listening on %s, parent %s at %s",
-		spec.Layer, spec.ID, listen, spec.Parent, parentURL)
-	return serve(listen, mux, node.Close)
+	return runFogTCP(spec, opts, d.parentAddr, d.listen, cluster, subs)
 }
 
 // bootSubscriptions registers a daemon's standing continuous queries
@@ -258,27 +193,4 @@ func bootSubscriptions(node *fognode.Node, subs []cq.Subscription) error {
 		log.Printf("registered %d standing subscription(s)", len(subs))
 	}
 	return nil
-}
-
-// serve runs the HTTP server until SIGINT/SIGTERM, then shuts the
-// node down gracefully (final flush included).
-func serve(listen string, handler http.Handler, closeNode func(context.Context) error) error {
-	srv := &http.Server{Addr: listen, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case s := <-sig:
-		log.Printf("received %v, shutting down", s)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	return closeNode(ctx)
 }

@@ -2,7 +2,7 @@ package main
 
 import (
 	"context"
-	"net/http/httptest"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -14,6 +14,7 @@ import (
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
+	"f2c/internal/transport/tcpnet"
 )
 
 func TestArgValidation(t *testing.T) {
@@ -22,9 +23,8 @@ func TestArgValidation(t *testing.T) {
 		{"-id", "x"},                   // missing layer
 		{"-id", "x", "-layer", "warp"}, // unknown layer
 		{"-id", "x", "-layer", "fog1"}, // missing parent
-		{"-id", "x", "-layer", "fog1", "-parent", "p"},                       // tcp is the default: missing -parent-addr / -cluster
-		{"-id", "x", "-layer", "fog1", "-parent", "p", "-transport", "http"}, // http: missing -parent-url
-		{"-id", "x", "-layer", "fog1", "-parent", "p", "-transport", "carrier-pigeon"},
+		{"-id", "x", "-layer", "fog1", "-parent", "p"},                       // missing -parent-addr / -cluster
+		{"-id", "x", "-layer", "fog1", "-parent", "p", "-transport", "http"}, // the retired HTTP plane's flag
 		{"-id", "x", "-layer", "cloud", "-config", filepath.Join(t.TempDir(), "missing.json")},
 		{"-id", "x", "-layer", "fog1", "-parent", "p", "-parent-addr", "127.0.0.1:1", "-flush", "30s"}, // a profile flag: the document's now
 		{"-bogus"},
@@ -36,33 +36,65 @@ func TestArgValidation(t *testing.T) {
 	}
 }
 
+// TestAllInOneRouter drives the all-in-one gateway over its one tcpnet
+// listener: every hosted node is reached through the same port by the
+// frame's To, an empty target reaches the cloud, an edge batch sent to
+// a section that does not own its type lands at the type's ring owner,
+// and an unknown node id comes back as the remote handler's error.
 func TestAllInOneRouter(t *testing.T) {
-	topo, err := topology.New("Mini", []topology.District{{Name: "A", Sections: 2}})
+	topo, err := topology.New("Mini", []topology.District{{Name: "A", Sections: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys, err := core.NewSystem(core.Options{
 		Topology: topo, Clock: sim.WallClock{}, Dedup: true, Quality: true,
-		Codec: aggregate.CodecNone,
+		Codec: aggregate.CodecNone, ElasticOwnership: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(allInOneRouter{sys: sys})
+	defer func() {
+		if err := sys.Close(context.Background()); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	srv, err := tcpnet.NewServer(core.CloudID, "127.0.0.1:0", allInOneRouter{sys: sys}, tcpnet.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
 
-	tr := transport.NewHTTPTransport(5 * time.Second)
-	f1 := sys.Fog1IDs()[0]
-	for _, node := range []string{f1, "cloud"} {
-		tr.AddPeer(node, srv.URL)
+	// Every id the client addresses resolves to the one gateway port.
+	district := sys.Fog2IDs()[0]
+	const typ = "traffic"
+	owner, ok := sys.OwnerOf(district, typ)
+	if !ok {
+		t.Fatalf("no ring owner for %s", typ)
+	}
+	var other string
+	for _, id := range sys.Fog1IDs() {
+		if id != owner {
+			other = id
+			break
+		}
+	}
+	tr := tcpnet.New(tcpnet.Options{})
+	defer tr.Close()
+	for _, node := range []string{owner, other, district, "cloud", "", "fog1/nope"} {
+		tr.AddPeer(node, srv.Addr())
+	}
+	ctx := context.Background()
+	send := func(to string, kind transport.Kind, payload []byte) ([]byte, error) {
+		return tr.Send(ctx, transport.Message{From: "edge", To: to, Kind: kind, Payload: payload})
 	}
 
-	// Ingest a batch at a fog1 node through the gateway.
+	// Ingest at a section that does not own the type: the batch lands
+	// on the ring owner, not on the addressed node.
 	at := time.Now()
 	batch := &model.Batch{
-		NodeID: "edge", TypeName: "traffic", Category: model.CategoryUrban, Collected: at,
+		NodeID: "edge", TypeName: typ, Category: model.CategoryUrban, Collected: at,
 		Readings: []model.Reading{{
-			SensorID: "loop-1", TypeName: "traffic", Category: model.CategoryUrban,
+			SensorID: "loop-1", TypeName: typ, Category: model.CategoryUrban,
 			Time: at, Value: 44, Unit: "km/h",
 		}},
 	}
@@ -70,17 +102,16 @@ func TestAllInOneRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Send(context.Background(), transport.Message{
-		From: "edge", To: f1, Kind: transport.KindBatch, Class: "urban", Payload: payload,
-	}); err != nil {
+	if _, err := send(other, transport.KindBatch, payload); err != nil {
 		t.Fatal(err)
 	}
+	if n, _ := sys.Fog1(other); n.Status().StoredReadings != 0 {
+		t.Errorf("non-owner %s stored the batch its ring owner %s should have", other, owner)
+	}
 
-	// Query the same node through the gateway.
+	// Query the owner through the gateway.
 	q, _ := protocol.EncodeJSON(protocol.QueryRequest{SensorID: "loop-1"})
-	reply, err := tr.Send(context.Background(), transport.Message{
-		From: "app", To: f1, Kind: transport.KindQuery, Payload: q,
-	})
+	reply, err := send(owner, transport.KindQuery, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,34 +120,38 @@ func TestAllInOneRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resp.Found || resp.Readings[0].Value != 44 {
-		t.Errorf("gateway query = %+v", resp)
+		t.Errorf("owner %s answers %+v through the gateway", owner, resp)
 	}
 
-	// Cloud status through the gateway (default target routing).
+	// Control at fog2, and status at the cloud by name and by the empty
+	// default target.
+	flush, _ := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpFlush})
+	if _, err := send(owner, transport.KindControl, flush); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := send(district, transport.KindControl, flush); err != nil {
+		t.Fatal(err)
+	}
 	st, _ := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpStatus})
-	reply, err = tr.Send(context.Background(), transport.Message{
-		From: "ctl", To: "cloud", Kind: transport.KindControl, Payload: st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var status protocol.StatusResponse
-	if err := protocol.DecodeJSON(reply, &status); err != nil {
-		t.Fatal(err)
-	}
-	if status.NodeID != "cloud" {
-		t.Errorf("status = %+v", status)
-	}
-
-	// Unknown node -> 404 surfaces as a transport error.
-	tr.AddPeer("fog1/nope", srv.URL)
-	if _, err := tr.Send(context.Background(), transport.Message{
-		From: "x", To: "fog1/nope", Kind: transport.KindQuery, Payload: q,
-	}); err == nil {
-		t.Error("unknown node must fail")
+	for _, to := range []string{"cloud", ""} {
+		reply, err = send(to, transport.KindControl, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var status protocol.StatusResponse
+		if err := protocol.DecodeJSON(reply, &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.NodeID != "cloud" || status.StoredReadings != 1 {
+			t.Errorf("status addressed to %q = %+v, want the cloud holding the one reading", to, status)
+		}
 	}
 
-	if err := sys.Close(context.Background()); err != nil {
-		t.Errorf("Close: %v", err)
+	// An unknown node id is the remote handler's error, not a hang or a
+	// transport failure.
+	_, err = send("fog1/nope", transport.KindQuery, q)
+	var remote *transport.RemoteError
+	if !errors.As(err, &remote) {
+		t.Errorf("unknown node: err = %v, want *transport.RemoteError", err)
 	}
 }

@@ -3,7 +3,9 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -15,46 +17,21 @@ import (
 	"f2c/internal/core"
 	"f2c/internal/cq"
 	"f2c/internal/fognode"
+	"f2c/internal/metrics"
 	"f2c/internal/topology"
+	"f2c/internal/transport"
 	"f2c/internal/transport/tcpnet"
 )
 
-// runCloudTCP serves the cloud's message plane over the tcpnet framed
-// transport. The open-data API stays HTTP (it is a public REST
-// surface, not node-to-node traffic) on its own listener when
-// requested.
+// runCloudTCP serves the cloud over tcpnet, and its open-data API on
+// -opendata-listen when set.
 func runCloudTCP(spec topology.NodeSpec, opts core.Options, listen, opendataListen string) error {
-	id := spec.ID
-	node, err := cloud.New(core.CloudConfig(id, opts.Member(spec, nil, nil)))
+	node, err := cloud.New(core.CloudConfig(spec.ID, opts.Member(spec, nil, nil)))
 	if err != nil {
 		return err
 	}
-	srv, err := tcpnet.NewServer(id, listen, node, tcpnet.ServerOptions{Registry: opts.Registry})
-	if err != nil {
-		return err
-	}
-	var web *http.Server
-	if opendataListen != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/opendata/", node.OpenDataHandler())
-		web = &http.Server{Addr: opendataListen, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := web.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("open-data listener: %v", err)
-			}
-		}()
-	}
-	log.Printf("cloud node %s serving tcpnet on %s", id, srv.Addr())
-	waitSignal()
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if web != nil {
-		_ = web.Shutdown(ctx)
-	}
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	return node.Close()
+	return serveUntilSignal(spec.ID, listen, node, opts.Registry, opendataListen, node.OpenDataHandler(),
+		func(context.Context) error { return node.Close() })
 }
 
 // runFogTCP serves a fog node over tcpnet. The parent's address comes
@@ -72,7 +49,7 @@ func runFogTCP(spec topology.NodeSpec, opts core.Options, parentAddr, listen str
 	if parentAddr != "" {
 		tr.AddPeer(spec.Parent, parentAddr)
 	} else if cluster == nil {
-		return errNoParentAddr
+		return errors.New("fog layers need -parent-addr or -cluster")
 	} else if _, err := cluster.Addr(spec.Parent); err != nil {
 		return err
 	}
@@ -84,28 +61,53 @@ func runFogTCP(spec topology.NodeSpec, opts core.Options, parentAddr, listen str
 		return err
 	}
 	node.Start()
-	srv, err := tcpnet.NewServer(spec.ID, listen, node, tcpnet.ServerOptions{Registry: reg})
+	log.Printf("%s node %s, parent %s", spec.Layer, spec.ID, spec.Parent)
+	return serveUntilSignal(spec.ID, listen, node, reg, "", nil, func(ctx context.Context) error {
+		err := node.Close(ctx)
+		_ = tr.Close()
+		return err
+	})
+}
+
+// serveUntilSignal serves h on one tcpnet listener — and the open-data
+// API od on an HTTP listener when opendataListen is set, the only HTTP
+// a daemon speaks — until SIGINT/SIGTERM. It then closes both listeners
+// before closeNode, so the node's final flush sees no new traffic.
+func serveUntilSignal(id, listen string, h transport.Handler, reg *metrics.Registry,
+	opendataListen string, od http.Handler, closeNode func(context.Context) error) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	srv, err := tcpnet.NewServer(id, listen, h, tcpnet.ServerOptions{Registry: reg})
 	if err != nil {
 		return err
 	}
-	log.Printf("%s node %s serving tcpnet on %s, parent %s", spec.Layer, spec.ID, srv.Addr(), spec.Parent)
-	waitSignal()
+	var web *http.Server
+	if opendataListen != "" {
+		ln, err := net.Listen("tcp", opendataListen)
+		if err != nil {
+			_ = srv.Close()
+			return fmt.Errorf("open-data listener: %w", err)
+		}
+		mux := http.NewServeMux()
+		mux.Handle("/opendata/", od)
+		web = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+		go func() {
+			if err := web.Serve(ln); err != nil && err != http.ErrServerClosed {
+				log.Printf("open-data listener: %v", err)
+			}
+		}()
+		log.Printf("open data on http://%s/opendata/v1/", ln.Addr())
+	}
+	log.Printf("%s serving tcpnet on %s", id, srv.Addr())
+	log.Printf("received %v, shutting down", <-sig)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
+	if web != nil {
+		_ = web.Shutdown(ctx)
+	}
 	if err := srv.Close(); err != nil {
 		return err
 	}
-	err = node.Close(ctx)
-	_ = tr.Close()
-	return err
-}
-
-var errNoParentAddr = errors.New("tcp transport needs -parent-addr or -cluster")
-
-// waitSignal blocks until SIGINT/SIGTERM.
-func waitSignal() {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	log.Printf("received %v, shutting down", s)
+	return closeNode(ctx)
 }

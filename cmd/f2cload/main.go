@@ -2,16 +2,16 @@
 // Sentilo traffic — the sensor layer and the load plane of a
 // multi-process city.
 //
-// Single-node mode (unchanged from earlier revisions):
+// Every mode speaks tcpnet. Single-node mode drives one node, or any
+// node an f2cd -all-in-one port hosts, by its id:
 //
-//	f2cload -node http://localhost:8082 -node-id fog1/d01-s01 \
+//	f2cload -node localhost:9002 -node-id fog1/d01-s01 \
 //	        -type temperature -sensors 50 -rounds 10 -interval 500ms
 //
 // Cluster mode drives every fog layer-1 node of a cluster document
-// (citysim -live writes one) over the tcpnet transport with
-// concurrent ingest workers, and optionally a concurrent query plane
-// measuring read latency while ingest runs — the class-isolation
-// experiment:
+// (citysim -live writes one) with concurrent ingest workers, and
+// optionally a concurrent query plane measuring read latency while
+// ingest runs — the class-isolation experiment:
 //
 //	f2cload -cluster cluster.json -workers 32 -sensors 1000 -rounds 50 \
 //	        -query-workers 4 -query-rounds 200 -json results.json
@@ -68,7 +68,6 @@ type planeReport struct {
 
 // report is the JSON document -json writes.
 type report struct {
-	Transport    string       `json:"transport"`
 	Targets      []string     `json:"targets"`
 	Workers      int          `json:"workers"`
 	SensorsTotal int          `json:"sensorsTotal"`
@@ -83,9 +82,9 @@ type report struct {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("f2cload", flag.ContinueOnError)
-	nodeURL := fs.String("node", "", "target fog node base URL (single-node http mode)")
-	nodeID := fs.String("node-id", "fog1/d01-s01", "target node id (message routing)")
-	clusterPath := fs.String("cluster", "", "cluster JSON (tcp mode; targets every fog1 node)")
+	nodeAddr := fs.String("node", "", "target node's tcpnet address, host:port (single-node mode)")
+	nodeID := fs.String("node-id", "fog1/d01-s01", "target node id (an all-in-one port routes by it)")
+	clusterPath := fs.String("cluster", "", "cluster JSON (targets every fog1 node)")
 	typeName := fs.String("type", "temperature", "catalog sensor type to emit")
 	sensors := fs.Int("sensors", 50, "simulated sensors per worker (one reading each per batch)")
 	rounds := fs.Int("rounds", 10, "batches each worker sends")
@@ -105,35 +104,16 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 
-	// Resolve transport and ingest targets.
-	var (
-		tr            transport.Transport
-		targets       []string
-		scrapeIDs     []string
-		transportName string
-	)
+	// Resolve the peers and the ingest targets among them.
+	var targets, scrapeIDs []string
+	nodes := map[string]string{*nodeID: *nodeAddr}
 	switch {
 	case *clusterPath != "":
 		cluster, err := config.LoadCluster(*clusterPath)
 		if err != nil {
 			return err
 		}
-		transportName = cluster.Transport
-		switch cluster.Transport {
-		case config.TransportTCP:
-			ttr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout})
-			for id, addr := range cluster.Nodes {
-				ttr.AddPeer(id, addr)
-			}
-			defer ttr.Close()
-			tr = ttr
-		case config.TransportHTTP:
-			htr := transport.NewHTTPTransport(*timeout)
-			for id, addr := range cluster.Nodes {
-				htr.AddPeer(id, addr)
-			}
-			tr = htr
-		}
+		nodes = cluster.Nodes
 		scrapeIDs = cluster.NodeIDs()
 		for _, id := range scrapeIDs {
 			if strings.HasPrefix(id, "fog1/") {
@@ -143,15 +123,16 @@ func run(args []string, out *os.File) error {
 		if len(targets) == 0 {
 			return fmt.Errorf("cluster has no fog1 nodes to drive")
 		}
-	case *nodeURL != "":
-		transportName = config.TransportHTTP
-		htr := transport.NewHTTPTransport(*timeout)
-		htr.AddPeer(*nodeID, *nodeURL)
-		tr = htr
+	case *nodeAddr != "":
 		targets = []string{*nodeID}
 		scrapeIDs = targets
 	default:
 		return fmt.Errorf("-node or -cluster is required")
+	}
+	tr := tcpnet.New(tcpnet.Options{DialTimeout: *timeout})
+	defer tr.Close()
+	for id, addr := range nodes {
+		tr.AddPeer(id, addr)
 	}
 
 	// Ingest plane: each worker owns a generator (distinct node id, so
@@ -258,7 +239,6 @@ func run(args []string, out *os.File) error {
 	queryElapsed := time.Since(queryStart)
 
 	rep := report{
-		Transport:    transportName,
 		Targets:      targets,
 		Workers:      *workers,
 		SensorsTotal: *workers * *sensors,

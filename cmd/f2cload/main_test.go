@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net/http/httptest"
 	"os"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 	"f2c/internal/fognode"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
-	"f2c/internal/transport"
+	"f2c/internal/transport/tcpnet"
 )
 
 func TestLoadAgainstFogNode(t *testing.T) {
@@ -23,11 +22,14 @@ func TestLoadAgainstFogNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(transport.NewHTTPHandler("fog1/test", n))
+	srv, err := tcpnet.NewServer("fog1/test", "127.0.0.1:0", n, tcpnet.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
 
 	err = run([]string{
-		"-node", srv.URL, "-node-id", "fog1/test",
+		"-node", srv.Addr(), "-node-id", "fog1/test",
 		"-type", "traffic", "-sensors", "10", "-rounds", "3", "-interval", "1ms",
 	}, os.Stdout)
 	if err != nil {
@@ -45,8 +47,8 @@ func TestLoadAgainstFogNode(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{}, // missing node
-		{"-node", "http://x", "-type", "unobtainium"},
-		{"-node", "http://x", "-sensors", "0"},
+		{"-node", "127.0.0.1:1", "-type", "unobtainium"},
+		{"-node", "127.0.0.1:1", "-sensors", "0"},
 		{"-bogus"},
 	}
 	for i, args := range cases {
@@ -58,7 +60,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunUnreachableNode(t *testing.T) {
 	err := run([]string{
-		"-node", "http://127.0.0.1:1", "-rounds", "1", "-timeout", "200ms",
+		"-node", "127.0.0.1:1", "-rounds", "1", "-timeout", "200ms",
 	}, os.Stdout)
 	if err == nil {
 		t.Error("expected transport error")

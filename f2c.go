@@ -10,7 +10,6 @@ import (
 	"f2c/internal/model"
 	"f2c/internal/placement"
 	"f2c/internal/protocol"
-	"f2c/internal/service"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 )
@@ -120,25 +119,8 @@ const (
 	AlertKindThreshold = protocol.AlertKindThreshold
 )
 
-// Service types (real-time processing at fog layer 1).
-type (
-	// ServiceRule is an alerting condition over a sensor type.
-	ServiceRule = service.Rule
-	// ServiceAlert is one rule violation.
-	ServiceAlert = service.Alert
-	// ServiceEngine evaluates rules on a fog node's ingest path.
-	ServiceEngine = service.Engine
-)
-
 // NewSystem builds and wires a full F2C hierarchy.
 func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
-
-// NewServiceEngine builds a real-time rule engine; attach it to a fog
-// node via Options... (see fognode.Config.Observer) or use it
-// directly with ObserveBatch.
-func NewServiceEngine(rules []ServiceRule, sink func(ServiceAlert)) (*ServiceEngine, error) {
-	return service.NewEngine(rules, sink)
-}
 
 // NewCountMin builds a frequency sketch with the given dimensions.
 func NewCountMin(rows, cols int) (*CountMin, error) { return aggregate.NewCountMin(rows, cols) }

@@ -7,24 +7,12 @@ import (
 	"sort"
 )
 
-// Transport names accepted by Cluster.Transport.
-const (
-	// TransportTCP selects the persistent-connection tcpnet transport
-	// (addresses are "host:port").
-	TransportTCP = "tcp"
-	// TransportHTTP selects the net/http transport (addresses are
-	// base URLs, "http://host:port").
-	TransportHTTP = "http"
-)
-
-// Cluster maps the node ids of a multi-process deployment onto their
-// network addresses, so every daemon, load driver and control tool
-// reads the same one document instead of repeating -parent-url wiring
-// per process. citysim's live mode writes one for the hierarchy it
-// hosts.
+// Cluster maps the node ids of a multi-process deployment onto the
+// tcpnet addresses ("host:port") they listen on, so every daemon, load
+// driver and control tool reads the same one document instead of
+// repeating -parent-addr wiring per process. citysim's live mode writes
+// one for the hierarchy it hosts.
 type Cluster struct {
-	// Transport selects the wire protocol: "tcp" or "http".
-	Transport string `json:"transport"`
 	// Nodes maps node id (e.g. "fog1/d01-s01", "cloud") to the
 	// address the node listens on.
 	Nodes map[string]string `json:"nodes"`
@@ -32,12 +20,6 @@ type Cluster struct {
 
 // Validate checks the document.
 func (c Cluster) Validate() error {
-	switch c.Transport {
-	case TransportTCP, TransportHTTP:
-	default:
-		return fmt.Errorf("config: unknown cluster transport %q (want %q or %q)",
-			c.Transport, TransportTCP, TransportHTTP)
-	}
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("config: cluster has no nodes")
 	}
@@ -71,16 +53,25 @@ func (c Cluster) NodeIDs() []string {
 	return ids
 }
 
-// ParseCluster decodes and validates a JSON document.
+// ParseCluster decodes and validates a JSON document. Documents written
+// while a choice of wire existed carry a "transport" field: "tcp" still
+// loads; "http" named the retired HTTP message plane and, like any other
+// value, is refused here rather than at the first dial.
 func ParseCluster(data []byte) (Cluster, error) {
-	var c Cluster
-	if err := json.Unmarshal(data, &c); err != nil {
+	var doc struct {
+		Cluster
+		Transport string `json:"transport"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return Cluster{}, fmt.Errorf("config: parse cluster: %w", err)
 	}
-	if err := c.Validate(); err != nil {
+	if doc.Transport != "" && doc.Transport != "tcp" {
+		return Cluster{}, fmt.Errorf("config: cluster transport %q is not served: the HTTP message plane is retired and nodes speak tcpnet only (drop the field, list host:port addresses)", doc.Transport)
+	}
+	if err := doc.Validate(); err != nil {
 		return Cluster{}, err
 	}
-	return c, nil
+	return doc.Cluster, nil
 }
 
 // LoadCluster reads a cluster document from a file.

@@ -3,12 +3,12 @@ package config
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 func TestClusterRoundTrip(t *testing.T) {
 	c := Cluster{
-		Transport: TransportTCP,
 		Nodes: map[string]string{
 			"cloud":        "127.0.0.1:9000",
 			"fog2/d01":     "127.0.0.1:9001",
@@ -44,10 +44,9 @@ func TestClusterValidate(t *testing.T) {
 		name string
 		c    Cluster
 	}{
-		{"unknown transport", Cluster{Transport: "udp", Nodes: map[string]string{"cloud": "x"}}},
-		{"no nodes", Cluster{Transport: TransportTCP}},
-		{"empty address", Cluster{Transport: TransportHTTP, Nodes: map[string]string{"cloud": ""}}},
-		{"empty id", Cluster{Transport: TransportTCP, Nodes: map[string]string{"": "x"}}},
+		{"no nodes", Cluster{}},
+		{"empty address", Cluster{Nodes: map[string]string{"cloud": ""}}},
+		{"empty id", Cluster{Nodes: map[string]string{"": "x"}}},
 	}
 	for _, tc := range cases {
 		if err := tc.c.Validate(); err == nil {
@@ -56,5 +55,32 @@ func TestClusterValidate(t *testing.T) {
 	}
 	if _, err := ParseCluster([]byte("{")); err == nil {
 		t.Error("ParseCluster accepted malformed JSON")
+	}
+}
+
+// TestClusterTransportField: the document has no wire choice. A
+// document naming the retired HTTP plane is refused at parse, naming
+// it; "tcp" (what citysim -live wrote while the field existed) and an
+// absent field both load.
+func TestClusterTransportField(t *testing.T) {
+	nodes := `"nodes": {"cloud": "127.0.0.1:9000"}`
+	for _, doc := range []string{`{` + nodes + `}`, `{"transport": "tcp", ` + nodes + `}`} {
+		c, err := ParseCluster([]byte(doc))
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		if addr, _ := c.Addr("cloud"); addr != "127.0.0.1:9000" {
+			t.Errorf("%s: cloud at %q", doc, addr)
+		}
+	}
+	for _, transport := range []string{"http", "udp"} {
+		_, err := ParseCluster([]byte(`{"transport": "` + transport + `", ` + nodes + `}`))
+		if err == nil {
+			t.Fatalf("a %q cluster document parsed", transport)
+		}
+		if !strings.Contains(err.Error(), "HTTP message plane is retired") || !strings.Contains(err.Error(), transport) {
+			t.Errorf("%q refused with %q, want the retired HTTP plane named", transport, err)
+		}
 	}
 }

@@ -94,12 +94,6 @@ type Config struct {
 	Stages []Stage
 	// Registry receives node metrics; nil allocates a private one.
 	Registry *metrics.Registry
-	// Observer, when set, sees every batch that survives the
-	// acquisition pipeline — the hook local real-time services
-	// (paper §IV.C) attach to. Called synchronously on the ingest
-	// path; implementations must be fast, safe for concurrent use,
-	// and must not retain the batch.
-	Observer BatchObserver
 	// MaxPendingReadings bounds the per-type upward buffer during
 	// parent outages; when exceeded, the oldest readings are shed
 	// and counted in the <node>.flush.shed metric. Zero means
@@ -205,11 +199,6 @@ type TemporalStore interface {
 	QueryRangePage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error)
 	Evict(now time.Time) int
 	Stats() store.Stats
-}
-
-// BatchObserver receives post-pipeline batches.
-type BatchObserver interface {
-	ObserveBatch(b *model.Batch)
 }
 
 func (c *Config) applyDefaults() error {
@@ -552,9 +541,6 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 			if err := n.store.Append(b); err != nil {
 				return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
 			}
-			if n.cfg.Observer != nil {
-				n.cfg.Observer.ObserveBatch(b)
-			}
 			n.observeAlerts(b)
 			return nil
 		}
@@ -569,9 +555,6 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 	}
 	if err := n.store.Append(b); err != nil {
 		return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
-	}
-	if n.cfg.Observer != nil {
-		n.cfg.Observer.ObserveBatch(b)
 	}
 	// Continuous queries evaluate incrementally here, on the accepted
 	// batch — never by re-scanning the store.

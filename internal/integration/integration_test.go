@@ -1,11 +1,15 @@
 // Package integration_test assembles a real three-layer hierarchy
-// over HTTP loopback — the multi-process deployment f2cd supports —
-// and drives data end to end through actual sockets.
+// over tcpnet loopback sockets — the wiring f2cd daemons assemble
+// across processes — and drives data end to end through them.
 package integration_test
 
 import (
 	"context"
+	"io"
 	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,75 +22,81 @@ import (
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
+	"f2c/internal/transport/tcpnet"
 )
 
 var t0 = time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
 
 // deployment is a loopback city: 1 fog1 + 1 fog2 + cloud, each behind
-// its own HTTP server — the same wiring the f2cd daemon assembles
-// from its flags, driven over real sockets.
+// its own tcpnet server on an ephemeral port, each fog node dialing
+// its parent with its own client transport.
 type deployment struct {
 	fog1  *fognode.Node
 	fog2  *fognode.Node
 	cloud *cloud.Node
 	clock *sim.VirtualClock
 
-	fog1URL, fog2URL, cloudURL string
-	fog1Srv, fog2Srv, cloudSrv *httptest.Server
-	client                     *transport.HTTPTransport
+	fog1Srv, fog2Srv, cloudSrv *tcpnet.Server
+	client                     *tcpnet.Transport
 }
 
 func deploy(t *testing.T) *deployment {
 	t.Helper()
 	clock := sim.NewVirtualClock(t0)
+	serve := func(id string, h transport.Handler) *tcpnet.Server {
+		t.Helper()
+		srv, err := tcpnet.NewServer(id, "127.0.0.1:0", h, tcpnet.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv
+	}
+	dial := func(id string, srv *tcpnet.Server) *tcpnet.Transport {
+		tr := tcpnet.New(tcpnet.Options{})
+		t.Cleanup(func() { _ = tr.Close() })
+		tr.AddPeer(id, srv.Addr())
+		return tr
+	}
 
 	cl, err := cloud.New(cloud.Config{ID: "cloud", City: "loopback", Clock: clock, MaxQueryPage: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloudSrv := httptest.NewServer(transport.NewHTTPHandler("cloud", cl))
-	t.Cleanup(cloudSrv.Close)
+	cloudSrv := serve("cloud", cl)
 
-	fog2Transport := transport.NewHTTPTransport(5 * time.Second)
-	fog2Transport.AddPeer("cloud", cloudSrv.URL)
 	f2, err := fognode.New(fognode.Config{
 		Spec: topology.NodeSpec{
 			ID: "fog2/d01", Layer: topology.LayerFog2, Parent: "cloud", Name: "District 1",
 		},
-		City: "loopback", Clock: clock, Transport: fog2Transport,
+		City: "loopback", Clock: clock, Transport: dial("cloud", cloudSrv),
 		Retention: 24 * time.Hour, Codec: aggregate.CodecZip,
 		FlushInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fog2Srv := httptest.NewServer(transport.NewHTTPHandler("fog2/d01", f2))
-	t.Cleanup(fog2Srv.Close)
+	fog2Srv := serve("fog2/d01", f2)
 
-	fog1Transport := transport.NewHTTPTransport(5 * time.Second)
-	fog1Transport.AddPeer("fog2/d01", fog2Srv.URL)
 	f1, err := fognode.New(fognode.Config{
 		Spec: topology.NodeSpec{
 			ID: "fog1/d01-s01", Layer: topology.LayerFog1, Parent: "fog2/d01", Name: "Section 1",
 		},
-		City: "loopback", Clock: clock, Transport: fog1Transport,
+		City: "loopback", Clock: clock, Transport: dial("fog2/d01", fog2Srv),
 		Retention: time.Hour, Codec: aggregate.CodecZip, Dedup: true, Quality: true,
 		FlushInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fog1Srv := httptest.NewServer(transport.NewHTTPHandler("fog1/d01-s01", f1))
-	t.Cleanup(fog1Srv.Close)
+	fog1Srv := serve("fog1/d01-s01", f1)
 
-	client := transport.NewHTTPTransport(5 * time.Second)
-	client.AddPeer("fog1/d01-s01", fog1Srv.URL)
-	client.AddPeer("fog2/d01", fog2Srv.URL)
-	client.AddPeer("cloud", cloudSrv.URL)
+	client := dial("fog1/d01-s01", fog1Srv)
+	client.AddPeer("fog2/d01", fog2Srv.Addr())
+	client.AddPeer("cloud", cloudSrv.Addr())
 
 	return &deployment{
 		fog1: f1, fog2: f2, cloud: cl, clock: clock,
-		fog1URL: fog1Srv.URL, fog2URL: fog2Srv.URL, cloudURL: cloudSrv.URL,
 		fog1Srv: fog1Srv, fog2Srv: fog2Srv, cloudSrv: cloudSrv,
 		client: client,
 	}
@@ -103,11 +113,11 @@ func sensorBatch(at time.Time, vals ...float64) *model.Batch {
 	return b
 }
 
-func TestHTTPHierarchyEndToEnd(t *testing.T) {
+func TestTCPHierarchyEndToEnd(t *testing.T) {
 	d := deploy(t)
 	ctx := context.Background()
 
-	// A sensor posts a batch envelope to the fog1 node over HTTP.
+	// A sensor sends a batch envelope to the fog1 node.
 	payload, err := protocol.EncodeBatchPayload(sensorBatch(t0, 1013, 1015), aggregate.CodecNone)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +129,7 @@ func TestHTTPHierarchyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Real-time query against fog1 over HTTP.
+	// Real-time query against fog1.
 	q, _ := protocol.EncodeJSON(protocol.QueryRequest{SensorID: "station/a"})
 	reply, err := d.client.Send(ctx, transport.Message{
 		From: "app", To: "fog1/d01-s01", Kind: transport.KindQuery, Payload: q,
@@ -154,7 +164,7 @@ func TestHTTPHierarchyEndToEnd(t *testing.T) {
 		t.Fatalf("historical = %d readings", len(hist))
 	}
 
-	// Status over HTTP reflects the flow.
+	// Status reflects the flow.
 	statusReq, _ := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpStatus})
 	reply, err = d.client.Send(ctx, transport.Message{
 		From: "f2cctl", To: "fog1/d01-s01", Kind: transport.KindControl, Payload: statusReq,
@@ -171,7 +181,7 @@ func TestHTTPHierarchyEndToEnd(t *testing.T) {
 	}
 }
 
-func TestHTTPHierarchyBackgroundFlushers(t *testing.T) {
+func TestTCPHierarchyBackgroundFlushers(t *testing.T) {
 	d := deploy(t)
 	ctx := context.Background()
 
@@ -212,12 +222,12 @@ func federatedBatch(at time.Time, n int) *model.Batch {
 	return b
 }
 
-// TestHTTPFederatedQueryAndAggregate drives the hierarchical query
+// TestTCPFederatedQueryAndAggregate drives the hierarchical query
 // engine through real sockets: a federated range query routed by the
 // tier planner, a manual page-cursor walk against the cloud (each
 // response bounded by the server's page limit), and an aggregate
 // push-down where only summary-sized payloads cross the wire.
-func TestHTTPFederatedQueryAndAggregate(t *testing.T) {
+func TestTCPFederatedQueryAndAggregate(t *testing.T) {
 	d := deploy(t)
 	ctx := context.Background()
 	const total = 25
@@ -274,7 +284,7 @@ func TestHTTPFederatedQueryAndAggregate(t *testing.T) {
 		t.Fatalf("aggregate = %+v from %v", sum, src)
 	}
 
-	// Manual page-cursor walk against the cloud over HTTP: the server
+	// Manual page-cursor walk against the cloud: the server
 	// was deployed with MaxQueryPage 4, so no response may carry more.
 	var walked []model.Reading
 	cursor, pages := "", 0
@@ -333,6 +343,9 @@ func TestHTTPFederatedQueryAndAggregate(t *testing.T) {
 	}
 }
 
+// TestHTTPOpenDataServedFromHierarchy: readings that climbed the
+// hierarchy over tcpnet are published by the cloud's open-data REST
+// API, the one surface that stays HTTP.
 func TestHTTPOpenDataServedFromHierarchy(t *testing.T) {
 	d := deploy(t)
 	ctx := context.Background()
@@ -353,26 +366,26 @@ func TestHTTPOpenDataServedFromHierarchy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Dissemination over HTTP from the cloud node.
 	srv := httptest.NewServer(d.cloud.OpenDataHandler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/opendata/v1/types/weather/readings")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Errorf("open data status = %d", resp.StatusCode)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 || !strings.Contains(string(body), "990") {
+		t.Errorf("open data status = %d, %v:\n%s", resp.StatusCode, err, body)
 	}
 }
 
-// TestHTTPQueryUnderPartition kills real servers mid-deployment and
-// drives the engine's degraded paths through actual sockets: a
+// TestTCPQueryUnderPartition closes real tcpnet servers mid-deployment
+// and drives the engine's degraded paths through actual sockets: a
 // federated range with the whole fog layer down answers from the
 // cloud flagged partial; the aggregate push-down falls back to the
 // cloud when the district is down; and with every owner dead the
 // engine errors out instead of hanging.
-func TestHTTPQueryUnderPartition(t *testing.T) {
+func TestTCPQueryUnderPartition(t *testing.T) {
 	d := deploy(t)
 	ctx := context.Background()
 	const total = 10
@@ -421,8 +434,9 @@ func TestHTTPQueryUnderPartition(t *testing.T) {
 	if res.Source != query.SourceCloud || len(res.Readings) != total {
 		t.Fatalf("range = %d readings from %v, want %d from cloud", len(res.Readings), res.Source, total)
 	}
-	if !res.Partial || len(res.Unreachable) != 2 {
-		t.Errorf("partial=%v unreachable=%v, want both dead fog tiers reported", res.Partial, res.Unreachable)
+	sort.Strings(res.Unreachable)
+	if want := []string{"fog1/d01-s01", "fog2/d01"}; !res.Partial || !reflect.DeepEqual(res.Unreachable, want) {
+		t.Errorf("partial=%v unreachable=%v, want both dead fog tiers %v named", res.Partial, res.Unreachable, want)
 	}
 
 	// Aggregate push-down: the only district owner is dead, so the

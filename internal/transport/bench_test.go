@@ -2,9 +2,7 @@ package transport
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 func BenchmarkSimNetworkSend(b *testing.B) {
@@ -16,22 +14,6 @@ func BenchmarkSimNetworkSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := n.Send(ctx, msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHTTPTransportSend(b *testing.B) {
-	srv := httptest.NewServer(NewHTTPHandler("dst", echoHandler("")))
-	defer srv.Close()
-	tr := NewHTTPTransport(5 * time.Second)
-	tr.AddPeer("dst", srv.URL)
-	msg := Message{From: "src", To: "dst", Kind: KindBatch, Class: "energy", Payload: make([]byte, 512)}
-	ctx := context.Background()
-	b.SetBytes(msg.WireSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Send(ctx, msg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,33 @@ func TestUnknownPeerAndClosedTransport(t *testing.T) {
 	tr.AddPeer("x", "127.0.0.1:1")
 	if _, err := tr.Send(context.Background(), transport.Message{To: "x", Kind: transport.KindQuery}); err == nil {
 		t.Error("Send on closed transport succeeded")
+	}
+}
+
+// TestForeignClientRefused: a peer that does not open with the tcpnet
+// preface — here an HTTP request, the wire nodes no longer speak — is
+// dropped without reaching the handler, counted, and does not disturb
+// the listener for real clients.
+func TestForeignClientRefused(t *testing.T) {
+	srv, tr := echoServer(t, "cloud")
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 64)); err == nil {
+		t.Errorf("server answered a foreign client with %d bytes", n)
+	}
+	if got := srv.Stats().ConnErrors.Value(); got != 1 {
+		t.Errorf("server conn errors = %d, want 1", got)
+	}
+	reply, err := tr.Send(context.Background(), transport.Message{To: "cloud", Kind: transport.KindQuery, Payload: []byte("x")})
+	if err != nil || string(reply) != "echo:x" {
+		t.Errorf("real client after a foreign one: %q, %v", reply, err)
 	}
 }
 

@@ -1,14 +1,13 @@
 // Package transport is the network substrate of the F2C hierarchy.
 // The paper's city network (sensor links, metro fog links, WAN cloud
-// uplinks over 3G/4G) is substituted by three interchangeable
+// uplinks over 3G/4G) is substituted by two interchangeable
 // implementations of the same Transport interface: an in-process
 // simulated network with per-link latency/bandwidth/loss profiles
 // (deterministic, used by simulations, tests and latency benchmarks),
-// a real net/http transport (one request per message, simple to debug
-// behind any HTTP infrastructure), and the production tcpnet socket
-// transport (persistent framed connections with per-class
-// multiplexed streams — see internal/transport/tcpnet). All account
-// traffic identically, which is what the paper's evaluation measures.
+// and the tcpnet socket transport (persistent framed connections with
+// per-class multiplexed streams — see internal/transport/tcpnet), the
+// one wire real processes speak to each other. Both account traffic
+// identically, which is what the paper's evaluation measures.
 package transport
 
 import (
@@ -133,8 +132,8 @@ func (f HandlerFunc) Handle(ctx context.Context, msg Message) ([]byte, error) {
 // Implementations must not retain msg.Payload after Send returns:
 // senders on the hot flush path seal payloads into reusable buffers
 // and overwrite them on the next send. SimNetwork delivers
-// synchronously and HTTPTransport copies the payload into the request
-// body, so both satisfy the contract.
+// synchronously and tcpnet writes the payload to the socket before
+// Send returns, so both satisfy the contract.
 type Transport interface {
 	Send(ctx context.Context, msg Message) ([]byte, error)
 }

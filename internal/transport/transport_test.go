@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -183,128 +182,9 @@ func TestSimNetworkConcurrentSends(t *testing.T) {
 	}
 }
 
-func TestHTTPTransportRoundTrip(t *testing.T) {
-	var got Message
-	h := HandlerFunc(func(_ context.Context, msg Message) ([]byte, error) {
-		got = msg
-		return []byte("pong:" + string(msg.Payload)), nil
-	})
-	srv := httptest.NewServer(NewHTTPHandler("cloud", h))
-	defer srv.Close()
-
-	tr := NewHTTPTransport(5 * time.Second)
-	tr.AddPeer("cloud", srv.URL)
-	reply, err := tr.Send(context.Background(), Message{
-		From: "fog2/3", To: "cloud", Kind: KindBatch, Class: "urban", Payload: []byte("ping"),
-	})
-	if err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if string(reply) != "pong:ping" {
-		t.Errorf("reply = %q", reply)
-	}
-	if got.From != "fog2/3" || got.To != "cloud" || got.Kind != KindBatch || got.Class != "urban" {
-		t.Errorf("delivered message = %+v", got)
-	}
-}
-
-func TestHTTPTransportRemoteError(t *testing.T) {
-	h := HandlerFunc(func(context.Context, Message) ([]byte, error) {
-		return nil, errors.New("archive full")
-	})
-	srv := httptest.NewServer(NewHTTPHandler("cloud", h))
-	defer srv.Close()
-
-	tr := NewHTTPTransport(5 * time.Second)
-	tr.AddPeer("cloud", srv.URL)
-	_, err := tr.Send(context.Background(), Message{To: "cloud"})
-	var remote *RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("err = %v, want RemoteError", err)
-	}
-	if !strings.Contains(remote.Msg, "archive full") {
-		t.Errorf("remote msg = %q", remote.Msg)
-	}
-}
-
-func TestHTTPTransportUnknownPeer(t *testing.T) {
-	tr := NewHTTPTransport(time.Second)
-	_, err := tr.Send(context.Background(), Message{To: "ghost"})
-	if !errors.Is(err, ErrUnknownEndpoint) {
-		t.Errorf("err = %v, want ErrUnknownEndpoint", err)
-	}
-}
-
-func TestHTTPHandlerRejectsGet(t *testing.T) {
-	srv := httptest.NewServer(NewHTTPHandler("n", echoHandler("")))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + MessagePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 405 {
-		t.Errorf("GET status = %d, want 405", resp.StatusCode)
-	}
-}
-
 func TestMessageWireSize(t *testing.T) {
 	m := Message{Payload: make([]byte, 100)}
 	if got := m.WireSize(); got != 132 {
 		t.Errorf("WireSize = %d, want 132", got)
-	}
-}
-
-// TestHTTPTransportDoesNotRetainPayload pins the Transport.Send
-// buffer contract for the HTTP implementation: senders on the flush
-// path seal into reusable buffers and overwrite them as soon as Send
-// returns, so the transport must have fully detached from the payload
-// by then — even though net/http may still be draining the request
-// body asynchronously.
-func TestHTTPTransportDoesNotRetainPayload(t *testing.T) {
-	var mu sync.Mutex
-	var received []string
-	h := HandlerFunc(func(_ context.Context, msg Message) ([]byte, error) {
-		mu.Lock()
-		received = append(received, string(msg.Payload))
-		mu.Unlock()
-		return []byte("ok"), nil
-	})
-	srv := httptest.NewServer(NewHTTPHandler("cloud", h))
-	defer srv.Close()
-
-	tr := NewHTTPTransport(5 * time.Second)
-	tr.AddPeer("cloud", srv.URL)
-
-	// One reused seal buffer, overwritten immediately after each Send
-	// returns — exactly what the fognode flush path does.
-	buf := make([]byte, 64)
-	const rounds = 50
-	want := make([]string, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		payload := strings.Repeat(string(rune('a'+i%26)), len(buf))
-		copy(buf, payload)
-		want = append(want, payload)
-		if _, err := tr.Send(context.Background(), Message{
-			From: "fog1/0", To: "cloud", Kind: KindBatch, Class: "urban", Payload: buf,
-		}); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
-		}
-		// Clobber the buffer the moment Send returns.
-		for j := range buf {
-			buf[j] = 'X'
-		}
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(received) != rounds {
-		t.Fatalf("received %d payloads, want %d", len(received), rounds)
-	}
-	for i, got := range received {
-		if got != want[i] {
-			t.Fatalf("payload %d corrupted: got %q prefix, want %q prefix",
-				i, got[:8], want[i][:8])
-		}
 	}
 }
