@@ -28,7 +28,11 @@
 // envelope sealing append into reused buffers
 // (sensor.AppendBatch, protocol.Sealer), decoding parses the payload
 // in place with per-batch string interning, and every fog-node flush
-// worker reuses a scratch struct across flushes. Decompression is
+// worker reuses a scratch struct across flushes. The text codec's
+// numbers take exact integer fast paths with strconv as the fallback
+// (fixed-precision coordinates would otherwise go through strconv's
+// multi-precision decimal on every reading); the bytes written and the
+// values read are strconv's, bit for bit. Decompression is
 // bounded (aggregate.SizeLimitError) so corrupt or hostile payloads
 // cannot exhaust memory. Benchmarks: BenchmarkSealBatch,
 // BenchmarkOpenBatch (internal/protocol), BenchmarkFlushHot

@@ -11,6 +11,7 @@ import (
 	"f2c/internal/metrics"
 	"f2c/internal/model"
 	"f2c/internal/placement"
+	"f2c/internal/sensor"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
@@ -83,8 +84,17 @@ func TestEndToEndDataFlow(t *testing.T) {
 	ctx := context.Background()
 	f1 := s.Fog1IDs()[0]
 
-	if err := s.IngestAt(f1, tempBatch("s1", 21, t0)); err != nil {
-		t.Fatal(err)
+	var edgeBytes int64
+	for _, b := range []*model.Batch{tempBatch("s0", 19.25, t0.Add(-time.Minute)), tempBatch("s1", 21, t0)} {
+		b.Readings[0].Location = model.GeoPoint{Lat: 41.38, Lon: -2.17}
+		edgeBytes += int64(len(sensor.EncodeBatch(b)))
+		if err := s.IngestAt(f1, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The edge hop is charged the batches' exact wire encoding.
+	if got := s.Matrix().Bytes(metrics.HopEdgeToFog1); got != edgeBytes {
+		t.Errorf("edge->fog1 bytes = %d, want the batches' encoded %d", got, edgeBytes)
 	}
 	// Real-time read at the fog node, immediately.
 	r, found, err := s.LatestAtFog(f1, "s1")

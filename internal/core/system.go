@@ -437,10 +437,16 @@ func (s *System) IngestAt(fog1ID string, b *model.Batch) error {
 	if !ok {
 		return fmt.Errorf("core: unknown fog1 node %q", fog1ID)
 	}
-	bytes := int64(len(sensor.EncodeBatch(b)))
-	s.opts.Matrix.Record(metrics.HopEdgeToFog1, b.Category.String(), bytes)
+	buf := edgeWire.Get().(*[]byte)
+	*buf = sensor.AppendBatch((*buf)[:0], b)
+	s.opts.Matrix.Record(metrics.HopEdgeToFog1, b.Category.String(), int64(len(*buf)))
+	edgeWire.Put(buf)
 	return n.Ingest(b)
 }
+
+// edgeWire holds the scratch buffers IngestAt encodes an edge batch
+// into to count its wire bytes.
+var edgeWire = sync.Pool{New: func() any { return new([]byte) }}
 
 // Subscribe registers a standing continuous query at the lowest tier
 // owning its sensor type. With elastic ownership, that is each

@@ -119,8 +119,9 @@ func (h *Histogram) Mean() time.Duration {
 // Max returns the largest observed duration.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1)
-// based on bucket boundaries. Returns Max for the +Inf bucket.
+// Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
+// bound of the bucket holding it, or Max when that is lower (no
+// observation exceeds Max) or the bucket is +Inf.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.n.Load()
 	if n == 0 || q <= 0 {
@@ -138,7 +139,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		cum += h.counts[i].Load()
 		if cum >= rank {
 			if i < len(h.bounds) {
-				return h.bounds[i]
+				return min(h.bounds[i], h.Max())
 			}
 			return h.Max()
 		}

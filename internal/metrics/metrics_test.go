@@ -79,6 +79,18 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNotAboveMax: a quantile never reads above the
+// largest observation, even when its bucket's bound does.
+func TestHistogramQuantileNotAboveMax(t *testing.T) {
+	h := NewHistogram(DefaultLatencyBounds())
+	h.Observe(2440 * time.Microsecond) // in the (1ms, 3ms] bucket
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := h.Quantile(q); got != 2440*time.Microsecond {
+			t.Errorf("p%v = %v, want the one observation 2.44ms", q*100, got)
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Inc()
@@ -178,7 +190,7 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 }
 
 func TestHistogramMaxDominatesProperty(t *testing.T) {
-	prop := func(durations []uint32) bool {
+	prop := func(durations []uint32, qa uint8) bool {
 		h := NewHistogram(DefaultLatencyBounds())
 		var max time.Duration
 		for _, d := range durations {
@@ -188,7 +200,7 @@ func TestHistogramMaxDominatesProperty(t *testing.T) {
 				max = v
 			}
 		}
-		return h.Max() == max
+		return h.Max() == max && h.Quantile(float64(qa%100+1)/100) <= max
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

@@ -89,6 +89,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	batch := benchBatch(b, 100, 4)
 	wire := EncodeBatch(batch)
 	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeBatch(wire); err != nil {

@@ -23,6 +23,16 @@ import (
 // index parser, so the seal/open path allocates nothing beyond the
 // decoded readings themselves: batch sealing is the hottest CPU path
 // in the hierarchy and runs from many concurrent flush workers.
+//
+// Numbers take exact fast paths (number.go) with strconv as their
+// fallback, and the format is byte for byte what strconv writes:
+// lat/lon print as strconv.AppendFloat(v, 'f', 5, 64) and the value in
+// its shortest form ('f', -1). A fixed precision sends strconv through
+// its multi-precision decimal (bigFtoa) on every call, which would make
+// the two coordinates the largest single cost of sealing a batch, so
+// they are scaled and rounded in 128-bit integer math instead.
+// Decoding reads plain decimals as float64(m)/10^k and timestamps in
+// place.
 
 const headerMagic = "#f2c"
 
@@ -51,9 +61,9 @@ func AppendBatch(dst []byte, b *model.Batch) []byte {
 		dst = append(dst, ';')
 		dst = append(dst, r.Unit...)
 		dst = append(dst, ';')
-		dst = strconv.AppendFloat(dst, r.Location.Lat, 'f', 5, 64)
+		dst = appendCoordinate(dst, r.Location.Lat)
 		dst = append(dst, ';')
-		dst = strconv.AppendFloat(dst, r.Location.Lon, 'f', 5, 64)
+		dst = appendCoordinate(dst, r.Location.Lon)
 		dst = append(dst, '\n')
 	}
 	return dst
@@ -101,7 +111,7 @@ func DecodeBatch(data []byte) (*model.Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode batch: %w", err)
 	}
-	collected, err := strconv.ParseInt(string(fields[4]), 10, 64)
+	collected, err := parseInt(fields[4])
 	if err != nil {
 		return nil, fmt.Errorf("decode batch: collected time: %w", err)
 	}
@@ -127,13 +137,10 @@ func DecodeBatch(data []byte) (*model.Batch, error) {
 	}
 	// Sensor IDs repeat across collection rounds and units are shared
 	// by the whole batch: interning collapses their string
-	// allocations to one per distinct value. Pre-sizing from the
-	// header count keeps the map from reallocating mid-decode.
-	internSize := count + 1
-	if internSize > 4096 {
-		internSize = 4096
-	}
-	intern := make(map[string]string, internSize)
+	// allocations to one per distinct value. The map is sized for the
+	// distinct strings a batch carries (tens), not for its rows, and
+	// grows when a batch has more.
+	intern := make(map[string]string, min(count+1, 32))
 	for {
 		line, rest, ok = nextLine(rest)
 		if !ok {
@@ -188,19 +195,19 @@ func decodeLine(fields [][]byte, line []byte, typeName string, cat model.Categor
 		n := bytes.Count(line, []byte{';'}) + 1
 		return model.Reading{}, fmt.Errorf("want 6 fields, got %d", n)
 	}
-	ts, err := strconv.ParseInt(string(parts[1]), 10, 64)
+	ts, err := parseInt(parts[1])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("timestamp: %w", err)
 	}
-	val, err := strconv.ParseFloat(string(parts[2]), 64)
+	val, err := parseFloat(parts[2])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("value: %w", err)
 	}
-	lat, err := strconv.ParseFloat(string(parts[4]), 64)
+	lat, err := parseFloat(parts[4])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("lat: %w", err)
 	}
-	lon, err := strconv.ParseFloat(string(parts[5]), 64)
+	lon, err := parseFloat(parts[5])
 	if err != nil {
 		return model.Reading{}, fmt.Errorf("lon: %w", err)
 	}
