@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -250,17 +252,20 @@ func TestThreeProcessCity(t *testing.T) {
 
 var openDataRE = regexp.MustCompile(`open data on (http://[^\s]+)/opendata/v1/`)
 
-// TestAllInOneProcess runs the all-in-one daemon as a real process: the
-// default city behind one tcpnet port and an open-data HTTP port. It
-// ingests at a section, flushes each tier by control op through that
-// one port, reads the cloud's status and the open-data categories, and
-// requires a clean exit on SIGTERM.
+// TestAllInOneProcess runs the all-in-one daemon as a real process on
+// the production profile (-data-dir: journal + segment store at every
+// node): the default city behind one tcpnet port and an open-data HTTP
+// port. It ingests at a section, flushes each tier by control op
+// through that one port, reads the cloud's status and the open-data
+// categories, pages the open-data readings to the end and requires
+// them to add up to the cloud's stored readings, and requires a clean
+// exit on SIGTERM.
 func TestAllInOneProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts an f2cd process")
 	}
 	const fog1ID, fog2ID, cloudID = "fog1/d01-s01", "fog2/d01", "cloud"
-	p := startDaemon(t, cloudID, "-all-in-one", "-opendata-listen", "127.0.0.1:0")
+	p := startDaemon(t, cloudID, "-all-in-one", "-opendata-listen", "127.0.0.1:0", "-data-dir", t.TempDir())
 	m := openDataRE.FindStringSubmatch(p.output())
 	if m == nil {
 		t.Fatalf("no open-data address logged:\n%s", p.output())
@@ -324,6 +329,31 @@ func TestAllInOneProcess(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "urban") {
 		t.Errorf("open-data categories: status %d, %v:\n%s", resp.StatusCode, err, body)
+	}
+
+	// Open data pages through the series the cloud's status counts.
+	served, next := 0, ""
+	for pages := int64(0); ; pages++ {
+		if pages > cloud.StoredReadings/50+1 {
+			t.Fatalf("the open-data walk is still going after %d pages", pages)
+		}
+		resp, err := http.Get(m[1] + "/opendata/v1/types/temperature/readings?limit=50&cursor=" + url.QueryEscape(next))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page []model.Reading
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(page) > 50 {
+			t.Fatalf("open-data page %d: status %d, %d readings, %v", pages, resp.StatusCode, len(page), err)
+		}
+		served += len(page)
+		if next = resp.Header.Get("X-Next-Cursor"); next == "" {
+			break
+		}
+	}
+	if int64(served) != cloud.StoredReadings {
+		t.Errorf("open data serves %d temperature readings, the cloud stores %d", served, cloud.StoredReadings)
 	}
 
 	p.stop(t)

@@ -109,11 +109,13 @@
 // watermark, exactly once. Query paging cursors are positions in the
 // canonical reading order, not physical pointers, so a page walk
 // straddling a flush or compaction never loses or repeats a reading.
-// Every daemon given a data dir runs it beside the journal (a
-// directory is reopened the way it was written: a journal ahead of
-// its segment store is refused at construction, not served short);
-// the library enables it with core.Options.SegmentStorage or per node
-// via fognode/cloud Config.Storage. See README "Tiered storage".
+// A data dir always means journal plus segment store:
+// core.Options.DataDir gives every node both, and cloud.New refuses
+// one without the other. The cloud answers every range read — the
+// query path and open data alike — from that one series. A journal
+// ahead of its segment store (a directory written journal-only, or one
+// whose store/ was removed) is refused at construction, not served
+// short. See README "Tiered storage".
 //
 // The topology is elastic (core.Options.ElasticOwnership): each
 // district's sections form a consistent-hash ownership ring

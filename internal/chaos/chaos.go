@@ -86,24 +86,20 @@ type Scenario struct {
 	// no-double-count conservation ledger:
 	// preserved + degraded + shed covers every accepted reading.
 	DegradeToSummary bool
-	// Durable runs the city with per-node write-ahead logs in a
-	// temporary data directory and makes crashes real: the moment a
-	// scheduled crash lands, the victim's in-memory instance is
-	// discarded and rebooted from its journal (its network endpoint
-	// stays dark until the scheduled restart). The run then asserts
-	// the full zero-loss contract — every accepted reading preserved
-	// exactly once and DroppedDuringOutage == 0 — across every crash.
-	// Without Durable, crashes only sever the network and in-memory
-	// state survives, the pre-durability behavior.
+	// Durable runs the city on the production storage profile in a
+	// temporary data directory — per-node write-ahead logs, and
+	// temporal stores in the tiered segment engine capped at a
+	// deliberately tiny memtable, so the workload forces continuous
+	// memtable flushes and background compactions — and makes crashes
+	// real: the moment a scheduled crash lands, the victim's in-memory
+	// instance is discarded and rebooted from its journal and segments
+	// (its network endpoint stays dark until the scheduled restart),
+	// often mid-flush or mid-compaction. The run then asserts the full
+	// zero-loss contract — every accepted reading preserved exactly
+	// once and DroppedDuringOutage == 0 — across every crash. Without
+	// Durable, crashes only sever the network and in-memory state
+	// survives, the pre-durability behavior.
 	Durable bool
-	// SegmentStorage (requires Durable) backs every node's temporal
-	// store with the tiered segment engine under the run's data dir,
-	// capped at a deliberately tiny memtable so the workload forces
-	// continuous memtable flushes and background compactions — crash
-	// reboots then land mid-flush and mid-compaction, and the
-	// exactly-once contract must still hold over WAL-replayed memtable
-	// + recovered segments.
-	SegmentStorage bool
 	// Elastic routes ingest through per-district consistent-hash
 	// ownership rings (core.Options.ElasticOwnership) and lets the
 	// schedule grow and shrink fog layer 1 mid-run with live shard
@@ -226,16 +222,6 @@ func smallCity() (*topology.Topology, error) {
 	})
 }
 
-// memtableCap returns the segment-store memtable bound for a run:
-// tiny, so flushes and compactions overlap the fault schedule (0 when
-// the tiered store is off — the option is ignored).
-func memtableCap(s Scenario) int64 {
-	if !s.SegmentStorage {
-		return 0
-	}
-	return 2048
-}
-
 // failf builds an invariant-violation error that always carries the
 // scenario name and the reproducing seed.
 func (s *Scenario) failf(format string, args ...any) error {
@@ -259,9 +245,6 @@ func Run(s Scenario) (Result, error) {
 			return res, err
 		}
 		defer os.RemoveAll(dataDir)
-	}
-	if s.SegmentStorage && dataDir == "" {
-		return res, fmt.Errorf("chaos %s: SegmentStorage requires Durable", s.Name)
 	}
 	clock := sim.NewVirtualClock(epoch)
 	// Degrade runs also gate every handler through the admission
@@ -306,8 +289,7 @@ func Run(s Scenario) (Result, error) {
 		// The tiny memtable cap turns the workload into a flush/compact
 		// storm: every few batches spill a segment, so crash reboots
 		// routinely interrupt a memtable flush or a compaction merge.
-		SegmentStorage: s.SegmentStorage,
-		MemtableBytes:  memtableCap(s),
+		MemtableBytes: 2048,
 		// Elastic runs route ingest through the per-district ownership
 		// rings and allow mid-run scale events.
 		ElasticOwnership: s.Elastic,

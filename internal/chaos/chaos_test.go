@@ -32,15 +32,12 @@ var scenarios = []Scenario{
 	// shed + degraded ledger.
 	{Name: "crash+restart degrade", Kind: KindCrashRestart, MaxPendingReadings: 40, DegradeToSummary: true},
 	// Durable variant: crashes at every tier destroy volatile state
-	// and the victims reboot from their write-ahead logs; the run
-	// must still preserve every accepted reading exactly once.
+	// and the victims reboot from their write-ahead logs and segment
+	// stores (a tiny memtable, so reboots land mid-segment-flush and
+	// mid-compaction); recovery must stitch journal, WAL-replayed
+	// memtable and on-disk segments back together and still preserve
+	// every accepted reading exactly once.
 	{Name: "crash+recover durable", Kind: KindCrashRecovery, Durable: true},
-	// Tiered-storage variant: same crash schedule, but every temporal
-	// store is the segment engine with a tiny memtable, so reboots
-	// land mid-segment-flush and mid-compaction; recovery must stitch
-	// WAL-replayed memtable + on-disk segments back together with no
-	// loss and no duplicates.
-	{Name: "crash+recover segment store", Kind: KindCrashRecovery, Durable: true, SegmentStorage: true},
 	// Alert variant: standing continuous queries fire throughout a
 	// mixed partition + crash schedule (Durable implied), and the run
 	// additionally asserts the exactly-once alert ledger — the fired
@@ -96,33 +93,32 @@ func TestChaosExercisesResilienceMachinery(t *testing.T) {
 }
 
 // TestChaosCrashRecoveryZeroLoss is the durability acceptance
-// contract, run both ways on the same schedules: with durability ON,
-// crash-instant journal reboots must lose nothing (preserved ==
-// accepted exactly once, DroppedDuringOutage == 0 — asserted inside
-// Run) while actually rebooting at every tier; the schedules must
-// also demonstrably destroy state when durability is OFF, or the
-// zero-loss assertion would be passing against harmless crashes.
+// contract, run both ways on the same schedules: with durability ON
+// (journal + segment store), crash-instant reboots must lose nothing
+// (preserved == accepted exactly once, DroppedDuringOutage == 0 —
+// asserted inside Run) while actually rebooting at every tier; the
+// schedules must also demonstrably destroy state when durability is
+// OFF, or the zero-loss assertion would be passing against harmless
+// crashes.
 func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 	lossless := 0
 	for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
-		for _, segments := range []bool{false, true} {
-			durable := Scenario{Name: "durable recovery", Kind: KindCrashRecovery, Durable: true, SegmentStorage: segments, Seed: seed}
-			res, err := Run(durable)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Reboots == 0 {
-				t.Fatalf("seed %d (segments=%v): durable run performed no journal reboots: crashes never landed", seed, segments)
-			}
-			if res.Preserved != res.Accepted {
-				t.Fatalf("seed %d (segments=%v): durable run preserved %d of %d accepted readings", seed, segments, res.Preserved, res.Accepted)
-			}
-			if res.Dropped != 0 || res.Shed != 0 {
-				t.Fatalf("seed %d (segments=%v): durable run dropped %d / shed %d readings", seed, segments, res.Dropped, res.Shed)
-			}
-			t.Logf("seed %d (segments=%v): accepted %d preserved %d, %d reboots, %d dups suppressed",
-				seed, segments, res.Accepted, res.Preserved, res.Reboots, res.Duplicates)
+		durable := Scenario{Name: "durable recovery", Kind: KindCrashRecovery, Durable: true, Seed: seed}
+		res, err := Run(durable)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Reboots == 0 {
+			t.Fatalf("seed %d: durable run performed no journal reboots: crashes never landed", seed)
+		}
+		if res.Preserved != res.Accepted {
+			t.Fatalf("seed %d: durable run preserved %d of %d accepted readings", seed, res.Preserved, res.Accepted)
+		}
+		if res.Dropped != 0 || res.Shed != 0 {
+			t.Fatalf("seed %d: durable run dropped %d / shed %d readings", seed, res.Dropped, res.Shed)
+		}
+		t.Logf("seed %d: accepted %d preserved %d, %d reboots, %d dups suppressed",
+			seed, res.Accepted, res.Preserved, res.Reboots, res.Duplicates)
 
 		// Control: durability off on the same schedule keeps the old
 		// crash semantics — in-memory state survives (no reboots) and
@@ -187,24 +183,20 @@ func TestChaosRebootLosesStateWithoutJournal(t *testing.T) {
 }
 
 // TestChaosDurableSeedReproducible extends the debugging contract to
-// durable runs: journal recovery must not introduce nondeterminism —
-// including when recovery also reopens a tiered segment store.
+// durable runs: recovery from the journal and the tiered segment store
+// must not introduce nondeterminism.
 func TestChaosDurableSeedReproducible(t *testing.T) {
-	for _, sc := range []Scenario{
-		{Name: "durable repro", Kind: KindCrashRecovery, Durable: true, Seed: 11},
-		{Name: "segment repro", Kind: KindCrashRecovery, Durable: true, SegmentStorage: true, Seed: 11},
-	} {
-		a, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("%s: same durable seed diverged:\n first %+v\nsecond %+v", sc.Name, a, b)
-		}
+	sc := Scenario{Name: "durable repro", Kind: KindCrashRecovery, Durable: true, Seed: 11}
+	a, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Errorf("same durable seed diverged:\n first %+v\nsecond %+v", a, b)
 	}
 }
 

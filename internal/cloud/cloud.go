@@ -41,7 +41,7 @@ type Config struct {
 	// WAN (default zip, matching the upward path).
 	Codec aggregate.Codec
 	// MaxQueryPage bounds how many readings one query response may
-	// carry; historical scans over the archive stream in
+	// carry; historical scans (KindQuery and open data) stream in
 	// cursor-linked pages. Zero selects protocol.DefaultPageLimit.
 	MaxQueryPage int
 	// ReplayWindow bounds how many recently preserved batch sequences
@@ -59,39 +59,40 @@ type Config struct {
 	// time is defined" — the cloud preset is years, configured per
 	// deployment). Zero preserves permanently.
 	Retention time.Duration
-	// Durability, when set, journals every preserved batch (and every
-	// data-destruction cutoff) to a write-ahead log with periodic
-	// snapshots in Durability.Dir, and recovers the archive, the query
-	// series and the replay-filter marks from it at construction — so
-	// archived history survives a cloud restart. Nil (the default)
-	// keeps the node fully in-memory.
+	// Durability and Storage make the cloud durable, and are set
+	// together or not at all (ErrStorageMode): a data dir is a journal
+	// plus a segment store. Durability journals every preserved batch
+	// (and every data-destruction cutoff) to a write-ahead log with
+	// periodic snapshots in Durability.Dir, and recovers the archive
+	// and the replay-filter marks from it at construction. Storage
+	// holds the query series — the one copy of the readings that every
+	// range read, open data included, is served from — in the tiered
+	// segment engine, which recovers itself. Each preserve is numbered
+	// and the number journaled with the batch, so recovery replays the
+	// journal tail into the store exactly once. Storage's Registry and
+	// MetricsPrefix default from the cloud config when zero; its
+	// Retention stays 0 (permanent) unless set. Both nil (the default)
+	// keeps the node fully in-memory, on a permanent in-RAM TimeSeries.
 	Durability *wal.Config
-	// Storage, when set, backs the historical query series with the
-	// tiered segment engine instead of the permanent in-RAM
-	// TimeSeries, and redirects the archive's reading-range scans
-	// (open-data dissemination) to the same mmap'd segments. Each
-	// preserve is numbered and the number journaled with the batch, so
-	// recovery replays the journal tail into the self-durable store
-	// exactly once. Registry and MetricsPrefix default from the cloud
-	// config when zero; Retention stays 0 (permanent) unless set.
-	Storage *segment.Options
+	Storage    *segment.Options
 }
 
-// querySeries is the cloud's historical query store: the permanent
-// in-RAM TimeSeries or the durable segment.Store. AppendSeq carries
-// the preserve number used to dedupe journal replay into a
-// self-durable store; the RAM store ignores it.
+// ErrStorageMode refuses a cloud configured with only one of
+// Durability and Storage.
+var ErrStorageMode = errors.New("cloud: Durability and Storage must be set together: a data dir is a journal plus a segment store")
+
+// querySeries is the cloud's one query series: the permanent in-RAM
+// TimeSeries or the durable segment.Store. AppendSeq carries the
+// preserve number used to dedupe journal replay into the self-durable
+// store; the RAM store ignores it.
 type querySeries interface {
+	store.Series
 	AppendSeq(b *model.Batch, seq uint64) error
-	Latest(sensorID string) (model.Reading, bool)
-	QueryRange(typeName string, from, to time.Time) []model.Reading
-	QueryRangePage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error)
-	Stats() store.Stats
 }
 
 // ramSeries adapts store.TimeSeries to querySeries: preserve numbers
-// exist only to make replay into a self-durable store idempotent, so
-// the in-RAM store (rebuilt from scratch each recovery) drops them.
+// exist only to make journal replay idempotent, and an in-RAM cloud
+// has no journal.
 type ramSeries struct{ *store.TimeSeries }
 
 func (r ramSeries) AppendSeq(b *model.Batch, _ uint64) error { return r.Append(b) }
@@ -101,13 +102,13 @@ type Node struct {
 	cfg     Config
 	archive *store.Archive
 	series  querySeries
-	// segStore aliases series when the segment engine backs it (nil
-	// on an in-RAM cloud): it owns on-disk state closed with the
-	// node, and it recovers itself, so journal replay dedupes against
-	// its preserve-number watermark instead of re-appending.
+	// journal and segStore are the durable pair, both nil on an
+	// in-RAM cloud. segStore aliases series: it owns on-disk state
+	// closed with the node, and it recovers itself, so journal replay
+	// dedupes against its preserve-number watermark.
+	journal  *cloudJournal
 	segStore *segment.Store
 	replay   *protocol.ReplayFilter
-	journal  *cloudJournal // durability log; nil when off
 	// preserveSeq numbers accepted batches 1, 2, ... in journal order;
 	// guarded by journal.mu (never advanced on a journal-less cloud,
 	// where replay cannot happen and number 0 means "unnumbered").
@@ -165,6 +166,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.MaxQueryPage <= 0 {
 		cfg.MaxQueryPage = protocol.DefaultPageLimit
 	}
+	if (cfg.Durability == nil) != (cfg.Storage == nil) {
+		return nil, ErrStorageMode
+	}
 	n := &Node{
 		cfg:             cfg,
 		archive:         store.NewArchive(),
@@ -181,54 +185,47 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, cfg.Registry, cfg.ID+".sched.")
 	}
-	// abandon releases what construction opened; a store directory
-	// this call created is removed again, so a refused boot leaves the
-	// data dir as it found it.
-	abandon := func() {}
-	if cfg.Storage != nil {
-		so := *cfg.Storage
-		if so.Registry == nil {
-			so.Registry = cfg.Registry
-		}
-		if so.MetricsPrefix == "" {
-			so.MetricsPrefix = cfg.ID + "."
-		}
-		_, statErr := os.Stat(so.Dir)
-		gs, err := segment.Open(so)
-		if err != nil {
-			return nil, fmt.Errorf("cloud: storage: %w", err)
-		}
-		n.series, n.segStore = gs, gs
-		n.archive.SetScanSource(gs)
-		abandon = func() {
-			gs.Discard()
-			if os.IsNotExist(statErr) {
-				_ = os.RemoveAll(so.Dir)
-			}
-		}
-	} else {
+	if cfg.Durability == nil {
 		n.series = ramSeries{store.NewTimeSeries(0)} // permanent
+		return n, nil
 	}
-	if cfg.Durability != nil {
-		j, err := openCloudJournal(*cfg.Durability)
-		if err != nil {
-			abandon()
-			return nil, fmt.Errorf("cloud: %w", err)
-		}
-		if err := n.recoverJournal(j); err != nil {
+	so := *cfg.Storage
+	if so.Registry == nil {
+		so.Registry = cfg.Registry
+	}
+	if so.MetricsPrefix == "" {
+		so.MetricsPrefix = cfg.ID + "."
+	}
+	_, statErr := os.Stat(so.Dir)
+	gs, err := segment.Open(so)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: storage: %w", err)
+	}
+	n.series, n.segStore = gs, gs
+	j, err := openCloudJournal(*cfg.Durability)
+	if err == nil {
+		if err = n.recoverJournal(j); err != nil {
 			_ = j.close()
-			abandon()
-			return nil, fmt.Errorf("cloud: %w", err)
 		}
-		n.journal = j
 	}
+	if err != nil {
+		// A refused boot leaves the data dir as it found it: a store
+		// directory this call created is removed again.
+		gs.Discard()
+		if os.IsNotExist(statErr) {
+			_ = os.RemoveAll(so.Dir)
+		}
+		return nil, fmt.Errorf("cloud: %w", err)
+	}
+	n.journal = j
 	return n, nil
 }
 
-// recoverJournal rebuilds the archive, the query series and the
-// replay-filter marks from a journal: snapshot records first, then the
-// log tail's preserves and expires in order. Metrics are not
-// re-counted — recovered batches were accounted by their first life.
+// recoverJournal rebuilds the archive and the replay-filter marks from
+// a journal — snapshot records first, then the log tail's preserves
+// and expires in order — and replays the tail into the segment store.
+// Metrics are not re-counted — recovered batches were accounted by
+// their first life.
 func (n *Node) recoverJournal(j *cloudJournal) error {
 	rs := &cloudRecovery{}
 	if err := decodeCloudSnapshot(j.store.Snapshot(), rs); err != nil {
@@ -239,13 +236,16 @@ func (n *Node) recoverJournal(j *cloudJournal) error {
 			return err
 		}
 	}
-	// Replay below skips snapshot records for a segment-backed series
-	// on the assumption that the store already holds them. Enforce it:
-	// a snapshot that folded preserves the store never applied means
-	// the journal was written without a segment store (or store/ was
-	// removed), and serving on would answer range queries short.
-	if n.segStore != nil && len(rs.records) > 0 && n.segStore.AppliedSeq() < rs.preserveSeq {
-		return fmt.Errorf("storage mode mismatch: the journal in %s holds %d archived batches up to preserve #%d, but the segment store in %s recovered only up to #%d — the directory was written without a segment store, or its store/ was removed; reopen it the way it was written",
+	// Snapshot records are not replayed into the series: preserve
+	// completes the series append before releasing the journal mutex a
+	// checkpoint needs, so every batch a snapshot folded in was already
+	// in the segment store's own WAL when the snapshot was cut, and
+	// Open recovered it. Enforce it: a snapshot that folded preserves
+	// the store never applied means the journal was written without a
+	// segment store (or store/ was removed), and serving on would
+	// answer range queries short.
+	if len(rs.records) > 0 && n.segStore.AppliedSeq() < rs.preserveSeq {
+		return fmt.Errorf("storage mode mismatch: the journal in %s holds %d archived batches up to preserve #%d, but the segment store in %s recovered only up to #%d — the directory was written without a segment store, or its store/ was removed, and a durable cloud serves the two together only",
 			n.cfg.Durability.Dir, len(rs.records), rs.preserveSeq, n.segStore.Dir(), n.segStore.AppliedSeq())
 	}
 	now := n.cfg.Clock.Now()
@@ -253,16 +253,6 @@ func (n *Node) recoverJournal(j *cloudJournal) error {
 	for _, rec := range rs.records {
 		if _, err := n.archive.Put(rec.batch, rec.provenance, now); err != nil {
 			return err
-		}
-		// A segment-backed series skips snapshot records: preserve
-		// completes the series append before releasing the journal
-		// mutex a checkpoint needs, so every batch a snapshot folded
-		// in was already in the segment store's own WAL when the
-		// snapshot was cut, and Open recovered it.
-		if n.segStore == nil {
-			if err := n.series.AppendSeq(rec.batch, 0); err != nil {
-				return err
-			}
 		}
 	}
 	for _, a := range rs.alerts {
@@ -289,16 +279,14 @@ func (n *Node) recoverJournal(j *cloudJournal) error {
 			}
 			// The tail is the crash window: the journal append landed
 			// but the series append may not have. AppendSeq re-applies
-			// it; a segment store drops preserve numbers at or below
+			// it; the segment store drops preserve numbers at or below
 			// its recovered watermark, so replay is exactly-once.
 			if err := n.series.AppendSeq(op.batch, pseq); err != nil {
 				return err
 			}
 		} else {
 			n.archive.Expire(op.before)
-			if n.segStore != nil {
-				n.segStore.EvictBefore(op.before)
-			}
+			n.series.EvictBefore(op.before)
 		}
 	}
 	n.preserveSeq = counter
@@ -541,11 +529,13 @@ func (n *Node) Analyze(typeName string, from, to time.Time, window time.Duration
 // Expire runs the data-destruction phase: archived records collected
 // before the cutoff are permanently removed ("data will be
 // permanently preserved at cloud layer, unless any expiry time is
-// defined"). Returns the number of destroyed records. The query
-// series keeps its data until its own retention (permanent by
-// default); destruction applies to the archive of record. A durable
-// cloud journals the cutoff so recovery does not resurrect destroyed
-// records.
+// defined"), and so are the query series' readings older than it, so
+// Historical, KindQuery and open data stop serving them. Returns the
+// number of destroyed records. The in-RAM series cuts exactly; the
+// segment store drops whole segments, so one straddling the cutoff
+// keeps serving its destroyed readings until a later cutoff passes
+// its newest one. A durable cloud journals the cutoff so recovery
+// does not resurrect destroyed records.
 func (n *Node) Expire(before time.Time) int {
 	if n.journal != nil {
 		n.journal.mu.Lock()
@@ -553,12 +543,7 @@ func (n *Node) Expire(before time.Time) int {
 		_ = n.journal.appendExpireLocked(before)
 	}
 	destroyed := n.archive.Expire(before)
-	if n.segStore != nil {
-		// Segment destruction is whole-segment granular: a segment
-		// straddling the cutoff keeps its (destroyed) readings on disk
-		// until a later cutoff passes its newest reading.
-		n.segStore.EvictBefore(before)
-	}
+	n.series.EvictBefore(before)
 	return destroyed
 }
 
@@ -615,27 +600,23 @@ func (n *Node) maybeCheckpoint() {
 func (n *Node) Discard() {
 	if n.journal != nil {
 		_ = n.journal.close()
-	}
-	if n.segStore != nil {
 		n.segStore.Discard()
 	}
 }
 
-// Close writes a final checkpoint and closes the journal of a durable
-// cloud; an in-memory cloud closes as a no-op. Safe to call multiple
-// times.
+// Close writes a final checkpoint and closes the journal and the
+// segment store of a durable cloud; an in-memory cloud closes as a
+// no-op. Safe to call multiple times.
 func (n *Node) Close() error {
-	var err error
-	if n.journal != nil {
-		err = n.Checkpoint()
-		if cerr := n.journal.close(); err == nil {
-			err = cerr
-		}
+	if n.journal == nil {
+		return nil
 	}
-	if n.segStore != nil {
-		if cerr := n.segStore.Close(); err == nil {
-			err = cerr
-		}
+	err := n.Checkpoint()
+	if cerr := n.journal.close(); err == nil {
+		err = cerr
+	}
+	if cerr := n.segStore.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -24,9 +24,12 @@ import (
 //	GET /opendata/v1/types/{type}/summary?fromUnixNano=&toUnixNano=&windowSeconds=
 //	GET /opendata/v1/status
 //
-// Readings are served from the archive of record in bounded pages:
-// limit caps the readings per response (clamped to the node's page
-// limit) and the X-Next-Cursor response header resumes the scan.
+// Readings are served in bounded pages from the cloud's one query
+// series — the same store Historical and KindQuery read, so open data
+// and the query path give one answer: limit caps the readings per
+// response (clamped to the node's page limit) and the X-Next-Cursor
+// response header resumes the scan. Categories and days come from the
+// archive's classification indexes.
 func (n *Node) OpenDataHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /opendata/v1/categories", n.serveCategories)
@@ -93,18 +96,14 @@ func (n *Node) serveReadings(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad time range: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	limit := n.cfg.MaxQueryPage
+	limit := 0 // HistoricalPage clamps to the node's page limit
 	if s := r.URL.Query().Get("limit"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
+		if limit, err = strconv.Atoi(s); err != nil || limit <= 0 {
 			http.Error(w, "bad limit", http.StatusBadRequest)
 			return
 		}
-		if v < limit {
-			limit = v
-		}
 	}
-	readings, next, err := n.archive.ReadingsPage(typeName, from, to, limit, r.URL.Query().Get("cursor"))
+	readings, next, err := n.HistoricalPage(typeName, from, to, limit, r.URL.Query().Get("cursor"))
 	if err != nil {
 		http.Error(w, "bad cursor: "+err.Error(), http.StatusBadRequest)
 		return

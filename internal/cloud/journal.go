@@ -31,9 +31,9 @@ import (
 //	[alerts uvarint] { [instance JSON (protocol.Alert, uvarint-framed)] }*   (version >= 3)
 //
 // Restored records re-enter through the same classification path as
-// live preserves; StoredAt is re-stamped with the recovery clock and
-// version counters restart, which only affects provenance metadata,
-// never the preserved readings.
+// live preserves; StoredAt is re-stamped with the recovery clock,
+// which only affects provenance metadata, never the preserved
+// readings.
 const (
 	cloudJournalVersion   = 3
 	cloudJournalVersionV2 = 2

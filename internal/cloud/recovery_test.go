@@ -9,12 +9,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"f2c/internal/aggregate"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
+	"f2c/internal/segment"
 	"f2c/internal/sim"
 	"f2c/internal/transport"
 	"f2c/internal/wal"
@@ -22,15 +24,25 @@ import (
 
 var c0 = time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
 
-func newDurableCloud(t testing.TB, dir string) *Node {
-	t.Helper()
-	n, err := New(Config{
+// openCloudAt opens a durable cloud on dir: its journal in dir, its
+// segment store in dir/store.
+func openCloudAt(dir string) (*Node, error) {
+	return New(Config{
 		ID: "cloud", Clock: sim.NewVirtualClock(c0),
 		Durability: &wal.Config{Dir: dir, SnapshotEvery: -1},
+		Storage:    &segment.Options{Dir: filepath.Join(dir, "store")},
 	})
+}
+
+// newDurableCloud opens a durable cloud on dir; a test crashes it with
+// Discard before reopening the directory.
+func newDurableCloud(t testing.TB, dir string) *Node {
+	t.Helper()
+	n, err := openCloudAt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(n.Discard)
 	return n
 }
 
@@ -55,7 +67,8 @@ func TestCloudRecoveryRestoresArchiveAndSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := newDurableCloud(t, dir) // crash: no Close
+	n.Discard() // crash: no Close
+	re := newDurableCloud(t, dir)
 	if got := re.Archive().Len(); got != 2 {
 		t.Fatalf("recovered archive records = %d, want 2", got)
 	}
@@ -88,7 +101,8 @@ func TestCloudRecoveryDedupesRetryAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := newDurableCloud(t, dir) // crash between the duplicate deliveries
+	n.Discard() // crash between the duplicate deliveries
+	re := newDurableCloud(t, dir)
 	if _, err := re.Handle(context.Background(), msg); err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +128,7 @@ func TestCloudRecoveryHonorsExpire(t *testing.T) {
 		t.Fatalf("expired %d records, want 1", destroyed)
 	}
 
+	n.Discard()
 	re := newDurableCloud(t, dir)
 	if got := re.Archive().Len(); got != 1 {
 		t.Errorf("recovered archive records = %d, want 1 (expired record resurrected?)", got)
@@ -131,6 +146,7 @@ func TestCloudRecoveryFromCheckpoint(t *testing.T) {
 	}
 	_ = n.Preserve(cloudBatch("fog2/d01", "traffic", c0.Add(time.Minute), 3), "fog2/d01")
 
+	n.Discard()
 	re := newDurableCloud(t, dir)
 	if got := re.Archive().Len(); got != 2 {
 		t.Fatalf("recovered archive records = %d, want 2 (snapshot + tail)", got)
@@ -183,6 +199,7 @@ func cloudRecoveryProperty(t *testing.T, seed int64) {
 		case k < 9:
 			wantLen := n.Archive().Len()
 			wantReadings := n.Archive().Stats().Readings
+			n.Discard()
 			n = newDurableCloud(t, dir)
 			if got := n.Archive().Len(); got != wantLen {
 				failf("op %d: recovered archive len = %d, want %d", op, got, wantLen)

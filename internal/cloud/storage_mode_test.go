@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,21 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"f2c/internal/segment"
-	"f2c/internal/sim"
 	"f2c/internal/wal"
 )
-
-func openCloudAt(dir string, segments bool) (*Node, error) {
-	cfg := Config{
-		ID: "cloud", Clock: sim.NewVirtualClock(c0),
-		Durability: &wal.Config{Dir: dir, SnapshotEvery: -1},
-	}
-	if segments {
-		cfg.Storage = &segment.Options{Dir: filepath.Join(dir, "store")}
-	}
-	return New(cfg)
-}
 
 // dirListing names every file under dir with its size and
 // modification time: equal listings mean nothing was written.
@@ -46,30 +34,24 @@ func dirListing(t *testing.T, dir string) string {
 	return b.String()
 }
 
-// TestStorageModeSwitchFailsLoudly: a cloud whose journal was written
-// without a segment store must not come back with one. Recovery skips
-// snapshot records for a segment-backed series ("Open recovered
-// them"), so before the guard such a cloud held the whole archive and
-// answered every range query empty.
+// TestStorageModeSwitchFailsLoudly: a cloud directory written
+// journal-only — testdata/journal_only, a snapshot of three batches
+// plus a tail of two, written by the last commit that could build
+// such a cloud — must not boot in the one durable mode. Recovery
+// skips snapshot records (the segment store recovers them itself), so
+// before the guard such a cloud held the whole archive and answered
+// every range query short. The journal-only mode itself is refused at
+// construction.
 func TestStorageModeSwitchFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	n, err := openCloudAt(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := n.Preserve(cloudBatch("fog2/d01", "traffic", c0.Add(time.Duration(i)*time.Minute), 1, 2), "fog2/d01"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Close(); err != nil { // final checkpoint: the archive is in the snapshot
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "journal_only"))); err != nil {
 		t.Fatal(err)
 	}
 	before := dirListing(t, dir)
 
-	_, err = openCloudAt(dir, true)
+	_, err := openCloudAt(dir)
 	if err == nil {
-		t.Fatal("a journal-only directory reopened with a segment store must be refused")
+		t.Fatal("a journal-only directory opened with a segment store must be refused")
 	}
 	for _, want := range []string{"storage mode mismatch", dir, "written without a segment store"} {
 		if !strings.Contains(err.Error(), want) {
@@ -80,15 +62,13 @@ func TestStorageModeSwitchFailsLoudly(t *testing.T) {
 		t.Errorf("the refused boot changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 
-	// The mode it was written in still opens, with the history intact.
-	re, err := openCloudAt(dir, false)
-	if err != nil {
-		t.Fatalf("matching-mode reopen: %v", err)
+	journalOnly := Config{ID: "cloud", Durability: &wal.Config{Dir: dir}}
+	if _, err := New(journalOnly); !errors.Is(err, ErrStorageMode) {
+		t.Errorf("a journal without a segment store: %v, want ErrStorageMode", err)
 	}
-	if got := len(re.Historical("traffic", c0, c0.Add(time.Hour))); got != 6 {
-		t.Errorf("matching-mode reopen serves %d readings, want 6", got)
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("the refused configuration changed the directory:\n%s", after)
 	}
-	_ = re.Close()
 }
 
 // TestDeletedStoreFailsLoudly: the same invariant catches a segment
@@ -96,7 +76,7 @@ func TestStorageModeSwitchFailsLoudly(t *testing.T) {
 // restart keeps passing it.
 func TestDeletedStoreFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	n, err := openCloudAt(dir, true)
+	n, err := openCloudAt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +86,7 @@ func TestDeletedStoreFailsLoudly(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := openCloudAt(dir, true)
+	re, err := openCloudAt(dir)
 	if err != nil {
 		t.Fatalf("matching-mode reopen: %v", err)
 	}
@@ -120,7 +100,7 @@ func TestDeletedStoreFailsLoudly(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir, "store")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openCloudAt(dir, true); err == nil || !strings.Contains(err.Error(), "storage mode mismatch") {
+	if _, err := openCloudAt(dir); err == nil || !strings.Contains(err.Error(), "storage mode mismatch") {
 		t.Fatalf("a cloud whose store/ was deleted must be refused, got %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "store")); !os.IsNotExist(err) {

@@ -287,7 +287,6 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 		Fog2Retention:       time.Duration(d.Fog2RetentionSeconds) * time.Second,
 		Fog1FlushByCategory: byCat,
 		DataDir:             d.DataDir,
-		SegmentStorage:      d.DataDir != "",
 		MemtableBytes:       d.MemtableBytes,
 		CloudRetention:      time.Duration(d.CloudRetentionSeconds) * time.Second,
 		Overload:            &overload,

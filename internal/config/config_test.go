@@ -202,8 +202,8 @@ func TestProductionProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.DataDir != "/var/lib/f2c" || !opts.SegmentStorage {
-		t.Errorf("dataDir %q / segment storage %v: a data dir must enable both", opts.DataDir, opts.SegmentStorage)
+	if mo := opts.Member(opts.Topology.Cloud(), nil, nil); opts.DataDir != "/var/lib/f2c" || mo.Durability == nil || mo.Storage == nil {
+		t.Errorf("dataDir %q: journal %+v / segment store %+v: a data dir must enable both", opts.DataDir, mo.Durability, mo.Storage)
 	}
 	if opts.Overload == nil || opts.Overload.Classes["ingest"].Rate != 4096 {
 		t.Errorf("overload = %+v, want admission on with the ingest class capped at 4096 B/s", opts.Overload)
@@ -216,9 +216,9 @@ func TestProductionProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ram.Overload == nil || ram.Overload.Classes["ingest"].Rate != 0 || ram.DataDir != "" || ram.SegmentStorage {
-		t.Errorf("default profile = overload %+v, dataDir %q, segments %v; want unlimited admission, in-memory",
-			ram.Overload, ram.DataDir, ram.SegmentStorage)
+	if mo := ram.Member(ram.Topology.Cloud(), nil, nil); ram.Overload == nil || ram.Overload.Classes["ingest"].Rate != 0 || mo.Durability != nil || mo.Storage != nil {
+		t.Errorf("default profile = overload %+v, journal %+v, segment store %+v; want unlimited admission, in-memory",
+			ram.Overload, mo.Durability, mo.Storage)
 	}
 }
 

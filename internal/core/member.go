@@ -74,16 +74,16 @@ type MemberOptions struct {
 }
 
 // Member projects a deployment's options onto one of its nodes: the
-// layer's retention and flush period, the node's journal under
-// DataDir/<node id> and, with SegmentStorage, its segment store under
-// DataDir/<node id>/store. Every host builds its nodes from it —
-// NewSystem each node of the simulated city, f2cd the one node of a
-// daemon process, citysim's live mode a hierarchy over real sockets —
-// so the node an operator starts is the node the tests and the chaos
-// schedules ran. tr carries the node's upward and sibling traffic and
-// siblings are its failover relay targets (see Siblings); the cloud
-// takes neither. A host that wants per-node metrics sets o.Registry
-// before the call.
+// layer's retention and flush period, and — a data dir is both or
+// neither — the node's journal under DataDir/<node id> and its segment
+// store under DataDir/<node id>/store. Every host builds its nodes
+// from it — NewSystem each node of the simulated city, f2cd the one
+// node of a daemon process, citysim's live mode a hierarchy over real
+// sockets — so the node an operator starts is the node the tests and
+// the chaos schedules ran. tr carries the node's upward and sibling
+// traffic and siblings are its failover relay targets (see Siblings);
+// the cloud takes neither. A host that wants per-node metrics sets
+// o.Registry before the call.
 func (o Options) Member(spec topology.NodeSpec, tr transport.Transport, siblings []string) MemberOptions {
 	o.applyNodeDefaults()
 	mo := MemberOptions{
@@ -118,9 +118,7 @@ func (o Options) Member(spec topology.NodeSpec, tr transport.Transport, siblings
 		// Node ids contain '/' and become nested directories.
 		dir := filepath.Join(o.DataDir, spec.ID)
 		mo.Durability = &wal.Config{Dir: dir, SnapshotEvery: o.SnapshotEvery}
-		if o.SegmentStorage {
-			mo.Storage = &segment.Options{Dir: filepath.Join(dir, "store"), MemtableBytes: o.MemtableBytes}
-		}
+		mo.Storage = &segment.Options{Dir: filepath.Join(dir, "store"), MemtableBytes: o.MemtableBytes}
 	}
 	return mo
 }

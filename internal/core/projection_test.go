@@ -19,22 +19,21 @@ import (
 	"f2c/internal/wal"
 )
 
-// TestProjectionEquivalence pins the one-builder contract for the
-// three storage profiles: the node configuration a host derives
-// through Options.Member from the options as written (no defaults
-// applied, its own transport, registry and clock — what f2cd and
-// citysim -live do) equals the one NewSystem builds its node from,
-// field for field. It is what lets the daemons stop carrying builders
-// of their own.
+// TestProjectionEquivalence pins the one-builder contract for the two
+// storage profiles (in-memory; durable = journal + segment store): the
+// node configuration a host derives through Options.Member from the
+// options as written (no defaults applied, its own transport, registry
+// and clock — what f2cd and citysim -live do) equals the one NewSystem
+// builds its node from, field for field. It is what lets the daemons
+// stop carrying builders of their own.
 func TestProjectionEquivalence(t *testing.T) {
 	overload := sched.DefaultOptions()
 	for _, p := range []struct {
-		name              string
-		durable, segments bool
+		name    string
+		durable bool
 	}{
-		{"ram", false, false},
-		{"durable", true, false},
-		{"durable+segments", true, true},
+		{"ram", false},
+		{"durable", true},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			topo, err := topology.New("Projville", []topology.District{{Name: "A", Sections: 3}, {Name: "B", Sections: 3}})
@@ -48,7 +47,7 @@ func TestProjectionEquivalence(t *testing.T) {
 				MaxPendingReadings: 1000, DegradeToSummary: true, AdaptiveFlush: &fognode.AdaptiveConfig{},
 				RetryBase: time.Second, RetryMax: time.Minute, FailoverAfter: 2,
 				Overload: &overload, CloudRetention: 48 * time.Hour,
-				SnapshotEvery: 17, MemtableBytes: 1 << 16, SegmentStorage: p.segments,
+				SnapshotEvery: 17, MemtableBytes: 1 << 16,
 			}
 			if p.durable {
 				written.DataDir = t.TempDir()
@@ -108,9 +107,7 @@ func checkDirs(t *testing.T, o Options, id string, journal *wal.Config, store *s
 	}
 	if o.DataDir != "" {
 		wantJournal = filepath.Join(o.DataDir, id)
-		if o.SegmentStorage {
-			wantStore = filepath.Join(o.DataDir, id, "store")
-		}
+		wantStore = filepath.Join(o.DataDir, id, "store")
 	}
 	if journalDir != wantJournal || storeDir != wantStore {
 		t.Errorf("%s: journal dir %q store dir %q, want %q and %q", id, journalDir, storeDir, wantJournal, wantStore)
@@ -121,8 +118,7 @@ func checkDirs(t *testing.T, o Options, id string, journal *wal.Config, store *s
 	if logs, _ := filepath.Glob(filepath.Join(wantJournal, "wal-*")); len(logs) == 0 {
 		t.Errorf("%s: NewSystem left no journal under %s", id, wantJournal)
 	}
-	_, err := os.Stat(filepath.Join(wantJournal, "store"))
-	if (err == nil) != o.SegmentStorage {
-		t.Errorf("%s: store/ present = %v, want %v", id, err == nil, o.SegmentStorage)
+	if _, err := os.Stat(wantStore); err != nil {
+		t.Errorf("%s: NewSystem left no segment store: %v", id, err)
 	}
 }

@@ -105,8 +105,11 @@ type Options struct {
 	FailoverAfter int
 	// DataDir enables durability across the hierarchy: every node
 	// journals its delivery state (the cloud its archive) to a
-	// write-ahead log with snapshots under DataDir/<node id>, and
-	// recovers from it at construction — including through
+	// write-ahead log with snapshots under DataDir/<node id>, keeps its
+	// temporal store (the cloud its query series) in the tiered segment
+	// engine under DataDir/<node id>/store — resident memory stays near
+	// the memtable cap while history lives in mmap'd segment files —
+	// and recovers both at construction, including through
 	// System.Reboot, which simulates a process restart. Empty (the
 	// default) keeps every node in-memory.
 	DataDir string
@@ -114,12 +117,6 @@ type Options struct {
 	// record threshold (see wal.Config.SnapshotEvery); zero selects
 	// the wal default, negative disables automatic checkpoints.
 	SnapshotEvery int
-	// SegmentStorage backs every node's temporal store (and the
-	// cloud's query series + open-data scans) with the tiered segment
-	// engine under DataDir/<node id>/store, beside the node's delivery
-	// journal — resident memory stays near the memtable cap while
-	// history lives in mmap'd segment files. Requires DataDir.
-	SegmentStorage bool
 	// MemtableBytes caps each segment store's in-RAM memtable before
 	// it flushes to a segment file (zero selects the engine default).
 	MemtableBytes int64

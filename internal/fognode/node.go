@@ -189,18 +189,6 @@ type Config struct {
 	Storage *segment.Options
 }
 
-// TemporalStore is the node's local time-series storage: the in-RAM
-// store.TimeSeries or the durable segment.Store, selected by
-// Config.Storage. Both serve the same cursor contract.
-type TemporalStore interface {
-	Append(b *model.Batch) error
-	Latest(sensorID string) (model.Reading, bool)
-	QueryRange(typeName string, from, to time.Time) []model.Reading
-	QueryRangePage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error)
-	Evict(now time.Time) int
-	Stats() store.Stats
-}
-
 func (c *Config) applyDefaults() error {
 	if c.Spec.ID == "" {
 		return errors.New("fognode: config needs a node spec")
@@ -243,8 +231,10 @@ func (c *Config) applyDefaults() error {
 
 // Node is a fog node at layer 1 or 2. Safe for concurrent use.
 type Node struct {
-	cfg   Config
-	store TemporalStore
+	cfg Config
+	// store is the node's temporal store: the in-RAM store.TimeSeries
+	// or the durable segment.Store, selected by Config.Storage.
+	store store.Series
 	// segStore aliases store when the tiered segment engine backs it
 	// (nil on an in-RAM node): it owns on-disk state that must be
 	// closed with the node, and it recovers itself, so the delivery

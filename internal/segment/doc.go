@@ -3,7 +3,7 @@
 // in-RAM memtable (journaled to its own WAL for crash safety) and
 // flushes them to immutable, time-partitioned segment files served
 // by mmap. It backs the fog layers' temporal stores and the cloud's
-// historical series when tiered storage is enabled, replacing the
+// query series wherever a node has a data dir, replacing the
 // RAM-bound store.TimeSeries so capacity is bounded by disk, not
 // memory — the paper's cloud tier preserves years of city history.
 //

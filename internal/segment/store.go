@@ -160,6 +160,8 @@ type Store struct {
 	failpoint func(stage string) error
 }
 
+var _ store.Series = (*Store)(nil)
+
 // Open opens (or creates) a store in o.Dir, recovering segments from
 // the manifest and the memtable from the WAL: every op at or below
 // the manifest's flushed watermark is already in a segment and is

@@ -191,7 +191,7 @@ func TestSkewedFlushesStrandBoundedSegments(t *testing.T) {
 }
 
 // walkAll pages through [from, to] of one type and returns the walk.
-func walkAll(t *testing.T, src store.PageScanner, typ string, from, to time.Time, limit int) []model.Reading {
+func walkAll(t *testing.T, src store.Series, typ string, from, to time.Time, limit int) []model.Reading {
 	t.Helper()
 	var all []model.Reading
 	cursor := ""

@@ -64,18 +64,3 @@ func BenchmarkArchivePut(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkArchiveReadings(b *testing.B) {
-	a := NewArchive()
-	for i := 0; i < 500; i++ {
-		at := t0.Add(time.Duration(i) * time.Minute)
-		_, _ = a.Put(batchAt("n", "traffic", at, "a"), nil, at)
-	}
-	from, to := t0, t0.Add(100*time.Minute)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := a.Readings("traffic", from, to); len(got) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}

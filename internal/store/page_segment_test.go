@@ -45,7 +45,7 @@ func segBatch(typeName string, start, n int) *model.Batch {
 }
 
 // walkRest drains the walk from cursor to the end, pageSize at a time.
-func walkRest(t *testing.T, src store.PageScanner, typeName string, pageSize int, cursor string, into []model.Reading) []model.Reading {
+func walkRest(t *testing.T, src store.Series, typeName string, pageSize int, cursor string, into []model.Reading) []model.Reading {
 	t.Helper()
 	from, to := pst0.Add(-time.Hour), pst0.Add(24*time.Hour)
 	for {
@@ -186,42 +186,4 @@ func TestSegmentPageWalkStraddlesBoth(t *testing.T) {
 	}
 
 	checkExactlyOnce(t, walkRest(t, s, "traffic", 6, cursor, all), 50)
-}
-
-// TestArchiveReadingsPageSegmentBacked pins the cloud wiring: an
-// Archive delegating its scans to a segment store pages through the
-// mmap'd data with the same contract, straddling a flush mid-walk.
-func TestArchiveReadingsPageSegmentBacked(t *testing.T) {
-	s := segStore(t)
-	a := store.NewArchive()
-	a.SetScanSource(s)
-
-	b := segBatch("traffic", 0, 20)
-	if _, err := a.Put(b, []string{"fog2/d01"}, pst0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(b); err != nil {
-		t.Fatal(err)
-	}
-
-	page, cursor, err := a.ReadingsPage("traffic", pst0.Add(-time.Hour), pst0.Add(24*time.Hour), 8, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := append([]model.Reading(nil), page...)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		page, next, err := a.ReadingsPage("traffic", pst0.Add(-time.Hour), pst0.Add(24*time.Hour), 8, cursor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, page...)
-		if next == "" {
-			break
-		}
-		cursor = next
-	}
-	checkExactlyOnce(t, all, 20)
 }

@@ -124,8 +124,8 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestArchiveReadingsPage(t *testing.T) {
-	a := NewArchive()
+func TestQueryRangePageOutOfOrderBatches(t *testing.T) {
+	s := NewTimeSeries(0)
 	// Two batches arriving out of time order: the paged scan must
 	// still produce a sorted, complete walk.
 	later := pagedBatch("traffic", 6, time.Second)
@@ -133,21 +133,21 @@ func TestArchiveReadingsPage(t *testing.T) {
 		later.Readings[i].Time = later.Readings[i].Time.Add(time.Minute)
 		later.Readings[i].Value += 100
 	}
-	if _, err := a.Put(later, []string{"fog2/d01"}, pt0); err != nil {
+	if err := s.Append(later); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Put(pagedBatch("traffic", 6, time.Second), []string{"fog2/d01"}, pt0); err != nil {
+	if err := s.Append(pagedBatch("traffic", 6, time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	var all []model.Reading
 	cursor, pages := "", 0
 	for {
-		page, next, err := a.ReadingsPage("traffic", pt0.Add(-time.Hour), pt0.Add(time.Hour), 5, cursor)
+		page, next, err := s.QueryRangePage("traffic", pt0.Add(-time.Hour), pt0.Add(time.Hour), 5, cursor)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(page) > 5 {
-			t.Fatalf("archive page carries %d readings, limit 5", len(page))
+			t.Fatalf("page carries %d readings, limit 5", len(page))
 		}
 		all = append(all, page...)
 		pages++
@@ -157,11 +157,11 @@ func TestArchiveReadingsPage(t *testing.T) {
 		cursor = next
 	}
 	if len(all) != 12 || pages != 3 {
-		t.Fatalf("archive walk = %d readings in %d pages, want 12 in 3", len(all), pages)
+		t.Fatalf("walk = %d readings in %d pages, want 12 in 3", len(all), pages)
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].Time.Before(all[i-1].Time) {
-			t.Fatalf("archive walk out of order at %d", i)
+			t.Fatalf("walk out of order at %d", i)
 		}
 	}
 }

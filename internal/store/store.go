@@ -58,11 +58,6 @@ func ParseCursor(s string) (Cursor, error) {
 // Exported so storage engines layering the same cursor contract over
 // other backends (internal/segment) page identically to TimeSeries.
 func PageWindow(win []model.Reading, limit int, cur Cursor, haveCur bool) (start, end int, next string) {
-	return pageWindow(win, limit, cur, haveCur)
-}
-
-// pageWindow is the internal form of PageWindow.
-func pageWindow(win []model.Reading, limit int, cur Cursor, haveCur bool) (start, end int, next string) {
 	start = 0
 	if haveCur {
 		start = sort.Search(len(win), func(i int) bool { return win[i].Time.UnixNano() >= cur.T })
@@ -99,6 +94,24 @@ type Stats struct {
 
 // approxReadingBytes is the accounting weight of one stored reading.
 const approxReadingBytes = 96
+
+// Series is the one time-series surface every node stores readings
+// behind: the in-RAM TimeSeries and the durable segment.Store both
+// serve it under the same cursor contract.
+type Series interface {
+	Append(b *model.Batch) error
+	Latest(sensorID string) (model.Reading, bool)
+	QueryRange(typeName string, from, to time.Time) []model.Reading
+	QueryRangePage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error)
+	// Evict applies the store's own retention window relative to now.
+	Evict(now time.Time) int
+	// EvictBefore drops readings older than an explicit cutoff,
+	// whatever the retention: the cloud's data-destruction phase.
+	EvictBefore(before time.Time) int
+	Stats() Stats
+}
+
+var _ Series = (*TimeSeries)(nil)
 
 // storeShards is the fixed shard count (a power of two) for both the
 // per-type series maps and the per-sensor latest maps. Appends of
@@ -222,24 +235,11 @@ func (s *TimeSeries) Latest(sensorID string) (model.Reading, bool) {
 }
 
 // QueryRange returns readings of a type within [from, to], sorted by
-// time. The returned slice is a copy. Already-sorted series (the
-// steady state: appends arrive in time order) are served entirely
-// under the read lock, so concurrent readers of a shard do not
-// serialize with each other; the write lock is taken only when an
-// out-of-order append left the series in need of a sort.
+// time: the unbounded page from the beginning. The returned slice is
+// a copy.
 func (s *TimeSeries) QueryRange(typeName string, from, to time.Time) []model.Reading {
-	sh := s.seriesShardFor(typeName)
-	sh.mu.RLock()
-	if !sh.dirty[typeName] {
-		out := queryRangeLocked(sh, typeName, from, to)
-		sh.mu.RUnlock()
-		return out
-	}
-	sh.mu.RUnlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sortLocked(sh, typeName)
-	return queryRangeLocked(sh, typeName, from, to)
+	out, _, _ := s.QueryRangePage(typeName, from, to, 0, "")
+	return out
 }
 
 // QueryRangePage returns one bounded page of readings of a type
@@ -250,7 +250,11 @@ func (s *TimeSeries) QueryRange(typeName string, from, to time.Time) []model.Rea
 // the sorted series in place and only the page is copied out. Pages
 // over a live series are best-effort — an out-of-order append landing
 // exactly at the cursor instant between two pages can duplicate a
-// reading; archived/historical series are stable.
+// reading; archived/historical series are stable. Already-sorted
+// series (the steady state: appends arrive in time order) are served
+// entirely under the read lock, so concurrent readers of a shard do
+// not serialize with each other; the write lock is taken only when an
+// out-of-order append left the series in need of a sort.
 func (s *TimeSeries) QueryRangePage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
 	var cur Cursor
 	haveCur := cursor != ""
@@ -284,27 +288,13 @@ func pageRangeLocked(sh *seriesShard, typeName string, from, to time.Time, limit
 	if lo >= hi {
 		return nil, ""
 	}
-	start, end, next := pageWindow(series[lo:hi], limit, cur, haveCur)
+	start, end, next := PageWindow(series[lo:hi], limit, cur, haveCur)
 	if start >= end {
 		return nil, next
 	}
 	out := make([]model.Reading, end-start)
 	copy(out, series[lo+start:lo+end])
 	return out, next
-}
-
-// queryRangeLocked copies the [from, to] window of a sorted series.
-// The caller holds the shard lock (read or write).
-func queryRangeLocked(sh *seriesShard, typeName string, from, to time.Time) []model.Reading {
-	series := sh.byType[typeName]
-	lo := sort.Search(len(series), func(i int) bool { return !series[i].Time.Before(from) })
-	hi := sort.Search(len(series), func(i int) bool { return series[i].Time.After(to) })
-	if lo >= hi {
-		return nil
-	}
-	out := make([]model.Reading, hi-lo)
-	copy(out, series[lo:hi])
-	return out
 }
 
 // Types returns the sorted sensor-type names present.
@@ -329,7 +319,13 @@ func (s *TimeSeries) Evict(now time.Time) int {
 	if s.retention <= 0 {
 		return 0
 	}
-	cutoff := now.Add(-s.retention)
+	return s.EvictBefore(now.Add(-s.retention))
+}
+
+// EvictBefore drops every reading older than cutoff, regardless of the
+// configured retention, and returns how many were removed. Unlike
+// segment.Store's whole-segment drop, the cut is exact.
+func (s *TimeSeries) EvictBefore(cutoff time.Time) int {
 	evicted := 0
 	for i := range s.series {
 		sh := &s.series[i]

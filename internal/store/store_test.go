@@ -126,6 +126,35 @@ func TestTimeSeriesNoRetentionNeverEvicts(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesEvictBefore: an explicit cutoff destroys exactly the
+// readings older than it, even on a permanent store, keeps the count
+// in step and leaves every sensor's latest reading addressable.
+func TestTimeSeriesEvictBefore(t *testing.T) {
+	s := NewTimeSeries(0)
+	_ = s.Append(batchAt("n", "traffic", t0, "a", "b"))
+	_ = s.Append(batchAt("n", "traffic", t0.Add(time.Hour), "c"))
+	_ = s.Append(batchAt("n", "noise", t0.Add(-time.Minute), "d"))
+	_ = s.Append(batchAt("n", "traffic", t0.Add(-time.Second), "e")) // out of order
+	if n := s.EvictBefore(t0); n != 2 {
+		t.Fatalf("evicted %d readings, want 2 (the cutoff instant itself is kept)", n)
+	}
+	got := s.QueryRange("traffic", t0.Add(-time.Hour), t0.Add(2*time.Hour))
+	if len(got) != 3 || !got[0].Time.Equal(t0) || got[2].SensorID != "c" {
+		t.Errorf("after the cut: %+v", got)
+	}
+	if st := s.Stats(); st.Readings != 3 || st.Series != 1 {
+		t.Errorf("stats after the cut = %+v, want 3 readings in 1 series", st)
+	}
+	for _, id := range []string{"d", "e"} {
+		if _, ok := s.Latest(id); !ok {
+			t.Errorf("latest of %s was evicted with its history", id)
+		}
+	}
+	if n := s.EvictBefore(t0); n != 0 {
+		t.Errorf("repeated cut evicted %d", n)
+	}
+}
+
 func TestTimeSeriesRejectsInvalidBatch(t *testing.T) {
 	s := NewTimeSeries(0)
 	if err := s.Append(&model.Batch{}); err == nil {
@@ -210,52 +239,23 @@ func TestArchivePutAndIndexes(t *testing.T) {
 	}
 }
 
-func TestArchiveProvenanceAndVersioning(t *testing.T) {
+func TestArchiveProvenanceAndCloning(t *testing.T) {
 	a := NewArchive()
 	b := batchAt("fog1/a", "traffic", t0, "s1")
 	prov := []string{"fog1/a", "cloud"}
-	rec1, err := a.Put(b, prov, t0)
+	rec, err := a.Put(b, prov, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prov[0] = "mutated" // archive must have copied provenance
-	if rec1.Provenance[0] != "fog1/a" {
+	if rec.Provenance[0] != "fog1/a" {
 		t.Error("provenance aliased caller slice")
-	}
-	if rec1.Version != 1 {
-		t.Errorf("version = %d, want 1", rec1.Version)
-	}
-	rec2, err := a.Put(b, nil, t0.Add(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec2.Version != 2 {
-		t.Errorf("re-archived version = %d, want 2", rec2.Version)
 	}
 	// Archive clones batches: mutating the original must not change
 	// the archived copy.
 	b.Readings[0].Value = 999
 	if got := a.ByType("traffic")[0].Batch.Readings[0].Value; got == 999 {
 		t.Error("archive aliased the caller's batch")
-	}
-}
-
-func TestArchiveReadingsRange(t *testing.T) {
-	a := NewArchive()
-	for i := 0; i < 5; i++ {
-		at := t0.Add(time.Duration(i) * time.Hour)
-		if _, err := a.Put(batchAt("n", "traffic", at, "s"), nil, at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := a.Readings("traffic", t0.Add(time.Hour), t0.Add(3*time.Hour))
-	if len(got) != 3 {
-		t.Fatalf("range = %d readings, want 3", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time.Before(got[i-1].Time) {
-			t.Fatal("not sorted")
-		}
 	}
 }
 
@@ -310,10 +310,6 @@ func TestArchiveExpire(t *testing.T) {
 	}
 	if st := a.Stats(); st.Readings != 3 {
 		t.Errorf("stats after expire = %+v", st)
-	}
-	// Readings range no longer returns destroyed data.
-	if got := a.Readings("traffic", t0, t0.Add(500*time.Hour)); len(got) != 3 {
-		t.Errorf("readings after expire = %d", len(got))
 	}
 	// No-op expiry.
 	if n := a.Expire(t0); n != 0 {
