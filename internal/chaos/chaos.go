@@ -88,18 +88,23 @@ type Scenario struct {
 	DegradeToSummary bool
 	// Durable runs the city on the production storage profile in a
 	// temporary data directory — per-node write-ahead logs, and
-	// temporal stores in the tiered segment engine capped at a
-	// deliberately tiny memtable, so the workload forces continuous
-	// memtable flushes and background compactions — and makes crashes
-	// real: the moment a scheduled crash lands, the victim's in-memory
-	// instance is discarded and rebooted from its journal and segments
-	// (its network endpoint stays dark until the scheduled restart),
-	// often mid-flush or mid-compaction. The run then asserts the full
-	// zero-loss contract — every accepted reading preserved exactly
-	// once and DroppedDuringOutage == 0 — across every crash. Without
-	// Durable, crashes only sever the network and in-memory state
-	// survives, the pre-durability behavior.
+	// temporal stores in the tiered segment engine capped at
+	// MemtableBytes — and makes crashes real: the moment a scheduled
+	// crash lands, the victim's in-memory instance is discarded and
+	// rebooted from its journal and segments (its network endpoint
+	// stays dark until the scheduled restart). The run then asserts
+	// the full zero-loss contract — every accepted reading preserved
+	// exactly once and DroppedDuringOutage == 0 — across every crash.
+	// Without Durable, crashes only sever the network and in-memory
+	// state survives, the pre-durability behavior.
 	Durable bool
+	// MemtableBytes caps each segment store's memtable in a Durable
+	// run. Zero selects a deliberately tiny 2 KB cap, so the workload
+	// forces continuous memtable flushes and background compactions
+	// and crash reboots land mid-flush or mid-compaction. A production
+	// cap (segment.DefaultMemtableBytes) never fills in a run, so
+	// recovery rests on the journal and the WAL-replayed memtable.
+	MemtableBytes int64
 	// Elastic routes ingest through per-district consistent-hash
 	// ownership rings (core.Options.ElasticOwnership) and lets the
 	// schedule grow and shrink fog layer 1 mid-run with live shard
@@ -135,6 +140,9 @@ func (s *Scenario) applyDefaults() {
 	}
 	if s.ReplyLoss < 0 {
 		s.ReplyLoss = 0
+	}
+	if s.MemtableBytes <= 0 {
+		s.MemtableBytes = 2048
 	}
 	if isElasticKind(s.Kind) {
 		s.Elastic = true
@@ -286,10 +294,11 @@ func Run(s Scenario) (Result, error) {
 		// not just log replay.
 		DataDir:       dataDir,
 		SnapshotEvery: 48,
-		// The tiny memtable cap turns the workload into a flush/compact
-		// storm: every few batches spill a segment, so crash reboots
-		// routinely interrupt a memtable flush or a compaction merge.
-		MemtableBytes: 2048,
+		// The default tiny memtable cap turns the workload into a
+		// flush/compact storm: every few batches spill a segment, so
+		// crash reboots routinely interrupt a memtable flush or a
+		// compaction merge.
+		MemtableBytes: s.MemtableBytes,
 		// Elastic runs route ingest through the per-district ownership
 		// rings and allow mid-run scale events.
 		ElasticOwnership: s.Elastic,

@@ -6,6 +6,7 @@ import (
 
 	"f2c/internal/core"
 	"f2c/internal/model"
+	"f2c/internal/segment"
 	"f2c/internal/sim"
 )
 
@@ -32,12 +33,17 @@ var scenarios = []Scenario{
 	// shed + degraded ledger.
 	{Name: "crash+restart degrade", Kind: KindCrashRestart, MaxPendingReadings: 40, DegradeToSummary: true},
 	// Durable variant: crashes at every tier destroy volatile state
-	// and the victims reboot from their write-ahead logs and segment
-	// stores (a tiny memtable, so reboots land mid-segment-flush and
-	// mid-compaction); recovery must stitch journal, WAL-replayed
-	// memtable and on-disk segments back together and still preserve
-	// every accepted reading exactly once.
-	{Name: "crash+recover durable", Kind: KindCrashRecovery, Durable: true},
+	// and the victims reboot from their write-ahead logs; with the
+	// production memtable cap no segment ever flushes, so recovery
+	// rests on the journal and the WAL-replayed memtable and must
+	// still preserve every accepted reading exactly once.
+	{Name: "crash+recover durable", Kind: KindCrashRecovery, Durable: true, MemtableBytes: segment.DefaultMemtableBytes},
+	// Segment-store variant: same crash schedule under the default
+	// tiny memtable, so reboots land mid-segment-flush and
+	// mid-compaction; recovery must stitch journal, WAL-replayed
+	// memtable and on-disk segments back together with no loss and
+	// no duplicates.
+	{Name: "crash+recover segment store", Kind: KindCrashRecovery, Durable: true},
 	// Alert variant: standing continuous queries fire throughout a
 	// mixed partition + crash schedule (Durable implied), and the run
 	// additionally asserts the exactly-once alert ledger — the fired

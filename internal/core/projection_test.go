@@ -25,15 +25,19 @@ import (
 // options as written (no defaults applied, its own transport, registry
 // and clock — what f2cd and citysim -live do) equals the one NewSystem
 // builds its node from, field for field. It is what lets the daemons
-// stop carrying builders of their own.
+// stop carrying builders of their own. The durable profile runs twice:
+// with the segment store left at the engine defaults, and with its
+// memtable cap tuned, which every node's store must then carry.
 func TestProjectionEquivalence(t *testing.T) {
 	overload := sched.DefaultOptions()
 	for _, p := range []struct {
-		name    string
-		durable bool
+		name     string
+		durable  bool
+		memtable int64
 	}{
-		{"ram", false},
-		{"durable", true},
+		{"ram", false, 1 << 16},
+		{"durable", true, 0},
+		{"durable+segments", true, 1 << 16},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			topo, err := topology.New("Projville", []topology.District{{Name: "A", Sections: 3}, {Name: "B", Sections: 3}})
@@ -47,7 +51,7 @@ func TestProjectionEquivalence(t *testing.T) {
 				MaxPendingReadings: 1000, DegradeToSummary: true, AdaptiveFlush: &fognode.AdaptiveConfig{},
 				RetryBase: time.Second, RetryMax: time.Minute, FailoverAfter: 2,
 				Overload: &overload, CloudRetention: 48 * time.Hour,
-				SnapshotEvery: 17, MemtableBytes: 1 << 16,
+				SnapshotEvery: 17, MemtableBytes: p.memtable,
 			}
 			if p.durable {
 				written.DataDir = t.TempDir()
@@ -95,7 +99,8 @@ func TestProjectionEquivalence(t *testing.T) {
 // checkDirs asserts the node directory layout — <dataDir>/<id> for the
 // journal, <dataDir>/<id>/store for the segment store, neither on a
 // RAM city — both in the projection and on disk, where the nodes
-// NewSystem built must have left exactly that profile.
+// NewSystem built must have left exactly that profile, plus the
+// segment store's memtable cap as written.
 func checkDirs(t *testing.T, o Options, id string, journal *wal.Config, store *segment.Options) {
 	t.Helper()
 	var journalDir, storeDir, wantJournal, wantStore string
@@ -111,6 +116,9 @@ func checkDirs(t *testing.T, o Options, id string, journal *wal.Config, store *s
 	}
 	if journalDir != wantJournal || storeDir != wantStore {
 		t.Errorf("%s: journal dir %q store dir %q, want %q and %q", id, journalDir, storeDir, wantJournal, wantStore)
+	}
+	if store != nil && store.MemtableBytes != o.MemtableBytes {
+		t.Errorf("%s: segment store memtable cap %d, want %d", id, store.MemtableBytes, o.MemtableBytes)
 	}
 	if wantJournal == "" {
 		return
