@@ -219,7 +219,10 @@ func TestBurst(t *testing.T) {
 	}
 	now := time.Now()
 	preserved := int64(len(city.cloud.Historical(typ, now.Add(-time.Hour), now.Add(time.Hour))))
-	cloudDegraded := city.cloud.DegradedReadings()
+	var cloudDegraded int64
+	for _, w := range city.cloud.DegradedSummaries(typ) {
+		cloudDegraded += w.Summary.Count
+	}
 	if got := preserved + cloudDegraded + shed; got != accepted || accepted == 0 {
 		t.Errorf("conservation broken: cloud preserved %d + cloud degraded %d + fog shed %d = %d, fog1 accepted %d",
 			preserved, cloudDegraded, shed, got, accepted)

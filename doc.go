@@ -88,7 +88,10 @@
 // outboxes with frozen delivery identities, pending and degrade
 // buffers, the sequence counter, and the replay-filter marks that
 // dedupe retried deliveries across the restart; the cloud journals
-// and recovers its archive. Replay is torn-write safe (recovery
+// and recovers its archive, alert instances and degraded windows. Fog
+// and cloud share one receive-side durable core (internal/durable):
+// journal, segment store, acceptance path and recovery driver. Replay
+// is torn-write safe (recovery
 // truncates the corrupt tail back to the last intact record),
 // snapshots rotate atomically, and recovery ordering is snapshot,
 // then log tail, then installation. Enable per node (fognode/cloud Config.Durability), per

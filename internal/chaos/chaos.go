@@ -165,8 +165,8 @@ type Result struct {
 	// Shed is how many readings the MaxPendingReadings bound dropped
 	// (always 0 for unbounded runs).
 	Shed int64
-	// Degraded is how many readings the cloud received as folded
-	// window summaries instead of raw values (always 0 without
+	// Degraded is how many readings the cloud holds as folded window
+	// summaries instead of raw values (always 0 without
 	// DegradeToSummary).
 	Degraded int64
 	// Duplicates is how many at-least-once duplicate deliveries the
@@ -465,7 +465,14 @@ func Run(s Scenario) (Result, error) {
 	// their shed/dup/relay tallies are part of the run's ledger.
 	allNodes := liveNodes()
 	res.Shed = totalShed(sys, allNodes)
-	res.Degraded = sys.Cloud().DegradedReadings()
+	// Degraded reads held state, as Preserved and the alert check do:
+	// a counter on the shared registry outlives a simulated crash of
+	// the node that counted it.
+	for _, typ := range chaosTypes {
+		for _, w := range sys.Cloud().DegradedSummaries(typ.name) {
+			res.Degraded += w.Summary.Count
+		}
+	}
 	res.Dropped = totalDropped(sys, allNodes)
 	res.Duplicates = totalDuplicates(sys, allNodes)
 	res.Relayed, res.Deferred = totalRelayedDeferred(sys, allNodes)

@@ -10,17 +10,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/durable"
 	"f2c/internal/metrics"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sched"
 	"f2c/internal/segment"
+	"f2c/internal/sensor"
 	"f2c/internal/sim"
 	"f2c/internal/store"
 	"f2c/internal/transport"
@@ -61,10 +62,12 @@ type Config struct {
 	Retention time.Duration
 	// Durability and Storage make the cloud durable, and are set
 	// together or not at all (ErrStorageMode): a data dir is a journal
-	// plus a segment store. Durability journals every preserved batch
-	// (and every data-destruction cutoff) to a write-ahead log with
-	// periodic snapshots in Durability.Dir, and recovers the archive
-	// and the replay-filter marks from it at construction. Storage
+	// plus a segment store. Durability journals every preserved batch,
+	// every accepted alert and summary push, and every data-destruction
+	// cutoff to a write-ahead log with periodic snapshots in
+	// Durability.Dir, and recovers the archive, the alert instances,
+	// the degraded windows and the replay-filter marks from it at
+	// construction. Storage
 	// holds the query series — the one copy of the readings that every
 	// range read, open data included, is served from — in the tiered
 	// segment engine, which recovers itself. Each preserve is numbered
@@ -102,24 +105,27 @@ type Node struct {
 	cfg     Config
 	archive *store.Archive
 	series  querySeries
-	// journal and segStore are the durable pair, both nil on an
-	// in-RAM cloud. segStore aliases series: it owns on-disk state
-	// closed with the node, and it recovers itself, so journal replay
-	// dedupes against its preserve-number watermark.
-	journal  *cloudJournal
-	segStore *segment.Store
-	replay   *protocol.ReplayFilter
+	// dur is the receive-side durable core: the journal and the
+	// segment store, both nil on an in-RAM cloud, and the acceptance
+	// path over replay. The segment store is series: it recovers
+	// itself, so journal replay dedupes against its preserve-number
+	// watermark.
+	dur    *durable.Core
+	replay *protocol.ReplayFilter
 	// preserveSeq numbers accepted batches 1, 2, ... in journal order;
-	// guarded by journal.mu (never advanced on a journal-less cloud,
-	// where replay cannot happen and number 0 means "unnumbered").
+	// guarded by the journal mutex (never advanced on a journal-less
+	// cloud, where replay cannot happen and number 0 means
+	// "unnumbered").
 	preserveSeq uint64
 
 	// sched gates the handler path per traffic class (nil = off).
 	sched *sched.Scheduler
 	// sumMu guards degraded: per-type window summaries pushed up by
 	// degrading fog nodes — the reduced-resolution record of readings
-	// the edge could not afford to ship raw. Kept in memory (summaries
-	// are the overload fallback, not the archive of record).
+	// the edge could not afford to ship raw. Held like the archive: a
+	// durable cloud journals each accepted push and snapshots the
+	// windows, so what it acknowledged survives a restart. Lock order:
+	// journal mutex before sumMu.
 	sumMu    sync.Mutex
 	degraded map[string]map[int64]aggregate.WindowSummary
 	// expireTick counts preserves toward the next automatic retention
@@ -131,16 +137,16 @@ type Node struct {
 	// the replay filter; the instance key additionally absorbs the
 	// same fire arriving under two delivery identities (retry-queue
 	// folding, post-crash refires), which is what makes alert delivery
-	// exactly-once end to end. Lock order: journal.mu before alertMu.
+	// exactly-once end to end. Lock order: journal mutex before alertMu.
 	alertMu sync.Mutex
 	alerts  map[string]protocol.Alert
 
 	ingestedBatches *metrics.Counter
 	ingestedReads   *metrics.Counter
-	dupBatches      *metrics.Counter
 	degradedReads   *metrics.Counter
 	alertsStored    *metrics.Counter
 	dupAlerts       *metrics.Counter
+	expireErrors    *metrics.Counter
 }
 
 // New builds a cloud node.
@@ -177,86 +183,73 @@ func New(cfg Config) (*Node, error) {
 		alerts:          make(map[string]protocol.Alert),
 		ingestedBatches: cfg.Registry.Counter(cfg.ID + ".ingest.batches"),
 		ingestedReads:   cfg.Registry.Counter(cfg.ID + ".ingest.readings"),
-		dupBatches:      cfg.Registry.Counter(cfg.ID + ".ingest.duplicates"),
 		degradedReads:   cfg.Registry.Counter(cfg.ID + ".ingest.degraded_readings"),
 		alertsStored:    cfg.Registry.Counter(cfg.ID + ".alerts.instances"),
 		dupAlerts:       cfg.Registry.Counter(cfg.ID + ".alerts.duplicates"),
+		expireErrors:    cfg.Registry.Counter(cfg.ID + ".expire.errors"),
 	}
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, cfg.Registry, cfg.ID+".sched.")
 	}
-	if cfg.Durability == nil {
-		n.series = ramSeries{store.NewTimeSeries(0)} // permanent
-		return n, nil
-	}
-	so := *cfg.Storage
-	if so.Registry == nil {
-		so.Registry = cfg.Registry
-	}
-	if so.MetricsPrefix == "" {
-		so.MetricsPrefix = cfg.ID + "."
-	}
-	_, statErr := os.Stat(so.Dir)
-	gs, err := segment.Open(so)
+	dur, err := durable.Open(cfg.Durability, cfg.Storage, cfg.Registry, cfg.ID+".", n.replay)
 	if err != nil {
-		return nil, fmt.Errorf("cloud: storage: %w", err)
-	}
-	n.series, n.segStore = gs, gs
-	j, err := openCloudJournal(*cfg.Durability)
-	if err == nil {
-		if err = n.recoverJournal(j); err != nil {
-			_ = j.close()
-		}
-	}
-	if err != nil {
-		// A refused boot leaves the data dir as it found it: a store
-		// directory this call created is removed again.
-		gs.Discard()
-		if os.IsNotExist(statErr) {
-			_ = os.RemoveAll(so.Dir)
-		}
 		return nil, fmt.Errorf("cloud: %w", err)
 	}
-	n.journal = j
+	n.dur = dur
+	if dur.Segments != nil {
+		n.series = dur.Segments
+	} else {
+		n.series = ramSeries{store.NewTimeSeries(0)} // permanent
+	}
+	if err := dur.Recover(n.recovery()); err != nil {
+		return nil, fmt.Errorf("cloud: %w", err)
+	}
 	return n, nil
 }
 
-// recoverJournal rebuilds the archive and the replay-filter marks from
-// a journal — snapshot records first, then the log tail's preserves
-// and expires in order — and replays the tail into the segment store.
-// Metrics are not re-counted — recovered batches were accounted by
-// their first life.
-func (n *Node) recoverJournal(j *cloudJournal) error {
+// recovery is the cloud's half of the durable core's recovery driver:
+// the snapshot and record decoders of journal.go, the storage-mode
+// check, and the installation of the archive, the alerts, the
+// degraded windows and the replay-filter marks, with the tail's
+// preserves replayed into the segment store.
+func (n *Node) recovery() durable.Recovery {
 	rs := &cloudRecovery{}
-	if err := decodeCloudSnapshot(j.store.Snapshot(), rs); err != nil {
-		return err
+	return durable.Recovery{
+		Snapshot: func(data []byte) error { return decodeCloudSnapshot(data, rs) },
+		Record:   rs.applyRecord,
+		// Snapshot records are not replayed into the series: preserve
+		// completes the series append before releasing the journal
+		// mutex a checkpoint needs, so every batch a snapshot folded in
+		// was already in the segment store's own WAL when the snapshot
+		// was cut, and Open recovered it. A snapshot that folded
+		// preserves the store never applied means serving on would
+		// answer range queries short.
+		Check: func(bool) error {
+			if len(rs.records) > 0 && n.dur.Segments.AppliedSeq() < rs.preserveSeq {
+				return fmt.Errorf("holds %d archived batches up to preserve #%d, but the segment store in %s recovered only up to #%d",
+					len(rs.records), rs.preserveSeq, n.dur.Segments.Dir(), n.dur.Segments.AppliedSeq())
+			}
+			return nil
+		},
+		Install: func() error { return n.install(rs) },
 	}
-	for _, rec := range j.store.Records() {
-		if err := rs.applyRecord(rec); err != nil {
-			return err
-		}
-	}
-	// Snapshot records are not replayed into the series: preserve
-	// completes the series append before releasing the journal mutex a
-	// checkpoint needs, so every batch a snapshot folded in was already
-	// in the segment store's own WAL when the snapshot was cut, and
-	// Open recovered it. Enforce it: a snapshot that folded preserves
-	// the store never applied means the journal was written without a
-	// segment store (or store/ was removed), and serving on would
-	// answer range queries short.
-	if len(rs.records) > 0 && n.segStore.AppliedSeq() < rs.preserveSeq {
-		return fmt.Errorf("storage mode mismatch: the journal in %s holds %d archived batches up to preserve #%d, but the segment store in %s recovered only up to #%d — the directory was written without a segment store, or its store/ was removed, and a durable cloud serves the two together only",
-			n.cfg.Durability.Dir, len(rs.records), rs.preserveSeq, n.segStore.Dir(), n.segStore.AppliedSeq())
-	}
+}
+
+func (n *Node) install(rs *cloudRecovery) error {
 	now := n.cfg.Clock.Now()
 	counter := rs.preserveSeq
 	for _, rec := range rs.records {
-		if _, err := n.archive.Put(rec.batch, rec.provenance, now); err != nil {
+		if _, err := n.archive.Put(rec.Batch, rec.Provenance, now); err != nil {
 			return err
 		}
 	}
 	for _, a := range rs.alerts {
 		n.alerts[a.Key()] = a
+	}
+	// The windows merge decomposably: the snapshot's, then the tail's
+	// pushes in log order, reproduce the folds of the first life.
+	for _, push := range rs.summaries {
+		n.foldSummary(push)
 	}
 	for _, op := range rs.tail {
 		if op.alerts != nil {
@@ -298,7 +291,7 @@ func (n *Node) recoverJournal(j *cloudJournal) error {
 
 // DuplicateBatches reports how many at-least-once duplicate
 // deliveries the cloud's receive path suppressed.
-func (n *Node) DuplicateBatches() int64 { return n.dupBatches.Value() }
+func (n *Node) DuplicateBatches() int64 { return n.dur.Duplicates() }
 
 // ID returns the endpoint name.
 func (n *Node) ID() string { return n.cfg.ID }
@@ -325,55 +318,63 @@ func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("cloud preserve: %w", err)
 	}
+	// pseq is the next preserve number, taken only once the record
+	// carrying it is written: an unjournaled number is reused.
 	var pseq uint64
-	if n.journal != nil {
-		n.journal.mu.Lock()
-		defer n.journal.mu.Unlock()
-		n.preserveSeq++
-		pseq = n.preserveSeq
-		if err := n.journal.appendPreserveLocked(pseq, seq, from, b); err != nil {
-			n.preserveSeq-- // unjournaled number: reuse it
-			return fmt.Errorf("cloud preserve: %w", err)
+	err := n.dur.Journal.Apply(func(buf []byte) []byte {
+		pseq = n.preserveSeq + 1
+		buf = append(buf, recPreserve2)
+		buf = wal.AppendUint64(buf, pseq)
+		buf = wal.AppendUint64(buf, seq)
+		buf = wal.AppendString(buf, from)
+		return sensor.AppendBatch(buf, b)
+	}, func() error {
+		if pseq != 0 {
+			n.preserveSeq = pseq
 		}
-	}
-	now := n.cfg.Clock.Now()
-	if _, err := n.archive.Put(b, provenanceOf(b.NodeID, from, n.cfg.ID), now); err != nil {
+		if _, err := n.archive.Put(b, provenanceOf(b.NodeID, from, n.cfg.ID), n.cfg.Clock.Now()); err != nil {
+			return err
+		}
+		if err := n.series.AppendSeq(b, pseq); err != nil {
+			return err
+		}
+		if seq != 0 {
+			n.replay.Mark(b.NodeID, seq)
+		}
+		n.ingestedBatches.Inc()
+		n.ingestedReads.Add(int64(len(b.Readings)))
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("cloud preserve: %w", err)
 	}
-	if err := n.series.AppendSeq(b, pseq); err != nil {
-		return fmt.Errorf("cloud preserve: %w", err)
-	}
-	if seq != 0 {
-		n.replay.Mark(b.NodeID, seq)
-	}
-	n.ingestedBatches.Inc()
-	n.ingestedReads.Add(int64(len(b.Readings)))
 	return nil
 }
 
-// accept is the one receive path for everything that arrives under a
-// delivery identity — batches, alert pushes, summary pushes: a copy of
-// a delivery that already landed is acknowledged without applying it,
-// and check-and-mark is atomic (protocol.ReplayFilter.Accept). The
-// filter is keyed by the delivery's origin, not the hop that carried
-// it, so a copy arriving through a sibling relay and a direct retry
-// dedupe against each other.
-func (n *Node) accept(origin string, seq uint64, apply func() error) ([]byte, error) {
-	dup, err := n.replay.Accept(origin, seq, apply)
+// acceptSummaryPush journals (durable mode), folds and marks one
+// degraded summary push under the journal mutex, the atomicity
+// preserve gives batches: the raw payload is journaled first, with its
+// (Origin, Seq), and a failed append refuses the push so the sender
+// retries. Deduped by (origin, seq) exactly like batches; the windows
+// merge decomposably, so retries and multi-hop re-emissions (fog1 ->
+// fog2 -> cloud) converge to the same totals.
+func (n *Node) acceptSummaryPush(push *protocol.SummaryPush, payload []byte) error {
+	err := n.dur.Journal.Apply(func(buf []byte) []byte {
+		return durable.AppendPayload(buf, recSummary, payload)
+	}, func() error {
+		n.foldSummary(push)
+		n.replay.Mark(push.Origin, push.Seq)
+		n.degradedReads.Add(push.Readings())
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("cloud summary push: %w", err)
 	}
-	if dup {
-		n.dupBatches.Inc()
-	}
-	return []byte("ok"), nil
+	return nil
 }
 
-// acceptSummaryPush folds a degraded summary push into the cloud's
-// per-type window summaries, deduped by (origin, seq) exactly like
-// batches. The windows merge decomposably, so retries and multi-hop
-// re-emissions (fog1 -> fog2 -> cloud) converge to the same totals.
-func (n *Node) acceptSummaryPush(push protocol.SummaryPush) {
+// foldSummary merges a push's windows into the type's held windows.
+func (n *Node) foldSummary(push *protocol.SummaryPush) {
 	n.sumMu.Lock()
 	wins, ok := n.degraded[push.TypeName]
 	if !ok {
@@ -391,7 +392,23 @@ func (n *Node) acceptSummaryPush(push protocol.SummaryPush) {
 		wins[w.StartUnix] = cur
 	}
 	n.sumMu.Unlock()
-	n.degradedReads.Add(push.Readings())
+}
+
+// heldPushes returns the held windows as one summary push per type —
+// the snapshot's window section. Window order within a push is free:
+// every window folds into an empty slot on recovery.
+func (n *Node) heldPushes() []protocol.SummaryPush {
+	n.sumMu.Lock()
+	defer n.sumMu.Unlock()
+	pushes := make([]protocol.SummaryPush, 0, len(n.degraded))
+	for typ, wins := range n.degraded {
+		push := protocol.SummaryPush{TypeName: typ}
+		for start, w := range wins {
+			push.Windows = append(push.Windows, protocol.SummaryWindow{StartUnix: start, EndUnix: w.End.UnixNano(), Summary: w.Summary})
+		}
+		pushes = append(pushes, push)
+	}
+	return pushes
 }
 
 // acceptAlertPush journals (durable mode), stores and marks one
@@ -402,15 +419,16 @@ func (n *Node) acceptSummaryPush(push protocol.SummaryPush) {
 // instance identity, so one record recovers both the dedup mark and
 // the stored alerts.
 func (n *Node) acceptAlertPush(push *protocol.AlertPush, payload []byte) error {
-	if n.journal != nil {
-		n.journal.mu.Lock()
-		defer n.journal.mu.Unlock()
-		if err := n.journal.appendAlertLocked(payload); err != nil {
-			return fmt.Errorf("cloud alert: %w", err)
-		}
+	err := n.dur.Journal.Apply(func(buf []byte) []byte {
+		return append(append(buf, recAlert), payload...)
+	}, func() error {
+		n.storeAlerts(push, true)
+		n.replay.Mark(push.Origin, push.Seq)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("cloud alert: %w", err)
 	}
-	n.storeAlerts(push, true)
-	n.replay.Mark(push.Origin, push.Seq)
 	return nil
 }
 
@@ -473,9 +491,10 @@ func (n *Node) DegradedSummaries(typeName string) []aggregate.WindowSummary {
 }
 
 // maybeExpire runs the automatic data-destruction sweep every ~1024
-// preserves when Retention is configured. It is called from Handle
-// after preserve has returned (never inside it: Expire takes the
-// journal mutex preserve holds).
+// preserves when Retention is configured, counting a sweep whose
+// cutoff could not be journaled on expire.errors. It is called from
+// Handle after preserve has returned (never inside it: Expire takes
+// the journal mutex preserve holds).
 func (n *Node) maybeExpire() {
 	if n.cfg.Retention <= 0 {
 		return
@@ -488,7 +507,9 @@ func (n *Node) maybeExpire() {
 	}
 	n.sumMu.Unlock()
 	if due {
-		n.Expire(n.cfg.Clock.Now().Add(-n.cfg.Retention))
+		if _, err := n.Expire(n.cfg.Clock.Now().Add(-n.cfg.Retention)); err != nil {
+			n.expireErrors.Inc()
+		}
 	}
 }
 
@@ -503,10 +524,7 @@ func (n *Node) Historical(typeName string, from, to time.Time) []model.Reading {
 // scan, so a query over the whole archive streams instead of
 // materializing one unbounded response.
 func (n *Node) HistoricalPage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
-	if limit <= 0 || limit > n.cfg.MaxQueryPage {
-		limit = n.cfg.MaxQueryPage
-	}
-	return n.series.QueryRangePage(typeName, from, to, limit, cursor)
+	return store.Page(n.series, n.cfg.MaxQueryPage, typeName, from, to, limit, cursor)
 }
 
 // Latest serves point lookups (slow path compared to fog layer 1: the
@@ -534,41 +552,32 @@ func (n *Node) Analyze(typeName string, from, to time.Time, window time.Duration
 // number of destroyed records. The in-RAM series cuts exactly; the
 // segment store drops whole segments, so one straddling the cutoff
 // keeps serving its destroyed readings until a later cutoff passes
-// its newest one. A durable cloud journals the cutoff so recovery
-// does not resurrect destroyed records.
-func (n *Node) Expire(before time.Time) int {
-	if n.journal != nil {
-		n.journal.mu.Lock()
-		defer n.journal.mu.Unlock()
-		_ = n.journal.appendExpireLocked(before)
+// its newest one. A durable cloud journals the cutoff first, so
+// recovery does not resurrect destroyed records; a cutoff it could
+// not journal destroys nothing and returns the error.
+func (n *Node) Expire(before time.Time) (int, error) {
+	destroyed := 0
+	err := n.dur.Journal.Apply(func(buf []byte) []byte {
+		return wal.AppendUint64(append(buf, recExpire), uint64(before.UnixNano()))
+	}, func() error {
+		destroyed = n.archive.Expire(before)
+		n.series.EvictBefore(before)
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("cloud expire: %w", err)
 	}
-	destroyed := n.archive.Expire(before)
-	n.series.EvictBefore(before)
-	return destroyed
+	return destroyed, nil
 }
 
-// Checkpoint folds a durable cloud's archive and replay-filter marks
-// into a snapshot and truncates the journal, bounding recovery time.
-// No-op on an in-memory cloud.
+// Checkpoint folds a durable cloud's archive, replay-filter marks,
+// alert instances and degraded windows into a snapshot and truncates
+// the journal, bounding recovery time. No-op on an in-memory cloud.
 func (n *Node) Checkpoint() error {
-	if n.journal == nil {
-		return nil
-	}
-	n.journal.mu.Lock()
-	defer n.journal.mu.Unlock()
-	if n.journal.closed {
-		return nil
-	}
-	recs := n.archive.Records()
-	ars := make([]archivedRecord, len(recs))
-	for i, r := range recs {
-		ars[i] = archivedRecord{provenance: r.Provenance, batch: r.Batch}
-	}
-	data, err := encodeCloudSnapshot(nil, n.preserveSeq, n.replay.Dump(), ars, n.AlertInstances())
+	err := n.dur.Journal.Checkpoint(func() ([]byte, error) {
+		return encodeCloudSnapshot(nil, n.preserveSeq, n.replay.Dump(), n.archive.Records(), n.AlertInstances(), n.heldPushes())
+	})
 	if err != nil {
-		return fmt.Errorf("cloud: checkpoint: %w", err)
-	}
-	if err := n.journal.store.WriteSnapshot(data); err != nil {
 		return fmt.Errorf("cloud: checkpoint: %w", err)
 	}
 	return nil
@@ -581,45 +590,20 @@ func (n *Node) Checkpoint() error {
 // log tail must also be at least a quarter of the archive, so total
 // checkpoint I/O stays linear in data preserved instead of quadratic.
 func (n *Node) maybeCheckpoint() {
-	if n.journal == nil {
-		return
-	}
-	n.journal.mu.Lock()
-	threshold := n.journal.store.SnapshotThreshold()
-	appends := n.journal.store.AppendsSinceSnapshot()
-	due := !n.journal.closed && threshold > 0 && appends >= threshold
-	n.journal.mu.Unlock()
-	if due && appends*4 >= n.archive.Len() {
+	if appends, due := n.dur.Journal.CheckpointDue(); due && appends*4 >= n.archive.Len() {
 		_ = n.Checkpoint()
 	}
 }
 
-// Discard releases a durable cloud's journal file handle without a
-// checkpoint — crash-semantics teardown for restart simulations; the
+// Discard releases a durable cloud's journal and segment store without
+// a checkpoint — crash-semantics teardown for restart simulations; the
 // on-disk state stays exactly as the last append left it.
-func (n *Node) Discard() {
-	if n.journal != nil {
-		_ = n.journal.close()
-		n.segStore.Discard()
-	}
-}
+func (n *Node) Discard() { n.dur.Discard() }
 
 // Close writes a final checkpoint and closes the journal and the
 // segment store of a durable cloud; an in-memory cloud closes as a
 // no-op. Safe to call multiple times.
-func (n *Node) Close() error {
-	if n.journal == nil {
-		return nil
-	}
-	err := n.Checkpoint()
-	if cerr := n.journal.close(); err == nil {
-		err = cerr
-	}
-	if cerr := n.segStore.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (n *Node) Close() error { return n.dur.Close(n.Checkpoint) }
 
 // Status reports cloud state.
 func (n *Node) Status() protocol.StatusResponse {
@@ -658,7 +642,7 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		}
 		// preserve journals batch + mark as one record and marks the
 		// filter itself, under the journal mutex, once archived.
-		ack, err := n.accept(b.NodeID, seq, func() error { return n.preserve(b, msg.From, seq) })
+		ack, err := n.dur.Accept(b.NodeID, seq, func() error { return n.preserve(b, msg.From, seq) })
 		if err == nil {
 			n.maybeCheckpoint()
 			n.maybeExpire()
@@ -669,7 +653,7 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		return n.accept(push.Origin, push.Seq, func() error { return n.acceptAlertPush(push, msg.Payload) })
+		return n.dur.Accept(push.Origin, push.Seq, func() error { return n.acceptAlertPush(push, msg.Payload) })
 	case transport.KindSummaryPush:
 		var push protocol.SummaryPush
 		if err := protocol.DecodeJSON(msg.Payload, &push); err != nil {
@@ -678,46 +662,9 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		if err := push.Validate(); err != nil {
 			return nil, err
 		}
-		return n.accept(push.Origin, push.Seq, func() error {
-			n.acceptSummaryPush(push)
-			return nil
-		})
-	case transport.KindQuery:
-		var req protocol.QueryRequest
-		if err := protocol.DecodeJSON(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		if err := req.Validate(); err != nil {
-			return nil, err
-		}
-		var page protocol.QueryPage
-		if req.SensorID != "" {
-			if r, ok := n.Latest(req.SensorID); ok {
-				page.Found = true
-				page.Readings = []model.Reading{r}
-			}
-		} else {
-			from, to := req.Range()
-			readings, next, err := n.HistoricalPage(req.TypeName, from, to, req.Limit, req.Cursor)
-			if err != nil {
-				return nil, fmt.Errorf("cloud: query: %w", err)
-			}
-			page.Readings = readings
-			page.NextCursor = next
-			page.Found = len(readings) > 0 || next != ""
-		}
-		return protocol.EncodeQueryPage(n.cfg.ID, page, n.cfg.Codec)
-	case transport.KindSummary:
-		var req protocol.SummaryRequest
-		if err := protocol.DecodeJSON(msg.Payload, &req); err != nil {
-			return nil, err
-		}
-		if err := req.Validate(); err != nil {
-			return nil, err
-		}
-		from, to := req.Range()
-		sum := aggregate.Summarize(n.Historical(req.TypeName, from, to))
-		return protocol.EncodeJSON(protocol.SummaryResponse{Summary: sum})
+		return n.dur.Accept(push.Origin, push.Seq, func() error { return n.acceptSummaryPush(&push, msg.Payload) })
+	case transport.KindQuery, transport.KindSummary:
+		return store.Serve(n.series, n.cfg.ID, n.cfg.MaxQueryPage, n.cfg.Codec, msg.Kind, msg.Payload)
 	case transport.KindControl:
 		var req protocol.ControlRequest
 		if err := protocol.DecodeJSON(msg.Payload, &req); err != nil {

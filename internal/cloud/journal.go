@@ -2,26 +2,32 @@ package cloud
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sensor"
+	"f2c/internal/store"
 	"f2c/internal/wal"
 )
 
 // The cloud journal persists the preservation block: every batch the
 // cloud accepts is journaled (with the delivering hop and its delivery
-// sequence) before it is archived, and data-destruction cutoffs are
-// journaled so recovery does not resurrect expired records. The
-// journal mutex makes append+apply atomic against checkpoints, so a
-// snapshot is always a consistent cut of the archive plus the replay
-// filter deduping at-least-once retries.
+// sequence) before it is archived, every accepted alert and summary
+// push before it is stored, and data-destruction cutoffs so recovery
+// does not resurrect expired records. The journal itself, its recovery
+// driver and its checkpoint are the shared durable core
+// (internal/durable); what is cloud-specific is here: the record
+// table, the snapshot body and the storage-mode check. The cloud holds
+// the journal mutex across append and apply (durable.Journal.Apply),
+// so a snapshot is always a consistent cut of the archive, the held
+// alerts and degraded windows, and the replay filter deduping
+// at-least-once retries.
 //
-// Snapshot layout (version 3; version 2 lacked the alert section and
-// version 1 additionally lacked the preserve counter — both are still
-// accepted, v1 falling back to the record count):
+// Snapshot layout (version 4; version 3 lacked the window section,
+// version 2 additionally the alert section, and version 1 also the
+// preserve counter — all are still accepted, v1 falling back to the
+// record count):
 //
 //	[version u8]
 //	[preserveSeq u64]                       (version >= 2)
@@ -29,117 +35,49 @@ import (
 //	[records uvarint] { [provenance uvarint { [node string] }*]
 //	                    [batch bytes (sensor wire, uvarint-framed)] }*
 //	[alerts uvarint] { [instance JSON (protocol.Alert, uvarint-framed)] }*   (version >= 3)
+//	[windows uvarint] { [SummaryPush JSON, one per type, uvarint-framed] }*  (version >= 4)
 //
-// Restored records re-enter through the same classification path as
-// live preserves; StoredAt is re-stamped with the recovery clock,
-// which only affects provenance metadata, never the preserved
-// readings.
+// The window section is the encoding a fog node's snapshot uses for
+// its degrade buffers. Restored records re-enter through the same
+// classification path as live preserves; StoredAt is re-stamped with
+// the recovery clock, which only affects provenance metadata, never
+// the preserved readings.
 const (
-	cloudJournalVersion   = 3
-	cloudJournalVersionV2 = 2
-	cloudJournalVersionV1 = 1
+	cloudSnapshotVersion = 4
 
 	recPreserve  = 1 // pre-numbering preserve (read-side only)
 	recExpire    = 2
 	recPreserve2 = 3 // preserve carrying its preserve number
 	recAlert     = 4 // accepted alert push (raw wire payload)
+	recSummary   = 5 // accepted summary push (payload record, as a fog node's recAbsorb)
 )
 
-type cloudJournal struct {
-	mu     sync.Mutex
-	store  *wal.Store
-	buf    []byte
-	closed bool
-}
-
-func openCloudJournal(cfg wal.Config) (*cloudJournal, error) {
-	st, err := wal.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &cloudJournal{store: st}, nil
-}
-
-// appendPreserve journals one accepted batch under its preserve
-// number pseq and the delivering hop's sequence seq. The caller holds
-// j.mu for the whole append+apply sequence.
-func (j *cloudJournal) appendPreserveLocked(pseq, seq uint64, from string, b *model.Batch) error {
-	if j.closed {
-		return fmt.Errorf("cloud: journal closed")
-	}
-	j.buf = append(j.buf[:0], recPreserve2)
-	j.buf = wal.AppendUint64(j.buf, pseq)
-	j.buf = wal.AppendUint64(j.buf, seq)
-	j.buf = wal.AppendString(j.buf, from)
-	j.buf = sensor.AppendBatch(j.buf, b)
-	return j.store.Append(j.buf)
-}
-
-// appendAlertLocked journals one accepted alert push verbatim (the
-// payload already carries its (Origin, Seq) delivery identity and the
-// per-alert instance identities, so replay recovers both the dedup
-// mark and the stored instances from one record). The caller holds
-// j.mu for the whole append+apply sequence.
-func (j *cloudJournal) appendAlertLocked(payload []byte) error {
-	if j.closed {
-		return fmt.Errorf("cloud: journal closed")
-	}
-	j.buf = append(j.buf[:0], recAlert)
-	j.buf = append(j.buf, payload...)
-	return j.store.Append(j.buf)
-}
-
-func (j *cloudJournal) appendExpireLocked(before time.Time) error {
-	if j.closed {
-		return fmt.Errorf("cloud: journal closed")
-	}
-	j.buf = append(j.buf[:0], recExpire)
-	j.buf = wal.AppendUint64(j.buf, uint64(before.UnixNano()))
-	return j.store.Append(j.buf)
-}
-
-func (j *cloudJournal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	return j.store.Close()
-}
-
 // encodeCloudSnapshot folds the preserve counter, the archive, the
-// filter dump and the stored alert instances into one snapshot
-// payload.
-func encodeCloudSnapshot(dst []byte, preserveSeq uint64, marks map[string][]uint64, records []archivedRecord, alerts []protocol.Alert) ([]byte, error) {
-	dst = append(dst, cloudJournalVersion)
+// filter dump, the stored alert instances and the held degraded
+// windows into one snapshot payload.
+func encodeCloudSnapshot(dst []byte, preserveSeq uint64, marks map[string][]uint64, records []store.Record, alerts []protocol.Alert, windows []protocol.SummaryPush) ([]byte, error) {
+	dst = append(dst, cloudSnapshotVersion)
 	dst = wal.AppendUint64(dst, preserveSeq)
 	dst = wal.AppendMarkSet(dst, marks)
 	dst = wal.AppendUvarint(dst, uint64(len(records)))
 	var wire []byte
 	for _, rec := range records {
-		dst = wal.AppendUvarint(dst, uint64(len(rec.provenance)))
-		for _, node := range rec.provenance {
+		dst = wal.AppendUvarint(dst, uint64(len(rec.Provenance)))
+		for _, node := range rec.Provenance {
 			dst = wal.AppendString(dst, node)
 		}
-		wire = sensor.AppendBatch(wire[:0], rec.batch)
+		wire = sensor.AppendBatch(wire[:0], rec.Batch)
 		dst = wal.AppendBytes(dst, wire)
 	}
-	dst = wal.AppendUvarint(dst, uint64(len(alerts)))
-	for i := range alerts {
-		doc, err := protocol.EncodeJSON(alerts[i])
-		if err != nil {
-			return nil, fmt.Errorf("cloud: snapshot alert: %w", err)
-		}
-		dst = wal.AppendBytes(dst, doc)
+	dst, err := wal.AppendDocs(dst, alerts, func(a *protocol.Alert) ([]byte, error) { return protocol.EncodeJSON(a) })
+	if err != nil {
+		return nil, fmt.Errorf("cloud: snapshot alert: %w", err)
+	}
+	dst, err = wal.AppendDocs(dst, windows, func(p *protocol.SummaryPush) ([]byte, error) { return protocol.EncodeJSON(p) })
+	if err != nil {
+		return nil, fmt.Errorf("cloud: snapshot windows: %w", err)
 	}
 	return dst, nil
-}
-
-// archivedRecord is the snapshot shape of one preserved batch.
-type archivedRecord struct {
-	provenance []string
-	batch      *model.Batch
 }
 
 // cloudRecovery is the decoded durable state of a cloud node: the
@@ -147,11 +85,14 @@ type archivedRecord struct {
 // tail's preserves and expires in log order.
 type cloudRecovery struct {
 	marks   []cloudMark
-	records []archivedRecord
+	records []store.Record
 	// alerts are the snapshot's stored alert instances (already
 	// deduped by instance key when the snapshot was cut).
 	alerts []protocol.Alert
-	tail   []tailOp
+	// summaries are the snapshot's held windows (one push per type),
+	// then the tail's accepted summary pushes in log order.
+	summaries []*protocol.SummaryPush
+	tail      []tailOp
 	// preserveSeq is the snapshot's preserve counter: the highest
 	// number assigned to any preserve folded into the snapshot. A
 	// version-1 snapshot (pre-numbering) falls back to its record
@@ -182,7 +123,7 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 		return nil
 	}
 	version := data[0]
-	if version != cloudJournalVersion && version != cloudJournalVersionV2 && version != cloudJournalVersionV1 {
+	if version == 0 || version > cloudSnapshotVersion {
 		return fmt.Errorf("cloud: unsupported snapshot version %d", version)
 	}
 	rest := data[1:]
@@ -229,31 +170,39 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 		if err != nil {
 			return fmt.Errorf("cloud: snapshot batch: %w", err)
 		}
-		rs.records = append(rs.records, archivedRecord{provenance: prov, batch: b})
+		rs.records = append(rs.records, store.Record{Provenance: prov, Batch: b})
 	}
 	if version >= 3 {
-		var alerts uint64
-		alerts, rest, err = wal.ReadUvarint(rest)
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < alerts; i++ {
-			var doc []byte
-			doc, rest, err = wal.ReadBytes(rest)
-			if err != nil {
-				return err
-			}
+		rest, err = wal.ReadDocs(rest, func(doc []byte) error {
 			var a protocol.Alert
 			if err := protocol.DecodeJSON(doc, &a); err != nil {
 				return fmt.Errorf("cloud: snapshot alert: %w", err)
 			}
 			rs.alerts = append(rs.alerts, a)
-		}
+			return nil
+		})
 	}
-	if version == cloudJournalVersionV1 {
+	if err == nil && version >= 4 {
+		_, err = wal.ReadDocs(rest, func(doc []byte) error {
+			push, err := decodeSummaryPush(doc)
+			if err == nil {
+				rs.summaries = append(rs.summaries, push)
+			}
+			return err
+		})
+	}
+	if version == 1 {
 		rs.preserveSeq = uint64(len(rs.records))
 	}
-	return nil
+	return err
+}
+
+func decodeSummaryPush(doc []byte) (*protocol.SummaryPush, error) {
+	var push protocol.SummaryPush
+	if err := protocol.DecodeJSON(doc, &push); err != nil {
+		return nil, fmt.Errorf("cloud: summary push: %w", err)
+	}
+	return &push, nil
 }
 
 func (rs *cloudRecovery) applyRecord(rec []byte) error {
@@ -293,6 +242,17 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 			return fmt.Errorf("cloud: journal alert: %w", err)
 		}
 		rs.tail = append(rs.tail, tailOp{alerts: push})
+		rs.marks = append(rs.marks, cloudMark{origin: push.Origin, seq: push.Seq})
+	case recSummary:
+		doc, _, err := wal.ReadBytes(body)
+		if err != nil {
+			return err
+		}
+		push, err := decodeSummaryPush(doc)
+		if err != nil {
+			return err
+		}
+		rs.summaries = append(rs.summaries, push)
 		rs.marks = append(rs.marks, cloudMark{origin: push.Origin, seq: push.Seq})
 	case recExpire:
 		ns, _, err := wal.ReadUint64(body)

@@ -42,8 +42,8 @@ func TestOneAnswerPerCloud(t *testing.T) {
 			if err := n.Preserve(cloudBatch("fog2/d01", "traffic", c0.Add(2*time.Hour), 5, 6, 7), "fog2/d01"); err != nil {
 				t.Fatal(err)
 			}
-			if destroyed := n.Expire(c0.Add(time.Hour)); destroyed != 1 {
-				t.Fatalf("expired %d records, want 1", destroyed)
+			if destroyed, err := n.Expire(c0.Add(time.Hour)); err != nil || destroyed != 1 {
+				t.Fatalf("expired %d records (%v), want 1", destroyed, err)
 			}
 
 			from, to := c0.Add(-time.Hour), c0.Add(3*time.Hour)

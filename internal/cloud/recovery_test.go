@@ -124,8 +124,8 @@ func TestCloudRecoveryHonorsExpire(t *testing.T) {
 	n := newDurableCloud(t, dir)
 	_ = n.Preserve(cloudBatch("fog2/d01", "traffic", c0, 1), "fog2/d01")
 	_ = n.Preserve(cloudBatch("fog2/d01", "traffic", c0.Add(2*time.Hour), 2), "fog2/d01")
-	if destroyed := n.Expire(c0.Add(time.Hour)); destroyed != 1 {
-		t.Fatalf("expired %d records, want 1", destroyed)
+	if destroyed, err := n.Expire(c0.Add(time.Hour)); err != nil || destroyed != 1 {
+		t.Fatalf("expired %d records (%v), want 1", destroyed, err)
 	}
 
 	n.Discard()
@@ -195,7 +195,9 @@ func cloudRecoveryProperty(t *testing.T, seed int64) {
 				failf("preserve: %v", err)
 			}
 		case k < 7:
-			n.Expire(at.Add(-time.Duration(rng.Intn(90)) * time.Minute))
+			if _, err := n.Expire(at.Add(-time.Duration(rng.Intn(90)) * time.Minute)); err != nil {
+				failf("expire: %v", err)
+			}
 		case k < 9:
 			wantLen := n.Archive().Len()
 			wantReadings := n.Archive().Stats().Readings

@@ -390,8 +390,8 @@ func TestCloudExpire(t *testing.T) {
 	if s.Cloud().Archive().Len() != 1 {
 		t.Fatal("nothing archived")
 	}
-	if n := s.Cloud().Expire(t0.Add(48 * time.Hour)); n != 1 {
-		t.Errorf("expired %d, want 1", n)
+	if n, err := s.Cloud().Expire(t0.Add(48 * time.Hour)); err != nil || n != 1 {
+		t.Errorf("expired %d (%v), want 1", n, err)
 	}
 	if s.Cloud().Archive().Len() != 0 {
 		t.Error("archive not empty after expiry")

@@ -38,10 +38,10 @@ func (n *Node) Subscribe(sub cq.Subscription) error {
 	if err := sub.Validate(); err != nil {
 		return fmt.Errorf("fognode %s: %w", n.cfg.Spec.ID, err)
 	}
-	if n.journal != nil {
+	if n.dur.Journal != nil {
 		doc, err := json.Marshal(sub)
 		if err == nil {
-			err = n.journal.appendPayload(recSubscribe, doc)
+			err = n.dur.Journal.WritePayload(recSubscribe, doc)
 		}
 		if err != nil {
 			return fmt.Errorf("fognode %s: subscribe: %w", n.cfg.Spec.ID, err)
@@ -52,9 +52,7 @@ func (n *Node) Subscribe(sub cq.Subscription) error {
 
 // Unsubscribe cancels a standing subscription.
 func (n *Node) Unsubscribe(id string) bool {
-	if n.journal != nil {
-		_ = n.journal.appendUnsubscribe(id)
-	}
+	_ = n.journalUnsubscribe(id)
 	return n.cqe.Unsubscribe(id)
 }
 
@@ -167,9 +165,7 @@ func (n *Node) foldAlertLocked(typ string, q *outbox, i int) {
 	n.alertsShed.Add(int64(over))
 	n.alertFolds.Inc()
 	into.payload = payload
-	if n.journal != nil {
-		_ = n.journal.appendSeal(typ, into)
-	}
+	_ = n.journalSeal(typ, into)
 	n.commit(typ, folded)
 	q.remove(i)
 }
@@ -184,7 +180,7 @@ func (n *Node) handleAlertPush(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.accept(push.Origin, push.Seq, func() error {
+	return n.dur.Accept(push.Origin, push.Seq, func() error {
 		// The transport owns payload once Handle returns.
 		it := item{kind: transport.KindAlertPush, origin: push.Origin, seq: push.Seq, class: push.Category, payload: append([]byte(nil), payload...)}
 		sh := n.shardFor(push.TypeName)

@@ -145,15 +145,13 @@ func (n *Node) handleSummaryPush(payload []byte) ([]byte, error) {
 	if err := push.Validate(); err != nil {
 		return nil, err
 	}
-	return n.accept(push.Origin, push.Seq, func() error {
+	return n.dur.Accept(push.Origin, push.Seq, func() error {
 		cat, _ := model.ParseCategory(push.Category)
 		sh := n.shardFor(push.TypeName)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if n.journal != nil {
-			if err := n.journal.appendPayload(recAbsorb, payload); err != nil {
-				return fmt.Errorf("fognode %s: summary push: %w", n.cfg.Spec.ID, err)
-			}
+		if err := n.dur.Journal.WritePayload(recAbsorb, payload); err != nil {
+			return fmt.Errorf("fognode %s: summary push: %w", n.cfg.Spec.ID, err)
 		}
 		sh.degradeBufLocked(push.TypeName, cat).absorb(&push)
 		n.degradedIn.Add(push.Readings())

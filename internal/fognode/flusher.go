@@ -103,18 +103,8 @@ func (n *Node) Close(ctx context.Context) error {
 	if n.cfg.Spec.Parent != "" || n.PendingBatches() > 0 {
 		err = n.Flush(ctx)
 	}
-	if n.journal != nil {
-		if cerr := n.Checkpoint(); err == nil {
-			err = cerr
-		}
-		if cerr := n.journal.close(); err == nil {
-			err = cerr
-		}
-	}
-	if n.segStore != nil {
-		if cerr := n.segStore.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := n.dur.Close(n.Checkpoint); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -127,10 +117,5 @@ func (n *Node) Close(ctx context.Context) error {
 // same on-disk picture without the courtesy of the close.
 func (n *Node) Discard() {
 	n.lc.end()
-	if n.journal != nil {
-		_ = n.journal.close()
-	}
-	if n.segStore != nil {
-		n.segStore.Discard()
-	}
+	n.dur.Discard()
 }

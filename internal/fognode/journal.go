@@ -3,10 +3,10 @@ package fognode
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"f2c/internal/cq"
+	"f2c/internal/durable"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sensor"
@@ -15,12 +15,15 @@ import (
 )
 
 // The fog-node journal persists exactly the state the upward-delivery
-// guarantee depends on, as one record per state transition. Records
-// are appended under the same lock as the state change they describe
-// (the pending-shard mutex), so replaying the log reproduces the
-// per-type state machine transition by transition. Recovery ordering
-// is snapshot first, then the log tail, then installation into the
-// shards.
+// guarantee depends on, as one record per state transition. The
+// journal itself, its recovery driver and its checkpoint are the
+// shared durable core (internal/durable); what is fog-specific is
+// here: the record table, the snapshot body and the storage-mode
+// check. Records are appended under the same lock as the state change
+// they describe (the pending-shard mutex), so replaying the log
+// reproduces the per-type state machine transition by transition.
+// Recovery ordering is snapshot first, then the log tail, then
+// installation into the shards.
 //
 //	recBatch          readings accepted into a type's pending buffer;
 //	                  when the batch arrived sequenced over the
@@ -91,51 +94,24 @@ const (
 	recAbsorb        = 13
 )
 
-// journal wraps the node's wal.Store with the record codec. Its mutex
-// serializes appends and excludes them during checkpoints.
-type journal struct {
-	mu     sync.Mutex
-	store  *wal.Store
-	buf    []byte // record-encode scratch, reused under mu
-	closed bool
-}
+// The record table: one encoder per record above, each appending
+// through the node's durable.Journal (a no-op on a node without one).
 
-func openJournal(cfg wal.Config) (*journal, error) {
-	st, err := wal.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &journal{store: st}, nil
-}
-
-// write appends one record, built by fill into the reused scratch.
-// A closed journal refuses: acceptance gates fail on that, best-effort
-// callers drop the error like any other.
-func (j *journal) write(fill func(buf []byte) []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("fognode: journal closed")
-	}
-	j.buf = fill(j.buf[:0])
-	return j.store.Append(j.buf)
-}
-
-// appendBatch journals readings accepted into the pending buffer,
+// journalBatch journals readings accepted into the pending buffer,
 // together with the delivery mark (origin, seq) of the transport hop
 // that carried them (zero when the batch arrived unsequenced — a
 // local edge ingest or a v1 envelope). The batch is logged with the
 // node's own identity — the shape the pending buffer holds and a
 // recovered flush would send.
-func (j *journal) appendBatch(nodeID string, b *model.Batch, origin string, seq uint64) error {
-	up := model.Batch{
-		NodeID:    nodeID,
-		TypeName:  b.TypeName,
-		Category:  b.Category,
-		Collected: b.Collected,
-		Readings:  b.Readings,
-	}
-	return j.write(func(buf []byte) []byte {
+func (n *Node) journalBatch(b *model.Batch, origin string, seq uint64) error {
+	return n.dur.Journal.Write(func(buf []byte) []byte {
+		up := model.Batch{
+			NodeID:    n.cfg.Spec.ID,
+			TypeName:  b.TypeName,
+			Category:  b.Category,
+			Collected: b.Collected,
+			Readings:  b.Readings,
+		}
 		buf = append(buf, recBatch)
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, origin)
@@ -143,11 +119,11 @@ func (j *journal) appendBatch(nodeID string, b *model.Batch, origin string, seq 
 	})
 }
 
-// appendSeal journals one item frozen onto a type's outbox: O(1) for a
-// batch, whose readings the log already holds, with the payload for a
-// push.
-func (j *journal) appendSeal(typ string, it *item) error {
-	return j.write(func(buf []byte) []byte {
+// journalSeal journals one item frozen onto a type's outbox: O(1) for
+// a batch, whose readings the log already holds, with the payload for
+// a push.
+func (n *Node) journalSeal(typ string, it *item) error {
+	return n.dur.Journal.Write(func(buf []byte) []byte {
 		if it.b == nil {
 			buf = append(buf, recPushSeal, byte(rank(it.kind)))
 			return wal.AppendBytes(buf, it.payload)
@@ -159,9 +135,9 @@ func (j *journal) appendSeal(typ string, it *item) error {
 	})
 }
 
-// appendCommit journals an item leaving a type's outbox for good.
-func (j *journal) appendCommit(typ, origin string, seq uint64) error {
-	return j.write(func(buf []byte) []byte {
+// journalCommit journals an item leaving a type's outbox for good.
+func (n *Node) journalCommit(typ, origin string, seq uint64) error {
+	return n.dur.Journal.Write(func(buf []byte) []byte {
 		buf = append(buf, recItemCommit)
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, origin)
@@ -169,23 +145,23 @@ func (j *journal) appendCommit(typ, origin string, seq uint64) error {
 	})
 }
 
-func (j *journal) appendShed(typ string, count int) error {
-	return j.write(func(buf []byte) []byte {
+func (n *Node) journalShed(typ string, count int) error {
+	return n.dur.Journal.Write(func(buf []byte) []byte {
 		buf = append(buf, recShed)
 		buf = wal.AppendUvarint(buf, uint64(count))
 		return wal.AppendString(buf, typ)
 	})
 }
 
-// appendMigrateStart journals a type's state claimed for a handoff,
+// journalMigrateStart journals a type's state claimed for a handoff,
 // carrying the sequence counter after the handoff's transfer sequences
 // were reserved. Best-effort, like own seals: the state is covered
 // either way (uncommitted items stay queued), but the watermark keeps
 // a recovered counter past the reserved transfer sequences — the
 // target may have marked them, and a reused sequence would be deduped
 // there silently.
-func (j *journal) appendMigrateStart(typ, target string, seqHigh uint64) error {
-	return j.write(func(buf []byte) []byte {
+func (n *Node) journalMigrateStart(typ, target string, seqHigh uint64) error {
+	return n.dur.Journal.Write(func(buf []byte) []byte {
 		buf = append(buf, recMigrateStart)
 		buf = wal.AppendString(buf, typ)
 		buf = wal.AppendString(buf, target)
@@ -193,59 +169,10 @@ func (j *journal) appendMigrateStart(typ, target string, seqHigh uint64) error {
 	})
 }
 
-// appendPayload journals a record that is one opaque document: an
-// absorbed handoff chunk (recMigrateIn), an absorbed summary push
-// (recAbsorb), a subscription definition (recSubscribe). All three are
-// acceptance gates: a failure rejects what the document carried.
-func (j *journal) appendPayload(rec byte, payload []byte) error {
-	return j.write(func(buf []byte) []byte {
-		return wal.AppendBytes(append(buf, rec), payload)
-	})
-}
-
-func (j *journal) appendUnsubscribe(id string) error {
-	return j.write(func(buf []byte) []byte {
+func (n *Node) journalUnsubscribe(id string) error {
+	return n.dur.Journal.Write(func(buf []byte) []byte {
 		return wal.AppendString(append(buf, recUnsubscribe), id)
 	})
-}
-
-// checkpointDue reports whether the log has grown past the automatic
-// snapshot threshold.
-func (j *journal) checkpointDue() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return false
-	}
-	t := j.store.SnapshotThreshold()
-	return t > 0 && j.store.AppendsSinceSnapshot() >= t
-}
-
-// checkpoint folds the node's current delivery state into a snapshot
-// and rotates the log. The caller holds every pending-shard mutex and
-// the flush-exclusion lock, so the encoded state is consistent and no
-// record can race the rotation.
-func (j *journal) checkpoint(seqCounter uint64, filter *protocol.ReplayFilter, shards []pendingShard, subs []cq.SubSnapshot) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	data, err := encodeNodeSnapshot(nil, seqCounter, filter.Dump(), shards, subs)
-	if err != nil {
-		return err
-	}
-	return j.store.WriteSnapshot(data)
-}
-
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	return j.store.Close()
 }
 
 // Snapshot layout (version 3):
@@ -314,15 +241,7 @@ func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64
 			appendEntry(snapEntryDegraded, 0, doc)
 		}
 	}
-	dst = wal.AppendUvarint(dst, uint64(len(subs)))
-	for i := range subs {
-		doc, err := cq.EncodeSubSnapshot(&subs[i])
-		if err != nil {
-			return nil, err
-		}
-		dst = wal.AppendBytes(dst, doc)
-	}
-	return dst, nil
+	return wal.AppendDocs(dst, subs, cq.EncodeSubSnapshot)
 }
 
 // recoveryState accumulates the replayed delivery state before it is
@@ -643,7 +562,7 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 	if version == 1 {
 		return nil
 	}
-	rest, err = readDocs(rest, func(doc []byte) error {
+	rest, err = wal.ReadDocs(rest, func(doc []byte) error {
 		snap, err := cq.DecodeSubSnapshot(doc)
 		if err != nil {
 			return fmt.Errorf("fognode: snapshot subscription: %w", err)
@@ -652,24 +571,11 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 		return nil
 	})
 	if err == nil && version == 2 {
-		_, err = readDocs(rest, func(payload []byte) error {
+		_, err = wal.ReadDocs(rest, func(payload []byte) error {
 			return rs.addPush(transport.KindAlertPush, payload)
 		})
 	}
 	return err
-}
-
-// readDocs reads one [count uvarint] { [document, uvarint-framed] }*
-// snapshot section.
-func readDocs(rest []byte, each func(doc []byte) error) ([]byte, error) {
-	n, rest, err := wal.ReadUvarint(rest)
-	for i := uint64(0); err == nil && i < n; i++ {
-		var doc []byte
-		if doc, rest, err = wal.ReadBytes(rest); err == nil {
-			err = each(doc)
-		}
-	}
-	return rest, err
 }
 
 // applyRecord replays one log record onto the recovery state, the same
@@ -872,33 +778,43 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 	return nil
 }
 
-// recover rebuilds the node's delivery state from the journal opened
-// at construction: snapshot, then the log tail, then installation into
-// the shards, sequence counter, replay filter and the local
-// time-series store. Metrics are not re-counted — recovered state was
-// already accounted by its first life. freshStore reports that the
-// segment store's directory did not exist before this construction.
-func (n *Node) recover(j *journal, freshStore bool) error {
+// recovery is the fog node's half of the durable core's recovery
+// driver: the snapshot and record decoders above, the storage-mode
+// check and the installation into the shards, sequence counter,
+// replay filter and the local time-series store.
+func (n *Node) recovery() durable.Recovery {
 	rs := newRecoveryState()
 	rs.self = n.cfg.Spec.ID
 	if n.cfg.DegradeToSummary {
 		rs.degradeWindow = n.cfg.DegradeWindow
 	}
-	if err := decodeNodeSnapshot(j.store.Snapshot(), rs); err != nil {
-		return err
+	return durable.Recovery{
+		Snapshot: func(data []byte) error { return decodeNodeSnapshot(data, rs) },
+		Record:   rs.applyRecord,
+		// A segment-backed store is self-durable: it already recovered
+		// its own WAL and segments at Open, so replaying the journal's
+		// accepted batches into it would duplicate readings. That holds
+		// only for a store that lived beside the journal: one created
+		// just now has none of them, and serving on would answer range
+		// queries short.
+		Check: func(fresh bool) error {
+			if fresh && len(rs.stored) > 0 {
+				return fmt.Errorf("holds %d stored batches, but %s did not exist", len(rs.stored), n.dur.Segments.Dir())
+			}
+			return nil
+		},
+		Install: func() error { return n.install(rs) },
 	}
-	for _, rec := range j.store.Records() {
-		if err := rs.applyRecord(rec); err != nil {
-			return err
-		}
-	}
+}
+
+func (n *Node) install(rs *recoveryState) error {
 	// Continuous-query plane: checkpointed engine state first, then
 	// the tail's subscription ops, then the emitted marks of every
 	// window this node is known to have fired — only then are the
 	// tail's accepted batches re-observed, so a sealed window cannot
 	// refire while an unsealed one (its fire lost with the crash)
-	// legitimately does. Refired alerts are sealed by New once the
-	// journal is attached.
+	// legitimately does. Refired alerts are sealed by New once
+	// recovery is done.
 	for i := range rs.snapSubs {
 		if err := n.cqe.Install(rs.snapSubs[i]); err != nil {
 			return err
@@ -945,17 +861,7 @@ func (n *Node) recover(j *journal, freshStore bool) error {
 	for _, m := range rs.marks {
 		n.replay.Mark(m.origin, m.seq)
 	}
-	// A segment-backed store is self-durable: it already recovered its
-	// own WAL and segments at Open, so replaying the delivery
-	// journal's accepted batches into it would duplicate readings.
-	// That holds only for a store that lived beside the journal: one
-	// created just now has none of them, and serving on would answer
-	// range queries short.
-	if freshStore && len(rs.stored) > 0 {
-		return fmt.Errorf("storage mode mismatch: the journal in %s holds %d stored batches, but %s did not exist — the directory was written without a segment store, or its store/ was removed; reopen it the way it was written",
-			n.cfg.Durability.Dir, len(rs.stored), n.segStore.Dir())
-	}
-	if n.segStore == nil {
+	if n.dur.Segments == nil {
 		for _, b := range rs.stored {
 			if len(b.Readings) == 0 {
 				continue

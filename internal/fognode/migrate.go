@@ -259,9 +259,7 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 	// deduped at the target and its readings lost.
 	seqHigh := n.seq.Add(uint64(len(chunks)))
 	seqLow := seqHigh - uint64(len(chunks)) + 1
-	if n.journal != nil {
-		_ = n.journal.appendMigrateStart(typ, target, seqHigh)
-	}
+	_ = n.journalMigrateStart(typ, target, seqHigh)
 
 	for ci, chunk := range chunks {
 		t := &protocol.MigrateTransfer{
@@ -319,10 +317,8 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 			// target: journal the handoff so a recovered source does
 			// not re-evaluate them.
 			subsMoved = true
-			if n.journal != nil {
-				for i := range subs {
-					_ = n.journal.appendUnsubscribe(subs[i].Sub.ID)
-				}
+			for i := range subs {
+				_ = n.journalUnsubscribe(subs[i].Sub.ID)
 			}
 		}
 	}
@@ -360,17 +356,15 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 		}
 		subs = append(subs, snap)
 	}
-	return n.accept(t.From, t.TransferSeq, func() error {
+	return n.dur.Accept(t.From, t.TransferSeq, func() error {
 		sh := n.shardFor(t.TypeName)
 		sh.mu.Lock()
-		if n.journal != nil {
-			// The journal append is the acceptance gate, exactly like a
-			// batch ingest: if the chunk cannot be made durable it is
-			// rejected and the source keeps the state.
-			if err := n.journal.appendPayload(recMigrateIn, msg.Payload); err != nil {
-				sh.mu.Unlock()
-				return fmt.Errorf("fognode %s: migrate: %w", me, err)
-			}
+		// The journal append is the acceptance gate, exactly like a
+		// batch ingest: if the chunk cannot be made durable it is
+		// rejected and the source keeps the state.
+		if err := n.dur.Journal.WritePayload(recMigrateIn, msg.Payload); err != nil {
+			sh.mu.Unlock()
+			return fmt.Errorf("fognode %s: migrate: %w", me, err)
 		}
 		q := sh.box(t.TypeName)
 		for _, it := range items {
@@ -424,11 +418,9 @@ func (n *Node) ingestRouted(b *model.Batch, target string) error {
 	defer q.sendMu.Unlock()
 
 	sh.mu.Lock()
-	if n.journal != nil {
-		if err := n.journal.appendBatch(me, b, "", 0); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("fognode %s: ingest: %w", me, err)
-		}
+	if err := n.journalBatch(b, "", 0); err != nil {
+		sh.mu.Unlock()
+		return fmt.Errorf("fognode %s: ingest: %w", me, err)
 	}
 	n.bufferLocked(sh, b)
 	it := n.sealPendingLocked(sh, typ, 0)

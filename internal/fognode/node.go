@@ -20,7 +20,7 @@
 // carried verbatim by sibling relay and shard migration. What differs
 // between the kinds is a table (kindTable): rank, relay eligibility,
 // overflow policy. Receivers dedupe by (origin, seq) through one
-// atomic check-and-mark (accept).
+// atomic check-and-mark (durable.Core.Accept).
 //
 // Overload is handled in three tiers. Admission (Config.Scheduler): a
 // per-class weighted-fair scheduler gates Handle so queries keep their
@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,6 +48,7 @@ import (
 	"f2c/internal/aggregate"
 	"f2c/internal/cq"
 	"f2c/internal/describe"
+	"f2c/internal/durable"
 	"f2c/internal/metrics"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
@@ -233,13 +233,8 @@ func (c *Config) applyDefaults() error {
 type Node struct {
 	cfg Config
 	// store is the node's temporal store: the in-RAM store.TimeSeries
-	// or the durable segment.Store, selected by Config.Storage.
-	store store.Series
-	// segStore aliases store when the tiered segment engine backs it
-	// (nil on an in-RAM node): it owns on-disk state that must be
-	// closed with the node, and it recovers itself, so the delivery
-	// journal must not replay readings into it.
-	segStore  *segment.Store
+	// or the durable core's segment store, selected by Config.Storage.
+	store     store.Series
 	deduper   *aggregate.Deduper
 	describer *describe.Describer
 	stages    []Stage
@@ -254,13 +249,15 @@ type Node struct {
 	replay *protocol.ReplayFilter
 	seq    atomic.Uint64
 
-	// journal is the durability write-ahead log (nil when off).
-	// flightMu excludes checkpoints (write side) from senders (read
-	// side). Every item a sender works on is still on its outbox, so
-	// a snapshot cannot miss it; but a sender sorts and stamps a
-	// claimed batch in place outside the shard lock, and the snapshot
-	// encoder must not read it meanwhile.
-	journal  *journal
+	// dur is the receive-side durable core: the journal (nil when
+	// Durability is off), the segment store (nil when Storage is off)
+	// and the acceptance path over replay. flightMu excludes
+	// checkpoints (write side) from senders (read side). Every item a
+	// sender works on is still on its outbox, so a snapshot cannot miss
+	// it; but a sender sorts and stamps a claimed batch in place outside
+	// the shard lock, and the snapshot encoder must not read it
+	// meanwhile.
+	dur      *durable.Core
 	flightMu sync.RWMutex
 
 	// sched gates the handler path per traffic class (nil = no
@@ -276,8 +273,8 @@ type Node struct {
 
 	// cqe evaluates standing continuous-query subscriptions in the
 	// ingest path (see alerts.go); recoveredAlerts carries alerts a
-	// journal recovery refired, sealed by New once the journal is
-	// attached so their seal records land properly.
+	// journal recovery refired, sealed by New once recovery is done so
+	// their seal records land behind the recovered log.
 	cqe             *cq.Engine
 	recoveredAlerts []cq.Alert
 
@@ -291,7 +288,6 @@ type Node struct {
 	outageDrops      *metrics.Counter
 	relayedBatches   *metrics.Counter
 	deferredFlushes  *metrics.Counter
-	dupBatches       *metrics.Counter
 	degradedReads    *metrics.Counter
 	summariesEmitted *metrics.Counter
 	degradedIn       *metrics.Counter
@@ -363,27 +359,19 @@ func New(cfg Config) (*Node, error) {
 		cqe:       cq.NewEngine(),
 		lc:        newLifecycle(),
 	}
-	// freshStore: this call created the segment store's directory, so
-	// the store cannot hold what an existing journal says was stored.
-	freshStore := false
-	if cfg.Storage != nil {
-		so := *cfg.Storage
-		if so.Retention == 0 {
-			so.Retention = cfg.Retention
-		}
-		if so.Registry == nil {
-			so.Registry = cfg.Registry
-		}
-		if so.MetricsPrefix == "" {
-			so.MetricsPrefix = cfg.Spec.ID + "."
-		}
-		_, statErr := os.Stat(so.Dir)
-		gs, err := segment.Open(so)
-		if err != nil {
-			return nil, fmt.Errorf("fognode %s: storage: %w", cfg.Spec.ID, err)
-		}
-		n.store, n.segStore = gs, gs
-		freshStore = os.IsNotExist(statErr)
+	so := cfg.Storage
+	if so != nil && so.Retention == 0 {
+		withRetention := *so
+		withRetention.Retention = cfg.Retention
+		so = &withRetention
+	}
+	dur, err := durable.Open(cfg.Durability, so, cfg.Registry, cfg.Spec.ID+".", n.replay)
+	if err != nil {
+		return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
+	}
+	n.dur = dur
+	if dur.Segments != nil {
+		n.store = dur.Segments
 	} else {
 		n.store = store.NewTimeSeries(cfg.Retention)
 	}
@@ -407,7 +395,6 @@ func New(cfg Config) (*Node, error) {
 	n.outageDrops = reg.Counter(prefix + "flush.dropped_during_outage")
 	n.relayedBatches = reg.Counter(prefix + "flush.relayed")
 	n.deferredFlushes = reg.Counter(prefix + "flush.deferred")
-	n.dupBatches = reg.Counter(prefix + "ingest.duplicates")
 	n.degradedReads = reg.Counter(prefix + "flush.degraded_readings")
 	n.summariesEmitted = reg.Counter(prefix + "flush.summaries_emitted")
 	n.degradedIn = reg.Counter(prefix + "ingest.degraded_in")
@@ -440,36 +427,15 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.stages = append(n.stages, cfg.Stages...)
 
-	if cfg.Durability != nil {
-		// abandon releases what construction opened; a store
-		// directory this call created is removed again, so a refused
-		// boot leaves the data dir as it found it.
-		abandon := func() {
-			if n.segStore != nil {
-				n.segStore.Discard()
-				if freshStore {
-					_ = os.RemoveAll(n.segStore.Dir())
-				}
-			}
-		}
-		j, err := openJournal(*cfg.Durability)
-		if err != nil {
-			abandon()
-			return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
-		}
-		if err := n.recover(j, freshStore); err != nil {
-			_ = j.close()
-			abandon()
-			return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
-		}
-		n.journal = j
-		if len(n.recoveredAlerts) > 0 {
-			// Windows recovery legitimately refired (their seal records
-			// were lost with the crash) are sealed now, with the journal
-			// attached so this life's records cover them.
-			n.sealAlerts(n.recoveredAlerts)
-			n.recoveredAlerts = nil
-		}
+	if err := dur.Recover(n.recovery()); err != nil {
+		return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
+	}
+	if len(n.recoveredAlerts) > 0 {
+		// Windows recovery legitimately refired (their seal records
+		// were lost with the crash) are sealed now, so this life's
+		// records cover them.
+		n.sealAlerts(n.recoveredAlerts)
+		n.recoveredAlerts = nil
 	}
 	return n, nil
 }
@@ -562,10 +528,8 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if n.journal != nil {
-		if err := n.journal.appendBatch(n.cfg.Spec.ID, b, origin, seq); err != nil {
-			return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
-		}
+	if err := n.journalBatch(b, origin, seq); err != nil {
+		return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
 	}
 	n.bufferLocked(sh, b)
 	if n.cfg.MaxPendingReadings > 0 { // the one bound an ingest can cross
@@ -594,10 +558,8 @@ func (n *Node) bufferLocked(sh *pendingShard, b *model.Batch) {
 // sequence, or a refired window, which the receiver's dedup absorbs,
 // never toward loss. The caller holds the shard lock.
 func (n *Node) sealLocked(sh *pendingShard, typ string, it item, gate bool) error {
-	if n.journal != nil {
-		if err := n.journal.appendSeal(typ, &it); err != nil && gate {
-			return err
-		}
+	if err := n.journalSeal(typ, &it); err != nil && gate {
+		return err
 	}
 	sh.box(typ).put(it)
 	return nil
@@ -638,9 +600,7 @@ func (n *Node) sealPendingLocked(sh *pendingShard, typ string, size int) (last i
 // dropped by its overflow policy — so recovery does not resurrect it.
 // Best effort: a lost record degrades toward re-delivery.
 func (n *Node) commit(typ string, it *item) {
-	if n.journal != nil {
-		_ = n.journal.appendCommit(typ, it.origin, it.seq)
-	}
+	_ = n.journalCommit(typ, it.origin, it.seq)
 }
 
 // boundLocked enforces the overflow policy of every kind (see
@@ -689,9 +649,7 @@ func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max 
 	if drop <= 0 {
 		return
 	}
-	if n.journal != nil {
-		_ = n.journal.appendShed(typ, drop)
-	}
+	_ = n.journalShed(typ, drop)
 	q.trimOldest(p, drop, func(b *model.Batch, k int, parked bool) {
 		if n.cfg.DegradeToSummary {
 			n.degradeLocked(sh, typ, b.Category, b.Readings[:k])
@@ -719,7 +677,7 @@ func (n *Node) RelayedBatches() int64 { return n.relayedBatches.Value() }
 
 // DuplicateBatches reports how many at-least-once duplicate
 // deliveries this node's receive path suppressed.
-func (n *Node) DuplicateBatches() int64 { return n.dupBatches.Value() }
+func (n *Node) DuplicateBatches() int64 { return n.dur.Duplicates() }
 
 // DeferredFlushes reports how many flushes the backoff gate skipped
 // outright (parent inside its retry window, no relay available).
@@ -788,10 +746,7 @@ func (n *Node) Query(typeName string, from, to time.Time) []model.Reading {
 // min(limit, MaxQueryPage) readings plus the cursor resuming the
 // scan. It implements query.LocalStore.
 func (n *Node) QueryPage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
-	if limit <= 0 || limit > n.cfg.MaxQueryPage {
-		limit = n.cfg.MaxQueryPage
-	}
-	return n.store.QueryRangePage(typeName, from, to, limit, cursor)
+	return store.Page(n.store, n.cfg.MaxQueryPage, typeName, from, to, limit, cursor)
 }
 
 // Tags returns the latest description tags for a type.
@@ -846,7 +801,7 @@ func (n *Node) FlushCategory(ctx context.Context, cat model.Category) error {
 // exclude senders (see flightMu) and hold every shard lock while
 // encoding, so the snapshot is a consistent cut.
 func (n *Node) Checkpoint() error {
-	if n.journal == nil {
+	if n.dur.Journal == nil {
 		return nil
 	}
 	n.flightMu.Lock()
@@ -859,7 +814,9 @@ func (n *Node) Checkpoint() error {
 			n.shards[i].mu.Unlock()
 		}
 	}()
-	if err := n.journal.checkpoint(n.seq.Load(), n.replay, n.shards, n.cqe.Snapshot()); err != nil {
+	if err := n.dur.Journal.Checkpoint(func() ([]byte, error) {
+		return encodeNodeSnapshot(nil, n.seq.Load(), n.replay.Dump(), n.shards, n.cqe.Snapshot())
+	}); err != nil {
 		return fmt.Errorf("fognode %s: checkpoint: %w", n.cfg.Spec.ID, err)
 	}
 	return nil
@@ -869,7 +826,7 @@ func (n *Node) Checkpoint() error {
 // grown past its snapshot threshold. Errors are deliberately dropped:
 // the journal keeps growing and the next safe point retries.
 func (n *Node) maybeCheckpoint() {
-	if n.journal != nil && n.journal.checkpointDue() {
+	if _, due := n.dur.Journal.CheckpointDue(); due {
 		_ = n.Checkpoint()
 	}
 }
@@ -1113,25 +1070,6 @@ func (n *Node) deliver(ctx context.Context, kind transport.Kind, class string, p
 	return fmt.Errorf("parent and %d sibling relays failed: %w", len(targets), errors.Join(relayErrs...))
 }
 
-// accept is the one receive path for everything that arrives under a
-// delivery identity — child batches, summary and alert pushes,
-// migration chunks: a copy of a delivery that already landed is
-// acknowledged without applying it, and check-and-mark is atomic
-// (protocol.ReplayFilter.Accept). The filter is keyed by the
-// delivery's origin, not the hop that carried it, so a copy arriving
-// through a sibling relay and a direct retry dedupe against each
-// other.
-func (n *Node) accept(origin string, seq uint64, apply func() error) ([]byte, error) {
-	dup, err := n.replay.Accept(origin, seq, apply)
-	if err != nil {
-		return nil, err
-	}
-	if dup {
-		n.dupBatches.Inc()
-	}
-	return []byte("ok"), nil
-}
-
 // Status reports the node's state.
 func (n *Node) Status() protocol.StatusResponse {
 	st := n.store.Stats()
@@ -1174,7 +1112,7 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		}
 		// The ingest journals the (origin, seq) mark atomically with
 		// the acceptance on a durable node.
-		return n.accept(b.NodeID, seq, func() error { return n.ingest(b, b.NodeID, seq) })
+		return n.dur.Accept(b.NodeID, seq, func() error { return n.ingest(b, b.NodeID, seq) })
 	case transport.KindSummaryPush:
 		return n.handleSummaryPush(msg.Payload)
 	case transport.KindAlertPush:
@@ -1183,10 +1121,8 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		return n.handleRelay(ctx, msg)
 	case transport.KindMigrate:
 		return n.handleMigrate(msg)
-	case transport.KindQuery:
-		return n.handleQuery(msg.Payload)
-	case transport.KindSummary:
-		return n.handleSummary(msg.Payload)
+	case transport.KindQuery, transport.KindSummary:
+		return store.Serve(n.store, n.cfg.Spec.ID, n.cfg.MaxQueryPage, n.cfg.Codec, msg.Kind, msg.Payload)
 	case transport.KindControl:
 		return n.handleControl(ctx, msg.Payload)
 	default:
@@ -1218,50 +1154,6 @@ func (n *Node) handleRelay(ctx context.Context, msg transport.Message) ([]byte, 
 		return nil, fmt.Errorf("fognode %s: relay to %s: %w", n.cfg.Spec.ID, n.cfg.Spec.Parent, err)
 	}
 	return []byte("ok"), nil
-}
-
-func (n *Node) handleSummary(payload []byte) ([]byte, error) {
-	var req protocol.SummaryRequest
-	if err := protocol.DecodeJSON(payload, &req); err != nil {
-		return nil, err
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	from, to := req.Range()
-	sum := aggregate.Summarize(n.Query(req.TypeName, from, to))
-	return protocol.EncodeJSON(protocol.SummaryResponse{Summary: sum})
-}
-
-// handleQuery serves the binary paged read protocol: latest lookups
-// return a one-reading page, range scans return at most MaxQueryPage
-// readings plus a resume cursor. Pages travel the sealed-batch wire
-// path compressed with the node's upward codec.
-func (n *Node) handleQuery(payload []byte) ([]byte, error) {
-	var req protocol.QueryRequest
-	if err := protocol.DecodeJSON(payload, &req); err != nil {
-		return nil, err
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	var page protocol.QueryPage
-	if req.SensorID != "" {
-		if r, ok := n.Latest(req.SensorID); ok {
-			page.Found = true
-			page.Readings = []model.Reading{r}
-		}
-	} else {
-		from, to := req.Range()
-		readings, next, err := n.QueryPage(req.TypeName, from, to, req.Limit, req.Cursor)
-		if err != nil {
-			return nil, fmt.Errorf("fognode %s: query: %w", n.cfg.Spec.ID, err)
-		}
-		page.Readings = readings
-		page.NextCursor = next
-		page.Found = len(readings) > 0 || next != ""
-	}
-	return protocol.EncodeQueryPage(n.cfg.Spec.ID, page, n.cfg.Codec)
 }
 
 func (n *Node) handleControl(ctx context.Context, payload []byte) ([]byte, error) {

@@ -124,3 +124,31 @@ func ReadMarkSet(b []byte, fn func(origin string, seq uint64)) ([]byte, error) {
 	}
 	return rest, nil
 }
+
+// AppendDocs encodes a snapshot section of opaque documents,
+// [count uvarint] { [document, uvarint-framed] }*, one document per
+// item as encode renders it.
+func AppendDocs[T any](dst []byte, items []T, encode func(*T) ([]byte, error)) ([]byte, error) {
+	dst = AppendUvarint(dst, uint64(len(items)))
+	for i := range items {
+		doc, err := encode(&items[i])
+		if err != nil {
+			return nil, err
+		}
+		dst = AppendBytes(dst, doc)
+	}
+	return dst, nil
+}
+
+// ReadDocs decodes an AppendDocs section from the front of b, invoking
+// each per document in encoded order, and returns the remainder.
+func ReadDocs(b []byte, each func(doc []byte) error) ([]byte, error) {
+	n, rest, err := ReadUvarint(b)
+	for i := uint64(0); err == nil && i < n; i++ {
+		var doc []byte
+		if doc, rest, err = ReadBytes(rest); err == nil {
+			err = each(doc)
+		}
+	}
+	return rest, err
+}
