@@ -343,33 +343,30 @@ func BenchmarkPlannerPlace(b *testing.B) {
 	}
 }
 
-// Parallel-pipeline benchmarks: the sharded concurrent ingest path
-// and the bounded-concurrency hierarchy drain, each against its
-// serial configuration (PendingShards/FlushWorkers/FlushConcurrency
-// = 1), so the speedup of the concurrent data path is measured
-// directly.
+// Parallel-pipeline benchmarks: the sharded concurrent ingest path,
+// and the bounded-concurrency hierarchy drain against its serial
+// configuration (FlushWorkers/FlushConcurrency = 1), so the speedup of
+// the concurrent drain is measured directly.
 
 const benchSensorsPerBatch = 100
 
 // benchIngestNode builds a leaf node flushing to a discard sink, with
 // a tiny retention window so periodic flushes keep the temporal store
 // (and benchmark memory) bounded.
-func benchIngestNode(b *testing.B, shards, workers int) *fognode.Node {
+func benchIngestNode(b *testing.B) *fognode.Node {
 	b.Helper()
 	net := transport.NewSimNetwork()
 	net.Register("sink", transport.HandlerFunc(func(context.Context, transport.Message) ([]byte, error) {
 		return []byte("ok"), nil
 	}))
 	n, err := fognode.New(fognode.Config{
-		Spec:          topology.NodeSpec{ID: "fog1/bench", Layer: topology.LayerFog1, Parent: "sink", Name: "bench"},
-		Clock:         sim.NewVirtualClock(benchEpoch.Add(time.Second)),
-		Transport:     net,
-		Retention:     time.Millisecond,
-		Codec:         aggregate.CodecNone,
-		Dedup:         true,
-		Quality:       true,
-		PendingShards: shards,
-		FlushWorkers:  workers,
+		Spec:      topology.NodeSpec{ID: "fog1/bench", Layer: topology.LayerFog1, Parent: "sink", Name: "bench"},
+		Clock:     sim.NewVirtualClock(benchEpoch.Add(time.Second)),
+		Transport: net,
+		Retention: time.Millisecond,
+		Codec:     aggregate.CodecNone,
+		Dedup:     true,
+		Quality:   true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -399,28 +396,12 @@ func benchIngestGenerators(b *testing.B, count int) []*sensor.Generator {
 }
 
 // BenchmarkParallelIngest measures acquisition-pipeline throughput on
-// one fog node: the serial sub-benchmark drives the single-shard,
-// single-goroutine configuration; the parallel one drives the sharded
-// pipeline from GOMAXPROCS goroutines, one sensor type each.
+// one fog node: the sharded pipeline driven from GOMAXPROCS
+// goroutines, one sensor type each.
 func BenchmarkParallelIngest(b *testing.B) {
 	const flushEvery = 64
-	b.Run("serial", func(b *testing.B) {
-		n := benchIngestNode(b, 1, 1)
-		gens := benchIngestGenerators(b, runtime.GOMAXPROCS(0))
-		ctx := context.Background()
-		b.SetBytes(benchSensorsPerBatch * 96)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := n.Ingest(gens[i%len(gens)].Next(benchEpoch)); err != nil {
-				b.Fatal(err)
-			}
-			if i%flushEvery == flushEvery-1 {
-				_ = n.Flush(ctx)
-			}
-		}
-	})
 	b.Run("parallel", func(b *testing.B) {
-		n := benchIngestNode(b, 0, 0)
+		n := benchIngestNode(b)
 		gens := benchIngestGenerators(b, runtime.GOMAXPROCS(0))
 		var next atomic.Int32
 		b.SetBytes(benchSensorsPerBatch * 96)

@@ -75,7 +75,7 @@ func TestNodeFromFlags(t *testing.T) {
 	// The document's profile reaches the node, at every layer it
 	// applies to.
 	_, mo, subs = resolve(append(fog1, "-config", doc)...)
-	if mo.Overload.Classes["ingest"].Rate != 4096 || mo.MaxPendingReadings != 500 || !mo.DegradeToSummary || mo.Adaptive == nil {
+	if mo.Overload.Classes["ingest"].Rate != 4096 || mo.MaxPendingReadings != 500 || !mo.DegradeToSummary || !mo.Adaptive {
 		t.Errorf("document overload profile lost: %+v", mo)
 	}
 	if mo.Codec.String() != "gzip" || mo.FlushInterval != 30*time.Second || subs != 1 {

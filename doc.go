@@ -12,14 +12,13 @@
 // dissemination at the cloud.
 //
 // The upward data path is concurrent and sharded end to end: each fog
-// node runs its acquisition pipeline as composable stages over
+// node runs its acquisition pipeline (dedup, then quality) over
 // hash-sharded per-type buffers (concurrent ingests of different
 // sensor types never contend), flushes move batches upward through a
 // bounded worker pool, and system-wide drains (FlushAll, Close)
 // operate on the nodes of a layer in parallel under a concurrency
 // bound, layer 1 before layer 2. See README.md for the full
-// architecture and the tuning knobs (PendingShards, FlushWorkers,
-// FlushConcurrency).
+// architecture and the tuning knobs (FlushWorkers, FlushConcurrency).
 //
 // The seal/open wire path (encode -> compress -> envelope and back)
 // is amortized zero-allocation under steady load: codec encoder and
@@ -48,7 +47,7 @@
 // first-useful-result cancellation. Range results stream in bounded
 // binary pages over the same sealed-batch wire path the flushes use
 // (protocol.QueryPage, limit/cursor on protocol.QueryRequest), so no
-// response materializes more than the configured page limit of
+// response materializes more than protocol.DefaultPageLimit
 // readings. Aggregate queries (count/mean/min/max over a type range)
 // push down to the owning tier as decomposable summaries and merge at
 // the requester — only summary-sized payloads cross the WAN.

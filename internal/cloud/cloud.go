@@ -41,14 +41,6 @@ type Config struct {
 	// Codec compresses query response pages travelling back down the
 	// WAN (default zip, matching the upward path).
 	Codec aggregate.Codec
-	// MaxQueryPage bounds how many readings one query response may
-	// carry; historical scans (KindQuery and open data) stream in
-	// cursor-linked pages. Zero selects protocol.DefaultPageLimit.
-	MaxQueryPage int
-	// ReplayWindow bounds how many recently preserved batch sequences
-	// the cloud remembers per origin for at-least-once dedup. Zero
-	// selects protocol.DefaultReplayWindow.
-	ReplayWindow int
 	// Scheduler, when set, gates the cloud's handler path with the
 	// per-class weighted-fair admission scheduler, mirroring the fog
 	// tiers: historical queries keep their share of the cloud's
@@ -169,16 +161,13 @@ func New(cfg Config) (*Node, error) {
 	if !cfg.Codec.Valid() {
 		return nil, fmt.Errorf("cloud: invalid codec %d", int(cfg.Codec))
 	}
-	if cfg.MaxQueryPage <= 0 {
-		cfg.MaxQueryPage = protocol.DefaultPageLimit
-	}
 	if (cfg.Durability == nil) != (cfg.Storage == nil) {
 		return nil, ErrStorageMode
 	}
 	n := &Node{
 		cfg:             cfg,
 		archive:         store.NewArchive(),
-		replay:          protocol.NewReplayFilter(cfg.ReplayWindow),
+		replay:          protocol.NewReplayFilter(protocol.DefaultReplayWindow),
 		degraded:        make(map[string]map[int64]aggregate.WindowSummary),
 		alerts:          make(map[string]protocol.Alert),
 		ingestedBatches: cfg.Registry.Counter(cfg.ID + ".ingest.batches"),
@@ -520,11 +509,11 @@ func (n *Node) Historical(typeName string, from, to time.Time) []model.Reading {
 }
 
 // HistoricalPage serves one bounded page of the historical scan: at
-// most min(limit, MaxQueryPage) readings plus the cursor resuming the
-// scan, so a query over the whole archive streams instead of
-// materializing one unbounded response.
+// most min(limit, protocol.DefaultPageLimit) readings plus the cursor
+// resuming the scan, so a query over the whole archive streams
+// instead of materializing one unbounded response.
 func (n *Node) HistoricalPage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
-	return store.Page(n.series, n.cfg.MaxQueryPage, typeName, from, to, limit, cursor)
+	return store.Page(n.series, typeName, from, to, limit, cursor)
 }
 
 // Latest serves point lookups (slow path compared to fog layer 1: the
@@ -664,7 +653,7 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		}
 		return n.dur.Accept(push.Origin, push.Seq, func() error { return n.acceptSummaryPush(&push, msg.Payload) })
 	case transport.KindQuery, transport.KindSummary:
-		return store.Serve(n.series, n.cfg.ID, n.cfg.MaxQueryPage, n.cfg.Codec, msg.Kind, msg.Payload)
+		return store.Serve(n.series, n.cfg.ID, n.cfg.Codec, msg.Kind, msg.Payload)
 	case transport.KindControl:
 		var req protocol.ControlRequest
 		if err := protocol.DecodeJSON(msg.Payload, &req); err != nil {

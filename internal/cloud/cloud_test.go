@@ -3,6 +3,7 @@ package cloud
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -185,6 +186,7 @@ func TestConfigValidation(t *testing.T) {
 func TestOpenDataAPI(t *testing.T) {
 	n := newCloud(t)
 	_ = n.Preserve(trafficBatch("fog2/d01", t0, 50, 60), "fog2/d01")
+	_ = n.Preserve(trafficBatch("fog2/d01", t0.Add(90*time.Minute), 70), "fog2/d01")
 	srv := httptest.NewServer(n.OpenDataHandler())
 	defer srv.Close()
 
@@ -222,8 +224,8 @@ func TestOpenDataAPI(t *testing.T) {
 			urbanRecords = c.Records
 		}
 	}
-	if urbanRecords != 1 {
-		t.Errorf("urban records = %d, want 1", urbanRecords)
+	if urbanRecords != 2 {
+		t.Errorf("urban records = %d, want 2", urbanRecords)
 	}
 
 	resp, body = get("/opendata/v1/days")
@@ -235,43 +237,42 @@ func TestOpenDataAPI(t *testing.T) {
 		t.Errorf("days = %v (status %d)", days, resp.StatusCode)
 	}
 
-	resp, body = get("/opendata/v1/types/traffic/readings")
-	var readings []model.Reading
-	if err := json.Unmarshal(body, &readings); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 || len(readings) != 2 {
-		t.Errorf("readings = %d (status %d)", len(readings), resp.StatusCode)
-	}
-
-	resp, body = get("/opendata/v1/types/traffic/summary?windowSeconds=3600")
-	var windows []aggregate.WindowSummary
-	if err := json.Unmarshal(body, &windows); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 || len(windows) != 1 || windows[0].Count != 2 {
-		t.Errorf("summary = %+v (status %d)", windows, resp.StatusCode)
-	}
-
-	resp, _ = get("/opendata/v1/status")
-	if resp.StatusCode != 200 {
-		t.Errorf("status endpoint = %d", resp.StatusCode)
-	}
-
-	// Privacy: people_flow is restricted, not public.
-	resp, _ = get("/opendata/v1/types/people_flow/readings")
-	if resp.StatusCode != http.StatusForbidden {
-		t.Errorf("people_flow status = %d, want 403", resp.StatusCode)
-	}
-
-	// Bad params.
-	resp, _ = get("/opendata/v1/types/traffic/readings?fromUnixNano=zzz")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad range status = %d, want 400", resp.StatusCode)
-	}
-	resp, _ = get("/opendata/v1/types/traffic/summary?windowSeconds=-5")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad window status = %d, want 400", resp.StatusCode)
+	// Each route with its status, the length of the JSON array it
+	// answers (-1: not an array) and, for a summary, the first
+	// window's count. The second batch lies outside the bounded range.
+	bounded := fmt.Sprintf("fromUnixNano=%d&toUnixNano=%d", t0.UnixNano(), t0.Add(time.Hour).UnixNano())
+	for _, tc := range []struct {
+		path   string
+		status int
+		n      int
+		first  int64
+	}{
+		{"/opendata/v1/types/traffic/readings", 200, 3, 0},
+		{"/opendata/v1/types/traffic/readings?" + bounded, 200, 2, 0},
+		{"/opendata/v1/types/traffic/summary?windowSeconds=3600", 200, 2, 2},
+		{"/opendata/v1/types/traffic/summary?windowSeconds=3600&" + bounded, 200, 1, 2},
+		{"/opendata/v1/status", 200, -1, 0},
+		// Privacy: people_flow is restricted, not public.
+		{"/opendata/v1/types/people_flow/readings", http.StatusForbidden, -1, 0},
+		{"/opendata/v1/types/traffic/readings?fromUnixNano=zzz", http.StatusBadRequest, -1, 0},
+		{"/opendata/v1/types/traffic/summary?windowSeconds=-5", http.StatusBadRequest, -1, 0},
+		{"/opendata/v1/nope", http.StatusNotFound, -1, 0},
+	} {
+		resp, body := get(tc.path)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.path, resp.StatusCode, tc.status)
+			continue
+		}
+		if tc.n < 0 {
+			continue
+		}
+		var windows []aggregate.WindowSummary // readings decode too: only the length is read
+		if err := json.Unmarshal(body, &windows); err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if len(windows) != tc.n || (tc.first > 0 && windows[0].Count != tc.first) {
+			t.Errorf("%s: %d entries %+v, want %d (first window count %d)", tc.path, len(windows), windows, tc.n, tc.first)
+		}
 	}
 
 	// Empty results are JSON arrays, not null.

@@ -13,7 +13,6 @@ import (
 	"f2c/internal/aggregate"
 	"f2c/internal/core"
 	"f2c/internal/cq"
-	"f2c/internal/fognode"
 	"f2c/internal/model"
 	"f2c/internal/sched"
 	"f2c/internal/sim"
@@ -270,10 +269,6 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 		}
 	}
 	overload := OverloadOptions(d.IngestRateBytes)
-	var adaptive *fognode.AdaptiveConfig
-	if d.AdaptiveFlush {
-		adaptive = &fognode.AdaptiveConfig{}
-	}
 	return core.Options{
 		Topology:            topo,
 		Clock:               clock,
@@ -292,7 +287,7 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 		Overload:            &overload,
 		MaxPendingReadings:  d.MaxPendingReadings,
 		DegradeToSummary:    d.DegradeToSummary,
-		AdaptiveFlush:       adaptive,
+		AdaptiveFlush:       d.AdaptiveFlush,
 		ElasticOwnership:    d.ElasticOwnership,
 	}, nil
 }

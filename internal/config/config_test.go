@@ -8,8 +8,11 @@ import (
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/cloud"
 	"f2c/internal/core"
+	"f2c/internal/fognode"
 	"f2c/internal/model"
+	"f2c/internal/segment"
 	"f2c/internal/sim"
 )
 
@@ -208,7 +211,7 @@ func TestProductionProfile(t *testing.T) {
 	if opts.Overload == nil || opts.Overload.Classes["ingest"].Rate != 4096 {
 		t.Errorf("overload = %+v, want admission on with the ingest class capped at 4096 B/s", opts.Overload)
 	}
-	if opts.MaxPendingReadings != 500 || !opts.DegradeToSummary || opts.AdaptiveFlush == nil {
+	if opts.MaxPendingReadings != 500 || !opts.DegradeToSummary || !opts.AdaptiveFlush {
 		t.Errorf("bound %d / degrade %v / adaptive %v did not reach the options",
 			opts.MaxPendingReadings, opts.DegradeToSummary, opts.AdaptiveFlush)
 	}
@@ -255,8 +258,6 @@ var hostOnly = map[string]string{
 	"AlertObserver":    "host: chaos fire-side ledger",
 	"FlushConcurrency": "tuning: System flush parallelism",
 	"FlushWorkers":     "tuning: per-node flush workers",
-	"PendingShards":    "tuning: pending-buffer shard count",
-	"QueryPageLimit":   "tuning: page size, tests only",
 	"RetryBase":        "tuning: resilience, chaos only",
 	"RetryMax":         "tuning: resilience, chaos only",
 	"FailoverAfter":    "tuning: resilience, chaos only",
@@ -301,6 +302,43 @@ func TestOptionsSurfaceCannotDrift(t *testing.T) {
 	for name := range hostOnly {
 		if _, ok := reflect.TypeOf(core.Options{}).FieldByName(name); !ok {
 			t.Errorf("hostOnly names %s, which core.Options no longer has", name)
+		}
+	}
+}
+
+// TestSettableValues pins the settable values of the node
+// configuration structs, by name and in declaration order. A field
+// added to any of them fails here until this list names it, so every
+// new knob is a reviewed edit, not a side effect.
+func TestSettableValues(t *testing.T) {
+	for _, tc := range []struct {
+		v      any
+		fields string
+	}{
+		{core.Options{}, "Topology Clock City Codec Dedup Quality Fog1Retention Fog2Retention " +
+			"Fog1FlushInterval Fog2FlushInterval Fog1FlushByCategory Matrix Registry Emulate Seed " +
+			"FlushConcurrency FlushWorkers MaxPendingReadings RetryBase RetryMax FailoverAfter DataDir " +
+			"SnapshotEvery MemtableBytes Overload DegradeToSummary AdaptiveFlush ElasticOwnership " +
+			"AlertObserver CloudRetention"},
+		{core.MemberOptions{}, "City Clock Transport Retention FlushInterval Codec Dedup Quality " +
+			"Registry Siblings FlushWorkers MaxPendingReadings RetryBase RetryMax FailoverAfter " +
+			"Durability Storage Overload DegradeToSummary Adaptive CloudRetention AlertObserver"},
+		{fognode.Config{}, "Spec City Clock Transport Retention FlushInterval Codec Dedup Quality " +
+			"Registry MaxPendingReadings DegradeToSummary AlertObserver Scheduler Adaptive FlushWorkers " +
+			"Siblings RetryBase RetryMax FailoverAfter Durability Storage"},
+		{cloud.Config{}, "ID City Clock Registry Codec Scheduler Retention Durability Storage"},
+		{segment.Options{}, "Dir Retention MemtableBytes BlockReadings CompactMinSegments Codec " +
+			"SyncEveryAppend NoBackground Registry MetricsPrefix"},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if want := strings.Fields(tc.fields); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s settable values\n got %v\nwant %v", typ, got, want)
 		}
 	}
 }

@@ -43,9 +43,7 @@ type MemberOptions struct {
 	// Siblings are the node's failover relay targets.
 	Siblings []string
 	// Tuning knobs, zero for defaults (see fognode.Config).
-	PendingShards      int
 	FlushWorkers       int
-	MaxQueryPage       int
 	MaxPendingReadings int
 	RetryBase          time.Duration
 	RetryMax           time.Duration
@@ -62,9 +60,9 @@ type MemberOptions struct {
 	// DegradeToSummary folds buffer-trimmed readings into decomposable
 	// window summaries forwarded upward instead of dropping them.
 	DegradeToSummary bool
-	// Adaptive enables RTT-driven flush batch/interval tuning (nil
+	// Adaptive enables RTT-driven flush batch/interval tuning (false
 	// keeps the fixed FlushInterval and unchunked batches).
-	Adaptive *fognode.AdaptiveConfig
+	Adaptive bool
 	// CloudRetention bounds the cloud archive's age (zero keeps it
 	// forever). Ignored on fog nodes, which use Retention.
 	CloudRetention time.Duration
@@ -95,9 +93,7 @@ func (o Options) Member(spec topology.NodeSpec, tr transport.Transport, siblings
 		Quality:            o.Quality,
 		Registry:           o.Registry,
 		Siblings:           siblings,
-		PendingShards:      o.PendingShards,
 		FlushWorkers:       o.FlushWorkers,
-		MaxQueryPage:       o.QueryPageLimit,
 		MaxPendingReadings: o.MaxPendingReadings,
 		RetryBase:          o.RetryBase,
 		RetryMax:           o.RetryMax,
@@ -158,9 +154,7 @@ func FogConfig(spec topology.NodeSpec, o MemberOptions) fognode.Config {
 		Dedup:              o.Dedup && fog1,
 		Quality:            o.Quality && fog1,
 		Registry:           o.Registry,
-		PendingShards:      o.PendingShards,
 		FlushWorkers:       o.FlushWorkers,
-		MaxQueryPage:       o.MaxQueryPage,
 		MaxPendingReadings: o.MaxPendingReadings,
 		Siblings:           o.Siblings,
 		RetryBase:          o.RetryBase,
@@ -178,15 +172,14 @@ func FogConfig(spec topology.NodeSpec, o MemberOptions) fognode.Config {
 // CloudConfig assembles the cloud.Config for the hierarchy's root.
 func CloudConfig(id string, o MemberOptions) cloud.Config {
 	return cloud.Config{
-		ID:           id,
-		City:         o.City,
-		Clock:        o.Clock,
-		Registry:     o.Registry,
-		Codec:        o.Codec,
-		MaxQueryPage: o.MaxQueryPage,
-		Durability:   o.Durability,
-		Storage:      o.Storage,
-		Scheduler:    o.Overload,
-		Retention:    o.CloudRetention,
+		ID:         id,
+		City:       o.City,
+		Clock:      o.Clock,
+		Registry:   o.Registry,
+		Codec:      o.Codec,
+		Durability: o.Durability,
+		Storage:    o.Storage,
+		Scheduler:  o.Overload,
+		Retention:  o.CloudRetention,
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"f2c/internal/aggregate"
-	"f2c/internal/fognode"
 	"f2c/internal/metrics"
 	"f2c/internal/sched"
 	"f2c/internal/segment"
@@ -47,8 +46,8 @@ func TestProjectionEquivalence(t *testing.T) {
 			written := Options{
 				Topology: topo, Dedup: true, Quality: true, Codec: aggregate.CodecGzip,
 				Fog1FlushInterval: 7 * time.Second, Fog2Retention: 36 * time.Hour,
-				Seed: 5, FlushWorkers: 2, PendingShards: 4, QueryPageLimit: 99,
-				MaxPendingReadings: 1000, DegradeToSummary: true, AdaptiveFlush: &fognode.AdaptiveConfig{},
+				Seed: 5, FlushWorkers: 2,
+				MaxPendingReadings: 1000, DegradeToSummary: true, AdaptiveFlush: true,
 				RetryBase: time.Second, RetryMax: time.Minute, FailoverAfter: 2,
 				Overload: &overload, CloudRetention: 48 * time.Hour,
 				SnapshotEvery: 17, MemtableBytes: p.memtable,

@@ -80,21 +80,14 @@ type Options struct {
 	// FlushWorkers bounds each node's concurrent encode+send workers
 	// during a flush (see fognode.Config.FlushWorkers).
 	FlushWorkers int
-	// PendingShards sets each node's pending-buffer shard count (see
-	// fognode.Config.PendingShards).
-	PendingShards int
-	// QueryPageLimit bounds readings per query response page on every
-	// node (see fognode.Config.MaxQueryPage); zero selects
-	// protocol.DefaultPageLimit.
-	QueryPageLimit int
 	// MaxPendingReadings bounds each node's per-type upward buffer
 	// during parent outages (see fognode.Config.MaxPendingReadings);
 	// zero keeps the buffers unbounded.
 	MaxPendingReadings int
-	// RetryBase enables jittered exponential backoff + sibling
-	// failover on every fog node's parent link (see
-	// fognode.Config.RetryBase); zero keeps the pre-resilience
-	// always-attempt behavior.
+	// RetryBase enables jittered exponential backoff on every fog
+	// node's parent link (see fognode.Config.RetryBase); zero attempts
+	// the parent on every flush. Sibling failover engages after
+	// FailoverAfter consecutive failures either way.
 	RetryBase time.Duration
 	// RetryMax caps the backoff window (default 64 x RetryBase).
 	RetryMax time.Duration
@@ -129,8 +122,8 @@ type Options struct {
 	// summaries forwarded upward instead of being dropped.
 	DegradeToSummary bool
 	// AdaptiveFlush enables RTT-driven flush batch/interval tuning on
-	// every fog node (nil keeps the fixed cadence).
-	AdaptiveFlush *fognode.AdaptiveConfig
+	// every fog node (false keeps the fixed cadence).
+	AdaptiveFlush bool
 	// ElasticOwnership routes each sensor type's edge ingest to a
 	// consistent-hash owner among the district's fog layer-1 siblings,
 	// and enables runtime scale: AddFog1Node / RemoveFog1Node rebalance

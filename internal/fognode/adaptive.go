@@ -7,53 +7,38 @@ import (
 	"f2c/internal/metrics"
 )
 
-// AdaptiveConfig tunes the adaptive flush controller: an EWMA of the
-// parent round-trip time plus the local queue depth drive the flush
-// batch size and interval between configured floor and ceiling — the
+// adaptiveBounds are the adaptive flush controller's limits: an EWMA
+// of the parent round-trip time plus the local queue depth drive the
+// flush batch size and interval between floor and ceiling — the
 // paper's "strategically decided" upward frequency, decided
 // continuously by the network instead of once by the operator.
-type AdaptiveConfig struct {
-	// MinBatch / MaxBatch bound the per-send batch size in readings
-	// (defaults 64 / 8192). The controller starts midway.
-	MinBatch, MaxBatch int
-	// MinInterval / MaxInterval bound the background flush cadence
-	// (defaults FlushInterval/8 and FlushInterval).
-	MinInterval, MaxInterval time.Duration
-	// TargetRTT is the parent round-trip the controller steers toward
-	// (default 50ms): below it batches grow and flushes accelerate,
-	// beyond twice it they shrink and slow down.
-	TargetRTT time.Duration
-	// Alpha is the RTT EWMA smoothing factor in (0, 1] (default 0.2).
-	Alpha float64
+type adaptiveBounds struct {
+	// minBatch / maxBatch bound the per-send batch size in readings.
+	// The controller starts midway.
+	minBatch, maxBatch int
+	// minInterval / maxInterval bound the background flush cadence.
+	minInterval, maxInterval time.Duration
+	// targetRTT is the parent round-trip the controller steers toward:
+	// below it batches grow and flushes accelerate, beyond twice it
+	// they shrink and slow down.
+	targetRTT time.Duration
+	// alpha is the RTT EWMA smoothing factor in (0, 1].
+	alpha float64
 }
 
-func (c *AdaptiveConfig) applyDefaults(flushInterval time.Duration) {
-	if c.MinBatch <= 0 {
-		c.MinBatch = 64
+// adaptiveBoundsFor derives a node's bounds from its flush interval:
+// batches of 64 to 8192 readings, a cadence between an eighth of the
+// interval and the interval itself, a 50ms target RTT and an EWMA
+// weight of 0.2.
+func adaptiveBoundsFor(flushInterval time.Duration) adaptiveBounds {
+	minInterval := flushInterval / 8
+	if minInterval <= 0 {
+		minInterval = time.Second
 	}
-	if c.MaxBatch < c.MinBatch {
-		c.MaxBatch = 8192
-		if c.MaxBatch < c.MinBatch {
-			c.MaxBatch = c.MinBatch
-		}
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = flushInterval / 8
-		if c.MinInterval <= 0 {
-			c.MinInterval = time.Second
-		}
-	}
-	if c.MaxInterval < c.MinInterval {
-		c.MaxInterval = flushInterval
-		if c.MaxInterval < c.MinInterval {
-			c.MaxInterval = c.MinInterval
-		}
-	}
-	if c.TargetRTT <= 0 {
-		c.TargetRTT = 50 * time.Millisecond
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.2
+	return adaptiveBounds{
+		minBatch: 64, maxBatch: 8192,
+		minInterval: minInterval, maxInterval: max(flushInterval, minInterval),
+		targetRTT: 50 * time.Millisecond, alpha: 0.2,
 	}
 }
 
@@ -63,7 +48,7 @@ func (c *AdaptiveConfig) applyDefaults(flushInterval time.Duration) {
 // the interval), an RTT past twice the target decays both. All methods
 // are safe for concurrent use.
 type flushController struct {
-	cfg AdaptiveConfig
+	cfg adaptiveBounds
 
 	mu          sync.Mutex
 	ewma        time.Duration // smoothed parent RTT; 0 = no sample yet
@@ -77,13 +62,12 @@ type flushController struct {
 }
 
 // newFlushController builds a controller starting midway between the
-// batch bounds at the configured base interval.
-func newFlushController(cfg AdaptiveConfig, flushInterval time.Duration, reg *metrics.Registry, prefix string) *flushController {
-	cfg.applyDefaults(flushInterval)
+// batch bounds at the slowest cadence.
+func newFlushController(cfg adaptiveBounds, reg *metrics.Registry, prefix string) *flushController {
 	c := &flushController{
 		cfg:   cfg,
-		batch: (cfg.MinBatch + cfg.MaxBatch) / 2,
-		ivl:   cfg.MaxInterval,
+		batch: (cfg.minBatch + cfg.maxBatch) / 2,
+		ivl:   cfg.maxInterval,
 	}
 	if reg != nil {
 		c.gBatch = reg.Gauge(prefix + "flush.adaptive.batch")
@@ -119,13 +103,6 @@ func (c *flushController) interval() time.Duration {
 	return c.ivl
 }
 
-// rtt returns the smoothed parent round-trip (0 before any sample).
-func (c *flushController) rtt() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ewma
-}
-
 // observeRTT folds one parent round-trip sample into the EWMA.
 func (c *flushController) observeRTT(d time.Duration) {
 	if d < 0 {
@@ -135,7 +112,7 @@ func (c *flushController) observeRTT(d time.Duration) {
 	if c.ewma == 0 {
 		c.ewma = d
 	} else {
-		c.ewma = time.Duration(c.cfg.Alpha*float64(d) + (1-c.cfg.Alpha)*float64(c.ewma))
+		c.ewma = time.Duration(c.cfg.alpha*float64(d) + (1-c.cfg.alpha)*float64(c.ewma))
 	}
 	c.publishLocked()
 	c.mu.Unlock()
@@ -147,12 +124,12 @@ func (c *flushController) onBackpressure() {
 	c.mu.Lock()
 	c.backpressed = true
 	c.batch /= 2
-	if c.batch < c.cfg.MinBatch {
-		c.batch = c.cfg.MinBatch
+	if c.batch < c.cfg.minBatch {
+		c.batch = c.cfg.minBatch
 	}
 	c.ivl *= 2
-	if c.ivl > c.cfg.MaxInterval {
-		c.ivl = c.cfg.MaxInterval
+	if c.ivl > c.cfg.maxInterval {
+		c.ivl = c.cfg.maxInterval
 	}
 	c.publishLocked()
 	c.mu.Unlock()
@@ -173,27 +150,27 @@ func (c *flushController) onFlushDone(queueDepth int) {
 		return // the decrease already happened at the send
 	}
 	switch {
-	case c.ewma > 2*c.cfg.TargetRTT:
+	case c.ewma > 2*c.cfg.targetRTT:
 		c.batch = c.batch * 3 / 4
-		if c.batch < c.cfg.MinBatch {
-			c.batch = c.cfg.MinBatch
+		if c.batch < c.cfg.minBatch {
+			c.batch = c.cfg.minBatch
 		}
 		c.ivl = c.ivl * 5 / 4
-		if c.ivl > c.cfg.MaxInterval {
-			c.ivl = c.cfg.MaxInterval
+		if c.ivl > c.cfg.maxInterval {
+			c.ivl = c.cfg.maxInterval
 		}
-	case c.ewma <= c.cfg.TargetRTT && queueDepth < c.batch:
+	case c.ewma <= c.cfg.targetRTT && queueDepth < c.batch:
 		grow := c.batch / 4
 		if grow < 1 {
 			grow = 1
 		}
 		c.batch += grow
-		if c.batch > c.cfg.MaxBatch {
-			c.batch = c.cfg.MaxBatch
+		if c.batch > c.cfg.maxBatch {
+			c.batch = c.cfg.maxBatch
 		}
 		c.ivl = c.ivl * 3 / 4
-		if c.ivl < c.cfg.MinInterval {
-			c.ivl = c.cfg.MinInterval
+		if c.ivl < c.cfg.minInterval {
+			c.ivl = c.cfg.minInterval
 		}
 	}
 }

@@ -180,22 +180,28 @@ func (n *Node) handleAlertPush(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.dur.Accept(push.Origin, push.Seq, func() error {
-		// The transport owns payload once Handle returns.
-		it := item{kind: transport.KindAlertPush, origin: push.Origin, seq: push.Seq, class: push.Category, payload: append([]byte(nil), payload...)}
-		sh := n.shardFor(push.TypeName)
-		sh.mu.Lock()
-		err := n.sealLocked(sh, push.TypeName, it, true)
-		if err == nil {
-			n.boundLocked(sh, push.TypeName)
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("fognode %s: alert push: %w", n.cfg.Spec.ID, err)
-		}
-		n.alertsIn.Add(int64(len(push.Alerts)))
-		return nil
-	})
+	return n.dur.Accept(push.Origin, push.Seq, func() error { return n.absorbAlertPush(push, payload) })
+}
+
+// absorbAlertPush is handleAlertPush's apply. The delivery mark lands
+// under the shard lock, with the seal, so a checkpoint never snapshots
+// the queued push without it.
+func (n *Node) absorbAlertPush(push *protocol.AlertPush, payload []byte) error {
+	// The transport owns payload once Handle returns.
+	it := item{kind: transport.KindAlertPush, origin: push.Origin, seq: push.Seq, class: push.Category, payload: append([]byte(nil), payload...)}
+	sh := n.shardFor(push.TypeName)
+	sh.mu.Lock()
+	err := n.sealLocked(sh, push.TypeName, it, true)
+	if err == nil {
+		n.replay.Mark(push.Origin, push.Seq)
+		n.boundLocked(sh, push.TypeName)
+	}
+	sh.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("fognode %s: alert push: %w", n.cfg.Spec.ID, err)
+	}
+	n.alertsIn.Add(int64(len(push.Alerts)))
+	return nil
 }
 
 // AlertsFired reports how many alert instances this node's

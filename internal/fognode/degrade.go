@@ -27,6 +27,10 @@ import (
 // any other — so preserved + degraded + shed == accepted holds across
 // a crash between fold and push.
 
+// degradeWindow is the time-window granularity degraded readings are
+// summarized at.
+const degradeWindow = time.Minute
+
 // degradeBuf accumulates one type's degraded readings as per-window
 // decomposable summaries, keyed by the window's start instant
 // (UnixNano).
@@ -42,8 +46,8 @@ func newDegradeBuf(cat model.Category) *degradeBuf {
 // fold merges one reading into its time window. When the buffer is at
 // its window cap and the reading opens a new window, it folds into the
 // nearest existing window instead — coarser, still lossless in count.
-func (d *degradeBuf) fold(r model.Reading, window time.Duration, maxWindows int) {
-	w := int64(window)
+func (d *degradeBuf) fold(r model.Reading, maxWindows int) {
+	w := int64(degradeWindow)
 	ws := r.Time.UnixNano()
 	ws -= ((ws % w) + w) % w // floor for pre-epoch instants too
 	if _, ok := d.windows[ws]; !ok && maxWindows > 0 && len(d.windows) >= maxWindows {
@@ -59,9 +63,9 @@ func (d *degradeBuf) fold(r model.Reading, window time.Duration, maxWindows int)
 }
 
 // foldAll folds a run of readings at the package's window cap.
-func (d *degradeBuf) foldAll(readings []model.Reading, window time.Duration) {
+func (d *degradeBuf) foldAll(readings []model.Reading) {
 	for _, r := range readings {
-		d.fold(r, window, maxDegradedWindows)
+		d.fold(r, maxDegradedWindows)
 	}
 }
 
@@ -80,7 +84,7 @@ func (d *degradeBuf) absorb(push *protocol.SummaryPush) {
 }
 
 // push freezes the buffer's windows, in time order, as a summary push.
-func (d *degradeBuf) push(origin string, seq uint64, typ string, window time.Duration) protocol.SummaryPush {
+func (d *degradeBuf) push(origin string, seq uint64, typ string) protocol.SummaryPush {
 	push := protocol.SummaryPush{
 		Origin:   origin,
 		Seq:      seq,
@@ -90,7 +94,7 @@ func (d *degradeBuf) push(origin string, seq uint64, typ string, window time.Dur
 	}
 	for ws, s := range d.windows {
 		push.Windows = append(push.Windows, protocol.SummaryWindow{
-			StartUnix: ws, EndUnix: ws + int64(window), Summary: s,
+			StartUnix: ws, EndUnix: ws + int64(degradeWindow), Summary: s,
 		})
 	}
 	sort.Slice(push.Windows, func(i, j int) bool {
@@ -113,14 +117,14 @@ func (sh *pendingShard) degradeBufLocked(typ string, cat model.Category) *degrad
 // degradeLocked folds readings being trimmed from a type's buffer into
 // the shard's degrade buffer. Caller holds the shard lock.
 func (n *Node) degradeLocked(sh *pendingShard, typ string, cat model.Category, readings []model.Reading) {
-	sh.degradeBufLocked(typ, cat).foldAll(readings, n.cfg.DegradeWindow)
+	sh.degradeBufLocked(typ, cat).foldAll(readings)
 	n.degradedReads.Add(int64(len(readings)))
 }
 
 // sealSummaryLocked freezes a type's degrade buffer into a push item
 // under a fresh delivery sequence. Caller holds the shard lock.
 func (n *Node) sealSummaryLocked(sh *pendingShard, typ string, buf *degradeBuf) {
-	push := buf.push(n.cfg.Spec.ID, n.seq.Add(1), typ, n.cfg.DegradeWindow)
+	push := buf.push(n.cfg.Spec.ID, n.seq.Add(1), typ)
 	delete(sh.degraded, typ)
 	payload, err := protocol.EncodeJSON(push)
 	if err != nil {
@@ -145,18 +149,24 @@ func (n *Node) handleSummaryPush(payload []byte) ([]byte, error) {
 	if err := push.Validate(); err != nil {
 		return nil, err
 	}
-	return n.dur.Accept(push.Origin, push.Seq, func() error {
-		cat, _ := model.ParseCategory(push.Category)
-		sh := n.shardFor(push.TypeName)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if err := n.dur.Journal.WritePayload(recAbsorb, payload); err != nil {
-			return fmt.Errorf("fognode %s: summary push: %w", n.cfg.Spec.ID, err)
-		}
-		sh.degradeBufLocked(push.TypeName, cat).absorb(&push)
-		n.degradedIn.Add(push.Readings())
-		return nil
-	})
+	return n.dur.Accept(push.Origin, push.Seq, func() error { return n.absorbSummaryPush(&push, payload) })
+}
+
+// absorbSummaryPush is handleSummaryPush's apply. The delivery mark
+// lands under the shard lock, with the journal record, so a checkpoint
+// never snapshots the windows without it.
+func (n *Node) absorbSummaryPush(push *protocol.SummaryPush, payload []byte) error {
+	cat, _ := model.ParseCategory(push.Category)
+	sh := n.shardFor(push.TypeName)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := n.dur.Journal.WritePayload(recAbsorb, payload); err != nil {
+		return fmt.Errorf("fognode %s: summary push: %w", n.cfg.Spec.ID, err)
+	}
+	n.replay.Mark(push.Origin, push.Seq)
+	sh.degradeBufLocked(push.TypeName, cat).absorb(push)
+	n.degradedIn.Add(push.Readings())
+	return nil
 }
 
 // DegradedReadings reports how many buffered readings this node folded

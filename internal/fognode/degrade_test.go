@@ -47,7 +47,7 @@ func TestDegradeBoundFoldsTrimmedReadings(t *testing.T) {
 	n, err := New(Config{
 		Spec: fog1Spec(), City: "barcelona", Clock: sim.NewVirtualClock(t0),
 		Transport: net, Codec: aggregate.CodecNone,
-		MaxPendingReadings: 4, DegradeToSummary: true, DegradeWindow: time.Minute,
+		MaxPendingReadings: 4, DegradeToSummary: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestSummaryPushMergesUpward(t *testing.T) {
 		Spec:  topology.NodeSpec{ID: "fog2/d01", Layer: topology.LayerFog2, Parent: "cloud", Name: "Ciutat Vella"},
 		City:  "barcelona",
 		Clock: sim.NewVirtualClock(t0), Transport: net, Codec: aggregate.CodecNone,
-		DegradeToSummary: true, DegradeWindow: time.Minute,
+		DegradeToSummary: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +175,10 @@ func TestDegradeBufWindowCap(t *testing.T) {
 	r := func(at time.Time) model.Reading {
 		return model.Reading{SensorID: "a", TypeName: "temperature", Time: at, Value: 20}
 	}
-	buf.fold(r(t0), time.Minute, 2)
-	buf.fold(r(t0.Add(time.Minute)), time.Minute, 2)
-	buf.fold(r(t0.Add(5*time.Minute)), time.Minute, 2) // over the cap: nearest window absorbs it
-	buf.fold(r(t0.Add(30*time.Second)), time.Minute, 2)
+	buf.fold(r(t0), 2)
+	buf.fold(r(t0.Add(time.Minute)), 2)
+	buf.fold(r(t0.Add(5*time.Minute)), 2) // over the cap: nearest window absorbs it
+	buf.fold(r(t0.Add(30*time.Second)), 2)
 	if len(buf.windows) != 2 {
 		t.Fatalf("windows = %d, want cap 2", len(buf.windows))
 	}
@@ -191,7 +191,7 @@ func TestDegradeBufWindowCap(t *testing.T) {
 	}
 
 	pre := &degradeBuf{category: model.CategoryEnergy, windows: make(map[int64]aggregate.Summary)}
-	pre.fold(r(time.Unix(-90, 0)), time.Minute, 0)
+	pre.fold(r(time.Unix(-90, 0)), 0)
 	if _, ok := pre.windows[-120*int64(time.Second)]; !ok {
 		t.Fatalf("pre-epoch window keys = %v, want floor at -120s", pre.windows)
 	}
@@ -202,12 +202,12 @@ func TestDegradeBufWindowCap(t *testing.T) {
 // batch to its ceiling and accelerates the cadence; stepping the RTT
 // past twice the target decays both; recovering converges back.
 func TestAdaptiveBatchConvergesUnderSteppedRTT(t *testing.T) {
-	cfg := AdaptiveConfig{
-		MinBatch: 64, MaxBatch: 1024,
-		MinInterval: time.Second, MaxInterval: 8 * time.Second,
-		TargetRTT: 50 * time.Millisecond, Alpha: 0.5,
+	cfg := adaptiveBounds{
+		minBatch: 64, maxBatch: 1024,
+		minInterval: time.Second, maxInterval: 8 * time.Second,
+		targetRTT: 50 * time.Millisecond, alpha: 0.5,
 	}
-	c := newFlushController(cfg, 8*time.Second, nil, "")
+	c := newFlushController(cfg, nil, "")
 	if got := c.batchSize(); got != (64+1024)/2 {
 		t.Fatalf("initial batch = %d, want midway %d", got, (64+1024)/2)
 	}
@@ -244,12 +244,12 @@ func TestAdaptiveBatchConvergesUnderSteppedRTT(t *testing.T) {
 // multiplicative decrease, and the round's onFlushDone must not also
 // grow the batch it just halved.
 func TestAdaptiveBackpressureHalvesBatch(t *testing.T) {
-	cfg := AdaptiveConfig{
-		MinBatch: 64, MaxBatch: 1024,
-		MinInterval: time.Second, MaxInterval: 8 * time.Second,
-		TargetRTT: 50 * time.Millisecond, Alpha: 0.5,
+	cfg := adaptiveBounds{
+		minBatch: 64, maxBatch: 1024,
+		minInterval: time.Second, maxInterval: 8 * time.Second,
+		targetRTT: 50 * time.Millisecond, alpha: 0.5,
 	}
-	c := newFlushController(cfg, 8*time.Second, nil, "")
+	c := newFlushController(cfg, nil, "")
 	c.observeRTT(10 * time.Millisecond)
 	c.onFlushDone(0) // 544 -> 680, interval 8s -> 6s
 	before := c.batchSize()

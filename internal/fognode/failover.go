@@ -33,8 +33,9 @@ const (
 // and hands batches to healthy siblings (which forward them to their
 // own parent) -> whenever the backoff window expires the next flush
 // re-probes the parent -> a parent success resets everything to
-// healthy. With RetryBase zero the machine is inert: every flush
-// attempts the parent, exactly the pre-failover behavior.
+// healthy. With RetryBase zero there is no backoff window, so every
+// flush attempts the parent; failures still count, and relay mode
+// still engages after FailoverAfter of them.
 type upstream struct {
 	base     time.Duration
 	max      time.Duration
@@ -50,20 +51,16 @@ type upstream struct {
 }
 
 func newUpstream(cfg *Config) *upstream {
-	// The node's identity is always mixed into the jitter seed: a
-	// shared FailoverSeed (every node of a deployment gets the same
-	// config) must still give every sibling a distinct jitter stream,
-	// or they back off and re-probe a recovering parent in lockstep —
-	// the stampede the jitter exists to prevent. FailoverSeed keeps a
-	// whole run reproducible; the identity hash de-synchronizes the
-	// nodes within it.
-	seed := cfg.FailoverSeed ^ int64(shard.FNV32a(cfg.Spec.ID))
+	// The jitter seed is the node's identity: every sibling gets a
+	// distinct jitter stream, or they back off and re-probe a
+	// recovering parent in lockstep — the stampede the jitter exists
+	// to prevent — and a node's own stream is reproducible run to run.
 	return &upstream{
 		base:     cfg.RetryBase,
 		max:      cfg.RetryMax,
 		after:    cfg.FailoverAfter,
 		siblings: cfg.Siblings,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewSource(int64(shard.FNV32a(cfg.Spec.ID)))),
 	}
 }
 

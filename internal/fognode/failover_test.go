@@ -111,7 +111,6 @@ func newFailoverNode(t *testing.T, net transport.Transport, clock sim.Clock) *No
 		RetryBase:     time.Minute,
 		RetryMax:      8 * time.Minute,
 		FailoverAfter: 2,
-		FailoverSeed:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +204,46 @@ func TestFailoverStateMachine(t *testing.T) {
 	}
 	if n.RelayedBatches() == 0 {
 		t.Error("relay counter never incremented")
+	}
+}
+
+// TestFailoverWithoutBackoff pins what a node without RetryBase (every
+// daemon's profile) does under a dead parent: no backoff window, so
+// every flush attempts the parent, and after FailoverAfter consecutive
+// failures the node relays through its sibling anyway.
+func TestFailoverWithoutBackoff(t *testing.T) {
+	clock := sim.NewVirtualClock(t0)
+	net := newScriptNet()
+	net.set(false, true)
+	n, err := New(Config{
+		Spec: fog1Spec(), Clock: clock, Transport: net, Codec: aggregate.CodecNone,
+		Siblings: []string{"fog1/d01-s02"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := n.Ingest(batchOf(map[string]float64{"s": float64(i)}, clock.Now())); err != nil {
+			t.Fatal(err)
+		}
+		// The first two flushes fail on the parent and hold their
+		// batches; the third crosses the default threshold of 3.
+		if err := n.Flush(context.Background()); (err != nil) != (i < 2) {
+			t.Fatalf("flush %d: err = %v", i, err)
+		}
+		clock.Advance(time.Second)
+	}
+	if got := n.UpstreamState(); got != UpstreamRelay {
+		t.Errorf("state = %v, want relay", got)
+	}
+	if got := n.RelayedBatches(); got != 4 {
+		t.Errorf("relayed %d batches, want 4 of 4", got)
+	}
+	if got := net.deliveredReadings(); got != 4 {
+		t.Errorf("delivered %d readings, want 4", got)
+	}
+	if got := n.DeferredFlushes(); got != 0 {
+		t.Errorf("%d flushes deferred: without RetryBase every flush must attempt", got)
 	}
 }
 
@@ -396,12 +435,11 @@ func TestDroppedDuringOutageCounted(t *testing.T) {
 }
 
 // TestFailoverJitterDistinctPerNode: two nodes with IDENTICAL configs
-// (same nonzero FailoverSeed — the deployment-wide default every node
-// of a city shares) must draw distinct backoff jitter sequences, or
+// but their node IDs must draw distinct backoff jitter sequences, or
 // siblings back off and re-probe a recovering parent in lockstep and
-// storm it after an outage. The node's identity is mixed into the
-// seed; the shared seed still keeps each node's own sequence
-// deterministic for reproduction.
+// storm it after an outage. The node's identity seeds the jitter,
+// which still keeps each node's own sequence deterministic for
+// reproduction.
 func TestFailoverJitterDistinctPerNode(t *testing.T) {
 	mk := func(id string) *upstream {
 		spec := fog1Spec()
@@ -411,7 +449,6 @@ func TestFailoverJitterDistinctPerNode(t *testing.T) {
 			RetryBase:     time.Minute,
 			RetryMax:      32 * time.Minute,
 			FailoverAfter: 4,
-			FailoverSeed:  12345, // identical on purpose
 		})
 	}
 	draw := func(u *upstream) time.Duration {
@@ -434,12 +471,12 @@ func TestFailoverJitterDistinctPerNode(t *testing.T) {
 		t.Fatalf("siblings with identical configs drew %d identical jitter values: lockstep backoff", draws)
 	}
 
-	// Reproducibility is preserved: the same identity and the same
-	// FailoverSeed replay the same sequence.
+	// Reproducibility is preserved: the same identity replays the
+	// same sequence.
 	c, d := mk("fog1/d01-s01"), mk("fog1/d01-s01")
 	for i := 0; i < draws; i++ {
 		if dc, dd := draw(c), draw(d); dc != dd {
-			t.Fatalf("draw %d: same node identity and seed diverged (%v vs %v)", i, dc, dd)
+			t.Fatalf("draw %d: same node identity diverged (%v vs %v)", i, dc, dd)
 		}
 	}
 }

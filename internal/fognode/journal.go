@@ -3,7 +3,6 @@ package fognode
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"f2c/internal/cq"
 	"f2c/internal/durable"
@@ -234,7 +233,7 @@ func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64
 			appendEntry(snapEntryPending, 0, wire)
 		}
 		for typ, buf := range sh.degraded {
-			doc, err := protocol.EncodeJSON(buf.push("", 0, typ, 0))
+			doc, err := protocol.EncodeJSON(buf.push("", 0, typ))
 			if err != nil {
 				return nil, err
 			}
@@ -251,13 +250,13 @@ type recoveryState struct {
 	// sequences advance the counter (own seals) and which fired alerts
 	// re-mark the engine's emitted sets (own fires).
 	self string
-	// degradeWindow is the node's DegradeWindow when it degrades to
-	// summaries (replayed trims then fold instead of dropping), else 0.
-	degradeWindow time.Duration
-	seqCounter    uint64
-	sawSeq        bool
-	marks         []markEntry
-	types         map[string]*typeRecovery
+	// degrade is set on a node that degrades to summaries: replayed
+	// trims then fold instead of dropping.
+	degrade    bool
+	seqCounter uint64
+	sawSeq     bool
+	marks      []markEntry
+	types      map[string]*typeRecovery
 	// stored collects every replayed batch for the local time-series
 	// store: recovery restores real-time reads over the checkpoint
 	// window, not just the undelivered buffers.
@@ -449,8 +448,8 @@ func (rs *recoveryState) commit(typ, origin string, seq uint64) {
 // buffer again.
 func (rs *recoveryState) shed(tr *typeRecovery, drop int) {
 	tr.trimOldest(tr.pending, drop, func(b *model.Batch, k int, _ bool) {
-		if rs.degradeWindow > 0 {
-			tr.degradeBuf(b.Category).foldAll(b.Readings[:k], rs.degradeWindow)
+		if rs.degrade {
+			tr.degradeBuf(b.Category).foldAll(b.Readings[:k])
 		}
 	})
 }
@@ -785,9 +784,7 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 func (n *Node) recovery() durable.Recovery {
 	rs := newRecoveryState()
 	rs.self = n.cfg.Spec.ID
-	if n.cfg.DegradeToSummary {
-		rs.degradeWindow = n.cfg.DegradeWindow
-	}
+	rs.degrade = n.cfg.DegradeToSummary
 	return durable.Recovery{
 		Snapshot: func(data []byte) error { return decodeNodeSnapshot(data, rs) },
 		Record:   rs.applyRecord,

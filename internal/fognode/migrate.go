@@ -356,42 +356,47 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 		}
 		subs = append(subs, snap)
 	}
-	return n.dur.Accept(t.From, t.TransferSeq, func() error {
-		sh := n.shardFor(t.TypeName)
-		sh.mu.Lock()
-		// The journal append is the acceptance gate, exactly like a
-		// batch ingest: if the chunk cannot be made durable it is
-		// rejected and the source keeps the state.
-		if err := n.dur.Journal.WritePayload(recMigrateIn, msg.Payload); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("fognode %s: migrate: %w", me, err)
-		}
-		q := sh.box(t.TypeName)
-		for _, it := range items {
-			q.put(it)
-		}
-		n.boundLocked(sh, t.TypeName)
-		sh.mu.Unlock()
+	return n.dur.Accept(t.From, t.TransferSeq, func() error { return n.absorbMigrate(t, msg.Payload, items, readings, subs) })
+}
 
-		// Moved subscriptions install with their live window state;
-		// Install merges if this node already watches the type with the
-		// same definition (its own partial windows survive the merge).
-		for _, snap := range subs {
-			_ = n.cqe.Install(*snap)
+// absorbMigrate is handleMigrate's apply over a decoded chunk. The
+// chunk's own mark, the moved marks and the moved subscriptions land
+// under the shard lock, with the journal record, so a checkpoint never
+// snapshots the moved items without them.
+func (n *Node) absorbMigrate(t *protocol.MigrateTransfer, payload []byte, items []item, readings int64, subs []*cq.SubSnapshot) error {
+	sh := n.shardFor(t.TypeName)
+	sh.mu.Lock()
+	// The journal append is the acceptance gate, exactly like a batch
+	// ingest: if the chunk cannot be made durable it is rejected and
+	// the source keeps the state.
+	if err := n.dur.Journal.WritePayload(recMigrateIn, payload); err != nil {
+		sh.mu.Unlock()
+		return fmt.Errorf("fognode %s: migrate: %w", n.cfg.Spec.ID, err)
+	}
+	q := sh.box(t.TypeName)
+	for _, it := range items {
+		q.put(it)
+	}
+	n.boundLocked(sh, t.TypeName)
+	// Moved subscriptions install with their live window state;
+	// Install merges if this node already watches the type with the
+	// same definition (its own partial windows survive the merge).
+	for _, snap := range subs {
+		_ = n.cqe.Install(*snap)
+	}
+	n.replay.Mark(t.From, t.TransferSeq)
+	for origin, seqs := range t.Marks {
+		for _, seq := range seqs {
+			n.replay.Mark(origin, seq)
 		}
-		for origin, seqs := range t.Marks {
-			for _, seq := range seqs {
-				n.replay.Mark(origin, seq)
-			}
-		}
-		// Receiving a chunk is the ownership handshake: this node owns
-		// the type now, so a stale forwarding route must not bounce it
-		// back.
-		n.ClearRoute(t.TypeName)
-		n.migInTransfers.Inc()
-		n.migInReads.Add(readings)
-		return nil
-	})
+	}
+	sh.mu.Unlock()
+	// Receiving a chunk is the ownership handshake: this node owns the
+	// type now, so a stale forwarding route must not bounce it back.
+	n.ClearRoute(t.TypeName)
+	n.migInTransfers.Inc()
+	n.migInReads.Add(readings)
+	return nil
 }
 
 // ingestRouted handles an edge ingest of a type whose ownership

@@ -6,10 +6,10 @@
 // flusher whose frequency "can be strategically decided in order to
 // accommodate it to the network traffic".
 //
-// The acquisition pipeline is a sequence of composable Stage values
-// running over hash-sharded per-type state, so concurrent Ingest
-// calls on different sensor types never contend on a node-wide lock,
-// and flushes move the sharded pending buffers upward with a bounded
+// The acquisition pipeline (dedup, then quality, then description)
+// runs over hash-sharded per-type state, so concurrent Ingest calls on
+// different sensor types never contend on a node-wide lock, and
+// flushes move the sharded pending buffers upward with a bounded
 // worker pool.
 //
 // Upward delivery is one mechanism (shard.go): whatever leaves the
@@ -31,8 +31,9 @@
 // decomposable summaries pushed upward at the next flush — resolution
 // is lost, counts are not; raw shed remains only as the last resort.
 // Adaptation (Config.Adaptive): an EWMA of parent RTT plus queue depth
-// steers the flush batch size and interval between configured bounds,
-// halving on backpressure and ramping while the link is healthy.
+// steers the flush batch size and interval between bounds derived from
+// FlushInterval, halving on backpressure and ramping while the link is
+// healthy.
 package fognode
 
 import (
@@ -87,11 +88,6 @@ type Config struct {
 	Dedup bool
 	// Quality enables the data-quality phase on ingest.
 	Quality bool
-	// Stages appends scenario-specific acquisition stages (filtering,
-	// enrichment) after the built-in dedup and quality stages and
-	// before description + storage. Stages must be safe for
-	// concurrent use.
-	Stages []Stage
 	// Registry receives node metrics; nil allocates a private one.
 	Registry *metrics.Registry
 	// MaxPendingReadings bounds the per-type upward buffer during
@@ -101,16 +97,13 @@ type Config struct {
 	MaxPendingReadings int
 	// DegradeToSummary changes what the MaxPendingReadings bound does
 	// with the oldest readings: instead of shedding them raw, they are
-	// folded into per-window decomposable summaries and pushed upward
+	// folded into per-minute decomposable summaries and pushed upward
 	// at the next flush (transport.KindSummaryPush) — the node loses
 	// resolution, not information. Counted in flush.degraded_readings
 	// and flush.summaries_emitted; raw shed remains the last resort
 	// once a type parks more unsent summary pushes than
 	// maxParkedPushes.
 	DegradeToSummary bool
-	// DegradeWindow is the time-window granularity degraded readings
-	// are summarized at (default 1 minute).
-	DegradeWindow time.Duration
 	// AlertObserver, when set, sees every alert push this node's own
 	// subscriptions fire, at seal time — the hook the exactly-once
 	// chaos ledger (and local alerting sinks) attach to. Called
@@ -126,24 +119,16 @@ type Config struct {
 	// ingest at the node itself. Each node builds its own scheduler
 	// instance from these shared options.
 	Scheduler *sched.Options
-	// Adaptive, when set, replaces the fixed flush cadence and
-	// whole-buffer batch sealing with the adaptive controller: an EWMA
-	// of parent RTT plus queue depth steers batch size and flush
-	// interval between configured bounds, backing off on backpressure.
-	Adaptive *AdaptiveConfig
-	// PendingShards sets how many hash shards back the per-type
-	// pending buffers and description tags (rounded up to a power of
-	// two). Zero selects the default (16); 1 restores a single
-	// buffer.
-	PendingShards int
+	// Adaptive replaces the fixed flush cadence and whole-buffer batch
+	// sealing with the adaptive controller: an EWMA of parent RTT plus
+	// queue depth steers batch size and flush interval between bounds
+	// derived from FlushInterval, backing off on backpressure.
+	Adaptive bool
 	// FlushWorkers bounds how many batches a flush encodes and sends
 	// concurrently. Sends are network-bound, so the default (4) is
-	// independent of GOMAXPROCS; 1 restores the serial flush path.
+	// independent of GOMAXPROCS; 1 sends the types one at a time, in
+	// sorted order.
 	FlushWorkers int
-	// MaxQueryPage bounds how many readings one query response may
-	// carry; larger range scans stream in cursor-linked pages. Zero
-	// selects protocol.DefaultPageLimit.
-	MaxQueryPage int
 	// Siblings are peer fog nodes at this node's own layer that can
 	// relay batches to their parent when this node's parent is
 	// unreachable (the distributed-fog failover path). Empty disables
@@ -152,23 +137,16 @@ type Config struct {
 	// RetryBase enables jittered exponential backoff on parent
 	// failures: after a failed flush the parent is re-probed no
 	// sooner than RetryBase (doubling per consecutive failure up to
-	// RetryMax, jittered over [d/2, d]). Zero disables backoff and
-	// failover — every flush attempts the parent, the pre-resilience
-	// behavior.
+	// RetryMax, jittered over [d/2, d]). Zero disables backoff only:
+	// every flush attempts the parent, and sibling failover still
+	// engages after FailoverAfter consecutive failures.
 	RetryBase time.Duration
 	// RetryMax caps the backoff window (default 64 x RetryBase).
 	RetryMax time.Duration
 	// FailoverAfter is how many consecutive parent failures switch
 	// the node to sibling relay (default 3; effective only with
-	// Siblings configured and RetryBase > 0).
+	// Siblings configured).
 	FailoverAfter int
-	// FailoverSeed seeds the backoff jitter (0 derives one from the
-	// node ID), keeping chaos runs reproducible.
-	FailoverSeed int64
-	// ReplayWindow bounds how many recently delivered batch sequences
-	// the node remembers per origin for at-least-once dedup on its
-	// receive path. Zero selects protocol.DefaultReplayWindow.
-	ReplayWindow int
 	// Durability, when set, makes the node journal its upward-delivery
 	// state (accepted readings, sealed items, commits, sheds,
 	// replay-filter marks) to a write-ahead log with periodic
@@ -214,17 +192,11 @@ func (c *Config) applyDefaults() error {
 	if c.FlushWorkers <= 0 {
 		c.FlushWorkers = 4
 	}
-	if c.MaxQueryPage <= 0 {
-		c.MaxQueryPage = protocol.DefaultPageLimit
-	}
 	if c.RetryBase > 0 && c.RetryMax < c.RetryBase {
 		c.RetryMax = 64 * c.RetryBase
 	}
 	if c.FailoverAfter <= 0 {
 		c.FailoverAfter = 3
-	}
-	if c.DegradeWindow <= 0 {
-		c.DegradeWindow = time.Minute
 	}
 	return nil
 }
@@ -236,8 +208,8 @@ type Node struct {
 	// or the durable core's segment store, selected by Config.Storage.
 	store     store.Series
 	deduper   *aggregate.Deduper
+	assessor  *quality.Assessor // nil unless Config.Quality
 	describer *describe.Describer
-	stages    []Stage
 
 	shards    []pendingShard
 	shardMask uint32
@@ -352,9 +324,9 @@ func New(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		deduper:   aggregate.NewDeduper(),
 		describer: describe.NewDescriber(cfg.City, district, cfg.Spec.Name, cfg.Spec.Centroid, "f2c"),
-		shards:    newPendingShards(cfg.PendingShards),
+		shards:    newPendingShards(),
 		up:        newUpstream(&cfg),
-		replay:    protocol.NewReplayFilter(cfg.ReplayWindow),
+		replay:    protocol.NewReplayFilter(protocol.DefaultReplayWindow),
 		routes:    make(map[string]string),
 		cqe:       cq.NewEngine(),
 		lc:        newLifecycle(),
@@ -412,20 +384,12 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, reg, prefix+"sched.")
 	}
-	if cfg.Adaptive != nil {
-		n.ctl = newFlushController(*cfg.Adaptive, cfg.FlushInterval, reg, prefix)
-	}
-
-	if cfg.Dedup {
-		n.stages = append(n.stages, dedupStage{deduper: n.deduper})
+	if cfg.Adaptive {
+		n.ctl = newFlushController(adaptiveBoundsFor(cfg.FlushInterval), reg, prefix)
 	}
 	if cfg.Quality {
-		n.stages = append(n.stages, qualityStage{
-			assessor: quality.NewAssessor(nil),
-			rejected: n.rejectedReads,
-		})
+		n.assessor = quality.NewAssessor(nil)
 	}
-	n.stages = append(n.stages, cfg.Stages...)
 
 	if err := dur.Recover(n.recovery()); err != nil {
 		return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
@@ -447,10 +411,10 @@ func (n *Node) ID() string { return n.cfg.Spec.ID }
 func (n *Node) Layer() topology.Layer { return n.cfg.Spec.Layer }
 
 // Ingest runs the acquisition pipeline on a batch: redundant-data
-// elimination (when enabled), quality assessment, any configured
-// custom stages, description tagging, temporal storage, and queueing
-// for the next upward flush. Safe to call concurrently; ingests of
-// different sensor types proceed on disjoint shards.
+// elimination and quality assessment (each when enabled), description
+// tagging, temporal storage, and queueing for the next upward flush.
+// Safe to call concurrently; ingests of different sensor types proceed
+// on disjoint shards.
 func (n *Node) Ingest(b *model.Batch) error {
 	return n.ingest(b, "", 0)
 }
@@ -466,14 +430,17 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 	}
 	n.ingestedBatches.Inc()
 
-	sc := &StageContext{NodeID: n.cfg.Spec.ID, Now: n.cfg.Clock.Now(), Score: 1}
-	for _, stage := range n.stages {
-		var err error
-		if b, err = stage.Process(sc, b); err != nil {
-			return fmt.Errorf("fognode %s: ingest: stage %s: %w", n.cfg.Spec.ID, stage.Name(), err)
-		}
+	if n.cfg.Dedup {
+		b = n.deduper.Filter(b) // paper §V.A
 	}
-	tags := n.describer.Describe(b, sc.Score)
+	score := 1.0
+	if n.assessor != nil {
+		var rep quality.Report
+		b, rep = n.assessor.Assess(b, n.cfg.Clock.Now())
+		score = rep.Score()
+		n.rejectedReads.Add(int64(rep.Rejected))
+	}
+	tags := n.describer.Describe(b, score)
 
 	sh := n.shardFor(b.TypeName)
 	sh.mu.Lock()
@@ -524,13 +491,16 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 // journaled first, under the shard lock, so the log's record order
 // matches the buffer's reading order; a journal failure rejects the
 // ingest (the sender retries) instead of accepting data the node
-// cannot preserve.
+// cannot preserve. The delivery mark lands under the same lock: a
+// checkpoint, which cuts under every shard lock, then never snapshots
+// the readings without their mark.
 func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := n.journalBatch(b, origin, seq); err != nil {
 		return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
 	}
+	n.replay.Mark(origin, seq)
 	n.bufferLocked(sh, b)
 	if n.cfg.MaxPendingReadings > 0 { // the one bound an ingest can cross
 		n.boundLocked(sh, b.TypeName)
@@ -743,10 +713,10 @@ func (n *Node) Query(typeName string, from, to time.Time) []model.Reading {
 }
 
 // QueryPage serves one bounded page of a range read: at most
-// min(limit, MaxQueryPage) readings plus the cursor resuming the
-// scan. It implements query.LocalStore.
+// min(limit, protocol.DefaultPageLimit) readings plus the cursor
+// resuming the scan. It implements query.LocalStore.
 func (n *Node) QueryPage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
-	return store.Page(n.store, n.cfg.MaxQueryPage, typeName, from, to, limit, cursor)
+	return store.Page(n.store, typeName, from, to, limit, cursor)
 }
 
 // Tags returns the latest description tags for a type.
@@ -890,34 +860,27 @@ func (n *Node) flush(ctx context.Context, class string) error {
 	// Deterministic send/error order for tests and accounting.
 	sort.Strings(types)
 
+	// One worker takes the types one at a time in sorted order, which
+	// keeps FlushWorkers 1 deterministic.
 	errs := make([]error, len(types))
-	workers := min(n.cfg.FlushWorkers, len(types))
-	if workers <= 1 {
-		sc := n.getScratch()
-		for i := range types {
-			errs[i] = n.drain(ctx, types[i], now, sc)
-		}
-		n.putScratch(sc)
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wsc := n.getScratch()
-				defer n.putScratch(wsc)
-				for i := range jobs {
-					errs[i] = n.drain(ctx, types[i], now, wsc)
-				}
-			}()
-		}
-		for i := range types {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(n.cfg.FlushWorkers, len(types)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := n.getScratch()
+			defer n.putScratch(sc)
+			for i := range jobs {
+				errs[i] = n.drain(ctx, types[i], now, sc)
+			}
+		}()
 	}
+	for i := range types {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 	if n.ctl != nil {
 		// Close the adaptive round with the post-flush queue depth:
 		// what the sends could not clear (plus what ingested meanwhile)
@@ -1122,7 +1085,7 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 	case transport.KindMigrate:
 		return n.handleMigrate(msg)
 	case transport.KindQuery, transport.KindSummary:
-		return store.Serve(n.store, n.cfg.Spec.ID, n.cfg.MaxQueryPage, n.cfg.Codec, msg.Kind, msg.Payload)
+		return store.Serve(n.store, n.cfg.Spec.ID, n.cfg.Codec, msg.Kind, msg.Payload)
 	case transport.KindControl:
 		return n.handleControl(ctx, msg.Payload)
 	default:

@@ -100,8 +100,12 @@ func TestIngestDedupEliminatesRepeats(t *testing.T) {
 	}
 }
 
+// TestIngestQualityRejectsGarbage also pins the acquisition order:
+// dedup sees every reading (the garbage one included) before quality
+// drops the rejected one, the batch score reaches the description
+// tags, and the rejection is counted.
 func TestIngestQualityRejectsGarbage(t *testing.T) {
-	n := newTestNode(t, nil, false)
+	n := newTestNode(t, nil, true)
 	b := batchOf(map[string]float64{"a": 20, "b": 9999}, t0) // 9999 out of range
 	if err := n.Ingest(b); err != nil {
 		t.Fatal(err)
@@ -109,12 +113,18 @@ func TestIngestQualityRejectsGarbage(t *testing.T) {
 	if got := n.Query("temperature", t0, t0.Add(time.Hour)); len(got) != 1 {
 		t.Errorf("stored = %d, want 1 (rejected reading dropped)", len(got))
 	}
+	if in, kept := n.DedupStats(); in != 2 || kept != 2 {
+		t.Errorf("dedup saw %d readings and kept %d, want 2 and 2: dedup runs before quality", in, kept)
+	}
+	if got := n.rejectedReads.Value(); got != 1 {
+		t.Errorf("rejected counter = %d, want 1", got)
+	}
 	tags, ok := n.Tags("temperature")
 	if !ok {
 		t.Fatal("missing tags")
 	}
-	if tags.QualityScore >= 1 {
-		t.Errorf("quality score = %v, want < 1", tags.QualityScore)
+	if tags.QualityScore != 0.5 {
+		t.Errorf("quality score = %v, want 0.5 (one of two rejected)", tags.QualityScore)
 	}
 	if tags.City != "barcelona" || tags.Section != "Ciutat Vella s01" {
 		t.Errorf("tags = %+v", tags)
@@ -609,5 +619,72 @@ func TestFlushCategorySelective(t *testing.T) {
 	}
 	if n.PendingBatches() != 0 {
 		t.Error("pending after full flush")
+	}
+}
+
+// TestRequeueReappliesPendingBound reproduces the parent-outage growth
+// bug: data ingested while a flush is in flight merges with the
+// requeued failed batch, and the MaxPendingReadings bound must be
+// re-applied so the buffer cannot exceed the configured limit.
+func TestRequeueReappliesPendingBound(t *testing.T) {
+	clock := sim.NewVirtualClock(t0)
+	var n *Node
+	net := transport.NewSimNetwork()
+	fail := true
+	var got *model.Batch
+	net.Register("fog2/d01", transport.HandlerFunc(func(_ context.Context, msg transport.Message) ([]byte, error) {
+		if fail {
+			// Simulate concurrent arrivals during the in-flight flush:
+			// these land in pending before the failed batch requeues.
+			for i := 0; i < 3; i++ {
+				b := batchOf(map[string]float64{"s": float64(10 + i)}, t0.Add(time.Duration(i+1)*time.Minute))
+				if err := n.Ingest(b); err != nil {
+					return nil, err
+				}
+			}
+			return nil, errors.New("parent outage")
+		}
+		b, _, err := protocol.DecodeBatchPayload(msg.Payload)
+		if err != nil {
+			return nil, err
+		}
+		got = b
+		return []byte("ok"), nil
+	}))
+	var err error
+	n, err = New(Config{
+		Spec:               fog1Spec(),
+		Clock:              clock,
+		Transport:          net,
+		Codec:              aggregate.CodecNone,
+		MaxPendingReadings: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		b := batchOf(map[string]float64{"s": float64(i)}, t0.Add(time.Duration(i)*time.Second))
+		if err := n.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Flush(context.Background()); err == nil {
+		t.Fatal("expected flush failure")
+	}
+	// 3 failed + 3 ingested-during-flush readings merged: the bound
+	// must shed the 3 oldest instead of keeping all 6.
+	if shed := n.ShedReadings(); shed != 3 {
+		t.Errorf("shed = %d, want 3 (requeue must re-apply the bound)", shed)
+	}
+	fail = false
+	if err := n.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || len(got.Readings) != 3 {
+		t.Fatalf("recovered batch = %+v, want the 3 newest readings", got)
+	}
+	if got.Readings[0].Value != 10 || got.Readings[2].Value != 12 {
+		t.Errorf("kept values = %v..%v, want 10..12 (newest kept, oldest shed)",
+			got.Readings[0].Value, got.Readings[2].Value)
 	}
 }

@@ -225,6 +225,108 @@ func TestRecoveryReplayFilterSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsDeliveryMarks: every sequenced apply marks its
+// (origin, seq) under the shard lock the checkpoint cuts under. Each
+// row applies one delivery the way Accept's apply does, checkpoints
+// before Accept's own mark could run, crashes and reopens: the
+// snapshot must carry the mark with the state, so the sender's retry
+// is a duplicate and the held state does not grow.
+func TestCheckpointKeepsDeliveryMarks(t *testing.T) {
+	const child = "fog1/d01-s09"
+	batch := typedBatch("traffic", t0, 10, 11, 12)
+	batch.NodeID = child
+	sealed, err := (&protocol.Sealer{}).SealSeq(nil, batch, aggregate.CodecNone, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := protocol.SummaryPush{
+		Origin: child, Seq: 8, TypeName: "traffic", Category: "urban",
+		Windows: []protocol.SummaryWindow{{
+			StartUnix: t0.UnixNano(), EndUnix: t0.Add(time.Minute).UnixNano(),
+			Summary: aggregate.Summary{Count: 3, Sum: 30, Min: 9, Max: 11},
+		}},
+	}
+	summaryDoc, err := protocol.EncodeJSON(summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alert := &protocol.AlertPush{
+		Origin: child, Seq: 9, TypeName: "traffic", Category: "urban",
+		Alerts: []protocol.Alert{{
+			SubID: "hot", FiredBy: child, Kind: protocol.AlertKindThreshold,
+			StartUnix: t0.Unix(), EndUnix: t0.Unix() + 60,
+			Summary: aggregate.Summary{Count: 1, Sum: 12, Min: 12, Max: 12}, Value: 12,
+		}},
+	}
+	alertDoc, err := protocol.EncodeAlertPush(alert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := &protocol.MigrateTransfer{
+		TypeName: "traffic", From: "fog1/d01-s02", To: fog1Spec().ID, TransferSeq: 10,
+		Entries: []protocol.MigrateEntry{{Seq: 7, Payload: sealed}},
+	}
+	chunkDoc, err := protocol.EncodeMigrateTransfer(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := func(n *Node) int {
+		var total int64
+		if buf := n.shardFor("traffic").degraded["traffic"]; buf != nil {
+			for _, w := range buf.windows {
+				total += w.Count
+			}
+		}
+		return int(total)
+	}
+
+	for _, tc := range []struct {
+		kind  transport.Kind
+		apply func(n *Node) error
+		doc   []byte
+		held  func(n *Node) int
+	}{
+		{transport.KindBatch, func(n *Node) error { return n.ingest(batch, child, 7) }, sealed, (*Node).PendingReadings},
+		{transport.KindSummaryPush, func(n *Node) error { return n.absorbSummaryPush(&summary, summaryDoc) }, summaryDoc, degraded},
+		{transport.KindAlertPush, func(n *Node) error { return n.absorbAlertPush(alert, alertDoc) }, alertDoc, (*Node).PendingBatches},
+		{transport.KindMigrate, func(n *Node) error {
+			items, readings, err := transferItems(chunk)
+			if err != nil {
+				return err
+			}
+			return n.absorbMigrate(chunk, chunkDoc, items, readings, nil)
+		}, chunkDoc, (*Node).PendingReadings},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			dir := t.TempDir()
+			n := newDurableNode(t, dir, nil, 0)
+			if err := tc.apply(n); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			n.Discard()
+
+			re := newDurableNode(t, dir, nil, 0)
+			before := tc.held(re)
+			if before == 0 {
+				t.Fatal("the checkpoint lost the applied state")
+			}
+			msg := transport.Message{From: child, To: re.ID(), Kind: tc.kind, Payload: tc.doc}
+			if _, err := re.Handle(context.Background(), msg); err != nil {
+				t.Fatal(err)
+			}
+			if got := re.DuplicateBatches(); got != 1 {
+				t.Errorf("retry after the checkpoint suppressed %d duplicates, want 1", got)
+			}
+			if got := tc.held(re); got != before {
+				t.Errorf("held state %d -> %d: the retry was re-accepted", before, got)
+			}
+		})
+	}
+}
+
 // TestRecoveryCommitAdvancesSequenceCounter: a committed sequence was
 // used even when its seal record is missing (a dropped best-effort
 // append), so replay must still keep the recovered counter past it —

@@ -9,11 +9,11 @@ import (
 	"f2c/internal/transport"
 )
 
-// defaultPendingShards is the pending-buffer shard count used when
-// Config.PendingShards is zero. Sixteen shards keep contention
-// negligible for the catalog's ~21 sensor types while staying cheap
-// to scan on flush.
-const defaultPendingShards = 16
+// pendingShards is the pending-buffer shard count, a power of two so a
+// type's hash masks onto it. Sixteen shards keep contention negligible
+// for the catalog's ~21 sensor types while staying cheap to scan on
+// flush.
+const pendingShards = 16
 
 // item is one sealed delivery unit: a payload frozen under the
 // delivery identity (origin, seq) it will present on every attempt, so
@@ -198,17 +198,9 @@ func (sh *pendingShard) box(typ string) *outbox {
 	return q
 }
 
-// newPendingShards allocates n shards rounded up to a power of two
-// (n <= 0 selects the default).
-func newPendingShards(n int) []pendingShard {
-	if n <= 0 {
-		n = defaultPendingShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	shards := make([]pendingShard, size)
+// newPendingShards allocates a node's pending shards.
+func newPendingShards() []pendingShard {
+	shards := make([]pendingShard, pendingShards)
 	for i := range shards {
 		shards[i].pending = make(map[string]*model.Batch)
 		shards[i].degraded = make(map[string]*degradeBuf)

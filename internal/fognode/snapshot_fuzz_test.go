@@ -20,7 +20,7 @@ import (
 // integral values).
 func genShardState(seed int64) (shards []pendingShard, seqCounter uint64, marks map[string][]uint64, subs []cq.SubSnapshot) {
 	rng := rand.New(rand.NewSource(seed))
-	shards = newPendingShards(4)
+	shards = newPendingShards()
 	seqCounter = uint64(rng.Int63())
 	types := []string{"traffic", "noise_level", "air_quality", "parking"}
 
@@ -121,7 +121,7 @@ func genShardState(seed int64) (shards []pendingShard, seqCounter uint64, marks 
 			buf.windows[int64(w)*int64(time.Minute)] = aggregate.Summary{Count: 1 + int64(rng.Intn(9)), Sum: float64(rng.Intn(100)), Min: 1, Max: 9}
 		}
 		if rng.Intn(2) == 0 {
-			doc, err := protocol.EncodeJSON(buf.push("fog1/fuzz", uint64(rng.Int63())|1, typ, time.Minute))
+			doc, err := protocol.EncodeJSON(buf.push("fog1/fuzz", uint64(rng.Int63())|1, typ))
 			if err != nil {
 				panic(err)
 			}

@@ -59,7 +59,7 @@ func deploy(t *testing.T) *deployment {
 		return tr
 	}
 
-	cl, err := cloud.New(cloud.Config{ID: "cloud", City: "loopback", Clock: clock, MaxQueryPage: 4})
+	cl, err := cloud.New(cloud.Config{ID: "cloud", City: "loopback", Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +210,15 @@ func TestTCPHierarchyBackgroundFlushers(t *testing.T) {
 }
 
 // federatedBatch builds one sensor's stream with distinct timestamps
-// so paged scans have an ordered window to walk.
+// so paged scans have an ordered window to walk. Values cycle through
+// 1000..1049 hPa, inside the quality range, and never repeat the
+// previous one, so dedup keeps every reading.
 func federatedBatch(at time.Time, n int) *model.Batch {
 	b := &model.Batch{NodeID: "edge/device-7", TypeName: "weather", Category: model.CategoryUrban, Collected: at}
 	for i := 0; i < n; i++ {
 		b.Readings = append(b.Readings, model.Reading{
 			SensorID: "station/walk", TypeName: "weather", Category: model.CategoryUrban,
-			Time: at.Add(time.Duration(i) * time.Second), Value: 1000 + float64(i), Unit: "hPa",
+			Time: at.Add(time.Duration(i) * time.Millisecond), Value: 1000 + float64(i%50), Unit: "hPa",
 		})
 	}
 	return b
@@ -226,11 +228,13 @@ func federatedBatch(at time.Time, n int) *model.Batch {
 // engine through real sockets: a federated range query routed by the
 // tier planner, a manual page-cursor walk against the cloud (each
 // response bounded by the server's page limit), and an aggregate
-// push-down where only summary-sized payloads cross the wire.
+// push-down where only summary-sized payloads cross the wire. The
+// stream is longer than two server pages, so the clamp and the cursor
+// walk both bite.
 func TestTCPFederatedQueryAndAggregate(t *testing.T) {
 	d := deploy(t)
 	ctx := context.Background()
-	const total = 25
+	const total = 2*protocol.DefaultPageLimit + 452
 
 	payload, err := protocol.EncodeBatchPayload(federatedBatch(t0, total), aggregate.CodecZip)
 	if err != nil {
@@ -259,7 +263,7 @@ func TestTCPFederatedQueryAndAggregate(t *testing.T) {
 		Parent:    "fog2/d01",
 		Districts: []string{"fog2/d01"},
 		CloudID:   "cloud",
-		PageLimit: 4,
+		PageLimit: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,19 +284,20 @@ func TestTCPFederatedQueryAndAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != query.SourceParent || sum.Count != total || sum.Min != 1000 || sum.Max != 1000+total-1 {
+	if src != query.SourceParent || sum.Count != total || sum.Min != 1000 || sum.Max != 1049 {
 		t.Fatalf("aggregate = %+v from %v", sum, src)
 	}
 
-	// Manual page-cursor walk against the cloud: the server
-	// was deployed with MaxQueryPage 4, so no response may carry more.
+	// Manual page-cursor walk against the cloud: every server clamps
+	// to protocol.DefaultPageLimit, so no response may carry more.
+	const limit = protocol.DefaultPageLimit
 	var walked []model.Reading
 	cursor, pages := "", 0
 	for {
 		req, _ := protocol.EncodeJSON(protocol.QueryRequest{
 			TypeName: "weather",
 			FromUnix: t0.Add(-time.Minute).UnixNano(), ToUnix: t0.Add(time.Hour).UnixNano(),
-			Limit: 100, Cursor: cursor, // ask big: the server clamps to its limit
+			Limit: 4 * limit, Cursor: cursor, // ask big: the server clamps to its limit
 		})
 		reply, err := d.client.Send(ctx, transport.Message{
 			From: "app", To: "cloud", Kind: transport.KindQuery,
@@ -305,8 +310,8 @@ func TestTCPFederatedQueryAndAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(page.Readings) > 4 {
-			t.Fatalf("page %d carries %d readings, server page limit is 4", pages, len(page.Readings))
+		if len(page.Readings) > limit {
+			t.Fatalf("page %d carries %d readings, server page limit is %d", pages, len(page.Readings), limit)
 		}
 		walked = append(walked, page.Readings...)
 		pages++
@@ -315,8 +320,8 @@ func TestTCPFederatedQueryAndAggregate(t *testing.T) {
 		}
 		cursor = page.NextCursor
 	}
-	if len(walked) != total || pages != (total+3)/4 {
-		t.Fatalf("cursor walk = %d readings in %d pages, want %d in %d", len(walked), pages, total, (total+3)/4)
+	if want := (total + limit - 1) / limit; len(walked) != total || pages != want {
+		t.Fatalf("cursor walk = %d readings in %d pages, want %d in %d", len(walked), pages, total, want)
 	}
 	for i := 1; i < len(walked); i++ {
 		if walked[i].Time.Before(walked[i-1].Time) {

@@ -218,24 +218,23 @@ func DecodeBatchPayloadSeq(payload []byte) (*model.Batch, aggregate.Codec, uint6
 	return b, codec, seq, nil
 }
 
-// DefaultPageLimit is the server-side bound on readings per query
-// response page when the node's configuration does not override it.
-// Historical scans stream in pages of at most this many readings
-// instead of materializing one unbounded response.
+// DefaultPageLimit is every node's bound on readings per query
+// response page. Historical scans stream in pages of at most this
+// many readings instead of materializing one unbounded response.
 const DefaultPageLimit = 1024
 
 // QueryRequest asks a node for data. Exactly one of SensorID (latest
 // reading) or TypeName (range query) must be set. Range queries are
 // paged: Limit bounds the readings per response (servers clamp it to
-// their configured page limit) and Cursor resumes a scan from where
-// the previous page's NextCursor left off.
+// DefaultPageLimit) and Cursor resumes a scan from where the previous
+// page's NextCursor left off.
 type QueryRequest struct {
 	SensorID string `json:"sensorId,omitempty"`
 	TypeName string `json:"type,omitempty"`
 	FromUnix int64  `json:"fromUnixNano,omitempty"`
 	ToUnix   int64  `json:"toUnixNano,omitempty"`
 	// Limit is the maximum readings the response page may carry;
-	// 0 selects the server's configured page limit.
+	// 0 selects DefaultPageLimit, which also caps larger values.
 	Limit int `json:"limit,omitempty"`
 	// Cursor is the opaque resume position returned by the previous
 	// page; empty starts the scan at the beginning of the range.

@@ -132,12 +132,13 @@ func TestPlanRangePrunesTiers(t *testing.T) {
 
 // TestRangeHistoricalFromCloud drives the full fallback walk to the
 // archive: data older than every fog window must come back from the
-// cloud, paged.
+// cloud, paged — the stream is longer than one page.
 func TestRangeHistoricalFromCloud(t *testing.T) {
-	s, clock := newCity(t, core.Options{QueryPageLimit: 16})
+	const total = protocol.DefaultPageLimit + 476
+	s, clock := newCity(t, core.Options{})
 	ctx := context.Background()
 	f1 := s.Fog1IDs()[0]
-	if err := s.IngestAt(f1, trafficBatch("s1", 50, t0)); err != nil {
+	if err := s.IngestAt(f1, trafficBatch("s1", total, t0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.FlushAll(ctx); err != nil {
@@ -147,15 +148,15 @@ func TestRangeHistoricalFromCloud(t *testing.T) {
 	if err := s.FlushAll(ctx); err != nil {
 		t.Fatal(err) // flush applies retention eviction at the fog layers
 	}
-	got, src, err := s.QueryWithFallback(ctx, f1, "traffic", t0, t0.Add(time.Minute), 1000)
+	got, src, err := s.QueryWithFallback(ctx, f1, "traffic", t0, t0.Add(time.Hour), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src != core.SourceCloud {
 		t.Errorf("source = %v, want cloud", src)
 	}
-	if len(got) != 50 {
-		t.Errorf("readings = %d, want 50", len(got))
+	if len(got) != total {
+		t.Errorf("readings = %d, want %d", len(got), total)
 	}
 }
 
@@ -222,15 +223,16 @@ func (c *pageSpyTransport) Send(ctx context.Context, msg transport.Message) ([]b
 	return reply, err
 }
 
-// TestPagedWalkBounded asserts the acceptance bound: with a page
-// limit of L, no single query response materializes more than L
-// readings, and the full walk still returns everything.
+// TestPagedWalkBounded asserts the acceptance bound: a client asking
+// for more than the server page limit L gets no single query response
+// that materializes more than L readings, and the full walk still
+// returns everything.
 func TestPagedWalkBounded(t *testing.T) {
-	const pageLimit = 7
-	s, clock := newCity(t, core.Options{QueryPageLimit: pageLimit})
+	const pageLimit, total = protocol.DefaultPageLimit, 2*protocol.DefaultPageLimit + 452
+	s, clock := newCity(t, core.Options{})
 	ctx := context.Background()
 	f1 := s.Fog1IDs()[0]
-	if err := s.IngestAt(f1, trafficBatch("s1", 100, t0)); err != nil {
+	if err := s.IngestAt(f1, trafficBatch("s1", total, t0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.FlushAll(ctx); err != nil {
@@ -241,6 +243,7 @@ func TestPagedWalkBounded(t *testing.T) {
 	spy := &pageSpyTransport{inner: s.Network()}
 	eng, err := query.New(query.Config{
 		Self: f1, Transport: spy, Clock: clock, CloudID: core.CloudID,
+		PageLimit: 4 * pageLimit, // ask big: the server clamps
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +252,10 @@ func TestPagedWalkBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 100 {
-		t.Fatalf("walk = %d readings, want 100", len(got))
+	if len(got) != total {
+		t.Fatalf("walk = %d readings, want %d", len(got), total)
 	}
-	wantPages := (100 + pageLimit - 1) / pageLimit
+	wantPages := (total + pageLimit - 1) / pageLimit
 	if len(spy.pageSizes) != wantPages {
 		t.Errorf("responses = %d, want %d pages", len(spy.pageSizes), wantPages)
 	}

@@ -5,9 +5,7 @@ package segment
 // its segment.* rows):
 //
 //   - SegmentIngest: the hot append path — the RAM TimeSeries
-//     baseline against the tiered store with the WAL on (the
-//     production configuration) and off (isolating the journal's
-//     share of the overhead);
+//     baseline against the tiered store, WAL included;
 //   - SegmentColdRange: a range query over history that has left the
 //     memtable — answered from RAM slices vs from mmap'd segment
 //     files through the sparse index;
@@ -64,14 +62,6 @@ func BenchmarkSegmentIngest(b *testing.B) {
 	})
 	b.Run("durable", func(b *testing.B) {
 		s, err := Open(Options{Dir: b.TempDir()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		run(b, s)
-	})
-	b.Run("nowal", func(b *testing.B) {
-		s, err := Open(Options{Dir: b.TempDir(), DisableWAL: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,8 +149,8 @@ func BenchmarkSegmentNarrowRange(b *testing.B) {
 // times, compacting to quiescence after each flush as the background
 // loop does, and reports the write amplification (compaction bytes
 // written per byte flushed) beside the usual B/op and allocs/op. The
-// WAL is off and the readings are built before the clock starts:
-// what is left is flush + compaction.
+// readings are built before the clock starts: what is left is the
+// appends' WAL records, flush and compaction.
 func BenchmarkSegmentCompaction(b *testing.B) {
 	const perFlush, types = 8192, 16
 	for _, flushes := range []int{16, 64} {
@@ -177,7 +167,7 @@ func BenchmarkSegmentCompaction(b *testing.B) {
 			var flushed, rewritten int64
 			for i := 0; i < b.N; i++ {
 				reg := metrics.NewRegistry()
-				s, err := Open(Options{Dir: b.TempDir(), NoBackground: true, DisableWAL: true, Registry: reg})
+				s, err := Open(Options{Dir: b.TempDir(), NoBackground: true, Registry: reg})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -65,7 +65,7 @@
 // so a background loop merges segments back together. What it merges
 // is decided by size: a round takes a run of segments adjacent in size
 // order — at least CompactMinSegments of them, at most eight, none at
-// or above TargetSegmentBytes — in which the largest is no larger than
+// or above the 16 MiB target — in which the largest is no larger than
 // the rest together, and repeats until no such run is left. A segment
 // is therefore only rewritten along with at least its own size in
 // other inputs, which gives the policy its two bounds: every rewrite

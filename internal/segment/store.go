@@ -34,8 +34,10 @@ var errStopped = errors.New("segment: store closing")
 const (
 	DefaultMemtableBytes      = 4 << 20
 	DefaultBlockReadings      = 2048
-	DefaultTargetSegmentBytes = 16 << 20
 	DefaultCompactMinSegments = 4
+	// targetSegmentBytes is the compaction goal: a segment at or above
+	// it is left alone.
+	targetSegmentBytes = 16 << 20
 	// maxCompactInputs bounds one compaction round's merge width.
 	maxCompactInputs = 8
 	// runawayFactor: an appender finding the memtable this many caps
@@ -59,18 +61,12 @@ type Options struct {
 	// BlockReadings caps readings per columnar block. Zero selects
 	// DefaultBlockReadings.
 	BlockReadings int
-	// TargetSegmentBytes is the compaction goal: a segment at or above
-	// it is left alone. Zero selects DefaultTargetSegmentBytes.
-	TargetSegmentBytes int64
 	// CompactMinSegments is the fewest segments of comparable size one
 	// compaction round merges. Zero selects
 	// DefaultCompactMinSegments.
 	CompactMinSegments int
 	// Codec compresses segment blocks. Zero selects CodecFlate.
 	Codec aggregate.Codec
-	// DisableWAL skips the memtable journal: appends are volatile
-	// until flushed (benchmark ablation only).
-	DisableWAL bool
 	// SyncEveryAppend fsyncs the WAL per record (see wal.Config).
 	SyncEveryAppend bool
 	// NoBackground disables the flusher goroutine; tests drive Flush
@@ -90,9 +86,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.BlockReadings <= 0 {
 		o.BlockReadings = DefaultBlockReadings
-	}
-	if o.TargetSegmentBytes <= 0 {
-		o.TargetSegmentBytes = DefaultTargetSegmentBytes
 	}
 	if o.CompactMinSegments <= 0 {
 		o.CompactMinSegments = DefaultCompactMinSegments
@@ -215,11 +208,9 @@ func Open(o Options) (*Store, error) {
 	s.flushedOp = man.FlushedOp
 	s.opCounter = man.FlushedOp
 	s.appliedSeq.Store(man.AppliedSeq)
-	if !o.DisableWAL {
-		if err := s.recoverWAL(); err != nil {
-			s.releaseSegs()
-			return nil, err
-		}
+	if err := s.recoverWAL(); err != nil {
+		s.releaseSegs()
+		return nil, err
 	}
 	s.updateStorageGauges()
 	if !o.NoBackground {
@@ -313,14 +304,12 @@ func (s *Store) AppendSeq(b *model.Batch, seq uint64) error {
 	var op uint64
 	s.walMu.Lock()
 	op = s.opCounter + 1
-	if s.wal != nil {
-		s.colBuf = sensor.AppendBatchColumnar(s.colBuf[:0], nb)
-		s.walBuf = appendOpRecord(s.walBuf[:0], op, seq, s.colBuf)
-		if err := s.wal.Append(s.walBuf); err != nil {
-			s.walMu.Unlock()
-			s.mu.RUnlock()
-			return err
-		}
+	s.colBuf = sensor.AppendBatchColumnar(s.colBuf[:0], nb)
+	s.walBuf = appendOpRecord(s.walBuf[:0], op, seq, s.colBuf)
+	if err := s.wal.Append(s.walBuf); err != nil {
+		s.walMu.Unlock()
+		s.mu.RUnlock()
+		return err
 	}
 	s.opCounter = op
 	s.walMu.Unlock()
@@ -679,19 +668,14 @@ func (s *Store) flushLocked() error {
 	// Rotate the WAL: the snapshot re-journals the live memtable so
 	// the old log (whose ops are now segment-covered or snapshotted)
 	// can be deleted.
-	if s.wal != nil {
-		if err := s.checkpointAbort("flush:rotate"); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.encodeSnapshotLocked()
-		err := s.wal.WriteSnapshot(s.snapBuf)
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	if err := s.checkpointAbort("flush:rotate"); err != nil {
+		return err
 	}
-	return nil
+	s.mu.Lock()
+	s.encodeSnapshotLocked()
+	err = s.wal.WriteSnapshot(s.snapBuf)
+	s.mu.Unlock()
+	return err
 }
 
 // writeSegment streams the next segment file through fill, makes it
@@ -836,7 +820,7 @@ func (s *Store) compactLocked() (int, error) {
 		s.mu.RUnlock()
 		return 0, ErrClosed
 	}
-	cands := pickTier(s.segs, s.o.TargetSegmentBytes, s.o.CompactMinSegments)
+	cands := pickTier(s.segs, targetSegmentBytes, s.o.CompactMinSegments)
 	for _, g := range cands {
 		g.acquire()
 	}

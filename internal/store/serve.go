@@ -11,12 +11,12 @@ import (
 )
 
 // Page serves one bounded page of a range read from s: at most
-// min(limit, maxPage) readings plus the cursor resuming the scan, so a
-// read over a whole tier streams instead of materializing one
-// unbounded response.
-func Page(s Series, maxPage int, typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
-	if limit <= 0 || limit > maxPage {
-		limit = maxPage
+// min(limit, protocol.DefaultPageLimit) readings plus the cursor
+// resuming the scan, so a read over a whole tier streams instead of
+// materializing one unbounded response.
+func Page(s Series, typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error) {
+	if limit <= 0 || limit > protocol.DefaultPageLimit {
+		limit = protocol.DefaultPageLimit
 	}
 	return s.QueryRangePage(typeName, from, to, limit, cursor)
 }
@@ -26,7 +26,7 @@ func Page(s Series, maxPage int, typeName string, from, to time.Time, limit int,
 // KindQuery request is answered with a binary page: a one-reading page
 // for a latest lookup, or one Page of a range scan plus its resume
 // cursor, compressed with codec on the sealed-batch wire path.
-func Serve(s Series, nodeID string, maxPage int, codec aggregate.Codec, kind transport.Kind, payload []byte) ([]byte, error) {
+func Serve(s Series, nodeID string, codec aggregate.Codec, kind transport.Kind, payload []byte) ([]byte, error) {
 	if kind == transport.KindSummary {
 		var req protocol.SummaryRequest
 		if err := protocol.DecodeJSON(payload, &req); err != nil {
@@ -53,7 +53,7 @@ func Serve(s Series, nodeID string, maxPage int, codec aggregate.Codec, kind tra
 		}
 	} else {
 		from, to := req.Range()
-		readings, next, err := Page(s, maxPage, req.TypeName, from, to, req.Limit, req.Cursor)
+		readings, next, err := Page(s, req.TypeName, from, to, req.Limit, req.Cursor)
 		if err != nil {
 			return nil, fmt.Errorf("%s: query: %w", nodeID, err)
 		}
