@@ -1,12 +1,23 @@
+// Package opendata holds the consumer-side acceptance tests of the
+// cloud's data-dissemination interface: a civic application's view of
+// the open-data HTTP API over a real listener, decoding the documented
+// JSON shapes (categories, days, readings, windowed summaries) and the
+// refusals (403 on a privacy-restricted type, 404 on an unknown route).
+// There is no SDK to import; a consumer speaks plain HTTP, as
+// examples/opendata does.
 package opendata
 
 import (
-	"context"
-	"errors"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
+	"f2c/internal/aggregate"
 	"f2c/internal/cloud"
 	"f2c/internal/model"
 	"f2c/internal/sim"
@@ -42,51 +53,86 @@ func populate(t *testing.T, cl *cloud.Node) {
 	}
 }
 
-func TestClientEndToEnd(t *testing.T) {
-	cl, srv := server(t)
-	populate(t, cl)
-	c, err := NewClient(srv.URL, 5*time.Second)
+// get fetches path from the server and, on HTTP 200, decodes the JSON
+// body into out. It returns the status code.
+func get(t *testing.T, srv *httptest.Server, path string, out any) int {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	cats, err := c.Categories(ctx)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if resp.StatusCode == http.StatusOK && out != nil {
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatalf("decode %s: %v (body %q)", path, err, body)
+		}
+	}
+	return resp.StatusCode
+}
+
+// rangeQuery renders the optional fromUnixNano/toUnixNano parameters;
+// a zero bound is left out, which the server reads as unbounded.
+func rangeQuery(from, to time.Time) url.Values {
+	q := url.Values{}
+	if !from.IsZero() {
+		q.Set("fromUnixNano", fmt.Sprint(from.UnixNano()))
+	}
+	if !to.IsZero() {
+		q.Set("toUnixNano", fmt.Sprint(to.UnixNano()))
+	}
+	return q
+}
+
+func TestClientEndToEnd(t *testing.T) {
+	cl, srv := server(t)
+	populate(t, cl)
+
+	var cats []struct {
+		Name    string `json:"name"`
+		Records int    `json:"records"`
+	}
+	if st := get(t, srv, "/opendata/v1/categories", &cats); st != http.StatusOK {
+		t.Fatalf("categories: HTTP %d", st)
 	}
 	if len(cats) != 5 {
 		t.Errorf("categories = %d", len(cats))
 	}
 
-	days, err := c.Days(ctx)
-	if err != nil {
-		t.Fatal(err)
+	var days []string
+	if st := get(t, srv, "/opendata/v1/days", &days); st != http.StatusOK {
+		t.Fatalf("days: HTTP %d", st)
 	}
 	if len(days) != 1 || days[0] != "2017-06-01" {
 		t.Errorf("days = %v", days)
 	}
 
-	readings, err := c.Readings(ctx, "weather", t0, t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
+	var readings []model.Reading
+	path := "/opendata/v1/types/weather/readings?" + rangeQuery(t0, t0.Add(time.Hour)).Encode()
+	if st := get(t, srv, path, &readings); st != http.StatusOK {
+		t.Fatalf("readings: HTTP %d", st)
 	}
 	if len(readings) != 3 { // 0, 30, 60 minutes
 		t.Errorf("readings = %d, want 3", len(readings))
 	}
 
 	// Unbounded range.
-	readings, err = c.Readings(ctx, "weather", time.Time{}, time.Time{})
-	if err != nil {
-		t.Fatal(err)
+	readings = nil
+	if st := get(t, srv, "/opendata/v1/types/weather/readings", &readings); st != http.StatusOK {
+		t.Fatalf("unbounded readings: HTTP %d", st)
 	}
 	if len(readings) != 4 {
 		t.Errorf("unbounded readings = %d, want 4", len(readings))
 	}
 
-	windows, err := c.Summary(ctx, "weather", t0, t0.Add(2*time.Hour), time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	var windows []aggregate.WindowSummary
+	q := rangeQuery(t0, t0.Add(2*time.Hour))
+	q.Set("windowSeconds", fmt.Sprint(int64(time.Hour/time.Second)))
+	if st := get(t, srv, "/opendata/v1/types/weather/summary?"+q.Encode(), &windows); st != http.StatusOK {
+		t.Fatalf("summary: HTTP %d", st)
 	}
 	if len(windows) != 2 || windows[0].Count != 2 {
 		t.Errorf("windows = %+v", windows)
@@ -95,41 +141,15 @@ func TestClientEndToEnd(t *testing.T) {
 
 func TestClientForbidden(t *testing.T) {
 	_, srv := server(t)
-	c, err := NewClient(srv.URL, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Readings(context.Background(), "people_flow", time.Time{}, time.Time{})
-	if !errors.Is(err, ErrForbidden) {
-		t.Errorf("err = %v, want ErrForbidden", err)
-	}
-}
-
-func TestClientValidation(t *testing.T) {
-	if _, err := NewClient("", time.Second); err == nil {
-		t.Error("empty base URL must fail")
-	}
-	c, err := NewClient("http://127.0.0.1:0", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Summary(context.Background(), "weather", time.Time{}, time.Time{}, 0); err == nil {
-		t.Error("zero window must fail")
-	}
-	// Unreachable server surfaces a transport error.
-	if _, err := c.Days(context.Background()); err == nil {
-		t.Error("unreachable server must fail")
+	if st := get(t, srv, "/opendata/v1/types/people_flow/readings", nil); st != http.StatusForbidden {
+		t.Errorf("people_flow readings: HTTP %d, want %d", st, http.StatusForbidden)
 	}
 }
 
 func TestClientBadStatus(t *testing.T) {
 	_, srv := server(t)
-	c, err := NewClient(srv.URL, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A bogus path under the handler returns 404.
-	if err := c.get(context.Background(), "/opendata/v1/nope", &struct{}{}); err == nil {
-		t.Error("404 must fail")
+	if st := get(t, srv, "/opendata/v1/nope", nil); st != http.StatusNotFound {
+		t.Errorf("unknown route: HTTP %d, want %d", st, http.StatusNotFound)
 	}
 }
