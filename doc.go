@@ -101,23 +101,25 @@
 // BenchmarkIngestWAL measures the overhead).
 //
 // Tiered segment storage (internal/segment) bounds the memory of the temporal stores themselves: an LSM-lite engine
-// with a WAL-journaled memtable in front of immutable,
+// with a memtable in front of immutable,
 // time-partitioned segment files of columnar-compressed blocks,
 // served by mmap behind a sparse (type, time) index. Memtable
 // flushes, background compaction of small segments, and
 // whole-segment retention drops are coordinated through a crash-safe
-// manifest, so reboot recovery composes with the WAL: segments from
-// the manifest, memtable replayed from its journal above the flushed
-// watermark, exactly once. Query paging cursors are positions in the
-// canonical reading order, not physical pointers, so a page walk
-// straddling a flush or compaction never loses or repeats a reading.
-// A data dir always means journal plus segment store:
-// core.Options.DataDir gives every node both, and cloud.New refuses
-// one without the other. The cloud answers every range read — the
-// query path and open data alike — from that one series. A journal
-// ahead of its segment store (a directory written journal-only, or one
-// whose store/ was removed) is refused at construction, not served
-// short. See README "Tiered storage".
+// manifest. The node journal is the store's only log, so reboot
+// recovery composes with it: segments from the manifest, memtable
+// from the snapshot's store section and the log tail above the
+// flushed watermark, exactly once. Query paging cursors are positions
+// in the canonical reading order, not physical pointers, so a page
+// walk straddling a flush or compaction never loses or repeats a
+// reading. A data dir always means journal plus segment store:
+// core.Options.DataDir gives every node both, and a store without a
+// journal is refused. The cloud answers every range read — the query
+// path and open data alike — from that one series. A directory the
+// journal cannot rebuild the store from (its store/ deleted after a
+// flush, or written before the journal became the store's log) is
+// refused at construction, not served short. See README "Tiered
+// storage".
 //
 // The topology is elastic (core.Options.ElasticOwnership): each
 // district's sections form a consistent-hash ownership ring

@@ -52,63 +52,35 @@ type Config struct {
 	// time is defined" — the cloud preset is years, configured per
 	// deployment). Zero preserves permanently.
 	Retention time.Duration
-	// Durability and Storage make the cloud durable, and are set
-	// together or not at all (ErrStorageMode): a data dir is a journal
-	// plus a segment store. Durability journals every preserved batch,
-	// every accepted alert and summary push, and every data-destruction
-	// cutoff to a write-ahead log with periodic snapshots in
-	// Durability.Dir, and recovers the archive, the alert instances,
-	// the degraded windows and the replay-filter marks from it at
-	// construction. Storage
-	// holds the query series — the one copy of the readings that every
-	// range read, open data included, is served from — in the tiered
-	// segment engine, which recovers itself. Each preserve is numbered
-	// and the number journaled with the batch, so recovery replays the
-	// journal tail into the store exactly once. Storage's Registry and
-	// MetricsPrefix default from the cloud config when zero; its
-	// Retention stays 0 (permanent) unless set. Both nil (the default)
+	// Durability gives the cloud a data dir: it journals every
+	// preserved batch, every accepted alert and summary push, and every
+	// data-destruction cutoff to a write-ahead log with periodic
+	// snapshots in Durability.Dir, holds the query series — the one
+	// copy of the readings that every range read, open data included,
+	// is served from — in the tiered segment engine at <Dir>/store, and
+	// recovers the archive, the series, the alert instances, the
+	// degraded windows and the replay-filter marks at construction. The
+	// journal is the series' only log (see internal/durable). Storage,
+	// optional beside it, tunes the segment store; its Registry and
+	// MetricsPrefix default from the cloud config when zero, and its
+	// Retention stays 0 (permanent) unless set. Storage without
+	// Durability is refused (durable.ErrStorageMode). Nil (the default)
 	// keeps the node fully in-memory, on a permanent in-RAM TimeSeries.
 	Durability *wal.Config
 	Storage    *segment.Options
 }
 
-// ErrStorageMode refuses a cloud configured with only one of
-// Durability and Storage.
-var ErrStorageMode = errors.New("cloud: Durability and Storage must be set together: a data dir is a journal plus a segment store")
-
-// querySeries is the cloud's one query series: the permanent in-RAM
-// TimeSeries or the durable segment.Store. AppendSeq carries the
-// preserve number used to dedupe journal replay into the self-durable
-// store; the RAM store ignores it.
-type querySeries interface {
-	store.Series
-	AppendSeq(b *model.Batch, seq uint64) error
-}
-
-// ramSeries adapts store.TimeSeries to querySeries: preserve numbers
-// exist only to make journal replay idempotent, and an in-RAM cloud
-// has no journal.
-type ramSeries struct{ *store.TimeSeries }
-
-func (r ramSeries) AppendSeq(b *model.Batch, _ uint64) error { return r.Append(b) }
-
 // Node is the cloud layer. Safe for concurrent use.
 type Node struct {
 	cfg     Config
 	archive *store.Archive
-	series  querySeries
-	// dur is the receive-side durable core: the journal and the
-	// segment store, both nil on an in-RAM cloud, and the acceptance
-	// path over replay. The segment store is series: it recovers
-	// itself, so journal replay dedupes against its preserve-number
-	// watermark.
+	// series is the durable core's Series: the segment store on a
+	// cloud with a data dir, else a permanent in-RAM TimeSeries.
+	series store.Series
+	// dur is the receive-side durable core: the journal (nil on an
+	// in-RAM cloud), the series and the acceptance path over replay.
 	dur    *durable.Core
 	replay *protocol.ReplayFilter
-	// preserveSeq numbers accepted batches 1, 2, ... in journal order;
-	// guarded by the journal mutex (never advanced on a journal-less
-	// cloud, where replay cannot happen and number 0 means
-	// "unnumbered").
-	preserveSeq uint64
 
 	// sched gates the handler path per traffic class (nil = off).
 	sched *sched.Scheduler
@@ -161,9 +133,6 @@ func New(cfg Config) (*Node, error) {
 	if !cfg.Codec.Valid() {
 		return nil, fmt.Errorf("cloud: invalid codec %d", int(cfg.Codec))
 	}
-	if (cfg.Durability == nil) != (cfg.Storage == nil) {
-		return nil, ErrStorageMode
-	}
 	n := &Node{
 		cfg:             cfg,
 		archive:         store.NewArchive(),
@@ -180,16 +149,11 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, cfg.Registry, cfg.ID+".sched.")
 	}
-	dur, err := durable.Open(cfg.Durability, cfg.Storage, cfg.Registry, cfg.ID+".", n.replay)
+	dur, err := durable.Open(cfg.Durability, cfg.Storage, 0, cfg.Registry, cfg.ID+".", n.replay)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: %w", err)
 	}
-	n.dur = dur
-	if dur.Segments != nil {
-		n.series = dur.Segments
-	} else {
-		n.series = ramSeries{store.NewTimeSeries(0)} // permanent
-	}
+	n.dur, n.series = dur, dur.Series
 	if err := dur.Recover(n.recovery()); err != nil {
 		return nil, fmt.Errorf("cloud: %w", err)
 	}
@@ -197,36 +161,21 @@ func New(cfg Config) (*Node, error) {
 }
 
 // recovery is the cloud's half of the durable core's recovery driver:
-// the snapshot and record decoders of journal.go, the storage-mode
-// check, and the installation of the archive, the alerts, the
-// degraded windows and the replay-filter marks, with the tail's
-// preserves replayed into the segment store.
+// the snapshot and record decoders of journal.go, and the installation
+// of the archive, the series tail, the alerts, the degraded windows
+// and the replay-filter marks. The series' state at the checkpoint
+// comes back with the store section the core restores.
 func (n *Node) recovery() durable.Recovery {
 	rs := &cloudRecovery{}
 	return durable.Recovery{
 		Snapshot: func(data []byte) error { return decodeCloudSnapshot(data, rs) },
 		Record:   rs.applyRecord,
-		// Snapshot records are not replayed into the series: preserve
-		// completes the series append before releasing the journal
-		// mutex a checkpoint needs, so every batch a snapshot folded in
-		// was already in the segment store's own WAL when the snapshot
-		// was cut, and Open recovered it. A snapshot that folded
-		// preserves the store never applied means serving on would
-		// answer range queries short.
-		Check: func(bool) error {
-			if len(rs.records) > 0 && n.dur.Segments.AppliedSeq() < rs.preserveSeq {
-				return fmt.Errorf("holds %d archived batches up to preserve #%d, but the segment store in %s recovered only up to #%d",
-					len(rs.records), rs.preserveSeq, n.dur.Segments.Dir(), n.dur.Segments.AppliedSeq())
-			}
-			return nil
-		},
-		Install: func() error { return n.install(rs) },
+		Install:  func() error { return n.install(rs) },
 	}
 }
 
 func (n *Node) install(rs *cloudRecovery) error {
 	now := n.cfg.Clock.Now()
-	counter := rs.preserveSeq
 	for _, rec := range rs.records {
 		if _, err := n.archive.Put(rec.Batch, rec.Provenance, now); err != nil {
 			return err
@@ -249,21 +198,12 @@ func (n *Node) install(rs *cloudRecovery) error {
 			continue
 		}
 		if op.batch != nil {
-			pseq := op.pseq
-			if pseq == 0 { // pre-numbering record: assign in log order
-				counter++
-				pseq = counter
-			} else if pseq > counter {
-				counter = pseq
-			}
 			if _, err := n.archive.Put(op.batch, provenanceOf(op.batch.NodeID, op.from, n.cfg.ID), now); err != nil {
 				return err
 			}
-			// The tail is the crash window: the journal append landed
-			// but the series append may not have. AppendSeq re-applies
-			// it; the segment store drops preserve numbers at or below
-			// its recovered watermark, so replay is exactly-once.
-			if err := n.series.AppendSeq(op.batch, pseq); err != nil {
+			// The record is the series append's log: the core stores
+			// what the segments do not already hold.
+			if err := n.dur.Store(op.batch); err != nil {
 				return err
 			}
 		} else {
@@ -271,7 +211,6 @@ func (n *Node) install(rs *cloudRecovery) error {
 			n.series.EvictBefore(op.before)
 		}
 	}
-	n.preserveSeq = counter
 	for _, m := range rs.marks {
 		n.replay.Mark(m.origin, m.seq)
 	}
@@ -307,24 +246,17 @@ func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("cloud preserve: %w", err)
 	}
-	// pseq is the next preserve number, taken only once the record
-	// carrying it is written: an unjournaled number is reused.
-	var pseq uint64
 	err := n.dur.Journal.Apply(func(buf []byte) []byte {
-		pseq = n.preserveSeq + 1
 		buf = append(buf, recPreserve2)
-		buf = wal.AppendUint64(buf, pseq)
+		buf = wal.AppendUint64(buf, n.dur.NextOp())
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, from)
 		return sensor.AppendBatch(buf, b)
 	}, func() error {
-		if pseq != 0 {
-			n.preserveSeq = pseq
-		}
 		if _, err := n.archive.Put(b, provenanceOf(b.NodeID, from, n.cfg.ID), n.cfg.Clock.Now()); err != nil {
 			return err
 		}
-		if err := n.series.AppendSeq(b, pseq); err != nil {
+		if err := n.dur.Store(b); err != nil {
 			return err
 		}
 		if seq != 0 {
@@ -563,8 +495,8 @@ func (n *Node) Expire(before time.Time) (int, error) {
 // alert instances and degraded windows into a snapshot and truncates
 // the journal, bounding recovery time. No-op on an in-memory cloud.
 func (n *Node) Checkpoint() error {
-	err := n.dur.Journal.Checkpoint(func() ([]byte, error) {
-		return encodeCloudSnapshot(nil, n.preserveSeq, n.replay.Dump(), n.archive.Records(), n.AlertInstances(), n.heldPushes())
+	err := n.dur.Checkpoint(func(dst []byte) ([]byte, error) {
+		return encodeCloudSnapshot(dst, n.replay.Dump(), n.archive.Records(), n.AlertInstances(), n.heldPushes())
 	})
 	if err != nil {
 		return fmt.Errorf("cloud: checkpoint: %w", err)

@@ -18,46 +18,46 @@ import (
 // does not resurrect expired records. The journal itself, its recovery
 // driver and its checkpoint are the shared durable core
 // (internal/durable); what is cloud-specific is here: the record
-// table, the snapshot body and the storage-mode check. The cloud holds
-// the journal mutex across append and apply (durable.Journal.Apply),
-// so a snapshot is always a consistent cut of the archive, the held
-// alerts and degraded windows, and the replay filter deduping
-// at-least-once retries.
+// table and the snapshot body. The cloud holds the journal mutex
+// across append and apply (durable.Journal.Apply), so a snapshot is
+// always a consistent cut of the archive, the series, the held alerts
+// and degraded windows, and the replay filter deduping at-least-once
+// retries. A preserve record is also the series append's log: the
+// segment store keeps none.
 //
-// Snapshot layout (version 4; version 3 lacked the window section,
-// version 2 additionally the alert section, and version 1 also the
-// preserve counter — all are still accepted, v1 falling back to the
-// record count):
+// Snapshot body layout (version 5, the only one read; the durable core
+// writes the store section ahead of it, with the op counter that
+// numbered preserves in earlier versions):
 //
 //	[version u8]
-//	[preserveSeq u64]                       (version >= 2)
 //	[origins uvarint] { [origin string] [n uvarint] { [seq u64] }* }*
 //	[records uvarint] { [provenance uvarint { [node string] }*]
 //	                    [batch bytes (sensor wire, uvarint-framed)] }*
-//	[alerts uvarint] { [instance JSON (protocol.Alert, uvarint-framed)] }*   (version >= 3)
-//	[windows uvarint] { [SummaryPush JSON, one per type, uvarint-framed] }*  (version >= 4)
+//	[alerts uvarint] { [instance JSON (protocol.Alert, uvarint-framed)] }*
+//	[windows uvarint] { [SummaryPush JSON, one per type, uvarint-framed] }*
 //
 // The window section is the encoding a fog node's snapshot uses for
 // its degrade buffers. Restored records re-enter through the same
 // classification path as live preserves; StoredAt is re-stamped with
 // the recovery clock, which only affects provenance metadata, never
 // the preserved readings.
+//
+// Record type 1, the preserve written before preserves were numbered,
+// is retired: a log holding one is refused.
 const (
-	cloudSnapshotVersion = 4
+	cloudSnapshotVersion = 5
 
-	recPreserve  = 1 // pre-numbering preserve (read-side only)
 	recExpire    = 2
-	recPreserve2 = 3 // preserve carrying its preserve number
+	recPreserve2 = 3 // preserve carrying its op number (durable.Core.NextOp)
 	recAlert     = 4 // accepted alert push (raw wire payload)
 	recSummary   = 5 // accepted summary push (payload record, as a fog node's recAbsorb)
 )
 
-// encodeCloudSnapshot folds the preserve counter, the archive, the
-// filter dump, the stored alert instances and the held degraded
-// windows into one snapshot payload.
-func encodeCloudSnapshot(dst []byte, preserveSeq uint64, marks map[string][]uint64, records []store.Record, alerts []protocol.Alert, windows []protocol.SummaryPush) ([]byte, error) {
+// encodeCloudSnapshot folds the archive, the filter dump, the stored
+// alert instances and the held degraded windows into one snapshot
+// body appended to dst.
+func encodeCloudSnapshot(dst []byte, marks map[string][]uint64, records []store.Record, alerts []protocol.Alert, windows []protocol.SummaryPush) ([]byte, error) {
 	dst = append(dst, cloudSnapshotVersion)
-	dst = wal.AppendUint64(dst, preserveSeq)
 	dst = wal.AppendMarkSet(dst, marks)
 	dst = wal.AppendUvarint(dst, uint64(len(records)))
 	var wire []byte
@@ -93,13 +93,6 @@ type cloudRecovery struct {
 	// then the tail's accepted summary pushes in log order.
 	summaries []*protocol.SummaryPush
 	tail      []tailOp
-	// preserveSeq is the snapshot's preserve counter: the highest
-	// number assigned to any preserve folded into the snapshot. A
-	// version-1 snapshot (pre-numbering) falls back to its record
-	// count, which is exact when nothing ever expired and otherwise a
-	// safe lower bound (version-1 lives never numbered their series
-	// appends, so no watermark exists to collide with).
-	preserveSeq uint64
 }
 
 type cloudMark struct {
@@ -107,13 +100,11 @@ type cloudMark struct {
 	seq    uint64
 }
 
-// tailOp is one replayed journal record: a preserve (batch set, with
-// its preserve number when journaled by a numbering cloud), an alert
-// push (alerts set) or an expire (before set).
+// tailOp is one replayed journal record: a preserve (batch set), an
+// alert push (alerts set) or an expire (before set).
 type tailOp struct {
 	batch  *model.Batch
 	from   string
-	pseq   uint64
 	alerts *protocol.AlertPush
 	before time.Time
 }
@@ -122,19 +113,10 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 	if len(data) == 0 {
 		return nil
 	}
-	version := data[0]
-	if version == 0 || version > cloudSnapshotVersion {
+	if version := data[0]; version != cloudSnapshotVersion {
 		return fmt.Errorf("cloud: unsupported snapshot version %d", version)
 	}
-	rest := data[1:]
-	var err error
-	if version >= 2 {
-		rs.preserveSeq, rest, err = wal.ReadUint64(rest)
-		if err != nil {
-			return err
-		}
-	}
-	rest, err = wal.ReadMarkSet(rest, func(origin string, seq uint64) {
+	rest, err := wal.ReadMarkSet(data[1:], func(origin string, seq uint64) {
 		rs.marks = append(rs.marks, cloudMark{origin: origin, seq: seq})
 	})
 	if err != nil {
@@ -172,28 +154,24 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 		}
 		rs.records = append(rs.records, store.Record{Provenance: prov, Batch: b})
 	}
-	if version >= 3 {
-		rest, err = wal.ReadDocs(rest, func(doc []byte) error {
-			var a protocol.Alert
-			if err := protocol.DecodeJSON(doc, &a); err != nil {
-				return fmt.Errorf("cloud: snapshot alert: %w", err)
-			}
-			rs.alerts = append(rs.alerts, a)
-			return nil
-		})
+	rest, err = wal.ReadDocs(rest, func(doc []byte) error {
+		var a protocol.Alert
+		if err := protocol.DecodeJSON(doc, &a); err != nil {
+			return fmt.Errorf("cloud: snapshot alert: %w", err)
+		}
+		rs.alerts = append(rs.alerts, a)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if err == nil && version >= 4 {
-		_, err = wal.ReadDocs(rest, func(doc []byte) error {
-			push, err := decodeSummaryPush(doc)
-			if err == nil {
-				rs.summaries = append(rs.summaries, push)
-			}
-			return err
-		})
-	}
-	if version == 1 {
-		rs.preserveSeq = uint64(len(rs.records))
-	}
+	_, err = wal.ReadDocs(rest, func(doc []byte) error {
+		push, err := decodeSummaryPush(doc)
+		if err == nil {
+			rs.summaries = append(rs.summaries, push)
+		}
+		return err
+	})
 	return err
 }
 
@@ -211,16 +189,14 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 	}
 	body := rec[1:]
 	switch rec[0] {
-	case recPreserve, recPreserve2:
-		var pseq uint64
-		var err error
-		if rec[0] == recPreserve2 {
-			pseq, body, err = wal.ReadUint64(body)
-			if err != nil {
-				return err
-			}
+	case recPreserve2:
+		// The op number is the record's position among the preserves,
+		// which the durable core counts itself.
+		_, rest, err := wal.ReadUint64(body)
+		if err != nil {
+			return err
 		}
-		seq, rest, err := wal.ReadUint64(body)
+		seq, rest, err := wal.ReadUint64(rest)
 		if err != nil {
 			return err
 		}
@@ -232,7 +208,7 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("cloud: journal batch: %w", err)
 		}
-		rs.tail = append(rs.tail, tailOp{batch: b, from: from, pseq: pseq})
+		rs.tail = append(rs.tail, tailOp{batch: b, from: from})
 		if seq != 0 {
 			rs.marks = append(rs.marks, cloudMark{origin: b.NodeID, seq: seq})
 		}

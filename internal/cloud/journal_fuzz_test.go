@@ -13,22 +13,22 @@ import (
 // (CRC framing upstream makes this unlikely, not impossible).
 func FuzzCloudSnapshotDecode(f *testing.F) {
 	f.Add([]byte{}, []byte{})
-	f.Add([]byte{cloudSnapshotVersion}, []byte{recPreserve})
+	f.Add([]byte{cloudSnapshotVersion}, []byte{1}) // retired pre-numbering preserve
 	// Huge origin/record/hop counts with no bytes behind them.
 	f.Add([]byte{cloudSnapshotVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
 		[]byte{recExpire, 1, 2, 3})
-	valid, err := encodeCloudSnapshot(nil, 7, map[string][]uint64{"fog2/d01": {1, 2}}, nil, nil, nil)
+	valid, err := encodeCloudSnapshot(nil, map[string][]uint64{"fog2/d01": {1, 2}}, nil, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid, []byte{recPreserve, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(valid, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(valid, []byte{recPreserve2, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(valid, []byte{recAlert, 0xF5, 1, 0xFF})
-	// Version 4: held degraded windows, and a summary-push record.
+	// Held degraded windows, and a summary-push record.
 	windows := []protocol.SummaryPush{{TypeName: "traffic", Windows: []protocol.SummaryWindow{
 		{StartUnix: 60e9, EndUnix: 120e9, Summary: aggregate.Summary{Count: 3, Sum: 6, Min: 1, Max: 3}},
 	}}}
-	v4, err := encodeCloudSnapshot(nil, 7, nil, nil, nil, windows)
+	v4, err := encodeCloudSnapshot(nil, nil, nil, nil, windows)
 	if err != nil {
 		f.Fatal(err)
 	}

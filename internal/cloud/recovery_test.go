@@ -9,14 +9,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"f2c/internal/aggregate"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
-	"f2c/internal/segment"
 	"f2c/internal/sim"
 	"f2c/internal/transport"
 	"f2c/internal/wal"
@@ -30,7 +28,6 @@ func openCloudAt(dir string) (*Node, error) {
 	return New(Config{
 		ID: "cloud", Clock: sim.NewVirtualClock(c0),
 		Durability: &wal.Config{Dir: dir, SnapshotEvery: -1},
-		Storage:    &segment.Options{Dir: filepath.Join(dir, "store")},
 	})
 }
 
@@ -153,6 +150,40 @@ func TestCloudRecoveryFromCheckpoint(t *testing.T) {
 	}
 	if got := re.Historical("traffic", c0, c0.Add(time.Hour)); len(got) != 3 {
 		t.Errorf("recovered historical readings = %d, want 3", len(got))
+	}
+}
+
+// TestCloudStoreHoldsWhatTheJournalAccepted: the series is kept in the
+// segment store, whose only log is the journal. A cloud that preserves,
+// checkpoints, preserves again and crashes reads back exactly the
+// readings its archive holds.
+func TestCloudStoreHoldsWhatTheJournalAccepted(t *testing.T) {
+	dir := t.TempDir()
+	n := newDurableCloud(t, dir)
+	if err := n.Preserve(cloudBatch("fog2/d01", "traffic", c0, 1, 2), "fog2/d01"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Preserve(cloudBatch("fog2/d01", "traffic", c0.Add(time.Minute), 3, 4, 5), "fog2/d01"); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+
+	re := newDurableCloud(t, dir)
+	var archived []float64
+	for _, rec := range re.Archive().ByType("traffic") {
+		for _, r := range rec.Batch.Readings {
+			archived = append(archived, r.Value)
+		}
+	}
+	var read []float64
+	for _, r := range re.Historical("traffic", c0.Add(-time.Hour), c0.Add(time.Hour)) {
+		read = append(read, r.Value)
+	}
+	if fmt.Sprint(read) != fmt.Sprint(archived) || len(read) != 5 {
+		t.Errorf("range reads %v, archive %v: want the same 5 readings", read, archived)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"f2c/internal/wal"
+	"f2c/internal/durable"
+	"f2c/internal/segment"
 )
 
 // dirListing names every file under dir with its size and
@@ -34,46 +35,49 @@ func dirListing(t *testing.T, dir string) string {
 	return b.String()
 }
 
-// TestStorageModeSwitchFailsLoudly: a cloud directory written
-// journal-only — testdata/journal_only, a snapshot of three batches
-// plus a tail of two, written by the last commit that could build
-// such a cloud — must not boot in the one durable mode. Recovery
-// skips snapshot records (the segment store recovers them itself), so
-// before the guard such a cloud held the whole archive and answered
-// every range query short. The journal-only mode itself is refused at
-// construction.
-func TestStorageModeSwitchFailsLoudly(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "journal_only"))); err != nil {
-		t.Fatal(err)
-	}
+// expectRefused opens the cloud directory dir, expects the open to be
+// refused with an error naming every want, and the directory unchanged.
+func expectRefused(t *testing.T, dir string, want ...string) {
+	t.Helper()
 	before := dirListing(t, dir)
-
 	_, err := openCloudAt(dir)
 	if err == nil {
-		t.Fatal("a journal-only directory opened with a segment store must be refused")
+		t.Fatalf("%s opened, want it refused", dir)
 	}
-	for _, want := range []string{"storage mode mismatch", dir, "written without a segment store"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("error %q does not name %q", err, w)
 		}
 	}
 	if after := dirListing(t, dir); after != before {
 		t.Errorf("the refused boot changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
+}
 
-	journalOnly := Config{ID: "cloud", Durability: &wal.Config{Dir: dir}}
-	if _, err := New(journalOnly); !errors.Is(err, ErrStorageMode) {
-		t.Errorf("a journal without a segment store: %v, want ErrStorageMode", err)
+// TestStorageModeSwitchFailsLoudly: a cloud directory written
+// journal-only — testdata/journal_only, a snapshot of three batches
+// plus a tail of two, written by the last commit that could build
+// such a cloud — has a snapshot without the store section, so the
+// series it served is nowhere the journal can rebuild it from. It is
+// refused and left untouched. A segment store without a journal has no
+// log, and is refused at construction.
+func TestStorageModeSwitchFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "journal_only"))); err != nil {
+		t.Fatal(err)
 	}
-	if after := dirListing(t, dir); after != before {
-		t.Errorf("the refused configuration changed the directory:\n%s", after)
+	expectRefused(t, dir, dir, "written before", "no store section")
+
+	storeOnly := Config{ID: "cloud", Storage: &segment.Options{Dir: filepath.Join(t.TempDir(), "store")}}
+	if _, err := New(storeOnly); !errors.Is(err, durable.ErrStorageMode) {
+		t.Errorf("a segment store without a journal: %v, want ErrStorageMode", err)
 	}
 }
 
-// TestDeletedStoreFailsLoudly: the same invariant catches a segment
-// store that was removed from under its journal, and a matching-mode
-// restart keeps passing it.
+// TestDeletedStoreFailsLoudly: a checkpoint cut after a store flush
+// relies on the flushed segments, so a cloud whose store/ was deleted
+// after that is refused and no store/ comes back; a matching restart
+// keeps passing the guard.
 func TestDeletedStoreFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	n, err := openCloudAt(dir)
@@ -83,27 +87,29 @@ func TestDeletedStoreFailsLoudly(t *testing.T) {
 	if err := n.Preserve(cloudBatch("fog2/d01", "traffic", c0, 1, 2, 3), "fog2/d01"); err != nil {
 		t.Fatal(err)
 	}
+	if err := n.series.(*segment.Store).Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re, err := openCloudAt(dir)
 	if err != nil {
-		t.Fatalf("matching-mode reopen: %v", err)
+		t.Fatalf("matching reopen: %v", err)
 	}
 	if got := len(re.Historical("traffic", c0, c0.Add(time.Hour))); got != 3 {
-		t.Errorf("matching-mode reopen serves %d readings, want 3", got)
+		t.Errorf("matching reopen serves %d readings, want 3", got)
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := os.RemoveAll(filepath.Join(dir, "store")); err != nil {
+	store := filepath.Join(dir, "store")
+	if err := os.RemoveAll(store); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openCloudAt(dir); err == nil || !strings.Contains(err.Error(), "storage mode mismatch") {
-		t.Fatalf("a cloud whose store/ was deleted must be refused, got %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "store")); !os.IsNotExist(err) {
+	expectRefused(t, dir, dir, "deleted or replaced")
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
 		t.Errorf("the refused boot left a store/ behind (stat err %v)", err)
 	}
 }

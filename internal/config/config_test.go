@@ -328,7 +328,7 @@ func TestSettableValues(t *testing.T) {
 			"Siblings RetryBase RetryMax FailoverAfter Durability Storage"},
 		{cloud.Config{}, "ID City Clock Registry Codec Scheduler Retention Durability Storage"},
 		{segment.Options{}, "Dir Retention MemtableBytes BlockReadings CompactMinSegments Codec " +
-			"SyncEveryAppend NoBackground Registry MetricsPrefix"},
+			"NoBackground Registry MetricsPrefix"},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var got []string

@@ -125,7 +125,9 @@ func checkDirs(t *testing.T, o Options, id string, journal *wal.Config, store *s
 	if logs, _ := filepath.Glob(filepath.Join(wantJournal, "wal-*")); len(logs) == 0 {
 		t.Errorf("%s: NewSystem left no journal under %s", id, wantJournal)
 	}
-	if _, err := os.Stat(wantStore); err != nil {
-		t.Errorf("%s: NewSystem left no segment store: %v", id, err)
+	// The journal is the store's log: the store, created at its first
+	// flush, keeps no WAL of its own.
+	if _, err := os.Stat(filepath.Join(wantStore, "wal")); !os.IsNotExist(err) {
+		t.Errorf("%s: NewSystem left a store WAL under %s (stat err %v)", id, wantStore, err)
 	}
 }

@@ -1,134 +1,222 @@
 // Package durable is the receive-side durable core every F2C node
 // runs, fog and cloud alike: the journal (one wal.Store behind one
-// mutex), the segment store opened beside it, the acceptance path over
-// the node's replay filter with its duplicates counter, the recovery
-// driver, and the checkpoint, Discard and Close of the pair.
+// mutex), the node's store, the acceptance path over the node's replay
+// filter with its duplicates counter, the recovery driver, and the
+// checkpoint, Discard and Close of the pair.
+//
+// A durable node keeps one log. Its data dir is the journal's
+// directory, and the segment store inside it (<Dir>/store) keeps
+// segments, a manifest and a memtable, but no WAL: every store append
+// runs inside the Journal.Apply of the record that already carries its
+// readings (Core.Store), and its op number is that record's position
+// among the store-carrying records. A checkpoint writes the op counter
+// and the store's recovery section (its latest map and memtable) ahead
+// of the node's snapshot body; recovery restores the section, then
+// replays the log tail, whose store-carrying records reach the store
+// only above the manifest's flushed-op watermark. The one guard is
+// here: a store whose manifest is behind the watermark the snapshot
+// recorded lost segments the section relies on, and the dir is
+// refused untouched. So is a dir written before the journal became the
+// store's log (a snapshot without the section, or a store/wal/).
 //
 // The paper runs the same data life-cycle blocks at every tier with
 // different retention, so a node keeps only what differs between
-// tiers — its record table, its snapshot body and its storage-mode
-// check — and hands them to the core as functions (Recovery). The core
-// never asks which node is calling.
+// tiers — its record table and its snapshot body — and hands them to
+// the core as functions (Recovery). The core never asks which node is
+// calling.
 //
 // One journal mutex serves both locking styles the nodes use. Write
 // appends one record briefly, for a caller that already holds the lock
 // of the state the record describes (a fog node's shard lock). Apply
-// holds the journal mutex across the append and the state change (the
-// cloud), so a checkpoint, which takes the same mutex, always sees log
-// and state agree.
+// holds the journal mutex across the append and the state change, so
+// a checkpoint, which takes the same mutex, always sees log, store and
+// state agree.
 package durable
 
 import (
 	"errors"
 	"fmt"
-	"os"
+	"path/filepath"
 	"sync"
+	"time"
 
 	"f2c/internal/metrics"
+	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/segment"
+	"f2c/internal/store"
 	"f2c/internal/wal"
 )
 
-// Core is one node's receive-side durable state. Journal and Segments
-// are nil on a node that runs without them.
+// ErrStorageMode refuses a segment store without a journal: the
+// journal is the store's log, so a data dir is a journal.
+var ErrStorageMode = errors.New("durable: Storage needs Durability: the node journal is the segment store's log")
+
+// Core is one node's receive-side durable state.
 type Core struct {
-	Journal  *Journal
-	Segments *segment.Store
+	// Journal is nil on a node without a data dir.
+	Journal *Journal
+	// Series is the node's store: the segment store inside the data
+	// dir, or an in-RAM TimeSeries on a node without one.
+	Series   store.Series
+	segments *segment.Store
 	replay   *protocol.ReplayFilter
 	dups     *metrics.Counter
-	// fresh reports that Open created the segment store's directory, so
-	// the store cannot hold what an existing journal says was stored.
-	fresh bool
+	// op numbers the store appends of a durable node: the position of
+	// the record carrying them among the store-carrying records.
+	// Guarded by the journal mutex.
+	op uint64
 }
 
-// Open opens a node's segment store (storage) and journal (journal),
-// either nil to leave that half out, around the node's replay filter.
-// reg and prefix name the duplicates counter (prefix +
-// "ingest.duplicates") and are the segment store's Registry and
-// MetricsPrefix when those are zero. Recovery is a second step
-// (Recover): the node first builds the state it recovers into around
-// the opened store.
-func Open(journal *wal.Config, storage *segment.Options, reg *metrics.Registry, prefix string, replay *protocol.ReplayFilter) (*Core, error) {
+// Open opens a node's journal and the segment store inside its data
+// dir around the node's replay filter; without a journal the node
+// stores in RAM under retention. storage, optional, tunes the segment
+// store: its Dir defaults to <journal.Dir>/store, its Retention to
+// retention, its Registry and MetricsPrefix to reg and prefix. A
+// storage without a journal is refused (ErrStorageMode). reg and prefix
+// also name the duplicates counter (prefix + "ingest.duplicates") and
+// the best-effort append failures (prefix + "journal.errors").
+// Recovery is a second step (Recover): the node first builds the state
+// it recovers into around the opened store.
+func Open(journal *wal.Config, storage *segment.Options, retention time.Duration, reg *metrics.Registry, prefix string, replay *protocol.ReplayFilter) (*Core, error) {
 	c := &Core{replay: replay, dups: reg.Counter(prefix + "ingest.duplicates")}
+	if journal == nil {
+		if storage != nil {
+			return nil, ErrStorageMode
+		}
+		c.Series = store.NewTimeSeries(retention)
+		return c, nil
+	}
+	st, err := wal.Open(*journal)
+	if err != nil {
+		return nil, err
+	}
+	c.Journal = &Journal{store: st, errs: reg.Counter(prefix + "journal.errors")}
+	var so segment.Options
 	if storage != nil {
-		so := *storage
-		if so.Registry == nil {
-			so.Registry = reg
-		}
-		if so.MetricsPrefix == "" {
-			so.MetricsPrefix = prefix
-		}
-		_, statErr := os.Stat(so.Dir)
-		s, err := segment.Open(so)
-		if err != nil {
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		c.Segments, c.fresh = s, os.IsNotExist(statErr)
+		so = *storage
 	}
-	if journal != nil {
-		st, err := wal.Open(*journal)
-		if err != nil {
-			c.abandon()
-			return nil, err
-		}
-		c.Journal = &Journal{store: st}
+	if so.Dir == "" {
+		so.Dir = filepath.Join(journal.Dir, "store")
 	}
+	if so.Retention == 0 {
+		so.Retention = retention
+	}
+	if so.Registry == nil {
+		so.Registry = reg
+	}
+	if so.MetricsPrefix == "" {
+		so.MetricsPrefix = prefix
+	}
+	if c.segments, err = segment.Open(so); err != nil {
+		_ = c.Journal.Close()
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	c.Series = c.segments
 	return c, nil
 }
 
 // Recovery is the node-specific half of the recovery driver.
 type Recovery struct {
-	// Snapshot decodes the checkpoint; Record replays one log record
-	// of the tail, the same transition the live path journaled.
+	// Snapshot decodes the node's checkpoint body; Record replays one
+	// log record of the tail, the same transition the live path
+	// journaled.
 	Snapshot func(data []byte) error
 	Record   func(rec []byte) error
-	// Check describes what the journal holds that the segment store
-	// cannot have — the directory was written without one, or its
-	// store/ was removed — and returns nil when the two agree. fresh
-	// reports that Open created the store's directory.
-	Check func(fresh bool) error
 	// Install moves the recovered state, replay marks included, into
-	// the node. Metrics are not re-counted: recovered state was
-	// accounted by its first life.
+	// the node, passing each store-carrying tail record's batch to
+	// Store in log order. Metrics are not re-counted: recovered state
+	// was accounted by its first life.
 	Install func() error
 }
 
-// Recover rebuilds a node from the journal opened by Open: the
-// snapshot, then the log tail in append order, then the storage-mode
-// check, then installation. A refused recovery releases the core and
-// leaves the data dir as it found it. No-op without a journal.
+// snapshotMark opens every snapshot a durable node writes, ahead of
+// the op counter and the store's recovery section. A snapshot written
+// before the journal became the store's log opens with the node's own
+// version byte instead (1 to 4), and is refused.
+const snapshotMark = 0xF2
+
+// Recover rebuilds a node from the journal opened by Open: the store
+// section and the snapshot body, then the log tail in append order,
+// then installation. A refused recovery releases the core and leaves
+// the data dir as it found it. No-op without a journal.
 func (c *Core) Recover(r Recovery) (err error) {
 	if c.Journal == nil {
 		return nil
 	}
 	defer func() {
 		if err != nil {
-			c.abandon()
+			c.Discard()
 		}
 	}()
 	st := c.Journal.store
-	if err := r.Snapshot(st.Snapshot()); err != nil {
-		return err
+	if snap := st.Snapshot(); len(snap) > 0 {
+		if snap[0] != snapshotMark {
+			return fmt.Errorf("the journal in %s was written before it became the segment store's log (its snapshot has no store section); refused, left as it is", st.Dir())
+		}
+		op, rest, err := wal.ReadUvarint(snap[1:])
+		if err != nil {
+			return fmt.Errorf("snapshot op counter: %w", err)
+		}
+		section, body, err := wal.ReadBytes(rest)
+		if err != nil {
+			return fmt.Errorf("snapshot store section: %w", err)
+		}
+		cut, err := c.segments.Restore(section)
+		if err != nil {
+			return err
+		}
+		if flushed := c.segments.FlushedOp(); flushed < cut {
+			return fmt.Errorf("the journal in %s needs its segment store flushed up to op %d, but %s holds up to op %d: the store was deleted or replaced; refused, left as it is", st.Dir(), cut, c.segments.Dir(), flushed)
+		}
+		c.op = op
+		if err := r.Snapshot(body); err != nil {
+			return err
+		}
 	}
 	for _, rec := range st.Records() {
 		if err := r.Record(rec); err != nil {
 			return err
 		}
 	}
-	if err := r.Check(c.fresh); err != nil {
-		return fmt.Errorf("storage mode mismatch: the journal in %s %v — the directory was written without a segment store, or its store/ was removed; reopen it the way it was written", st.Dir(), err)
+	if err := r.Install(); err != nil {
+		return err
 	}
-	return r.Install()
+	// A log that lost its tail to a machine crash (appends are not
+	// fsynced one by one) can end behind segments already flushed: new
+	// ops number on above them, or they would be taken for replays.
+	c.op = max(c.op, c.segments.FlushedOp())
+	return nil
 }
 
-// abandon releases what Open opened without writing anything; a
-// segment store directory Open created is removed again.
-func (c *Core) abandon() {
-	c.Discard()
-	if c.fresh {
-		_ = os.RemoveAll(c.Segments.Dir())
+// Store appends a batch to the node's series. On a durable node it is
+// a store op: call it from inside the Journal.Apply of the record that
+// carries b — or, recovering, once per store-carrying tail record in
+// log order — so that its op is the record's position among the
+// store-carrying records. A replayed op the segments already hold
+// reaches only the store's latest map.
+func (c *Core) Store(b *model.Batch) error {
+	if c.Journal == nil {
+		return c.Series.Append(b)
 	}
+	c.op++
+	return c.Series.AppendSeq(b, c.op)
+}
+
+// NextOp is the op the next Store takes, for a record that names it.
+func (c *Core) NextOp() uint64 { return c.op + 1 }
+
+// Checkpoint writes the node's snapshot — the op counter and the
+// segment store's recovery section, then the body encode appends —
+// and rotates the log. encode runs under the journal mutex, which
+// every store append holds, so section, body and log cut agree. No-op
+// without a journal.
+func (c *Core) Checkpoint(encode func(dst []byte) ([]byte, error)) error {
+	return c.Journal.Checkpoint(func() ([]byte, error) {
+		dst := wal.AppendUvarint([]byte{snapshotMark}, c.op)
+		dst = wal.AppendBytes(dst, c.segments.AppendSection(nil))
+		return encode(dst)
+	})
 }
 
 // Accept is the one receive path for everything that arrives under a
@@ -158,8 +246,8 @@ func (c *Core) Duplicates() int64 { return c.dups.Value() }
 // stays exactly as the last append left it.
 func (c *Core) Discard() {
 	_ = c.Journal.Close()
-	if c.Segments != nil {
-		c.Segments.Discard()
+	if c.segments != nil {
+		c.segments.Discard()
 	}
 }
 
@@ -170,8 +258,8 @@ func (c *Core) Close(checkpoint func() error) error {
 	if cerr := c.Journal.Close(); err == nil {
 		err = cerr
 	}
-	if c.Segments != nil {
-		if cerr := c.Segments.Close(); err == nil {
+	if c.segments != nil {
+		if cerr := c.segments.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -188,6 +276,7 @@ type Journal struct {
 	store  *wal.Store
 	buf    []byte // record-encode scratch, reused under mu
 	closed bool
+	errs   *metrics.Counter
 }
 
 var errClosed = errors.New("journal closed")
@@ -196,6 +285,15 @@ var errClosed = errors.New("journal closed")
 func (j *Journal) Write(fill func(buf []byte) []byte) error { return j.Apply(fill, noop) }
 
 func noop() error { return nil }
+
+// Note appends a best-effort record: one whose loss degrades toward
+// re-delivery, never toward loss, so its failure refuses nothing. A
+// failed append is counted in <prefix>journal.errors instead.
+func (j *Journal) Note(fill func(buf []byte) []byte) {
+	if err := j.Write(fill); err != nil {
+		j.errs.Inc()
+	}
+}
 
 // WritePayload appends a record that is one opaque document.
 func (j *Journal) WritePayload(rec byte, doc []byte) error {

@@ -52,7 +52,7 @@ func (n *Node) Subscribe(sub cq.Subscription) error {
 
 // Unsubscribe cancels a standing subscription.
 func (n *Node) Unsubscribe(id string) bool {
-	_ = n.journalUnsubscribe(id)
+	n.journalUnsubscribe(id)
 	return n.cqe.Unsubscribe(id)
 }
 
@@ -165,7 +165,7 @@ func (n *Node) foldAlertLocked(typ string, q *outbox, i int) {
 	n.alertsShed.Add(int64(over))
 	n.alertFolds.Inc()
 	into.payload = payload
-	_ = n.journalSeal(typ, into)
+	n.dur.Journal.Note(sealRecord(typ, into))
 	n.commit(typ, folded)
 	q.remove(i)
 }

@@ -101,6 +101,70 @@ func downParent() *transport.SimNetwork {
 	return net
 }
 
+// TestBoundNeverTrimsTheHeadOnTheWire: the parent accepts fog1's
+// batch but the acknowledgement is lost, so the batch stays fog1's
+// outbox head. Readings then arrive past MaxPendingReadings on a
+// degrading node. The bound must fold the readings behind the head,
+// not the head: its readings are at the parent already, and folding
+// them would deliver them a second time, as a summary. After the heal
+// the parent holds every accepted reading once, raw or degraded.
+func TestBoundNeverTrimsTheHeadOnTheWire(t *testing.T) {
+	ctx := context.Background()
+	parent, err := New(Config{Spec: topology.NodeSpec{ID: "fog2/d01", Layer: topology.LayerFog2, Name: "d01"},
+		Clock: sim.NewVirtualClock(t0), Codec: aggregate.CodecNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ackLost := true
+	net := transport.NewSimNetwork()
+	net.Register("fog2/d01", transport.HandlerFunc(func(ctx context.Context, msg transport.Message) ([]byte, error) {
+		ack, err := parent.Handle(ctx, msg)
+		if ackLost {
+			return nil, errors.New("ack lost after processing")
+		}
+		return ack, err
+	}))
+	n, err := New(Config{Spec: fog1Spec(), Clock: sim.NewVirtualClock(t0), Transport: net, Codec: aggregate.CodecNone,
+		MaxPendingReadings: 3, DegradeToSummary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	ingest := func(vals ...float64) {
+		t.Helper()
+		if err := n.Ingest(typedBatch("traffic", t0.Add(time.Duration(accepted)*time.Second), vals...)); err != nil {
+			t.Fatal(err)
+		}
+		accepted += len(vals)
+	}
+	ingest(0, 1, 2)
+	if err := n.Flush(ctx); err == nil {
+		t.Fatal("flush survived the lost acknowledgement")
+	}
+	ingest(3, 4, 5) // 6 buffered, bound 3
+	ackLost = false
+	if err := n.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	raw := parent.Status().StoredReadings
+	var degraded int64
+	sh := parent.shardFor("traffic")
+	sh.mu.Lock()
+	if buf := sh.degraded["traffic"]; buf != nil {
+		for _, w := range buf.windows {
+			degraded += w.Count
+		}
+	}
+	sh.mu.Unlock()
+	if raw+degraded != int64(accepted) {
+		t.Errorf("parent holds %d raw + %d degraded readings, fog1 accepted %d", raw, degraded, accepted)
+	}
+	if got := n.PendingBatches(); got != 0 {
+		t.Errorf("%d delivery units left at fog1 after the heal", got)
+	}
+}
+
 // TestOverflowPolicyCounters drives each kind's overflow policy
 // through a parent outage and checks the counter that accounts for it.
 func TestOverflowPolicyCounters(t *testing.T) {
@@ -118,12 +182,13 @@ func TestOverflowPolicyCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			_ = n.Ingest(reading(i))
-		}
-		_ = n.Flush(ctx) // parks 3 readings under a frozen sequence
+		_ = n.Ingest(reading(0))
+		_ = n.Flush(ctx) // the outbox head: it may have reached the parent, so it stays
+		_ = n.Ingest(reading(1))
+		_ = n.Ingest(reading(2))
+		_ = n.Flush(ctx) // parks 2 readings behind the head
 		_ = n.Ingest(reading(3))
-		_ = n.Ingest(reading(4)) // 5 buffered, bound 3: the 2 oldest parked readings go
+		_ = n.Ingest(reading(4)) // 5 buffered, bound 3: the 2 parked readings behind the head go
 		if shed, dropped := counter(n, "flush.shed"), counter(n, "flush.dropped_during_outage"); shed != 2 || dropped != 2 {
 			t.Errorf("shed = %d, dropped during outage = %d, want 2 and 2", shed, dropped)
 		}

@@ -385,49 +385,66 @@ func TestHandleRelayForwardsToParent(t *testing.T) {
 	}
 }
 
-// TestDroppedDuringOutageCounted is the satellite fix: readings shed
-// from the retry queue while the parent is unreachable must increment
-// the dedicated outage-drop counter, while bound shedding of fresh
-// data with no outage must not.
+// TestDroppedDuringOutageCounted: readings shed from the retry queue
+// while the parent is unreachable must increment the dedicated
+// outage-drop counter, while bound shedding of fresh data must not.
+// The outbox head is never shed (it may have reached the parent), so
+// the outage-held readings that go are those parked behind it.
 func TestDroppedDuringOutageCounted(t *testing.T) {
 	clock := sim.NewVirtualClock(t0)
+	net := transport.NewSimNetwork()
+	up := true
+	net.Register("fog2/d01", transport.HandlerFunc(func(context.Context, transport.Message) ([]byte, error) {
+		if !up {
+			return nil, errors.New("parent outage")
+		}
+		return []byte("ok"), nil
+	}))
 	n, err := New(Config{
 		Spec:               fog1Spec(),
 		Clock:              clock,
+		Transport:          net,
 		Codec:              aggregate.CodecNone,
 		MaxPendingReadings: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No outage yet: shedding fresh pending data counts as shed only.
-	for i := 0; i < 5; i++ {
-		b := batchOf(map[string]float64{"s": float64(i)}, t0.Add(time.Duration(i)*time.Minute))
-		if err := n.Ingest(b); err != nil {
-			t.Fatal(err)
+	ingest := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			b := batchOf(map[string]float64{"s": float64(i)}, t0.Add(time.Duration(i)*time.Minute))
+			if err := n.Ingest(b); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	// No outage: shedding fresh pending data counts as shed only.
+	ingest(0, 5)
 	if n.ShedReadings() != 2 || n.DroppedDuringOutage() != 0 {
 		t.Fatalf("pre-outage shed=%d outage=%d, want 2/0", n.ShedReadings(), n.DroppedDuringOutage())
 	}
-	// A failed flush parks the 3 survivors on the retry queue (no
-	// transport configured = hard outage)...
+	if err := n.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// An outage parks one reading as the head and two behind it...
+	up = false
+	ingest(5, 6)
 	if err := n.Flush(context.Background()); err == nil {
 		t.Fatal("expected flush failure")
 	}
-	// ...and fresh arrivals push them over the bound: the outage-held
-	// readings are shed AND counted as dropped-during-outage.
-	for i := 5; i < 8; i++ {
-		b := batchOf(map[string]float64{"s": float64(i)}, t0.Add(time.Duration(i)*time.Minute))
-		if err := n.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
+	ingest(6, 8)
+	if err := n.Flush(context.Background()); err == nil {
+		t.Fatal("expected flush failure")
 	}
-	if got := n.DroppedDuringOutage(); got != 3 {
-		t.Errorf("DroppedDuringOutage = %d, want 3", got)
+	// ...and fresh arrivals push them over the bound: the two behind
+	// the head are shed AND counted as dropped-during-outage.
+	ingest(8, 10)
+	if got := n.DroppedDuringOutage(); got != 2 {
+		t.Errorf("DroppedDuringOutage = %d, want 2", got)
 	}
-	if got := n.ShedReadings(); got != 5 {
-		t.Errorf("ShedReadings = %d, want 5 (2 fresh + 3 outage)", got)
+	if got := n.ShedReadings(); got != 4 {
+		t.Errorf("ShedReadings = %d, want 4 (2 fresh + 2 outage)", got)
 	}
 	if got := n.PendingReadings(); got != 3 {
 		t.Errorf("PendingReadings = %d, want the bound (3)", got)

@@ -14,24 +14,29 @@ import (
 )
 
 // The fog-node journal persists exactly the state the upward-delivery
-// guarantee depends on, as one record per state transition. The
-// journal itself, its recovery driver and its checkpoint are the
-// shared durable core (internal/durable); what is fog-specific is
-// here: the record table, the snapshot body and the storage-mode
-// check. Records are appended under the same lock as the state change
-// they describe (the pending-shard mutex), so replaying the log
-// reproduces the per-type state machine transition by transition.
-// Recovery ordering is snapshot first, then the log tail, then
-// installation into the shards.
+// guarantee depends on, as one record per state transition, and it is
+// the node's one log: the segment store keeps none, and its memtable
+// is refilled from the records that carry readings. The journal
+// itself, its recovery driver and its checkpoint are the shared
+// durable core (internal/durable); what is fog-specific is here: the
+// record table and the snapshot body. Records are appended under the
+// same lock as the state change they describe (the pending-shard
+// mutex), so replaying the log reproduces the per-type state machine
+// transition by transition. Recovery ordering is the store section
+// and snapshot first, then the log tail, then installation into the
+// shards and the store.
 //
-//	recBatch          readings accepted into a type's pending buffer;
-//	                  when the batch arrived sequenced over the
-//	                  transport the record also carries its
-//	                  (origin, seq) replay-filter mark, so acceptance
-//	                  and dedup state commit atomically — a recovered
-//	                  receiver either has both the batch and its mark
-//	                  or neither, and a sender's retry is either
-//	                  recognized or re-accepted exactly once
+//	recBatch          readings accepted into a type's pending buffer
+//	                  and the local store; when the batch arrived
+//	                  sequenced over the transport the record also
+//	                  carries its (origin, seq) replay-filter mark, so
+//	                  acceptance and dedup state commit atomically — a
+//	                  recovered receiver either has both the batch and
+//	                  its mark or neither, and a sender's retry is
+//	                  either recognized or re-accepted exactly once
+//	recStored         readings of an edge ingest forwarded to the
+//	                  type's new owner (migrate.go): stored locally,
+//	                  not buffered
 //	recShed           readings trimmed oldest-first by
 //	                  MaxPendingReadings; replay drops them again or,
 //	                  on a DegradeToSummary node, folds them into the
@@ -61,36 +66,33 @@ import (
 //	recUnsubscribe    a subscription cancelled (or handed off by a
 //	                  completed shard migration)
 //
-// recBatch, recAbsorb, recMigrateIn, recSubscribe and the recPushSeal
-// of a push absorbed from another node are acceptance gates: if the
-// record cannot be appended the operation fails and the sender
-// retries. The other records are best-effort — losing one degrades
-// toward re-delivery (which the receiver-side replay filter or the
-// cloud's per-instance alert dedup absorbs) rather than loss.
+// recBatch, recStored, recAbsorb, recMigrateIn, recSubscribe and the
+// recPushSeal of a push absorbed from another node are acceptance
+// gates: if the record cannot be appended the operation fails and the
+// sender retries. The other records are best-effort (durable.Journal.
+// Note) — losing one degrades toward re-delivery (which the
+// receiver-side replay filter or the cloud's per-instance alert dedup
+// absorbs) rather than loss — and a failed one is counted in
+// <id>.journal.errors.
 //
-// Read-only, for logs written before the one-outbox journal:
-// recCommit (a batch commit without an origin), recMigrateCommit (a
-// handoff's moved batch sequences, batched) and recAlertSeal (an alert
-// push seal without a kind) replay onto the same recovery state;
-// recItemCommit is the record alert commits always were.
+// Record types 3, 6 and 10 were written before the one-outbox journal
+// and are retired: a log holding one is refused.
 const (
-	// journalVersion is the snapshot layout version written by
-	// checkpoints; versions 1 and 2 still decode.
+	// journalVersion is the snapshot body layout written by
+	// checkpoints, the only one read.
 	journalVersion = 3
 
-	recBatch         = 1
-	recSeal          = 2
-	recCommit        = 3 // read-only
-	recShed          = 4
-	recMigrateStart  = 5
-	recMigrateCommit = 6 // read-only
-	recMigrateIn     = 7
-	recSubscribe     = 8
-	recUnsubscribe   = 9
-	recAlertSeal     = 10 // read-only
-	recItemCommit    = 11
-	recPushSeal      = 12
-	recAbsorb        = 13
+	recBatch        = 1
+	recSeal         = 2
+	recShed         = 4
+	recMigrateStart = 5
+	recMigrateIn    = 7
+	recSubscribe    = 8
+	recUnsubscribe  = 9
+	recItemCommit   = 11
+	recPushSeal     = 12
+	recAbsorb       = 13
+	recStored       = 14
 )
 
 // The record table: one encoder per record above, each appending
@@ -99,11 +101,16 @@ const (
 // journalBatch journals readings accepted into the pending buffer,
 // together with the delivery mark (origin, seq) of the transport hop
 // that carried them (zero when the batch arrived unsequenced — a
-// local edge ingest or a v1 envelope). The batch is logged with the
-// node's own identity — the shape the pending buffer holds and a
-// recovered flush would send.
+// local edge ingest or a v1 envelope), and stores them under the same
+// journal mutex: the record is the store append's log. The batch is
+// logged with the node's own identity — the shape the pending buffer
+// holds and a recovered flush would send. A node without a journal
+// writes no record, and ingest stores the batch (see there).
 func (n *Node) journalBatch(b *model.Batch, origin string, seq uint64) error {
-	return n.dur.Journal.Write(func(buf []byte) []byte {
+	if n.dur.Journal == nil {
+		return nil
+	}
+	return n.dur.Journal.Apply(func(buf []byte) []byte {
 		up := model.Batch{
 			NodeID:    n.cfg.Spec.ID,
 			TypeName:  b.TypeName,
@@ -115,14 +122,22 @@ func (n *Node) journalBatch(b *model.Batch, origin string, seq uint64) error {
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, origin)
 		return sensor.AppendBatch(buf, &up)
-	})
+	}, func() error { return n.dur.Store(b) })
 }
 
-// journalSeal journals one item frozen onto a type's outbox: O(1) for
-// a batch, whose readings the log already holds, with the payload for
-// a push.
-func (n *Node) journalSeal(typ string, it *item) error {
-	return n.dur.Journal.Write(func(buf []byte) []byte {
+// journalStored journals and stores the readings of an edge ingest
+// forwarded to its type's new owner.
+func (n *Node) journalStored(b *model.Batch) error {
+	return n.dur.Journal.Apply(func(buf []byte) []byte {
+		return sensor.AppendBatch(append(buf, recStored), b)
+	}, func() error { return n.dur.Store(b) })
+}
+
+// sealRecord encodes one item frozen onto a type's outbox: O(1) for a
+// batch, whose readings the log already holds, with the payload for a
+// push.
+func sealRecord(typ string, it *item) func(buf []byte) []byte {
+	return func(buf []byte) []byte {
 		if it.b == nil {
 			buf = append(buf, recPushSeal, byte(rank(it.kind)))
 			return wal.AppendBytes(buf, it.payload)
@@ -131,12 +146,12 @@ func (n *Node) journalSeal(typ string, it *item) error {
 		buf = wal.AppendUint64(buf, it.seq)
 		buf = wal.AppendUvarint(buf, uint64(len(it.b.Readings)))
 		return wal.AppendString(buf, typ)
-	})
+	}
 }
 
 // journalCommit journals an item leaving a type's outbox for good.
-func (n *Node) journalCommit(typ, origin string, seq uint64) error {
-	return n.dur.Journal.Write(func(buf []byte) []byte {
+func (n *Node) journalCommit(typ, origin string, seq uint64) {
+	n.dur.Journal.Note(func(buf []byte) []byte {
 		buf = append(buf, recItemCommit)
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, origin)
@@ -144,8 +159,8 @@ func (n *Node) journalCommit(typ, origin string, seq uint64) error {
 	})
 }
 
-func (n *Node) journalShed(typ string, count int) error {
-	return n.dur.Journal.Write(func(buf []byte) []byte {
+func (n *Node) journalShed(typ string, count int) {
+	n.dur.Journal.Note(func(buf []byte) []byte {
 		buf = append(buf, recShed)
 		buf = wal.AppendUvarint(buf, uint64(count))
 		return wal.AppendString(buf, typ)
@@ -159,8 +174,8 @@ func (n *Node) journalShed(typ string, count int) error {
 // a recovered counter past the reserved transfer sequences — the
 // target may have marked them, and a reused sequence would be deduped
 // there silently.
-func (n *Node) journalMigrateStart(typ, target string, seqHigh uint64) error {
-	return n.dur.Journal.Write(func(buf []byte) []byte {
+func (n *Node) journalMigrateStart(typ, target string, seqHigh uint64) {
+	n.dur.Journal.Note(func(buf []byte) []byte {
 		buf = append(buf, recMigrateStart)
 		buf = wal.AppendString(buf, typ)
 		buf = wal.AppendString(buf, target)
@@ -168,13 +183,14 @@ func (n *Node) journalMigrateStart(typ, target string, seqHigh uint64) error {
 	})
 }
 
-func (n *Node) journalUnsubscribe(id string) error {
-	return n.dur.Journal.Write(func(buf []byte) []byte {
+func (n *Node) journalUnsubscribe(id string) {
+	n.dur.Journal.Note(func(buf []byte) []byte {
 		return wal.AppendString(append(buf, recUnsubscribe), id)
 	})
 }
 
-// Snapshot layout (version 3):
+// Snapshot body layout (version 3; the durable core writes the store
+// section ahead of it):
 //
 //	[version u8]
 //	[seq counter u64]
@@ -187,9 +203,6 @@ func (n *Node) journalUnsubscribe(id string) error {
 // batch, a push item's its payload) or a degrade buffer (kind 4, a
 // SummaryPush JSON without identity). Entries route by the type
 // embedded in their body; a type's items keep their queue order.
-// Version 1 ends after the entries and knows kinds 0 and 1; version 2
-// additionally ends with [alerts uvarint] { alert push payload }*,
-// the queued alert pushes that version 3 writes as entries.
 const (
 	snapEntryPending  = 0
 	snapEntryItem     = 1 // + rank
@@ -257,9 +270,9 @@ type recoveryState struct {
 	sawSeq     bool
 	marks      []markEntry
 	types      map[string]*typeRecovery
-	// stored collects every replayed batch for the local time-series
-	// store: recovery restores real-time reads over the checkpoint
-	// window, not just the undelivered buffers.
+	// stored collects the tail's store-carrying batches (recBatch,
+	// recStored) in log order; Install passes each to the durable
+	// core's Store, which appends only what the segments lack.
 	stored []*model.Batch
 	// Continuous-query state. snapSubs are the checkpoint's engine
 	// snapshots; subEvents the tail's subscribe/unsubscribe/handoff
@@ -325,8 +338,8 @@ func (rs *recoveryState) noteSeq(seq uint64) {
 }
 
 // buffer appends replayed readings to a type's pending buffer. Clone:
-// rs.stored keeps b for the local-store replay, and later merges and
-// trims must not touch the store's copy.
+// rs.stored keeps b for the store replay, and later merges and trims
+// must not touch the store's copy.
 func (tr *typeRecovery) buffer(b *model.Batch) {
 	if tr.pending == nil {
 		tr.pending = b.Clone()
@@ -452,6 +465,9 @@ func (rs *recoveryState) shed(tr *typeRecovery, drop int) {
 			tr.degradeBuf(b.Category).foldAll(b.Readings[:k])
 		}
 	})
+	if tr.pending != nil && len(tr.pending.Readings) == 0 {
+		tr.pending = nil
+	}
 }
 
 // transferItems decodes one migration chunk's sealed batches, summary
@@ -494,8 +510,7 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 	if len(data) == 0 {
 		return nil
 	}
-	version := data[0]
-	if version == 0 || version > journalVersion {
+	if version := data[0]; version != journalVersion {
 		return fmt.Errorf("fognode: unsupported snapshot version %d", version)
 	}
 	rest := data[1:]
@@ -536,12 +551,10 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 			if err != nil {
 				return fmt.Errorf("fognode: snapshot batch: %w", err)
 			}
-			rs.stored = append(rs.stored, b)
 			if kind == snapEntryPending {
 				rs.typeState(b.TypeName).buffer(b)
 			} else {
-				// Clone for the same reason buffer does.
-				rs.addItem(b.TypeName, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b.Clone()})
+				rs.addItem(b.TypeName, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b})
 			}
 		case kind > snapEntryItem && kind < snapEntryDegraded:
 			if err := rs.addPush(kindTable[kind-snapEntryItem].kind, body); err != nil {
@@ -558,10 +571,7 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 			return fmt.Errorf("fognode: unknown snapshot entry kind %d", kind)
 		}
 	}
-	if version == 1 {
-		return nil
-	}
-	rest, err = wal.ReadDocs(rest, func(doc []byte) error {
+	_, err = wal.ReadDocs(rest, func(doc []byte) error {
 		snap, err := cq.DecodeSubSnapshot(doc)
 		if err != nil {
 			return fmt.Errorf("fognode: snapshot subscription: %w", err)
@@ -569,11 +579,6 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 		rs.snapSubs = append(rs.snapSubs, *snap)
 		return nil
 	})
-	if err == nil && version == 2 {
-		_, err = wal.ReadDocs(rest, func(payload []byte) error {
-			return rs.addPush(transport.KindAlertPush, payload)
-		})
-	}
 	return err
 }
 
@@ -610,6 +615,13 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		// snapshot, so the cq engine must re-observe them (snapshot
 		// entries must not be — their readings are already folded).
 		rs.observed = append(rs.observed, b)
+	case recStored:
+		b, err := sensor.DecodeBatch(body)
+		if err != nil {
+			return fmt.Errorf("fognode: journal stored batch: %w", err)
+		}
+		rs.stored = append(rs.stored, b)
+		rs.observed = append(rs.observed, b)
 	case recSeal:
 		seq, rest, err := wal.ReadUint64(body)
 		if err != nil {
@@ -633,12 +645,6 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			return err
 		}
 		return rs.addPush(kindTable[body[0]].kind, payload)
-	case recAlertSeal:
-		payload, _, err := wal.ReadBytes(body)
-		if err != nil {
-			return err
-		}
-		return rs.addPush(transport.KindAlertPush, payload)
 	case recItemCommit:
 		seq, rest, err := wal.ReadUint64(body)
 		if err != nil {
@@ -653,16 +659,6 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			return err
 		}
 		rs.commit(typ, origin, seq)
-	case recCommit:
-		seq, rest, err := wal.ReadUint64(body)
-		if err != nil {
-			return err
-		}
-		typ, _, err := wal.ReadString(rest)
-		if err != nil {
-			return err
-		}
-		rs.commit(typ, "", seq)
 	case recShed:
 		count, rest, err := wal.ReadUvarint(body)
 		if err != nil {
@@ -706,23 +702,6 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			return err
 		}
 		rs.noteSeq(seqHigh)
-	case recMigrateCommit:
-		typ, rest, err := wal.ReadString(body)
-		if err != nil {
-			return err
-		}
-		count, rest, err := wal.ReadUvarint(rest)
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < count; i++ {
-			var seq uint64
-			seq, rest, err = wal.ReadUint64(rest)
-			if err != nil {
-				return err
-			}
-			rs.commit(typ, "", seq)
-		}
 	case recMigrateIn:
 		payload, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -778,9 +757,8 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 }
 
 // recovery is the fog node's half of the durable core's recovery
-// driver: the snapshot and record decoders above, the storage-mode
-// check and the installation into the shards, sequence counter,
-// replay filter and the local time-series store.
+// driver: the snapshot and record decoders above and the installation
+// into the shards, sequence counter, replay filter and the store.
 func (n *Node) recovery() durable.Recovery {
 	rs := newRecoveryState()
 	rs.self = n.cfg.Spec.ID
@@ -788,19 +766,7 @@ func (n *Node) recovery() durable.Recovery {
 	return durable.Recovery{
 		Snapshot: func(data []byte) error { return decodeNodeSnapshot(data, rs) },
 		Record:   rs.applyRecord,
-		// A segment-backed store is self-durable: it already recovered
-		// its own WAL and segments at Open, so replaying the journal's
-		// accepted batches into it would duplicate readings. That holds
-		// only for a store that lived beside the journal: one created
-		// just now has none of them, and serving on would answer range
-		// queries short.
-		Check: func(fresh bool) error {
-			if fresh && len(rs.stored) > 0 {
-				return fmt.Errorf("holds %d stored batches, but %s did not exist", len(rs.stored), n.dur.Segments.Dir())
-			}
-			return nil
-		},
-		Install: func() error { return n.install(rs) },
+		Install:  func() error { return n.install(rs) },
 	}
 }
 
@@ -858,14 +824,9 @@ func (n *Node) install(rs *recoveryState) error {
 	for _, m := range rs.marks {
 		n.replay.Mark(m.origin, m.seq)
 	}
-	if n.dur.Segments == nil {
-		for _, b := range rs.stored {
-			if len(b.Readings) == 0 {
-				continue
-			}
-			if err := n.store.Append(b); err != nil {
-				return fmt.Errorf("fognode %s: recover store: %w", n.cfg.Spec.ID, err)
-			}
+	for _, b := range rs.stored {
+		if err := n.dur.Store(b); err != nil {
+			return fmt.Errorf("fognode %s: recover store: %w", n.cfg.Spec.ID, err)
 		}
 	}
 	return nil

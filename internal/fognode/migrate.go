@@ -259,7 +259,7 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 	// deduped at the target and its readings lost.
 	seqHigh := n.seq.Add(uint64(len(chunks)))
 	seqLow := seqHigh - uint64(len(chunks)) + 1
-	_ = n.journalMigrateStart(typ, target, seqHigh)
+	n.journalMigrateStart(typ, target, seqHigh)
 
 	for ci, chunk := range chunks {
 		t := &protocol.MigrateTransfer{
@@ -318,7 +318,7 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 			// not re-evaluate them.
 			subsMoved = true
 			for i := range subs {
-				_ = n.journalUnsubscribe(subs[i].Sub.ID)
+				n.journalUnsubscribe(subs[i].Sub.ID)
 			}
 		}
 	}

@@ -549,29 +549,22 @@ func migrationRecoveryProperty(t *testing.T, seed int64) {
 	}
 }
 
-// TestMigrateJournalReplay exercises the three migration record arms
-// of the journal replay directly.
+// TestMigrateJournalReplay exercises the two migration record arms of
+// the journal replay directly, and the refusal of the retired third.
 func TestMigrateJournalReplay(t *testing.T) {
-	// recMigrateCommit removes exactly the moved sequences and keeps
-	// the counter past them.
+	// recMigrateCommit (type 6) was written before the one-outbox
+	// journal: a log holding one is refused, not half-read.
 	rs := newRecoveryState()
 	for _, seq := range []uint64{100, 101, 102} {
 		rs.typeState("traffic").items = append(rs.typeState("traffic").items,
 			item{kind: transport.KindBatch, b: typedBatch("traffic", t0, float64(seq)), seq: seq})
 	}
-	rec := []byte{recMigrateCommit}
+	rec := []byte{6}
 	rec = wal.AppendString(rec, "traffic")
-	rec = wal.AppendUvarint(rec, 2)
+	rec = wal.AppendUvarint(rec, 1)
 	rec = wal.AppendUint64(rec, 100)
-	rec = wal.AppendUint64(rec, 102)
-	if err := rs.applyRecord(rec); err != nil {
-		t.Fatal(err)
-	}
-	if got := rs.types["traffic"].items; len(got) != 1 || got[0].seq != 101 {
-		t.Fatalf("after migrate commit, groups = %+v, want only seq 101", got)
-	}
-	if !rs.sawSeq || rs.seqCounter < 102 {
-		t.Errorf("seq counter = %d (saw=%v), want >= 102", rs.seqCounter, rs.sawSeq)
+	if err := rs.applyRecord(rec); err == nil {
+		t.Fatal("a retired migrate-commit record replayed")
 	}
 
 	// recMigrateStart leaves the groups alone but advances the counter
@@ -583,7 +576,7 @@ func TestMigrateJournalReplay(t *testing.T) {
 	if err := rs.applyRecord(start); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.types["traffic"].items) != 1 {
+	if len(rs.types["traffic"].items) != 3 {
 		t.Fatal("migrate start changed the recovered groups")
 	}
 	if rs.seqCounter != 150 {

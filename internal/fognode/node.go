@@ -147,23 +147,23 @@ type Config struct {
 	// the node to sibling relay (default 3; effective only with
 	// Siblings configured).
 	FailoverAfter int
-	// Durability, when set, makes the node journal its upward-delivery
-	// state (accepted readings, sealed items, commits, sheds,
-	// replay-filter marks) to a write-ahead log with periodic
-	// snapshots in Durability.Dir, and recover that state at
-	// construction — so a restarted node resumes with its pending
-	// and degrade buffers, outboxes, sequence counter and dedup marks
-	// intact instead of starting empty. Nil (the default) keeps the
-	// node fully in-memory.
+	// Durability, when set, gives the node a data dir: it journals its
+	// upward-delivery state (accepted readings, sealed items, commits,
+	// sheds, replay-filter marks) to a write-ahead log with periodic
+	// snapshots in Durability.Dir, keeps its temporal store in the
+	// tiered segment engine at <Dir>/store (a memtable flushing to
+	// mmap'd on-disk segments, so resident memory stays near the
+	// memtable cap whatever the retention), and recovers both at
+	// construction — so a restarted node resumes with its store,
+	// pending and degrade buffers, outboxes, sequence counter and dedup
+	// marks intact instead of starting empty. The journal is the
+	// store's only log (see internal/durable). Nil (the default) keeps
+	// the node fully in-memory.
 	Durability *wal.Config
-	// Storage, when set, backs the temporal store with the tiered
-	// segment engine (WAL-journaled memtable flushing to mmap'd
-	// on-disk segments) instead of the in-RAM TimeSeries, bounding
-	// resident memory to roughly the memtable cap regardless of
-	// retention. Retention, Registry and MetricsPrefix default from
-	// the node config when zero. The segment store recovers itself at
-	// Open, so the delivery journal's replay skips re-appending
-	// readings into it.
+	// Storage, optional beside Durability, tunes the segment store;
+	// Retention, Registry and MetricsPrefix default from the node
+	// config when zero. Storage without Durability is refused
+	// (durable.ErrStorageMode).
 	Storage *segment.Options
 }
 
@@ -204,8 +204,8 @@ func (c *Config) applyDefaults() error {
 // Node is a fog node at layer 1 or 2. Safe for concurrent use.
 type Node struct {
 	cfg Config
-	// store is the node's temporal store: the in-RAM store.TimeSeries
-	// or the durable core's segment store, selected by Config.Storage.
+	// store is the node's temporal store, the durable core's Series:
+	// the segment store on a node with a data dir, else in RAM.
 	store     store.Series
 	deduper   *aggregate.Deduper
 	assessor  *quality.Assessor // nil unless Config.Quality
@@ -222,8 +222,8 @@ type Node struct {
 	seq    atomic.Uint64
 
 	// dur is the receive-side durable core: the journal (nil when
-	// Durability is off), the segment store (nil when Storage is off)
-	// and the acceptance path over replay. flightMu excludes
+	// Durability is off), the store and the acceptance path over
+	// replay. flightMu excludes
 	// checkpoints (write side) from senders (read side). Every item a
 	// sender works on is still on its outbox, so a snapshot cannot miss
 	// it; but a sender sorts and stamps a claimed batch in place outside
@@ -331,22 +331,11 @@ func New(cfg Config) (*Node, error) {
 		cqe:       cq.NewEngine(),
 		lc:        newLifecycle(),
 	}
-	so := cfg.Storage
-	if so != nil && so.Retention == 0 {
-		withRetention := *so
-		withRetention.Retention = cfg.Retention
-		so = &withRetention
-	}
-	dur, err := durable.Open(cfg.Durability, so, cfg.Registry, cfg.Spec.ID+".", n.replay)
+	dur, err := durable.Open(cfg.Durability, cfg.Storage, cfg.Retention, cfg.Registry, cfg.Spec.ID+".", n.replay)
 	if err != nil {
 		return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
 	}
-	n.dur = dur
-	if dur.Segments != nil {
-		n.store = dur.Segments
-	} else {
-		n.store = store.NewTimeSeries(cfg.Retention)
-	}
+	n.dur, n.store = dur, dur.Series
 	n.shardMask = uint32(len(n.shards) - 1)
 	// Delivery sequences start at a random per-process base: a
 	// restarted node must not reuse its predecessor's sequences, or
@@ -461,7 +450,7 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 			if err := n.ingestRouted(b, target); err != nil {
 				return err
 			}
-			if err := n.store.Append(b); err != nil {
+			if err := n.journalStored(b); err != nil {
 				return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
 			}
 			n.observeAlerts(b)
@@ -469,15 +458,19 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 		}
 	}
 
-	// The enqueue is the durable acceptance gate and runs before the
-	// local store append: a journal-rejected ingest must leave no
-	// trace, or the sender's retry would duplicate readings in the
-	// store.
+	// The enqueue is the durable acceptance gate and stores the
+	// readings inside it: a journal-rejected ingest leaves no trace,
+	// so the sender's retry cannot duplicate readings in the store. An
+	// in-RAM store keeps no log to stay in step with, so on a node
+	// without a journal the append runs here, after the shard lock is
+	// released, and a long one holds up no other ingest of the shard.
 	if err := n.enqueue(sh, b, origin, seq); err != nil {
 		return err
 	}
-	if err := n.store.Append(b); err != nil {
-		return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
+	if n.dur.Journal == nil {
+		if err := n.dur.Store(b); err != nil {
+			return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
+		}
 	}
 	// Continuous queries evaluate incrementally here, on the accepted
 	// batch — never by re-scanning the store.
@@ -489,11 +482,12 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 // that the next flush will seal and move upward, applying the overflow
 // bound (prolonged parent outage). On a durable node the acceptance is
 // journaled first, under the shard lock, so the log's record order
-// matches the buffer's reading order; a journal failure rejects the
-// ingest (the sender retries) instead of accepting data the node
-// cannot preserve. The delivery mark lands under the same lock: a
-// checkpoint, which cuts under every shard lock, then never snapshots
-// the readings without their mark.
+// matches the buffer's reading order, and the store append runs under
+// the record's journal mutex; a journal
+// failure rejects the ingest (the sender retries) instead of accepting
+// data the node cannot preserve. The delivery mark lands under the
+// same lock: a checkpoint, which cuts under every shard lock, then
+// never snapshots the readings without their mark.
 func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -528,7 +522,9 @@ func (n *Node) bufferLocked(sh *pendingShard, b *model.Batch) {
 // sequence, or a refired window, which the receiver's dedup absorbs,
 // never toward loss. The caller holds the shard lock.
 func (n *Node) sealLocked(sh *pendingShard, typ string, it item, gate bool) error {
-	if err := n.journalSeal(typ, &it); err != nil && gate {
+	if rec := sealRecord(typ, &it); !gate {
+		n.dur.Journal.Note(rec)
+	} else if err := n.dur.Journal.Write(rec); err != nil {
 		return err
 	}
 	sh.box(typ).put(it)
@@ -570,7 +566,7 @@ func (n *Node) sealPendingLocked(sh *pendingShard, typ string, size int) (last i
 // dropped by its overflow policy — so recovery does not resurrect it.
 // Best effort: a lost record degrades toward re-delivery.
 func (n *Node) commit(typ string, it *item) {
-	_ = n.journalCommit(typ, it.origin, it.seq)
+	n.journalCommit(typ, it.origin, it.seq)
 }
 
 // boundLocked enforces the overflow policy of every kind (see
@@ -597,7 +593,8 @@ func (n *Node) boundLocked(sh *pendingShard, typ string) {
 
 // boundReadingsLocked trims a type's buffered readings to max, oldest
 // first: the heads of the parked batch items, then the pending
-// buffer's head. Without DegradeToSummary the trimmed readings are
+// buffer's head — never the outbox's head item, which may already have
+// reached the parent (trimOldest), so the bound can trim less. Without DegradeToSummary the trimmed readings are
 // shed; those trimmed from parked items are additionally counted as
 // DroppedDuringOutage: they were lost because the parent stayed
 // unreachable past the buffer budget, the signal operators alarm on.
@@ -619,7 +616,7 @@ func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max 
 	if drop <= 0 {
 		return
 	}
-	_ = n.journalShed(typ, drop)
+	n.journalShed(typ, drop)
 	q.trimOldest(p, drop, func(b *model.Batch, k int, parked bool) {
 		if n.cfg.DegradeToSummary {
 			n.degradeLocked(sh, typ, b.Category, b.Readings[:k])
@@ -630,6 +627,9 @@ func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max 
 			n.outageDrops.Add(int64(k))
 		}
 	})
+	if p != nil && len(p.Readings) == 0 {
+		delete(sh.pending, typ)
+	}
 }
 
 // ShedReadings reports how many buffered readings were dropped under
@@ -784,8 +784,8 @@ func (n *Node) Checkpoint() error {
 			n.shards[i].mu.Unlock()
 		}
 	}()
-	if err := n.dur.Journal.Checkpoint(func() ([]byte, error) {
-		return encodeNodeSnapshot(nil, n.seq.Load(), n.replay.Dump(), n.shards, n.cqe.Snapshot())
+	if err := n.dur.Checkpoint(func(dst []byte) ([]byte, error) {
+		return encodeNodeSnapshot(dst, n.seq.Load(), n.replay.Dump(), n.shards, n.cqe.Snapshot())
 	}); err != nil {
 		return fmt.Errorf("fognode %s: checkpoint: %w", n.cfg.Spec.ID, err)
 	}

@@ -625,7 +625,9 @@ func TestFlushCategorySelective(t *testing.T) {
 // TestRequeueReappliesPendingBound reproduces the parent-outage growth
 // bug: data ingested while a flush is in flight merges with the
 // requeued failed batch, and the MaxPendingReadings bound must be
-// re-applied so the buffer cannot exceed the configured limit.
+// re-applied so the buffer cannot exceed the configured limit. The
+// failed batch is the outbox head, which may have reached the parent,
+// so the bound trims the readings behind it.
 func TestRequeueReappliesPendingBound(t *testing.T) {
 	clock := sim.NewVirtualClock(t0)
 	var n *Node
@@ -672,7 +674,7 @@ func TestRequeueReappliesPendingBound(t *testing.T) {
 		t.Fatal("expected flush failure")
 	}
 	// 3 failed + 3 ingested-during-flush readings merged: the bound
-	// must shed the 3 oldest instead of keeping all 6.
+	// must shed 3 instead of keeping all 6 — those behind the head.
 	if shed := n.ShedReadings(); shed != 3 {
 		t.Errorf("shed = %d, want 3 (requeue must re-apply the bound)", shed)
 	}
@@ -681,10 +683,13 @@ func TestRequeueReappliesPendingBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got == nil || len(got.Readings) != 3 {
-		t.Fatalf("recovered batch = %+v, want the 3 newest readings", got)
+		t.Fatalf("recovered batch = %+v, want the head's 3 readings", got)
 	}
-	if got.Readings[0].Value != 10 || got.Readings[2].Value != 12 {
-		t.Errorf("kept values = %v..%v, want 10..12 (newest kept, oldest shed)",
+	if got.Readings[0].Value != 0 || got.Readings[2].Value != 2 {
+		t.Errorf("kept values = %v..%v, want 0..2 (the head kept, the readings behind it shed)",
 			got.Readings[0].Value, got.Readings[2].Value)
+	}
+	if n.PendingBatches() != 0 {
+		t.Errorf("%d delivery units left after the heal, want 0", n.PendingBatches())
 	}
 }

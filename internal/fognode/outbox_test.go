@@ -204,78 +204,13 @@ func legacyJournal(t *testing.T, dir, me string) {
 	}
 }
 
-// TestLegacyDataDirReboots: a node boots from a data directory written
-// before the one-outbox journal and drains exactly what that life
-// still owed its parent, under the original delivery identities.
-func TestLegacyDataDirReboots(t *testing.T) {
+// TestLegacyDataDirRefused: a data directory written before the
+// one-outbox journal — a version-2 snapshot and a log of the retired
+// record types — has no store section in its snapshot, so the readings
+// its store served are nowhere this journal can rebuild them from. The
+// node refuses it with an error naming it, and writes nothing.
+func TestLegacyDataDirRefused(t *testing.T) {
 	dir := t.TempDir()
-	me := fog1Spec().ID
-	legacyJournal(t, dir, me)
-
-	var mu sync.Mutex
-	var batches, alerts []uint64
-	readings := map[uint64][]float64{}
-	net := transport.NewSimNetwork()
-	net.Register("fog2/d01", transport.HandlerFunc(func(_ context.Context, msg transport.Message) ([]byte, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch msg.Kind {
-		case transport.KindBatch:
-			b, _, seq, err := protocol.DecodeBatchPayloadSeq(msg.Payload)
-			if err != nil || b.NodeID != me {
-				t.Errorf("batch %d from %q: %v", seq, b.NodeID, err)
-			}
-			batches = append(batches, seq)
-			for _, r := range b.Readings {
-				readings[seq] = append(readings[seq], r.Value)
-			}
-		case transport.KindAlertPush:
-			p, err := protocol.DecodeAlertPush(msg.Payload)
-			if err != nil || p.Origin != me {
-				t.Errorf("alert push: %+v, %v", p, err)
-			}
-			alerts = append(alerts, p.Seq)
-		default:
-			t.Errorf("unexpected %s", msg.Kind)
-		}
-		return []byte("ok"), nil
-	}))
-	n, err := New(Config{Spec: fog1Spec(), Clock: sim.NewVirtualClock(t0), Transport: net, Codec: aggregate.CodecNone,
-		Durability: &wal.Config{Dir: dir, SnapshotEvery: -1}})
-	if err != nil {
-		t.Fatalf("boot from a legacy data dir: %v", err)
-	}
-	if got := n.PendingBatches(); got != 4 {
-		t.Fatalf("recovered %d delivery units, want 2 batches + 2 alert pushes", got)
-	}
-	if err := n.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Sequences minted by this life must clear everything the legacy
-	// life used, delivered or not.
-	_ = n.Ingest(typedBatch("traffic", t0.Add(time.Hour), 6))
-	if err := n.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(batches) != 3 || batches[0] != 100 || batches[1] != 102 {
-		t.Fatalf("parent saw batch sequences %v, want [100 102 <fresh>]", batches)
-	}
-	if batches[2] <= 500 {
-		t.Errorf("fresh batch sealed under %d, want past the recovered counter 500", batches[2])
-	}
-	if r := readings[100]; len(r) != 2 || r[0] != 1 || r[1] != 2 {
-		t.Errorf("batch 100 carried %v, want [1 2]", r)
-	}
-	if r := readings[102]; len(r) != 2 || r[0] != 3 || r[1] != 4 {
-		t.Errorf("batch 102 carried %v, want [3 4]", r)
-	}
-	if len(alerts) != 2 || alerts[0] != 101 || alerts[1] != 104 {
-		t.Errorf("parent saw alert push sequences %v, want [101 104]", alerts)
-	}
-	// And the legacy life's dedup marks survive.
-	if !n.replay.Seen("fog1/child", 9) {
-		t.Error("snapshot replay mark lost")
-	}
+	legacyJournal(t, dir, fog1Spec().ID)
+	expectRefused(t, dir, dir, "written before", "no store section")
 }

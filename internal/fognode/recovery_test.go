@@ -334,14 +334,63 @@ func TestCheckpointKeepsDeliveryMarks(t *testing.T) {
 // deduped by the parent.
 func TestRecoveryCommitAdvancesSequenceCounter(t *testing.T) {
 	rs := newRecoveryState()
-	rec := []byte{recCommit}
+	rs.self = fog1Spec().ID
+	rec := []byte{recItemCommit}
 	rec = wal.AppendUint64(rec, 9001)
+	rec = wal.AppendString(rec, rs.self)
 	rec = wal.AppendString(rec, "traffic")
 	if err := rs.applyRecord(rec); err != nil {
 		t.Fatal(err)
 	}
 	if !rs.sawSeq || rs.seqCounter < 9001 {
 		t.Errorf("recovered seq counter = %d (saw=%v), want >= 9001 from the orphan commit", rs.seqCounter, rs.sawSeq)
+	}
+}
+
+// TestBestEffortAppendFailuresCounted: a best-effort record that
+// cannot be appended refuses nothing but is counted in
+// <id>.journal.errors, while an acceptance gate on the same closed
+// journal still refuses its ingest.
+func TestBestEffortAppendFailuresCounted(t *testing.T) {
+	var n *Node
+	fail := true
+	net := transport.NewSimNetwork()
+	net.Register("fog2/d01", transport.HandlerFunc(func(context.Context, transport.Message) ([]byte, error) {
+		if !fail {
+			return []byte("ok"), nil
+		}
+		// Arrivals during the in-flight send, then the journal goes.
+		if err := n.Ingest(typedBatch("traffic", t0.Add(time.Second), 4, 5, 6)); err != nil {
+			return nil, err
+		}
+		_ = n.dur.Journal.Close()
+		return nil, errors.New("parent outage")
+	}))
+	n = newDurableNode(t, t.TempDir(), net, 3)
+	errs := n.cfg.Registry.Counter(n.ID() + ".journal.errors")
+	if err := n.Ingest(typedBatch("traffic", t0, 1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Flush(context.Background()); err == nil {
+		t.Fatal("flush survived the outage")
+	}
+	// The failed send re-applied the bound: a shed record, unwritten.
+	if n.ShedReadings() != 3 || errs.Value() != 1 {
+		t.Fatalf("shed = %d, journal errors = %d, want 3 and 1", n.ShedReadings(), errs.Value())
+	}
+	fail = false
+	if err := n.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The delivered head's commit record, unwritten: acknowledged anyway.
+	if n.PendingBatches() != 0 || errs.Value() != 2 {
+		t.Fatalf("pending = %d, journal errors = %d, want 0 and 2", n.PendingBatches(), errs.Value())
+	}
+	if err := n.Ingest(typedBatch("traffic", t0.Add(time.Minute), 7)); err == nil {
+		t.Error("an ingest was accepted on a closed journal")
+	}
+	if errs.Value() != 2 {
+		t.Errorf("the refused ingest counted as a best-effort failure (%d)", errs.Value())
 	}
 }
 

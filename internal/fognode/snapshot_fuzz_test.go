@@ -153,7 +153,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(42), []byte{journalVersion})
 	f.Add(int64(7), []byte{journalVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x80})
 	f.Add(int64(1234567), []byte("garbage snapshot bytes"))
-	// Snapshots of the earlier layouts still decode.
+	// Snapshots of the earlier layouts: refused, never a panic.
 	f.Add(int64(3), []byte{1})
 	f.Add(int64(4), []byte{2})
 	f.Add(int64(5), legacySnapshot(f, "fog1/fuzz"))

@@ -1,6 +1,8 @@
 package fognode
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,66 +10,145 @@ import (
 	"time"
 
 	"f2c/internal/aggregate"
+	"f2c/internal/durable"
 	"f2c/internal/segment"
 	"f2c/internal/sim"
 	"f2c/internal/wal"
 )
 
-func openNodeAt(dir string, segments bool) (*Node, error) {
-	cfg := Config{
+// openNodeAt opens a durable fog1 on dir: its journal in dir, its
+// segment store in dir/store.
+func openNodeAt(dir string) (*Node, error) {
+	return New(Config{
 		Spec:       fog1Spec(),
 		Clock:      sim.NewVirtualClock(t0),
 		Codec:      aggregate.CodecNone,
 		Durability: &wal.Config{Dir: dir, SnapshotEvery: -1},
-	}
-	if segments {
-		cfg.Storage = &segment.Options{Dir: filepath.Join(dir, "store")}
-	}
-	return New(cfg)
+	})
 }
 
-// TestStorageModeSwitchFailsLoudly: recovery leaves the journal's
-// stored batches out of a segment-backed store ("Open recovered
-// them"), which is only true of a store that lived beside the
-// journal. A journal-only directory reopened with a segment store —
-// or one whose store/ was deleted — used to boot with the readings
-// buffered for the parent and none of them readable locally.
+// dirListing names every file under dir with its size and
+// modification time: equal listings mean nothing was written.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s %d %s\n", path, info.Size(), info.ModTime())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// expectRefused opens a fog1 on dir, expects the open to be refused
+// with an error naming every want, and the directory unchanged.
+func expectRefused(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	before := dirListing(t, dir)
+	_, err := openNodeAt(dir)
+	if err == nil {
+		t.Fatalf("%s opened, want it refused", dir)
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("error %q does not name %q", err, w)
+		}
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("the refused boot changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
+// TestStorageModeSwitchFailsLoudly: the journal is the segment store's
+// log, so a store without a journal is refused at construction, and a
+// checkpoint cut after a store flush relies on the flushed segments: a
+// directory whose store/ was deleted after that is refused, untouched,
+// while the directory as written reopens and serves its readings.
 func TestStorageModeSwitchFailsLoudly(t *testing.T) {
-	for _, written := range []bool{false, true} {
+	storeOnly := Config{Spec: fog1Spec(), Storage: &segment.Options{Dir: filepath.Join(t.TempDir(), "store")}}
+	if _, err := New(storeOnly); !errors.Is(err, durable.ErrStorageMode) {
+		t.Errorf("a segment store without a journal: %v, want ErrStorageMode", err)
+	}
+
+	dir := t.TempDir()
+	n, err := openNodeAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = n.Ingest(typedBatch("traffic", t0, 1, 2, 3))
+	if err := n.store.(*segment.Store).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_ = n.Ingest(typedBatch("traffic", t0.Add(time.Second), 4))
+	if err := n.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+
+	re, err := openNodeAt(dir)
+	if err != nil {
+		t.Fatalf("reopen as written: %v", err)
+	}
+	if got := len(re.Query("traffic", t0, t0.Add(time.Minute))); got != 4 {
+		t.Errorf("reopen as written serves %d readings, want 4", got)
+	}
+	re.Discard()
+
+	store := filepath.Join(dir, "store")
+	if err := os.RemoveAll(store); err != nil {
+		t.Fatal(err)
+	}
+	expectRefused(t, dir, dir, "deleted or replaced")
+	if _, err := os.Stat(store); !os.IsNotExist(err) {
+		t.Errorf("the refused boot left a store/ behind (stat err %v)", err)
+	}
+}
+
+// TestStoreHoldsWhatTheJournalAccepted: a segment-backed fog1 takes
+// two readings through Ingest and three more through enqueue alone —
+// the acceptance gate, which once journaled readings the store had
+// not yet appended — then crashes, with or without a checkpoint cut
+// first. The store is refilled from the journal: it holds all five,
+// as the pending buffer does.
+func TestStoreHoldsWhatTheJournalAccepted(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
 		dir := t.TempDir()
-		n, err := openNodeAt(dir, written)
+		n, err := openNodeAt(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = n.Ingest(typedBatch("traffic", t0, 1, 2, 3))
-		_ = n.Ingest(typedBatch("traffic", t0.Add(time.Second), 4))
-		n.Discard() // crash: the batches are in the journal tail, undelivered
-
-		// The mode it was written in reopens and serves the readings.
-		re, err := openNodeAt(dir, written)
-		if err != nil {
-			t.Fatalf("segments=%v: matching-mode reopen: %v", written, err)
-		}
-		if got := len(re.Query("traffic", t0, t0.Add(time.Minute))); got != 4 {
-			t.Errorf("segments=%v: matching-mode reopen serves %d readings, want 4", written, got)
-		}
-		re.Discard()
-
-		store := filepath.Join(dir, "store")
-		if err := os.RemoveAll(store); err != nil { // no-op for the journal-only life
+		if err := n.Ingest(typedBatch("traffic", t0, 1, 2)); err != nil {
 			t.Fatal(err)
 		}
-		_, err = openNodeAt(dir, true)
-		if err == nil {
-			t.Fatalf("segments=%v: a journal without its segment store must be refused", written)
+		b := typedBatch("traffic", t0.Add(time.Second), 3, 4, 5)
+		if err := n.enqueue(n.shardFor(b.TypeName), b, "", 0); err != nil {
+			t.Fatal(err)
 		}
-		for _, want := range []string{"storage mode mismatch", dir, "written without a segment store"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("segments=%v: error %q does not name %q", written, err, want)
+		if checkpoint {
+			if err := n.Checkpoint(); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if _, err := os.Stat(store); !os.IsNotExist(err) {
-			t.Errorf("segments=%v: the refused boot left a store/ behind (stat err %v)", written, err)
+		n.Discard()
+
+		re, err := openNodeAt(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := re.PendingReadings(); got != 5 {
+			t.Errorf("checkpoint=%v: %d readings pending delivery, want 5", checkpoint, got)
+		}
+		if got := re.Status().StoredReadings; got != 5 {
+			t.Errorf("checkpoint=%v: %d readings stored, want 5", checkpoint, got)
+		}
+		if got := len(re.Query("traffic", t0, t0.Add(time.Minute))); got != 5 {
+			t.Errorf("checkpoint=%v: range read = %d readings, want 5", checkpoint, got)
+		}
+		re.Discard()
 	}
 }

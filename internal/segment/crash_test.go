@@ -3,6 +3,9 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,11 +22,22 @@ func crashAt(stage string) func(string) error {
 	}
 }
 
+// reopen opens the store a crash left in dir and refills it from the
+// log, as the node that owns it would.
+func reopen(t *testing.T, dir string, log *testLog, mut func(*Options)) *Store {
+	t.Helper()
+	s := openTest(t, dir, mut)
+	if err := log.recover(s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // expectExactlyOnce reopens dir and asserts the store holds exactly
 // the values [0, want) once each.
-func expectExactlyOnce(t *testing.T, dir string, want int) {
+func expectExactlyOnce(t *testing.T, dir string, log *testLog, want int) {
 	t.Helper()
-	s := openTest(t, dir, nil)
+	s := reopen(t, dir, log, nil)
 	defer s.Close()
 	all := s.QueryRange("traffic", time.Time{}, t0.Add(24*time.Hour))
 	if len(all) != want {
@@ -40,23 +54,27 @@ func expectExactlyOnce(t *testing.T, dir string, want int) {
 
 // TestCrashMidFlush kills the store at every flush stage boundary in
 // turn and proves recovery replays each reading exactly once: before
-// the manifest commit the WAL covers everything (the orphan segment
+// the manifest commit the log covers everything (the orphan segment
 // is swept), after it the segment covers the frozen memtable and the
-// WAL replay skips those ops.
+// log replay skips those ops. A checkpoint cut after the crash
+// carries the frozen memtable in its section, under the same rule.
 func TestCrashMidFlush(t *testing.T) {
-	for _, stage := range []string{"flush:encode", "flush:segment-written", "flush:manifest-written", "flush:rotate"} {
+	for _, stage := range []string{"flush:encode", "flush:segment-written", "flush:manifest-written"} {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
+			var log testLog
 			s := openTest(t, dir, nil)
-			if err := s.Append(testBatch("traffic", t0, 40, time.Second, 0)); err != nil {
+			if err := log.append(s, testBatch("traffic", t0, 40, time.Second, 0)); err != nil {
 				t.Fatal(err)
 			}
 			s.SetFailpoint(crashAt(stage))
 			if err := s.Flush(); err == nil {
 				t.Fatal("flush survived the injected crash")
 			}
+			// The section cut now carries the frozen memtable too.
+			log.checkpoint(s)
 			s.Discard()
-			expectExactlyOnce(t, dir, 40)
+			expectExactlyOnce(t, dir, &log, 40)
 		})
 	}
 }
@@ -69,9 +87,10 @@ func TestCrashMidCompaction(t *testing.T) {
 	for _, stage := range []string{"compact:encode", "compact:segment-written", "compact:manifest-written"} {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
+			var log testLog
 			s := openTest(t, dir, nil)
 			for part := 0; part < 4; part++ {
-				if err := s.Append(testBatch("traffic", t0.Add(time.Duration(part*10)*time.Second), 10, time.Second, float64(part*10))); err != nil {
+				if err := log.append(s, testBatch("traffic", t0.Add(time.Duration(part*10)*time.Second), 10, time.Second, float64(part*10))); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Flush(); err != nil {
@@ -83,30 +102,38 @@ func TestCrashMidCompaction(t *testing.T) {
 				t.Fatal("compaction survived the injected crash")
 			}
 			s.Discard()
-			expectExactlyOnce(t, dir, 40)
+			expectExactlyOnce(t, dir, &log, 40)
 		})
 	}
 }
 
-// TestCrashBetweenFlushes interleaves appends, flushes, and crashes
-// over several generations — the WAL rotation + manifest watermark
-// interplay across restarts.
+// TestCrashBetweenFlushes interleaves appends, flushes, checkpoints
+// and crashes over several generations — the recovery section +
+// manifest watermark interplay across restarts, with the section cut
+// before a flush, after one, and over an empty memtable.
 func TestCrashBetweenFlushes(t *testing.T) {
 	dir := t.TempDir()
+	var log testLog
 	total := 0
-	for gen := 0; gen < 5; gen++ {
-		s := openTest(t, dir, nil)
-		if err := s.Append(testBatch("traffic", t0.Add(time.Duration(total)*time.Second), 15, time.Second, float64(total))); err != nil {
+	for gen := 0; gen < 6; gen++ {
+		s := reopen(t, dir, &log, nil)
+		if gen%3 == 1 {
+			log.checkpoint(s)
+		}
+		if err := log.append(s, testBatch("traffic", t0.Add(time.Duration(total)*time.Second), 15, time.Second, float64(total))); err != nil {
 			t.Fatal(err)
 		}
 		total += 15
+		if gen%3 == 2 {
+			log.checkpoint(s)
+		}
 		if gen%2 == 0 {
 			if err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		s.Discard() // crash: no clean close, no final flush
-		expectExactlyOnce(t, dir, total)
+		expectExactlyOnce(t, dir, &log, total)
 	}
 }
 
@@ -115,14 +142,15 @@ func TestCrashBetweenFlushes(t *testing.T) {
 // time-addressed cursors are state on the client, not the server.
 func TestRecoveredCursorSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
+	var log testLog
 	s := openTest(t, dir, nil)
-	if err := s.Append(testBatch("traffic", t0, 30, time.Second, 0)); err != nil {
+	if err := log.append(s, testBatch("traffic", t0, 30, time.Second, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testBatch("traffic", t0.Add(30*time.Second), 30, time.Second, 30)); err != nil {
+	if err := log.append(s, testBatch("traffic", t0.Add(30*time.Second), 30, time.Second, 30)); err != nil {
 		t.Fatal(err)
 	}
 	from, to := time.Time{}, t0.Add(24*time.Hour)
@@ -139,7 +167,7 @@ func TestRecoveredCursorSurvivesRestart(t *testing.T) {
 		cursor = next
 	}
 	s.Discard()
-	s2 := openTest(t, dir, nil)
+	s2 := reopen(t, dir, &log, nil)
 	defer s2.Close()
 	for cursor != "" {
 		page, next, err := s2.QueryRangePage("traffic", from, to, 7, cursor)
@@ -191,4 +219,22 @@ func removeOneSeg(dir string) error {
 		return fmt.Errorf("no segments to remove")
 	}
 	return removeFile(dir, man.Segments[0])
+}
+
+// dirListing names every file under dir with its size and
+// modification time: equal listings mean nothing was written.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s %d %s\n", path, info.Size(), info.ModTime())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

@@ -1,8 +1,8 @@
 // Package segment is the tiered on-disk storage engine of the F2C
 // hierarchy: an LSM-lite store that keeps recent appends in a small
-// in-RAM memtable (journaled to its own WAL for crash safety) and
-// flushes them to immutable, time-partitioned segment files served
-// by mmap. It backs the fog layers' temporal stores and the cloud's
+// in-RAM memtable (whose log is the node journal that carries the
+// readings) and flushes them to immutable, time-partitioned segment
+// files served by mmap. It backs the fog layers' temporal stores and the cloud's
 // query series wherever a node has a data dir, replacing the
 // RAM-bound store.TimeSeries so capacity is bounded by disk, not
 // memory — the paper's cloud tier preserves years of city history.
@@ -42,22 +42,26 @@
 //
 // # Durability and DataDir layout
 //
-// A store owns one directory, conventionally DataDir/<node id>/store
-// beside the node's PR 5 journal files (DataDir/<node id>/snapshot,
-// wal-N):
+// A store owns one directory, DataDir/<node id>/store, inside the
+// node's data dir beside its journal files (DataDir/<node id>/snapshot,
+// wal-N), and created by the first flush:
 //
-//	store/MANIFEST      crash-safe segment list + replay watermarks
+//	store/MANIFEST      crash-safe segment list + flushed-op watermark
 //	store/00000001.seg  immutable segments
-//	store/wal/          the memtable's own WAL (internal/wal framing)
 //
-// Appends are WAL-journaled before they enter the memtable. A flush
-// writes the frozen memtable as a segment, commits it in MANIFEST
-// (tmp + rename) together with the flushed-op watermark, then
-// rotates the WAL with a snapshot of the live memtable. Recovery is
-// the reverse: open the segments MANIFEST lists (deleting orphans
-// from interrupted flushes or compactions), then replay the WAL
-// skipping every op at or below the manifest watermark — each
-// reading lands exactly once no matter where the crash fell.
+// The store keeps no log of its own: the node journal is its log
+// (internal/durable). Every append is numbered by the journal record
+// that carries its readings (AppendSeq), and a node checkpoint carries
+// the store's recovery section — the latest map and the memtable ops
+// above the watermark (section.go). A flush writes the frozen memtable
+// as a segment and commits it in MANIFEST (tmp + rename) together with
+// the flushed-op watermark. Recovery is the reverse: open the segments
+// MANIFEST lists (deleting orphans from interrupted flushes or
+// compactions), Restore the section, then replay the journal tail
+// through AppendSeq, each skipping every op at or below the manifest
+// watermark — each reading lands exactly once no matter where the
+// crash fell. A directory holding the store WAL (wal/) that earlier
+// builds wrote is refused untouched.
 //
 // # Compaction
 //

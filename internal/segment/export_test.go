@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 
 	"f2c/internal/aggregate"
@@ -50,4 +51,52 @@ func (g *segment) fetch(dst []model.Reading, typ string, fromNs, toNs int64, max
 	m := merger{cs: []blockCursor{{g: g, blocks: g.blocksIn(typ, fromNs, toNs)}}, fromNs: fromNs, toNs: toNs}
 	dst, err := m.appendTo(dst, max)
 	return dst, max > 0 && len(dst)-n0 >= max, err
+}
+
+// testLog plays a durable node for the store's recovery tests: it
+// numbers each append as the position of the record that carries it,
+// keeps the recovery section of its last checkpoint and the records
+// since, and refills a store reopened after a crash from them — the
+// node journal's part in the store's durability.
+type testLog struct {
+	op      uint64
+	section []byte
+	tail    []loggedOp
+}
+
+type loggedOp struct {
+	op uint64
+	b  *model.Batch
+}
+
+func (l *testLog) append(s *Store, b *model.Batch) error {
+	l.op++
+	l.tail = append(l.tail, loggedOp{op: l.op, b: b})
+	return s.AppendSeq(b, l.op)
+}
+
+// checkpoint cuts a snapshot: the section replaces the records.
+func (l *testLog) checkpoint(s *Store) {
+	l.section = s.AppendSection(nil)
+	l.tail = nil
+}
+
+// recover refills a store just opened: the section, then the records
+// in log order, each applied only above the manifest's FlushedOp.
+func (l *testLog) recover(s *Store) error {
+	if l.section != nil {
+		cut, err := s.Restore(l.section)
+		if err != nil {
+			return err
+		}
+		if s.FlushedOp() < cut {
+			return fmt.Errorf("store flushed up to op %d, the section needs %d", s.FlushedOp(), cut)
+		}
+	}
+	for _, r := range l.tail {
+		if err := s.AppendSeq(r.b, r.op); err != nil {
+			return err
+		}
+	}
+	return nil
 }

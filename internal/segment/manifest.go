@@ -8,7 +8,7 @@ import (
 )
 
 // manifestName is the store's commit point: the list of live segment
-// files plus the replay watermarks, rewritten atomically (tmp +
+// files plus the replay watermark, rewritten atomically (tmp +
 // rename + dir sync) after every flush, compaction, or retention
 // drop. A segment file not listed here does not exist as far as
 // recovery is concerned — which is exactly what makes an interrupted
@@ -20,12 +20,9 @@ type manifest struct {
 	Version int `json:"version"`
 	// NextSeg numbers the next segment file.
 	NextSeg uint64 `json:"nextSeg"`
-	// FlushedOp is the WAL replay watermark: every op <= FlushedOp is
+	// FlushedOp is the replay watermark: every op <= FlushedOp is
 	// folded into a listed segment, so recovery skips it.
 	FlushedOp uint64 `json:"flushedOp"`
-	// AppliedSeq is the caller-sequence dedup watermark as of the
-	// last flush (the cloud's preserve counter).
-	AppliedSeq uint64 `json:"appliedSeq"`
 	// Segments lists live segment file names, oldest first.
 	Segments []string `json:"segments"`
 }

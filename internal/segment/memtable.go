@@ -7,14 +7,13 @@ import (
 	"f2c/internal/model"
 )
 
-// memOp is one journaled append held by the memtable: the WAL op id,
-// the caller's dedup sequence (0 when unused), and the normalized
-// batch. Keeping whole ops (not just per-type readings) lets a WAL
-// rotation re-journal the live memtable verbatim, watermarks intact.
+// memOp is one append held by the memtable: its op number and the
+// normalized batch. Keeping whole ops (not just per-type readings)
+// lets a node's checkpoint carry the memtable verbatim in the store's
+// recovery section.
 type memOp struct {
-	op  uint64
-	seq uint64
-	b   *model.Batch
+	op uint64
+	b  *model.Batch
 }
 
 // memReadingBytes is the accounting weight of one memtable reading
@@ -28,7 +27,8 @@ type memSeries struct {
 }
 
 // memtable is the mutable head of the store. Appends go to both the
-// op list (for WAL snapshots) and a per-type view (for queries).
+// op list (for the recovery section) and a per-type view (for
+// queries).
 // Once frozen for flush it receives no more appends, but stays a
 // query source until the segment that replaces it is published.
 type memtable struct {
@@ -44,10 +44,10 @@ func newMemtable() *memtable {
 }
 
 // add appends a normalized batch.
-func (m *memtable) add(op, seq uint64, b *model.Batch) {
+func (m *memtable) add(op uint64, b *model.Batch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ops = append(m.ops, memOp{op: op, seq: seq, b: b})
+	m.ops = append(m.ops, memOp{op: op, b: b})
 	ms := m.types[b.TypeName]
 	if ms == nil {
 		ms = &memSeries{sorted: true}

@@ -17,9 +17,7 @@ import (
 	"f2c/internal/aggregate"
 	"f2c/internal/metrics"
 	"f2c/internal/model"
-	"f2c/internal/sensor"
 	"f2c/internal/store"
-	"f2c/internal/wal"
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -67,8 +65,6 @@ type Options struct {
 	CompactMinSegments int
 	// Codec compresses segment blocks. Zero selects CodecFlate.
 	Codec aggregate.Codec
-	// SyncEveryAppend fsyncs the WAL per record (see wal.Config).
-	SyncEveryAppend bool
 	// NoBackground disables the flusher goroutine; tests drive Flush
 	// and Compact explicitly.
 	NoBackground bool
@@ -95,11 +91,10 @@ func (o *Options) withDefaults() {
 	}
 }
 
-// Store is the tiered store: WAL-journaled memtable in front of
-// immutable mmap-served segments. Safe for concurrent use. It
-// implements the same append/query surface as store.TimeSeries plus
-// AppendSeq, the idempotent sequenced append the cloud's journal
-// replay uses.
+// Store is the tiered store: a memtable in front of immutable
+// mmap-served segments. It keeps no log: a durable node's journal is
+// its log (see AppendSeq and the recovery section). Safe for
+// concurrent use. It implements store.Series.
 type Store struct {
 	o Options
 
@@ -113,26 +108,14 @@ type Store struct {
 
 	// maintMu serializes flush, compaction, and retention — the
 	// manifest writers.
-	maintMu   sync.Mutex
-	man       manifest
-	frozenOp  uint64 // opCounter at the flushing-memtable swap
-	frozenSeq uint64 // appliedSeq at the swap
+	maintMu  sync.Mutex
+	man      manifest
+	frozenOp uint64 // opCounter at the flushing-memtable swap
 
-	// walMu serializes WAL appends and op numbering.
-	walMu     sync.Mutex
-	wal       *wal.Store
-	walBuf    []byte
-	colBuf    []byte
-	opCounter uint64
-
-	// snapBuf and snapCol are the WAL-rotation snapshot and its
-	// per-batch encode scratch, kept across rotations (under maintMu)
-	// so the exclusive section of a flush does not run the allocator.
-	snapBuf []byte
-	snapCol []byte
-
-	flushedOp  uint64 // ops folded into published segments
-	appliedSeq atomic.Uint64
+	// opCounter is the highest op the store has taken; plain Appends
+	// number themselves from it.
+	opCounter atomic.Uint64
+	flushedOp uint64 // ops folded into published segments; guarded by mu
 
 	latestMu sync.RWMutex
 	latest   map[string]model.Reading
@@ -155,19 +138,21 @@ type Store struct {
 
 var _ store.Series = (*Store)(nil)
 
-// Open opens (or creates) a store in o.Dir, recovering segments from
-// the manifest and the memtable from the WAL: every op at or below
-// the manifest's flushed watermark is already in a segment and is
-// skipped, so a crash anywhere — mid-flush, mid-compaction,
-// mid-rotation — replays each reading exactly once. Orphan segment
-// files from interrupted maintenance are deleted.
+// Open opens a store in o.Dir, recovering its segments from the
+// manifest; the memtable starts empty, and a node refills it from its
+// journal (Restore, then AppendSeq for the log tail). Orphan segment
+// files from interrupted maintenance are deleted. The directory is
+// created by the first flush, so a store that is opened and refused
+// leaves none behind. A directory holding a store WAL (wal/) was
+// written before the node journal became the store's log and is
+// refused untouched.
 func Open(o Options) (*Store, error) {
 	if o.Dir == "" {
 		return nil, errors.New("segment: Options.Dir is required")
 	}
 	o.withDefaults()
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, err
+	if _, err := os.Stat(filepath.Join(o.Dir, "wal")); err == nil {
+		return nil, fmt.Errorf("segment: %s holds a store WAL (wal/): it was written before the node journal became the store's log; refused, left as it is", o.Dir)
 	}
 	man, err := readManifest(o.Dir)
 	if err != nil {
@@ -206,12 +191,7 @@ func Open(o Options) (*Store, error) {
 		return nil, err
 	}
 	s.flushedOp = man.FlushedOp
-	s.opCounter = man.FlushedOp
-	s.appliedSeq.Store(man.AppliedSeq)
-	if err := s.recoverWAL(); err != nil {
-		s.releaseSegs()
-		return nil, err
-	}
+	s.opCounter.Store(man.FlushedOp)
 	s.updateStorageGauges()
 	if !o.NoBackground {
 		s.bg = true
@@ -236,6 +216,9 @@ func (s *Store) releaseSegs() {
 // collide with a file a crashed maintenance pass left behind.
 func (s *Store) sweepOrphans(live map[string]bool) error {
 	entries, err := os.ReadDir(s.o.Dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
 	if err != nil {
 		return err
 	}
@@ -265,29 +248,32 @@ func segFileNumber(name string) (uint64, bool) {
 	return n, err == nil
 }
 
-// walDir is the memtable journal's subdirectory.
-func (s *Store) walDir() string { return filepath.Join(s.o.Dir, "wal") }
-
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.o.Dir }
 
 // Retention returns the configured retention window.
 func (s *Store) Retention() time.Duration { return s.o.Retention }
 
-// AppliedSeq returns the caller-sequence watermark: the highest seq
-// ever passed to AppendSeq (recovered across restarts).
-func (s *Store) AppliedSeq() uint64 { return s.appliedSeq.Load() }
+// FlushedOp returns the manifest watermark: every op at or below it is
+// inside a segment.
+func (s *Store) FlushedOp() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.flushedOp
+}
 
-// Append journals and stores every reading of the batch.
+// Append stores every reading of the batch under the store's own next
+// op. Nothing logs it: it is volatile until a flush writes it into a
+// segment.
 func (s *Store) Append(b *model.Batch) error { return s.AppendSeq(b, 0) }
 
-// AppendSeq is Append with an idempotency sequence: a batch whose
-// seq is at or below the recovered watermark was already applied
-// before the crash and is dropped, which is how the cloud's journal
-// replay re-runs its preserve history without duplicating readings.
-// Sequences must be assigned monotonically by a serialized caller;
-// seq 0 bypasses the check.
-func (s *Store) AppendSeq(b *model.Batch, seq uint64) error {
+// AppendSeq stores every reading of the batch as op, the position of
+// the journal record that carries it (0 numbers it as Append does).
+// Callers pass increasing ops, serialized — a node under its journal
+// mutex. An op at or below FlushedOp is already inside a segment: it
+// is a recovering node replaying its log, and only the latest map
+// takes it, in log order.
+func (s *Store) AppendSeq(b *model.Batch, op uint64) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("segment append: %w", err)
 	}
@@ -297,32 +283,18 @@ func (s *Store) AppendSeq(b *model.Batch, seq uint64) error {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	if seq != 0 && seq <= s.appliedSeq.Load() {
+	if op == 0 {
+		op = s.opCounter.Add(1)
+	} else if op > s.opCounter.Load() {
+		s.opCounter.Store(op)
+	}
+	if op <= s.flushedOp {
+		s.updateLatest(nb)
 		s.mu.RUnlock()
 		return nil
 	}
-	var op uint64
-	s.walMu.Lock()
-	op = s.opCounter + 1
-	s.colBuf = sensor.AppendBatchColumnar(s.colBuf[:0], nb)
-	s.walBuf = appendOpRecord(s.walBuf[:0], op, seq, s.colBuf)
-	if err := s.wal.Append(s.walBuf); err != nil {
-		s.walMu.Unlock()
-		s.mu.RUnlock()
-		return err
-	}
-	s.opCounter = op
-	s.walMu.Unlock()
-	if seq != 0 {
-		for {
-			cur := s.appliedSeq.Load()
-			if seq <= cur || s.appliedSeq.CompareAndSwap(cur, seq) {
-				break
-			}
-		}
-	}
 	mem := s.mem
-	mem.add(op, seq, nb)
+	mem.add(op, nb)
 	s.updateLatest(nb)
 	s.readings.Add(int64(len(nb.Readings)))
 	s.mu.RUnlock()
@@ -589,10 +561,10 @@ func (s *Store) run() {
 }
 
 // Flush freezes the memtable, writes it as a segment, commits it in
-// the manifest, publishes it to queries, and rotates the WAL with a
-// snapshot of the (new, still-open) memtable. The frozen memtable
-// remains a query source until the segment is published, so a page
-// walk straddling the flush sees every reading exactly once.
+// the manifest together with the flushed-op watermark, and publishes
+// it to queries. The frozen memtable remains a query source until the
+// segment is published, so a page walk straddling the flush sees
+// every reading exactly once.
 func (s *Store) Flush() error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
@@ -626,11 +598,10 @@ func (s *Store) flushLocked() error {
 		s.flushing = s.mem
 		s.mem = newMemtable()
 		// mu excludes appenders, so opCounter is quiescent here.
-		s.frozenOp = s.opCounter
-		s.frozenSeq = s.appliedSeq.Load()
+		s.frozenOp = s.opCounter.Load()
 	}
 	frozen := s.flushing
-	frozenOp, frozenSeq := s.frozenOp, s.frozenSeq
+	frozenOp := s.frozenOp
 	s.mu.Unlock()
 
 	name, g, err := s.writeSegment("flush", func(w *segmentWriter) error {
@@ -646,7 +617,6 @@ func (s *Store) flushLocked() error {
 	}
 	man := s.man
 	man.FlushedOp = frozenOp
-	man.AppliedSeq = frozenSeq
 	man.Segments = append(append([]string(nil), s.man.Segments...), name)
 	if err := writeManifest(s.o.Dir, man); err != nil {
 		g.release()
@@ -664,18 +634,7 @@ func (s *Store) flushLocked() error {
 	s.flushedOp = frozenOp
 	s.mu.Unlock()
 	s.updateStorageGauges()
-
-	// Rotate the WAL: the snapshot re-journals the live memtable so
-	// the old log (whose ops are now segment-covered or snapshotted)
-	// can be deleted.
-	if err := s.checkpointAbort("flush:rotate"); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.encodeSnapshotLocked()
-	err = s.wal.WriteSnapshot(s.snapBuf)
-	s.mu.Unlock()
-	return err
+	return nil
 }
 
 // writeSegment streams the next segment file through fill, makes it
@@ -689,6 +648,9 @@ func (s *Store) writeSegment(kind string, fill func(w *segmentWriter) error) (st
 	seq := s.man.NextSeg
 	name := fmt.Sprintf("%08d.seg", seq)
 	path := filepath.Join(s.o.Dir, name)
+	if err := os.MkdirAll(s.o.Dir, 0o755); err != nil {
+		return "", nil, err
+	}
 	f, err := os.OpenFile(path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", nil, err
@@ -1037,10 +999,10 @@ func (s *Store) updateStorageGauges() {
 }
 
 // Close stops the background flusher (aborting any in-flight
-// maintenance at its next stage boundary), syncs and closes the WAL,
-// and unmaps segments. The memtable is not flushed: it lives in the
-// WAL and is replayed by the next Open, so clean shutdowns don't
-// litter tiny segments.
+// maintenance at its next stage boundary) and unmaps segments. The
+// memtable is not flushed: the node's journal holds it (its snapshot's
+// recovery section and its log tail) and refills it after the next
+// Open, so clean shutdowns don't litter tiny segments.
 func (s *Store) Close() error {
 	s.stopping.Store(true)
 	s.stopOnce.Do(func() { close(s.stopCh) })
@@ -1055,17 +1017,11 @@ func (s *Store) Close() error {
 	s.closed = true
 	segs := s.segs
 	s.segs = nil
-	w := s.wal
-	s.wal = nil
 	s.mu.Unlock()
-	var err error
-	if w != nil {
-		err = w.Close()
-	}
 	for _, g := range segs {
 		g.release()
 	}
-	return err
+	return nil
 }
 
 // Discard is Close for crash simulation and teardown: it abandons

@@ -279,16 +279,19 @@ func TestRetentionDropsWholeSegments(t *testing.T) {
 	}
 }
 
+// TestRecoverMemtableFromWAL: an unflushed memtable lives only in the
+// node's log, and a store reopened after a crash is refilled from it.
 func TestRecoverMemtableFromWAL(t *testing.T) {
 	dir := t.TempDir()
+	var log testLog
 	s := openTest(t, dir, nil)
-	if err := s.Append(testBatch("traffic", t0, 30, time.Second, 0)); err != nil {
+	if err := log.append(s, testBatch("traffic", t0, 30, time.Second, 0)); err != nil {
 		t.Fatal(err)
 	}
-	// No flush: everything lives in the WAL.
+	// No flush: everything lives in the log.
 	s.Discard()
 
-	s2 := openTest(t, dir, nil)
+	s2 := reopen(t, dir, &log, nil)
 	defer s2.Close()
 	all := s2.QueryRange("traffic", t0.Add(-time.Hour), t0.Add(time.Hour))
 	if len(all) != 30 {
@@ -299,21 +302,25 @@ func TestRecoverMemtableFromWAL(t *testing.T) {
 	}
 }
 
+// TestRecoverSegmentsPlusWALTail: the segments hold what was flushed,
+// the log replay adds only the ops above the watermark, and the
+// latest map still sees every op in log order.
 func TestRecoverSegmentsPlusWALTail(t *testing.T) {
 	dir := t.TempDir()
+	var log testLog
 	s := openTest(t, dir, nil)
-	if err := s.Append(testBatch("traffic", t0, 40, time.Second, 0)); err != nil {
+	if err := log.append(s, testBatch("traffic", t0, 40, time.Second, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testBatch("traffic", t0.Add(40*time.Second), 20, time.Second, 40)); err != nil {
+	if err := log.append(s, testBatch("traffic", t0.Add(40*time.Second), 20, time.Second, 40)); err != nil {
 		t.Fatal(err)
 	}
 	s.Discard()
 
-	s2 := openTest(t, dir, nil)
+	s2 := reopen(t, dir, &log, nil)
 	defer s2.Close()
 	if n := s2.SegmentCount(); n != 1 {
 		t.Fatalf("recovered segments = %d, want 1", n)
@@ -329,13 +336,20 @@ func TestRecoverSegmentsPlusWALTail(t *testing.T) {
 		}
 		seen[r.Value] = true
 	}
+	if r, ok := s2.Latest("s00"); !ok || r.Value != 56 {
+		t.Fatalf("recovered Latest = %+v %v, want the tail's value 56", r, ok)
+	}
 }
 
+// TestAppendSeqIdempotent: a log replay re-runs ops the segments
+// already hold, and each reaches only the latest map; an op above the
+// watermark still lands.
 func TestAppendSeqIdempotent(t *testing.T) {
 	dir := t.TempDir()
+	var log testLog
 	s := openTest(t, dir, nil)
 	for i := 1; i <= 5; i++ {
-		if err := s.AppendSeq(testBatch("traffic", t0.Add(time.Duration(i)*time.Minute), 5, time.Second, float64(i*10)), uint64(i)); err != nil {
+		if err := log.append(s, testBatch("traffic", t0.Add(time.Duration(i)*time.Minute), 5, time.Second, float64(i*10))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,27 +358,23 @@ func TestAppendSeqIdempotent(t *testing.T) {
 	}
 	s.Discard()
 
-	s2 := openTest(t, dir, nil)
+	s2 := reopen(t, dir, &log, nil)
 	defer s2.Close()
-	if got := s2.AppliedSeq(); got != 5 {
-		t.Fatalf("AppliedSeq = %d, want 5", got)
-	}
-	// A journal replay re-runs the whole preserve history: every
-	// already-applied sequence must be dropped.
-	for i := 1; i <= 5; i++ {
-		if err := s2.AppendSeq(testBatch("traffic", t0.Add(time.Duration(i)*time.Minute), 5, time.Second, float64(i*10)), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+	if got := s2.FlushedOp(); got != 5 {
+		t.Fatalf("FlushedOp = %d, want 5", got)
 	}
 	if got := s2.Stats().Readings; got != 25 {
 		t.Fatalf("Readings after replay = %d, want 25", got)
 	}
-	// A genuinely new sequence still lands.
-	if err := s2.AppendSeq(testBatch("traffic", t0.Add(time.Hour), 5, time.Second, 100), 6); err != nil {
+	if r, ok := s2.Latest("s00"); !ok || r.Value != 54 {
+		t.Fatalf("Latest after replay = %+v %v, want op 5's value 54", r, ok)
+	}
+	// A genuinely new op still lands.
+	if err := log.append(s2, testBatch("traffic", t0.Add(time.Hour), 5, time.Second, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Stats().Readings; got != 30 {
-		t.Fatalf("Readings after new seq = %d, want 30", got)
+		t.Fatalf("Readings after a new op = %d, want 30", got)
 	}
 }
 

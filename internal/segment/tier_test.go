@@ -370,8 +370,8 @@ func TestQueryBlockOfNanosecondSpan(t *testing.T) {
 // takes eight of the small ones (the window is maxCompactInputs wide
 // and the big one outweighs seven of them); its output makes the big
 // one a match and round two takes all three that are left. CodecNone
-// keeps sizes proportional to readings.
-func cascadeStore(t *testing.T, dir string) (s *Store, total int) {
+// keeps sizes proportional to readings. Appends go through log.
+func cascadeStore(t *testing.T, dir string, log *testLog) (s *Store, total int) {
 	t.Helper()
 	const flush = 256 // readings: eight full blocks of 32
 	s = openTest(t, dir, func(o *Options) {
@@ -380,7 +380,7 @@ func cascadeStore(t *testing.T, dir string) (s *Store, total int) {
 		o.CompactMinSegments = 2
 	})
 	add := func(n int) {
-		if err := s.Append(testBatch("traffic", t0.Add(time.Duration(total)*time.Second), n, time.Second, float64(total))); err != nil {
+		if err := log.append(s, testBatch("traffic", t0.Add(time.Duration(total)*time.Second), n, time.Second, float64(total))); err != nil {
 			t.Fatal(err)
 		}
 		total += n
@@ -400,7 +400,7 @@ func cascadeStore(t *testing.T, dir string) (s *Store, total int) {
 // rewriting the output of the first, both copying full blocks as they
 // are — and finishes the walk.
 func TestCursorStableAcrossCompactionCascade(t *testing.T) {
-	s, total := cascadeStore(t, t.TempDir())
+	s, total := cascadeStore(t, t.TempDir(), &testLog{})
 	defer s.Close()
 	from, to := time.Time{}, t0.Add(24*time.Hour)
 	got, cursor, err := s.QueryRangePage("traffic", from, to, 50, "")
@@ -438,7 +438,8 @@ func TestCursorStableAcrossCompactionCascade(t *testing.T) {
 // reading is lost or doubled.
 func TestCrashMidStream(t *testing.T) {
 	dir := t.TempDir()
-	s, total := cascadeStore(t, dir)
+	var log testLog
+	s, total := cascadeStore(t, dir, &log)
 	s.SetFailpoint(crashAt("compact:encode"))
 	if _, err := s.Compact(); err == nil {
 		t.Fatal("compaction survived the injected crash")
@@ -459,7 +460,7 @@ func TestCrashMidStream(t *testing.T) {
 	}
 	s.Discard()
 
-	s2 := openTest(t, dir, nil)
+	s2 := reopen(t, dir, &log, nil)
 	defer s2.Close()
 	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
 		t.Fatalf("reopen left %v behind", left)
@@ -633,56 +634,29 @@ func TestFullDisjointBlockIsCopiedNotDecoded(t *testing.T) {
 	}
 }
 
-// TestParentWrittenDataDir opens a data dir the commit before the
-// tiered rule wrote (one merged segment, two flushed ones, a WAL
-// snapshot and a log tail of two unflushed batches), and reads,
-// flushes, compacts and reopens it.
+// TestParentWrittenDataDir: a data dir written before the node journal
+// became the store's log (one merged segment, two flushed ones, and a
+// store WAL holding a snapshot and a log tail of two unflushed
+// batches) is refused — its memtable lives in a log no build reads any
+// more — with an error naming it, and nothing in it is written.
 func TestParentWrittenDataDir(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent_store"))); err != nil {
 		t.Fatal(err)
 	}
-	types := []string{"noise_level", "traffic", "weather"}
-	want := map[string][]model.Reading{}
-	for k := 0; k < 14; k++ {
-		b := normalizeBatch(testBatch(types[k%3], t0.Add(time.Duration(k*100)*time.Second), 150, time.Second, float64(k*1000)))
-		want[b.TypeName] = append(want[b.TypeName], b.Readings...)
+	before := dirListing(t, dir)
+	_, err := Open(Options{Dir: dir, NoBackground: true})
+	if err == nil {
+		t.Fatal("a store with its own WAL opened")
 	}
-	for _, rs := range want {
-		sort.SliceStable(rs, func(i, j int) bool { return canonLess(&rs[i], &rs[j]) })
-	}
-	check := func(s *Store, when string) {
-		t.Helper()
-		for _, typ := range types {
-			if got := s.QueryRange(typ, time.Time{}, t0.Add(24*time.Hour)); !sameReadings(got, want[typ]) {
-				t.Fatalf("%s: %s = %d readings, want %d", when, typ, len(got), len(want[typ]))
-			}
-		}
-		if got := s.AppliedSeq(); got != 14 {
-			t.Fatalf("%s: AppliedSeq = %d, want 14", when, got)
+	for _, want := range []string{dir, "store WAL", "refused"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
-	opts := func(o *Options) { o.BlockReadings = 64; o.CompactMinSegments = 2 }
-
-	s := openTest(t, dir, opts)
-	if n := s.SegmentCount(); n != 3 {
-		t.Fatalf("opened %d segments, want 3", n)
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("the refused open changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	check(s, "as written")
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	check(s, "after flushing the recovered memtable")
-	if quiesce(t, s) == 0 {
-		t.Fatal("no compaction round ran over the recovered segments")
-	}
-	check(s, "after compaction")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = openTest(t, dir, opts)
-	defer s.Close()
-	check(s, "reopened")
 }
 
 // TestMaintenanceErrorsCounted pins the flusher's accounting: a flush

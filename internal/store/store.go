@@ -100,6 +100,9 @@ const approxReadingBytes = 96
 // serve it under the same cursor contract.
 type Series interface {
 	Append(b *model.Batch) error
+	// AppendSeq is Append as op, the position of the journal record
+	// that carries the batch on a durable node (segment.Store.AppendSeq).
+	AppendSeq(b *model.Batch, op uint64) error
 	Latest(sensorID string) (model.Reading, bool)
 	QueryRange(typeName string, from, to time.Time) []model.Reading
 	QueryRangePage(typeName string, from, to time.Time, limit int, cursor string) ([]model.Reading, string, error)
@@ -168,6 +171,10 @@ func (s *TimeSeries) seriesShardFor(typeName string) *seriesShard {
 func (s *TimeSeries) latestShardFor(sensorID string) *latestShard {
 	return &s.latest[shard.FNV32a(sensorID)&(storeShards-1)]
 }
+
+// AppendSeq is Append: an in-RAM store has no log to number its ops
+// after.
+func (s *TimeSeries) AppendSeq(b *model.Batch, _ uint64) error { return s.Append(b) }
 
 // Append stores every reading of the batch.
 func (s *TimeSeries) Append(b *model.Batch) error {
