@@ -168,9 +168,10 @@ func New(cfg Config) (*Node, error) {
 func (n *Node) recovery() durable.Recovery {
 	rs := &cloudRecovery{}
 	return durable.Recovery{
-		Snapshot: func(data []byte) error { return decodeCloudSnapshot(data, rs) },
-		Record:   rs.applyRecord,
-		Install:  func() error { return n.install(rs) },
+		Snapshot:   func(data []byte) error { return decodeCloudSnapshot(data, rs) },
+		Record:     rs.applyRecord,
+		Install:    func() error { return n.install(rs) },
+		Checkpoint: n.Checkpoint,
 	}
 }
 
@@ -248,7 +249,7 @@ func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
 	}
 	err := n.dur.Journal.Apply(func(buf []byte) []byte {
 		buf = append(buf, recPreserve2)
-		buf = wal.AppendUint64(buf, n.dur.NextOp())
+		buf = wal.AppendUint64(buf, 0)
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, from)
 		return sensor.AppendBatch(buf, b)

@@ -48,7 +48,7 @@ const (
 	cloudSnapshotVersion = 5
 
 	recExpire    = 2
-	recPreserve2 = 3 // preserve carrying its op number (durable.Core.NextOp)
+	recPreserve2 = 3 // preserve; its first field, once a store op number, is written 0
 	recAlert     = 4 // accepted alert push (raw wire payload)
 	recSummary   = 5 // accepted summary push (payload record, as a fog node's recAbsorb)
 )
@@ -190,8 +190,9 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 	body := rec[1:]
 	switch rec[0] {
 	case recPreserve2:
-		// The op number is the record's position among the preserves,
-		// which the durable core counts itself.
+		// The first field is unused: a preserve's store op is the
+		// record's position among the preserves, which the durable
+		// core counts itself.
 		_, rest, err := wal.ReadUint64(body)
 		if err != nil {
 			return err

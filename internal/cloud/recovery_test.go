@@ -9,12 +9,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
 	"f2c/internal/aggregate"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
+	"f2c/internal/segment"
 	"f2c/internal/sim"
 	"f2c/internal/transport"
 	"f2c/internal/wal"
@@ -185,6 +189,71 @@ func TestCloudStoreHoldsWhatTheJournalAccepted(t *testing.T) {
 	if fmt.Sprint(read) != fmt.Sprint(archived) || len(read) != 5 {
 		t.Errorf("range reads %v, archive %v: want the same 5 readings", read, archived)
 	}
+}
+
+// TestCloudLogTailBehindFlushedSegments: a machine crash can leave the
+// journal ending behind the synced segments. A preserve accepted after
+// that recovery must reach the series' range reads, also after a
+// second crash.
+func TestCloudLogTailBehindFlushedSegments(t *testing.T) {
+	dir := t.TempDir()
+	at := func(i int) time.Time { return c0.Add(time.Duration(i) * time.Minute) }
+	n := newDurableCloud(t, dir)
+	var cut int64
+	for i := 1; i <= 10; i++ {
+		if err := n.Preserve(cloudBatch("fog2/d01", "traffic", at(i), float64(i)), "fog2/d01"); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			fi, err := os.Stat(journalLog(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut = fi.Size()
+		}
+	}
+	if err := n.series.(*segment.Store).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+	if err := os.Truncate(journalLog(t, dir), cut); err != nil {
+		t.Fatal(err)
+	}
+
+	n = newDurableCloud(t, dir)
+	if err := n.Preserve(cloudBatch("fog2/d01", "traffic", at(11), 11), "fog2/d01"); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+
+	re := newDurableCloud(t, dir)
+	var archived, read []float64
+	for _, rec := range re.Archive().ByType("traffic") {
+		for _, r := range rec.Batch.Readings {
+			archived = append(archived, r.Value)
+		}
+	}
+	for _, r := range re.Historical("traffic", c0, at(12)) {
+		read = append(read, r.Value)
+	}
+	sort.Float64s(archived)
+	sort.Float64s(read)
+	if fmt.Sprint(archived) != "[1 2 3 4 5 11]" {
+		t.Errorf("archive %v, want the journal's [1 2 3 4 5 11]", archived)
+	}
+	if fmt.Sprint(read) != "[1 2 3 4 5 6 7 8 9 10 11]" {
+		t.Errorf("range reads %v, want the segments' 1..10 and the journal's 11", read)
+	}
+}
+
+// journalLog is the path of dir's one journal log.
+func journalLog(t *testing.T, dir string) string {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("journal logs %v: %v", logs, err)
+	}
+	return logs[0]
 }
 
 // TestCloudRecoveryPropertySeeded randomizes preserve/expire/crash/

@@ -128,6 +128,10 @@ type Recovery struct {
 	// Store in log order. Metrics are not re-counted: recovered state
 	// was accounted by its first life.
 	Install func() error
+	// Checkpoint writes the node's checkpoint through Core.Checkpoint.
+	// Recover calls it once Install is done, and only when the log
+	// ended behind the store's flushed segments.
+	Checkpoint func() error
 }
 
 // snapshotMark opens every snapshot a durable node writes, ahead of
@@ -183,9 +187,15 @@ func (c *Core) Recover(r Recovery) (err error) {
 		return err
 	}
 	// A log that lost its tail to a machine crash (appends are not
-	// fsynced one by one) can end behind segments already flushed: new
-	// ops number on above them, or they would be taken for replays.
-	c.op = max(c.op, c.segments.FlushedOp())
+	// fsynced one by one, segment flushes are) can end behind segments
+	// already flushed. New ops must number on above them, or they
+	// would be taken for replays; and the numbering must be on disk
+	// before the first of them, or the next recovery, counting
+	// positions from the snapshot, would number them below again.
+	if flushed := c.segments.FlushedOp(); c.op < flushed {
+		c.op = flushed
+		return r.Checkpoint()
+	}
 	return nil
 }
 
@@ -202,9 +212,6 @@ func (c *Core) Store(b *model.Batch) error {
 	c.op++
 	return c.Series.AppendSeq(b, c.op)
 }
-
-// NextOp is the op the next Store takes, for a record that names it.
-func (c *Core) NextOp() uint64 { return c.op + 1 }
 
 // Checkpoint writes the node's snapshot — the op counter and the
 // segment store's recovery section, then the body encode appends —

@@ -34,9 +34,6 @@ import (
 //	                  recovered receiver either has both the batch and
 //	                  its mark or neither, and a sender's retry is
 //	                  either recognized or re-accepted exactly once
-//	recStored         readings of an edge ingest forwarded to the
-//	                  type's new owner (migrate.go): stored locally,
-//	                  not buffered
 //	recShed           readings trimmed oldest-first by
 //	                  MaxPendingReadings; replay drops them again or,
 //	                  on a DegradeToSummary node, folds them into the
@@ -66,7 +63,7 @@ import (
 //	recUnsubscribe    a subscription cancelled (or handed off by a
 //	                  completed shard migration)
 //
-// recBatch, recStored, recAbsorb, recMigrateIn, recSubscribe and the
+// recBatch, recAbsorb, recMigrateIn, recSubscribe and the
 // recPushSeal of a push absorbed from another node are acceptance
 // gates: if the record cannot be appended the operation fails and the
 // sender retries. The other records are best-effort (durable.Journal.
@@ -92,7 +89,6 @@ const (
 	recItemCommit   = 11
 	recPushSeal     = 12
 	recAbsorb       = 13
-	recStored       = 14
 )
 
 // The record table: one encoder per record above, each appending
@@ -122,14 +118,6 @@ func (n *Node) journalBatch(b *model.Batch, origin string, seq uint64) error {
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, origin)
 		return sensor.AppendBatch(buf, &up)
-	}, func() error { return n.dur.Store(b) })
-}
-
-// journalStored journals and stores the readings of an edge ingest
-// forwarded to its type's new owner.
-func (n *Node) journalStored(b *model.Batch) error {
-	return n.dur.Journal.Apply(func(buf []byte) []byte {
-		return sensor.AppendBatch(append(buf, recStored), b)
 	}, func() error { return n.dur.Store(b) })
 }
 
@@ -270,9 +258,9 @@ type recoveryState struct {
 	sawSeq     bool
 	marks      []markEntry
 	types      map[string]*typeRecovery
-	// stored collects the tail's store-carrying batches (recBatch,
-	// recStored) in log order; Install passes each to the durable
-	// core's Store, which appends only what the segments lack.
+	// stored collects the tail's recBatch batches in log order;
+	// Install passes each to the durable core's Store, which appends
+	// only what the segments lack.
 	stored []*model.Batch
 	// Continuous-query state. snapSubs are the checkpoint's engine
 	// snapshots; subEvents the tail's subscribe/unsubscribe/handoff
@@ -615,13 +603,6 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		// snapshot, so the cq engine must re-observe them (snapshot
 		// entries must not be — their readings are already folded).
 		rs.observed = append(rs.observed, b)
-	case recStored:
-		b, err := sensor.DecodeBatch(body)
-		if err != nil {
-			return fmt.Errorf("fognode: journal stored batch: %w", err)
-		}
-		rs.stored = append(rs.stored, b)
-		rs.observed = append(rs.observed, b)
 	case recSeal:
 		seq, rest, err := wal.ReadUint64(body)
 		if err != nil {
@@ -764,9 +745,10 @@ func (n *Node) recovery() durable.Recovery {
 	rs.self = n.cfg.Spec.ID
 	rs.degrade = n.cfg.DegradeToSummary
 	return durable.Recovery{
-		Snapshot: func(data []byte) error { return decodeNodeSnapshot(data, rs) },
-		Record:   rs.applyRecord,
-		Install:  func() error { return n.install(rs) },
+		Snapshot:   func(data []byte) error { return decodeNodeSnapshot(data, rs) },
+		Record:     rs.applyRecord,
+		Install:    func() error { return n.install(rs) },
+		Checkpoint: n.Checkpoint,
 	}
 }
 
@@ -776,8 +758,8 @@ func (n *Node) install(rs *recoveryState) error {
 	// window this node is known to have fired — only then are the
 	// tail's accepted batches re-observed, so a sealed window cannot
 	// refire while an unsealed one (its fire lost with the crash)
-	// legitimately does. Refired alerts are sealed by New once
-	// recovery is done.
+	// legitimately does. Refired alerts are sealed last, once the
+	// recovered outboxes are in place.
 	for i := range rs.snapSubs {
 		if err := n.cqe.Install(rs.snapSubs[i]); err != nil {
 			return err
@@ -800,11 +782,12 @@ func (n *Node) install(rs *recoveryState) error {
 	for _, m := range rs.alertMarks {
 		n.cqe.MarkEmitted(m.subID, m.start)
 	}
+	var refired []cq.Alert
 	for _, b := range rs.observed {
 		if len(b.Readings) == 0 {
 			continue
 		}
-		n.recoveredAlerts = append(n.recoveredAlerts, n.cqe.Observe(b)...)
+		refired = append(refired, n.cqe.Observe(b)...)
 	}
 	for typ, tr := range rs.types {
 		sh := n.shardFor(typ)
@@ -829,5 +812,9 @@ func (n *Node) install(rs *recoveryState) error {
 			return fmt.Errorf("fognode %s: recover store: %w", n.cfg.Spec.ID, err)
 		}
 	}
+	// Windows recovery legitimately refired (their seal records were
+	// lost with the crash) are sealed now, so this life's records
+	// cover them.
+	n.sealAlerts(refired)
 	return nil
 }

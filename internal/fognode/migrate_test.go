@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -275,6 +276,42 @@ func TestIngestForwardsRoutedTypes(t *testing.T) {
 	if got := src.PendingBatches(); got != 1 {
 		t.Fatalf("source queued %d delivery units after ClearRoute, want 1", got)
 	}
+}
+
+// TestDurableRoutedIngestStoresOnce: on a durable node the batch
+// record a routed edge ingest journals is its local copy's store
+// append, so the source's range reads hold each reading once, live and
+// after a crash — whether the forward landed or the batch stayed
+// parked.
+func TestDurableRoutedIngestStoresOnce(t *testing.T) {
+	dir := t.TempDir()
+	net := newMigrateNet("fog2/d01")
+	src := newMigrateNode(t, net, "fog1/d01-s01", dir)
+	dst := newMigrateNode(t, net, "fog1/d01-s02", "")
+	src.SetRoute("traffic", dst.ID())
+	if err := src.Ingest(typedBatch("traffic", t0, 7, 8)); err != nil {
+		t.Fatal(err)
+	}
+	net.setMigrate("fail")
+	if err := src.Ingest(typedBatch("traffic", t0.Add(time.Minute), 9)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(life string, n *Node) {
+		t.Helper()
+		var got []float64
+		for _, r := range n.Query("traffic", t0, t0.Add(time.Hour)) {
+			got = append(got, r.Value)
+		}
+		sort.Float64s(got)
+		if fmt.Sprint(got) != "[7 8 9]" {
+			t.Errorf("%s: source stores %v, want [7 8 9] once each", life, got)
+		}
+	}
+	check("live", src)
+	src.Discard()
+	re := newMigrateNode(t, net, "fog1/d01-s01", dir)
+	defer re.Discard()
+	check("recovered", re)
 }
 
 // TestIngestRoutedFallsBackWhenTargetDown: a forward that cannot

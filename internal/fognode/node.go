@@ -244,11 +244,8 @@ type Node struct {
 	routes  map[string]string
 
 	// cqe evaluates standing continuous-query subscriptions in the
-	// ingest path (see alerts.go); recoveredAlerts carries alerts a
-	// journal recovery refired, sealed by New once recovery is done so
-	// their seal records land behind the recovered log.
-	cqe             *cq.Engine
-	recoveredAlerts []cq.Alert
+	// ingest path (see alerts.go).
+	cqe *cq.Engine
 
 	ingestedBatches  *metrics.Counter
 	ingestedReads    *metrics.Counter
@@ -383,13 +380,6 @@ func New(cfg Config) (*Node, error) {
 	if err := dur.Recover(n.recovery()); err != nil {
 		return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
 	}
-	if len(n.recoveredAlerts) > 0 {
-		// Windows recovery legitimately refired (their seal records
-		// were lost with the crash) are sealed now, so this life's
-		// records cover them.
-		n.sealAlerts(n.recoveredAlerts)
-		n.recoveredAlerts = nil
-	}
 	return n, nil
 }
 
@@ -447,11 +437,15 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 	// their (origin, seq) mark commits atomically with acceptance.
 	if origin == "" {
 		if target := n.Route(b.TypeName); target != "" {
+			// ingestRouted's batch record stores the readings on a
+			// durable node; an in-RAM store appends here, as below.
 			if err := n.ingestRouted(b, target); err != nil {
 				return err
 			}
-			if err := n.journalStored(b); err != nil {
-				return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
+			if n.dur.Journal == nil {
+				if err := n.dur.Store(b); err != nil {
+					return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
+				}
 			}
 			n.observeAlerts(b)
 			return nil

@@ -180,3 +180,67 @@ func equalValues(a, b []float64) bool {
 	}
 	return true
 }
+
+// journalLog is the path of dir's one journal log.
+func journalLog(t *testing.T, dir string) string {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*"))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("journal logs %v: %v", logs, err)
+	}
+	return logs[0]
+}
+
+// TestLogTailBehindFlushedSegments: segment flushes are synced, journal
+// appends are not, so a machine crash can leave a log that ends behind
+// the segments. The readings of the lost records stay in the segments;
+// a batch accepted after that recovery must reach the store's range
+// reads, also after a second crash — its op numbers above the
+// segments, and the next recovery numbers it the same way.
+func TestLogTailBehindFlushedSegments(t *testing.T) {
+	dir := t.TempDir()
+	parent := &switchParent{}
+	n := openOneLogNode(t, dir, parent.network())
+	at := func(i int) time.Time { return t0.Add(time.Duration(i) * time.Minute) }
+	var cut int64
+	for i := 1; i <= 10; i++ {
+		if err := n.Ingest(typedBatch("traffic", at(i), float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			fi, err := os.Stat(journalLog(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut = fi.Size()
+		}
+	}
+	if err := n.store.(*segment.Store).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+	// A machine crash loses the appends the disk had not synced.
+	if err := os.Truncate(journalLog(t, dir), cut); err != nil {
+		t.Fatal(err)
+	}
+
+	n = openOneLogNode(t, dir, parent.network())
+	if err := n.Ingest(typedBatch("traffic", at(11), 11)); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+
+	n = openOneLogNode(t, dir, parent.network())
+	defer n.Discard()
+	var got []float64
+	for _, r := range n.Query("traffic", t0, at(12)) {
+		got = append(got, r.Value)
+	}
+	sort.Float64s(got)
+	if want := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}; !equalValues(got, want) {
+		t.Errorf("stored %v, want %v", got, want)
+	}
+	if got := n.PendingReadings(); got != 6 {
+		t.Errorf("%d readings pending, want the 6 the journal kept", got)
+	}
+}
