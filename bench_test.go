@@ -160,15 +160,17 @@ func BenchmarkRealtimeAccess(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("fog1-local", func(b *testing.B) {
+		local, _ := sys.Fog1(f1)
 		for i := 0; i < b.N; i++ {
-			if _, found, err := sys.LatestAtFog(f1, "s1"); err != nil || !found {
+			if _, found := local.Latest("s1"); !found {
 				b.Fatal("read failed")
 			}
 		}
 	})
 	b.Run("cloud-remote", func(b *testing.B) {
+		eng := sys.QueryEngine(f1)
 		for i := 0; i < b.N; i++ {
-			if _, found, err := sys.LatestFromCloud(ctx, f1, "s1"); err != nil || !found {
+			if _, found, err := eng.LatestFrom(ctx, sys.Cloud().ID(), "s1"); err != nil || !found {
 				b.Fatal("read failed")
 			}
 		}

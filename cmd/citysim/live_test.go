@@ -210,8 +210,8 @@ func TestBurst(t *testing.T) {
 		accepted += kept
 	}
 	for _, m := range fogs {
-		degraded += m.fog.DegradedReadings()
-		summaries += m.fog.SummariesEmitted()
+		degraded += m.reg.Counter(m.id + ".flush.degraded_readings").Value()
+		summaries += m.reg.Counter(m.id + ".flush.summaries_emitted").Value()
 		shed += m.fog.ShedReadings()
 	}
 	if degraded == 0 || summaries == 0 {

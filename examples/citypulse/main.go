@@ -60,7 +60,8 @@ func run() error {
 	// City-wide summary: one tiny message per district, no raw data
 	// on the wire.
 	from, to := start.Add(-time.Hour), start.Add(4*time.Hour)
-	sum, err := sys.CitySummaryViaNetwork(ctx, ids[0], "air_quality", from, to)
+	eng := sys.QueryEngine(ids[0])
+	sum, _, err := eng.Aggregate(ctx, "air_quality", from, to)
 	if err != nil {
 		return err
 	}
@@ -69,7 +70,7 @@ func run() error {
 
 	// Per-district partials for the dashboard's breakdown.
 	for _, d := range sys.Fog2IDs()[:3] {
-		partial, err := sys.DistrictSummary(d, "air_quality", from, to)
+		partial, err := eng.SummaryFrom(ctx, d, "air_quality", from, to)
 		if err != nil {
 			return err
 		}

@@ -62,10 +62,8 @@ func run() error {
 	}
 
 	// Real-time read: served locally by the fog node.
-	r, found, err := sys.LatestAtFog(fogNode, "harbor/thermo-1")
-	if err != nil {
-		return err
-	}
+	fog, _ := sys.Fog1(fogNode)
+	r, found := fog.Latest("harbor/thermo-1")
 	fmt.Printf("real-time read at %s: found=%v value=%.1f %s\n", fogNode, found, r.Value, r.Unit)
 
 	// Move data up the hierarchy: fog1 -> fog2 -> cloud.

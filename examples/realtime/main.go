@@ -67,16 +67,18 @@ func run() error {
 	}
 
 	// Path 1: the service runs at fog layer 1 and reads locally.
+	fog, _ := sys.Fog1(section)
 	t0 := time.Now()
-	r, found, err := sys.LatestAtFog(section, "gran-via/loop-17")
-	if err != nil || !found {
-		return fmt.Errorf("fog read failed: %v", err)
+	r, found := fog.Latest("gran-via/loop-17")
+	if !found {
+		return fmt.Errorf("fog read failed")
 	}
 	fogLatency := time.Since(t0)
 
 	// Path 2: the same read served by the cloud over the WAN.
+	eng := sys.QueryEngine(section)
 	t0 = time.Now()
-	_, found, err = sys.LatestFromCloud(ctx, section, "gran-via/loop-17")
+	_, found, err = eng.LatestFrom(ctx, sys.Cloud().ID(), "gran-via/loop-17")
 	if err != nil || !found {
 		return fmt.Errorf("cloud read failed: %v", err)
 	}
@@ -96,13 +98,13 @@ func run() error {
 	// is planned over retention windows (local store first, siblings
 	// scatter-gathered, then parent and cloud), and the aggregate is
 	// pushed down so only a summary-sized payload crosses the network.
-	readings, src, err := sys.QueryWithFallback(ctx, section, "traffic",
+	readings, src, err := eng.Range(ctx, "traffic",
 		start.Add(-5*time.Minute), start.Add(time.Minute), 1024)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nfederated range query: %d reading(s) served by the %s tier\n", len(readings), src)
-	sum, src, err := sys.Aggregate(ctx, section, "traffic",
+	sum, src, err := eng.Aggregate(ctx, "traffic",
 		start.Add(-5*time.Minute), start.Add(time.Minute))
 	if err != nil {
 		return err

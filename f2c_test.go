@@ -38,8 +38,9 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := sys.IngestAt(node, batch); err != nil {
 		t.Fatal(err)
 	}
-	if r, found, err := sys.LatestAtFog(node, "s1"); err != nil || !found || r.Value != 20 {
-		t.Fatalf("fog read = %+v %v %v", r, found, err)
+	fog, _ := sys.Fog1(node)
+	if r, found := fog.Latest("s1"); !found || r.Value != 20 {
+		t.Fatalf("fog read = %+v %v", r, found)
 	}
 	if err := sys.FlushAll(ctx); err != nil {
 		t.Fatal(err)

@@ -78,27 +78,6 @@ func TestDeduperValueChangeThenRepeatKept(t *testing.T) {
 	}
 }
 
-func TestDedupIntraBatch(t *testing.T) {
-	b := mkBatch("n", 1, 1, 2, 2, 2, 3) // sensors cycle a,b,c
-	// sensors: sa:1, sb:1, sc:2, sa:2, sb:2, sc:3 -> no same-sensor
-	// consecutive repeats, all kept.
-	if got := DedupIntraBatch(b); len(got.Readings) != 6 {
-		t.Fatalf("kept %d, want 6", len(got.Readings))
-	}
-	b2 := &model.Batch{NodeID: "n", TypeName: "t", Category: model.CategoryEnergy, Readings: []model.Reading{
-		{SensorID: "s", TypeName: "t", Category: model.CategoryEnergy, Time: t0, Value: 7},
-		{SensorID: "s", TypeName: "t", Category: model.CategoryEnergy, Time: t0.Add(time.Second), Value: 7},
-		{SensorID: "s", TypeName: "t", Category: model.CategoryEnergy, Time: t0.Add(2 * time.Second), Value: 8},
-	}}
-	got := DedupIntraBatch(b2)
-	if len(got.Readings) != 2 {
-		t.Fatalf("kept %d, want 2", len(got.Readings))
-	}
-	if len(b2.Readings) != 3 {
-		t.Error("DedupIntraBatch mutated its input")
-	}
-}
-
 func TestSummaryBasics(t *testing.T) {
 	s := Summarize([]model.Reading{{Value: 1}, {Value: 2}, {Value: 3}})
 	if s.Count != 3 || s.Sum != 6 || s.Min != 1 || s.Max != 3 || s.Avg() != 2 {
@@ -228,24 +207,6 @@ func TestSummaryMergeProperties(t *testing.T) {
 	}
 }
 
-func TestSummarizeByTypeAndMerge(t *testing.T) {
-	b1 := mkBatch("n1", 10, 20)
-	b2 := mkBatch("n2", 30)
-	ts := SummarizeByType([]*model.Batch{b1, b2})
-	s := ts["temperature"]
-	if s.Count != 3 || s.Avg() != 20 {
-		t.Errorf("merged summary = %+v", s)
-	}
-	other := TypeSummaries{"weather": Summary{}.Observe(1000)}
-	merged := ts.Merge(other)
-	if len(merged.Types()) != 2 {
-		t.Errorf("types = %v", merged.Types())
-	}
-	if merged.Types()[0] != "temperature" || merged.Types()[1] != "weather" {
-		t.Errorf("types not sorted: %v", merged.Types())
-	}
-}
-
 func TestWindowizeByType(t *testing.T) {
 	readings := []model.Reading{
 		{TypeName: "a", Time: t0, Value: 1},
@@ -286,9 +247,9 @@ func TestCompressRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compress: %v", err)
 			}
-			back, err := Decompress(c, comp)
+			back, err := AppendDecompress(nil, c, comp, 0)
 			if err != nil {
-				t.Fatalf("Decompress: %v", err)
+				t.Fatalf("AppendDecompress: %v", err)
 			}
 			if string(back) != string(payload) {
 				t.Errorf("round trip mismatch")
@@ -307,7 +268,7 @@ func TestCompressRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			back, err := Decompress(c, comp)
+			back, err := AppendDecompress(nil, c, comp, 0)
 			if err != nil || len(back) != len(data) {
 				return false
 			}
@@ -345,16 +306,16 @@ func TestCompressErrors(t *testing.T) {
 	if _, err := Compress(Codec(0), nil); err == nil {
 		t.Error("unknown codec must fail")
 	}
-	if _, err := Decompress(Codec(0), nil); err == nil {
+	if _, err := AppendDecompress(nil, Codec(0), nil, 0); err == nil {
 		t.Error("unknown codec must fail")
 	}
-	if _, err := Decompress(CodecGzip, []byte("not gzip")); err == nil {
+	if _, err := AppendDecompress(nil, CodecGzip, []byte("not gzip"), 0); err == nil {
 		t.Error("corrupt gzip must fail")
 	}
-	if _, err := Decompress(CodecZip, []byte("not zip")); err == nil {
+	if _, err := AppendDecompress(nil, CodecZip, []byte("not zip"), 0); err == nil {
 		t.Error("corrupt zip must fail")
 	}
-	if _, err := Decompress(CodecFlate, []byte{0xff, 0xff, 0xff}); err == nil {
+	if _, err := AppendDecompress(nil, CodecFlate, []byte{0xff, 0xff, 0xff}, 0); err == nil {
 		t.Error("corrupt flate must fail")
 	}
 }

@@ -51,18 +51,6 @@ func BenchmarkSummaryMerge(b *testing.B) {
 	}
 }
 
-func BenchmarkDedupIntraBatch(b *testing.B) {
-	batch := mkBatch("n", 1, 1, 2, 2, 3, 3, 4, 4)
-	for i := 0; i < 5; i++ {
-		batch.Readings = append(batch.Readings, batch.Readings...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DedupIntraBatch(batch)
-	}
-	b.SetBytes(int64(len(batch.Readings)) * 96)
-}
-
 func BenchmarkCompressCodecs(b *testing.B) {
 	line := "bcn/d1/s1/temperature/42;1496275200000000000;21.5;C;41.38000;2.17000\n"
 	var payload []byte

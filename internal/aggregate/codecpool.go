@@ -20,7 +20,7 @@ import (
 // reused; AppendCompress/AppendDecompress append into caller-supplied
 // slices so steady-state sealing does not touch the heap.
 
-// DefaultMaxDecompressedSize bounds Decompress output when the caller
+// DefaultMaxDecompressedSize bounds AppendDecompress output when the caller
 // passes no explicit limit: decompression bombs from a corrupt or
 // hostile peer fail with *SizeLimitError instead of exhausting
 // memory.

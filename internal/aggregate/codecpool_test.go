@@ -216,8 +216,8 @@ func TestDecompressMaxIntLimit(t *testing.T) {
 	}
 }
 
-// TestDecompressDefaultLimitApplied: the plain Decompress path is
-// bounded too (by DefaultMaxDecompressedSize), so it cannot be used
+// TestDecompressDefaultLimitApplied: a zero limit selects
+// DefaultMaxDecompressedSize, so no caller can use it
 // as a decompression bomb. Exercised indirectly: a valid payload far
 // below the default must pass.
 func TestDecompressDefaultLimitApplied(t *testing.T) {
@@ -226,7 +226,7 @@ func TestDecompressDefaultLimitApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decompress(CodecGzip, comp)
+	out, err := AppendDecompress(nil, CodecGzip, comp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

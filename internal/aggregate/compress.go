@@ -66,21 +66,6 @@ func compressedSizeGuess(c Codec, n int) int {
 	return n/2 + 64
 }
 
-// Decompress reverses Compress, bounding output at
-// DefaultMaxDecompressedSize (a corrupt or hostile payload fails with
-// *SizeLimitError instead of exhausting memory). Hot paths should
-// prefer AppendDecompress, which also takes an explicit limit.
-func Decompress(c Codec, data []byte) ([]byte, error) {
-	out, err := AppendDecompress(nil, c, data, 0)
-	if err != nil {
-		return nil, err
-	}
-	if out == nil {
-		out = []byte{}
-	}
-	return out, nil
-}
-
 // Ratio returns compressed/original size (the paper's "format factor"
 // complement: a ratio of 0.22 is the published ~78% efficiency).
 func Ratio(original, compressed int) float64 {

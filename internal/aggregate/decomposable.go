@@ -102,45 +102,6 @@ func Summarize(readings []model.Reading) Summary {
 	return s
 }
 
-// TypeSummaries groups readings by sensor type and summarizes each
-// group. Keys are type names.
-type TypeSummaries map[string]Summary
-
-// SummarizeByType builds per-type summaries from a set of batches.
-func SummarizeByType(batches []*model.Batch) TypeSummaries {
-	out := make(TypeSummaries)
-	for _, b := range batches {
-		s, ok := out[b.TypeName]
-		if !ok {
-			s = Summary{}
-		}
-		out[b.TypeName] = s.Merge(Summarize(b.Readings))
-	}
-	return out
-}
-
-// Merge combines two grouped summaries.
-func (ts TypeSummaries) Merge(o TypeSummaries) TypeSummaries {
-	out := make(TypeSummaries, len(ts)+len(o))
-	for k, v := range ts {
-		out[k] = v
-	}
-	for k, v := range o {
-		out[k] = out[k].Merge(v)
-	}
-	return out
-}
-
-// Types returns the sorted type names present.
-func (ts TypeSummaries) Types() []string {
-	out := make([]string, 0, len(ts))
-	for k := range ts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WindowSummary is a Summary bound to a time window, used by the
 // data-processing block for windowed analysis at any layer.
 type WindowSummary struct {

@@ -106,25 +106,3 @@ func (d *Deduper) Reset() {
 	d.in.Store(0)
 	d.kept.Store(0)
 }
-
-// DedupIntraBatch removes duplicates within a single batch without any
-// cross-batch state: consecutive identical values of the same sensor
-// collapse to the first occurrence. Useful at fog layer 2 where
-// batches from several layer-1 nodes are combined.
-func DedupIntraBatch(b *model.Batch) *model.Batch {
-	out := *b
-	out.Readings = make([]model.Reading, 0, len(b.Readings))
-	last := make(map[string]float64, len(b.Readings))
-	seen := make(map[string]struct{}, len(b.Readings))
-	for i := range b.Readings {
-		r := b.Readings[i]
-		key := r.Key()
-		if _, ok := seen[key]; ok && last[key] == r.Value {
-			continue
-		}
-		seen[key] = struct{}{}
-		last[key] = r.Value
-		out.Readings = append(out.Readings, r)
-	}
-	return &out
-}

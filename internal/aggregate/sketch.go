@@ -20,7 +20,6 @@ import (
 type CountMin struct {
 	rows, cols int
 	counts     [][]uint64
-	total      uint64
 }
 
 // NewCountMin creates a sketch. Error bounds: with cols = ceil(e/eps)
@@ -35,16 +34,6 @@ func NewCountMin(rows, cols int) (*CountMin, error) {
 		counts[i] = make([]uint64, cols)
 	}
 	return &CountMin{rows: rows, cols: cols, counts: counts}, nil
-}
-
-// NewCountMinWithError sizes a sketch for the given bounds.
-func NewCountMinWithError(epsilon, delta float64) (*CountMin, error) {
-	if epsilon <= 0 || epsilon >= 1 || delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("aggregate: count-min bounds out of range: eps=%v delta=%v", epsilon, delta)
-	}
-	cols := int(math.Ceil(math.E / epsilon))
-	rows := int(math.Ceil(math.Log(1 / delta)))
-	return NewCountMin(rows, cols)
 }
 
 // hashRow derives the row-i bucket for a key.
@@ -65,7 +54,6 @@ func (cm *CountMin) Add(key string, n uint64) {
 	for r := 0; r < cm.rows; r++ {
 		cm.counts[r][cm.hashRow(key, r)] += n
 	}
-	cm.total += n
 }
 
 // Estimate returns an upper-biased count for key.
@@ -79,9 +67,6 @@ func (cm *CountMin) Estimate(key string) uint64 {
 	return est
 }
 
-// Total returns the number of counted occurrences.
-func (cm *CountMin) Total() uint64 { return cm.total }
-
 // Merge adds another sketch's counts into this one. Dimensions must
 // match.
 func (cm *CountMin) Merge(o *CountMin) error {
@@ -94,7 +79,6 @@ func (cm *CountMin) Merge(o *CountMin) error {
 			cm.counts[r][c] += o.counts[r][c]
 		}
 	}
-	cm.total += o.total
 	return nil
 }
 
@@ -104,7 +88,6 @@ func (cm *CountMin) Clone() *CountMin {
 	for r := range cm.counts {
 		copy(cp.counts[r], cm.counts[r])
 	}
-	cp.total = cm.total
 	return cp
 }
 
@@ -197,6 +180,3 @@ func (s *KMV) Merge(o *KMV) error {
 	s.hashes = append(s.hashes[:0], out...)
 	return nil
 }
-
-// Distinct returns how many distinct hashes the sketch holds (<= k).
-func (s *KMV) Distinct() int { return len(s.hashes) }

@@ -36,7 +36,8 @@ func TestCountMinErrorBound(t *testing.T) {
 	// eps=0.01, delta=0.01 -> estimates within eps*total with
 	// probability 1-delta; over 50 keys none should blow through a
 	// generous multiple of the bound.
-	cm, err := NewCountMinWithError(0.01, 0.01)
+	// rows = ceil(ln(1/delta)) = 5, cols = ceil(e/eps) = 272.
+	cm, err := NewCountMin(5, 272)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,6 @@ func TestCountMinValidation(t *testing.T) {
 	}
 	if _, err := NewCountMin(2, 0); err == nil {
 		t.Error("zero cols must fail")
-	}
-	for _, pair := range [][2]float64{{0, 0.1}, {1, 0.1}, {0.1, 0}, {0.1, 1}} {
-		if _, err := NewCountMinWithError(pair[0], pair[1]); err == nil {
-			t.Errorf("bounds %v must fail", pair)
-		}
 	}
 	a, _ := NewCountMin(2, 8)
 	b, _ := NewCountMin(3, 8)
@@ -239,4 +235,17 @@ func TestCountMinCloneIndependence(t *testing.T) {
 	if a.Total() != 5 || cp.Total() != 10 {
 		t.Errorf("totals = %d / %d", a.Total(), cp.Total())
 	}
+}
+
+// Distinct returns how many distinct hashes the sketch holds (<= k).
+func (s *KMV) Distinct() int { return len(s.hashes) }
+
+// Total returns the number of counted occurrences: every Add adds n
+// to one cell of each row, so any row sums to the total.
+func (cm *CountMin) Total() uint64 {
+	var total uint64
+	for _, c := range cm.counts[0] {
+		total += c
+	}
+	return total
 }

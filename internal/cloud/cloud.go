@@ -231,7 +231,8 @@ func (n *Node) Archive() *store.Archive { return n.archive }
 // Preserve runs the preservation block on an arriving batch:
 // classification (category/type/day indexing), lineage recording, and
 // permanent archiving. On a durable cloud the batch is journaled
-// before it is applied.
+// before it is applied. Kept for tests: internal/opendata's
+// TestClientEndToEnd seeds the archive through it.
 func (n *Node) Preserve(b *model.Batch, from string) error {
 	return n.preserve(b, from, 0)
 }
@@ -393,10 +394,6 @@ func (n *Node) AlertInstances() []protocol.Alert {
 // arrived again under a fresh delivery identity (retry-queue folding,
 // post-crash refires) and were suppressed by instance-key dedup.
 func (n *Node) DuplicateAlerts() int64 { return n.dupAlerts.Value() }
-
-// DegradedReadings reports how many raw readings arrived at the cloud
-// as degraded window summaries instead of raw batches.
-func (n *Node) DegradedReadings() int64 { return n.degradedReads.Value() }
 
 // DegradedSummaries returns a type's degraded windows in time order —
 // the reduced-resolution record of what the edge folded away.

@@ -48,7 +48,7 @@ func TestPreserveArchivesAndIndexes(t *testing.T) {
 	if n.Archive().Len() != 1 {
 		t.Fatalf("archive len = %d", n.Archive().Len())
 	}
-	rec := n.Archive().ByType("traffic")[0]
+	rec := n.Archive().ByCategory(model.CategoryUrban)[0]
 	// Provenance: origin node + cloud (from == NodeID collapses).
 	if len(rec.Provenance) != 2 || rec.Provenance[0] != "fog2/d01" || rec.Provenance[1] != "cloud" {
 		t.Errorf("provenance = %v", rec.Provenance)
@@ -72,7 +72,7 @@ func TestPreserveRecordsIntermediateHop(t *testing.T) {
 	if err := n.Preserve(b, "fog2/d01"); err != nil {
 		t.Fatal(err)
 	}
-	rec := n.Archive().ByType("traffic")[0]
+	rec := n.Archive().ByCategory(model.CategoryUrban)[0]
 	want := []string{"fog1/d01-s01", "fog2/d01", "cloud"}
 	if len(rec.Provenance) != 3 {
 		t.Fatalf("provenance = %v, want %v", rec.Provenance, want)

@@ -79,8 +79,9 @@ func TestCloudRecoveryRestoresArchiveAndSeries(t *testing.T) {
 	if r, ok := re.Latest("noise_level/0"); !ok || r.Value != 4 {
 		t.Errorf("recovered Latest = %+v ok=%v", r, ok)
 	}
-	recs := re.Archive().ByType("traffic")
-	if len(recs) != 1 || len(recs[0].Provenance) == 0 || recs[0].Provenance[0] != "fog2/d01" {
+	recs := re.Archive().Records()
+	if len(recs) != 2 || len(recs[0].Provenance) == 0 || recs[0].Provenance[0] != "fog2/d01" ||
+		len(recs[1].Provenance) == 0 || recs[1].Provenance[0] != "fog2/d02" {
 		t.Errorf("recovered provenance = %+v", recs)
 	}
 }
@@ -177,7 +178,7 @@ func TestCloudStoreHoldsWhatTheJournalAccepted(t *testing.T) {
 
 	re := newDurableCloud(t, dir)
 	var archived []float64
-	for _, rec := range re.Archive().ByType("traffic") {
+	for _, rec := range re.Archive().ByCategory(model.CategoryUrban) {
 		for _, r := range rec.Batch.Readings {
 			archived = append(archived, r.Value)
 		}
@@ -228,7 +229,7 @@ func TestCloudLogTailBehindFlushedSegments(t *testing.T) {
 
 	re := newDurableCloud(t, dir)
 	var archived, read []float64
-	for _, rec := range re.Archive().ByType("traffic") {
+	for _, rec := range re.Archive().ByCategory(model.CategoryUrban) {
 		for _, r := range rec.Batch.Readings {
 			archived = append(archived, r.Value)
 		}

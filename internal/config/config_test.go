@@ -1,6 +1,10 @@
 package config
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,6 +18,8 @@ import (
 	"f2c/internal/model"
 	"f2c/internal/segment"
 	"f2c/internal/sim"
+	"f2c/internal/transport/tcpnet"
+	"f2c/internal/wal"
 )
 
 func TestBarcelonaDeployment(t *testing.T) {
@@ -329,6 +335,9 @@ func TestSettableValues(t *testing.T) {
 		{cloud.Config{}, "ID City Clock Registry Codec Scheduler Retention Durability Storage"},
 		{segment.Options{}, "Dir Retention MemtableBytes BlockReadings CompactMinSegments Codec " +
 			"NoBackground Registry MetricsPrefix"},
+		{wal.Config{}, "Dir SnapshotEvery SyncEveryAppend"},
+		{tcpnet.Options{}, "DialTimeout MaxFrame Window Conns Registry"},
+		{tcpnet.ServerOptions{}, "MaxFrame MaxInflight Registry"},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var got []string
@@ -339,6 +348,101 @@ func TestSettableValues(t *testing.T) {
 		}
 		if want := strings.Fields(tc.fields); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s settable values\n got %v\nwant %v", typ, got, want)
+		}
+	}
+}
+
+// TestNoTestOnlyExports fails on an exported function or method,
+// declared in a non-test file under internal/, whose name no non-test
+// file of the repository references: code that only tests call
+// belongs in a _test.go file. Callers are matched by name, so a
+// test-only method that shares its name with a used identifier slips
+// through. Methods that satisfy a standard interface are skipped; the
+// hooks kept on purpose are listed with the reason for each.
+func TestNoTestOnlyExports(t *testing.T) {
+	kept := map[string]string{
+		"baseline.System.Collect":               "internal/baseline waits on the comparison arm (ROADMAP item 1)",
+		"baseline.IsNotFound":                   "internal/baseline waits on the comparison arm (ROADMAP item 1)",
+		"cloud.Node.Preserve":                   "opendata's TestClientEndToEnd seeds the archive through it",
+		"metrics.TrafficMatrix.MessagesByClass": "core's TestRunDayPerCategoryFlushPolicy reads it",
+		"segment.Store.SegmentCount":            "fognode's and cloud's TestOneLogDataDir and store's TestSegmentPageWalkStraddlesFlush read it",
+		"transport.SimNetwork.Crash":            "query's TestRangePartialOnCrashedSiblings and TestAggregate* crash nodes through it",
+		"transport.SimNetwork.Partition":        "query's TestRangeFanoutSkipsPartitionedSibling cuts a link through it",
+		"transport.SimNetwork.SetReplyLoss":     "fognode's TestRetryKeepsDeliverySequence drops acks through it",
+	}
+	standard := map[string]bool{"Error": true, "Unwrap": true, "String": true, "Len": true,
+		"Less": true, "Swap": true, "Push": true, "Pop": true, "ServeHTTP": true}
+
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	declared := map[string]string{} // qualified name -> identifier
+	for _, dir := range []string{"cmd", "internal", "examples", "bench", "."} {
+		top := filepath.Join(root, dir)
+		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != top && (dir == "." || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			decl := map[*ast.Ident]bool{}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				decl[fd.Name] = true
+				if dir != "internal" || !fd.Name.IsExported() || (fd.Recv != nil && standard[fd.Name.Name]) {
+					continue
+				}
+				name := f.Name.Name + "." + fd.Name.Name
+				if fd.Recv != nil {
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if idx, ok := recv.(*ast.IndexExpr); ok {
+						recv = idx.X
+					}
+					name = f.Name.Name + "." + recv.(*ast.Ident).Name + "." + fd.Name.Name
+				}
+				declared[name] = fd.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !decl[id] {
+					used[id.Name] = true
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, ident := range declared {
+		_, ok := kept[name]
+		switch {
+		case !used[ident] && !ok:
+			t.Errorf("%s is exported but only tests call it: delete it, move it into a _test.go file, or list it here with the reason", name)
+		case used[ident] && ok:
+			t.Errorf("%s is listed as a test hook but non-test code calls it: drop it from the list", name)
+		}
+	}
+	for name := range kept {
+		if _, ok := declared[name]; !ok {
+			t.Errorf("the list names %s, which is no longer declared", name)
 		}
 	}
 }

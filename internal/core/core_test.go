@@ -11,6 +11,7 @@ import (
 	"f2c/internal/metrics"
 	"f2c/internal/model"
 	"f2c/internal/placement"
+	"f2c/internal/query"
 	"f2c/internal/sensor"
 	"f2c/internal/sim"
 	"f2c/internal/topology"
@@ -45,6 +46,18 @@ func newSystem(t *testing.T, opts Options) *System {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// archivedReadings counts the readings of one sensor type in the
+// cloud's archive.
+func archivedReadings(s *System, typeName string) int64 {
+	var n int64
+	for _, rec := range s.Cloud().Archive().Records() {
+		if rec.Batch.TypeName == typeName {
+			n += int64(len(rec.Batch.Readings))
+		}
+	}
+	return n
 }
 
 func tempBatch(sensorID string, val float64, at time.Time) *model.Batch {
@@ -97,26 +110,28 @@ func TestEndToEndDataFlow(t *testing.T) {
 		t.Errorf("edge->fog1 bytes = %d, want the batches' encoded %d", got, edgeBytes)
 	}
 	// Real-time read at the fog node, immediately.
-	r, found, err := s.LatestAtFog(f1, "s1")
-	if err != nil || !found || r.Value != 21 {
-		t.Fatalf("fog read = %+v found=%v err=%v", r, found, err)
+	node, _ := s.Fog1(f1)
+	r, found := node.Latest("s1")
+	if !found || r.Value != 21 {
+		t.Fatalf("fog read = %+v found=%v", r, found)
 	}
 	// Not yet at the cloud.
-	if _, found, _ := s.LatestFromCloud(ctx, f1, "s1"); found {
+	eng := s.QueryEngine(f1)
+	if _, found, _ := eng.LatestFrom(ctx, s.Cloud().ID(), "s1"); found {
 		t.Error("data reached cloud before any flush")
 	}
 	// Flush the hierarchy: fog1 -> fog2 -> cloud.
 	if err := s.FlushAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	r, found, err = s.LatestFromCloud(ctx, f1, "s1")
+	r, found, err := eng.LatestFrom(ctx, s.Cloud().ID(), "s1")
 	if err != nil || !found || r.Value != 21 {
 		t.Fatalf("cloud read = %+v found=%v err=%v", r, found, err)
 	}
 	// Provenance records the sealing fog2 node and the cloud. (The
 	// layer-2 node combines child batches and reseals them; original
 	// fog1 origins remain recoverable from sensor IDs.)
-	recs := s.Cloud().Archive().ByType("temperature")
+	recs := s.Cloud().Archive().ByCategory(model.CategoryEnergy)
 	if len(recs) != 1 {
 		t.Fatalf("archive records = %d", len(recs))
 	}
@@ -136,9 +151,6 @@ func TestEndToEndDataFlow(t *testing.T) {
 func TestIngestAtUnknownNode(t *testing.T) {
 	s := newSystem(t, Options{})
 	if err := s.IngestAt("fog1/nope", tempBatch("s1", 21, t0)); err == nil {
-		t.Error("expected error")
-	}
-	if _, _, err := s.LatestAtFog("fog1/nope", "s1"); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -192,7 +204,7 @@ func TestNeighborQuery(t *testing.T) {
 	if err := s.IngestAt(b, tempBatch("nb-sensor", 25, t0)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.QueryNeighbor(ctx, a, b, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute))
+	got, err := s.QueryEngine(a).RangeFrom(ctx, b, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +231,7 @@ func TestFlushRetriesOnLossyLink(t *testing.T) {
 	for i := 0; i < batches; i++ {
 		_ = s.IngestAt(f1, tempBatch("s1", float64(i), t0.Add(time.Duration(i)*time.Minute)))
 	}
-	delivered := func() int64 {
-		var total int64
-		for _, rec := range s.Cloud().Archive().ByType("temperature") {
-			total += int64(len(rec.Batch.Readings))
-		}
-		return total
-	}
+	delivered := func() int64 { return archivedReadings(s, "temperature") }
 	for attempt := 0; attempt < 100 && delivered() < batches; attempt++ {
 		_ = s.FlushAll(ctx)
 	}
@@ -316,11 +322,11 @@ func TestQueryWithFallbackLocal(t *testing.T) {
 	ctx := context.Background()
 	f1 := s.Fog1IDs()[0]
 	_ = s.IngestAt(f1, tempBatch("s1", 20, t0))
-	got, src, err := s.QueryWithFallback(ctx, f1, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 100)
+	got, src, err := s.QueryEngine(f1).Range(ctx, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceLocal || len(got) != 1 {
+	if src != query.SourceLocal || len(got) != 1 {
 		t.Errorf("src = %v, readings = %d", src, len(got))
 	}
 }
@@ -332,11 +338,11 @@ func TestQueryWithFallbackNeighbor(t *testing.T) {
 	a, b := ids[0], ids[1] // same district (North has 3 sections)
 	_ = s.IngestAt(b, tempBatch("nb", 25, t0))
 	// Small estimated volume: the cost model prefers the sibling.
-	got, src, err := s.QueryWithFallback(ctx, a, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
+	got, src, err := s.QueryEngine(a).Range(ctx, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceNeighbor {
+	if src != query.SourceNeighbor {
 		t.Errorf("src = %v, want neighbor", src)
 	}
 	if len(got) != 1 || got[0].Value != 25 {
@@ -362,11 +368,11 @@ func TestQueryWithFallbackParent(t *testing.T) {
 	if err := n.Flush(ctx); err != nil { // applies retention eviction
 		t.Fatal(err)
 	}
-	got, src, err := s.QueryWithFallback(ctx, a, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
+	got, src, err := s.QueryEngine(a).Range(ctx, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceParent {
+	if src != query.SourceParent {
 		t.Errorf("src = %v, want parent (siblings evicted)", src)
 	}
 	if len(got) != 1 || got[0].Value != 22 {
@@ -374,10 +380,23 @@ func TestQueryWithFallbackParent(t *testing.T) {
 	}
 }
 
+// TestQueryWithFallbackUnknownNode: an endpoint that is not a fog1
+// node has no local, sibling or parent tier, so its range read goes
+// straight to the cloud.
 func TestQueryWithFallbackUnknownNode(t *testing.T) {
 	s := newSystem(t, Options{})
-	if _, _, err := s.QueryWithFallback(context.Background(), "fog1/nope", "temperature", t0, t0, 1); err == nil {
-		t.Error("expected error")
+	ctx := context.Background()
+	f1 := s.Fog1IDs()[0]
+	_ = s.IngestAt(f1, tempBatch("s1", 20, t0))
+	if _, src, err := s.QueryEngine("fog1/nope").Range(ctx, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 1); err != nil || src != query.SourceCloud {
+		t.Errorf("before flush: src = %v, err = %v; want the cloud", src, err)
+	}
+	if err := s.FlushAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, src, err := s.QueryEngine("fog1/nope").Range(ctx, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute), 1)
+	if err != nil || src != query.SourceCloud || len(got) != 1 || got[0].Value != 20 {
+		t.Errorf("after flush: src = %v, readings = %+v, err = %v; want one reading from the cloud", src, got, err)
 	}
 }
 
@@ -418,10 +437,10 @@ func TestDistrictOutageRecovery(t *testing.T) {
 		t.Fatal("expected flush errors during the outage")
 	}
 	// Real-time reads keep working at the section.
-	if r, found, _ := s.LatestAtFog(f1, "s1"); !found || r.Value != 24 {
+	node, _ := s.Fog1(f1)
+	if r, found := node.Latest("s1"); !found || r.Value != 24 {
 		t.Fatalf("fog read during outage = %+v found=%v", r, found)
 	}
-	node, _ := s.Fog1(f1)
 	if node.PendingBatches() == 0 {
 		t.Fatal("section must buffer during the outage")
 	}
@@ -432,11 +451,7 @@ func TestDistrictOutageRecovery(t *testing.T) {
 	if err := s.FlushAll(ctx); err != nil {
 		t.Fatalf("post-recovery flush: %v", err)
 	}
-	var archived int
-	for _, rec := range s.Cloud().Archive().ByType("temperature") {
-		archived += len(rec.Batch.Readings)
-	}
-	if archived != 5 {
+	if archived := archivedReadings(s, "temperature"); archived != 5 {
 		t.Errorf("archived %d readings after recovery, want 5", archived)
 	}
 }

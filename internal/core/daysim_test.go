@@ -124,10 +124,7 @@ func TestRunDayNoDataLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var archived int64
-	for _, rec := range s.Cloud().Archive().ByType("container_glass") {
-		archived += int64(len(rec.Batch.Readings))
-	}
+	archived := archivedReadings(s, "container_glass")
 	var observed, kept int64
 	for _, id := range s.Fog1IDs() {
 		n, _ := s.Fog1(id)
@@ -191,13 +188,7 @@ func TestRunDayPerCategoryFlushPolicy(t *testing.T) {
 		t.Fatal("no upward messages")
 	}
 	// Both categories fully preserved after the drain.
-	var urban, garbage int
-	for _, rec := range s.Cloud().Archive().ByType("traffic") {
-		urban += len(rec.Batch.Readings)
-	}
-	for _, rec := range s.Cloud().Archive().ByType("container_glass") {
-		garbage += len(rec.Batch.Readings)
-	}
+	urban, garbage := archivedReadings(s, "traffic"), archivedReadings(s, "container_glass")
 	if urban == 0 || garbage == 0 {
 		t.Errorf("archived urban=%d garbage=%d, want both > 0", urban, garbage)
 	}
@@ -245,10 +236,7 @@ func TestRunDayWithLossyUplinksNoDataLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("could not drain after retries: %v", err)
 	}
-	var archived int64
-	for _, rec := range s.Cloud().Archive().ByType("parking_spot") {
-		archived += int64(len(rec.Batch.Readings))
-	}
+	archived := archivedReadings(s, "parking_spot")
 	var observed, kept int64
 	for _, id := range s.Fog1IDs() {
 		n, _ := s.Fog1(id)

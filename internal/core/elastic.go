@@ -171,10 +171,6 @@ func (el *elasticState) applyMoves(ctx context.Context, district string, moves [
 	return errors.Join(errs...)
 }
 
-// ElasticEnabled reports whether the system routes ingest through
-// per-district ownership rings (Options.ElasticOwnership).
-func (s *System) ElasticEnabled() bool { return s.elastic != nil }
-
 // OwnerOf resolves the current ring owner of a sensor type within a
 // district (fog2 ID). ok is false when elastic ownership is off, the
 // district is unknown, or its ring is empty.
@@ -189,15 +185,6 @@ func (s *System) OwnerOf(district, typ string) (string, bool) {
 		return "", false
 	}
 	return ring.OwnerOf(typ)
-}
-
-// SeenTypes returns the sensor types a district's ring has routed so
-// far, sorted — the universe a scale event rebalances over.
-func (s *System) SeenTypes(district string) []string {
-	if s.elastic == nil {
-		return nil
-	}
-	return s.elastic.seenTypes(district)
 }
 
 // ElasticBatchOwner resolves the fog1 node that should serve a sealed

@@ -385,3 +385,12 @@ func TestElasticBatchOwnerGateway(t *testing.T) {
 		t.Errorf("elastic off: rerouted to %s", got)
 	}
 }
+
+// SeenTypes returns the sensor types a district's ring has routed so
+// far, sorted — the universe a scale event rebalances over.
+func (s *System) SeenTypes(district string) []string {
+	if s.elastic == nil {
+		return nil
+	}
+	return s.elastic.seenTypes(district)
+}

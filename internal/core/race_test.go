@@ -66,13 +66,15 @@ func TestParallelFlushAllRace(t *testing.T) {
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
+		local, _ := s.Fog1(ids[0])
+		eng := s.QueryEngine(ids[0])
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				_, _, _ = s.LatestAtFog(ids[0], ids[0]+"/s")
-				_, _, _ = s.LatestFromCloud(ctx, ids[0], ids[1]+"/s")
+				_, _ = local.Latest(ids[0] + "/s")
+				_, _, _ = eng.LatestFrom(ctx, s.Cloud().ID(), ids[1]+"/s")
 			}
 		}
 	}()
@@ -83,10 +85,7 @@ func TestParallelFlushAllRace(t *testing.T) {
 	if err := s.FlushAll(ctx); err != nil {
 		t.Fatalf("final FlushAll: %v", err)
 	}
-	var archived int64
-	for _, rec := range s.Cloud().Archive().ByType("temperature") {
-		archived += int64(len(rec.Batch.Readings))
-	}
+	archived := archivedReadings(s, "temperature")
 	want := int64(len(ids) * perNode)
 	if archived != want {
 		t.Errorf("archived %d readings, ingested %d: parallel drain lost or duplicated data", archived, want)
@@ -130,10 +129,7 @@ func TestParallelStartCloseRace(t *testing.T) {
 	if err := s.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	var archived int64
-	for _, rec := range s.Cloud().Archive().ByType("traffic") {
-		archived += int64(len(rec.Batch.Readings))
-	}
+	archived := archivedReadings(s, "traffic")
 	want := int64(len(ids) * 50)
 	if archived != want {
 		t.Errorf("archived %d readings, ingested %d: Close drain incomplete", archived, want)

@@ -9,9 +9,10 @@ import (
 )
 
 // TestHierarchicalSummaryLossless drives data into several sections
-// across both districts and checks the decomposability chain: the
-// city summary merged from district partials equals the cloud's
-// direct summary over the archived readings.
+// across both districts and checks the decomposability chain through
+// the query engine: the requester's aggregate and the merge of every
+// district's partial both equal the summary of the readings the cloud
+// archived.
 func TestHierarchicalSummaryLossless(t *testing.T) {
 	s := newSystem(t, Options{Codec: aggregate.CodecNone})
 	ctx := context.Background()
@@ -31,73 +32,38 @@ func TestHierarchicalSummaryLossless(t *testing.T) {
 	}
 
 	from, to := t0.Add(-time.Hour), t0.Add(time.Hour)
-	city, err := s.CitySummary("temperature", from, to)
+	want := aggregate.Summarize(s.Cloud().Historical("temperature", from, to))
+	if want.Count != int64(len(vals)) || want.Avg() != 30 || want.Min != 10 || want.Max != 50 {
+		t.Fatalf("archived summary = %+v", want)
+	}
+
+	eng := s.QueryEngine(ids[0])
+	city, _, err := eng.Aggregate(ctx, "temperature", from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if city.Count != int64(len(vals)) {
-		t.Fatalf("city count = %d, want %d", city.Count, len(vals))
-	}
-	if city.Avg() != 30 || city.Min != 10 || city.Max != 50 {
-		t.Errorf("city summary = %+v", city)
+	if city != want {
+		t.Errorf("engine aggregate %+v != archived %+v", city, want)
 	}
 
-	cloudSide := s.CloudSummary("temperature", from, to)
-	if cloudSide != city {
-		t.Errorf("cloud summary %+v != merged city summary %+v", cloudSide, city)
-	}
-
-	// District partials merge to the same figure.
+	// District partials, each one constant-size message, merge to the
+	// same figure.
 	merged := aggregate.Summary{}
 	for _, f2 := range s.Fog2IDs() {
-		partial, err := s.DistrictSummary(f2, "temperature", from, to)
+		partial, err := eng.SummaryFrom(ctx, f2, "temperature", from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
 		merged = merged.Merge(partial)
 	}
-	if merged != city {
-		t.Errorf("district merge %+v != city %+v", merged, city)
+	if merged != want {
+		t.Errorf("district merge %+v != archived %+v", merged, want)
 	}
 }
 
-func TestSectionSummary(t *testing.T) {
-	s := newSystem(t, Options{})
-	f1 := s.Fog1IDs()[0]
-	_ = s.IngestAt(f1, tempBatch("a", 12, t0))
-	_ = s.IngestAt(f1, tempBatch("b", 18, t0))
-	sum, err := s.SectionSummary(f1, "temperature", t0.Add(-time.Minute), t0.Add(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Count != 2 || sum.Avg() != 15 {
-		t.Errorf("summary = %+v", sum)
-	}
-}
-
-func TestSummaryUnknownNodes(t *testing.T) {
-	s := newSystem(t, Options{})
-	if _, err := s.SectionSummary("fog1/nope", "t", t0, t0); err == nil {
-		t.Error("expected error")
-	}
-	if _, err := s.DistrictSummary("fog2/nope", "t", t0, t0); err == nil {
-		t.Error("expected error")
-	}
-}
-
-func TestLayerFor(t *testing.T) {
-	s := newSystem(t, Options{})
-	if l, ok := s.LayerFor(s.Fog1IDs()[0]); !ok || l.String() != "fog1" {
-		t.Errorf("LayerFor fog1 = %v %v", l, ok)
-	}
-	if l, ok := s.LayerFor("cloud"); !ok || l.String() != "cloud" {
-		t.Errorf("LayerFor cloud = %v %v", l, ok)
-	}
-	if _, ok := s.LayerFor("ghost"); ok {
-		t.Error("LayerFor ghost should fail")
-	}
-}
-
+// TestCitySummaryViaNetwork: a fog1 requester's engine asks for the
+// city-wide aggregate over the network, and the cloud answers a
+// summary request directly; both equal the summary of the archive.
 func TestCitySummaryViaNetwork(t *testing.T) {
 	s := newSystem(t, Options{Codec: aggregate.CodecNone})
 	ctx := context.Background()
@@ -109,11 +75,9 @@ func TestCitySummaryViaNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	from, to := t0.Add(-time.Hour), t0.Add(time.Hour)
-	viaNet, err := s.CitySummaryViaNetwork(ctx, ids[0], "temperature", from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := s.CitySummary("temperature", from, to)
+	local := aggregate.Summarize(s.Cloud().Historical("temperature", from, to))
+	eng := s.QueryEngine(ids[0])
+	viaNet, _, err := eng.Aggregate(ctx, "temperature", from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +88,7 @@ func TestCitySummaryViaNetwork(t *testing.T) {
 		t.Errorf("summary = %+v", viaNet)
 	}
 	// The cloud answers summary requests too.
-	cloudSum, err := s.RemoteSummary(ctx, ids[0], CloudID, "temperature", from, to)
+	cloudSum, err := eng.SummaryFrom(ctx, s.Cloud().ID(), "temperature", from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +97,41 @@ func TestCitySummaryViaNetwork(t *testing.T) {
 	}
 }
 
+// TestSectionSummary: a fog1 node answers a summary request over its
+// own temporal store.
+func TestSectionSummary(t *testing.T) {
+	s := newSystem(t, Options{})
+	ids := s.Fog1IDs()
+	_ = s.IngestAt(ids[0], tempBatch("a", 12, t0))
+	_ = s.IngestAt(ids[0], tempBatch("b", 18, t0))
+	sum, err := s.QueryEngine(ids[1]).SummaryFrom(context.Background(), ids[0], "temperature", t0.Add(-time.Minute), t0.Add(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Count != 2 || sum.Avg() != 15 {
+		t.Errorf("summary = %+v", sum)
+	}
+}
+
+func TestSummaryUnknownNodes(t *testing.T) {
+	s := newSystem(t, Options{})
+	eng := s.QueryEngine(s.Fog1IDs()[0])
+	for _, id := range []string{"fog1/nope", "fog2/nope"} {
+		if _, err := eng.SummaryFrom(context.Background(), id, "temperature", t0, t0); err == nil {
+			t.Errorf("summary from %s: expected error", id)
+		}
+	}
+}
+
 func TestRemoteSummaryErrors(t *testing.T) {
 	s := newSystem(t, Options{})
 	ctx := context.Background()
-	if _, err := s.RemoteSummary(ctx, "x", "nowhere", "temperature", t0, t0); err == nil {
+	eng := s.QueryEngine("x")
+	if _, err := eng.SummaryFrom(ctx, "nowhere", "temperature", t0, t0); err == nil {
 		t.Error("unknown target must fail")
 	}
 	// Invalid request rejected by the remote handler.
-	f1 := s.Fog1IDs()[0]
-	if _, err := s.RemoteSummary(ctx, "x", f1, "", t0, t0); err == nil {
+	if _, err := eng.SummaryFrom(ctx, s.Fog1IDs()[0], "", t0, t0); err == nil {
 		t.Error("empty type must fail")
 	}
 }

@@ -588,17 +588,6 @@ func (s *System) Close(ctx context.Context) error {
 	return errors.Join(err1, err2, err3)
 }
 
-// LatestAtFog serves the paper's critical real-time read: directly
-// from the local fog layer-1 node, no network hop.
-func (s *System) LatestAtFog(fog1ID, sensorID string) (model.Reading, bool, error) {
-	n, ok := s.Fog1(fog1ID)
-	if !ok {
-		return model.Reading{}, false, fmt.Errorf("core: unknown fog1 node %q", fog1ID)
-	}
-	r, found := n.Latest(sensorID)
-	return r, found, nil
-}
-
 // QueryEngine builds a hierarchical query engine acting for the
 // given requester endpoint. Fog layer-1 requesters get the full plan
 // — in-process local store, sibling scatter-gather, parent district,
@@ -633,67 +622,4 @@ func (s *System) QueryEngine(requesterID string) *query.Engine {
 		panic(fmt.Sprintf("core: query engine: %v", err))
 	}
 	return eng
-}
-
-// LatestFromCloud reads a sensor's newest value from the cloud over
-// the network — the centralized access pattern, for comparison.
-func (s *System) LatestFromCloud(ctx context.Context, clientFog1ID, sensorID string) (model.Reading, bool, error) {
-	r, ok, err := s.QueryEngine(clientFog1ID).LatestFrom(ctx, CloudID, sensorID)
-	if err != nil {
-		return model.Reading{}, false, fmt.Errorf("core: cloud read: %w", err)
-	}
-	return r, ok, nil
-}
-
-// FallbackSource labels where QueryWithFallback found the data.
-type FallbackSource string
-
-// Fallback sources.
-const (
-	SourceLocal    FallbackSource = FallbackSource(query.SourceLocal)
-	SourceNeighbor FallbackSource = FallbackSource(query.SourceNeighbor)
-	SourceParent   FallbackSource = FallbackSource(query.SourceParent)
-	SourceCloud    FallbackSource = FallbackSource(query.SourceCloud)
-)
-
-// QueryWithFallback implements the paper's §IV.C data-access policy
-// for a service running at a fog layer-1 node, via the hierarchical
-// query engine: serve locally when the node holds the data; otherwise
-// consult the cost model and scatter-gather the sibling fog nodes or
-// walk up to the parent district and the cloud archive — skipping
-// tiers whose retention window cannot hold the range, and stopping at
-// the first tier that is authoritative for it (so an empty answer
-// from such a tier is a definitive empty, not a miss).
-func (s *System) QueryWithFallback(ctx context.Context, fog1ID, typeName string, from, to time.Time, estBytes int64) ([]model.Reading, FallbackSource, error) {
-	if _, ok := s.Fog1(fog1ID); !ok {
-		return nil, "", fmt.Errorf("core: unknown fog1 node %q", fog1ID)
-	}
-	readings, src, err := s.QueryEngine(fog1ID).Range(ctx, typeName, from, to, estBytes)
-	if err != nil {
-		return nil, "", fmt.Errorf("core: fallback query: %w", err)
-	}
-	return readings, FallbackSource(src), nil
-}
-
-// QueryNeighbor reads a type range from a sibling fog layer-1 node
-// over the network (§IV.C neighbor data access). The scan is paged:
-// no single response carries more than the target's page limit.
-func (s *System) QueryNeighbor(ctx context.Context, fromID, neighborID, typeName string, from, to time.Time) ([]model.Reading, error) {
-	readings, err := s.QueryEngine(fromID).RangeFrom(ctx, neighborID, typeName, from, to)
-	if err != nil {
-		return nil, fmt.Errorf("core: neighbor read: %w", err)
-	}
-	return readings, nil
-}
-
-// Aggregate executes a count/mean/min/max aggregate over a type range
-// with summary push-down: district partials (or the cloud archive for
-// historical ranges) compute where the data lives and merge at the
-// requester, so only summary-sized payloads cross the WAN.
-func (s *System) Aggregate(ctx context.Context, requesterID, typeName string, from, to time.Time) (aggregate.Summary, FallbackSource, error) {
-	sum, src, err := s.QueryEngine(requesterID).Aggregate(ctx, typeName, from, to)
-	if err != nil {
-		return aggregate.Summary{}, "", fmt.Errorf("core: aggregate: %w", err)
-	}
-	return sum, FallbackSource(src), nil
 }

@@ -207,10 +207,3 @@ func (n *Node) absorbAlertPush(push *protocol.AlertPush, payload []byte) error {
 // AlertsFired reports how many alert instances this node's
 // subscriptions fired.
 func (n *Node) AlertsFired() int64 { return n.alertsFired.Value() }
-
-// AlertPushesOut reports how many alert pushes this node delivered
-// upward.
-func (n *Node) AlertPushesOut() int64 { return n.alertPushesOut.Value() }
-
-// AlertsInbound reports how many alert instances arrived from below.
-func (n *Node) AlertsInbound() int64 { return n.alertsIn.Value() }

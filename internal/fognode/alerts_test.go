@@ -167,8 +167,8 @@ func TestWindowAlertFiresAndDelivers(t *testing.T) {
 	if a.Summary.Count != 2 || a.Summary.Sum != 30 {
 		t.Fatalf("summary = %+v", a.Summary)
 	}
-	if n.AlertsFired() != 1 || n.AlertPushesOut() != 1 {
-		t.Fatalf("counters fired=%d pushes=%d, want 1/1", n.AlertsFired(), n.AlertPushesOut())
+	if n.AlertsFired() != 1 || n.alertPushesOut.Value() != 1 {
+		t.Fatalf("counters fired=%d pushes=%d, want 1/1", n.AlertsFired(), n.alertPushesOut.Value())
 	}
 }
 

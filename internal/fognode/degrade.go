@@ -168,15 +168,3 @@ func (n *Node) absorbSummaryPush(push *protocol.SummaryPush, payload []byte) err
 	n.degradedIn.Add(push.Readings())
 	return nil
 }
-
-// DegradedReadings reports how many buffered readings this node folded
-// into summaries instead of shedding them raw.
-func (n *Node) DegradedReadings() int64 { return n.degradedReads.Value() }
-
-// SummariesEmitted reports how many degraded summary pushes this node
-// delivered upward.
-func (n *Node) SummariesEmitted() int64 { return n.summariesEmitted.Value() }
-
-// DegradedInbound reports how many degraded readings arrived from
-// below as summary pushes.
-func (n *Node) DegradedInbound() int64 { return n.degradedIn.Value() }

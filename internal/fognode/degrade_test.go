@@ -60,7 +60,7 @@ func TestDegradeBoundFoldsTrimmedReadings(t *testing.T) {
 	if err := n.Ingest(batchOf(vals, t0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.DegradedReadings(); got != 4 {
+	if got := n.degradedReads.Value(); got != 4 {
 		t.Fatalf("DegradedReadings = %d, want 4 (bound 4, ingested 8)", got)
 	}
 	if got := n.ShedReadings(); got != 0 {
@@ -88,8 +88,8 @@ func TestDegradeBoundFoldsTrimmedReadings(t *testing.T) {
 	if len(p.Windows) != 1 || p.Windows[0].StartUnix != t0.UnixNano() {
 		t.Errorf("windows = %+v, want one starting at t0", p.Windows)
 	}
-	if got := n.SummariesEmitted(); got != 1 {
-		t.Errorf("SummariesEmitted = %d, want 1", got)
+	if got := n.summariesEmitted.Value(); got != 1 {
+		t.Errorf("summaries emitted = %d, want 1", got)
 	}
 	if n.PendingBatches() != 0 {
 		t.Errorf("pending after flush = %d, want 0", n.PendingBatches())
@@ -140,15 +140,15 @@ func TestSummaryPushMergesUpward(t *testing.T) {
 	if _, err := f2.Handle(context.Background(), msg); err != nil {
 		t.Fatal(err)
 	}
-	if got := f2.DegradedInbound(); got != 4 {
-		t.Fatalf("DegradedInbound = %d, want 4", got)
+	if got := f2.degradedIn.Value(); got != 4 {
+		t.Fatalf("degraded in = %d, want 4", got)
 	}
 	// A retry of the same push (ack lost) must dedup, not double-count.
 	if _, err := f2.Handle(context.Background(), msg); err != nil {
 		t.Fatal(err)
 	}
-	if got := f2.DegradedInbound(); got != 4 {
-		t.Fatalf("DegradedInbound after retry = %d, want 4 (deduped)", got)
+	if got := f2.degradedIn.Value(); got != 4 {
+		t.Fatalf("degraded in after retry = %d, want 4 (deduped)", got)
 	}
 
 	if err := f2.Flush(context.Background()); err != nil {

@@ -424,8 +424,8 @@ func TestDegradeRecoveryPropertySeeded(t *testing.T) {
 				}
 				preserved++
 			}
-			if n.DegradedReadings() == 0 || crashes == 0 {
-				t.Fatalf("seed %d: vacuous run: %d readings degraded, %d crashes", seed, n.DegradedReadings(), crashes)
+			if n.degradedReads.Value() == 0 || crashes == 0 {
+				t.Fatalf("seed %d: vacuous run: %d readings degraded, %d crashes", seed, n.degradedReads.Value(), crashes)
 			}
 			if got := int64(preserved) + parent.degraded + n.ShedReadings(); got != int64(accepted) {
 				t.Fatalf("seed %d: preserved %d + degraded %d + shed %d = %d, accepted %d",

@@ -130,6 +130,12 @@ func sortBatchReadings(b *model.Batch) {
 // layer) sets the route on this node and its ring before or after the
 // handoff.
 func (n *Node) MigrateOut(ctx context.Context, typ, target string) error {
+	return n.migrateOut(ctx, typ, target, protocol.MaxMigrateWireSize)
+}
+
+// migrateOut is MigrateOut with each transfer's encoded size planned
+// to stay under limit.
+func (n *Node) migrateOut(ctx context.Context, typ, target string, limit int) error {
 	me := n.cfg.Spec.ID
 	if typ == "" || target == "" || target == me {
 		return fmt.Errorf("fognode %s: migrate %q to %q: invalid handoff", me, typ, target)
@@ -161,7 +167,7 @@ func (n *Node) MigrateOut(ctx context.Context, typ, target string) error {
 	subs := n.cqe.Extract(typ)
 
 	moved := make([]bool, len(items))
-	subsMoved, err := n.sendTransfers(ctx, typ, target, items, subs, moved)
+	subsMoved, err := n.sendTransfers(ctx, typ, target, items, subs, moved, limit)
 
 	sh.mu.Lock()
 	kept := q.items[:0]
@@ -192,14 +198,14 @@ func (n *Node) MigrateOut(ctx context.Context, typ, target string) error {
 }
 
 // sendTransfers seals and ships one type's claimed items in chunks
-// bounded by protocol.MaxMigrateWireSize, setting moved[i] for every
+// planned to encode under limit, setting moved[i] for every
 // item whose chunk the target acknowledged. At least one chunk is
 // always sent — an empty handoff still carries the replay-mark
 // snapshot and acts as the ownership handshake that clears the
 // target's stale route. The first chunk additionally carries the
 // continuous-query state (every alert item and the subscription
 // snapshots); subsMoved reports whether it was acknowledged.
-func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []item, subs []cq.SubSnapshot, moved []bool) (subsMoved bool, err error) {
+func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []item, subs []cq.SubSnapshot, moved []bool, limit int) (subsMoved bool, err error) {
 	me := n.cfg.Spec.ID
 	now := n.cfg.Clock.Now()
 
@@ -231,7 +237,7 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 	for origin, seqs := range marks {
 		size += len(origin) + 10 + 9*len(seqs)
 	}
-	budget := protocol.MaxMigrateWireSize() - 512
+	budget := limit - 512
 	firstAlert := len(items)
 	for firstAlert > 0 && items[firstAlert-1].kind == transport.KindAlertPush {
 		firstAlert--

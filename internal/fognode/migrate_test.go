@@ -192,10 +192,6 @@ func TestMigrateRetryAfterLostAckIsExactlyOnce(t *testing.T) {
 // into multiple bounded chunks, every chunk under the wire limit, and
 // nothing is lost across the split.
 func TestMigrateChunksBounded(t *testing.T) {
-	old := protocol.MaxBatchWireSize()
-	protocol.SetMaxBatchWireSize(8 << 10)
-	defer protocol.SetMaxBatchWireSize(old)
-
 	net := newMigrateNet("fog2/d01")
 	src := newMigrateNode(t, net, "fog1/d01-s01", "")
 	dst := newMigrateNode(t, net, "fog1/d01-s02", "")
@@ -215,7 +211,7 @@ func TestMigrateChunksBounded(t *testing.T) {
 		_ = src.Flush(ctx)
 	}
 
-	if err := src.MigrateOut(ctx, "traffic", dst.ID()); err != nil {
+	if err := src.migrateOut(ctx, "traffic", dst.ID(), 8<<10); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.MigratedOutTransfers(); got < 2 {

@@ -108,6 +108,7 @@ func (m *TrafficMatrix) BytesByClass(hop Hop, class string) int64 {
 }
 
 // MessagesByClass returns messages recorded for one class on one hop.
+// Kept for tests: core's TestRunDayPerCategoryFlushPolicy reads it.
 func (m *TrafficMatrix) MessagesByClass(hop Hop, class string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

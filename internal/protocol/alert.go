@@ -47,7 +47,7 @@ const (
 // (alerts carry summaries, not readings), so the batch bound with the
 // migration headroom is comfortably sufficient and keeps the payload
 // under every transport frame limit.
-func MaxAlertWireSize() int { return MaxMigrateWireSize() }
+const MaxAlertWireSize = MaxMigrateWireSize
 
 // AlertKindWindow and AlertKindThreshold label what fired: a closed
 // aggregation window, or a predicate crossing inside one.
@@ -168,8 +168,8 @@ func AppendAlertPush(dst []byte, p *AlertPush) ([]byte, error) {
 		dst = wal.AppendUint64(dst, math.Float64bits(a.Summary.Max))
 		dst = wal.AppendUint64(dst, math.Float64bits(a.Value))
 	}
-	if len(dst) > MaxAlertWireSize() {
-		return nil, fmt.Errorf("protocol: alert push of %d bytes exceeds limit %d", len(dst), MaxAlertWireSize())
+	if len(dst) > MaxAlertWireSize {
+		return nil, fmt.Errorf("protocol: alert push of %d bytes exceeds limit %d", len(dst), MaxAlertWireSize)
 	}
 	return dst, nil
 }
@@ -182,8 +182,8 @@ func EncodeAlertPush(p *AlertPush) ([]byte, error) {
 // DecodeAlertPush decodes an alert-push payload. Arbitrary bytes fail
 // with an error, never a panic.
 func DecodeAlertPush(data []byte) (*AlertPush, error) {
-	if len(data) > MaxAlertWireSize() {
-		return nil, fmt.Errorf("protocol: alert push of %d bytes exceeds limit %d", len(data), MaxAlertWireSize())
+	if len(data) > MaxAlertWireSize {
+		return nil, fmt.Errorf("protocol: alert push of %d bytes exceeds limit %d", len(data), MaxAlertWireSize)
 	}
 	if len(data) < 2 {
 		return nil, fmt.Errorf("protocol: alert push too short (%d bytes)", len(data))

@@ -59,10 +59,7 @@ func TestDecodeBatchPayloadWireSizeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := MaxBatchWireSize()
-	SetMaxBatchWireSize(8)
-	defer SetMaxBatchWireSize(old)
-	_, _, err = DecodeBatchPayload(payload)
+	_, _, _, err = decodeBatchPayload(payload, 8)
 	var sizeErr *aggregate.SizeLimitError
 	if !errors.As(err, &sizeErr) {
 		t.Fatalf("want *aggregate.SizeLimitError, got %v", err)

@@ -49,17 +49,10 @@ const (
 // single maximum-size sealed batch must still encode.
 const migrateHeadroom = 4 << 10
 
-// MaxMigrateWireSize bounds an encoded migration transfer. It tracks
-// the batch wire-size bound so a transfer always has room for one
-// maximum-size sealed envelope plus headroom, and never exceeds what
-// the socket transport's frame limit accepts.
-func MaxMigrateWireSize() int {
-	max := MaxBatchWireSize()
-	if max <= 0 {
-		max = DefaultMaxBatchWireSize
-	}
-	return max + migrateHeadroom
-}
+// MaxMigrateWireSize bounds an encoded migration transfer: room for
+// one maximum-size sealed envelope plus headroom, and never more than
+// what the socket transport's frame limit accepts.
+const MaxMigrateWireSize = MaxBatchWireSize + migrateHeadroom
 
 // MigrateSizeError reports a transfer rejected for exceeding
 // MaxMigrateWireSize. Sources split shard state into bounded chunks;
@@ -211,8 +204,8 @@ func AppendMigrateTransfer(dst []byte, t *MigrateTransfer) ([]byte, error) {
 	for i := range t.Subs {
 		dst = wal.AppendBytes(dst, t.Subs[i])
 	}
-	if size := len(dst) - start; size > MaxMigrateWireSize() {
-		return nil, &MigrateSizeError{Size: size, Limit: MaxMigrateWireSize()}
+	if size := len(dst) - start; size > MaxMigrateWireSize {
+		return nil, &MigrateSizeError{Size: size, Limit: MaxMigrateWireSize}
 	}
 	return dst, nil
 }
@@ -226,8 +219,8 @@ func EncodeMigrateTransfer(t *MigrateTransfer) ([]byte, error) {
 // fail with an error, never a panic; payloads beyond
 // MaxMigrateWireSize fail with *MigrateSizeError before any decoding.
 func DecodeMigrateTransfer(data []byte) (*MigrateTransfer, error) {
-	if len(data) > MaxMigrateWireSize() {
-		return nil, &MigrateSizeError{Size: len(data), Limit: MaxMigrateWireSize()}
+	if len(data) > MaxMigrateWireSize {
+		return nil, &MigrateSizeError{Size: len(data), Limit: MaxMigrateWireSize}
 	}
 	if len(data) < 2 {
 		return nil, fmt.Errorf("protocol: migration transfer too short (%d bytes)", len(data))

@@ -24,7 +24,7 @@ func FuzzMigratePayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := DecodeMigrateTransfer(data)
 		if err != nil {
-			if len(data) > MaxMigrateWireSize() {
+			if len(data) > MaxMigrateWireSize {
 				var sizeErr *MigrateSizeError
 				if !errors.As(err, &sizeErr) {
 					t.Fatalf("oversized payload rejected with %T, want *MigrateSizeError", err)

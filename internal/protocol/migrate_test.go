@@ -141,19 +141,19 @@ func TestMigrateTransferOversizedRejected(t *testing.T) {
 	in := sampleTransfer(t)
 	// Inflate one entry past the bound; encode must fail with the
 	// typed error, not truncate.
-	in.Entries[0].Payload = make([]byte, MaxMigrateWireSize()+1)
+	in.Entries[0].Payload = make([]byte, MaxMigrateWireSize+1)
 	_, err := EncodeMigrateTransfer(in)
 	var sizeErr *MigrateSizeError
 	if !errors.As(err, &sizeErr) {
 		t.Fatalf("encode err = %v, want *MigrateSizeError", err)
 	}
-	if sizeErr.Limit != MaxMigrateWireSize() {
-		t.Fatalf("limit = %d, want %d", sizeErr.Limit, MaxMigrateWireSize())
+	if sizeErr.Limit != MaxMigrateWireSize {
+		t.Fatalf("limit = %d, want %d", sizeErr.Limit, MaxMigrateWireSize)
 	}
 
 	// An oversized payload on the receive side is rejected before
 	// any decoding.
-	huge := make([]byte, MaxMigrateWireSize()+1)
+	huge := make([]byte, MaxMigrateWireSize+1)
 	huge[0] = migrateMagic
 	huge[1] = migrateVersion
 	_, err = DecodeMigrateTransfer(huge)

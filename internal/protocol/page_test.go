@@ -32,7 +32,7 @@ func TestQueryPageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %v: %v", codec, err)
 		}
-		if !got.Found || got.NextCursor != page.NextCursor || !got.HasMore() {
+		if !got.Found || got.NextCursor != page.NextCursor || got.NextCursor == "" {
 			t.Errorf("codec %v: page = %+v", codec, got)
 		}
 		if len(got.Readings) != 5 {
@@ -55,7 +55,7 @@ func TestQueryPageEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Found || got.HasMore() || len(got.Readings) != 0 {
+	if got.Found || got.NextCursor != "" || len(got.Readings) != 0 {
 		t.Errorf("empty page = %+v", got)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"f2c/internal/aggregate"
@@ -35,25 +34,10 @@ const (
 	envelopeHeaderV2 = envelopeHeader + 8 // + big-endian seq
 )
 
-// maxBatchWireSize bounds the decompressed wire size
-// DecodeBatchPayload accepts. Atomic because receive paths decode
-// concurrently with any configuration change.
-var maxBatchWireSize atomic.Int64
-
-// DefaultMaxBatchWireSize is the decompressed-size bound in effect
-// when SetMaxBatchWireSize was never called (or was reset to zero).
-const DefaultMaxBatchWireSize = aggregate.DefaultMaxDecompressedSize
-
-// MaxBatchWireSize returns the current decompressed-size bound; zero
-// means DefaultMaxBatchWireSize.
-func MaxBatchWireSize() int { return int(maxBatchWireSize.Load()) }
-
-// SetMaxBatchWireSize bounds the decompressed wire size
-// DecodeBatchPayload accepts; a corrupt or hostile envelope beyond it
-// fails with *aggregate.SizeLimitError instead of exhausting memory.
-// Zero (the default) selects aggregate.DefaultMaxDecompressedSize.
-// Safe to call while decoders are running.
-func SetMaxBatchWireSize(n int) { maxBatchWireSize.Store(int64(n)) }
+// MaxBatchWireSize bounds the decompressed wire size
+// DecodeBatchPayloadSeq accepts; a corrupt or hostile envelope beyond
+// it fails with *aggregate.SizeLimitError instead of exhausting memory.
+const MaxBatchWireSize = aggregate.DefaultMaxDecompressedSize
 
 // maxPooledBufCap bounds the capacity of scratch buffers returned to
 // reuse pools (the fmt stdlib pattern): one giant batch must not pin
@@ -157,6 +141,12 @@ func DecodeBatchPayload(payload []byte) (*model.Batch, aggregate.Codec, error) {
 // delivery sequence carried by a version-2 header (0 for version-1
 // envelopes and unidentified batches).
 func DecodeBatchPayloadSeq(payload []byte) (*model.Batch, aggregate.Codec, uint64, error) {
+	return decodeBatchPayload(payload, MaxBatchWireSize)
+}
+
+// decodeBatchPayload is DecodeBatchPayloadSeq with the decompressed
+// wire size bounded at max.
+func decodeBatchPayload(payload []byte, max int) (*model.Batch, aggregate.Codec, uint64, error) {
 	if len(payload) < envelopeHeader {
 		return nil, 0, 0, fmt.Errorf("protocol: payload too short (%d bytes)", len(payload))
 	}
@@ -185,10 +175,6 @@ func DecodeBatchPayloadSeq(payload []byte) (*model.Batch, aggregate.Codec, uint6
 		// The body already is the wire text and DecodeBatch never
 		// aliases its input, so parse in place instead of copying
 		// through the scratch pool. Same size bound as the codecs.
-		max := MaxBatchWireSize()
-		if max <= 0 {
-			max = aggregate.DefaultMaxDecompressedSize
-		}
 		if len(body) > max {
 			return nil, 0, 0, fmt.Errorf("protocol: open batch: %w",
 				&aggregate.SizeLimitError{Codec: codec, Limit: max})
@@ -200,7 +186,7 @@ func DecodeBatchPayloadSeq(payload []byte) (*model.Batch, aggregate.Codec, uint6
 		return b, codec, seq, nil
 	}
 	bufp := openBufPool.Get().(*[]byte)
-	wire, err := aggregate.AppendDecompress((*bufp)[:0], codec, body, MaxBatchWireSize())
+	wire, err := aggregate.AppendDecompress((*bufp)[:0], codec, body, max)
 	if cap(wire) <= maxPooledBufCap { // don't let one giant batch pin pool memory
 		*bufp = wire[:0]
 	} else {
@@ -291,9 +277,6 @@ type QueryPage struct {
 	// Readings is the page's payload, at most the server's page limit.
 	Readings []model.Reading
 }
-
-// HasMore reports whether another page follows.
-func (p QueryPage) HasMore() bool { return p.NextCursor != "" }
 
 // AppendQueryPage appends the binary encoding of a page to dst and
 // returns the extended slice. nodeID names the answering node (it

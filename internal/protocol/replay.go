@@ -209,15 +209,3 @@ func (f *ReplayFilter) Restore(dump map[string][]uint64) {
 		}
 	}
 }
-
-// Tracked returns how many sequences are currently remembered across
-// all origins (test/diagnostic hook for the memory bound).
-func (f *ReplayFilter) Tracked() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	total := 0
-	for _, w := range f.origins {
-		total += len(w.seen)
-	}
-	return total
-}

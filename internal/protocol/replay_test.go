@@ -300,3 +300,15 @@ func TestReplayFilterAccept(t *testing.T) {
 		t.Fatalf("16 racing copies: %d applied, %d duplicates, want 1 and 15", landed, dups)
 	}
 }
+
+// Tracked returns how many sequences are currently remembered across
+// all origins, for the memory-bound checks.
+func (f *ReplayFilter) Tracked() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	total := 0
+	for _, w := range f.origins {
+		total += len(w.seen)
+	}
+	return total
+}

@@ -148,11 +148,11 @@ func TestRangeHistoricalFromCloud(t *testing.T) {
 	if err := s.FlushAll(ctx); err != nil {
 		t.Fatal(err) // flush applies retention eviction at the fog layers
 	}
-	got, src, err := s.QueryWithFallback(ctx, f1, "traffic", t0, t0.Add(time.Hour), 1000)
+	got, src, err := s.QueryEngine(f1).Range(ctx, "traffic", t0, t0.Add(time.Hour), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != core.SourceCloud {
+	if src != query.SourceCloud {
 		t.Errorf("source = %v, want cloud", src)
 	}
 	if len(got) != total {
@@ -170,11 +170,11 @@ func TestRangeAuthoritativeEmptyParent(t *testing.T) {
 	f1 := s.Fog1IDs()[0]
 	m := s.Matrix()
 	m.Reset()
-	got, src, err := s.QueryWithFallback(ctx, f1, "traffic", t0.Add(-time.Minute), t0.Add(time.Minute), 1_000_000)
+	got, src, err := s.QueryEngine(f1).Range(ctx, "traffic", t0.Add(-time.Minute), t0.Add(time.Minute), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 || src != core.SourceParent {
+	if len(got) != 0 || src != query.SourceParent {
 		t.Errorf("empty authoritative answer = %d readings from %v, want 0 from parent", len(got), src)
 	}
 	// The cloud was never consulted: no query traffic on any WAN hop.
@@ -194,11 +194,11 @@ func TestScatterGatherSiblings(t *testing.T) {
 	if err := s.IngestAt(ids[2], trafficBatch("far", 30, t0)); err != nil {
 		t.Fatal(err)
 	}
-	got, src, err := s.QueryWithFallback(ctx, ids[0], "traffic", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
+	got, src, err := s.QueryEngine(ids[0]).Range(ctx, "traffic", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != core.SourceNeighbor {
+	if src != query.SourceNeighbor {
 		t.Errorf("source = %v, want neighbor", src)
 	}
 	if len(got) != 30 {
@@ -282,16 +282,18 @@ func TestAggregatePushdownDistricts(t *testing.T) {
 	if err := s.FlushAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sum, src, err := s.Aggregate(ctx, ids[0], "traffic", t0.Add(-time.Minute), t0.Add(time.Hour))
+	sum, src, err := s.QueryEngine(ids[0]).Aggregate(ctx, "traffic", t0.Add(-time.Minute), t0.Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != core.SourceParent {
+	if src != query.SourceParent {
 		t.Errorf("source = %v, want parent (district partials)", src)
 	}
-	want, err := s.CitySummary("traffic", t0.Add(-time.Minute), t0.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
+	// In-process reference: the sum of every district's own store.
+	want := aggregate.Summary{}
+	for _, id := range s.Fog2IDs() {
+		n, _ := s.Fog2(id)
+		want = want.Merge(aggregate.Summarize(n.Query("traffic", t0.Add(-time.Minute), t0.Add(time.Hour))))
 	}
 	if sum.Count != 65 || sum != want {
 		t.Errorf("pushdown sum = %+v, want %+v", sum, want)
@@ -370,13 +372,13 @@ func TestQueryTrafficClassTagged(t *testing.T) {
 	m := s.Matrix()
 	m.Reset()
 
-	if _, err := s.QueryNeighbor(ctx, ids[0], ids[1], "traffic", t0.Add(-time.Minute), t0.Add(time.Minute)); err != nil {
+	if _, err := s.QueryEngine(ids[0]).RangeFrom(ctx, ids[1], "traffic", t0.Add(-time.Minute), t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.LatestFromCloud(ctx, ids[0], "nb"); err != nil {
+	if _, _, err := s.QueryEngine(ids[0]).LatestFrom(ctx, core.CloudID, "nb"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RemoteSummary(ctx, ids[0], s.Fog2IDs()[0], "traffic", t0.Add(-time.Minute), t0.Add(time.Minute)); err != nil {
+	if _, err := s.QueryEngine(ids[0]).SummaryFrom(ctx, s.Fog2IDs()[0], "traffic", t0.Add(-time.Minute), t0.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -453,8 +455,8 @@ func TestRangePartialOnCrashedSiblings(t *testing.T) {
 		t.Errorf("unreachable = %v, want both siblings", res.Unreachable)
 	}
 	// The blind API keeps working identically.
-	got, src, err := s.QueryWithFallback(ctx, ids[0], "traffic", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
-	if err != nil || src != core.SourceParent || len(got) != 20 {
+	got, src, err := s.QueryEngine(ids[0]).Range(ctx, "traffic", t0.Add(-time.Minute), t0.Add(time.Minute), 1000)
+	if err != nil || src != query.SourceParent || len(got) != 20 {
 		t.Fatalf("blind fallback = %d from %v, %v", len(got), src, err)
 	}
 }

@@ -121,9 +121,6 @@ func (b *TokenBucket) Refill(now time.Time) {
 	b.last = now
 }
 
-// Tokens reports the current level (after the last Refill).
-func (b *TokenBucket) Tokens() float64 { return b.tokens }
-
 // Has reports whether cost tokens are available. Costs above the
 // bucket capacity are granted at full capacity, so one oversized
 // admission cannot jam the class forever.
@@ -384,16 +381,6 @@ func (s *Scheduler) pumpAfterLocked(wait time.Duration) {
 		s.dispatchLocked(s.clock.Now())
 		s.mu.Unlock()
 	})
-}
-
-// Queued reports how many admissions are currently waiting on a class.
-func (s *Scheduler) Queued(class string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cs, ok := s.classes[class]; ok {
-		return len(cs.waiters)
-	}
-	return 0
 }
 
 // Inflight reports how many grants are currently held.

@@ -289,3 +289,13 @@ func TestAdmitContextCancel(t *testing.T) {
 		t.Fatalf("cancelled waiter left %d queued", got)
 	}
 }
+
+// Queued reports how many admissions are currently waiting on a class.
+func (s *Scheduler) Queued(class string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cs, ok := s.classes[class]; ok {
+		return len(cs.waiters)
+	}
+	return 0
+}

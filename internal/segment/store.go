@@ -528,7 +528,9 @@ func (s *Store) Stats() store.Stats {
 	return store.Stats{Readings: s.readings.Load(), Series: len(set), ApproxBytes: bytes}
 }
 
-// SegmentCount returns the number of live segments.
+// SegmentCount returns the number of live segments. Kept for tests:
+// fognode's and cloud's TestOneLogDataDir and store's
+// TestSegmentPageWalkStraddlesFlush call it.
 func (s *Store) SegmentCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

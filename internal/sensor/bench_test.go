@@ -41,7 +41,7 @@ func BenchmarkWireFormats(b *testing.B) {
 	b.Run("columnar", func(b *testing.B) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = len(EncodeBatchColumnar(batch))
+			n = len(AppendBatchColumnar(nil, batch))
 		}
 		b.ReportMetric(float64(n), "bytes")
 	})
@@ -59,7 +59,7 @@ func BenchmarkWireFormats(b *testing.B) {
 	b.Run("columnar+flate", func(b *testing.B) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			comp, err := aggregate.Compress(aggregate.CodecFlate, EncodeBatchColumnar(batch))
+			comp, err := aggregate.Compress(aggregate.CodecFlate, AppendBatchColumnar(nil, batch))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 
 func BenchmarkDecodeBatchColumnar(b *testing.B) {
 	batch := benchBatch(b, 100, 4)
-	wire := EncodeBatchColumnar(batch)
+	wire := AppendBatchColumnar(nil, batch)
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

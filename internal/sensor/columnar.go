@@ -40,15 +40,8 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// EncodeBatchColumnar renders a batch in the columnar delta format as
-// a fresh slice.
-func EncodeBatchColumnar(b *model.Batch) []byte {
-	return AppendBatchColumnar(make([]byte, 0, 64+len(b.Readings)*12), b)
-}
-
 // AppendBatchColumnar appends the columnar delta encoding of b to dst
-// and returns the extended slice. Output is byte-identical to
-// EncodeBatchColumnar.
+// and returns the extended slice.
 func AppendBatchColumnar(dst []byte, b *model.Batch) []byte {
 	dst = append(dst, columnarMagic...)
 	dst = append(dst, columnarVersion)

@@ -26,7 +26,7 @@ func columnarSample(t *testing.T, sensors, rounds int, seed int64) *model.Batch 
 
 func TestColumnarRoundTrip(t *testing.T) {
 	b := columnarSample(t, 30, 4, 7)
-	enc := EncodeBatchColumnar(b)
+	enc := AppendBatchColumnar(nil, b)
 	got, err := DecodeBatchColumnar(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -55,7 +55,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 func TestColumnarSmallerThanText(t *testing.T) {
 	b := columnarSample(t, 50, 8, 3)
 	text := EncodeBatch(b)
-	col := EncodeBatchColumnar(b)
+	col := AppendBatchColumnar(nil, b)
 	if len(col) >= len(text)/2 {
 		t.Errorf("columnar %d B, text %d B: want < half", len(col), len(text))
 	}
@@ -81,7 +81,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 			return false
 		}
 		b := g.Next(t0)
-		got, err := DecodeBatchColumnar(EncodeBatchColumnar(b))
+		got, err := DecodeBatchColumnar(AppendBatchColumnar(nil, b))
 		if err != nil || len(got.Readings) != count {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 }
 
 func TestColumnarDecodeErrors(t *testing.T) {
-	good := EncodeBatchColumnar(columnarSample(t, 3, 1, 1))
+	good := AppendBatchColumnar(nil, columnarSample(t, 3, 1, 1))
 	cases := map[string][]byte{
 		"empty":      {},
 		"bad magic":  []byte("NOPE" + string(good[4:])),
@@ -118,7 +118,7 @@ func TestColumnarDecodeErrors(t *testing.T) {
 
 func TestColumnarEmptyBatch(t *testing.T) {
 	b := &model.Batch{NodeID: "n", TypeName: "temperature", Category: model.CategoryEnergy, Collected: t0}
-	got, err := DecodeBatchColumnar(EncodeBatchColumnar(b))
+	got, err := DecodeBatchColumnar(AppendBatchColumnar(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}

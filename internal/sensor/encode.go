@@ -222,11 +222,4 @@ func decodeLine(fields [][]byte, line []byte, typeName string, cat model.Categor
 	}, nil
 }
 
-// FixedWireBytes returns the Table I payload accounting for n
-// transactions of a sensor type: the paper charges exactly
-// BytesPerTransaction per reading on the wire regardless of encoding.
-func FixedWireBytes(st model.SensorType, n int) int64 {
-	return int64(n) * int64(st.BytesPerTransaction)
-}
-
 func unixNano(ns int64) time.Time { return time.Unix(0, ns) }

@@ -34,10 +34,10 @@ func fuzzSeedBatch() *model.Batch {
 func FuzzBatchRoundTrip(f *testing.F) {
 	seed := fuzzSeedBatch()
 	f.Add(EncodeBatch(seed))
-	f.Add(EncodeBatchColumnar(seed))
+	f.Add(AppendBatchColumnar(nil, seed))
 	empty := &model.Batch{NodeID: "n", TypeName: "t", Category: model.CategoryEnergy, Collected: time.Unix(0, 7)}
 	f.Add(EncodeBatch(empty))
-	f.Add(EncodeBatchColumnar(empty))
+	f.Add(AppendBatchColumnar(nil, empty))
 	f.Add([]byte("#f2c;n;t;energy;1;1\nx;2;3;u;4;5\n"))
 	f.Add([]byte("#f2c;;;energy;;\n"))
 	f.Add([]byte("F2CC\x01"))
@@ -70,12 +70,12 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			}
 		}
 		if b, err := DecodeBatchColumnar(data); err == nil {
-			wire := EncodeBatchColumnar(b)
+			wire := AppendBatchColumnar(nil, b)
 			b2, err := DecodeBatchColumnar(wire)
 			if err != nil {
 				t.Fatalf("columnar: re-decode of canonical encoding failed: %v", err)
 			}
-			if wire2 := EncodeBatchColumnar(b2); !bytes.Equal(wire, wire2) {
+			if wire2 := AppendBatchColumnar(nil, b2); !bytes.Equal(wire, wire2) {
 				t.Fatalf("columnar: canonical encoding is not a fixed point (%d vs %d bytes)", len(wire), len(wire2))
 			}
 		}
@@ -175,11 +175,11 @@ func columnarCorpus(f *testing.F) [][]byte {
 func FuzzColumnarRange(f *testing.F) {
 	seed := fuzzSeedBatch()
 	at := seed.Collected.UnixNano()
-	f.Add(EncodeBatchColumnar(seed), int64(math.MinInt64), int64(math.MaxInt64), 0)
-	f.Add(EncodeBatchColumnar(seed), at, at, 0)
-	f.Add(EncodeBatchColumnar(seed), at+1, int64(math.MaxInt64), 1)
-	f.Add(EncodeBatchColumnar(seed), at+1, at, 0) // empty range
-	f.Add(EncodeBatchColumnar(&model.Batch{NodeID: "n", TypeName: "t", Category: model.CategoryEnergy, Collected: time.Unix(0, 7)}), int64(0), int64(9), 3)
+	f.Add(AppendBatchColumnar(nil, seed), int64(math.MinInt64), int64(math.MaxInt64), 0)
+	f.Add(AppendBatchColumnar(nil, seed), at, at, 0)
+	f.Add(AppendBatchColumnar(nil, seed), at+1, int64(math.MaxInt64), 1)
+	f.Add(AppendBatchColumnar(nil, seed), at+1, at, 0) // empty range
+	f.Add(AppendBatchColumnar(nil, &model.Batch{NodeID: "n", TypeName: "t", Category: model.CategoryEnergy, Collected: time.Unix(0, 7)}), int64(0), int64(9), 3)
 	f.Add([]byte("F2CC\x01"), int64(0), int64(0), 0)
 	f.Add([]byte(nil), int64(0), int64(0), -1)
 	for _, data := range columnarCorpus(f) {

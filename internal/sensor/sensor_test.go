@@ -222,13 +222,6 @@ func TestDecodeBatchSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestFixedWireBytes(t *testing.T) {
-	st := mustType(t, "network_analyzer")
-	if got := FixedWireBytes(st, 10); got != 2420 {
-		t.Errorf("FixedWireBytes = %d, want 2420", got)
-	}
-}
-
 func TestEncodedPayloadIsTextual(t *testing.T) {
 	st := mustType(t, "temperature")
 	g, err := NewGenerator(Config{Type: st, NodeID: "n", Sensors: 3, Seed: 1, Redundancy: -1})

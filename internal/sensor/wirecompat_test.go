@@ -193,9 +193,9 @@ func TestAppendBatchMatchesLegacyEncoder(t *testing.T) {
 func TestAppendBatchColumnarMatchesLegacyEncoder(t *testing.T) {
 	for i, b := range wireCompatBatches(t) {
 		want := legacyEncodeBatchColumnar(b)
-		got := EncodeBatchColumnar(b)
+		got := AppendBatchColumnar(nil, b)
 		if !bytes.Equal(got, want) {
-			t.Errorf("batch %d: EncodeBatchColumnar diverges from legacy encoder (len %d vs %d)", i, len(got), len(want))
+			t.Errorf("batch %d: AppendBatchColumnar(nil, b) diverges from legacy encoder (len %d vs %d)", i, len(got), len(want))
 		}
 		prefix := []byte{0xde, 0xad}
 		appended := AppendBatchColumnar(append([]byte(nil), prefix...), b)

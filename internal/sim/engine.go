@@ -99,12 +99,6 @@ func (e *Engine) Schedule(at time.Time, name string, fn func(now time.Time)) err
 	return nil
 }
 
-// ScheduleAfter enqueues fn to run d after the current virtual
-// instant.
-func (e *Engine) ScheduleAfter(d time.Duration, name string, fn func(now time.Time)) error {
-	return e.Schedule(e.clock.Now().Add(d), name, fn)
-}
-
 // ScheduleEvery enqueues fn to run periodically starting at first and
 // then every interval, until (and excluding) the horizon. Each firing
 // self-reschedules, so stopping the engine stops the series.
@@ -133,9 +127,6 @@ func (e *Engine) ScheduleEvery(first time.Time, interval time.Duration, horizon 
 // handler.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.queue.Len() }
-
 // Run executes events in timestamp order until the queue drains or the
 // virtual clock would pass the horizon. Events exactly at the horizon
 // are not executed, mirroring a half-open [epoch, horizon) day window.
@@ -151,21 +142,6 @@ func (e *Engine) Run(horizon time.Time) error {
 		heap.Pop(&e.queue)
 		e.clock.AdvanceTo(next.At)
 		next.Fn(e.clock.Now())
-		e.Processed++
-	}
-	return nil
-}
-
-// Drain executes every queued event regardless of horizon. Useful for
-// flushing end-of-day work.
-func (e *Engine) Drain() error {
-	for e.queue.Len() > 0 {
-		if e.stopped {
-			return ErrStopped
-		}
-		ev := heap.Pop(&e.queue).(*Event)
-		e.clock.AdvanceTo(ev.At)
-		ev.Fn(e.clock.Now())
 		e.Processed++
 	}
 	return nil

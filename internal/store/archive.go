@@ -77,20 +77,6 @@ func (a *Archive) ByCategory(c model.Category) []Record {
 	return a.collect(a.byCat[c])
 }
 
-// ByType returns archived records of a sensor type, in arrival order.
-func (a *Archive) ByType(typeName string) []Record {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.collect(a.byType[typeName])
-}
-
-// ByDay returns records collected on the given UTC day ("2006-01-02").
-func (a *Archive) ByDay(day string) []Record {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.collect(a.byDay[day])
-}
-
 // Days returns the sorted set of days with archived data.
 func (a *Archive) Days() []string {
 	a.mu.RLock()

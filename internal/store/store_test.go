@@ -224,15 +224,12 @@ func TestArchivePutAndIndexes(t *testing.T) {
 	if recs := a.ByCategory(model.CategoryUrban); len(recs) != 2 {
 		t.Errorf("by category = %d", len(recs))
 	}
-	if recs := a.ByType("traffic"); len(recs) != 1 || recs[0].Batch.NodeID != "fog1/a" {
-		t.Errorf("by type = %+v", recs)
+	if recs := a.Records(); len(recs) != 2 || recs[0].Batch.NodeID != "fog1/a" {
+		t.Errorf("records = %+v", recs)
 	}
 	days := a.Days()
 	if len(days) != 2 || days[0] != "2017-06-01" || days[1] != "2017-06-02" {
 		t.Errorf("days = %v", days)
-	}
-	if recs := a.ByDay("2017-06-01"); len(recs) != 1 {
-		t.Errorf("by day = %d", len(recs))
 	}
 	if st := a.Stats(); st.Readings != 3 || st.Series != 2 {
 		t.Errorf("stats = %+v", st)
@@ -254,7 +251,7 @@ func TestArchiveProvenanceAndCloning(t *testing.T) {
 	// Archive clones batches: mutating the original must not change
 	// the archived copy.
 	b.Readings[0].Value = 999
-	if got := a.ByType("traffic")[0].Batch.Readings[0].Value; got == 999 {
+	if got := a.Records()[0].Batch.Readings[0].Value; got == 999 {
 		t.Error("archive aliased the caller's batch")
 	}
 }
@@ -276,7 +273,7 @@ func TestArchiveConcurrent(t *testing.T) {
 			for j := 0; j < 25; j++ {
 				at := t0.Add(time.Duration(i*25+j) * time.Minute)
 				_, _ = a.Put(batchAt("n", "traffic", at, "s"), nil, at)
-				a.ByType("traffic")
+				a.ByCategory(model.CategoryUrban)
 				a.Days()
 			}
 		}(i)
@@ -302,8 +299,8 @@ func TestArchiveExpire(t *testing.T) {
 	if a.Len() != 3 {
 		t.Errorf("Len = %d, want 3", a.Len())
 	}
-	if got := len(a.ByType("traffic")); got != 3 {
-		t.Errorf("by type after expire = %d", got)
+	if got := len(a.ByCategory(model.CategoryUrban)); got != 3 {
+		t.Errorf("by category after expire = %d", got)
 	}
 	if days := a.Days(); len(days) != 3 || days[0] != "2017-06-03" {
 		t.Errorf("days after expire = %v", days)

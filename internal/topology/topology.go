@@ -290,23 +290,6 @@ func (t *Topology) Neighbors(id string) []string {
 	return out
 }
 
-// PathToCloud returns the upward node-ID path from id to the cloud,
-// inclusive of both ends.
-func (t *Topology) PathToCloud(id string) ([]string, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n, ok := t.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("topology: unknown node %q", id)
-	}
-	path := []string{n.ID}
-	for n.Parent != "" {
-		n = t.byID[n.Parent]
-		path = append(path, n.ID)
-	}
-	return path, nil
-}
-
 // Counts returns the number of nodes per layer.
 func (t *Topology) Counts() (fog1, fog2, cloud int) {
 	t.mu.RLock()

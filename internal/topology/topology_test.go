@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,4 +174,21 @@ func TestLayerString(t *testing.T) {
 	if Layer(9).String() != "layer(9)" {
 		t.Error("unknown layer should render numerically")
 	}
+}
+
+// PathToCloud returns the upward node-ID path from id to the cloud,
+// inclusive of both ends.
+func (t *Topology) PathToCloud(id string) ([]string, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n, ok := t.byID[id]
+	if !ok {
+		return nil, fmt.Errorf("topology: unknown node %q", id)
+	}
+	path := []string{n.ID}
+	for n.Parent != "" {
+		n = t.byID[n.Parent]
+		path = append(path, n.ID)
+	}
+	return path, nil
 }

@@ -176,20 +176,10 @@ func (n *SimNetwork) Apply(ev FaultEvent) {
 	p.applyLocked(ev)
 }
 
-// Partition severs the directed link from -> to.
+// Partition severs the directed link from -> to. Kept for tests:
+// query's TestRangeFanoutSkipsPartitionedSibling calls it.
 func (n *SimNetwork) Partition(from, to string) {
 	n.Apply(FaultEvent{Op: FaultPartition, A: from, B: to})
-}
-
-// PartitionBoth severs both directions between a and b.
-func (n *SimNetwork) PartitionBoth(a, b string) {
-	n.Partition(a, b)
-	n.Partition(b, a)
-}
-
-// Heal removes the directed partition from -> to.
-func (n *SimNetwork) Heal(from, to string) {
-	n.Apply(FaultEvent{Op: FaultHeal, A: from, B: to})
 }
 
 // HealAll clears every injected fault at once.
@@ -198,14 +188,10 @@ func (n *SimNetwork) HealAll() {
 }
 
 // Crash takes a node down: messages to or from it fail with
-// ErrNodeDown until Restart.
+// ErrNodeDown until a FaultRestart. Kept for tests: query's
+// TestRangePartialOnCrashedSiblings and TestAggregate* call it.
 func (n *SimNetwork) Crash(id string) {
 	n.Apply(FaultEvent{Op: FaultCrash, A: id})
-}
-
-// Restart brings a crashed node back.
-func (n *SimNetwork) Restart(id string) {
-	n.Apply(FaultEvent{Op: FaultRestart, A: id})
 }
 
 // Crashed reports whether a node is currently down.
@@ -242,16 +228,11 @@ func (n *SimNetwork) DownNodes() []string {
 	return out
 }
 
-// SetExtraLatency adds a one-way latency spike to the directed link
-// from -> to (0 clears it).
-func (n *SimNetwork) SetExtraLatency(from, to string, d time.Duration) {
-	n.Apply(FaultEvent{Op: FaultLatency, A: from, B: to, Extra: d})
-}
-
 // SetReplyLoss sets the probability that a reply on the directed link
 // from -> to is lost after the handler ran (0 clears it). This is the
 // duplicate generator: the receiver processed the message, the sender
-// sees an error and retries.
+// sees an error and retries. Kept for tests: fognode's
+// TestRetryKeepsDeliverySequence calls it.
 func (n *SimNetwork) SetReplyLoss(from, to string, p float64) {
 	n.Apply(FaultEvent{Op: FaultReplyLoss, A: from, B: to, Prob: p})
 }

@@ -56,12 +56,11 @@ type SimNetwork struct {
 	def       LinkProfile
 	// rngMu guards only the loss draws, so lossless sends (the common
 	// case on the now-concurrent flush path) never serialize on it.
-	rngMu     sync.Mutex
-	rng       *rand.Rand
-	matrix    *metrics.TrafficMatrix
-	hopOf     func(from, to string) metrics.Hop
-	emulate   bool
-	latencies *metrics.Histogram
+	rngMu   sync.Mutex
+	rng     *rand.Rand
+	matrix  *metrics.TrafficMatrix
+	hopOf   func(from, to string) metrics.Hop
+	emulate bool
 	// faults is the injected-failure state (partitions, crashes,
 	// latency spikes, reply loss, scheduled events); nil until fault
 	// injection is first configured, and inert while nil. See
@@ -104,7 +103,6 @@ func NewSimNetwork(opts ...SimOption) *SimNetwork {
 		endpoints: make(map[string]Handler),
 		links:     make(map[[2]string]LinkProfile),
 		rng:       rand.New(rand.NewSource(1)),
-		latencies: metrics.NewHistogram(metrics.DefaultLatencyBounds()),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -150,9 +148,6 @@ func (n *SimNetwork) Link(from, to string) LinkProfile {
 	}
 	return n.def
 }
-
-// Latencies exposes the observed round-trip histogram.
-func (n *SimNetwork) Latencies() *metrics.Histogram { return n.latencies }
 
 var _ Transport = (*SimNetwork)(nil)
 
@@ -232,6 +227,5 @@ func (n *SimNetwork) Send(ctx context.Context, msg Message) ([]byte, error) {
 			return nil, ctx.Err()
 		}
 	}
-	n.latencies.Observe(uplink + downlink)
 	return reply, nil
 }

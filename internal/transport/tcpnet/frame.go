@@ -147,16 +147,10 @@ var kindNames = map[byte]transport.Kind{
 	8: transport.KindAlertPush,
 }
 
-// DefaultMaxFrame returns the frame-size bound derived from the batch
+// DefaultMaxFrame is the frame-size bound derived from the batch
 // wire-size limit: no legitimate payload exceeds the maximum sealed
 // envelope, so frames are bounded by it plus framing slack.
-func DefaultMaxFrame() int {
-	max := protocol.MaxBatchWireSize()
-	if max <= 0 {
-		max = protocol.DefaultMaxBatchWireSize
-	}
-	return max + frameSlack
-}
+const DefaultMaxFrame = protocol.MaxBatchWireSize + frameSlack
 
 // frameSlack covers the frame header and metadata strings on top of
 // the payload bound, plus the headroom a migration transfer adds to

@@ -35,7 +35,7 @@ type ServerOptions struct {
 
 func (o *ServerOptions) applyDefaults() {
 	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame()
+		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256

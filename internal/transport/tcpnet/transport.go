@@ -42,7 +42,7 @@ func (o *Options) applyDefaults() {
 		o.DialTimeout = 5 * time.Second
 	}
 	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame()
+		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Window <= 0 {
 		o.Window = 8 << 20

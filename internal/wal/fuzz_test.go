@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,4 +74,24 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("appended record lost after recovery")
 		}
 	})
+}
+
+// ReplayReader decodes frames from a stream without file access — the
+// fuzz surface proving that arbitrary bytes replay a consistent prefix
+// and never panic.
+func ReplayReader(r io.Reader) ([][]byte, error) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	var records [][]byte
+	off := 0
+	for {
+		rec, next, ok := nextFrame(raw, off)
+		if !ok {
+			return records, nil
+		}
+		records = append(records, rec)
+		off = next
+	}
 }

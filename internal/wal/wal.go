@@ -47,7 +47,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -366,26 +365,6 @@ func nextFrame(raw []byte, off int) (rec []byte, next int, ok bool) {
 		return nil, off, false
 	}
 	return payload, off + frameHeader + n, true
-}
-
-// ReplayReader decodes frames from a stream without file access — the
-// fuzz surface proving that arbitrary bytes replay a consistent prefix
-// and never panic.
-func ReplayReader(r io.Reader) ([][]byte, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var records [][]byte
-	off := 0
-	for {
-		rec, next, ok := nextFrame(raw, off)
-		if !ok {
-			return records, nil
-		}
-		records = append(records, rec)
-		off = next
-	}
 }
 
 // AppendFrame frames payload as Append would and appends it to dst —
