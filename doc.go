@@ -73,11 +73,14 @@
 // shed readings counted (Node.DroppedDuringOutage) rather than lost
 // silently; federated reads skip unreachable tiers and flag partial
 // results (query.Engine.RangeDetailed, AggregateDetailed). The
-// internal/chaos harness runs seeded fault schedules over a full city
-// and asserts exactly-once preservation, bounded memory and
-// post-heal convergence; failing runs print the seed that reproduces
-// them (go test ./internal/chaos/ -chaos.seeds N runs the long sweep;
-// see README "Resilience & chaos testing").
+// internal/chaos harness, chaos.Run(seed), draws a profile (storage,
+// buffer bound, reply loss, elastic ownership, adaptive flush) and a
+// per-tick fault mix from one seed over a full city, and asserts
+// exactly-once preservation, the conservation ledger, bounded memory,
+// post-heal convergence and the alert ledger on every profile; a
+// failing run prints the command that reruns its seed
+// (go test ./internal/chaos/ -chaos.seeds N runs seeds 1..N; see
+// README "Resilience & chaos testing").
 //
 // Durability (a data dir; the library default is in-memory) makes
 // those guarantees survive process death. A durable node journals its delivery state to an
@@ -96,8 +99,8 @@
 // then log tail, then installation. Enable per node (fognode/cloud Config.Durability), per
 // system (core.Options.DataDir, one journal directory per node id),
 // or with f2cd -data-dir; core.System.Reboot simulates a process
-// restart, and the chaos crash-recovery scenario asserts zero loss
-// through crashes at every tier (see README "Durability & recovery";
+// restart, and every data-dir chaos run reboots its crash victims
+// from disk and asserts the same ledger through crashes at every tier (see README "Durability & recovery";
 // BenchmarkIngestWAL measures the overhead).
 //
 // Tiered segment storage (internal/segment) bounds the memory of the temporal stores themselves: an LSM-lite engine
@@ -143,8 +146,8 @@
 //
 // and target side: dedup (From, TransferSeq) -> ack; otherwise
 // journal the raw chunk (recMigrateIn), absorb verbatim, deliver
-// under the original origins at the next flush. The chaos scale
-// schedules (scale-out, scale-in, rebalance-churn) prove the exact
+// under the original origins at the next flush. Elastic chaos runs
+// draw joins and leaves beside every other fault and prove the
 // conservation ledger, bounded migrate-class traffic and seed
 // reproducibility while membership churns (see README "Elastic
 // topology").
@@ -163,8 +166,8 @@
 // (protocol.Alert.Key), journaled subscription state so alerts
 // survive System.Reboot, and subscription routing through the
 // ownership rings so a standing query follows its shard across live
-// migration. The chaos alert-churn schedule asserts the exactly-once
-// alert ledger under partitions and crashes, and
+// migration. Every chaos run asserts the exactly-once alert ledger
+// under partitions, crashes, joins and leaves, and
 // core.TestStandingQueries10x holds the incremental plane to at least
 // 10x fewer WAN bytes than polling the same windows (see README
 // "Continuous queries & alerting" and examples/congestion).

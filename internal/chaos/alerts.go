@@ -1,38 +1,25 @@
 package chaos
 
-// Alert churn schedule: the chaos plane's proof that the continuous-
-// query tier keeps its exactly-once ledger while the delivery plane is
-// being tortured. An alert run registers standing subscriptions before
+// The alert ledger: every run registers standing subscriptions before
 // the first tick, records every alert instance the fog tier fires (the
 // core.Options.AlertObserver hook sees each seal at its fire point),
-// and after convergence asserts strict two-way set equality between
-// the fired ledger and the cloud's archived alert instances: no fired
-// alert lost across partitions, crash reboots and retry folding, and
-// no phantom or duplicate instance invented by the at-least-once
-// redelivery machinery.
+// and after convergence checks two-way set equality between the fired
+// ledger and the cloud's archived instances: no fired alert lost across
+// partitions, reboots, migrations and retry folding, and no phantom or
+// duplicate instance invented by at-least-once redelivery.
 
 import (
 	"sync"
 	"time"
 
-	"f2c/internal/core"
 	"f2c/internal/cq"
 	"f2c/internal/protocol"
 )
 
-// KindAlertChurn mixes partition/heal cuts with crash/restart windows
-// at every tier while standing subscriptions keep firing: alert pushes
-// must survive severed uplinks (frozen-seq retry queues), process
-// deaths (journaled seals and emitted marks — the kind implies
-// Scenario.Durable) and a dark cloud, and still land exactly once.
-const KindAlertChurn ScheduleKind = "alert-churn"
-
-// alertSubs are the standing continuous queries an alert run
-// registers: a tumbling and a sliding aggregate window over the
-// traffic type, and a threshold that trips in every window of the
-// noise type (the workload's values are all positive), so the firing
-// rate is high enough that the fault windows always catch pushes in
-// flight.
+// alertSubs are the standing continuous queries: a tumbling and a
+// sliding window over traffic, and a threshold that trips in every
+// noise window (every workload value is positive), so pushes are
+// always in flight when a fault lands.
 func alertSubs(tickStep time.Duration) []cq.Subscription {
 	w := 4 * tickStep
 	return []cq.Subscription{
@@ -42,88 +29,62 @@ func alertSubs(tickStep time.Duration) []cq.Subscription {
 	}
 }
 
-// alertDriver is the fire-side half of the exactly-once alert ledger:
-// it collects the instance key of every alert the fog tier seals.
-// Keys, not counts — a crash that lands between a window's fire and
-// its journaled seal legitimately refires the same instance after
-// reboot, and the cloud's instance dedup absorbs the copy; the ledger
-// therefore compares identity sets, never raw tallies.
-type alertDriver struct {
-	enabled bool
-	mu      sync.Mutex
-	fired   map[string]bool
+// alertLedger collects the instance key of every alert the fog tier
+// seals. Keys, not counts: a crash between a window's fire and its
+// journaled seal legitimately refires the same instance after reboot,
+// and the cloud's instance dedup absorbs the copy.
+type alertLedger struct {
+	mu    sync.Mutex
+	fired map[string]bool
 }
 
-func newAlertDriver(s *Scenario) *alertDriver {
-	return &alertDriver{enabled: s.Alerts, fired: make(map[string]bool)}
-}
-
-// observer returns the core.Options.AlertObserver hook, nil when the
-// scenario runs without alerts (nil keeps the seal path allocation-
-// free for every non-alert schedule).
-func (d *alertDriver) observer() func(protocol.AlertPush) {
-	if !d.enabled {
-		return nil
+// observe is the core.Options.AlertObserver hook.
+func (l *alertLedger) observe(push protocol.AlertPush) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.fired == nil {
+		l.fired = make(map[string]bool)
 	}
-	return func(push protocol.AlertPush) {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for i := range push.Alerts {
-			d.fired[push.Alerts[i].Key()] = true
-		}
+	for i := range push.Alerts {
+		l.fired[push.Alerts[i].Key()] = true
 	}
 }
 
-// register installs the standing subscriptions on the freshly built
-// system, before the first tick — exactly how a deployment would seed
-// them at boot.
-func (d *alertDriver) register(s *Scenario, sys *core.System) error {
-	if !d.enabled {
-		return nil
-	}
-	for _, sub := range alertSubs(s.TickStep) {
-		if err := sys.Subscribe(sub); err != nil {
-			return s.failf("subscribe %s: %v", sub.ID, err)
+// subscribe installs the standing subscriptions before the first tick,
+// as a deployment seeds them at boot.
+func (r *run) subscribe() error {
+	for _, sub := range alertSubs(tickStep) {
+		if err := r.sys.Subscribe(sub); err != nil {
+			return r.failf("subscribe %s: %v", sub.ID, err)
 		}
 	}
 	return nil
 }
 
-// checkInvariants fills the Result's alert fields and asserts the
-// exactly-once contract after the run converged: the fired set and
-// the cloud's archived instance set are equal — every fired alert
-// delivered (no loss), nothing archived that never fired (no phantom)
-// — with wire-level duplicates permitted and accounted, never stored.
-func (d *alertDriver) checkInvariants(s *Scenario, sys *core.System, res *Result) error {
-	if !d.enabled {
-		return nil
-	}
-	d.mu.Lock()
-	fired := make(map[string]bool, len(d.fired))
-	for k := range d.fired {
-		fired[k] = true
-	}
-	d.mu.Unlock()
-
-	instances := sys.Cloud().AlertInstances()
-	res.AlertsFired = len(fired)
-	res.AlertsDelivered = len(instances)
-	res.AlertDuplicates = sys.Cloud().DuplicateAlerts()
-
+// checkAlerts fills the alert fields of the Result and checks that the
+// fired set equals the cloud's archived set.
+func (r *run) checkAlerts() error {
+	r.alerts.mu.Lock()
+	defer r.alerts.mu.Unlock()
+	fired := r.alerts.fired
+	instances := r.sys.Cloud().AlertInstances()
+	r.res.AlertsFired = len(fired)
+	r.res.AlertsDelivered = len(instances)
+	r.res.AlertDuplicates = r.sys.Cloud().DuplicateAlerts()
 	if len(fired) == 0 {
-		return s.failf("alert run fired nothing: the standing subscriptions never evaluated")
+		return r.failf("the standing subscriptions fired nothing")
 	}
 	delivered := make(map[string]bool, len(instances))
 	for i := range instances {
 		k := instances[i].Key()
 		if !fired[k] {
-			return s.failf("phantom alert: cloud archived instance %s no subscription fired", k)
+			return r.failf("phantom alert: cloud archived instance %s no subscription fired", k)
 		}
 		delivered[k] = true
 	}
 	for k := range fired {
 		if !delivered[k] {
-			return s.failf("lost alert: fired instance %s never reached the cloud", k)
+			return r.failf("lost alert: fired instance %s never reached the cloud", k)
 		}
 	}
 	return nil

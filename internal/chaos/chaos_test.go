@@ -2,146 +2,260 @@ package chaos
 
 import (
 	"flag"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"f2c/internal/core"
 	"f2c/internal/model"
-	"f2c/internal/segment"
 	"f2c/internal/sim"
 )
 
-// seedsPerScenario is raised by the long sweep (-chaos.seeds 50).
-var seedsPerScenario = flag.Int("chaos.seeds", 3, "seeded runs per scenario")
+// defaultSeeds is the smallest seed set, 1..defaultSeeds, whose drawn
+// profiles cover every value of every dimension. TestChaos asserts
+// both halves of that.
+const defaultSeeds = 5
 
-// scenarios are the acceptance fault schedules. Every run
-// asserts the full invariant set end to end: exactly-once
-// preservation at the cloud, bounded memory under the configured
-// bound, and post-heal convergence. A failure message carries the
-// seed that reproduces it.
-var scenarios = []Scenario{
-	{Name: "partition+heal", Kind: KindPartitionHeal},
-	{Name: "parent crash+restart", Kind: KindCrashRestart},
-	{Name: "rolling fog churn", Kind: KindRollingChurn},
-	// Bounded variant: while the cloud is dark nothing drains, so a
-	// small per-type buffer budget must shed (and account every
-	// dropped reading) instead of growing without bound.
-	{Name: "crash+restart bounded", Kind: KindCrashRestart, MaxPendingReadings: 40},
-	// Degrading variant: the same dark-cloud pressure, but trimmed
-	// readings fold into window summaries pushed upward instead of
-	// being dropped, and every handler sits behind the admission
-	// scheduler; the run asserts no reading is lost outside the
-	// shed + degraded ledger.
-	{Name: "crash+restart degrade", Kind: KindCrashRestart, MaxPendingReadings: 40, DegradeToSummary: true},
-	// Durable variant: crashes at every tier destroy volatile state
-	// and the victims reboot from their write-ahead logs; with the
-	// production memtable cap no segment ever flushes, so recovery
-	// rests on the journal and the WAL-replayed memtable and must
-	// still preserve every accepted reading exactly once.
-	{Name: "crash+recover durable", Kind: KindCrashRecovery, Durable: true, MemtableBytes: segment.DefaultMemtableBytes},
-	// Segment-store variant: same crash schedule under the default
-	// tiny memtable, so reboots land mid-segment-flush and
-	// mid-compaction; recovery must stitch journal, WAL-replayed
-	// memtable and on-disk segments back together with no loss and
-	// no duplicates.
-	{Name: "crash+recover segment store", Kind: KindCrashRecovery, Durable: true},
-	// Alert variant: standing continuous queries fire throughout a
-	// mixed partition + crash schedule (Durable implied), and the run
-	// additionally asserts the exactly-once alert ledger — the fired
-	// instance set equals the cloud's archived instance set.
-	{Name: "alert churn", Kind: KindAlertChurn},
+// seeds is how many seeds TestChaos runs; the long sweep raises it
+// (-chaos.seeds 300).
+var seeds = flag.Int("chaos.seeds", defaultSeeds, "how many seeds TestChaos runs")
+
+// runs memoizes Run per seed, so the tests of one process share runs.
+var runs = map[int64]struct {
+	res Result
+	err error
+}{}
+
+func runSeed(seed int64) (Result, error) {
+	o, ok := runs[seed]
+	if !ok {
+		o.res, o.err = Run(seed)
+		runs[seed] = o
+	}
+	return o.res, o.err
 }
 
+func profileOf(seed int64) Profile { return drawProfile(rand.New(rand.NewSource(seed))) }
+
+// covers reports whether seeds 1..n draw every value of every profile
+// dimension.
+func covers(n int) bool {
+	got := map[string]bool{}
+	for seed := int64(1); seed <= int64(n); seed++ {
+		p := profileOf(seed)
+		got["storage="+p.Storage] = true
+		got["buffer="+p.Buffer] = true
+		got[fmt.Sprint("lossy=", p.LossyAcks)] = true
+		got[fmt.Sprint("elastic=", p.Elastic)] = true
+		got[fmt.Sprint("adaptive=", p.Adaptive)] = true
+	}
+	return len(got) == len(storages)+len(buffers)+3*2
+}
+
+// eachSeed runs fn on the result of every seed TestChaos runs.
+func eachSeed(t *testing.T, fn func(seed int64, res Result)) {
+	t.Helper()
+	for seed := int64(1); seed <= int64(*seeds); seed++ {
+		res, err := runSeed(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(seed, res)
+	}
+}
+
+// TestChaosScenarios guards the default seed set: it must be the
+// smallest prefix of seeds whose drawn profiles cover every value of
+// every dimension, so every scenario runs on every push.
 func TestChaosScenarios(t *testing.T) {
-	for _, sc := range scenarios {
-		t.Run(sc.Name, func(t *testing.T) {
-			for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
-				sc := sc
-				sc.Seed = seed
-				res, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Accepted == 0 || res.Preserved == 0 {
-					t.Fatalf("seed %d: empty run (accepted %d, preserved %d)", seed, res.Accepted, res.Preserved)
-				}
-				t.Logf("seed %d: accepted %d, preserved %d, shed %d, dups suppressed %d, relayed %d, deferred %d, recovery rounds %d",
-					seed, res.Accepted, res.Preserved, res.Shed, res.Duplicates, res.Relayed, res.Deferred, res.RecoveryRounds)
+	if !covers(defaultSeeds) || covers(defaultSeeds-1) {
+		t.Fatalf("seeds 1..%d are not the smallest set covering every profile value", defaultSeeds)
+	}
+}
+
+// TestChaos runs every seed of the set and checks, beyond what Run
+// checks on every profile, that the run was not empty and that a RAM
+// run never rebooted from disk.
+func TestChaos(t *testing.T) {
+	for seed := int64(1); seed <= int64(*seeds); seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			res, err := runSeed(seed)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if res.Accepted == 0 || res.Preserved == 0 {
+				t.Fatalf("empty run: %+v", res)
+			}
+			if res.Profile.Storage == "ram" && res.Reboots != [3]int{} {
+				t.Fatalf("a RAM run rebooted from disk: %+v", res)
+			}
+			t.Logf("%+v", res)
 		})
 	}
 }
 
-// TestChaosExercisesResilienceMachinery guards against a silently
-// degenerate harness: across the standard seeds, the schedules must
-// actually provoke duplicate-suppression and sibling relays — if they
-// stop doing so, the invariants above are passing vacuously.
-func TestChaosExercisesResilienceMachinery(t *testing.T) {
-	var dups, relayed, shed int64
-	for _, sc := range scenarios {
-		sc.Seed = 1
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
+// TestChaosCrashRecoveryZeroLoss is the durability acceptance
+// contract: on a data dir with an unbounded buffer, crash-instant
+// reboots must lose nothing — preserved == accepted exactly once, with
+// nothing shed or dropped — while actually rebooting.
+func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
+	durable := 0
+	eachSeed(t, func(seed int64, res Result) {
+		if res.Profile.Storage == "ram" || res.Profile.Buffer != "unbounded" {
+			return
 		}
-		dups += res.Duplicates
-		relayed += res.Relayed
-		shed += res.Shed
-	}
-	if dups == 0 {
-		t.Error("no duplicate deliveries were provoked: reply-loss bursts are not reaching the wire")
-	}
-	if relayed == 0 {
-		t.Error("no sibling relays happened: failover never engaged")
-	}
-	if shed == 0 {
-		t.Error("the bounded scenario never shed: the buffer bound is not under pressure")
+		durable++
+		if res.Reboots == [3]int{} {
+			t.Errorf("seed %d: durable run performed no reboots: crashes never landed", seed)
+		}
+		if res.Preserved != res.Accepted || res.Dropped != 0 || res.Shed != 0 {
+			t.Errorf("seed %d: durable run preserved %d of %d accepted, dropped %d, shed %d",
+				seed, res.Preserved, res.Accepted, res.Dropped, res.Shed)
+		}
+	})
+	if durable == 0 {
+		t.Fatal("no seed ran on a data dir with an unbounded buffer")
 	}
 }
 
-// TestChaosCrashRecoveryZeroLoss is the durability acceptance
-// contract, run both ways on the same schedules: with durability ON
-// (journal + segment store), crash-instant reboots must lose nothing
-// (preserved == accepted exactly once, DroppedDuringOutage == 0 —
-// asserted inside Run) while actually rebooting at every tier; the
-// schedules must also demonstrably destroy state when durability is
-// OFF, or the zero-loss assertion would be passing against harmless
-// crashes.
-func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
-	lossless := 0
-	for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
-		durable := Scenario{Name: "durable recovery", Kind: KindCrashRecovery, Durable: true, Seed: seed}
-		res, err := Run(durable)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Reboots == 0 {
-			t.Fatalf("seed %d: durable run performed no journal reboots: crashes never landed", seed)
-		}
-		if res.Preserved != res.Accepted {
-			t.Fatalf("seed %d: durable run preserved %d of %d accepted readings", seed, res.Preserved, res.Accepted)
-		}
-		if res.Dropped != 0 || res.Shed != 0 {
-			t.Fatalf("seed %d: durable run dropped %d / shed %d readings", seed, res.Dropped, res.Shed)
-		}
-		t.Logf("seed %d: accepted %d preserved %d, %d reboots, %d dups suppressed",
-			seed, res.Accepted, res.Preserved, res.Reboots, res.Duplicates)
+// exactLedger reports whether every accepted reading is preserved raw,
+// archived inside a degraded summary, or counted shed.
+func exactLedger(res Result) bool {
+	return int64(res.Preserved)+res.Degraded+res.Shed == int64(res.Accepted)
+}
 
-		// Control: durability off on the same schedule keeps the old
-		// crash semantics — in-memory state survives (no reboots) and
-		// the run still converges under the bounded-loss contract.
-		volatile := Scenario{Name: "volatile control", Kind: KindCrashRecovery, Seed: seed}
-		vres, err := Run(volatile)
-		if err != nil {
-			t.Fatal(err)
+// TestChaosDegradeConservation is the graceful-degradation contract:
+// with reliable acks a bounded run's ledger is exact, and a degrade
+// run's pressure must actually fold readings into summaries, or the
+// ledger passes vacuously.
+func TestChaosDegradeConservation(t *testing.T) {
+	degrade := 0
+	eachSeed(t, func(seed int64, res Result) {
+		p := res.Profile
+		if p.Buffer == "unbounded" || p.LossyAcks {
+			return
 		}
-		if vres.Reboots != 0 {
-			t.Fatalf("seed %d: volatile run rebooted %d times", seed, vres.Reboots)
+		if !exactLedger(res) {
+			t.Errorf("seed %d: ledger %d + %d + %d != accepted %d", seed, res.Preserved, res.Degraded, res.Shed, res.Accepted)
 		}
-		if vres.Preserved == vres.Accepted {
-			lossless++
+		if p.Buffer == "degrade" {
+			degrade++
+			if res.Degraded == 0 {
+				t.Errorf("seed %d: pressure degraded nothing: the bound is not forcing summaries", seed)
+			}
 		}
+	})
+	if degrade == 0 {
+		t.Fatal("no seed degraded with reliable acks")
 	}
-	_ = lossless // volatile crash-restart often loses nothing (state survives in memory); durable must NEVER lose.
+}
+
+// TestChaosDurableDegradeConservation closes the degrade tier's crash
+// hole: some bounded run with reliable acks both folds readings into
+// summaries and reboots from disk, and its ledger stays exact.
+func TestChaosDurableDegradeConservation(t *testing.T) {
+	found := false
+	eachSeed(t, func(seed int64, res Result) {
+		p := res.Profile
+		if p.Buffer == "unbounded" || p.LossyAcks || res.Degraded == 0 || res.Reboots == [3]int{} {
+			return
+		}
+		found = true
+		if !exactLedger(res) {
+			t.Errorf("seed %d: ledger %d + %d + %d != accepted %d", seed, res.Preserved, res.Degraded, res.Shed, res.Accepted)
+		}
+	})
+	if !found {
+		t.Error("no bounded run with reliable acks both degraded readings and rebooted from disk")
+	}
+}
+
+// TestChaosAlertExactlyOnce is the continuous-query contract: every
+// alert instance fired is archived at the cloud exactly once, and the
+// set includes a data-dir run that rebooted, or the journaled seals
+// pass untested.
+func TestChaosAlertExactlyOnce(t *testing.T) {
+	rebooted := false
+	eachSeed(t, func(seed int64, res Result) {
+		if res.AlertsFired == 0 || res.AlertsDelivered != res.AlertsFired {
+			t.Errorf("seed %d: fired %d alert instances, cloud archived %d", seed, res.AlertsFired, res.AlertsDelivered)
+		}
+		rebooted = rebooted || (res.Profile.Storage != "ram" && res.Reboots != [3]int{})
+	})
+	if !rebooted {
+		t.Error("no run with alerts rebooted from a data dir")
+	}
+}
+
+// TestChaosRebalanceAlertConservation closes the loop between the
+// elastic and alert planes: alerts fired and delivered on an elastic
+// run that joined or left, so shard handoffs carried subscriptions and
+// open windows.
+func TestChaosRebalanceAlertConservation(t *testing.T) {
+	scaled := false
+	eachSeed(t, func(seed int64, res Result) {
+		if !res.Profile.Elastic || res.ScaleOuts+res.ScaleIns == 0 {
+			return
+		}
+		if res.AlertsFired > 0 && res.AlertsFired == res.AlertsDelivered {
+			scaled = true
+		}
+	})
+	if !scaled {
+		t.Error("no elastic run that scaled fired and delivered alerts")
+	}
+}
+
+// TestChaosElasticScenarios checks that the elastic seeds ran
+// non-empty and that joins and leaves both happened across them.
+func TestChaosElasticScenarios(t *testing.T) {
+	elastic, joins, leaves := 0, 0, 0
+	eachSeed(t, func(seed int64, res Result) {
+		if !res.Profile.Elastic {
+			return
+		}
+		elastic++
+		joins += res.ScaleOuts
+		leaves += res.ScaleIns
+		if res.Accepted == 0 || res.Preserved == 0 {
+			t.Errorf("seed %d: empty run (accepted %d, preserved %d)", seed, res.Accepted, res.Preserved)
+		}
+	})
+	if elastic == 0 || joins == 0 || leaves == 0 {
+		t.Errorf("%d elastic seeds, %d joins, %d leaves: each must be above zero", elastic, joins, leaves)
+	}
+}
+
+// TestChaosElasticExactConservation: an unbounded elastic run
+// preserves every accepted reading exactly once across migrations.
+func TestChaosElasticExactConservation(t *testing.T) {
+	exact := 0
+	eachSeed(t, func(seed int64, res Result) {
+		if !res.Profile.Elastic || res.Profile.Buffer != "unbounded" {
+			return
+		}
+		exact++
+		if res.Preserved != res.Accepted || res.Shed != 0 || res.Degraded != 0 {
+			t.Errorf("seed %d: ledger not exact: %+v", seed, res)
+		}
+	})
+	if exact == 0 {
+		t.Fatal("no seed ran elastic with an unbounded buffer")
+	}
+}
+
+// TestChaosElasticRebalanceTrafficObserved guards the migration
+// accounting against vacuity: joins and leaves must move state, or
+// Run's rebalance closures assert nothing.
+func TestChaosElasticRebalanceTrafficObserved(t *testing.T) {
+	var migrated, bytes int64
+	eachSeed(t, func(_ int64, res Result) {
+		migrated += res.MigratedReadings
+		bytes += res.MigrateBytes
+	})
+	if migrated == 0 || bytes == 0 {
+		t.Errorf("migrated readings %d and bytes %d: each must be above zero", migrated, bytes)
+	}
 }
 
 // TestChaosRebootLosesStateWithoutJournal pins down what a reboot
@@ -188,188 +302,69 @@ func TestChaosRebootLosesStateWithoutJournal(t *testing.T) {
 	}
 }
 
-// TestChaosDurableSeedReproducible extends the debugging contract to
-// durable runs: recovery from the journal and the tiered segment store
-// must not introduce nondeterminism.
-func TestChaosDurableSeedReproducible(t *testing.T) {
-	sc := Scenario{Name: "durable repro", Kind: KindCrashRecovery, Durable: true, Seed: 11}
-	a, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
+// TestChaosExercisesResilienceMachinery guards the seed set against a
+// silently degenerate harness: across it, the drawn events must
+// provoke every mechanism the checks in Run stand on, or those checks
+// pass vacuously. The named tests above hold the degrade, alert and
+// migration halves of this guard.
+func TestChaosExercisesResilienceMachinery(t *testing.T) {
+	var dups, relayed, shed int64
+	var reboots [3]int
+	eachSeed(t, func(_ int64, res Result) {
+		dups += res.Duplicates
+		relayed += res.Relayed
+		shed += res.Shed
+		for i, n := range res.Reboots {
+			reboots[i] += n
+		}
+	})
+	if dups == 0 || relayed == 0 || shed == 0 {
+		t.Errorf("duplicates suppressed %d, sibling relays %d, shed %d: each must be above zero", dups, relayed, shed)
 	}
-	b, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same durable seed diverged:\n first %+v\nsecond %+v", a, b)
+	if reboots[0] == 0 || reboots[1] == 0 || reboots[2] == 0 {
+		t.Errorf("reboots from disk per tier (fog1, fog2, cloud) = %v: every tier must reboot", reboots)
 	}
 }
 
-// TestChaosDegradeConservation is the graceful-degradation acceptance
-// contract: with reply loss disabled (acknowledgements reliable, so
-// shed/preserved overlap cannot happen) the ledger is exact — every
-// accepted reading is preserved raw, archived inside a degraded
-// summary, or counted shed, with no double-count (asserted inside
-// Run) — and the pressure must actually provoke degradation, or the
-// ledger is passing vacuously. The run must also stay
-// seed-reproducible: summary folding and admission scheduling
+// reproduces checks the debugging contract on the first default seed
+// whose profile matches: the seed must reproduce its run, or printing
+// it on failure would be useless.
+func reproduces(t *testing.T, what string, match func(Profile) bool) {
+	t.Helper()
+	for seed := int64(1); seed <= defaultSeeds; seed++ {
+		if !match(profileOf(seed)) {
+			continue
+		}
+		a, err := runSeed(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("seed %d diverged:\n first %+v\nsecond %+v", seed, a, b)
+		}
+		return
+	}
+	t.Fatalf("the default set lacks a %s seed", what)
+}
+
+// TestChaosSeedReproducible: summary folding and admission scheduling
 // introduce no nondeterminism.
-func TestChaosDegradeConservation(t *testing.T) {
-	for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
-		sc := Scenario{
-			Name: "degrade conservation", Kind: KindCrashRestart,
-			MaxPendingReadings: 40, DegradeToSummary: true,
-			ReplyLoss: -1, Seed: seed,
-		}
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Degraded == 0 {
-			t.Fatalf("seed %d: dark-cloud pressure degraded nothing: the bound is not forcing summaries", seed)
-		}
-		if got := int64(res.Preserved) + res.Degraded + res.Shed; got != int64(res.Accepted) {
-			t.Fatalf("seed %d: ledger %d != accepted %d (%+v)", seed, got, res.Accepted, res)
-		}
-		again, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != again {
-			t.Errorf("seed %d: degrade run diverged:\n first %+v\nsecond %+v", seed, res, again)
-		}
-		t.Logf("seed %d: accepted %d = preserved %d + degraded %d + shed %d",
-			seed, res.Accepted, res.Preserved, res.Degraded, res.Shed)
-	}
-}
-
-// TestChaosAlertExactlyOnce is the continuous-query acceptance
-// contract: across seeded partition/heal windows and crash reboots at
-// every tier, each alert instance a standing subscription fires is
-// archived at the cloud exactly once — none lost to a severed uplink,
-// a dead process or retry-queue folding, none duplicated by the
-// at-least-once redelivery — and the schedule demonstrably reboots
-// nodes, or the journaled-seal machinery would be passing untested.
-// The full two-way set assertion runs inside Run; the test pins the
-// non-vacuousness conditions and the seed-reproducibility of the
-// alert ledger itself.
-func TestChaosAlertExactlyOnce(t *testing.T) {
-	for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
-		sc := Scenario{Name: "alert exactly-once", Kind: KindAlertChurn, Seed: seed}
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.AlertsFired == 0 {
-			t.Fatalf("seed %d: the standing subscriptions fired nothing", seed)
-		}
-		if res.AlertsDelivered != res.AlertsFired {
-			t.Fatalf("seed %d: fired %d alert instances, cloud archived %d", seed, res.AlertsFired, res.AlertsDelivered)
-		}
-		if res.Reboots == 0 {
-			t.Fatalf("seed %d: alert run performed no journal reboots: crashes never landed", seed)
-		}
-		t.Logf("seed %d: fired %d = delivered %d, %d duplicate instances absorbed, %d reboots, %d dups suppressed",
-			seed, res.AlertsFired, res.AlertsDelivered, res.AlertDuplicates, res.Reboots, res.Duplicates)
-	}
-
-	// Reproducibility: the alert ledger (fired/delivered/duplicate
-	// tallies included, Result is compared whole) must derive from the
-	// seed alone.
-	sc := Scenario{Name: "alert repro", Kind: KindAlertChurn, Seed: 5}
-	a, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same alert seed diverged:\n first %+v\nsecond %+v", a, b)
-	}
-}
-
-// TestChaosRebalanceAlertConservation closes the loop between the
-// elastic and alert planes: standing subscriptions registered through
-// the ownership rings must keep the exactly-once alert ledger while
-// fog layer 1 joins and leaves under rebalance churn — the shard
-// handoffs carry subscription definitions and open window state, so a
-// window in flight at a migration is fired by exactly one owner (or,
-// when a lost transfer ack legitimately leaves both sides owning it,
-// fired under two identities that are each delivered exactly once).
-func TestChaosRebalanceAlertConservation(t *testing.T) {
-	for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
-		sc := Scenario{Name: "rebalance alerts", Kind: KindRebalanceChurn, Alerts: true, Seed: seed}
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.AlertsFired == 0 {
-			t.Fatalf("seed %d: the standing subscriptions fired nothing under churn", seed)
-		}
-		if res.AlertsDelivered != res.AlertsFired {
-			t.Fatalf("seed %d: fired %d alert instances, cloud archived %d", seed, res.AlertsFired, res.AlertsDelivered)
-		}
-		if res.ScaleOuts == 0 || res.ScaleIns == 0 {
-			t.Fatalf("seed %d: churn ran no scale events (out %d, in %d): migrations never happened", seed, res.ScaleOuts, res.ScaleIns)
-		}
-		t.Logf("seed %d: fired %d = delivered %d across %d joins / %d leaves, %d readings migrated",
-			seed, res.AlertsFired, res.AlertsDelivered, res.ScaleOuts, res.ScaleIns, res.MigratedReadings)
-	}
-}
-
-// TestChaosSeedReproducible is the debugging contract: the same seed
-// must reproduce the same run — workload, fault schedule and
-// outcome — or printing the seed on failure would be useless.
 func TestChaosSeedReproducible(t *testing.T) {
-	sc := Scenario{Name: "repro", Kind: KindPartitionHeal, Seed: 7}
-	a, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same seed diverged:\n first %+v\nsecond %+v", a, b)
-	}
+	reproduces(t, "degrade", func(p Profile) bool { return p.Buffer == "degrade" })
 }
 
-// TestChaosDurableDegradeConservation closes the degrade tier's crash
-// hole end to end: the crash schedule that reboots nodes at every tier
-// from their journals, run with the buffer bound folding readings into
-// summaries. A reboot may land between a fold and the push that
-// carries it, with a sealed push parked, or — at fog layer 2 — with a
-// child's absorbed summary waiting in the degrade buffer; with
-// acknowledgements reliable the ledger must still be exact.
-func TestChaosDurableDegradeConservation(t *testing.T) {
-	for seed := int64(1); seed <= int64(*seedsPerScenario); seed++ {
-		sc := Scenario{
-			Name: "durable degrade conservation", Kind: KindCrashRecovery, Durable: true,
-			MaxPendingReadings: 10, DegradeToSummary: true,
-			ReplyLoss: -1, Seed: seed,
-		}
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Degraded == 0 || res.Reboots == 0 {
-			t.Fatalf("seed %d: vacuous run: %d readings degraded, %d reboots", seed, res.Degraded, res.Reboots)
-		}
-		if got := int64(res.Preserved) + res.Degraded + res.Shed; got != int64(res.Accepted) {
-			t.Fatalf("seed %d: ledger %d != accepted %d (%+v)", seed, got, res.Accepted, res)
-		}
-		again, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != again {
-			t.Errorf("seed %d: durable degrade run diverged:\n first %+v\nsecond %+v", seed, res, again)
-		}
-		t.Logf("seed %d: accepted %d = preserved %d + degraded %d + shed %d across %d reboots",
-			seed, res.Accepted, res.Preserved, res.Degraded, res.Shed, res.Reboots)
-	}
+// TestChaosDurableSeedReproducible: recovery from the journal and the
+// segment store introduces no nondeterminism.
+func TestChaosDurableSeedReproducible(t *testing.T) {
+	reproduces(t, "static data-dir", func(p Profile) bool { return p.Storage != "ram" && !p.Elastic })
+}
+
+// TestChaosElasticSeedReproducible: minted node IDs, victim draws and
+// migration chunking derive from the seed.
+func TestChaosElasticSeedReproducible(t *testing.T) {
+	reproduces(t, "elastic", func(p Profile) bool { return p.Elastic })
 }

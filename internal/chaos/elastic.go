@@ -1,224 +1,121 @@
 package chaos
 
-// Elastic scale schedules: the chaos plane's proof that the live
-// shard-migration rebalance keeps the delivery invariants while the
-// topology itself is churning. The scale kinds grow and shrink fog
-// layer 1 mid-run — under the same reply-loss bursts and latency
-// spikes every schedule mixes in — and the run then asserts the
-// standard conservation ledger over a roster that changed shape,
-// plus the rebalance-traffic accounting: every migrated byte shows
-// up in the traffic matrix under transport.ClassMigrate, and the
-// volume stays bounded by what consistent hashing is allowed to move.
+// Joins and leaves: in an elastic run the event table grows and
+// shrinks fog layer 1 mid-run, and live shard migration moves each
+// type whose ring owner flips. The run then checks the rebalance
+// traffic: every migrated byte shows up in the traffic matrix under
+// transport.ClassMigrate, and the volume stays bounded by what
+// consistent hashing is allowed to move.
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
-	"f2c/internal/core"
 	"f2c/internal/fognode"
 	"f2c/internal/metrics"
-	"f2c/internal/topology"
 	"f2c/internal/transport"
 )
 
-const (
-	// KindScaleOut joins one fresh fog layer-1 node per district
-	// mid-run; every sensor type the ownership ring reassigns is
-	// live-migrated to the newcomer while ingest keeps flowing.
-	KindScaleOut ScheduleKind = "scale-out"
-	// KindScaleIn removes one fog layer-1 node per district mid-run;
-	// each victim's owned types evacuate to the survivors and its
-	// remaining buffers drain upward before it disappears.
-	KindScaleIn ScheduleKind = "scale-in"
-	// KindRebalanceChurn rolls overlapping joins and leaves through
-	// both districts — membership never settles, ownership keeps
-	// flipping, and the exactly-once ledger must still balance.
-	KindRebalanceChurn ScheduleKind = "rebalance-churn"
-)
-
-// isElasticKind reports whether a schedule kind implies elastic
-// ownership and mid-run scale events.
-func isElasticKind(k ScheduleKind) bool {
-	switch k {
-	case KindScaleOut, KindScaleIn, KindRebalanceChurn:
-		return true
+// join adds a fog layer-1 node to a drawn district. A join whose
+// rebalance cannot finish (targets behind an outage) still counts:
+// the parked state drains after heal like any other retry.
+func join(r *run) error {
+	ids := r.sys.Fog2IDs()
+	district := ids[r.rng.Intn(len(ids))]
+	id, err := r.sys.AddFog1Node(context.Background(), district)
+	if id == "" {
+		return r.failf("scale-out %s: %v", district, err)
 	}
-	return false
+	r.res.ScaleOuts++
+	return nil
 }
 
-// scaleEvent is one scheduled membership change. A leave picks its
-// victim at fire time (the roster is only known then) and keeps it
-// across retries, so a refusal mid-outage does not wander between
-// nodes.
-type scaleEvent struct {
-	tick     int
-	join     bool
-	district string
-	victim   string
+// leave removes a drawn fog layer-1 node, unless it is its district's
+// last one or already leaving.
+func leave(r *run) error {
+	ids := r.sys.Fog2IDs()
+	kids := r.sys.Topology().Children(ids[r.rng.Intn(len(ids))])
+	if len(kids) <= 1 {
+		return nil
+	}
+	victim := kids[r.rng.Intn(len(kids))]
+	if slices.Contains(r.leaving, victim) {
+		return nil
+	}
+	return r.remove(victim)
 }
 
-// scaleDriver fires the scale schedule against the system and keeps
-// the departed nodes for the final ledger.
-type scaleDriver struct {
-	sys     *core.System
-	rng     *rand.Rand
-	queue   []scaleEvent
-	removed []*fognode.Node
-	outs    int
-	ins     int
-}
-
-// newScaleDriver derives the scale schedule from the scenario seed.
-// Inert (empty queue) unless the scenario is elastic.
-func newScaleDriver(s *Scenario, sys *core.System, rng *rand.Rand) *scaleDriver {
-	d := &scaleDriver{sys: sys, rng: rng}
-	if !s.Elastic {
-		return d
-	}
-	span := s.Ticks
-	var districts []topology.NodeSpec
-	districts = append(districts, sys.Topology().Fog2Nodes()...)
-	add := func(join bool, district string) {
-		d.queue = append(d.queue, scaleEvent{
-			// Inside the first 2/3 of the faulted phase, so the
-			// rebalance overlaps the scheduled faults and still has
-			// ticks left to converge under load.
-			tick:     1 + rng.Intn(span*2/3),
-			join:     join,
-			district: district,
-		})
-	}
-	switch s.Kind {
-	case KindScaleOut:
-		for _, f2 := range districts {
-			add(true, f2.ID)
+// retryLeaves retries every leave the system refused so far.
+func (r *run) retryLeaves() error {
+	queued := r.leaving
+	r.leaving = nil
+	for _, id := range queued {
+		if err := r.remove(id); err != nil {
+			return err
 		}
-	case KindScaleIn:
-		for _, f2 := range districts {
-			add(false, f2.ID)
-		}
-	case KindRebalanceChurn:
-		// Rolling churn: two joins and two leaves per district,
-		// interleaved by their random ticks — membership rises and
-		// falls in overlapping waves.
-		for _, f2 := range districts {
-			add(true, f2.ID)
-			add(true, f2.ID)
-			add(false, f2.ID)
-			add(false, f2.ID)
-		}
-	}
-	sort.SliceStable(d.queue, func(a, b int) bool { return d.queue[a].tick < d.queue[b].tick })
-	return d
-}
-
-// fire executes every queued event due at or before tick. A join that
-// lands but cannot finish its rebalance (targets behind an outage)
-// counts as fired — the parked state drains post-heal like any other
-// retry. A leave the system refuses (state not yet evacuable, last
-// node of its district) is retried on the next firing instead of
-// failing the run.
-func (d *scaleDriver) fire(ctx context.Context, tick int) error {
-	for len(d.queue) > 0 && d.queue[0].tick <= tick {
-		ev := &d.queue[0]
-		if ev.join {
-			id, err := d.sys.AddFog1Node(ctx, ev.district)
-			if id == "" {
-				return fmt.Errorf("scale-out %s: %v", ev.district, err)
-			}
-			d.outs++
-			d.queue = d.queue[1:]
-			continue
-		}
-		if ev.victim == "" {
-			kids := d.sys.Topology().Children(ev.district)
-			if len(kids) <= 1 {
-				// Churn drew more leaves than the district can give up;
-				// drop the event rather than empty the district.
-				d.queue = d.queue[1:]
-				continue
-			}
-			ev.victim = kids[d.rng.Intn(len(kids))]
-		}
-		n, ok := d.sys.Fog1(ev.victim)
-		if !ok {
-			d.queue = d.queue[1:]
-			continue
-		}
-		err := d.sys.RemoveFog1Node(ctx, ev.victim)
-		if _, still := d.sys.Fog1(ev.victim); still {
-			if err == nil {
-				return fmt.Errorf("scale-in %s: no error but node still present", ev.victim)
-			}
-			if !strings.Contains(err.Error(), "still pending") && !strings.Contains(err.Error(), "last node") {
-				return fmt.Errorf("scale-in %s: %v", ev.victim, err)
-			}
-			// Evacuation blocked (or the roster shrank under us):
-			// retry after the next tick's flush moved things along.
-			ev.tick = tick + 1
-			return nil
-		}
-		// Removed — err, if any, only reports partial handoffs whose
-		// state was drained by the pre-removal flush instead.
-		d.removed = append(d.removed, n)
-		d.ins++
-		d.queue = d.queue[1:]
 	}
 	return nil
 }
 
-// checkInvariants fills the Result's elastic fields and asserts the
-// rebalance accounting once the run has converged.
-func (d *scaleDriver) checkInvariants(s *Scenario, res *Result) error {
-	if !s.Elastic {
+// remove asks the system to remove a node. A refusal (state not yet
+// evacuable, last node of its district) queues it for the next tick
+// instead of failing the run.
+func (r *run) remove(id string) error {
+	n, ok := r.sys.Fog1(id)
+	if !ok {
 		return nil
 	}
-	res.ScaleOuts, res.ScaleIns = d.outs, d.ins
-	var outBytes, outReads, inReads int64
-	tally := func(n *fognode.Node) {
-		outBytes += n.MigratedOutBytes()
-		outReads += n.MigratedOutReadings()
+	err := r.sys.RemoveFog1Node(context.Background(), id)
+	if _, still := r.sys.Fog1(id); still {
+		if err == nil {
+			return r.failf("scale-in %s: no error but node still present", id)
+		}
+		if !strings.Contains(err.Error(), "still pending") && !strings.Contains(err.Error(), "last node") {
+			return r.failf("scale-in %s: %v", id, err)
+		}
+		r.leaving = append(r.leaving, id)
+		return nil
+	}
+	// Removed: err, if any, only reports handoffs whose state the
+	// pre-removal flush drained instead.
+	r.removed = append(r.removed, n)
+	r.res.ScaleIns++
+	return nil
+}
+
+// checkRebalance fills the migration fields of the Result from every
+// node the run had and checks the rebalance closures once the run has
+// converged.
+func (r *run) checkRebalance(nodes []*fognode.Node) error {
+	res := &r.res
+	var inReads int64
+	for _, n := range nodes {
+		res.MigrateBytes += n.MigratedOutBytes()
+		res.MigratedReadings += n.MigratedOutReadings()
 		inReads += n.MigratedInReadings()
 	}
-	for _, id := range d.sys.Fog1IDs() {
-		if n, ok := d.sys.Fog1(id); ok {
-			tally(n)
-		}
+	// Accounting closure: every byte a node reports shipped appears in
+	// the matrix as fog1 -> fog1 migrate traffic. (The matrix also
+	// counts transfers whose ack or handler failed, so it only reads
+	// higher.)
+	if got := r.sys.Matrix().BytesByClass(metrics.HopFog1ToFog1, transport.ClassMigrate); got < res.MigrateBytes {
+		return r.failf("rebalance traffic unaccounted: matrix %d B < node counters %d B", got, res.MigrateBytes)
 	}
-	for _, n := range d.removed {
-		tally(n)
+	// Absorption closure: receivers absorb at most what senders
+	// shipped (chunks a receiver deduped are not counted again).
+	if inReads > res.MigratedReadings {
+		return r.failf("migration absorbed %d readings but only %d were shipped", inReads, res.MigratedReadings)
 	}
-	res.MigrateBytes = outBytes
-	res.MigratedReadings = outReads
-
-	// Accounting closure: every migrated byte a node reports shipped
-	// must appear in the traffic matrix as fog1->fog1 migrate-class
-	// traffic. (The matrix also counts transfers whose acknowledgement
-	// or handler failed, so it only ever reads higher.)
-	matrixBytes := d.sys.Matrix().BytesByClass(metrics.HopFog1ToFog1, transport.ClassMigrate)
-	if matrixBytes < outBytes {
-		return s.failf("rebalance traffic unaccounted: matrix %d B < node counters %d B", matrixBytes, outBytes)
-	}
-	// Absorption closure: nothing shipped successfully can vanish in
-	// flight — receivers absorbed (or deduped) at least what senders
-	// delivered, minus nothing. Readings inside chunks a receiver
-	// deduped are not re-counted, so inReads <= outReads.
-	if inReads > outReads {
-		return s.failf("migration absorbed %d readings but only %d were shipped", inReads, outReads)
-	}
-	// The rebalance bound: consistent hashing moves a type's buffered
-	// state at most once per membership change (plus the routed
-	// forwards between the flip and the handoff), so the total
-	// migrated volume cannot exceed every accepted reading travelling
-	// once per scale event — a loose ceiling that still catches
-	// migration storms and forwarding loops.
-	events := int64(d.outs + d.ins)
-	if limit := int64(res.Accepted) * (events + 1); outReads > limit {
-		return s.failf("rebalance moved %d readings, bound is %d (%d accepted, %d scale events)",
-			outReads, limit, res.Accepted, events)
+	// The rebalance bound: consistent hashing moves a type's state at
+	// most once per membership change (plus the routed forwards between
+	// the flip and the handoff), so the volume cannot exceed every
+	// accepted reading moving once per scale event — loose, but it
+	// catches migration storms and forwarding loops.
+	events := int64(res.ScaleOuts + res.ScaleIns)
+	if limit := int64(res.Accepted) * (events + 1); res.MigratedReadings > limit {
+		return r.failf("rebalance moved %d readings, bound is %d (%d accepted, %d scale events)",
+			res.MigratedReadings, limit, res.Accepted, events)
 	}
 	return nil
 }

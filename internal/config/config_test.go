@@ -255,7 +255,7 @@ func TestRetiredFieldsStillParse(t *testing.T) {
 // hostOnly lists the core.Options fields the deployment document
 // deliberately does not carry: what a host supplies itself (clock,
 // topology, accounting, observers) and the tuning fields only tests,
-// chaos schedules and benchmarks move.
+// the chaos harness and benchmarks move.
 var hostOnly = map[string]string{
 	"Matrix":           "host: traffic accounting sink",
 	"Registry":         "host: one per process / per hosted node",
@@ -366,9 +366,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"cloud.Node.Preserve":                   "opendata's TestClientEndToEnd seeds the archive through it",
 		"metrics.TrafficMatrix.MessagesByClass": "core's TestRunDayPerCategoryFlushPolicy reads it",
 		"segment.Store.SegmentCount":            "fognode's and cloud's TestOneLogDataDir and store's TestSegmentPageWalkStraddlesFlush read it",
-		"transport.SimNetwork.Crash":            "query's TestRangePartialOnCrashedSiblings and TestAggregate* crash nodes through it",
-		"transport.SimNetwork.Partition":        "query's TestRangeFanoutSkipsPartitionedSibling cuts a link through it",
-		"transport.SimNetwork.SetReplyLoss":     "fognode's TestRetryKeepsDeliverySequence drops acks through it",
 	}
 	standard := map[string]bool{"Error": true, "Unwrap": true, "String": true, "Len": true,
 		"Less": true, "Swap": true, "Push": true, "Pop": true, "ServeHTTP": true}

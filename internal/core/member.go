@@ -78,7 +78,7 @@ type MemberOptions struct {
 // from it — NewSystem each node of the simulated city, f2cd the one
 // node of a daemon process, citysim's live mode a hierarchy over real
 // sockets — so the node an operator starts is the node the tests and
-// the chaos schedules ran. tr carries the node's upward and sibling
+// the chaos harness ran. tr carries the node's upward and sibling
 // traffic and siblings are its failover relay targets (see Siblings);
 // the cloud takes neither. A host that wants per-node metrics sets
 // o.Registry before the call.

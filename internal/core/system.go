@@ -239,9 +239,6 @@ func NewSystem(opts Options) (*System, error) {
 		transport.WithDefaultLink(transport.EdgeLink),
 		transport.WithLatencyEmulation(opts.Emulate),
 		transport.WithTrafficMatrix(opts.Matrix, hopOf),
-		// Scheduled fault events (chaos harnesses, failure drills)
-		// fire against the system clock.
-		transport.WithFaultClock(opts.Clock),
 	)
 
 	cl, err := s.buildCloud()

@@ -62,9 +62,8 @@ type SimNetwork struct {
 	hopOf   func(from, to string) metrics.Hop
 	emulate bool
 	// faults is the injected-failure state (partitions, crashes,
-	// latency spikes, reply loss, scheduled events); nil until fault
-	// injection is first configured, and inert while nil. See
-	// faults.go.
+	// latency spikes, reply loss); nil until fault injection is first
+	// configured, and inert while nil. See faults.go.
 	faults *faultPlane
 }
 
@@ -154,7 +153,6 @@ var _ Transport = (*SimNetwork)(nil)
 // Send implements Transport: it models the uplink transfer, invokes
 // the destination handler synchronously, and models the reply
 // transfer. When a fault plane is active it is consulted first:
-// scheduled events due at the fault clock's now are applied, then
 // crashes and partitions fail the send before any delivery, and an
 // injected reply-loss fault can fail the send after the handler ran
 // (the at-least-once failure mode receivers must dedupe).
