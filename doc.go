@@ -45,12 +45,14 @@
 // requested range and stopping at the first tier authoritative for
 // it; sibling probes scatter-gather concurrently with
 // first-useful-result cancellation. Range results stream in bounded
-// binary pages over the same sealed-batch wire path the flushes use
-// (protocol.QueryPage, limit/cursor on protocol.QueryRequest), so no
-// response materializes more than protocol.DefaultPageLimit
-// readings. Aggregate queries (count/mean/min/max over a type range)
-// push down to the owning tier as decomposable summaries and merge at
-// the requester — only summary-sized payloads cross the WAN.
+// binary pages in the flushes' text wire encoding (protocol.QueryPage,
+// limit/cursor on protocol.QueryRequest), so no response materializes
+// more than protocol.DefaultPageLimit readings; a page is compressed
+// at flate.BestSpeed whatever codec the deployment seals upward with,
+// because it is encoded on the read's critical path. Aggregate
+// queries (count/mean/min/max over a type range) push down to the
+// owning tier as decomposable summaries and merge at the requester —
+// only summary-sized payloads cross the WAN.
 // Benchmarks: BenchmarkQueryFanout, BenchmarkQueryPushdown
 // (internal/query).
 //

@@ -102,6 +102,39 @@ func TestAppendCompressMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestAppendFlateBestSpeed proves the pooled BestSpeed writer emits a
+// fresh flate.BestSpeed writer's bytes after pool reuse, keeps append
+// semantics, and yields a frame the CodecFlate inflater opens.
+func TestAppendFlateBestSpeed(t *testing.T) {
+	for pi, payload := range compressTestPayloads() {
+		var want bytes.Buffer
+		w, err := flate.NewWriter(&want, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte{1, 2, 3}
+		for round := 0; round < 2; round++ {
+			got, err := AppendFlateBestSpeed(append([]byte(nil), prefix...), payload)
+			if err != nil {
+				t.Fatalf("payload %d round %d: %v", pi, round, err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+				t.Errorf("payload %d round %d: pooled output diverges from a fresh BestSpeed writer", pi, round)
+			}
+			out, err := AppendDecompress(nil, CodecFlate, got[len(prefix):], 0)
+			if err != nil || !bytes.Equal(out, payload) {
+				t.Errorf("payload %d round %d: CodecFlate round trip = %d bytes, %v", pi, round, len(out), err)
+			}
+		}
+	}
+}
+
 // TestAppendDecompressRoundTrip exercises the append decompressors
 // with dst reuse across calls.
 func TestAppendDecompressRoundTrip(t *testing.T) {

@@ -38,9 +38,6 @@ type Config struct {
 	Clock sim.Clock
 	// Registry receives metrics; nil allocates a private one.
 	Registry *metrics.Registry
-	// Codec compresses query response pages travelling back down the
-	// WAN (default zip, matching the upward path).
-	Codec aggregate.Codec
 	// Scheduler, when set, gates the cloud's handler path with the
 	// per-class weighted-fair admission scheduler, mirroring the fog
 	// tiers: historical queries keep their share of the cloud's
@@ -126,12 +123,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.City == "" {
 		cfg.City = "city"
-	}
-	if cfg.Codec == 0 {
-		cfg.Codec = aggregate.CodecZip
-	}
-	if !cfg.Codec.Valid() {
-		return nil, fmt.Errorf("cloud: invalid codec %d", int(cfg.Codec))
 	}
 	n := &Node{
 		cfg:             cfg,
@@ -583,7 +574,7 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 		}
 		return n.dur.Accept(push.Origin, push.Seq, func() error { return n.acceptSummaryPush(&push, msg.Payload) })
 	case transport.KindQuery, transport.KindSummary:
-		return store.Serve(n.series, n.cfg.ID, n.cfg.Codec, msg.Kind, msg.Payload)
+		return store.Serve(n.series, n.cfg.ID, msg.Kind, msg.Payload)
 	case transport.KindControl:
 		var req protocol.ControlRequest
 		if err := protocol.DecodeJSON(msg.Payload, &req); err != nil {

@@ -332,7 +332,7 @@ func TestSettableValues(t *testing.T) {
 		{fognode.Config{}, "Spec City Clock Transport Retention FlushInterval Codec Dedup Quality " +
 			"Registry MaxPendingReadings DegradeToSummary AlertObserver Scheduler Adaptive FlushWorkers " +
 			"Siblings RetryBase RetryMax FailoverAfter Durability Storage"},
-		{cloud.Config{}, "ID City Clock Registry Codec Scheduler Retention Durability Storage"},
+		{cloud.Config{}, "ID City Clock Registry Scheduler Retention Durability Storage"},
 		{segment.Options{}, "Dir Retention MemtableBytes BlockReadings CompactMinSegments Codec " +
 			"NoBackground Registry MetricsPrefix"},
 		{wal.Config{}, "Dir SnapshotEvery SyncEveryAppend"},

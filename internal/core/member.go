@@ -176,7 +176,6 @@ func CloudConfig(id string, o MemberOptions) cloud.Config {
 		City:       o.City,
 		Clock:      o.Clock,
 		Registry:   o.Registry,
-		Codec:      o.Codec,
 		Durability: o.Durability,
 		Storage:    o.Storage,
 		Scheduler:  o.Overload,

@@ -1079,7 +1079,7 @@ func (n *Node) Handle(ctx context.Context, msg transport.Message) ([]byte, error
 	case transport.KindMigrate:
 		return n.handleMigrate(msg)
 	case transport.KindQuery, transport.KindSummary:
-		return store.Serve(n.store, n.cfg.Spec.ID, n.cfg.Codec, msg.Kind, msg.Payload)
+		return store.Serve(n.store, n.cfg.Spec.ID, msg.Kind, msg.Payload)
 	case transport.KindControl:
 		return n.handleControl(ctx, msg.Payload)
 	default:

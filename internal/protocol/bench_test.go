@@ -103,3 +103,40 @@ func BenchmarkOpenBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQueryPage measures a full range-read reply page: encode is
+// what a serving tier pays per page on the read's critical path,
+// decode what the client pays, and B/reading is what the page costs
+// on the wire.
+func BenchmarkQueryPage(b *testing.B) {
+	batch := sealBenchBatch(b, DefaultPageLimit, 1)
+	page := QueryPage{Found: true, NextCursor: "1496275200000000000.1024", Readings: batch.Readings}
+	payload, err := EncodeQueryPage("cloud", page)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := float64(len(page.Readings))
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/reading")
+		b.ReportMetric(float64(len(payload))/n, "B/reading")
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var dst []byte
+		for i := 0; i < b.N; i++ {
+			if dst, err = AppendQueryPage(dst[:0], "cloud", page); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeQueryPage(payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b)
+	})
+}

@@ -50,7 +50,7 @@ func (tr *stuckTransport) Send(_ context.Context, msg transport.Message) ([]byte
 			SensorID: "s1", TypeName: "traffic", Category: model.CategoryUrban,
 			Time: now, Value: 42,
 		}}}
-		return protocol.EncodeQueryPage(msg.To, page, aggregate.CodecNone)
+		return protocol.EncodeQueryPage(msg.To, page)
 	case transport.KindSummary:
 		return protocol.EncodeJSON(protocol.SummaryResponse{
 			Summary: aggregate.Summary{Count: 3, Sum: 6, Min: 1, Max: 3},

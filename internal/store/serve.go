@@ -25,8 +25,8 @@ func Page(s Series, typeName string, from, to time.Time, limit int, cursor strin
 // request is answered with the decomposable summary of the range. A
 // KindQuery request is answered with a binary page: a one-reading page
 // for a latest lookup, or one Page of a range scan plus its resume
-// cursor, compressed with codec on the sealed-batch wire path.
-func Serve(s Series, nodeID string, codec aggregate.Codec, kind transport.Kind, payload []byte) ([]byte, error) {
+// cursor, sealed as protocol.EncodeQueryPage frames it.
+func Serve(s Series, nodeID string, kind transport.Kind, payload []byte) ([]byte, error) {
 	if kind == transport.KindSummary {
 		var req protocol.SummaryRequest
 		if err := protocol.DecodeJSON(payload, &req); err != nil {
@@ -61,5 +61,5 @@ func Serve(s Series, nodeID string, codec aggregate.Codec, kind transport.Kind, 
 		page.NextCursor = next
 		page.Found = len(readings) > 0 || next != ""
 	}
-	return protocol.EncodeQueryPage(nodeID, page, codec)
+	return protocol.EncodeQueryPage(nodeID, page)
 }
