@@ -128,7 +128,7 @@
 //
 // The topology is elastic (core.Options.ElasticOwnership): each
 // district's sections form a consistent-hash ownership ring
-// (internal/placement over internal/shard) that routes a sensor
+// (shard.Ring, one share per member) that routes a sensor
 // type's edge ingest to its ring owner, and fog layer 1 scales at
 // runtime — System.AddFog1Node / System.RemoveFog1Node rebalance a
 // district by live-migrating only the types whose owner changed
@@ -146,9 +146,12 @@
 //	CLAIMED ──send fails──▶ OWNED   the unsent items never left the
 //	                                outbox; the claim is released
 //
-// and target side: dedup (From, TransferSeq) -> ack; otherwise
-// journal the raw chunk (recMigrateIn), absorb verbatim, deliver
-// under the original origins at the next flush. Elastic chaos runs
+// and target side: dedup (From, TransferSeq) -> ack; otherwise check
+// every item (a sequence, the chunk's type), journal the raw chunk
+// (recMigrateIn), absorb verbatim, deliver under the original origins
+// at the next flush. A chunk (protocol.MigrateTransfer, version 3) is
+// one item list, as the outbox is: each item's kind and its upward
+// payload, byte for byte. Elastic chaos runs
 // draw joins and leaves beside every other fault and prove the
 // conservation ledger, bounded migrate-class traffic and seed
 // reproducibility while membership churns (see README "Elastic

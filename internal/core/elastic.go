@@ -4,16 +4,15 @@ package core
 // migration.
 //
 // With Options.ElasticOwnership each district's sections form a
-// consistent-hash ownership ring (placement.Ownership over
-// shard.Ring): a sensor type's edge ingest is served by its ring
-// owner, not necessarily the section the batch arrived at. Because
-// the ring moves only the types whose owner actually changed,
-// AddFog1Node and RemoveFog1Node rebalance a district by migrating
-// just those types' buffered delivery state between siblings
-// (fognode.MigrateOut / transport.KindMigrate) and flipping the
-// forwarding routes — ingest keeps flowing during the handoff, and
-// the shared district parent's replay filter keeps delivery
-// exactly-once across the ownership flip.
+// consistent-hash ownership ring (shard.Ring): a sensor type's edge
+// ingest is served by its ring owner, not necessarily the section the
+// batch arrived at. Because the ring moves only the types whose owner
+// actually changed, AddFog1Node and RemoveFog1Node rebalance a
+// district by migrating just those types' buffered delivery state
+// between siblings (fognode.MigrateOut / transport.KindMigrate) and
+// flipping the forwarding routes — ingest keeps flowing during the
+// handoff, and the shared district parent's replay filter keeps
+// delivery exactly-once across the ownership flip.
 //
 // Scale events serialize on one mutex; ingest routing only takes the
 // read side of the ring state, so the hot path never waits on a
@@ -27,8 +26,8 @@ import (
 	"strings"
 	"sync"
 
-	"f2c/internal/placement"
 	"f2c/internal/protocol"
+	"f2c/internal/shard"
 	"f2c/internal/topology"
 	"f2c/internal/transport"
 )
@@ -45,7 +44,7 @@ type elasticState struct {
 	// mu guards the maps below.
 	mu sync.RWMutex
 	// rings maps district (fog2 ID) to its ownership ring.
-	rings map[string]*placement.Ownership
+	rings map[string]*shard.Ring
 	// seen maps district to every sensor type its ring has routed —
 	// the type universe a membership change diffs over.
 	seen map[string]map[string]struct{}
@@ -58,20 +57,20 @@ type elasticState struct {
 func newElasticState(s *System) *elasticState {
 	el := &elasticState{
 		s:           s,
-		rings:       make(map[string]*placement.Ownership),
+		rings:       make(map[string]*shard.Ring),
 		seen:        make(map[string]map[string]struct{}),
 		nextSection: make(map[string]int),
 	}
 	for _, f2 := range s.topo.Fog2Nodes() {
-		var members []placement.Member
+		ring := shard.NewRing()
 		next := 1
 		for _, kid := range s.topo.Children(f2.ID) {
-			members = append(members, placement.Member{ID: kid, Weight: 1})
+			ring.Add(kid)
 			if sec := sectionOrdinal(kid); sec >= next {
 				next = sec + 1
 			}
 		}
-		el.rings[f2.ID] = placement.NewOwnership(0, members)
+		el.rings[f2.ID] = ring
 		el.seen[f2.ID] = make(map[string]struct{})
 		el.nextSection[f2.ID] = next
 	}
@@ -114,7 +113,7 @@ func (el *elasticState) routeIngest(fog1ID, typ string) (string, bool) {
 		el.seen[spec.Parent][typ] = struct{}{}
 		el.mu.Unlock()
 	}
-	return ring.OwnerOf(typ)
+	return ring.Owner(typ)
 }
 
 // seenTypes returns the district's recorded type universe, sorted.
@@ -135,7 +134,7 @@ func (el *elasticState) seenTypes(district string) []string {
 // to the old owner is repointed. Errors are joined, not fatal — a
 // failed handoff leaves the state parked on the source (sequences
 // intact), where a later rebalance or its own flush drains it.
-func (el *elasticState) applyMoves(ctx context.Context, district string, moves []placement.Move) error {
+func (el *elasticState) applyMoves(ctx context.Context, district string, moves []shard.Move) error {
 	var errs []error
 	for _, mv := range moves {
 		if mv.From == "" || mv.From == mv.To {
@@ -184,7 +183,7 @@ func (s *System) OwnerOf(district, typ string) (string, bool) {
 	if ring == nil {
 		return "", false
 	}
-	return ring.OwnerOf(typ)
+	return ring.Owner(typ)
 }
 
 // ElasticBatchOwner resolves the fog1 node that should serve a sealed
@@ -273,8 +272,8 @@ func (s *System) AddFog1Node(ctx context.Context, district string) (string, erro
 	el.mu.RUnlock()
 	types := el.seenTypes(district)
 	before := ring.Assign(types)
-	ring.Add(placement.Member{ID: id, Weight: 1})
-	moves := placement.Diff(before, ring.Assign(types))
+	ring.Add(id)
+	moves := shard.Diff(before, ring.Assign(types))
 	if err := el.applyMoves(ctx, district, moves); err != nil {
 		return id, fmt.Errorf("core: scale-out %s: rebalance: %w", id, err)
 	}
@@ -318,7 +317,7 @@ func (s *System) RemoveFog1Node(ctx context.Context, id string) error {
 	types := el.seenTypes(district)
 	before := ring.Assign(types)
 	ring.Remove(id)
-	moves := placement.Diff(before, ring.Assign(types))
+	moves := shard.Diff(before, ring.Assign(types))
 	migErr := el.applyMoves(ctx, district, moves)
 
 	// Drain whatever remains (types never routed through the ring,

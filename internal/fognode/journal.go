@@ -2,6 +2,7 @@ package fognode
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"f2c/internal/cq"
@@ -57,8 +58,12 @@ import (
 //	                  queued until committed (recovery lands on local
 //	                  ownership) but the counter must stay past the
 //	                  reserved sequences the target may have marked
-//	recMigrateIn      one absorbed handoff chunk, raw transfer payload;
-//	                  replay re-absorbs the items and marks verbatim
+//	recMigrateIn      one absorbed handoff chunk, raw transfer payload
+//	                  (wire version 3, one item list); replay
+//	                  re-absorbs the items and marks verbatim. A log
+//	                  holding an older chunk is refused: only a crash
+//	                  leaves one, since a checkpoint folds absorbed
+//	                  items into the snapshot
 //	recSubscribe      a standing subscription registered (JSON)
 //	recUnsubscribe    a subscription cancelled (or handed off by a
 //	                  completed shard migration)
@@ -352,6 +357,7 @@ func pushItem(kind transport.Kind, payload []byte) (typ string, it item, err err
 	case transport.KindSummaryPush:
 		var p protocol.SummaryPush
 		if err = protocol.DecodeJSON(payload, &p); err == nil {
+			err = p.Validate()
 			typ, it.origin, it.seq, it.class = p.TypeName, p.Origin, p.Seq, p.Category
 		}
 	case transport.KindAlertPush:
@@ -458,36 +464,36 @@ func (rs *recoveryState) shed(tr *typeRecovery, drop int) {
 	}
 }
 
-// transferItems decodes one migration chunk's sealed batches, summary
-// pushes and alert pushes into outbox items, identities preserved.
+// transferItems decodes one migration chunk's items into outbox items,
+// identities preserved. Every item must carry a sequence and belong to
+// the chunk's type, or the whole chunk is refused.
 func transferItems(t *protocol.MigrateTransfer) (items []item, readings int64, err error) {
-	items = make([]item, 0, len(t.Entries)+len(t.Summaries)+len(t.Alerts))
-	for i, e := range t.Entries {
-		b, _, seq, err := protocol.DecodeBatchPayloadSeq(e.Payload)
+	items = make([]item, 0, len(t.Items))
+	for i, m := range t.Items {
+		var typ string
+		var it item
+		switch {
+		case int(m.Kind) >= len(kindTable):
+			err = fmt.Errorf("unknown kind %d", m.Kind)
+		case kindTable[m.Kind].kind == transport.KindBatch:
+			var b *model.Batch
+			var seq uint64
+			if b, _, seq, err = protocol.DecodeBatchPayloadSeq(m.Payload); err == nil {
+				typ, it = b.TypeName, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b}
+				readings += int64(len(b.Readings))
+			}
+		default:
+			typ, it, err = pushItem(kindTable[m.Kind].kind, m.Payload)
+		}
+		switch {
+		case err != nil: // the decode's own error
+		case it.seq == 0:
+			err = fmt.Errorf("without a sequence")
+		case typ != t.TypeName:
+			err = fmt.Errorf("type %q in a %q transfer", typ, t.TypeName)
+		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("migrate entry %d: %w", i, err)
-		}
-		if seq != e.Seq {
-			return nil, 0, fmt.Errorf("migrate entry %d: envelope seq %d != entry seq %d", i, seq, e.Seq)
-		}
-		if b.TypeName != t.TypeName {
-			return nil, 0, fmt.Errorf("migrate entry %d: type %q in a %q transfer", i, b.TypeName, t.TypeName)
-		}
-		items = append(items, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b})
-		readings += int64(len(b.Readings))
-	}
-	for i := range t.Summaries {
-		s := &t.Summaries[i]
-		doc, err := protocol.EncodeJSON(s.Push)
-		if err != nil {
-			return nil, 0, fmt.Errorf("migrate summary %d: %w", i, err)
-		}
-		items = append(items, item{kind: transport.KindSummaryPush, origin: s.Push.Origin, seq: s.Seq, class: s.Push.Category, payload: doc})
-	}
-	for i := range t.Alerts {
-		_, it, err := pushItem(transport.KindAlertPush, t.Alerts[i].Payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("migrate alert %d: %w", i, err)
+			return nil, 0, fmt.Errorf("migrate item %d: %w", i, err)
 		}
 		items = append(items, it)
 	}
@@ -689,6 +695,11 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 			return err
 		}
 		t, err := protocol.DecodeMigrateTransfer(payload)
+		if errors.Is(err, protocol.ErrMigrateVersion) {
+			// Only a crash-left log tail can still hold one: a
+			// checkpoint folds absorbed chunks into the snapshot.
+			return fmt.Errorf("fognode: the journal's log holds a migration chunk this build cannot read (%w): restart the node once on the previous binary, whose clean close checkpoints the chunk away, then upgrade; refused, left as it is", err)
+		}
 		if err != nil {
 			return fmt.Errorf("fognode: journal migrate chunk: %w", err)
 		}

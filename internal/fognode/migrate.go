@@ -245,7 +245,7 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 	chunks := [][]int{nil}
 	for k := range items {
 		i := (firstAlert + k) % len(items)
-		cost := len(payloads[i]) + 19
+		cost := len(payloads[i]) + 11 // kind byte, uvarint length
 		// Rotate a non-empty chunk when the next item would overflow
 		// it; an item that overflows an empty chunk is taken anyway
 		// (progress) and left for the encoder's size check to reject.
@@ -280,18 +280,9 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 		}
 		readings := int64(0)
 		for _, i := range chunk {
-			switch it := &items[i]; it.kind {
-			case transport.KindBatch:
-				t.Entries = append(t.Entries, protocol.MigrateEntry{Seq: it.seq, Payload: payloads[i]})
-				readings += int64(len(it.b.Readings))
-			case transport.KindSummaryPush:
-				s := protocol.MigrateSummary{Seq: it.seq}
-				if err := protocol.DecodeJSON(it.payload, &s.Push); err != nil {
-					return subsMoved, fmt.Errorf("summary item: %w", err)
-				}
-				t.Summaries = append(t.Summaries, s)
-			case transport.KindAlertPush:
-				t.Alerts = append(t.Alerts, protocol.MigrateAlert{Seq: it.seq, Payload: payloads[i]})
+			t.Items = append(t.Items, protocol.MigrateItem{Kind: byte(rank(items[i].kind)), Payload: payloads[i]})
+			if b := items[i].b; b != nil {
+				readings += int64(len(b.Readings))
 			}
 		}
 		payload, err := protocol.EncodeMigrateTransfer(t)
@@ -348,8 +339,8 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 	if t.To != me {
 		return nil, fmt.Errorf("fognode %s: migrate chunk addressed to %q", me, t.To)
 	}
-	// Decode every section up front: a malformed chunk is rejected
-	// whole, before any state or journal change.
+	// Decode every item up front: a malformed chunk is rejected whole,
+	// before any state or journal change.
 	items, readings, err := transferItems(t)
 	if err != nil {
 		return nil, fmt.Errorf("fognode %s: %w", me, err)
@@ -409,7 +400,7 @@ func (n *Node) absorbMigrate(t *protocol.MigrateTransfer, payload []byte, items 
 // migrated away: the batch is journaled and merged into the pending
 // buffer like any acceptance, immediately sealed onto the outbox (the
 // same transitions recovery replays), and forwarded to the new owner
-// as a single-entry transfer whose TransferSeq is the batch's own
+// as a one-item transfer whose TransferSeq is the batch's own
 // sequence. If the forward fails the item simply stays queued under
 // that same frozen sequence — whether it later drains upward from
 // here, moves with a MigrateOut, or was absorbed by the target under a
@@ -455,7 +446,7 @@ func (n *Node) ingestRouted(b *model.Batch, target string) error {
 }
 
 // forwardSealed ships one batch item to a type's new owner as a
-// single-entry migration transfer.
+// one-item migration transfer.
 func (n *Node) forwardSealed(it *item, target string) error {
 	me := n.cfg.Spec.ID
 	if n.cfg.Transport == nil {
@@ -473,7 +464,7 @@ func (n *Node) forwardSealed(it *item, target string) error {
 		From:        me,
 		To:          target,
 		TransferSeq: it.seq,
-		Entries:     []protocol.MigrateEntry{{Seq: it.seq, Payload: payload}},
+		Items:       []protocol.MigrateItem{{Kind: byte(rank(it.kind)), Payload: payload}},
 	})
 	if err != nil {
 		return err

@@ -420,16 +420,16 @@ func TestMigrateRejectsBadChunks(t *testing.T) {
 		t.Error("garbage chunk accepted")
 	}
 
-	mk := func(mutate func(*protocol.MigrateTransfer)) []byte {
+	mk := func(seq uint64, mutate func(*protocol.MigrateTransfer)) []byte {
 		b := typedBatch("traffic", t0, 1)
 		b.NodeID = "fog1/d01-s01"
-		payload, err := (&protocol.Sealer{}).SealSeq(nil, b, aggregate.CodecNone, 5)
+		payload, err := (&protocol.Sealer{}).SealSeq(nil, b, aggregate.CodecNone, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := &protocol.MigrateTransfer{
 			TypeName: "traffic", From: "fog1/d01-s01", To: dst.ID(), TransferSeq: 9,
-			Entries: []protocol.MigrateEntry{{Seq: 5, Payload: payload}},
+			Items: []protocol.MigrateItem{{Kind: byte(rank(transport.KindBatch)), Payload: payload}},
 		}
 		mutate(tr)
 		wire, err := protocol.EncodeMigrateTransfer(tr)
@@ -439,20 +439,120 @@ func TestMigrateRejectsBadChunks(t *testing.T) {
 		return wire
 	}
 
-	if err := send(mk(func(tr *protocol.MigrateTransfer) { tr.To = "fog1/d01-s09" })); err == nil ||
+	if err := send(mk(5, func(tr *protocol.MigrateTransfer) { tr.To = "fog1/d01-s09" })); err == nil ||
 		!strings.Contains(err.Error(), "addressed to") {
 		t.Errorf("misaddressed chunk: err = %v", err)
 	}
-	if err := send(mk(func(tr *protocol.MigrateTransfer) { tr.Entries[0].Seq = 6 })); err == nil ||
-		!strings.Contains(err.Error(), "envelope seq") {
-		t.Errorf("seq-mismatched chunk: err = %v", err)
+	if err := send(mk(0, func(*protocol.MigrateTransfer) {})); err == nil ||
+		!strings.Contains(err.Error(), "without a sequence") {
+		t.Errorf("unsequenced batch: err = %v", err)
 	}
-	if err := send(mk(func(tr *protocol.MigrateTransfer) { tr.TypeName = "noise_level" })); err == nil ||
+	if err := send(mk(5, func(tr *protocol.MigrateTransfer) { tr.TypeName = "noise_level" })); err == nil ||
 		!strings.Contains(err.Error(), "transfer") {
 		t.Errorf("type-mismatched chunk: err = %v", err)
 	}
+	if err := send(mk(5, func(tr *protocol.MigrateTransfer) { tr.Items[0].Kind = byte(len(kindTable)) })); err == nil ||
+		!strings.Contains(err.Error(), "unknown kind") {
+		t.Errorf("unknown item kind: err = %v", err)
+	}
 	if got := dst.PendingReadings(); got != 0 {
 		t.Fatalf("rejected chunks left %d readings behind", got)
+	}
+}
+
+// TestMigrateItemChecks: every item of a chunk is checked the same
+// way, whatever its kind — it carries a sequence, belongs to the
+// chunk's type, and a summary push is a valid one. A chunk with one
+// bad item is refused whole, before its journal append: nothing is
+// queued, nothing is logged, and the chunk's own mark is not taken,
+// so the corrected chunk is still absorbed.
+func TestMigrateItemChecks(t *testing.T) {
+	const from = "fog1/d01-s01"
+	summary := func(mutate func(*protocol.SummaryPush)) protocol.MigrateItem {
+		p := protocol.SummaryPush{
+			Origin: from, Seq: 6, TypeName: "traffic", Category: "urban",
+			Windows: []protocol.SummaryWindow{{
+				StartUnix: t0.UnixNano(), EndUnix: t0.Add(time.Minute).UnixNano(),
+				Summary: aggregate.Summary{Count: 2, Sum: 3, Min: 1, Max: 2},
+			}},
+		}
+		mutate(&p)
+		doc, err := protocol.EncodeJSON(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return protocol.MigrateItem{Kind: byte(rank(transport.KindSummaryPush)), Payload: doc}
+	}
+	alert := func(typ string) protocol.MigrateItem {
+		doc, err := protocol.EncodeAlertPush(&protocol.AlertPush{
+			Origin: from, Seq: 7, TypeName: typ, Category: "urban",
+			Alerts: []protocol.Alert{{
+				SubID: "w", FiredBy: from, Kind: protocol.AlertKindWindow, StartUnix: 1, EndUnix: 2,
+				Summary: aggregate.Summary{Count: 1, Sum: 1, Min: 1, Max: 1},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return protocol.MigrateItem{Kind: byte(rank(transport.KindAlertPush)), Payload: doc}
+	}
+	batch := func(seq uint64) protocol.MigrateItem {
+		b := typedBatch("traffic", t0, 1)
+		b.NodeID = from
+		payload, err := (&protocol.Sealer{}).SealSeq(nil, b, aggregate.CodecNone, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return protocol.MigrateItem{Kind: byte(rank(transport.KindBatch)), Payload: payload}
+	}
+	good := []protocol.MigrateItem{batch(5), summary(func(*protocol.SummaryPush) {}), alert("traffic")}
+
+	for _, tc := range []struct {
+		name string
+		bad  protocol.MigrateItem
+		want string
+	}{
+		{"entry without seq", batch(0), "item 0: without a sequence"},
+		{"summary without seq", summary(func(p *protocol.SummaryPush) { p.Seq = 0 }), "item 1: without a sequence"},
+		{"invalid push", summary(func(p *protocol.SummaryPush) { p.Origin = "" }), "needs an origin"},
+		{"foreign summary push", summary(func(p *protocol.SummaryPush) { p.TypeName = "noise_level" }), `type "noise_level" in a "traffic" transfer`},
+		{"foreign alert push", alert("noise_level"), `type "noise_level" in a "traffic" transfer`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := newMigrateNet("fog2/d01")
+			dir := t.TempDir()
+			dst := newMigrateNode(t, net, "fog1/d01-s02", dir)
+			send := func(items []protocol.MigrateItem) error {
+				wire, err := protocol.EncodeMigrateTransfer(&protocol.MigrateTransfer{
+					TypeName: "traffic", From: from, To: dst.ID(), TransferSeq: 9, Items: items,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = dst.Handle(context.Background(), transport.Message{
+					From: from, To: dst.ID(), Kind: transport.KindMigrate, Payload: wire,
+				})
+				return err
+			}
+			items := append([]protocol.MigrateItem(nil), good...)
+			items[rank(kindTable[tc.bad.Kind].kind)] = tc.bad
+			before := dirListing(t, dir)
+			if err := send(items); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to name %q", err, tc.want)
+			}
+			if after := dirListing(t, dir); after != before {
+				t.Errorf("the refused chunk reached the journal:\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			if got := dst.PendingBatches(); got != 0 {
+				t.Errorf("the refused chunk queued %d items", got)
+			}
+			if err := send(good); err != nil {
+				t.Fatalf("the corrected chunk: %v", err)
+			}
+			if got := dst.PendingBatches(); got != len(good) {
+				t.Errorf("the corrected chunk queued %d items, want %d", got, len(good))
+			}
+		})
 	}
 }
 
@@ -625,8 +725,8 @@ func TestMigrateJournalReplay(t *testing.T) {
 	}
 	tr := &protocol.MigrateTransfer{
 		TypeName: "traffic", From: "fog1/d01-s01", To: "fog1/d01-s02", TransferSeq: 77,
-		Entries: []protocol.MigrateEntry{{Seq: 55, Payload: payload}},
-		Marks:   map[string][]uint64{"edge/e1": {9}},
+		Items: []protocol.MigrateItem{{Kind: byte(rank(transport.KindBatch)), Payload: payload}},
+		Marks: map[string][]uint64{"edge/e1": {9}},
 	}
 	wire, err := protocol.EncodeMigrateTransfer(tr)
 	if err != nil {

@@ -264,7 +264,7 @@ func TestCheckpointKeepsDeliveryMarks(t *testing.T) {
 	}
 	chunk := &protocol.MigrateTransfer{
 		TypeName: "traffic", From: "fog1/d01-s02", To: fog1Spec().ID, TransferSeq: 10,
-		Entries: []protocol.MigrateEntry{{Seq: 7, Payload: sealed}},
+		Items: []protocol.MigrateItem{{Kind: byte(rank(transport.KindBatch)), Payload: sealed}},
 	}
 	chunkDoc, err := protocol.EncodeMigrateTransfer(chunk)
 	if err != nil {

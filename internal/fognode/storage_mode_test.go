@@ -152,3 +152,38 @@ func TestStoreHoldsWhatTheJournalAccepted(t *testing.T) {
 		re.Discard()
 	}
 }
+
+// TestPreV3MigrationChunkRefused: a log tail left by a crash can hold
+// an absorbed migration chunk in the version-2 wire, which split the
+// moved items into three sections; this build reads version 3 only. The
+// node refuses the directory untouched, naming the chunk's version and
+// the way out. The chunk is a golden payload the version-2 encoder
+// wrote.
+func TestPreV3MigrationChunkRefused(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "protocol", "testdata", "migrate_v2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	n, err := openNodeAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = n.Ingest(typedBatch("traffic", t0, 1, 2))
+	if err := n.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+
+	st, err := wal.Open(wal.Config{Dir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(wal.AppendBytes([]byte{recMigrateIn}, golden)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expectRefused(t, dir, "migration chunk version 2", "previous binary", "refused, left as it is")
+}

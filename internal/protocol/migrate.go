@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 
 	"f2c/internal/wal"
@@ -9,43 +10,46 @@ import (
 // Migration wire format (transport.KindMigrate payloads).
 //
 // A migration moves one sensor type's delivery state from its old
-// fog owner to its new one: the frozen-sequence retry queue and
-// sealed pending buffer travel as the SAME sealed envelopes the
-// upward path uses (Sealer.SealSeq output, opaque bytes), so the
-// sequence space is preserved end to end — the target's flushes
-// present the original (origin, seq) identities and every
-// replay-filter downstream keeps deduping exactly as before the
-// handoff. Degrade-summary buffers travel as their JSON pushes with
-// their shared-space sequences, and the source's replay-filter marks
-// ride along so the target inherits the source's dedup horizon.
+// fog owner to its new one. The type's outbox is one list of items —
+// batches, summary pushes, alert pushes — and a chunk carries a slice
+// of that list as it is: each item is its kind and its upward payload,
+// byte for byte what the parent would receive (the SealSeq envelope of
+// a batch, the JSON of a summary push, the encoded AlertPush of an
+// alert). Every payload carries its own (origin, seq), so the sequence
+// space is preserved end to end: the target's flushes present the
+// original identities and every replay filter downstream keeps
+// deduping exactly as before the handoff. The source's replay-filter
+// marks ride along so the target inherits its dedup horizon, and the
+// moved type's standing subscriptions travel with their live window
+// panes, so an open window keeps accumulating on the new owner
+// instead of double- or zero-counting.
 //
 // Layout (all integers via the wal binary helpers):
 //
-//	0xF3 version=2
+//	0xF3 version=3
 //	typeName from to          (uvarint-prefixed strings)
 //	transferSeq               (8 bytes)
-//	nEntries { seq, payload } (sealed batch envelopes)
-//	nSummaries { seq, json }  (SummaryPush documents)
+//	nItems { kind, payload }  (kind: one byte)
 //	markSet                   (origin -> seqs)
-//	nAlerts { seq, payload }  (encoded AlertPush pushes; v2 only)
-//	nSubs { json }            (cq subscription-state documents; v2 only)
+//	nSubs { json }            (cq subscription-state documents)
 //
-// Version 2 appends the continuous-query sections: the moved type's
-// standing subscriptions (with their live window panes, so an open
-// window keeps accumulating on the new owner instead of double- or
-// zero-counting) and the queued alert pushes awaiting upward
-// delivery. A v1 payload still decodes (empty cq sections).
+// Only version 3 decodes. Versions 1 and 2 split the items into three
+// sections and are refused with ErrMigrateVersion.
 //
 // A transfer is bounded by MaxMigrateWireSize; one transfer carries a
 // chunk of a shard, never the whole node state, which is what keeps
 // rebalance traffic proportional to the moved shards.
 const (
 	migrateMagic   = 0xF3
-	migrateVersion = 2
+	migrateVersion = 3
 )
 
-// migrateHeadroom is the room a transfer header, summaries, and marks
-// get on top of the batch-envelope bound: a transfer carrying a
+// ErrMigrateVersion is wrapped by the decode error of a chunk written
+// in a wire version other than migrateVersion.
+var ErrMigrateVersion = errors.New("protocol: unsupported migration chunk version")
+
+// migrateHeadroom is the room a transfer header, item framing and
+// marks get on top of the batch-envelope bound: a transfer carrying a
 // single maximum-size sealed batch must still encode.
 const migrateHeadroom = 4 << 10
 
@@ -69,29 +73,13 @@ func (e *MigrateSizeError) Error() string {
 	return fmt.Sprintf("protocol: migration transfer of %d bytes exceeds limit %d", e.Size, e.Limit)
 }
 
-// MigrateEntry is one sealed batch moving to the new owner.
-type MigrateEntry struct {
-	// Seq is the frozen delivery sequence (the same value sealed into
-	// the envelope header).
-	Seq uint64
-	// Payload is the sealed envelope (Sealer.SealSeq output),
-	// opaque to the migration codec.
-	Payload []byte
-}
-
-// MigrateSummary is one degraded-window summary moving to the new
-// owner. Its sequence shares the batch sequence space.
-type MigrateSummary struct {
-	Seq  uint64
-	Push SummaryPush
-}
-
-// MigrateAlert is one queued continuous-query alert push moving to
-// the new owner. Its sequence shares the batch sequence space; the
-// payload is an encoded AlertPush kept opaque so the original
-// (Origin, Seq) identity and alert instances survive the move intact.
-type MigrateAlert struct {
-	Seq     uint64
+// MigrateItem is one outbox item of the moved type.
+type MigrateItem struct {
+	// Kind is the item's kind as the fog outbox ranks it: 0 batch,
+	// 1 summary push, 2 alert push. The codec carries it opaquely.
+	Kind byte
+	// Payload is the item's upward payload, which carries its own
+	// delivery identity.
 	Payload []byte
 }
 
@@ -106,16 +94,11 @@ type MigrateTransfer struct {
 	// space; the target marks it in its replay filter so a retried
 	// transfer is absorbed exactly once.
 	TransferSeq uint64
-	// Entries are the sealed batches of the moved shard.
-	Entries []MigrateEntry
-	// Summaries are the sealed degrade-window summaries.
-	Summaries []MigrateSummary
+	// Items are the moved outbox items.
+	Items []MigrateItem
 	// Marks is the slice of the source's replay-filter state moving
 	// with the shard.
 	Marks map[string][]uint64
-	// Alerts are the queued continuous-query pushes of the moved type,
-	// oldest first.
-	Alerts []MigrateAlert
 	// Subs are the moved type's standing subscriptions with their live
 	// window state, as opaque cq snapshot JSON documents.
 	Subs [][]byte
@@ -135,28 +118,9 @@ func (t *MigrateTransfer) Validate() error {
 	case t.TransferSeq == 0:
 		return fmt.Errorf("protocol: migration transfer without a sequence")
 	}
-	for i := range t.Entries {
-		if t.Entries[i].Seq == 0 {
-			return fmt.Errorf("protocol: migration entry %d without a sequence", i)
-		}
-		if len(t.Entries[i].Payload) == 0 {
-			return fmt.Errorf("protocol: migration entry %d without a payload", i)
-		}
-	}
-	for i := range t.Summaries {
-		if t.Summaries[i].Seq == 0 {
-			return fmt.Errorf("protocol: migration summary %d without a sequence", i)
-		}
-		if err := t.Summaries[i].Push.Validate(); err != nil {
-			return fmt.Errorf("protocol: migration summary %d: %w", i, err)
-		}
-	}
-	for i := range t.Alerts {
-		if t.Alerts[i].Seq == 0 {
-			return fmt.Errorf("protocol: migration alert %d without a sequence", i)
-		}
-		if len(t.Alerts[i].Payload) == 0 {
-			return fmt.Errorf("protocol: migration alert %d without a payload", i)
+	for i := range t.Items {
+		if len(t.Items[i].Payload) == 0 {
+			return fmt.Errorf("protocol: migration item %d without a payload", i)
 		}
 	}
 	for i := range t.Subs {
@@ -180,26 +144,12 @@ func AppendMigrateTransfer(dst []byte, t *MigrateTransfer) ([]byte, error) {
 	dst = wal.AppendString(dst, t.From)
 	dst = wal.AppendString(dst, t.To)
 	dst = wal.AppendUint64(dst, t.TransferSeq)
-	dst = wal.AppendUvarint(dst, uint64(len(t.Entries)))
-	for i := range t.Entries {
-		dst = wal.AppendUint64(dst, t.Entries[i].Seq)
-		dst = wal.AppendBytes(dst, t.Entries[i].Payload)
-	}
-	dst = wal.AppendUvarint(dst, uint64(len(t.Summaries)))
-	for i := range t.Summaries {
-		doc, err := EncodeJSON(t.Summaries[i].Push)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: encode migration summary: %w", err)
-		}
-		dst = wal.AppendUint64(dst, t.Summaries[i].Seq)
-		dst = wal.AppendBytes(dst, doc)
+	dst = wal.AppendUvarint(dst, uint64(len(t.Items)))
+	for i := range t.Items {
+		dst = append(dst, t.Items[i].Kind)
+		dst = wal.AppendBytes(dst, t.Items[i].Payload)
 	}
 	dst = wal.AppendMarkSet(dst, t.Marks)
-	dst = wal.AppendUvarint(dst, uint64(len(t.Alerts)))
-	for i := range t.Alerts {
-		dst = wal.AppendUint64(dst, t.Alerts[i].Seq)
-		dst = wal.AppendBytes(dst, t.Alerts[i].Payload)
-	}
 	dst = wal.AppendUvarint(dst, uint64(len(t.Subs)))
 	for i := range t.Subs {
 		dst = wal.AppendBytes(dst, t.Subs[i])
@@ -228,9 +178,8 @@ func DecodeMigrateTransfer(data []byte) (*MigrateTransfer, error) {
 	if data[0] != migrateMagic {
 		return nil, fmt.Errorf("protocol: bad migration magic 0x%02x", data[0])
 	}
-	version := data[1]
-	if version == 0 || version > migrateVersion {
-		return nil, fmt.Errorf("protocol: unsupported migration version %d", version)
+	if data[1] != migrateVersion {
+		return nil, fmt.Errorf("%w %d, want %d", ErrMigrateVersion, data[1], migrateVersion)
 	}
 	rest := data[2:]
 	t := &MigrateTransfer{}
@@ -247,49 +196,27 @@ func DecodeMigrateTransfer(data []byte) (*MigrateTransfer, error) {
 	if t.TransferSeq, rest, err = wal.ReadUint64(rest); err != nil {
 		return nil, fmt.Errorf("protocol: migration sequence: %w", err)
 	}
-	nEntries, rest, err := wal.ReadUvarint(rest)
+	nItems, rest, err := wal.ReadUvarint(rest)
 	if err != nil {
-		return nil, fmt.Errorf("protocol: migration entry count: %w", err)
+		return nil, fmt.Errorf("protocol: migration item count: %w", err)
 	}
-	// Each entry consumes at least 9 bytes; a count beyond the
+	// Each item consumes at least 2 bytes; a count beyond the
 	// remaining payload is hostile.
-	if nEntries > uint64(len(rest)) {
-		return nil, fmt.Errorf("protocol: migration claims %d entries in %d bytes", nEntries, len(rest))
+	if nItems > uint64(len(rest)) {
+		return nil, fmt.Errorf("protocol: migration claims %d items in %d bytes", nItems, len(rest))
 	}
-	t.Entries = make([]MigrateEntry, 0, nEntries)
-	for i := uint64(0); i < nEntries; i++ {
-		var e MigrateEntry
-		if e.Seq, rest, err = wal.ReadUint64(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration entry %d seq: %w", i, err)
+	t.Items = make([]MigrateItem, 0, nItems)
+	for i := uint64(0); i < nItems; i++ {
+		if len(rest) == 0 {
+			return nil, fmt.Errorf("protocol: migration item %d kind: truncated", i)
 		}
+		it := MigrateItem{Kind: rest[0]}
 		var payload []byte
-		if payload, rest, err = wal.ReadBytes(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration entry %d payload: %w", i, err)
+		if payload, rest, err = wal.ReadBytes(rest[1:]); err != nil {
+			return nil, fmt.Errorf("protocol: migration item %d payload: %w", i, err)
 		}
-		e.Payload = append([]byte(nil), payload...)
-		t.Entries = append(t.Entries, e)
-	}
-	nSummaries, rest, err := wal.ReadUvarint(rest)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: migration summary count: %w", err)
-	}
-	if nSummaries > uint64(len(rest)) {
-		return nil, fmt.Errorf("protocol: migration claims %d summaries in %d bytes", nSummaries, len(rest))
-	}
-	t.Summaries = make([]MigrateSummary, 0, nSummaries)
-	for i := uint64(0); i < nSummaries; i++ {
-		var s MigrateSummary
-		if s.Seq, rest, err = wal.ReadUint64(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration summary %d seq: %w", i, err)
-		}
-		var doc []byte
-		if doc, rest, err = wal.ReadBytes(rest); err != nil {
-			return nil, fmt.Errorf("protocol: migration summary %d doc: %w", i, err)
-		}
-		if err := DecodeJSON(doc, &s.Push); err != nil {
-			return nil, fmt.Errorf("protocol: migration summary %d: %w", i, err)
-		}
-		t.Summaries = append(t.Summaries, s)
+		it.Payload = append([]byte(nil), payload...)
+		t.Items = append(t.Items, it)
 	}
 	rest, err = wal.ReadMarkSet(rest, func(origin string, seq uint64) {
 		if t.Marks == nil {
@@ -300,48 +227,22 @@ func DecodeMigrateTransfer(data []byte) (*MigrateTransfer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: migration marks: %w", err)
 	}
-	if version >= 2 {
-		nAlerts, r, err := wal.ReadUvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: migration alert count: %w", err)
+	nSubs, rest, err := wal.ReadUvarint(rest)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: migration subscription count: %w", err)
+	}
+	if nSubs > uint64(len(rest)) {
+		return nil, fmt.Errorf("protocol: migration claims %d subscriptions in %d bytes", nSubs, len(rest))
+	}
+	if nSubs > 0 {
+		t.Subs = make([][]byte, 0, nSubs)
+	}
+	for i := uint64(0); i < nSubs; i++ {
+		var doc []byte
+		if doc, rest, err = wal.ReadBytes(rest); err != nil {
+			return nil, fmt.Errorf("protocol: migration subscription %d doc: %w", i, err)
 		}
-		rest = r
-		if nAlerts > uint64(len(rest)) {
-			return nil, fmt.Errorf("protocol: migration claims %d alerts in %d bytes", nAlerts, len(rest))
-		}
-		if nAlerts > 0 {
-			t.Alerts = make([]MigrateAlert, 0, nAlerts)
-		}
-		for i := uint64(0); i < nAlerts; i++ {
-			var a MigrateAlert
-			if a.Seq, rest, err = wal.ReadUint64(rest); err != nil {
-				return nil, fmt.Errorf("protocol: migration alert %d seq: %w", i, err)
-			}
-			var payload []byte
-			if payload, rest, err = wal.ReadBytes(rest); err != nil {
-				return nil, fmt.Errorf("protocol: migration alert %d payload: %w", i, err)
-			}
-			a.Payload = append([]byte(nil), payload...)
-			t.Alerts = append(t.Alerts, a)
-		}
-		nSubs, r2, err := wal.ReadUvarint(rest)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: migration subscription count: %w", err)
-		}
-		rest = r2
-		if nSubs > uint64(len(rest)) {
-			return nil, fmt.Errorf("protocol: migration claims %d subscriptions in %d bytes", nSubs, len(rest))
-		}
-		if nSubs > 0 {
-			t.Subs = make([][]byte, 0, nSubs)
-		}
-		for i := uint64(0); i < nSubs; i++ {
-			var doc []byte
-			if doc, rest, err = wal.ReadBytes(rest); err != nil {
-				return nil, fmt.Errorf("protocol: migration subscription %d doc: %w", i, err)
-			}
-			t.Subs = append(t.Subs, append([]byte(nil), doc...))
-		}
+		t.Subs = append(t.Subs, append([]byte(nil), doc...))
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("protocol: %d trailing bytes after migration transfer", len(rest))

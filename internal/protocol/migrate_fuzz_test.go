@@ -7,14 +7,18 @@ import (
 )
 
 // FuzzMigratePayload hammers the migration wire format: arbitrary
-// bytes must never panic the decoder, every accepted payload must
-// round-trip losslessly through encode/decode, and oversized
-// transfers must be rejected with the typed *MigrateSizeError. Seed
-// corpora live under testdata/fuzz/FuzzMigratePayload; CI runs the
-// corpus as a regression test via `go test -run '^Fuzz'`.
+// bytes must never panic the decoder, only version 3 may decode, every
+// accepted payload must round-trip losslessly through encode/decode,
+// and oversized transfers must be rejected with the typed
+// *MigrateSizeError. Seed corpora live under
+// testdata/fuzz/FuzzMigratePayload: v3-* is a full chunk (an item of
+// each kind, marks, a subscription) and truncations of it; the seed-*
+// and valid-* files are version-1 chunks, kept as inputs that must be
+// refused. CI runs the corpus as a regression test via
+// `go test -run '^Fuzz'`.
 func FuzzMigratePayload(f *testing.F) {
-	// Minimal structural seeds; the committed corpus carries full
-	// valid transfers and truncations of them.
+	// Minimal structural seeds; the committed corpus carries a full
+	// valid transfer and truncations of it.
 	f.Add([]byte{})
 	f.Add([]byte{migrateMagic})
 	f.Add([]byte{migrateMagic, migrateVersion})
@@ -31,6 +35,9 @@ func FuzzMigratePayload(f *testing.F) {
 				}
 			}
 			return
+		}
+		if data[1] != migrateVersion {
+			t.Fatalf("a version-%d payload decoded", data[1])
 		}
 		// Accepted payloads must survive a lossless round trip.
 		wire, err := EncodeMigrateTransfer(decoded)

@@ -3,6 +3,7 @@ package shard
 import (
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // FNV64a returns the 64-bit FNV-1a hash of s. The consistent-hash
@@ -37,19 +38,19 @@ func mix64(h uint64) uint64 {
 // ringHash positions a label on the ring.
 func ringHash(s string) uint64 { return mix64(FNV64a(s)) }
 
-// DefaultVirtualNodes is the ring's default vnode multiplier. 128
-// points per unit of weight keeps the max/min ownership skew under
-// 1.3 for realistic member counts (asserted in ring_test.go).
-const DefaultVirtualNodes = 128
+// virtualNodes is the number of points each member owns on the ring.
+// 128 keeps the max/min ownership skew under 1.3 for realistic member
+// counts (asserted in ring_test.go).
+const virtualNodes = 128
 
-// Ring is a consistent-hash ring with virtual nodes and integer
-// member weights. A member with weight w owns w * vnodes points on
-// the ring; Owner(key) returns the member whose point follows the
-// key's hash clockwise. Ring is not safe for concurrent use; callers
-// (placement.Ownership, core) guard it.
+// Ring is a consistent-hash ring with virtual nodes: every member owns
+// virtualNodes points, and Owner(key) returns the member whose point
+// follows the key's hash clockwise. It maps sensor types to the fog
+// siblings that own them, so a membership change moves only the types
+// whose owner actually changed. It is safe for concurrent use.
 type Ring struct {
-	vnodes  int
-	weights map[string]int
+	mu      sync.RWMutex
+	members map[string]struct{}
 	points  []ringPoint // sorted by hash
 }
 
@@ -58,44 +59,29 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds an empty ring. vnodes <= 0 selects
-// DefaultVirtualNodes.
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	return &Ring{vnodes: vnodes, weights: make(map[string]int)}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: make(map[string]struct{})}
 }
 
-// Add inserts a member with the given weight (minimum 1). Adding an
-// existing member replaces its weight; it never stacks points, so a
-// member listed twice by the caller keeps a single declared weight.
-func (r *Ring) Add(id string, weight int) {
-	if id == "" {
+// Add inserts a member. Adding an existing member is a no-op that never
+// stacks points: a node listed in several district rosters keeps one
+// share.
+func (r *Ring) Add(id string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.members[id]; ok || id == "" {
 		return
 	}
-	if weight < 1 {
-		weight = 1
-	}
-	if old, ok := r.weights[id]; ok {
-		if old == weight {
-			return
-		}
-		r.removePoints(id)
-	}
-	r.weights[id] = weight
-	n := weight * r.vnodes
-	// Stratified placement: point i lands in stratum [i/n, (i+1)/n)
-	// of the ring, jittered by the label hash. Each member's points
+	r.members[id] = struct{}{}
+	// Stratified placement: point i lands in stratum [i/v, (i+1)/v)
+	// of the ring (v = virtualNodes), jittered by the label hash. Each member's points
 	// are spread evenly instead of independently at random, which
 	// keeps the max/min ownership skew within the 1.3 bound at 128
 	// vnodes (independent points need ~4x more to match).
-	step := ^uint64(0)/uint64(n) + 1
-	for i := 0; i < n; i++ {
-		jitter := ringHash(id + "#" + strconv.Itoa(i))
-		if step != 0 {
-			jitter %= step
-		}
+	step := ^uint64(0)/virtualNodes + 1
+	for i := 0; i < virtualNodes; i++ {
+		jitter := ringHash(id+"#"+strconv.Itoa(i)) % step
 		r.points = append(r.points, ringPoint{hash: step*uint64(i) + jitter, node: id})
 	}
 	sort.Slice(r.points, func(a, b int) bool {
@@ -109,10 +95,12 @@ func (r *Ring) Add(id string, weight int) {
 // Remove deletes a member and all its points. Removing an absent
 // member is a no-op.
 func (r *Ring) Remove(id string) {
-	if _, ok := r.weights[id]; !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.members[id]; !ok {
 		return
 	}
-	delete(r.weights, id)
+	delete(r.members, id)
 	r.removePoints(id)
 }
 
@@ -138,6 +126,12 @@ const ownerProbes = 8
 
 // Owner returns the member owning key, or false on an empty ring.
 func (r *Ring) Owner(key string) (string, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.owner(key)
+}
+
+func (r *Ring) owner(key string) (string, bool) {
 	if len(r.points) == 0 {
 		return "", false
 	}
@@ -158,18 +152,46 @@ func (r *Ring) Owner(key string) (string, bool) {
 	return best, true
 }
 
-// Weight returns a member's weight (0 when absent).
-func (r *Ring) Weight(id string) int { return r.weights[id] }
+// Len returns the member count.
+func (r *Ring) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.members)
+}
 
-// Members returns the member IDs, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.weights))
-	for id := range r.weights {
-		out = append(out, id)
+// Assign maps each type to its owner under the current membership.
+func (r *Ring) Assign(types []string) map[string]string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make(map[string]string, len(types))
+	for _, t := range types {
+		if owner, ok := r.owner(t); ok {
+			out[t] = owner
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.weights) }
+// Move is one shard migration produced by a membership change: the
+// type must travel from its old owner to its new one.
+type Move struct {
+	TypeName string
+	From     string
+	To       string
+}
+
+// Diff compares two assignments and returns the required moves,
+// sorted by type name for deterministic execution order. Types
+// present only in the new assignment arrive with an empty From
+// (nothing to migrate); types that lost their owner entirely are
+// skipped.
+func Diff(old, cur map[string]string) []Move {
+	var moves []Move
+	for t, to := range cur {
+		if from := old[t]; from != to {
+			moves = append(moves, Move{TypeName: t, From: from, To: to})
+		}
+	}
+	sort.Slice(moves, func(a, b int) bool { return moves[a].TypeName < moves[b].TypeName })
+	return moves
+}

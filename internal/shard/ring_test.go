@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -36,7 +37,7 @@ func TestRingOwnershipTable(t *testing.T) {
 		{name: "empty ring has no owner", setup: func(r *Ring) {}, key: "traffic", wantOK: false, members: 0},
 		{
 			name:    "single member owns everything",
-			setup:   func(r *Ring) { r.Add("fog1/d01-s01", 1) },
+			setup:   func(r *Ring) { r.Add("fog1/d01-s01") },
 			key:     "traffic",
 			wantOK:  true,
 			members: 1,
@@ -44,9 +45,9 @@ func TestRingOwnershipTable(t *testing.T) {
 		{
 			name: "re-add replaces weight instead of stacking",
 			setup: func(r *Ring) {
-				r.Add("a", 1)
-				r.Add("a", 1)
-				r.Add("a", 3)
+				r.Add("a")
+				r.Add("a")
+				r.Add("a")
 			},
 			key:     "traffic",
 			wantOK:  true,
@@ -55,7 +56,7 @@ func TestRingOwnershipTable(t *testing.T) {
 		{
 			name: "remove absent member is a no-op",
 			setup: func(r *Ring) {
-				r.Add("a", 1)
+				r.Add("a")
 				r.Remove("b")
 			},
 			key:     "traffic",
@@ -65,7 +66,7 @@ func TestRingOwnershipTable(t *testing.T) {
 		{
 			name: "empty id rejected",
 			setup: func(r *Ring) {
-				r.Add("", 1)
+				r.Add("")
 			},
 			key:     "traffic",
 			wantOK:  false,
@@ -74,7 +75,7 @@ func TestRingOwnershipTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRing(8)
+			r := NewRing()
 			tc.setup(r)
 			if got := r.Len(); got != tc.members {
 				t.Fatalf("Len = %d, want %d", got, tc.members)
@@ -87,25 +88,22 @@ func TestRingOwnershipTable(t *testing.T) {
 	}
 
 	t.Run("re-add with same weight keeps point count", func(t *testing.T) {
-		r := NewRing(16)
-		r.Add("a", 2)
+		r := NewRing()
+		r.Add("a")
 		n := len(r.points)
-		r.Add("a", 2)
-		if len(r.points) != n {
-			t.Fatalf("points grew from %d to %d on idempotent re-add", n, len(r.points))
-		}
-		if r.Weight("a") != 2 {
-			t.Fatalf("Weight = %d, want 2", r.Weight("a"))
+		r.Add("a")
+		if n != virtualNodes || len(r.points) != n {
+			t.Fatalf("points went from %d to %d on idempotent re-add, want %d", n, len(r.points), virtualNodes)
 		}
 	})
 }
 
 func TestRingDeterministicAndStable(t *testing.T) {
 	build := func() *Ring {
-		r := NewRing(64)
-		r.Add("fog1/d01-s01", 1)
-		r.Add("fog1/d01-s02", 1)
-		r.Add("fog1/d01-s03", 2)
+		r := NewRing()
+		r.Add("fog1/d01-s01")
+		r.Add("fog1/d01-s02")
+		r.Add("fog1/d01-s03")
 		return r
 	}
 	keys := ringKeys(500)
@@ -123,15 +121,15 @@ func TestRingDeterministicAndStable(t *testing.T) {
 // removing it only moves its own keys — nothing shuffles between
 // surviving members.
 func TestRingRebalanceMinimalMovement(t *testing.T) {
-	r := NewRing(128)
+	r := NewRing()
 	for i := 1; i <= 5; i++ {
-		r.Add(fmt.Sprintf("fog1/d01-s%02d", i), 1)
+		r.Add(fmt.Sprintf("fog1/d01-s%02d", i))
 	}
 	keys := ringKeys(2000)
 	before := ownersOf(r, keys)
 
 	const joiner = "fog1/d01-s06"
-	r.Add(joiner, 1)
+	r.Add(joiner)
 	after := ownersOf(r, keys)
 	moved := 0
 	for _, k := range keys {
@@ -160,15 +158,14 @@ func TestRingRebalanceMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestRingSkewBound is the satellite acceptance bound: with 128
-// virtual nodes the max/min owned-type ratio stays ≤ 1.3 across
-// equal-weight members.
+// TestRingSkewBound is the ring's acceptance bound: with 128 virtual
+// nodes the max/min owned-type ratio stays ≤ 1.3.
 func TestRingSkewBound(t *testing.T) {
 	for _, members := range []int{4, 8, 16} {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
-			r := NewRing(128)
+			r := NewRing()
 			for i := 0; i < members; i++ {
-				r.Add(fmt.Sprintf("fog1/d%02d-s%02d", i/8+1, i%8+1), 1)
+				r.Add(fmt.Sprintf("fog1/d%02d-s%02d", i/8+1, i%8+1))
 			}
 			counts := make(map[string]int, members)
 			keys := ringKeys(20000)
@@ -196,23 +193,123 @@ func TestRingSkewBound(t *testing.T) {
 	}
 }
 
-// TestRingWeightBias asserts a weight-2 member owns roughly twice the
-// share of a weight-1 member.
-func TestRingWeightBias(t *testing.T) {
-	r := NewRing(128)
-	r.Add("small-a", 1)
-	r.Add("small-b", 1)
-	r.Add("big", 2)
-	counts := make(map[string]int)
-	keys := ringKeys(20000)
-	for _, k := range keys {
-		o, _ := r.Owner(k)
-		counts[o]++
+func TestOwnershipAssignAndDiff(t *testing.T) {
+	r := NewRing()
+	for _, id := range []string{"fog1/d01-s01", "fog1/d01-s02", "fog1/d01-s03"} {
+		r.Add(id)
 	}
-	avgSmall := float64(counts["small-a"]+counts["small-b"]) / 2
-	ratio := float64(counts["big"]) / avgSmall
-	if ratio < 1.5 || ratio > 2.5 {
-		t.Fatalf("weight-2 member owns %.2fx a weight-1 member; want ~2x (counts %v)", ratio, counts)
+	types := ringKeys(300)
+	before := r.Assign(types)
+	if len(before) != len(types) {
+		t.Fatalf("assigned %d of %d types", len(before), len(types))
+	}
+	for _, typ := range types {
+		owner, ok := r.Owner(typ)
+		if !ok || owner != before[typ] {
+			t.Fatalf("Owner(%q) = %q/%v, Assign said %q", typ, owner, ok, before[typ])
+		}
+	}
+
+	r.Add("fog1/d01-s04")
+	after := r.Assign(types)
+	moves := Diff(before, after)
+	if len(moves) == 0 {
+		t.Fatal("join produced no moves")
+	}
+	for _, m := range moves {
+		if m.To != "fog1/d01-s04" {
+			t.Fatalf("join moved %q to %q, not to the joiner", m.TypeName, m.To)
+		}
+		if m.From == "" {
+			t.Fatalf("move for %q lost its source", m.TypeName)
+		}
+	}
+	for i := 1; i < len(moves); i++ {
+		if moves[i-1].TypeName >= moves[i].TypeName {
+			t.Fatalf("moves not sorted: %q before %q", moves[i-1].TypeName, moves[i].TypeName)
+		}
+	}
+
+	r.Remove("fog1/d01-s04")
+	restored := r.Assign(types)
+	if back := Diff(before, restored); len(back) != 0 {
+		t.Fatalf("leave did not restore the original assignment: %d stray moves", len(back))
+	}
+}
+
+// TestOwnershipDedupesMultiDistrictMembers is the regression test for
+// the multi-district bug: a node listed in several district rosters
+// used to get its virtual nodes inserted once per listing, silently
+// multiplying its share. Adding a member twice must not stack its
+// points.
+func TestOwnershipDedupesMultiDistrictMembers(t *testing.T) {
+	// "shared" backs two districts and appears in both rosters.
+	// Without dedupe it would own ~2x a single-district sibling's
+	// share.
+	r := NewRing()
+	for _, id := range []string{
+		// District 1.
+		"fog1/d01-s01", "fog1/shared",
+		// District 2.
+		"fog1/shared", "fog1/d02-s01", "fog1/d02-s02",
+	} {
+		r.Add(id)
+	}
+	if got := r.Len(); got != 4 {
+		t.Fatalf("member count = %d, want 4 (duplicate not deduped)", got)
+	}
+	counts := make(map[string]int)
+	for _, typ := range ringKeys(20000) {
+		owner, _ := r.Owner(typ)
+		counts[owner]++
+	}
+	shared := float64(counts["fog1/shared"])
+	others := float64(counts["fog1/d01-s01"]+counts["fog1/d02-s01"]+counts["fog1/d02-s02"]) / 3
+	ratio := shared / others
+	if ratio > 1.3 {
+		t.Fatalf("multi-district member owns %.2fx a sibling's share; dedupe failed (counts %v)", ratio, counts)
+	}
+}
+
+func TestOwnershipEmpty(t *testing.T) {
+	r := NewRing()
+	if _, ok := r.Owner("anything"); ok {
+		t.Fatal("empty ring returned an owner")
+	}
+	if got := r.Assign([]string{"a", "b"}); len(got) != 0 {
+		t.Fatalf("empty ring assigned %d types", len(got))
+	}
+}
+
+// TestRingConcurrentUse: ingest routing reads a district's ring while
+// a scale event adds and removes members. Run it with -race.
+func TestRingConcurrentUse(t *testing.T) {
+	r := NewRing()
+	r.Add("fog1/d01-s01")
+	keys := ringKeys(200)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				for _, k := range keys[:20] {
+					if _, ok := r.Owner(k); !ok {
+						t.Error("a ring with a permanent member returned no owner")
+						return
+					}
+				}
+				_ = r.Assign(keys)
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		r.Add("fog1/d01-s02")
+		r.Remove("fog1/d01-s02")
+	}
+	wg.Wait()
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d after balanced joins and leaves, want 1", r.Len())
 	}
 }
 

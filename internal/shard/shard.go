@@ -1,7 +1,9 @@
 // Package shard provides the hash shared by the sharded structures
 // on the concurrent ingest path (fognode pending buffers, the
 // time-series store, the deduper), so shard selection stays
-// consistent and is maintained in one place.
+// consistent and is maintained in one place, and the consistent-hash
+// ring that assigns sensor types to the fog siblings of a district
+// under elastic ownership.
 package shard
 
 // FNV32a returns the 32-bit FNV-1a hash of s. Callers mask it with

@@ -20,8 +20,8 @@
 //	                the generation-<gen> snapshot
 //
 // WriteSnapshot advances the generation: it writes snapshot.tmp,
-// fsyncs, renames it over snapshot, creates wal-<gen+1> and removes
-// the old log. Every crash window of that sequence is recoverable:
+// fsyncs, renames it over snapshot, creates wal-<gen+1>, fsyncs the
+// directory and removes the old log. Every crash window of that sequence is recoverable:
 // a snapshot without its log replays as snapshot-only, and stale logs
 // from older generations are ignored and deleted on open.
 //
@@ -100,6 +100,7 @@ type Store struct {
 	snapshot []byte   // loaded at Open; nil when none
 	records  [][]byte // intact tail replayed at Open
 	appends  int      // records appended since the last snapshot
+	frame    []byte   // Append's reused frame buffer
 }
 
 // Open opens (or creates) the store directory, loads the newest
@@ -142,6 +143,12 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	s.file = f
+	// The log may have just been created: its directory entry must be
+	// on disk before a record in it is relied on.
+	if err := syncDir(cfg.Dir); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("wal: %w", err)
+	}
 	return s, nil
 }
 
@@ -181,18 +188,13 @@ func (s *Store) Snapshot() []byte { return s.snapshot }
 // modify them.
 func (s *Store) Records() [][]byte { return s.records }
 
-// Append frames one record and writes it to the log.
+// Append frames one record and writes it to the log in one write.
 func (s *Store) Append(payload []byte) error {
 	if len(payload) == 0 || len(payload) > MaxRecordSize {
 		return fmt.Errorf("wal: record size %d out of range", len(payload))
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := s.file.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := s.file.Write(payload); err != nil {
+	s.frame = AppendFrame(s.frame[:0], payload)
+	if _, err := s.file.Write(s.frame); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	if s.cfg.SyncEveryAppend {
@@ -251,9 +253,13 @@ func (s *Store) WriteSnapshot(data []byte) error {
 	}
 
 	// The snapshot is durable; everything in the old log is folded in.
-	// Rotate: sync+close the old log, start the new generation, drop
-	// the old file. A crash anywhere here is recovered by Open
-	// (missing new log = empty tail; surviving old log = stale, deleted).
+	// Rotate: start the new generation, sync the directory, then close
+	// and drop the old log. A crash anywhere here is recovered by Open
+	// (missing new log = empty tail; surviving old log = stale,
+	// deleted). The directory sync orders the rename and the new log's
+	// creation before the removal: POSIX does not order directory
+	// updates, and a power cut that kept the old snapshot but lost the
+	// old log would lose every record since the previous checkpoint.
 	old, oldPath := s.file, s.logPath()
 	s.gen = next
 	f, err = os.OpenFile(s.logPath(), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -261,7 +267,11 @@ func (s *Store) WriteSnapshot(data []byte) error {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	s.file = f
+	err = syncDir(s.cfg.Dir)
 	_ = old.Close()
+	if err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
+	}
 	_ = os.Remove(oldPath)
 	s.appends = 0
 	s.records = nil
@@ -291,6 +301,20 @@ func (s *Store) Close() error {
 		return fmt.Errorf("wal: close: %w", err)
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the renames, creations and
+// removals in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readSnapshot loads and verifies a snapshot file; a missing file is
@@ -367,8 +391,8 @@ func nextFrame(raw []byte, off int) (rec []byte, next int, ok bool) {
 	return payload, off + frameHeader + n, true
 }
 
-// AppendFrame frames payload as Append would and appends it to dst —
-// for tests and tools that build log images without a Store.
+// AppendFrame frames payload as Append writes it and appends it to
+// dst.
 func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
