@@ -48,6 +48,9 @@ type liveCity struct {
 // multi-process deployment would, so per-node OpMetrics scrapes are
 // meaningful. The caller owns the returned city and must Close it.
 func hostLive(dep config.Deployment, host string) (*liveCity, error) {
+	if err := dep.RefuseIgnored("citysim -live", false); err != nil {
+		return nil, err
+	}
 	opts, err := dep.Options(sim.WallClock{})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,6 +300,29 @@ func TestLiveCityRunsTheDocumentProfile(t *testing.T) {
 		}
 		if err := city.Close(); err != nil {
 			t.Errorf("life %d: close: %v", life, err)
+		}
+	}
+}
+
+// TestLiveCityRefusesIgnoredFields: the live city hosts each node on
+// its own, like f2cd daemons, so it runs without elastic ownership and
+// without per-category layer-1 flush periods; a document asking for
+// either is refused, naming the field, before any node starts.
+func TestLiveCityRefusesIgnoredFields(t *testing.T) {
+	elastic := liveGrid()
+	elastic.ElasticOwnership = true
+	byCategory := liveGrid()
+	byCategory.Fog1FlushByCategorySeconds = map[string]int{"urban": 300}
+	for field, dep := range map[string]config.Deployment{
+		"elasticOwnership":           elastic,
+		"fog1FlushByCategorySeconds": byCategory,
+	} {
+		city, err := hostLive(dep, "127.0.0.1")
+		if city != nil {
+			_ = city.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("live city with %s: err = %v, want a refusal naming the field", field, err)
 		}
 	}
 }

@@ -95,24 +95,35 @@ func run(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	send := func(kind transport.Kind, payload []byte) ([]byte, error) {
-		return tr.Send(ctx, transport.Message{
-			From: "f2cctl", To: target, Kind: kind, Payload: payload,
+	// Reads go through the query engine, as any node's do: range walks
+	// the node's pages, and every answer crosses the engine's checks
+	// (a summary off the wire is normalized at the trust boundary).
+	eng, err := query.New(query.Config{
+		Self: "f2cctl", Transport: tr, CloudID: target, PageLimit: *limit,
+	})
+	if err != nil {
+		return err
+	}
+	// control sends one control request; a non-nil into receives the
+	// decoded reply.
+	control := func(req protocol.ControlRequest, into any) ([]byte, error) {
+		payload, err := protocol.EncodeJSON(req)
+		if err != nil {
+			return nil, err
+		}
+		reply, err := tr.Send(ctx, transport.Message{
+			From: "f2cctl", To: target, Kind: transport.KindControl, Payload: payload,
 		})
+		if err == nil && into != nil {
+			err = protocol.DecodeJSON(reply, into)
+		}
+		return reply, err
 	}
 
 	switch cmd {
 	case "status":
-		req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpStatus})
-		if err != nil {
-			return err
-		}
-		reply, err := send(transport.KindControl, req)
-		if err != nil {
-			return err
-		}
 		var st protocol.StatusResponse
-		if err := protocol.DecodeJSON(reply, &st); err != nil {
+		if _, err := control(protocol.ControlRequest{Op: protocol.OpStatus}, &st); err != nil {
 			return err
 		}
 		fmt.Printf("node %s (%s)\n  stored readings: %d in %d series\n  pending batches: %d\n  ingested batches: %d\n  dedup eliminated: %.1f%%\n",
@@ -120,34 +131,16 @@ func run(args []string) error {
 			st.PendingBatches, st.IngestedBatches, 100*st.DedupEliminated)
 		return nil
 	case "flush":
-		req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpFlush})
-		if err != nil {
-			return err
-		}
-		reply, err := send(transport.KindControl, req)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(reply))
-		return nil
+		return printReply(control(protocol.ControlRequest{Op: protocol.OpFlush}, nil))
 	case "metrics":
-		req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpMetrics})
-		if err != nil {
-			return err
-		}
-		reply, err := send(transport.KindControl, req)
-		if err != nil {
-			return err
-		}
 		if len(rest) == 0 {
-			fmt.Println(string(reply))
-			return nil
+			return printReply(control(protocol.ControlRequest{Op: protocol.OpMetrics}, nil))
 		}
 		// An optional substring narrows the dump — "sched." shows the
 		// admission scheduler's gauges and counters, "flush.adaptive"
 		// the adaptive controller's state.
 		var exp metrics.RegistryExport
-		if err := protocol.DecodeJSON(reply, &exp); err != nil {
+		if _, err := control(protocol.ControlRequest{Op: protocol.OpMetrics}, &exp); err != nil {
 			return err
 		}
 		filtered := metrics.RegistryExport{
@@ -181,16 +174,8 @@ func run(args []string) error {
 		// The elastic-rebalance view of a fog node: which sensor types
 		// it forwards to their new ring owner, and how much shard state
 		// live migration moved through it.
-		req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpRoutes})
-		if err != nil {
-			return err
-		}
-		reply, err := send(transport.KindControl, req)
-		if err != nil {
-			return err
-		}
 		var rr protocol.RoutesResponse
-		if err := protocol.DecodeJSON(reply, &rr); err != nil {
+		if _, err := control(protocol.ControlRequest{Op: protocol.OpRoutes}, &rr); err != nil {
 			return err
 		}
 		fmt.Printf("node %s\n  migrated out: %d transfers, %d readings, %d B\n  migrated in:  %d transfers, %d readings\n",
@@ -213,38 +198,24 @@ func run(args []string) error {
 		if len(rest) != 1 {
 			return errors.New("usage: latest <sensorID>")
 		}
-		req, err := protocol.EncodeJSON(protocol.QueryRequest{SensorID: rest[0]})
+		r, ok, err := eng.LatestFrom(ctx, target, rest[0])
 		if err != nil {
 			return err
 		}
-		reply, err := send(transport.KindQuery, req)
-		if err != nil {
-			return err
-		}
-		page, err := protocol.DecodeQueryPage(reply)
-		if err != nil {
-			return err
-		}
-		if !page.Found {
+		if !ok {
 			fmt.Println("no data")
 			return nil
 		}
-		printReadings(page.Readings)
+		printReadings([]model.Reading{r})
 		return nil
 	case "range":
 		from, to, err := parseRangeArgs("range", rest)
 		if err != nil {
 			return err
 		}
-		// Stream the scan page by page through the query engine: no
-		// response materializes more than the node's page limit of
-		// readings, and pages print as they arrive.
-		eng, err := query.New(query.Config{
-			Self: "f2cctl", Transport: tr, CloudID: target, PageLimit: *limit,
-		})
-		if err != nil {
-			return err
-		}
+		// Stream the scan page by page: no response materializes more
+		// than the node's page limit of readings, and pages print as
+		// they arrive.
 		total := 0
 		err = eng.RangePages(ctx, target, rest[0], from, to, func(page protocol.QueryPage) error {
 			printReadings(page.Readings)
@@ -263,21 +234,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		req, err := protocol.EncodeJSON(protocol.SummaryRequest{
-			TypeName: rest[0], FromUnix: from.UnixNano(), ToUnix: to.UnixNano(),
-		})
+		s, err := eng.SummaryFrom(ctx, target, rest[0], from, to)
 		if err != nil {
 			return err
 		}
-		reply, err := send(transport.KindSummary, req)
-		if err != nil {
-			return err
-		}
-		var resp protocol.SummaryResponse
-		if err := protocol.DecodeJSON(reply, &resp); err != nil {
-			return err
-		}
-		s := resp.Summary
 		if s.Count == 0 {
 			fmt.Println("no data")
 			return nil
@@ -293,16 +253,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpSubscribe, Sub: doc})
-		if err != nil {
-			return err
-		}
-		reply, err := send(transport.KindControl, req)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(reply))
-		return nil
+		return printReply(control(protocol.ControlRequest{Op: protocol.OpSubscribe, Sub: doc}, nil))
 	case "unsubscribe":
 		if len(rest) != 1 {
 			return errors.New("usage: unsubscribe <id>")
@@ -311,27 +262,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpSubscribe, Sub: doc, Remove: true})
-		if err != nil {
-			return err
-		}
-		reply, err := send(transport.KindControl, req)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(reply))
-		return nil
+		return printReply(control(protocol.ControlRequest{Op: protocol.OpSubscribe, Sub: doc, Remove: true}, nil))
 	case "subs":
-		req, err := protocol.EncodeJSON(protocol.ControlRequest{Op: protocol.OpSubscriptions})
-		if err != nil {
-			return err
-		}
-		reply, err := send(transport.KindControl, req)
-		if err != nil {
-			return err
-		}
 		var resp protocol.SubscriptionsResponse
-		if err := protocol.DecodeJSON(reply, &resp); err != nil {
+		if _, err := control(protocol.ControlRequest{Op: protocol.OpSubscriptions}, &resp); err != nil {
 			return err
 		}
 		if len(resp.Subs) == 0 {
@@ -430,6 +364,15 @@ func parseRangeArgs(cmd string, rest []string) (from, to time.Time, err error) {
 		return from, to, fmt.Errorf("parse to: %w", err)
 	}
 	return from, to, nil
+}
+
+// printReply prints a control reply the node renders itself.
+func printReply(reply []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(reply))
+	return nil
 }
 
 func printReadings(readings []model.Reading) {

@@ -28,6 +28,9 @@ import (
 // elasticOwnership (scale events need this host: it owns the topology,
 // the network and the rings), and standing subscriptions.
 func runAllInOne(dep config.Deployment, listen, opendataListen string) error {
+	if err := dep.RefuseIgnored("f2cd -all-in-one", true); err != nil {
+		return err
+	}
 	opts, err := dep.Options(sim.WallClock{})
 	if err != nil {
 		return err

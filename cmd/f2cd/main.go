@@ -134,6 +134,9 @@ func (d daemon) node() (topology.NodeSpec, core.Options, []cq.Subscription, erro
 	if err != nil {
 		return spec, core.Options{}, nil, err
 	}
+	if err := dep.RefuseIgnored("f2cd", false); err != nil {
+		return spec, core.Options{}, nil, err
+	}
 	opts, err := dep.Options(sim.WallClock{})
 	if err != nil {
 		return spec, core.Options{}, nil, err

@@ -3,6 +3,7 @@ package main
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,5 +143,45 @@ func TestDaemonMatchesSystemHost(t *testing.T) {
 				t.Errorf("durable=%v %s: daemon derives\n%+v\nthe city host\n%+v", durable, want.ID, g, w)
 			}
 		}
+	}
+}
+
+// TestHostsRefuseIgnoredFields: a document field the daemon would run
+// without is refused at start-up, naming the field, instead of being
+// dropped. A single node honours neither per-category layer-1 flush
+// periods nor elastic ownership; the all-in-one city honours elastic
+// ownership but still flushes each layer on one period.
+func TestHostsRefuseIgnoredFields(t *testing.T) {
+	byCategory := config.Barcelona()
+	byCategory.Fog1FlushByCategorySeconds = map[string]int{"urban": 300}
+	elastic := config.Barcelona()
+	elastic.ElasticOwnership = true
+
+	for field, dep := range map[string]config.Deployment{
+		"fog1FlushByCategorySeconds": byCategory,
+		"elasticOwnership":           elastic,
+	} {
+		doc := filepath.Join(t.TempDir(), "city.json")
+		if err := dep.Save(doc); err != nil {
+			t.Fatal(err)
+		}
+		d, err := parseFlags([]string{"-id", "fog1/d01-s01", "-layer", "fog1", "-parent", "fog2/d01", "-parent-addr", "127.0.0.1:9001", "-config", doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := d.node(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("single node with %s: err = %v, want a refusal naming the field", field, err)
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- runAllInOne(byCategory, "127.0.0.1:0", "") }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "fog1FlushByCategorySeconds") {
+			t.Errorf("all-in-one with fog1FlushByCategorySeconds: err = %v, want a refusal naming the field", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("all-in-one started serving a document with fog1FlushByCategorySeconds")
 	}
 }

@@ -292,6 +292,21 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 	}, nil
 }
 
+// RefuseIgnored refuses the fields host would run without, so a
+// document never declares a profile the node silently does not have.
+// Only citysim's day simulation flushes layer 1 per category; every
+// other host runs one flush period per layer. Elastic ownership needs
+// core.System, which only whole-city hosts run.
+func (d Deployment) RefuseIgnored(host string, wholeCity bool) error {
+	if len(d.Fog1FlushByCategorySeconds) > 0 {
+		return fmt.Errorf("config: %s ignores fog1FlushByCategorySeconds (only citysim's day simulation honours it): drop the field", host)
+	}
+	if d.ElasticOwnership && !wholeCity {
+		return fmt.Errorf("config: %s ignores elasticOwnership (only a whole-city host honours it: f2cd -all-in-one or citysim's day simulation): drop the field", host)
+	}
+	return nil
+}
+
 // OverloadOptions builds a deployment's admission-scheduler options:
 // the default class weights, with the ingest class optionally
 // token-bucket limited to rateBytes payload bytes per second

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -420,6 +422,52 @@ func TestRecoveryFromCheckpoint(t *testing.T) {
 		t.Errorf("parent preserved %d distinct readings, want 3", got)
 	}
 	for v, c := range parent.counts() {
+		if c != 1 {
+			t.Errorf("value %v preserved %d times, want exactly once", v, c)
+		}
+	}
+}
+
+// TestFailedCheckpointKeepsAckedBatches: a checkpoint whose log
+// rotation fails (a directory holds the next log's name) must leave
+// the node journaling into its current log, so a batch acknowledged
+// after the failure survives a crash, and every batch is held exactly
+// once after recovery.
+func TestFailedCheckpointKeepsAckedBatches(t *testing.T) {
+	dir := t.TempDir()
+	n := newDurableNode(t, dir, nil, 0)
+	if err := n.Ingest(typedBatch("traffic", t0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	obstacle := filepath.Join(dir, "wal-1")
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded with the next log's name taken by a directory")
+	}
+	if err := n.Ingest(typedBatch("traffic", t0.Add(time.Second), 3)); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard() // crash
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+
+	parent := newDedupParent()
+	parent.set("up")
+	re := newDurableNode(t, dir, parent, 0)
+	if got := re.PendingReadings(); got != 3 {
+		t.Fatalf("recovered PendingReadings = %d, want 3", got)
+	}
+	if err := re.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	counts := parent.counts()
+	if len(counts) != 3 {
+		t.Errorf("parent preserved %d distinct readings, want 3", len(counts))
+	}
+	for v, c := range counts {
 		if c != 1 {
 			t.Errorf("value %v preserved %d times, want exactly once", v, c)
 		}

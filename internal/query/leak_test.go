@@ -24,12 +24,13 @@ import (
 )
 
 // stuckTransport serves query pages and summaries for well-behaved
-// endpoints and blocks — deliberately ignoring the context, the
-// worst-behaved transport the contract allows — for endpoints in the
-// stuck set, until released.
+// endpoints (an empty page for those in the empty set) and blocks —
+// deliberately ignoring the context, the worst-behaved transport the
+// contract allows — for endpoints in the stuck set, until released.
 type stuckTransport struct {
 	release chan struct{}
 	stuck   map[string]bool
+	empty   map[string]bool
 
 	mu      sync.Mutex
 	blocked int // sends currently parked in the stuck path
@@ -45,6 +46,9 @@ func (tr *stuckTransport) Send(_ context.Context, msg transport.Message) ([]byte
 	}
 	switch msg.Kind {
 	case transport.KindQuery:
+		if tr.empty[msg.To] {
+			return protocol.EncodeQueryPage(msg.To, protocol.QueryPage{})
+		}
 		now := time.Now()
 		page := protocol.QueryPage{Found: true, Readings: []model.Reading{{
 			SensorID: "s1", TypeName: "traffic", Category: model.CategoryUrban,
@@ -132,6 +136,62 @@ func TestRangeDetailedNoLeakOnEarlyCancel(t *testing.T) {
 
 	// Release the stuck Send: the abandoned probe resolves into the
 	// buffered channel and its goroutine must retire — nothing leaks.
+	close(tr.release)
+	waitGoroutines(t, before)
+}
+
+// TestRangeDetailedNoHangOnEmptyAndStuckSiblings: one sibling answers
+// empty, the other blocks in a context-ignoring Send, so no answer
+// ever decides the race. The fan-out must still end at its deadline
+// with the stuck sibling counted down, and the walk must go on to the
+// cloud, whose readings come back flagged partial.
+func TestRangeDetailedNoHangOnEmptyAndStuckSiblings(t *testing.T) {
+	tr := &stuckTransport{
+		release: make(chan struct{}),
+		stuck:   map[string]bool{"fog1/blocked": true},
+		empty:   map[string]bool{"fog1/empty": true},
+	}
+	eng, err := query.New(query.Config{
+		Self:          "fog1/a",
+		Transport:     tr,
+		Siblings:      []string{"fog1/empty", "fog1/blocked"},
+		CloudID:       "cloud",
+		Local:         nopStore{},
+		FanoutTimeout: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+
+	type answer struct {
+		res query.RangeResult
+		err error
+	}
+	done := make(chan answer, 1)
+	now := time.Now()
+	go func() {
+		res, err := eng.RangeDetailed(context.Background(), "traffic", now.Add(-time.Minute), now, 100)
+		done <- answer{res, err}
+	}()
+	select {
+	case a := <-done:
+		if a.err != nil {
+			t.Fatalf("RangeDetailed: %v", a.err)
+		}
+		if a.res.Source != query.SourceCloud || len(a.res.Readings) != 1 {
+			t.Fatalf("RangeDetailed = %d readings from %s, want the cloud's 1", len(a.res.Readings), a.res.Source)
+		}
+		if !a.res.Partial || len(a.res.Unreachable) != 1 || a.res.Unreachable[0] != "fog1/blocked" {
+			t.Fatalf("RangeDetailed Partial=%v Unreachable=%v, want true [fog1/blocked]", a.res.Partial, a.res.Unreachable)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RangeDetailed hung on a sibling blocked in Send past the fan-out deadline")
+	}
+	if tr.blockedSends() == 0 {
+		t.Fatal("test harness bug: the stuck sibling never reached the blocking path")
+	}
+
 	close(tr.release)
 	waitGoroutines(t, before)
 }

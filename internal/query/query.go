@@ -31,10 +31,11 @@ import (
 	"f2c/internal/transport"
 )
 
-// Source labels the tier that answered a query.
+// Source names a tier of the hierarchy: the one a plan step consults,
+// or the one that answered a query.
 type Source string
 
-// Answer sources, lowest tier first.
+// The tiers, lowest first (the order a plan probes them in).
 const (
 	SourceLocal    Source = "local"
 	SourceNeighbor Source = "neighbor"
@@ -139,38 +140,12 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// Tier identifies a query-plan step.
-type Tier int
-
-// Plan tiers, in probe order.
-const (
-	TierLocal Tier = iota + 1
-	TierSiblings
-	TierParent
-	TierCloud
-)
-
-// String implements fmt.Stringer.
-func (t Tier) String() string {
-	switch t {
-	case TierLocal:
-		return "local"
-	case TierSiblings:
-		return "siblings"
-	case TierParent:
-		return "parent"
-	case TierCloud:
-		return "cloud"
-	default:
-		return fmt.Sprintf("tier(%d)", int(t))
-	}
-}
-
 // Step is one planned probe.
 type Step struct {
-	Tier Tier
+	// Source is the tier the step consults.
+	Source Source
 	// Targets are the endpoints this step consults (empty for
-	// TierLocal).
+	// SourceLocal).
 	Targets []string
 	// Authoritative marks a step whose empty-but-successful result is
 	// final within the requester's data domain: the tier's retention
@@ -200,13 +175,13 @@ type Step struct {
 func (e *Engine) PlanRange(now, from, to time.Time, estBytes int64) []Step {
 	var steps []Step
 	if e.cfg.Local != nil {
-		steps = append(steps, Step{Tier: TierLocal})
+		steps = append(steps, Step{Source: SourceLocal})
 	}
 	overlapsFog1 := !to.Before(now.Add(-e.cfg.Fog1Retention))
 	overlapsFog2 := !to.Before(now.Add(-e.cfg.Fog2Retention))
 	containsFog2 := !from.Before(now.Add(-e.cfg.Fog2Retention))
 	if overlapsFog1 && len(e.cfg.Siblings) > 0 && (e.cfg.PreferNeighbor == nil || e.cfg.PreferNeighbor(estBytes)) {
-		steps = append(steps, Step{Tier: TierSiblings, Targets: e.cfg.Siblings})
+		steps = append(steps, Step{Source: SourceNeighbor, Targets: e.cfg.Siblings})
 	}
 	if overlapsFog2 && e.cfg.Parent != "" {
 		// The parent combines everything its children flushed; when
@@ -215,9 +190,9 @@ func (e *Engine) PlanRange(now, from, to time.Time, estBytes int64) []Step {
 		// refactor). When the range extends past the window the
 		// parent can only answer partially, so an empty answer falls
 		// through to the cloud.
-		steps = append(steps, Step{Tier: TierParent, Targets: []string{e.cfg.Parent}, Authoritative: containsFog2})
+		steps = append(steps, Step{Source: SourceParent, Targets: []string{e.cfg.Parent}, Authoritative: containsFog2})
 	}
-	steps = append(steps, Step{Tier: TierCloud, Targets: []string{e.cfg.CloudID}, Authoritative: true})
+	steps = append(steps, Step{Source: SourceCloud, Targets: []string{e.cfg.CloudID}, Authoritative: true})
 	return steps
 }
 
@@ -261,48 +236,30 @@ func (e *Engine) RangeDetailed(ctx context.Context, typeName string, from, to ti
 	steps := e.PlanRange(e.cfg.Clock.Now(), from, to, estBytes)
 	var res RangeResult
 	var errs []error
-	answer := func(readings []model.Reading, src Source) RangeResult {
-		res.Readings = readings
-		res.Source = src
-		res.Partial = len(res.Unreachable) > 0
-		return res
-	}
 	for _, st := range steps {
-		switch st.Tier {
-		case TierLocal:
-			readings, err := e.localRange(typeName, from, to)
-			if err != nil {
-				errs = append(errs, err)
-				res.Unreachable = append(res.Unreachable, "local")
-				continue
+		var readings []model.Reading
+		var down []string
+		var err error
+		switch st.Source {
+		case SourceLocal:
+			if readings, err = readAll(e.localPages(typeName, from, to), "", nil); err != nil {
+				down = []string{"local"}
 			}
-			if len(readings) > 0 {
-				return answer(readings, SourceLocal), nil
+		case SourceNeighbor:
+			readings, down, err = e.fanOutRange(ctx, st.Targets, typeName, from, to)
+		default:
+			if readings, err = e.RangeFrom(ctx, st.Targets[0], typeName, from, to); err != nil {
+				down = st.Targets[:1]
 			}
-		case TierSiblings:
-			readings, down, err := e.fanOutRange(ctx, st.Targets, typeName, from, to)
-			res.Unreachable = append(res.Unreachable, down...)
-			if err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			if len(readings) > 0 {
-				return answer(readings, SourceNeighbor), nil
-			}
-		case TierParent, TierCloud:
-			readings, err := e.RangeFrom(ctx, st.Targets[0], typeName, from, to)
-			src := SourceParent
-			if st.Tier == TierCloud {
-				src = SourceCloud
-			}
-			if err != nil {
-				errs = append(errs, err)
-				res.Unreachable = append(res.Unreachable, st.Targets[0])
-				continue
-			}
-			if len(readings) > 0 || st.Authoritative {
-				return answer(readings, src), nil
-			}
+		}
+		res.Unreachable = append(res.Unreachable, down...)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		if len(readings) > 0 || st.Authoritative {
+			res.Readings, res.Source, res.Partial = readings, st.Source, len(res.Unreachable) > 0
+			return res, nil
 		}
 	}
 	if len(errs) > 0 {
@@ -311,39 +268,11 @@ func (e *Engine) RangeDetailed(ctx context.Context, typeName string, from, to ti
 	return res, nil
 }
 
-// localRange drains the local store page by page (free, in-process).
-func (e *Engine) localRange(typeName string, from, to time.Time) ([]model.Reading, error) {
-	var out []model.Reading
-	cursor := ""
-	for {
-		page, next, err := e.cfg.Local.QueryPage(typeName, from, to, e.cfg.PageLimit, cursor)
-		if err != nil {
-			return nil, fmt.Errorf("query: local scan: %w", err)
-		}
-		out = append(out, page...)
-		if next == "" {
-			return out, nil
-		}
-		if next == cursor {
-			return nil, fmt.Errorf("query: local scan stalled at cursor %q", cursor)
-		}
-		cursor = next
-	}
-}
-
 // RangeFrom walks a paged range scan against one endpoint until the
 // cursor is exhausted. No response materializes more than the page
 // limit of readings.
 func (e *Engine) RangeFrom(ctx context.Context, target, typeName string, from, to time.Time) ([]model.Reading, error) {
-	var out []model.Reading
-	err := e.walkPages(ctx, target, typeName, from, to, "", func(page protocol.QueryPage) error {
-		out = append(out, page.Readings...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return readAll(e.remotePages(ctx, target, typeName, from, to), "", nil)
 }
 
 // RangePages streams a paged range scan against one endpoint,
@@ -351,22 +280,59 @@ func (e *Engine) RangeFrom(ctx context.Context, target, typeName string, from, t
 // exporters) can process a scan larger than memory page by page. A
 // non-nil error from fn stops the walk and is returned.
 func (e *Engine) RangePages(ctx context.Context, target, typeName string, from, to time.Time, fn func(page protocol.QueryPage) error) error {
-	return e.walkPages(ctx, target, typeName, from, to, "", fn)
+	return walkPages(e.remotePages(ctx, target, typeName, from, to), "", fn)
+}
+
+// pageSource is one place a range read pages through: the local store
+// or a remote endpoint.
+type pageSource struct {
+	// fetch returns the page that starts at cursor.
+	fetch func(cursor string) (protocol.QueryPage, error)
+	// target is the remote endpoint paged ("" for the local store).
+	target string
+}
+
+// localPages pages through Self's in-process store (free, no hop).
+func (e *Engine) localPages(typeName string, from, to time.Time) pageSource {
+	return pageSource{
+		fetch: func(cursor string) (protocol.QueryPage, error) {
+			readings, next, err := e.cfg.Local.QueryPage(typeName, from, to, e.cfg.PageLimit, cursor)
+			if err != nil {
+				return protocol.QueryPage{}, fmt.Errorf("query: local scan: %w", err)
+			}
+			return protocol.QueryPage{Readings: readings, NextCursor: next}, nil
+		},
+	}
+}
+
+// remotePages pages through one endpoint over the network.
+func (e *Engine) remotePages(ctx context.Context, target, typeName string, from, to time.Time) pageSource {
+	return pageSource{
+		fetch: func(cursor string) (protocol.QueryPage, error) {
+			return e.queryPage(ctx, target, e.rangeRequest(typeName, from, to, cursor))
+		},
+		target: target,
+	}
+}
+
+// rangeRequest asks for the page of a range read that starts at cursor.
+func (e *Engine) rangeRequest(typeName string, from, to time.Time, cursor string) protocol.QueryRequest {
+	return protocol.QueryRequest{
+		TypeName: typeName,
+		FromUnix: from.UnixNano(),
+		ToUnix:   to.UnixNano(),
+		Limit:    e.cfg.PageLimit,
+		Cursor:   cursor,
+	}
 }
 
 // walkPages is the single implementation of the cursor walk: fetch,
 // hand the page to fn, follow NextCursor until exhausted, and fail on
 // a stalled cursor (a buggy or hostile server echoing the request
 // cursor back would otherwise loop forever or silently truncate).
-func (e *Engine) walkPages(ctx context.Context, target, typeName string, from, to time.Time, cursor string, fn func(page protocol.QueryPage) error) error {
+func walkPages(src pageSource, cursor string, fn func(page protocol.QueryPage) error) error {
 	for {
-		page, err := e.queryPage(ctx, target, protocol.QueryRequest{
-			TypeName: typeName,
-			FromUnix: from.UnixNano(),
-			ToUnix:   to.UnixNano(),
-			Limit:    e.cfg.PageLimit,
-			Cursor:   cursor,
-		})
+		page, err := src.fetch(cursor)
 		if err != nil {
 			return err
 		}
@@ -377,115 +343,19 @@ func (e *Engine) walkPages(ctx context.Context, target, typeName string, from, t
 			return nil
 		}
 		if page.NextCursor == cursor {
-			return fmt.Errorf("query: %s returned a stalled cursor %q", target, cursor)
+			if src.target == "" {
+				return fmt.Errorf("query: local scan stalled at cursor %q", cursor)
+			}
+			return fmt.Errorf("query: %s returned a stalled cursor %q", src.target, cursor)
 		}
 		cursor = page.NextCursor
 	}
 }
 
-// fanOutRange is the scatter-gather executor: it probes every target
-// concurrently under one deadline and, as soon as a probe returns a
-// useful (non-empty) first page, cancels the remaining probes and
-// walks the winner's remaining pages. All-empty gathers return nil;
-// an error is reported only when every probe failed. down names the
-// targets whose probes failed before an answer was found — a
-// partitioned sibling is skipped, reported, and never hangs the
-// gather (every probe shares the fan-out deadline).
-func (e *Engine) fanOutRange(ctx context.Context, targets []string, typeName string, from, to time.Time) (readings []model.Reading, down []string, err error) {
-	fctx, cancel := context.WithTimeout(ctx, e.cfg.FanoutTimeout)
-	defer cancel()
-	type probe struct {
-		target string
-		page   protocol.QueryPage
-		err    error
-	}
-	results := make(chan probe, len(targets))
-	req := protocol.QueryRequest{
-		TypeName: typeName,
-		FromUnix: from.UnixNano(),
-		ToUnix:   to.UnixNano(),
-		Limit:    e.cfg.PageLimit,
-	}
-	for _, target := range targets {
-		go func(target string) {
-			page, err := e.queryPage(fctx, target, req)
-			results <- probe{target: target, page: page, err: err}
-		}(target)
-	}
-	var errs []error
-	var winner *probe
-	outstanding := len(targets)
-	for outstanding > 0 {
-		r := <-results
-		outstanding--
-		if r.err != nil {
-			// A cancelled loser is not a down endpoint — its probe was
-			// abandoned because the race was already won.
-			if !errors.Is(r.err, context.Canceled) {
-				errs = append(errs, r.err)
-				down = append(down, r.target)
-			}
-			continue
-		}
-		if winner == nil && len(r.page.Readings) > 0 {
-			winner = &r
-			// First useful result: stop the losing probes and stop
-			// BLOCKING on them — a loser stuck inside a Send that
-			// ignores the cancellation must not hang the gather (it
-			// resolves into the buffered channel whenever its
-			// transport finally returns, so nothing leaks forever).
-			cancel()
-			break
-		}
-	}
-	// Sweep up the losers: a probe that failed before the race was
-	// decided is worth reporting, and a cancelled loser resolves
-	// promptly — so drain under a short grace window rather than
-	// blocking indefinitely. Only a loser stuck inside a Send that
-	// ignores the cancellation outlives the grace; it resolves into
-	// the buffered channel whenever its transport finally returns,
-	// so nothing leaks forever.
-	if outstanding > 0 {
-		grace := time.NewTimer(loserDrainGrace)
-		defer grace.Stop()
-	drain:
-		for outstanding > 0 {
-			select {
-			case r := <-results:
-				outstanding--
-				if r.err != nil && !errors.Is(r.err, context.Canceled) {
-					errs = append(errs, r.err)
-					down = append(down, r.target)
-				}
-			case <-grace.C:
-				break drain
-			}
-		}
-	}
-	sort.Strings(down) // deterministic order for flags and messages
-	if winner != nil {
-		readings := winner.page.Readings
-		if winner.page.NextCursor != "" {
-			rest, err := e.resumeRange(ctx, winner.target, typeName, from, to, winner.page.NextCursor)
-			if err != nil {
-				return nil, down, err
-			}
-			readings = append(readings, rest...)
-		}
-		return readings, down, nil
-	}
-	if len(errs) == len(targets) && len(targets) > 0 {
-		return nil, down, fmt.Errorf("query: all %d siblings failed: %w", len(targets), errors.Join(errs...))
-	}
-	return nil, down, nil
-}
-
-// resumeRange continues a paged walk from a cursor (the tail of a
-// fan-out winner's scan, run under the caller's context rather than
-// the expired fan-out deadline).
-func (e *Engine) resumeRange(ctx context.Context, target, typeName string, from, to time.Time, cursor string) ([]model.Reading, error) {
-	var out []model.Reading
-	err := e.walkPages(ctx, target, typeName, from, to, cursor, func(page protocol.QueryPage) error {
+// readAll walks src from cursor and returns out followed by the
+// readings of every page.
+func readAll(src pageSource, cursor string, out []model.Reading) ([]model.Reading, error) {
+	err := walkPages(src, cursor, func(page protocol.QueryPage) error {
 		out = append(out, page.Readings...)
 		return nil
 	})
@@ -493,6 +363,107 @@ func (e *Engine) resumeRange(ctx context.Context, target, typeName string, from,
 		return nil, err
 	}
 	return out, nil
+}
+
+// answer is one target's reply to a scatter.
+type answer[T any] struct {
+	target string
+	val    T
+}
+
+// scatter is the engine's one scatter-gather. It calls probe for every
+// target concurrently under one FanoutTimeout deadline and returns the
+// answers in arrival order, the failed targets (sorted, for flags and
+// messages) and the joined failures. The gather never blocks past the
+// deadline: a target still out when it expires — its probe stuck in a
+// Send that ignores the cancellation — is counted down with the
+// deadline error, and its goroutine resolves into the buffered channel
+// whenever the transport returns, so nothing leaks for good.
+//
+// A non-nil decided ends the race early: the first answer it accepts
+// is the last one returned, and the other probes are cancelled and
+// drained for at most loserDrainGrace, so a failure that came before
+// the cancel is still reported. A loser that fails only with the
+// cancellation is not down: it was abandoned, not unreachable.
+func scatter[T any](ctx context.Context, timeout time.Duration, targets []string,
+	probe func(ctx context.Context, target string) (T, error), decided func(T) bool) (got []answer[T], down []string, err error) {
+	fctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	type result struct {
+		i int
+		answer[T]
+		err error
+	}
+	results := make(chan result, len(targets))
+	for i, target := range targets {
+		go func() {
+			v, err := probe(fctx, target)
+			results <- result{i, answer[T]{target, v}, err}
+		}()
+	}
+	var errs []error
+	received := make([]bool, len(targets))
+	deadline := fctx.Done()
+	var grace <-chan time.Time
+gather:
+	for range targets {
+		select {
+		case r := <-results:
+			received[r.i] = true
+			switch {
+			case r.err != nil:
+				if grace == nil || !errors.Is(r.err, context.Canceled) {
+					errs = append(errs, r.err)
+					down = append(down, r.target)
+				}
+			case grace == nil:
+				got = append(got, r.answer)
+				if decided != nil && decided(r.val) {
+					cancel()
+					timer := time.NewTimer(loserDrainGrace)
+					defer timer.Stop()
+					deadline, grace = nil, timer.C
+				}
+			}
+		case <-deadline:
+			for i, t := range targets {
+				if !received[i] {
+					errs = append(errs, fmt.Errorf("query: %s: %w", t, fctx.Err()))
+					down = append(down, t)
+				}
+			}
+			break gather
+		case <-grace:
+			break gather
+		}
+	}
+	sort.Strings(down)
+	return got, down, errors.Join(errs...)
+}
+
+// fanOutRange scatters the first page of a range over the siblings
+// and stops at the first non-empty one, then walks the winner's
+// remaining pages under the caller's context (the fan-out deadline
+// bounds only the race). All-empty gathers return nil; an error is
+// reported only when every probe failed. down names the siblings that
+// failed before an answer was found.
+func (e *Engine) fanOutRange(ctx context.Context, targets []string, typeName string, from, to time.Time) (readings []model.Reading, down []string, err error) {
+	req := e.rangeRequest(typeName, from, to, "")
+	got, down, err := scatter(ctx, e.cfg.FanoutTimeout, targets, func(ctx context.Context, target string) (protocol.QueryPage, error) {
+		return e.queryPage(ctx, target, req)
+	}, func(page protocol.QueryPage) bool { return len(page.Readings) > 0 })
+	if n := len(got); n > 0 && len(got[n-1].val.Readings) > 0 {
+		w := got[n-1]
+		if w.val.NextCursor == "" {
+			return w.val.Readings, down, nil
+		}
+		readings, err := readAll(e.remotePages(ctx, w.target, typeName, from, to), w.val.NextCursor, w.val.Readings)
+		return readings, down, err
+	}
+	if len(down) == len(targets) && len(targets) > 0 {
+		return nil, down, fmt.Errorf("query: all %d siblings failed: %w", len(targets), err)
+	}
+	return nil, down, nil
 }
 
 // Latest serves the point read: the local store first (the paper's
@@ -601,59 +572,21 @@ func (e *Engine) AggregateDetailed(ctx context.Context, typeName string, from, t
 	return AggregateResult{}, err
 }
 
-// gatherSummaries fans a summary request out to every owner and
-// merges the partials of those that answered. down names the owners
-// whose request failed — a lossless aggregate needs every owner, so
-// callers treat a non-empty down as "incomplete" and decide whether
-// to fall back or degrade. err is set when every owner failed.
+// gatherSummaries scatters a summary request to every owner and
+// merges the partials of those that answered, in arrival order. down
+// names the owners that failed — a lossless aggregate needs every
+// owner, so callers treat a non-empty down as "incomplete" and decide
+// whether to fall back or degrade. err is set when every owner failed.
 func (e *Engine) gatherSummaries(ctx context.Context, targets []string, typeName string, from, to time.Time) (aggregate.Summary, []string, error) {
-	fctx, cancel := context.WithTimeout(ctx, e.cfg.FanoutTimeout)
-	defer cancel()
-	type partial struct {
-		target string
-		sum    aggregate.Summary
-		err    error
-	}
-	results := make(chan partial, len(targets))
-	for _, target := range targets {
-		go func(target string) {
-			sum, err := e.SummaryFrom(fctx, target, typeName, from, to)
-			results <- partial{target: target, sum: sum, err: err}
-		}(target)
+	got, down, err := scatter(ctx, e.cfg.FanoutTimeout, targets, func(ctx context.Context, target string) (aggregate.Summary, error) {
+		return e.SummaryFrom(ctx, target, typeName, from, to)
+	}, nil)
+	if len(down) == len(targets) && len(targets) > 0 {
+		return aggregate.Summary{}, down, fmt.Errorf("query: gather summaries: %w", err)
 	}
 	total := aggregate.Summary{}
-	var down []string
-	var errs []error
-	received := make(map[string]bool, len(targets))
-gather:
-	for range targets {
-		select {
-		case r := <-results:
-			received[r.target] = true
-			if r.err != nil {
-				errs = append(errs, r.err)
-				down = append(down, r.target)
-				continue
-			}
-			total = total.Merge(r.sum.Normalize())
-		case <-fctx.Done():
-			// The fan-out deadline expired with partials still in
-			// flight — an owner's Send is ignoring the cancellation.
-			// Count the unfinished owners as down instead of blocking
-			// the aggregate on them; their goroutines resolve into the
-			// buffered channel whenever the transport returns.
-			for _, t := range targets {
-				if !received[t] {
-					errs = append(errs, fmt.Errorf("query: summary from %s: %w", t, fctx.Err()))
-					down = append(down, t)
-				}
-			}
-			break gather
-		}
-	}
-	sort.Strings(down) // deterministic order for flags and messages
-	if len(down) == len(targets) && len(targets) > 0 {
-		return aggregate.Summary{}, down, fmt.Errorf("query: gather summaries: %w", errors.Join(errs...))
+	for _, a := range got {
+		total = total.Merge(a.val)
 	}
 	return total, down, nil
 }

@@ -6,6 +6,7 @@ package query_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,26 +83,26 @@ func TestPlanRangePrunesTiers(t *testing.T) {
 	planOf := func(from, to time.Time) []query.Step {
 		return eng.PlanRange(now, from, to, 100)
 	}
-	tiers := func(steps []query.Step) []query.Tier {
-		var out []query.Tier
+	tiers := func(steps []query.Step) []query.Source {
+		var out []query.Source
 		for _, st := range steps {
-			out = append(out, st.Tier)
+			out = append(out, st.Source)
 		}
 		return out
 	}
 	cases := []struct {
 		name     string
 		from, to time.Time
-		want     []query.Tier
+		want     []query.Source
 	}{
 		{"recent range: all tiers", now.Add(-time.Minute), now,
-			[]query.Tier{query.TierLocal, query.TierSiblings, query.TierParent, query.TierCloud}},
+			[]query.Source{query.SourceLocal, query.SourceNeighbor, query.SourceParent, query.SourceCloud}},
 		{"wide range reaching now: fog tiers hold the fresh slice", now.Add(-48 * time.Hour), now,
-			[]query.Tier{query.TierLocal, query.TierSiblings, query.TierParent, query.TierCloud}},
+			[]query.Source{query.SourceLocal, query.SourceNeighbor, query.SourceParent, query.SourceCloud}},
 		{"range entirely older than fog1 window: siblings pruned", now.Add(-3 * time.Hour), now.Add(-2 * time.Hour),
-			[]query.Tier{query.TierLocal, query.TierParent, query.TierCloud}},
+			[]query.Source{query.SourceLocal, query.SourceParent, query.SourceCloud}},
 		{"range entirely older than fog2 window: only cloud remains", now.Add(-72 * time.Hour), now.Add(-49 * time.Hour),
-			[]query.Tier{query.TierLocal, query.TierCloud}},
+			[]query.Source{query.SourceLocal, query.SourceCloud}},
 	}
 	for _, c := range cases {
 		got := tiers(planOf(c.from, c.to))
@@ -119,12 +120,12 @@ func TestPlanRangePrunesTiers(t *testing.T) {
 	// Authoritativeness tracks containment, not overlap: a parent that
 	// can only hold part of the range must not end the walk when empty.
 	for _, st := range planOf(now.Add(-48*time.Hour), now) {
-		if st.Tier == query.TierParent && st.Authoritative {
+		if st.Source == query.SourceParent && st.Authoritative {
 			t.Error("parent marked authoritative for a range wider than its window")
 		}
 	}
 	for _, st := range planOf(now.Add(-time.Minute), now) {
-		if st.Tier == query.TierParent && !st.Authoritative {
+		if st.Source == query.SourceParent && !st.Authoritative {
 			t.Error("parent not authoritative for a range its window contains")
 		}
 	}
@@ -553,5 +554,43 @@ func TestAggregatePartialWhenCloudUnreachable(t *testing.T) {
 	s.Network().Crash(s.Fog2IDs()[0])
 	if _, err := eng.AggregateDetailed(ctx, "traffic", t0.Add(-time.Minute), t0.Add(time.Hour)); err == nil {
 		t.Error("expected an error with every owner unreachable")
+	}
+}
+
+// stallingStore and stallingTransport answer every page with the same
+// next cursor, the signature of a server that echoes the request
+// cursor back.
+type stallingStore struct{ nopStore }
+
+func (stallingStore) QueryPage(string, time.Time, time.Time, int, string) ([]model.Reading, string, error) {
+	return nil, "c", nil
+}
+
+type stallingTransport struct{}
+
+func (stallingTransport) Send(_ context.Context, msg transport.Message) ([]byte, error) {
+	return protocol.EncodeQueryPage(msg.To, protocol.QueryPage{NextCursor: "c"})
+}
+
+// TestStalledCursorRefused: the one page walk refuses a cursor that
+// does not advance, for the local store and for a remote endpoint
+// alike, instead of looping forever.
+func TestStalledCursorRefused(t *testing.T) {
+	now := time.Now()
+	local, err := query.New(query.Config{Self: "fog1/a", Transport: nopTransport{}, Local: stallingStore{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.RangeDetailed(context.Background(), "traffic", now.Add(-time.Minute), now, 0); err == nil ||
+		!strings.Contains(err.Error(), `local scan stalled at cursor "c"`) {
+		t.Errorf("local walk: err = %v, want the stalled-cursor refusal", err)
+	}
+	remote, err := query.New(query.Config{Self: "fog1/a", Transport: stallingTransport{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remote.RangeFrom(context.Background(), "cloud", "traffic", now.Add(-time.Minute), now); err == nil ||
+		!strings.Contains(err.Error(), `cloud returned a stalled cursor "c"`) {
+		t.Errorf("remote walk: err = %v, want the stalled-cursor refusal", err)
 	}
 }

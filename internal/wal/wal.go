@@ -20,8 +20,8 @@
 //	                the generation-<gen> snapshot
 //
 // WriteSnapshot advances the generation: it writes snapshot.tmp,
-// fsyncs, renames it over snapshot, creates wal-<gen+1>, fsyncs the
-// directory and removes the old log. Every crash window of that sequence is recoverable:
+// fsyncs, creates wal-<gen+1>, renames snapshot.tmp over snapshot,
+// fsyncs the directory and removes the old log. Every crash window of that sequence is recoverable:
 // a snapshot without its log replays as snapshot-only, and stale logs
 // from older generations are ignored and deleted on open.
 //
@@ -131,14 +131,14 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.dropStaleLogs(); err != nil {
 		return nil, err
 	}
-	records, err := replayLog(s.logPath())
+	records, err := replayLog(s.logPath(s.gen))
 	if err != nil {
 		return nil, err
 	}
 	s.records = records
 	s.appends = len(records)
 
-	f, err := os.OpenFile(s.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.logPath(s.gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -152,8 +152,8 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) logPath() string {
-	return filepath.Join(s.cfg.Dir, "wal-"+strconv.FormatUint(s.gen, 10))
+func (s *Store) logPath(gen uint64) string {
+	return filepath.Join(s.cfg.Dir, "wal-"+strconv.FormatUint(gen, 10))
 }
 
 // dropStaleLogs removes wal-* files from generations other than the
@@ -248,34 +248,39 @@ func (s *Store) WriteSnapshot(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.cfg.Dir, "snapshot")); err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-
-	// The snapshot is durable; everything in the old log is folded in.
-	// Rotate: start the new generation, sync the directory, then close
-	// and drop the old log. A crash anywhere here is recovered by Open
-	// (missing new log = empty tail; surviving old log = stale,
-	// deleted). The directory sync orders the rename and the new log's
-	// creation before the removal: POSIX does not order directory
-	// updates, and a power cut that kept the old snapshot but lost the
-	// old log would lose every record since the previous checkpoint.
-	old, oldPath := s.file, s.logPath()
-	s.gen = next
-	f, err = os.OpenFile(s.logPath(), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	// Create the next generation's log before the rename publishes the
+	// snapshot that names it: if the log cannot be opened, nothing has
+	// moved and appends go on into the current log, which stays the
+	// live one on the next Open.
+	nextPath := s.logPath(next)
+	f, err = os.OpenFile(nextPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	s.file = f
+	if err := os.Rename(tmp, filepath.Join(s.cfg.Dir, "snapshot")); err != nil {
+		_ = f.Close()
+		_ = os.Remove(nextPath)
+		return fmt.Errorf("wal: snapshot: %w", err)
+	}
+
+	// The snapshot is durable; everything in the old log is folded in,
+	// so appends move to the new log whatever follows. Sync the
+	// directory, then close and drop the old log. A crash anywhere here
+	// is recovered by Open (missing new log = empty tail; surviving old
+	// log = stale, deleted). The directory sync orders the rename and
+	// the new log's creation before the removal: POSIX does not order
+	// directory updates, and a power cut that kept the old snapshot but
+	// lost the old log would lose every record since the previous
+	// checkpoint.
+	old, oldPath := s.file, s.logPath(s.gen)
+	s.gen, s.file = next, f
+	s.appends, s.records, s.snapshot = 0, nil, nil
 	err = syncDir(s.cfg.Dir)
 	_ = old.Close()
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	_ = os.Remove(oldPath)
-	s.appends = 0
-	s.records = nil
-	s.snapshot = nil
 	return nil
 }
 

@@ -172,6 +172,60 @@ func TestSnapshotCrashWindows(t *testing.T) {
 	}
 }
 
+// TestFailedRotationKeepsAppends makes the next generation's log
+// impossible to open (a directory holds its name) so WriteSnapshot
+// fails: the store must stay on its current log, so a record appended
+// after the failure survives a reopen, and a later checkpoint rotates.
+func TestFailedRotationKeepsAppends(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	if err := s.Append([]byte("pre")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "wal-1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSnapshot([]byte("snap")); err == nil {
+		t.Fatal("WriteSnapshot succeeded with wal-1 a directory")
+	}
+	if got := s.AppendsSinceSnapshot(); got != 1 {
+		t.Errorf("appends since snapshot after a failed rotation = %d, want 1", got)
+	}
+	if err := s.Append([]byte("post")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "wal-1")); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openT(t, dir)
+	if re.Snapshot() != nil {
+		t.Errorf("failed rotation published snapshot %q", re.Snapshot())
+	}
+	if got := fmt.Sprintf("%q", re.Records()); got != `["pre" "post"]` {
+		t.Fatalf("tail = %s, want [\"pre\" \"post\"]", got)
+	}
+	if err := re.WriteSnapshot([]byte("snap")); err != nil {
+		t.Fatalf("rotation after the obstacle went: %v", err)
+	}
+	if err := re.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := openT(t, dir)
+	if string(again.Snapshot()) != "snap" {
+		t.Errorf("snapshot = %q, want snap", again.Snapshot())
+	}
+	if got := fmt.Sprintf("%q", again.Records()); got != `["after"]` {
+		t.Errorf("tail = %s, want [\"after\"]", got)
+	}
+}
+
 func TestCorruptSnapshotIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
