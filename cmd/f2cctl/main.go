@@ -98,8 +98,10 @@ func run(args []string) error {
 	// Reads go through the query engine, as any node's do: range walks
 	// the node's pages, and every answer crosses the engine's checks
 	// (a summary off the wire is normalized at the trust boundary).
+	// -timeout bounds each page as it bounds the whole command.
 	eng, err := query.New(query.Config{
 		Self: "f2cctl", Transport: tr, CloudID: target, PageLimit: *limit,
+		FanoutTimeout: *timeout,
 	})
 	if err != nil {
 		return err

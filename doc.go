@@ -45,11 +45,12 @@
 // requested range and stopping at the first tier authoritative for
 // it; sibling probes scatter-gather concurrently with
 // first-useful-result cancellation. Range results stream in bounded
-// binary pages in the flushes' text wire encoding (protocol.QueryPage,
-// limit/cursor on protocol.QueryRequest), so no response materializes
-// more than protocol.DefaultPageLimit readings; a page is compressed
-// at flate.BestSpeed whatever codec the deployment seals upward with,
-// because it is encoded on the read's critical path. Aggregate
+// binary pages (protocol.QueryPage, limit/cursor on
+// protocol.QueryRequest), so no response materializes more than
+// protocol.DefaultPageLimit readings. A page carries the readings'
+// columnar encoding, exact to the flushes' text wire, compressed at
+// flate.BestSpeed whatever codec the deployment seals upward with,
+// because it is encoded and decoded on the read's critical path. Aggregate
 // queries (count/mean/min/max over a type range) push down to the
 // owning tier as decomposable summaries and merge at the requester —
 // only summary-sized payloads cross the WAN.

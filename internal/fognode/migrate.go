@@ -326,10 +326,13 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 // VERBATIM — origin identities and frozen sequences preserved, no
 // re-ingest — so this node's next flush delivers them exactly as the
 // old owner would have, and every replay filter downstream keeps
-// working. The raw chunk is journaled (recMigrateIn) before any state
-// change, the chunk's own (From, TransferSeq) mark makes retries
-// idempotent, and the moved replay marks merge into this node's filter
-// so it inherits the source's dedup horizon.
+// working. The chunk's own (From, TransferSeq) mark makes retries
+// idempotent: a copy that already landed is acknowledged before any
+// item is decoded. A new chunk has every item decoded before its raw
+// bytes are journaled (recMigrateIn), so a malformed one is refused
+// whole, before any state or journal change, and stays unmarked. The
+// moved replay marks merge into this node's filter so it inherits the
+// source's dedup horizon.
 func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 	me := n.cfg.Spec.ID
 	t, err := protocol.DecodeMigrateTransfer(msg.Payload)
@@ -339,21 +342,21 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 	if t.To != me {
 		return nil, fmt.Errorf("fognode %s: migrate chunk addressed to %q", me, t.To)
 	}
-	// Decode every item up front: a malformed chunk is rejected whole,
-	// before any state or journal change.
-	items, readings, err := transferItems(t)
-	if err != nil {
-		return nil, fmt.Errorf("fognode %s: %w", me, err)
-	}
-	subs := make([]*cq.SubSnapshot, 0, len(t.Subs))
-	for i := range t.Subs {
-		snap, err := cq.DecodeSubSnapshot(t.Subs[i])
+	return n.dur.Accept(t.From, t.TransferSeq, func() error {
+		items, readings, err := transferItems(t)
 		if err != nil {
-			return nil, fmt.Errorf("fognode %s: migrate subscription %d: %w", me, i, err)
+			return fmt.Errorf("fognode %s: %w", me, err)
 		}
-		subs = append(subs, snap)
-	}
-	return n.dur.Accept(t.From, t.TransferSeq, func() error { return n.absorbMigrate(t, msg.Payload, items, readings, subs) })
+		subs := make([]*cq.SubSnapshot, 0, len(t.Subs))
+		for i := range t.Subs {
+			snap, err := cq.DecodeSubSnapshot(t.Subs[i])
+			if err != nil {
+				return fmt.Errorf("fognode %s: migrate subscription %d: %w", me, i, err)
+			}
+			subs = append(subs, snap)
+		}
+		return n.absorbMigrate(t, msg.Payload, items, readings, subs)
+	})
 }
 
 // absorbMigrate is handleMigrate's apply over a decoded chunk. The

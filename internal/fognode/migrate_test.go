@@ -188,6 +188,55 @@ func TestMigrateRetryAfterLostAckIsExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestMigrateDuplicateChunkNotDecoded: a retried chunk whose (From,
+// TransferSeq) already landed is acknowledged as a duplicate before
+// its items are decoded, so a copy whose item payload is corrupt is
+// still acknowledged, counted in ingest.duplicates, and adds nothing.
+func TestMigrateDuplicateChunkNotDecoded(t *testing.T) {
+	const from = "fog1/d01-s01"
+	net := newMigrateNet("fog2/d01")
+	dst := newMigrateNode(t, net, "fog1/d01-s02", "")
+	b := typedBatch("traffic", t0, 1, 2)
+	b.NodeID = from
+	payload, err := (&protocol.Sealer{}).SealSeq(nil, b, aggregate.CodecFlate, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(payload []byte) error {
+		wire, err := protocol.EncodeMigrateTransfer(&protocol.MigrateTransfer{
+			TypeName: "traffic", From: from, To: dst.ID(), TransferSeq: 9,
+			Items: []protocol.MigrateItem{{Kind: byte(rank(transport.KindBatch)), Payload: payload}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = dst.Handle(context.Background(), transport.Message{
+			From: from, To: dst.ID(), Kind: transport.KindMigrate, Payload: wire,
+		})
+		return err
+	}
+	if err := send(payload); err != nil {
+		t.Fatal(err)
+	}
+	dups := dst.DuplicateBatches()
+	corrupt := append([]byte(nil), payload...)
+	for i := len(corrupt) / 2; i < len(corrupt); i++ {
+		corrupt[i] ^= 0xff
+	}
+	if _, _, err := protocol.DecodeBatchPayload(corrupt); err == nil {
+		t.Fatal("test harness bug: the corrupted item still decodes")
+	}
+	if err := send(corrupt); err != nil {
+		t.Fatalf("retried chunk with a corrupt item: %v, want it acknowledged as a duplicate", err)
+	}
+	if got := dst.DuplicateBatches() - dups; got != 1 {
+		t.Errorf("ingest.duplicates rose by %d, want 1", got)
+	}
+	if got := dst.PendingReadings(); got != 2 {
+		t.Errorf("target holds %d readings, want the first copy's 2", got)
+	}
+}
+
 // TestMigrateChunksBounded: a handoff larger than one transfer splits
 // into multiple bounded chunks, every chunk under the wire limit, and
 // nothing is lost across the split.

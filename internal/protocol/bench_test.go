@@ -104,39 +104,75 @@ func BenchmarkOpenBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryPage measures a full range-read reply page: encode is
-// what a serving tier pays per page on the read's critical path,
-// decode what the client pays, and B/reading is what the page costs
-// on the wire.
+// queryPageShapes are the reply pages a range read moves:
+// DefaultPageLimit sensors at one round each, and the bench's range
+// page — 25 sensors over 41 rounds, cut to the page limit — whose
+// readings, like every page a tier serves, made one text hop on the
+// upward path, so their coordinates carry the wire's 5 decimals.
+var queryPageShapes = []struct {
+	name            string
+	sensors, rounds int
+	hopped          bool
+}{
+	{"1024x1", DefaultPageLimit, 1, false},
+	{"25x41", 25, 41, true},
+}
+
+func queryPageBench(tb testing.TB, sensors, rounds int, hopped bool) QueryPage {
+	b := sealBenchBatch(tb, sensors, rounds)
+	if hopped {
+		var err error
+		if b, err = sensor.DecodeBatch(sensor.EncodeBatch(b)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return QueryPage{Found: true, NextCursor: "1496275200000000000.1024", Readings: b.Readings[:DefaultPageLimit]}
+}
+
+// BenchmarkQueryPage measures a full range-read reply page in each
+// shape and body: encode is what a serving tier pays per page on the
+// read's critical path, decode what the client pays, and B/reading is
+// what the page costs on the wire. The text body is what older servers
+// send (appendTextPage); servers now send the columnar one.
 func BenchmarkQueryPage(b *testing.B) {
-	batch := sealBenchBatch(b, DefaultPageLimit, 1)
-	page := QueryPage{Found: true, NextCursor: "1496275200000000000.1024", Readings: batch.Readings}
-	payload, err := EncodeQueryPage("cloud", page)
-	if err != nil {
-		b.Fatal(err)
+	bodies := []struct {
+		name   string
+		encode func(dst []byte, nodeID string, p QueryPage) ([]byte, error)
+	}{
+		{"text", appendTextPage},
+		{"columnar", AppendQueryPage},
 	}
-	n := float64(len(page.Readings))
-	report := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/reading")
-		b.ReportMetric(float64(len(payload))/n, "B/reading")
-	}
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		var dst []byte
-		for i := 0; i < b.N; i++ {
-			if dst, err = AppendQueryPage(dst[:0], "cloud", page); err != nil {
+	for _, shape := range queryPageShapes {
+		page := queryPageBench(b, shape.sensors, shape.rounds, shape.hopped)
+		n := float64(len(page.Readings))
+		for _, body := range bodies {
+			payload, err := body.encode(nil, "cloud", page)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		report(b)
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeQueryPage(payload); err != nil {
-				b.Fatal(err)
+			report := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/reading")
+				b.ReportMetric(float64(len(payload))/n, "B/reading")
 			}
+			b.Run(shape.name+"/"+body.name+"/encode", func(b *testing.B) {
+				b.ReportAllocs()
+				var dst []byte
+				for i := 0; i < b.N; i++ {
+					if dst, err = body.encode(dst[:0], "cloud", page); err != nil {
+						b.Fatal(err)
+					}
+				}
+				report(b)
+			})
+			b.Run(shape.name+"/"+body.name+"/decode", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := DecodeQueryPage(payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+				report(b)
+			})
 		}
-		report(b)
-	})
+	}
 }

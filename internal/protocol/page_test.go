@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"f2c/internal/aggregate"
 	"f2c/internal/model"
+	"f2c/internal/sensor"
 )
 
 func pageReadings(n int, at time.Time) []model.Reading {
@@ -48,6 +50,27 @@ func goldenPage() QueryPage {
 		r(2, 2*time.Hour, 0, -33.86882, 151.20929),
 	}}
 }
+
+// appendTextPage seals p the way servers did before pages carried the
+// columnar body: the batch's text wire encoding at flate.BestSpeed.
+func appendTextPage(dst []byte, nodeID string, p QueryPage) ([]byte, error) {
+	dst, err := AppendQueryPage(dst, nodeID, QueryPage{Found: p.Found, NextCursor: p.NextCursor})
+	if err != nil || len(p.Readings) == 0 {
+		return dst, err
+	}
+	b := &model.Batch{NodeID: nodeID, TypeName: p.Readings[0].TypeName, Category: p.Readings[0].Category,
+		Collected: p.Readings[len(p.Readings)-1].Time, Readings: p.Readings}
+	s := sealerPool.Get().(*Sealer)
+	defer sealerPool.Put(s)
+	s.wire = sensor.AppendBatch(s.wire[:0], b)
+	dst = append(dst, envelopeMagic, envelopeVersion, byte(pageCodec))
+	return aggregate.AppendFlateBestSpeed(dst, s.wire)
+}
+
+// goldenColumnarFile is the golden page as servers seal it since
+// pages carry the columnar body: EncodeQueryPage("cloud", goldenPage()).
+// It pins that later clients keep reading today's pages.
+var goldenColumnarFile = filepath.Join("testdata", "query_page_columnar.bin")
 
 // wireCoordinate is v as the text wire carries it: 5 decimals.
 func wireCoordinate(v float64) float64 {
@@ -139,6 +162,38 @@ func TestQueryPageMixedVersions(t *testing.T) {
 	}
 }
 
+// TestQueryPageColumnarGolden decodes the golden columnar page byte
+// for byte, and checks that it and a page sealed today both carry the
+// version-2 columnar body.
+func TestQueryPageColumnarGolden(t *testing.T) {
+	want := goldenPage()
+	golden, err := os.ReadFile(goldenColumnarFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	today, err := EncodeQueryPage("cloud", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{"golden": golden, "today": today} {
+		got, err := DecodeQueryPage(payload)
+		if err != nil {
+			t.Fatalf("%s columnar page: %v", name, err)
+		}
+		if err := samePage(got, want); err != nil {
+			t.Errorf("%s columnar page: %v", name, err)
+		}
+		wire, scratch, codec, _, err := openEnvelope(payload[4+len(want.NextCursor):], maxPageWireSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec != pageCodec || !sensor.IsColumnar(wire) || wire[4] != 2 {
+			t.Errorf("%s page body: codec %v, header %q, want %v and columnar version 2", name, codec, wire[:min(5, len(wire))], pageCodec)
+		}
+		putOpenBuf(scratch, wire)
+	}
+}
+
 func TestQueryPageEmpty(t *testing.T) {
 	payload, err := EncodeQueryPage("cloud", QueryPage{})
 	if err != nil {
@@ -175,36 +230,59 @@ func TestQueryPageCorrupt(t *testing.T) {
 }
 
 // TestQueryPageBounds pins what a reply page may make a client
-// allocate: a body inflating past maxPageWireSize fails with
-// *aggregate.SizeLimitError, and a page over DefaultPageLimit
-// readings is refused while a full page opens.
+// allocate, for either body: one inflating past maxPageWireSize fails
+// with *aggregate.SizeLimitError, and a page over DefaultPageLimit
+// readings is refused while a full page opens — a columnar one by its
+// header's count, before any row is decoded.
 func TestQueryPageBounds(t *testing.T) {
 	header := []byte{pageMagic, pageVersion, pageFlagFound, 0}
-	bomb, err := aggregate.AppendFlateBestSpeed(append(append([]byte(nil), header...), envelopeMagic, envelopeVersion, byte(aggregate.CodecFlate)),
-		make([]byte, maxPageWireSize+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sizeErr *aggregate.SizeLimitError
-	if _, err := DecodeQueryPage(bomb); !errors.As(err, &sizeErr) || sizeErr.Limit != maxPageWireSize {
-		t.Errorf("deflate bomb of %d bytes: err = %v, want *aggregate.SizeLimitError at %d", len(bomb), err, maxPageWireSize)
+	envelope := append(append([]byte(nil), header...), envelopeMagic, envelopeVersion, byte(pageCodec))
+	for name, body := range map[string][]byte{
+		"text":     make([]byte, maxPageWireSize+1),
+		"columnar": append([]byte("F2CC\x02"), make([]byte, maxPageWireSize-4)...),
+	} {
+		bomb, err := aggregate.AppendFlateBestSpeed(append([]byte(nil), envelope...), body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sizeErr *aggregate.SizeLimitError
+		if _, err := DecodeQueryPage(bomb); !errors.As(err, &sizeErr) || sizeErr.Limit != maxPageWireSize {
+			t.Errorf("%s deflate bomb of %d bytes: err = %v, want *aggregate.SizeLimitError at %d", name, len(bomb), err, maxPageWireSize)
+		}
 	}
 
 	at := time.Date(2017, 6, 1, 12, 0, 0, 0, time.UTC)
 	for _, n := range []int{DefaultPageLimit, DefaultPageLimit + 1} {
 		rs := pageReadings(n, at)
 		b := &model.Batch{NodeID: "n", TypeName: "traffic", Category: model.CategoryUrban, Collected: at, Readings: rs}
-		payload, err := AppendBatchPayload(append([]byte(nil), header...), b, pageCodec)
+		text, err := AppendBatchPayload(append([]byte(nil), header...), b, pageCodec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := DecodeQueryPage(payload)
-		if n <= DefaultPageLimit && (err != nil || len(p.Readings) != n) {
-			t.Errorf("%d-reading page: %d readings, %v", n, len(p.Readings), err)
+		columnar, err := aggregate.AppendFlateBestSpeed(append([]byte(nil), envelope...), sensor.AppendBatchColumnarExact(nil, b))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n > DefaultPageLimit && err == nil {
-			t.Errorf("%d-reading page accepted", n)
+		for name, payload := range map[string][]byte{"text": text, "columnar": columnar} {
+			p, err := DecodeQueryPage(payload)
+			if n <= DefaultPageLimit && (err != nil || len(p.Readings) != n) {
+				t.Errorf("%d-reading %s page: %d readings, %v", n, name, len(p.Readings), err)
+			}
+			if n > DefaultPageLimit && err == nil {
+				t.Errorf("%d-reading %s page accepted", n, name)
+			}
 		}
+	}
+	// A columnar body counting DefaultPageLimit+1 readings whose last
+	// row is cut short: refused for its count, so no row was read.
+	b := &model.Batch{NodeID: "n", TypeName: "traffic", Category: model.CategoryUrban, Collected: at, Readings: pageReadings(DefaultPageLimit+1, at)}
+	body := sensor.AppendBatchColumnarExact(nil, b)
+	cut, err := aggregate.AppendFlateBestSpeed(append([]byte(nil), envelope...), body[:len(body)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeQueryPage(cut); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("over the limit of %d", DefaultPageLimit)) {
+		t.Errorf("over-count columnar page with a cut row: err = %v, want the page limit named", err)
 	}
 }
 
@@ -224,11 +302,19 @@ func FuzzQueryPage(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	golden, err := os.ReadFile(goldenPageFile)
+	// Pages from older servers: the golden zip page and text bodies.
+	text, err := appendTextPage(nil, "fog2/d01", QueryPage{Found: true, NextCursor: "1496318400000000000.2", Readings: pageReadings(5, at)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(golden)
+	f.Add(text)
+	for _, name := range []string{goldenPageFile, goldenColumnarFile} {
+		golden, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		p, err := DecodeQueryPage(payload)
 		if err != nil {
@@ -244,6 +330,83 @@ func FuzzQueryPage(f *testing.F) {
 		}
 		if err := samePage(got, p); err != nil {
 			t.Fatalf("round trip drifted: %v", err)
+		}
+	})
+}
+
+// FuzzQueryPageCodecsAgree holds the columnar page to the text page it
+// replaced: for readings built from fuzzed floats and strings, when the
+// text page opens, the columnar page opens to the same readings, field
+// by field and bit for bit — except that a NaN value need only stay
+// NaN. Strings the text wire alters are out of the contract: its
+// decoder skips empty lines, so a sensor ID led by a line break opens
+// without it, while the columnar body keeps it.
+func FuzzQueryPageCodecsAgree(f *testing.F) {
+	sub := math.SmallestNonzeroFloat64
+	for _, c := range []struct {
+		id, unit    string
+		v, lat, lon float64
+		ns          int64
+	}{
+		{"edge/d01-s01/traffic/0", "km/h", 412.5, 41.38879, 2.15899, 1496318400000000000},
+		{"s", "", 0, math.Copysign(0, -1), 0, 0},
+		{"s", "C", math.Copysign(0, -1), sub, -sub, -1},
+		{"s", "C", sub, 0x1p-1022, -0x1p-1030, 1},
+		{"s", "C", math.NaN(), math.NaN(), math.Inf(1), math.MaxInt64},
+		{"s", "C", math.Inf(-1), math.Inf(-1), 1e300, math.MinInt64},
+		{"s", "C", 1e300, -1e300, math.MaxFloat64, 7},
+		{"tie", "C", 0.015625, 0.015625, -0.046875, 7},
+		{"tie", "C", 41.015625, -41.046875, 0.0000049999, 7},
+		{"2^53", "C", 0x1p53 / 1e5, -0x1p53 / 1e5, 0x1p64 / 1e5, 7},
+		{"a;b", "u\n", 1, 2, 3, 4},
+	} {
+		f.Add(c.id, c.unit, c.v, c.lat, c.lon, c.ns)
+	}
+	f.Fuzz(func(t *testing.T, id, unit string, v, lat, lon float64, ns int64) {
+		r := func(id string, dt int64, v, lat, lon float64) model.Reading {
+			return model.Reading{SensorID: id, TypeName: "traffic", Category: model.CategoryUrban,
+				Time: time.Unix(0, ns+dt), Value: v, Unit: unit, Location: model.GeoPoint{Lat: lat, Lon: lon}}
+		}
+		page := QueryPage{Found: true, NextCursor: "c", Readings: []model.Reading{
+			r(id, 0, v, lat, lon), r(id+"/1", 1, lat, lon, v), r(id, 2, lon, v, lat),
+		}}
+		textPayload, err := appendTextPage(nil, "cloud", page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecodeQueryPage(textPayload)
+		if err != nil {
+			return // the text wire cannot carry these readings
+		}
+		for i, w := range want.Readings {
+			if w.SensorID != page.Readings[i].SensorID || w.Unit != page.Readings[i].Unit {
+				return // nor these: it changed their strings
+			}
+		}
+		payload, err := EncodeQueryPage("cloud", page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeQueryPage(payload)
+		if err != nil {
+			t.Fatalf("columnar page of readings whose text page opens: %v", err)
+		}
+		if got.Found != want.Found || got.NextCursor != want.NextCursor || len(got.Readings) != len(want.Readings) {
+			t.Fatalf("columnar page %+v, text page %+v", got, want)
+		}
+		for i := range want.Readings {
+			g, w := got.Readings[i], want.Readings[i]
+			if math.IsNaN(g.Value) != math.IsNaN(w.Value) || (!math.IsNaN(w.Value) && math.Float64bits(g.Value) != math.Float64bits(w.Value)) {
+				t.Fatalf("reading %d value: columnar bits %#x, text bits %#x", i, math.Float64bits(g.Value), math.Float64bits(w.Value))
+			}
+			if math.Float64bits(g.Location.Lat) != math.Float64bits(w.Location.Lat) || math.Float64bits(g.Location.Lon) != math.Float64bits(w.Location.Lon) {
+				t.Fatalf("reading %d location: columnar bits %#x/%#x, text bits %#x/%#x", i,
+					math.Float64bits(g.Location.Lat), math.Float64bits(g.Location.Lon), math.Float64bits(w.Location.Lat), math.Float64bits(w.Location.Lon))
+			}
+			g.Value, w.Value, g.Location, w.Location = 0, 0, model.GeoPoint{}, model.GeoPoint{}
+			if g != w {
+				t.Fatalf("reading %d: columnar %+v, text %+v", i, g, w)
+			}
 		}
 	})
 }

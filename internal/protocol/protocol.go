@@ -147,61 +147,79 @@ func DecodeBatchPayloadSeq(payload []byte) (*model.Batch, aggregate.Codec, uint6
 // decodeBatchPayload is DecodeBatchPayloadSeq with the decompressed
 // wire size bounded at max.
 func decodeBatchPayload(payload []byte, max int) (*model.Batch, aggregate.Codec, uint64, error) {
+	wire, scratch, codec, seq, err := openEnvelope(payload, max)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	b, err := sensor.DecodeBatch(wire)
+	putOpenBuf(scratch, wire)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("protocol: open batch: %w", err)
+	}
+	return b, codec, seq, nil
+}
+
+// openEnvelope checks a batch envelope's header and returns its body's
+// wire bytes, decompressed into pooled scratch and bounded at max
+// bytes. The caller decodes the wire, whose decoders copy every string
+// they keep, and then hands the scratch back with putOpenBuf. An
+// uncompressed body needs no scratch: wire aliases payload and scratch
+// is nil.
+func openEnvelope(payload []byte, max int) (wire []byte, scratch *[]byte, codec aggregate.Codec, seq uint64, err error) {
 	if len(payload) < envelopeHeader {
-		return nil, 0, 0, fmt.Errorf("protocol: payload too short (%d bytes)", len(payload))
+		return nil, nil, 0, 0, fmt.Errorf("protocol: payload too short (%d bytes)", len(payload))
 	}
 	if payload[0] != envelopeMagic {
-		return nil, 0, 0, fmt.Errorf("protocol: bad magic 0x%02x", payload[0])
+		return nil, nil, 0, 0, fmt.Errorf("protocol: bad magic 0x%02x", payload[0])
 	}
-	codec := aggregate.Codec(payload[2])
+	codec = aggregate.Codec(payload[2])
 	if !codec.Valid() {
-		return nil, 0, 0, fmt.Errorf("protocol: invalid codec %d", payload[2])
+		return nil, nil, 0, 0, fmt.Errorf("protocol: invalid codec %d", payload[2])
 	}
-	var seq uint64
 	var body []byte
 	switch payload[1] {
 	case envelopeVersion:
 		body = payload[envelopeHeader:]
 	case envelopeVersion2:
 		if len(payload) < envelopeHeaderV2 {
-			return nil, 0, 0, fmt.Errorf("protocol: v2 payload too short (%d bytes)", len(payload))
+			return nil, nil, 0, 0, fmt.Errorf("protocol: v2 payload too short (%d bytes)", len(payload))
 		}
 		seq = binary.BigEndian.Uint64(payload[envelopeHeader:envelopeHeaderV2])
 		body = payload[envelopeHeaderV2:]
 	default:
-		return nil, 0, 0, fmt.Errorf("protocol: unsupported version %d", payload[1])
+		return nil, nil, 0, 0, fmt.Errorf("protocol: unsupported version %d", payload[1])
 	}
 	if codec == aggregate.CodecNone {
-		// The body already is the wire text and DecodeBatch never
-		// aliases its input, so parse in place instead of copying
-		// through the scratch pool. Same size bound as the codecs.
+		// The body already is the wire: decode it in place instead of
+		// copying through the scratch pool. Same size bound as the
+		// codecs.
 		if len(body) > max {
-			return nil, 0, 0, fmt.Errorf("protocol: open batch: %w",
+			return nil, nil, 0, 0, fmt.Errorf("protocol: open batch: %w",
 				&aggregate.SizeLimitError{Codec: codec, Limit: max})
 		}
-		b, err := sensor.DecodeBatch(body)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("protocol: open batch: %w", err)
-		}
-		return b, codec, seq, nil
+		return body, nil, codec, seq, nil
 	}
-	bufp := openBufPool.Get().(*[]byte)
-	wire, err := aggregate.AppendDecompress((*bufp)[:0], codec, body, max)
-	if cap(wire) <= maxPooledBufCap { // don't let one giant batch pin pool memory
-		*bufp = wire[:0]
+	scratch = openBufPool.Get().(*[]byte)
+	wire, err = aggregate.AppendDecompress((*scratch)[:0], codec, body, max)
+	if err != nil {
+		putOpenBuf(scratch, wire)
+		return nil, nil, 0, 0, fmt.Errorf("protocol: open batch: %w", err)
+	}
+	return wire, scratch, codec, seq, nil
+}
+
+// putOpenBuf returns openEnvelope's scratch, grown to wire, to the
+// pool; one giant batch does not pin pool memory.
+func putOpenBuf(scratch *[]byte, wire []byte) {
+	if scratch == nil {
+		return
+	}
+	if cap(wire) <= maxPooledBufCap {
+		*scratch = wire[:0]
 	} else {
-		*bufp = nil
+		*scratch = nil
 	}
-	if err != nil {
-		openBufPool.Put(bufp)
-		return nil, 0, 0, fmt.Errorf("protocol: open batch: %w", err)
-	}
-	b, err := sensor.DecodeBatch(wire)
-	openBufPool.Put(bufp)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("protocol: open batch: %w", err)
-	}
-	return b, codec, seq, nil
+	openBufPool.Put(scratch)
 }
 
 // DefaultPageLimit is every node's bound on readings per query
@@ -210,15 +228,16 @@ func decodeBatchPayload(payload []byte, max int) (*model.Batch, aggregate.Codec,
 const DefaultPageLimit = 1024
 
 // maxPageReadingWire is the per-reading ceiling of a page's text wire
-// encoding. A generator reading takes about 65 bytes; the ceiling
-// stays generous because the protocol bounds no sensor ID or unit
-// length and strconv's 'f', -1 prints a float64 in up to ~330 digits.
+// encoding, the larger of a page's two bodies. A generator reading
+// takes about 65 bytes; the ceiling stays generous because the
+// protocol bounds no sensor ID or unit length and strconv's 'f', -1
+// prints a float64 in up to ~330 digits.
 const maxPageReadingWire = 16 << 10
 
-// maxPageWireSize bounds the inflated body DecodeQueryPage
-// accepts: DefaultPageLimit readings at maxPageReadingWire each
-// (16 MiB). A page is a remote peer's reply, so a deflate bomb in one
-// fails with *aggregate.SizeLimitError instead of allocating up to
+// maxPageWireSize bounds the inflated body DecodeQueryPage accepts,
+// columnar or text: DefaultPageLimit readings at maxPageReadingWire
+// each (16 MiB). A page is a remote peer's reply, so a deflate bomb in
+// one fails with *aggregate.SizeLimitError instead of allocating up to
 // MaxBatchWireSize.
 const maxPageWireSize = DefaultPageLimit * maxPageReadingWire
 
@@ -264,12 +283,19 @@ func (q QueryRequest) Range() (from, to time.Time) {
 
 // Query page framing. A page is a small binary header (magic,
 // version, flags, cursor) followed — when the page carries readings —
-// by a version-1 batch envelope: the text wire encoding the upward
-// path uses, compressed with pageCodec at flate.BestSpeed whatever
-// codec the deployment seals upward with. A page is encoded on the
-// read's critical path, where BestSpeed costs a third of zip's encode
-// time for 20–40 % more bytes. The envelope names its codec, so
-// DecodeQueryPage also opens pages sealed with any other codec.
+// by a version-1 batch envelope whose body is the readings' columnar
+// encoding in its layout exact to the text wire
+// (sensor.AppendBatchColumnarExact), compressed with pageCodec at
+// flate.BestSpeed whatever codec the deployment seals upward with. A
+// page is encoded and decoded on the read's critical path: BestSpeed
+// costs a third of zip's encode time, and the columnar body of a range
+// page (tens of sensors over tens of rounds) is a quarter of the text
+// one's bytes to deflate, inflate and parse. DecodeQueryPage
+// tells the body by its magic: "F2CC" is columnar, and anything else
+// goes to the text decoder, so the text pages of older servers
+// ("#f2c", in any codec the envelope names) still open. Clients
+// upgrade first: an older client's text decoder refuses a columnar
+// body as a malformed header, and never returns wrong readings.
 const (
 	// pageCodec is the codec byte of every page's envelope.
 	pageCodec     = aggregate.CodecFlate
@@ -325,7 +351,7 @@ func AppendQueryPage(dst []byte, nodeID string, p QueryPage) ([]byte, error) {
 		Readings:  p.Readings,
 	}
 	s := sealerPool.Get().(*Sealer)
-	s.wire = sensor.AppendBatch(s.wire[:0], b)
+	s.wire = sensor.AppendBatchColumnarExact(s.wire[:0], b)
 	dst = append(dst, envelopeMagic, envelopeVersion, byte(pageCodec))
 	out, err := aggregate.AppendFlateBestSpeed(dst, s.wire)
 	s.Trim(0)
@@ -342,8 +368,9 @@ func EncodeQueryPage(nodeID string, p QueryPage) ([]byte, error) {
 }
 
 // DecodeQueryPage opens a binary query page. Its body may inflate to
-// at most maxPageWireSize bytes and carry at most
-// DefaultPageLimit readings, the clamp every server applies.
+// at most maxPageWireSize bytes and carry at most DefaultPageLimit
+// readings, the clamp every server applies; a columnar body counting
+// more is refused before any reading is decoded.
 func DecodeQueryPage(payload []byte) (QueryPage, error) {
 	if len(payload) < 3 {
 		return QueryPage{}, fmt.Errorf("protocol: page too short (%d bytes)", len(payload))
@@ -368,7 +395,17 @@ func DecodeQueryPage(payload []byte) (QueryPage, error) {
 	if len(rest) == 0 {
 		return p, nil
 	}
-	b, _, _, err := decodeBatchPayload(rest, maxPageWireSize)
+	wire, scratch, _, _, err := openEnvelope(rest, maxPageWireSize)
+	if err != nil {
+		return QueryPage{}, fmt.Errorf("protocol: open query page: %w", err)
+	}
+	var b *model.Batch
+	if sensor.IsColumnar(wire) {
+		b, err = sensor.DecodeBatchColumnarLimit(wire, DefaultPageLimit)
+	} else {
+		b, err = sensor.DecodeBatch(wire)
+	}
+	putOpenBuf(scratch, wire)
 	if err != nil {
 		return QueryPage{}, fmt.Errorf("protocol: open query page: %w", err)
 	}

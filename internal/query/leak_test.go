@@ -196,6 +196,74 @@ func TestRangeDetailedNoHangOnEmptyAndStuckSiblings(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestRangeDetailedNoHangOnStuckCloud: the single-target tiers are
+// bounded like the fan-out. A cloud blocked in a context-ignoring Send
+// fails the read at FanoutTimeout, named unreachable, instead of
+// holding it; a parent blocked the same way is counted unreachable and
+// the walk falls through to the cloud, whose readings come back
+// flagged partial. The stuck goroutines drain after release.
+func TestRangeDetailedNoHangOnStuckCloud(t *testing.T) {
+	for _, tc := range []struct {
+		name, stuck, parent string
+	}{
+		{"cloud", "cloud", ""},
+		{"parent", "fog2/blocked", "fog2/blocked"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &stuckTransport{release: make(chan struct{}), stuck: map[string]bool{tc.stuck: true}}
+			eng, err := query.New(query.Config{
+				Self:          "fog1/a",
+				Transport:     tr,
+				Parent:        tc.parent,
+				CloudID:       "cloud",
+				Local:         nopStore{},
+				FanoutTimeout: 200 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+
+			type answer struct {
+				res query.RangeResult
+				err error
+			}
+			done := make(chan answer, 1)
+			now := time.Now()
+			go func() {
+				res, err := eng.RangeDetailed(context.Background(), "traffic", now.Add(-time.Minute), now, 100)
+				done <- answer{res, err}
+			}()
+			select {
+			case a := <-done:
+				if tc.stuck == "cloud" {
+					if !errors.Is(a.err, context.DeadlineExceeded) {
+						t.Fatalf("RangeDetailed over a stuck cloud: err = %v, want the deadline", a.err)
+					}
+					break
+				}
+				if a.err != nil {
+					t.Fatalf("RangeDetailed: %v", a.err)
+				}
+				if a.res.Source != query.SourceCloud || len(a.res.Readings) != 1 {
+					t.Fatalf("RangeDetailed = %d readings from %s, want the cloud's 1", len(a.res.Readings), a.res.Source)
+				}
+				if !a.res.Partial || len(a.res.Unreachable) != 1 || a.res.Unreachable[0] != tc.stuck {
+					t.Fatalf("RangeDetailed Partial=%v Unreachable=%v, want true [%s]", a.res.Partial, a.res.Unreachable, tc.stuck)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("RangeDetailed hung on a %s blocked in Send past FanoutTimeout", tc.name)
+			}
+			if tr.blockedSends() == 0 {
+				t.Fatalf("test harness bug: the stuck %s never reached the blocking path", tc.name)
+			}
+
+			close(tr.release)
+			waitGoroutines(t, before)
+		})
+	}
+}
+
 // TestAggregateDetailedNoLeakOnStuckOwner: one district owner blocks
 // in a context-ignoring Send past the fan-out deadline. The gather
 // must return at the deadline with the stuck owner counted down (the

@@ -93,7 +93,8 @@ type Config struct {
 	// PageLimit bounds the readings requested per response page
 	// (default protocol.DefaultPageLimit).
 	PageLimit int
-	// FanoutTimeout bounds each scatter-gather round (default 2s).
+	// FanoutTimeout bounds each scatter-gather round and each remote
+	// page of a range walk (default 2s).
 	FanoutTimeout time.Duration
 	// PreferNeighbor is the §IV.C cost-model hook deciding whether a
 	// miss of estBytes is cheaper to fetch from a sibling than from
@@ -270,7 +271,7 @@ func (e *Engine) RangeDetailed(ctx context.Context, typeName string, from, to ti
 
 // RangeFrom walks a paged range scan against one endpoint until the
 // cursor is exhausted. No response materializes more than the page
-// limit of readings.
+// limit of readings, and FanoutTimeout bounds each page's round trip.
 func (e *Engine) RangeFrom(ctx context.Context, target, typeName string, from, to time.Time) ([]model.Reading, error) {
 	return readAll(e.remotePages(ctx, target, typeName, from, to), "", nil)
 }
@@ -305,11 +306,22 @@ func (e *Engine) localPages(typeName string, from, to time.Time) pageSource {
 	}
 }
 
-// remotePages pages through one endpoint over the network.
+// remotePages pages through one endpoint over the network. Each page
+// is a one-target scatter, so one FanoutTimeout bounds it even when
+// the transport ignores its context: a stuck parent, cloud or fan-out
+// winner fails the walk at the deadline instead of blocking the read.
 func (e *Engine) remotePages(ctx context.Context, target, typeName string, from, to time.Time) pageSource {
+	targets := []string{target}
 	return pageSource{
 		fetch: func(cursor string) (protocol.QueryPage, error) {
-			return e.queryPage(ctx, target, e.rangeRequest(typeName, from, to, cursor))
+			req := e.rangeRequest(typeName, from, to, cursor)
+			got, _, err := scatter(ctx, e.cfg.FanoutTimeout, targets, func(ctx context.Context, target string) (protocol.QueryPage, error) {
+				return e.queryPage(ctx, target, req)
+			}, nil)
+			if len(got) == 0 {
+				return protocol.QueryPage{}, err
+			}
+			return got[0].val, nil
 		},
 		target: target,
 	}
@@ -443,10 +455,10 @@ gather:
 
 // fanOutRange scatters the first page of a range over the siblings
 // and stops at the first non-empty one, then walks the winner's
-// remaining pages under the caller's context (the fan-out deadline
-// bounds only the race). All-empty gathers return nil; an error is
-// reported only when every probe failed. down names the siblings that
-// failed before an answer was found.
+// remaining pages, each bounded by its own FanoutTimeout. All-empty
+// gathers return nil; an error is reported only when every probe
+// failed. down names the siblings that failed before an answer was
+// found.
 func (e *Engine) fanOutRange(ctx context.Context, targets []string, typeName string, from, to time.Time) (readings []model.Reading, down []string, err error) {
 	req := e.rangeRequest(typeName, from, to, "")
 	got, down, err := scatter(ctx, e.cfg.FanoutTimeout, targets, func(ctx context.Context, target string) (protocol.QueryPage, error) {

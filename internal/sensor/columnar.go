@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"f2c/internal/model"
@@ -26,14 +27,38 @@ import (
 //	category byte, collected unix-nano (fixed 8 bytes)
 //	count
 //	dictionary: nDict, then length-prefixed sensor IDs
+//	units: nUnits, then length-prefixed units
 //	per reading: dict index, time delta (from previous reading),
 //	             value bits XOR previous value bits (varint),
-//	             unit dict index, lat/lon float32 pairs (fixed)
+//	             unit dict index, then lat and lon
+//
+// The versions differ only in the lat/lon pair. Version 1 stores each
+// coordinate as a float32 (fixed 4 bytes); segment blocks are written
+// in it. Version 2 stores each as the text wire carries it: the
+// uvarint of m<<1 | sign, where m is |v|*10^5 rounded half-to-even,
+// the five-decimal integer the text encoder prints, and the sign bit
+// survives m = 0. It decodes as float64(m)/10^5, negated when the
+// sign is set — the text decoder's own arithmetic — so a reading opens
+// bit for bit as it would from the text wire. What has no such m
+// (NaN, ±Inf, m >= 2^53) is the escape value geoEscape followed by
+// the float64 (fixed 8 bytes) the text wire yields for it. Query pages
+// are written in version 2. The decoder reads both versions.
 
 const (
-	columnarMagic   = "F2CC"
+	columnarMagic = "F2CC"
+	// columnarVersion is the float32-coordinate layout of segment
+	// blocks; columnarExact is the layout exact to the text wire.
 	columnarVersion = 1
+	columnarExact   = 2
+	// geoEscape marks a version-2 coordinate carried as a float64. It
+	// is one past the largest m<<1 | sign with m < 2^53.
+	geoEscape = 1 << 54
 )
+
+// IsColumnar reports whether data opens with the columnar magic.
+func IsColumnar(data []byte) bool {
+	return len(data) >= len(columnarMagic) && string(data[:len(columnarMagic)]) == columnarMagic
+}
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -41,10 +66,23 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // AppendBatchColumnar appends the columnar delta encoding of b to dst
-// and returns the extended slice.
+// and returns the extended slice, in the version-1 layout segment
+// blocks use: coordinates as float32.
 func AppendBatchColumnar(dst []byte, b *model.Batch) []byte {
+	return appendColumnar(dst, b, columnarVersion)
+}
+
+// AppendBatchColumnarExact appends the version-2 columnar encoding of
+// b: every field opens bit for bit as it would after a trip through
+// the text wire (AppendBatch, DecodeBatch), except that a NaN value
+// keeps its payload.
+func AppendBatchColumnarExact(dst []byte, b *model.Batch) []byte {
+	return appendColumnar(dst, b, columnarExact)
+}
+
+func appendColumnar(dst []byte, b *model.Batch, version byte) []byte {
 	dst = append(dst, columnarMagic...)
-	dst = append(dst, columnarVersion)
+	dst = append(dst, version)
 	dst = appendString(dst, b.NodeID)
 	dst = appendString(dst, b.TypeName)
 	dst = append(dst, byte(b.Category))
@@ -53,7 +91,7 @@ func AppendBatchColumnar(dst []byte, b *model.Batch) []byte {
 	dst = append(dst, ts[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(b.Readings)))
 
-	// Sensor-ID and unit dictionaries, sorted for determinism. A
+	// Sensor-ID and unit dictionaries (dictionaries.append). A
 	// one-reading batch (a WAL-snapshot latest entry) has one-entry
 	// dictionaries and every index 0, which is what a nil map reads as,
 	// so it skips the maps and slices.
@@ -64,11 +102,14 @@ func AppendBatchColumnar(dst []byte, b *model.Batch) []byte {
 		dst = binary.AppendUvarint(dst, 1)
 		dst = appendString(dst, b.Readings[0].Unit)
 	} else {
-		dst, idIdx, unitIdx = appendDictionaries(dst, b.Readings)
+		d := dictPool.Get().(*dictionaries)
+		defer d.release()
+		dst = d.append(dst, b.Readings, version)
+		idIdx, unitIdx = d.idIdx, d.unitIdx
 	}
 
 	prevTime := b.Collected.UnixNano()
-	var prevBits uint64
+	var prevBits, unit uint64
 	for i := range b.Readings {
 		r := &b.Readings[i]
 		dst = binary.AppendUvarint(dst, idIdx[r.SensorID])
@@ -78,48 +119,104 @@ func AppendBatchColumnar(dst []byte, b *model.Batch) []byte {
 		bits := math.Float64bits(r.Value)
 		dst = binary.AppendUvarint(dst, bits^prevBits)
 		prevBits = bits
-		dst = binary.AppendUvarint(dst, unitIdx[r.Unit])
-		var geo [8]byte
-		binary.BigEndian.PutUint32(geo[:4], math.Float32bits(float32(r.Location.Lat)))
-		binary.BigEndian.PutUint32(geo[4:], math.Float32bits(float32(r.Location.Lon)))
-		dst = append(dst, geo[:]...)
+		if i == 0 || r.Unit != b.Readings[i-1].Unit {
+			unit = unitIdx[r.Unit]
+		}
+		dst = binary.AppendUvarint(dst, unit)
+		if version == columnarVersion {
+			var geo [8]byte
+			binary.BigEndian.PutUint32(geo[:4], math.Float32bits(float32(r.Location.Lat)))
+			binary.BigEndian.PutUint32(geo[4:], math.Float32bits(float32(r.Location.Lon)))
+			dst = append(dst, geo[:]...)
+			continue
+		}
+		dst = appendExactCoordinate(dst, r.Location.Lat)
+		dst = appendExactCoordinate(dst, r.Location.Lon)
 	}
 	return dst
 }
 
-// appendDictionaries appends the sorted sensor-ID and unit dictionaries
-// of rs and returns each entry's index.
-func appendDictionaries(dst []byte, rs []model.Reading) ([]byte, map[string]uint64, map[string]uint64) {
-	idIdx := make(map[string]uint64)
-	unitIdx := make(map[string]uint64, 4)
-	var ids, units []string
+// appendExactCoordinate appends a version-2 coordinate: the text
+// wire's five-decimal integer and sign, or the escape and the float64
+// the text wire yields.
+func appendExactCoordinate(dst []byte, v float64) []byte {
+	if n, neg, ok := fixedCoordinate(v); ok && n < 1<<53 {
+		u := n << 1
+		if neg {
+			u |= 1
+		}
+		return binary.AppendUvarint(dst, u)
+	}
+	w, _ := parseFloat(appendCoordinate(nil, v)) // strconv parses what strconv printed
+	dst = binary.AppendUvarint(dst, geoEscape)
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(w))
+}
+
+// dictionaries is the scratch a batch's sensor-ID and unit
+// dictionaries are built in, pooled so that a page or block of a
+// thousand sensors does not grow a map of a thousand entries anew.
+type dictionaries struct {
+	idIdx, unitIdx map[string]uint64
+	ids, units     []string
+}
+
+// maxPooledDictionary bounds the sensor IDs a pooled dictionaries
+// keeps room for: one outsized batch must not pin its map.
+const maxPooledDictionary = 4096
+
+var dictPool = sync.Pool{New: func() any {
+	return &dictionaries{idIdx: make(map[string]uint64), unitIdx: make(map[string]uint64)}
+}}
+
+func (d *dictionaries) release() {
+	if len(d.ids) > maxPooledDictionary {
+		return
+	}
+	clear(d.idIdx)
+	clear(d.unitIdx)
+	clear(d.ids)
+	clear(d.units)
+	d.ids, d.units = d.ids[:0], d.units[:0]
+	dictPool.Put(d)
+}
+
+// append builds the dictionaries of rs, appends them to dst and keeps
+// each entry's index in idIdx and unitIdx. Version 1 sorts them;
+// version 2 keeps first-appearance order, which is as deterministic
+// and spares a page of a thousand sensors the sort.
+func (d *dictionaries) append(dst []byte, rs []model.Reading, version byte) []byte {
 	for i := range rs {
-		if _, ok := idIdx[rs[i].SensorID]; !ok {
-			idIdx[rs[i].SensorID] = 0
-			ids = append(ids, rs[i].SensorID)
+		if _, ok := d.idIdx[rs[i].SensorID]; !ok {
+			d.idIdx[rs[i].SensorID] = uint64(len(d.ids))
+			d.ids = append(d.ids, rs[i].SensorID)
 		}
-		if _, ok := unitIdx[rs[i].Unit]; !ok {
-			unitIdx[rs[i].Unit] = 0
-			units = append(units, rs[i].Unit)
+		if i > 0 && rs[i].Unit == rs[i-1].Unit {
+			continue
+		}
+		if _, ok := d.unitIdx[rs[i].Unit]; !ok {
+			d.unitIdx[rs[i].Unit] = uint64(len(d.units))
+			d.units = append(d.units, rs[i].Unit)
 		}
 	}
-	sort.Strings(ids)
-	for i, id := range ids {
-		idIdx[id] = uint64(i)
+	if version == columnarVersion {
+		sort.Strings(d.ids)
+		for i, id := range d.ids {
+			d.idIdx[id] = uint64(i)
+		}
+		sort.Strings(d.units)
+		for i, u := range d.units {
+			d.unitIdx[u] = uint64(i)
+		}
 	}
-	sort.Strings(units)
-	for i, u := range units {
-		unitIdx[u] = uint64(i)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for _, id := range ids {
+	dst = binary.AppendUvarint(dst, uint64(len(d.ids)))
+	for _, id := range d.ids {
 		dst = appendString(dst, id)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(units)))
-	for _, u := range units {
+	dst = binary.AppendUvarint(dst, uint64(len(d.units)))
+	for _, u := range d.units {
 		dst = appendString(dst, u)
 	}
-	return dst, idIdx, unitIdx
+	return dst
 }
 
 type columnarReader struct {
@@ -137,6 +234,10 @@ func (r *columnarReader) bytes(n int) ([]byte, error) {
 }
 
 func (r *columnarReader) uvarint() (uint64, error) {
+	if r.off < len(r.data) && r.data[r.off] < 0x80 { // most indexes and deltas are one byte
+		r.off++
+		return uint64(r.data[r.off-1]), nil
+	}
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
 		return 0, fmt.Errorf("columnar: bad uvarint at offset %d", r.off)
@@ -152,6 +253,28 @@ func (r *columnarReader) varint() (int64, error) {
 	}
 	r.off += n
 	return v, nil
+}
+
+// exactCoordinate reads a version-2 coordinate.
+func (r *columnarReader) exactCoordinate() (float64, error) {
+	u, err := r.uvarint()
+	switch {
+	case err != nil:
+		return 0, err
+	case u < geoEscape:
+		v := float64(u>>1) / coordScale
+		if u&1 != 0 {
+			v = -v
+		}
+		return v, nil
+	case u == geoEscape:
+		b, err := r.bytes(8)
+		if err != nil {
+			return 0, err
+		}
+		return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
+	}
+	return 0, fmt.Errorf("columnar: bad coordinate %d at offset %d", u, r.off)
 }
 
 func (r *columnarReader) str() (string, error) {
@@ -183,10 +306,11 @@ type columnarHeader struct {
 // columnarBody is a columnar payload opened up to its first reading:
 // header and dictionaries parsed, rows still encoded.
 type columnarBody struct {
-	r     columnarReader
-	hdr   columnarHeader
-	ids   []string
-	units []string
+	r       columnarReader
+	version byte
+	hdr     columnarHeader
+	ids     []string
+	units   []string
 }
 
 // openColumnar parses the header and both dictionaries.
@@ -198,9 +322,10 @@ func openColumnar(data []byte) (cb columnarBody, err error) {
 		return cb, fmt.Errorf("columnar: bad magic")
 	}
 	ver, err := r.bytes(1)
-	if err != nil || ver[0] != columnarVersion {
+	if err != nil || (ver[0] != columnarVersion && ver[0] != columnarExact) {
 		return cb, fmt.Errorf("columnar: unsupported version")
 	}
+	cb.version = ver[0]
 	if cb.hdr.NodeID, err = r.str(); err != nil {
 		return cb, err
 	}
@@ -299,9 +424,21 @@ func (cb *columnarBody) appendRows(dst []model.Reading, fromNs, toNs int64, max 
 		if uIdx >= uint64(len(cb.units)) {
 			return dst, fmt.Errorf("columnar: unit index %d out of range", uIdx)
 		}
-		geo, err := r.bytes(8)
-		if err != nil {
-			return dst, err
+		var lat, lon float64
+		if cb.version == columnarVersion {
+			geo, err := r.bytes(8)
+			if err != nil {
+				return dst, err
+			}
+			lat = float64(math.Float32frombits(binary.BigEndian.Uint32(geo[:4])))
+			lon = float64(math.Float32frombits(binary.BigEndian.Uint32(geo[4:])))
+		} else {
+			if lat, err = r.exactCoordinate(); err != nil {
+				return dst, err
+			}
+			if lon, err = r.exactCoordinate(); err != nil {
+				return dst, err
+			}
 		}
 		if prevTime < fromNs || prevTime > toNs || (max > 0 && len(dst)-n0 >= max) {
 			continue
@@ -313,10 +450,7 @@ func (cb *columnarBody) appendRows(dst []model.Reading, fromNs, toNs int64, max 
 			Time:     unixNano(prevTime),
 			Value:    math.Float64frombits(prevBits),
 			Unit:     cb.units[uIdx],
-			Location: model.GeoPoint{
-				Lat: float64(math.Float32frombits(binary.BigEndian.Uint32(geo[:4]))),
-				Lon: float64(math.Float32frombits(binary.BigEndian.Uint32(geo[4:]))),
-			},
+			Location: model.GeoPoint{Lat: lat, Lon: lon},
 		})
 	}
 	if r.off != len(r.data) {
@@ -327,9 +461,19 @@ func (cb *columnarBody) appendRows(dst []model.Reading, fromNs, toNs int64, max 
 
 // DecodeBatchColumnar parses the columnar delta format.
 func DecodeBatchColumnar(data []byte) (*model.Batch, error) {
+	return DecodeBatchColumnarLimit(data, math.MaxInt)
+}
+
+// DecodeBatchColumnarLimit is DecodeBatchColumnar for a payload from a
+// peer: a header counting more than limit readings fails before any
+// row is decoded or allocated.
+func DecodeBatchColumnarLimit(data []byte, limit int) (*model.Batch, error) {
 	cb, err := openColumnar(data)
 	if err != nil {
 		return nil, err
+	}
+	if cb.hdr.Count > limit {
+		return nil, fmt.Errorf("columnar: %d readings, over the limit of %d", cb.hdr.Count, limit)
 	}
 	rs, err := cb.appendRows(make([]model.Reading, 0, cb.hdr.Count), math.MinInt64, math.MaxInt64, 0)
 	if err != nil {

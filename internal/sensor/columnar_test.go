@@ -1,6 +1,10 @@
 package sensor
 
 import (
+	"encoding/binary"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,5 +128,90 @@ func TestColumnarEmptyBatch(t *testing.T) {
 	}
 	if len(got.Readings) != 0 || got.NodeID != "n" {
 		t.Errorf("got %+v", got)
+	}
+}
+
+// TestColumnarExactMatchesText holds the version-2 layout to its
+// contract: a batch opens from it bit for bit as from the text wire,
+// on every named coordinate edge case (signed zeros, subnormals,
+// non-finite values, every rounding tie within ±400, both sides of
+// m = 2^53 and of 2^64) used as latitude, longitude and value.
+func TestColumnarExactMatchesText(t *testing.T) {
+	cases := coordinateCases()
+	for start := 0; start < len(cases); start += 1000 {
+		vs := cases[start:min(start+1000, len(cases))]
+		b := &model.Batch{NodeID: "n", TypeName: "traffic", Category: model.CategoryUrban, Collected: t0}
+		for i, v := range vs {
+			b.Readings = append(b.Readings, model.Reading{
+				SensorID: "s" + strconv.Itoa(i%7), TypeName: "traffic", Category: model.CategoryUrban,
+				Time: t0.Add(time.Duration(i) * time.Millisecond), Value: v, Unit: "km/h",
+				Location: model.GeoPoint{Lat: v, Lon: -v},
+			})
+		}
+		text, err := DecodeBatch(EncodeBatch(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := AppendBatchColumnarExact(nil, b)
+		if exact[len(columnarMagic)] != columnarExact {
+			t.Fatalf("version byte %d, want %d", exact[len(columnarMagic)], columnarExact)
+		}
+		col, err := DecodeBatchColumnar(exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vs {
+			w, g := text.Readings[i], col.Readings[i]
+			if math.IsNaN(w.Value) != math.IsNaN(g.Value) || (!math.IsNaN(w.Value) && math.Float64bits(w.Value) != math.Float64bits(g.Value)) {
+				t.Fatalf("value %v (bits %#x): columnar bits %#x, text bits %#x", vs[i], math.Float64bits(vs[i]), math.Float64bits(g.Value), math.Float64bits(w.Value))
+			}
+			for _, c := range [][2]float64{{g.Location.Lat, w.Location.Lat}, {g.Location.Lon, w.Location.Lon}} {
+				if math.Float64bits(c[0]) != math.Float64bits(c[1]) && !(math.IsNaN(c[0]) && math.IsNaN(c[1])) {
+					t.Fatalf("coordinate from %v (bits %#x): columnar %v (bits %#x), text %v (bits %#x)",
+						vs[i], math.Float64bits(vs[i]), c[0], math.Float64bits(c[0]), c[1], math.Float64bits(c[1]))
+				}
+			}
+			g.Value, w.Value, g.Location, w.Location = 0, 0, model.GeoPoint{}, model.GeoPoint{}
+			if g != w {
+				t.Fatalf("reading %d: columnar %+v, text %+v", i, g, w)
+			}
+		}
+	}
+}
+
+// TestColumnarExactDecodeErrors: a version-2 coordinate past the
+// escape value and a truncated escape are refused, and a header
+// counting more readings than the limit fails before its rows.
+func TestColumnarExactDecodeErrors(t *testing.T) {
+	b := &model.Batch{NodeID: "n", TypeName: "traffic", Category: model.CategoryUrban, Collected: t0,
+		Readings: []model.Reading{{SensorID: "s", Time: t0, Unit: "u", Location: model.GeoPoint{Lat: 1, Lon: math.Inf(1)}}}}
+	good := AppendBatchColumnarExact(nil, b)
+	if _, err := DecodeBatchColumnar(good); err != nil {
+		t.Fatal(err)
+	}
+	// The row ends with lat (m<<1 = 200000) and the escaped lon.
+	lat := binary.AppendUvarint(nil, 200000)
+	geo := len(good) - len(lat) - len(binary.AppendUvarint(nil, geoEscape)) - 8
+	withLon := func(u uint64) []byte {
+		return binary.AppendUvarint(append(append([]byte(nil), good[:geo]...), lat...), u)
+	}
+	if _, err := DecodeBatchColumnar(withLon(geoEscape - 1)); err != nil {
+		t.Fatalf("largest fixed-point coordinate: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"past escape":      withLon(geoEscape + 1),
+		"truncated escape": good[:len(good)-1],
+	} {
+		if _, err := DecodeBatchColumnar(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := DecodeBatchColumnarLimit(good, 0); err == nil || !strings.Contains(err.Error(), "over the limit") {
+		t.Errorf("one reading at limit 0: err = %v", err)
+	}
+	// The rows cut off: a count over the limit fails before any row
+	// is read, so the error names the limit, not the truncation.
+	if _, err := DecodeBatchColumnarLimit(good[:geo-3], 0); err == nil || !strings.Contains(err.Error(), "over the limit") {
+		t.Errorf("rowless body at limit 0: err = %v", err)
 	}
 }

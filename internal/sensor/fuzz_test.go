@@ -35,6 +35,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 	seed := fuzzSeedBatch()
 	f.Add(EncodeBatch(seed))
 	f.Add(AppendBatchColumnar(nil, seed))
+	f.Add(AppendBatchColumnarExact(nil, seed))
 	empty := &model.Batch{NodeID: "n", TypeName: "t", Category: model.CategoryEnergy, Collected: time.Unix(0, 7)}
 	f.Add(EncodeBatch(empty))
 	f.Add(AppendBatchColumnar(nil, empty))
@@ -179,6 +180,7 @@ func FuzzColumnarRange(f *testing.F) {
 	f.Add(AppendBatchColumnar(nil, seed), at, at, 0)
 	f.Add(AppendBatchColumnar(nil, seed), at+1, int64(math.MaxInt64), 1)
 	f.Add(AppendBatchColumnar(nil, seed), at+1, at, 0) // empty range
+	f.Add(AppendBatchColumnarExact(nil, seed), int64(math.MinInt64), int64(math.MaxInt64), 0)
 	f.Add(AppendBatchColumnar(nil, &model.Batch{NodeID: "n", TypeName: "t", Category: model.CategoryEnergy, Collected: time.Unix(0, 7)}), int64(0), int64(9), 3)
 	f.Add([]byte("F2CC\x01"), int64(0), int64(0), 0)
 	f.Add([]byte(nil), int64(0), int64(0), -1)

@@ -14,30 +14,57 @@ const (
 
 // appendCoordinate appends strconv.AppendFloat(v, 'f', 5, 64) to dst.
 // strconv prints a fixed precision through its multi-precision decimal
-// (bigFtoa); here the float's 53-bit mantissa is scaled by 10^5 in
-// 128-bit integer math and rounded half-to-even on the exact
-// remainder, which is the same rounding of the same exact value.
-// Zero, subnormals, non-finite values and |v|*10^5 >= 2^64 fall back
-// to strconv.
+// (bigFtoa); here fixedCoordinate computes the same rounding of the
+// same exact value in integer math. Non-finite values and
+// |v|*10^5 >= 2^64 fall back to strconv.
 func appendCoordinate(dst []byte, v float64) []byte {
-	b := math.Float64bits(v)
-	exp := int(b>>52) & 0x7ff
-	if exp == 0 || exp == 0x7ff {
+	n, neg, ok := fixedCoordinate(v)
+	if !ok {
 		return strconv.AppendFloat(dst, v, 'f', coordDigits, 64)
+	}
+	if neg {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, n/coordScale, 10)
+	frac := n % coordScale
+	dst = append(dst, '.', '0', '0', '0', '0', '0')
+	for i := len(dst) - 1; frac != 0; i-- {
+		dst[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return dst
+}
+
+// fixedCoordinate returns the integer n that the text wire prints for
+// v with five implied decimals — |v|*10^5 rounded half-to-even on the
+// exact value — and v's sign bit, which the wire prints even when n is
+// 0. The float's 53-bit mantissa is scaled by 10^5 in 128-bit integer
+// math and rounded on the exact remainder, which is strconv's rounding
+// of the same value. ok is false for non-finite values and where
+// |v|*10^5 does not fit 64 bits.
+func fixedCoordinate(v float64) (n uint64, neg, ok bool) {
+	b := math.Float64bits(v)
+	neg = b>>63 != 0
+	exp := int(b>>52) & 0x7ff
+	switch {
+	case exp == 0x7ff:
+		return 0, neg, false
+	case exp == 0: // zero and subnormals: |v| < 2^-1022 rounds to 0
+		return 0, neg, true
 	}
 	// |v| = mant * 2^-shift exactly.
 	mant := b&(1<<52-1) | 1<<52
 	shift := 1075 - exp
 	if shift <= 0 { // |v| >= 2^52
-		return strconv.AppendFloat(dst, v, 'f', coordDigits, 64)
+		return 0, neg, false
 	}
 	// |v|*10^5 = (hi:lo) / 2^shift with hi:lo < 2^70. Split it into the
 	// integer n, the first dropped bit rb and the OR of the rest.
 	hi, lo := bits.Mul64(mant, coordScale)
-	var n, rb, sticky uint64
+	var rb, sticky uint64
 	if shift <= 64 {
 		if hi>>shift != 0 {
-			return strconv.AppendFloat(dst, v, 'f', coordDigits, 64)
+			return 0, neg, false
 		}
 		n = hi<<(64-shift) | lo>>shift
 		rb = lo >> (shift - 1) & 1
@@ -50,20 +77,10 @@ func appendCoordinate(dst []byte, v float64) []byte {
 	}
 	if rb == 1 && (sticky != 0 || n&1 == 1) {
 		if n++; n == 0 {
-			return strconv.AppendFloat(dst, v, 'f', coordDigits, 64)
+			return 0, neg, false
 		}
 	}
-	if b>>63 != 0 {
-		dst = append(dst, '-')
-	}
-	dst = strconv.AppendUint(dst, n/coordScale, 10)
-	frac := n % coordScale
-	dst = append(dst, '.', '0', '0', '0', '0', '0')
-	for i := len(dst) - 1; frac != 0; i-- {
-		dst[i] = byte('0' + frac%10)
-		frac /= 10
-	}
-	return dst
+	return n, neg, true
 }
 
 // pow10 holds 10^0..10^19, each exact in a float64 (up to 10^22 are).

@@ -25,7 +25,9 @@ func Page(s Series, typeName string, from, to time.Time, limit int, cursor strin
 // request is answered with the decomposable summary of the range. A
 // KindQuery request is answered with a binary page: a one-reading page
 // for a latest lookup, or one Page of a range scan plus its resume
-// cursor, sealed as protocol.EncodeQueryPage frames it.
+// cursor, sealed as protocol.EncodeQueryPage frames it: the readings'
+// columnar body, exact to the text wire, at flate.BestSpeed. No tier
+// writes text pages; clients still open those of older servers.
 func Serve(s Series, nodeID string, kind transport.Kind, payload []byte) ([]byte, error) {
 	if kind == transport.KindSummary {
 		var req protocol.SummaryRequest
