@@ -99,7 +99,8 @@
 // is torn-write safe (recovery
 // truncates the corrupt tail back to the last intact record),
 // snapshots rotate atomically, and recovery ordering is snapshot,
-// then log tail, then installation. Enable per node (fognode/cloud Config.Durability), per
+// then log tail, each record applied through the transition the live
+// path runs, then the fog cq settle. Enable per node (fognode/cloud Config.Durability), per
 // system (core.Options.DataDir, one journal directory per node id),
 // or with f2cd -data-dir; core.System.Reboot simulates a process
 // restart, and every data-dir chaos run reboots its crash victims

@@ -152,61 +152,9 @@ func New(cfg Config) (*Node, error) {
 }
 
 // recovery is the cloud's half of the durable core's recovery driver:
-// the snapshot and record decoders of journal.go, and the installation
-// of the archive, the series tail, the alerts, the degraded windows
-// and the replay-filter marks. The series' state at the checkpoint
-// comes back with the store section the core restores.
+// the snapshot and record appliers of journal.go.
 func (n *Node) recovery() durable.Recovery {
-	rs := &cloudRecovery{}
-	return durable.Recovery{
-		Snapshot:   func(data []byte) error { return decodeCloudSnapshot(data, rs) },
-		Record:     rs.applyRecord,
-		Install:    func() error { return n.install(rs) },
-		Checkpoint: n.Checkpoint,
-	}
-}
-
-func (n *Node) install(rs *cloudRecovery) error {
-	now := n.cfg.Clock.Now()
-	for _, rec := range rs.records {
-		if _, err := n.archive.Put(rec.Batch, rec.Provenance, now); err != nil {
-			return err
-		}
-	}
-	for _, a := range rs.alerts {
-		n.alerts[a.Key()] = a
-	}
-	// The windows merge decomposably: the snapshot's, then the tail's
-	// pushes in log order, reproduce the folds of the first life.
-	for _, push := range rs.summaries {
-		n.foldSummary(push)
-	}
-	for _, op := range rs.tail {
-		if op.alerts != nil {
-			// The tail is the crash window: the record landed but the
-			// in-memory apply may not have. storeAlerts dedupes by
-			// instance key, so replay over the snapshot is exactly-once.
-			n.storeAlerts(op.alerts, false)
-			continue
-		}
-		if op.batch != nil {
-			if _, err := n.archive.Put(op.batch, provenanceOf(op.batch.NodeID, op.from, n.cfg.ID), now); err != nil {
-				return err
-			}
-			// The record is the series append's log: the core stores
-			// what the segments do not already hold.
-			if err := n.dur.Store(op.batch); err != nil {
-				return err
-			}
-		} else {
-			n.archive.Expire(op.before)
-			n.series.EvictBefore(op.before)
-		}
-	}
-	for _, m := range rs.marks {
-		n.replay.Mark(m.origin, m.seq)
-	}
-	return nil
+	return durable.Recovery{Snapshot: n.restore, Record: n.replayRecord, Checkpoint: n.Checkpoint}
 }
 
 // DuplicateBatches reports how many at-least-once duplicate
@@ -246,14 +194,8 @@ func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
 		buf = wal.AppendString(buf, from)
 		return sensor.AppendBatch(buf, b)
 	}, func() error {
-		if _, err := n.archive.Put(b, provenanceOf(b.NodeID, from, n.cfg.ID), n.cfg.Clock.Now()); err != nil {
+		if err := n.applyPreserve(b, from, seq); err != nil {
 			return err
-		}
-		if err := n.dur.Store(b); err != nil {
-			return err
-		}
-		if seq != 0 {
-			n.replay.Mark(b.NodeID, seq)
 		}
 		n.ingestedBatches.Inc()
 		n.ingestedReads.Add(int64(len(b.Readings)))
@@ -262,6 +204,19 @@ func (n *Node) preserve(b *model.Batch, from string, seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("cloud preserve: %w", err)
 	}
+	return nil
+}
+
+// applyPreserve is a preserve record's transition: the archive put,
+// the series append the record is the log of, and the delivery mark.
+func (n *Node) applyPreserve(b *model.Batch, from string, seq uint64) error {
+	if _, err := n.archive.Put(b, provenanceOf(b.NodeID, from, n.cfg.ID), n.cfg.Clock.Now()); err != nil {
+		return err
+	}
+	if err := n.dur.Store(b); err != nil {
+		return err
+	}
+	n.replay.Mark(b.NodeID, seq)
 	return nil
 }
 
@@ -277,7 +232,6 @@ func (n *Node) acceptSummaryPush(push *protocol.SummaryPush, payload []byte) err
 		return durable.AppendPayload(buf, recSummary, payload)
 	}, func() error {
 		n.foldSummary(push)
-		n.replay.Mark(push.Origin, push.Seq)
 		n.degradedReads.Add(push.Readings())
 		return nil
 	})
@@ -287,7 +241,9 @@ func (n *Node) acceptSummaryPush(push *protocol.SummaryPush, payload []byte) err
 	return nil
 }
 
-// foldSummary merges a push's windows into the type's held windows.
+// foldSummary is a summary record's transition: the push's windows
+// merge into the type's held windows, under its delivery mark (none
+// for the snapshot's held windows, which carry no identity).
 func (n *Node) foldSummary(push *protocol.SummaryPush) {
 	n.sumMu.Lock()
 	wins, ok := n.degraded[push.TypeName]
@@ -306,6 +262,7 @@ func (n *Node) foldSummary(push *protocol.SummaryPush) {
 		wins[w.StartUnix] = cur
 	}
 	n.sumMu.Unlock()
+	n.replay.Mark(push.Origin, push.Seq)
 }
 
 // heldPushes returns the held windows as one summary push per type —
@@ -336,8 +293,9 @@ func (n *Node) acceptAlertPush(push *protocol.AlertPush, payload []byte) error {
 	err := n.dur.Journal.Apply(func(buf []byte) []byte {
 		return append(append(buf, recAlert), payload...)
 	}, func() error {
-		n.storeAlerts(push, true)
-		n.replay.Mark(push.Origin, push.Seq)
+		stored, dups := n.storeAlerts(push)
+		n.alertsStored.Add(stored)
+		n.dupAlerts.Add(dups)
 		return nil
 	})
 	if err != nil {
@@ -346,25 +304,25 @@ func (n *Node) acceptAlertPush(push *protocol.AlertPush, payload []byte) error {
 	return nil
 }
 
-// storeAlerts folds a push's instances into the alert store, deduping
-// by instance key. Recovery replays with counted=false: restored
-// instances were accounted by their first life.
-func (n *Node) storeAlerts(push *protocol.AlertPush, counted bool) {
+// storeAlerts is an alert record's transition: the push's instances
+// fold into the alert store, deduped by instance key, under the push's
+// delivery mark (none for the snapshot's instances). It reports the
+// instances stored and those already held, for the live accept's
+// counters.
+func (n *Node) storeAlerts(push *protocol.AlertPush) (stored, dups int64) {
 	n.alertMu.Lock()
 	for i := range push.Alerts {
 		key := push.Alerts[i].Key()
 		if _, ok := n.alerts[key]; ok {
-			if counted {
-				n.dupAlerts.Inc()
-			}
+			dups++
 			continue
 		}
 		n.alerts[key] = push.Alerts[i]
-		if counted {
-			n.alertsStored.Inc()
-		}
+		stored++
 	}
 	n.alertMu.Unlock()
+	n.replay.Mark(push.Origin, push.Seq)
+	return stored, dups
 }
 
 // AlertInstances returns every stored fired-alert instance in the
@@ -470,14 +428,21 @@ func (n *Node) Expire(before time.Time) (int, error) {
 	err := n.dur.Journal.Apply(func(buf []byte) []byte {
 		return wal.AppendUint64(append(buf, recExpire), uint64(before.UnixNano()))
 	}, func() error {
-		destroyed = n.archive.Expire(before)
-		n.series.EvictBefore(before)
+		destroyed = n.applyExpire(before)
 		return nil
 	})
 	if err != nil {
 		return 0, fmt.Errorf("cloud expire: %w", err)
 	}
 	return destroyed, nil
+}
+
+// applyExpire is an expire record's transition: the archive and the
+// series drop what was collected before the cutoff.
+func (n *Node) applyExpire(before time.Time) int {
+	destroyed := n.archive.Expire(before)
+	n.series.EvictBefore(before)
+	return destroyed
 }
 
 // Checkpoint folds a durable cloud's archive, replay-filter marks,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"f2c/internal/model"
 	"f2c/internal/protocol"
 	"f2c/internal/sensor"
 	"f2c/internal/store"
@@ -23,7 +22,11 @@ import (
 // always a consistent cut of the archive, the series, the held alerts
 // and degraded windows, and the replay filter deduping at-least-once
 // retries. A preserve record is also the series append's log: the
-// segment store keeps none.
+// segment store keeps none. Recovery applies the snapshot, then each
+// tail record in log order, to the node as it reads them, through the
+// transition the live accept runs after its append (applyPreserve,
+// storeAlerts, foldSummary, applyExpire); nothing is left to install
+// after the log.
 //
 // Snapshot body layout (version 5, the only one read; the durable core
 // writes the store section ahead of it, with the op counter that
@@ -80,45 +83,18 @@ func encodeCloudSnapshot(dst []byte, marks map[string][]uint64, records []store.
 	return dst, nil
 }
 
-// cloudRecovery is the decoded durable state of a cloud node: the
-// snapshot's archived records (full provenance), then the journal
-// tail's preserves and expires in log order.
-type cloudRecovery struct {
-	marks   []cloudMark
-	records []store.Record
-	// alerts are the snapshot's stored alert instances (already
-	// deduped by instance key when the snapshot was cut).
-	alerts []protocol.Alert
-	// summaries are the snapshot's held windows (one push per type),
-	// then the tail's accepted summary pushes in log order.
-	summaries []*protocol.SummaryPush
-	tail      []tailOp
-}
-
-type cloudMark struct {
-	origin string
-	seq    uint64
-}
-
-// tailOp is one replayed journal record: a preserve (batch set), an
-// alert push (alerts set) or an expire (before set).
-type tailOp struct {
-	batch  *model.Batch
-	from   string
-	alerts *protocol.AlertPush
-	before time.Time
-}
-
-func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
+// restore applies a checkpoint body to the node as it reads it: the
+// marks, the archived records (full provenance; the series' state at
+// the checkpoint comes back with the store section the durable core
+// restores), the stored alert instances and the held windows.
+func (n *Node) restore(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
 	if version := data[0]; version != cloudSnapshotVersion {
 		return fmt.Errorf("cloud: unsupported snapshot version %d", version)
 	}
-	rest, err := wal.ReadMarkSet(data[1:], func(origin string, seq uint64) {
-		rs.marks = append(rs.marks, cloudMark{origin: origin, seq: seq})
-	})
+	rest, err := wal.ReadMarkSet(data[1:], n.replay.Mark)
 	if err != nil {
 		return err
 	}
@@ -126,6 +102,7 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 	if err != nil {
 		return err
 	}
+	now := n.cfg.Clock.Now()
 	for i := uint64(0); i < records; i++ {
 		var hops uint64
 		hops, rest, err = wal.ReadUvarint(rest)
@@ -152,14 +129,16 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 		if err != nil {
 			return fmt.Errorf("cloud: snapshot batch: %w", err)
 		}
-		rs.records = append(rs.records, store.Record{Provenance: prov, Batch: b})
+		if _, err := n.archive.Put(b, prov, now); err != nil {
+			return err
+		}
 	}
 	rest, err = wal.ReadDocs(rest, func(doc []byte) error {
 		var a protocol.Alert
 		if err := protocol.DecodeJSON(doc, &a); err != nil {
 			return fmt.Errorf("cloud: snapshot alert: %w", err)
 		}
-		rs.alerts = append(rs.alerts, a)
+		n.storeAlerts(&protocol.AlertPush{Alerts: []protocol.Alert{a}})
 		return nil
 	})
 	if err != nil {
@@ -168,7 +147,7 @@ func decodeCloudSnapshot(data []byte, rs *cloudRecovery) error {
 	_, err = wal.ReadDocs(rest, func(doc []byte) error {
 		push, err := decodeSummaryPush(doc)
 		if err == nil {
-			rs.summaries = append(rs.summaries, push)
+			n.foldSummary(push)
 		}
 		return err
 	})
@@ -183,7 +162,12 @@ func decodeSummaryPush(doc []byte) (*protocol.SummaryPush, error) {
 	return &push, nil
 }
 
-func (rs *cloudRecovery) applyRecord(rec []byte) error {
+// replayRecord applies one log record to the node through the
+// transition the live accept ran after appending it. The tail is the
+// crash window: the record landed but the live apply may not have, and
+// every transition is idempotent over the snapshot (storeAlerts
+// dedupes by instance key, marks are a set).
+func (n *Node) replayRecord(rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("cloud: empty journal record")
 	}
@@ -209,17 +193,13 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("cloud: journal batch: %w", err)
 		}
-		rs.tail = append(rs.tail, tailOp{batch: b, from: from})
-		if seq != 0 {
-			rs.marks = append(rs.marks, cloudMark{origin: b.NodeID, seq: seq})
-		}
+		return n.applyPreserve(b, from, seq)
 	case recAlert:
 		push, err := protocol.DecodeAlertPush(body)
 		if err != nil {
 			return fmt.Errorf("cloud: journal alert: %w", err)
 		}
-		rs.tail = append(rs.tail, tailOp{alerts: push})
-		rs.marks = append(rs.marks, cloudMark{origin: push.Origin, seq: push.Seq})
+		n.storeAlerts(push)
 	case recSummary:
 		doc, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -229,14 +209,13 @@ func (rs *cloudRecovery) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.summaries = append(rs.summaries, push)
-		rs.marks = append(rs.marks, cloudMark{origin: push.Origin, seq: push.Seq})
+		n.foldSummary(push)
 	case recExpire:
 		ns, _, err := wal.ReadUint64(body)
 		if err != nil {
 			return err
 		}
-		rs.tail = append(rs.tail, tailOp{before: time.Unix(0, int64(ns))})
+		n.applyExpire(time.Unix(0, int64(ns)))
 	default:
 		return fmt.Errorf("cloud: unknown journal record type %d", rec[0])
 	}

@@ -7,10 +7,10 @@ import (
 	"f2c/internal/protocol"
 )
 
-// FuzzCloudSnapshotDecode proves the cloud's snapshot and journal
-// record decoders never panic on arbitrary bytes — corrupt counts and
-// truncated fields must fail with errors, not allocate or crash
-// (CRC framing upstream makes this unlikely, not impossible).
+// FuzzCloudSnapshotDecode proves that applying arbitrary bytes to a
+// cloud as a snapshot body and a journal record never panics — corrupt
+// counts and truncated fields must fail with errors, not allocate or
+// crash (CRC framing upstream makes this unlikely, not impossible).
 func FuzzCloudSnapshotDecode(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{cloudSnapshotVersion}, []byte{1}) // retired pre-numbering preserve
@@ -35,8 +35,11 @@ func FuzzCloudSnapshotDecode(f *testing.F) {
 	f.Add(v4, append([]byte{recSummary, 2}, "{}"...))
 
 	f.Fuzz(func(t *testing.T, snap, rec []byte) {
-		rs := &cloudRecovery{}
-		_ = decodeCloudSnapshot(snap, rs)
-		_ = rs.applyRecord(rec)
+		n, err := New(Config{ID: "cloud"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = n.restore(snap)
+		_ = n.replayRecord(rec)
 	})
 }

@@ -443,3 +443,87 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 }
+
+// TestNoUnboundedSends fails on a send no deadline can end: outside a
+// main package, non-test code must not call Send(context.Background(),
+// ...) or use context.TODO(). A send under a lock that waits on a peer
+// that never answers holds everything behind the lock; the caller's
+// context or a deadline derived from one (a flush period, the fan-out
+// timeout) bounds it. Cases kept on purpose are listed with the reason
+// for each, keyed by file and enclosing function.
+func TestNoUnboundedSends(t *testing.T) {
+	kept := map[string]string{}
+	isCall := func(e ast.Expr, pkg, name string) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != name {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == pkg
+	}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	for _, dir := range []string{"cmd", "internal", "examples", "."} {
+		top := filepath.Join(root, dir)
+		err := filepath.WalkDir(top, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != top && (dir == "." || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil || f.Name.Name == "main" {
+				return err
+			}
+			rel, _ := filepath.Rel(root, path)
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					var what string
+					switch sel, ok := call.Fun.(*ast.SelectorExpr); {
+					case isCall(call, "context", "TODO"):
+						what = "context.TODO()"
+					case ok && sel.Sel.Name == "Send" && len(call.Args) > 0 && isCall(call.Args[0], "context", "Background"):
+						what = "Send(context.Background(), ...)"
+					default:
+						return true
+					}
+					key := rel + ":" + fd.Name.Name
+					seen[key] = true
+					if _, ok := kept[key]; !ok {
+						t.Errorf("%s: %s in %s: pass the caller's context or bound the send with a deadline, or list it here with the reason", fset.Position(call.Pos()), what, fd.Name.Name)
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key := range kept {
+		if !seen[key] {
+			t.Errorf("the list names %s, which no longer sends unbounded", key)
+		}
+	}
+}

@@ -461,3 +461,27 @@ type failingHandler struct{}
 func (failingHandler) Handle(context.Context, transport.Message) ([]byte, error) {
 	return nil, errors.New("district offline")
 }
+
+// TestUnwireableBatchRefusedAtIngest: the upward seal is the text
+// wire, which cannot carry ';' or a line break in a string field. A
+// batch holding one must be refused at the edge: once acked, every
+// later flush of its type would fail to open at fog2 and hold back the
+// good readings queued behind it.
+func TestUnwireableBatchRefusedAtIngest(t *testing.T) {
+	s := newSystem(t, Options{Codec: aggregate.CodecNone})
+	ctx := context.Background()
+	f1 := s.Fog1IDs()[0]
+	if err := s.IngestAt(f1, tempBatch("a;b", 20, t0)); err == nil {
+		t.Error("a sensor id holding ';' was acked")
+	}
+	_ = s.FlushAll(ctx)
+	if err := s.IngestAt(f1, tempBatch("good", 21, t0.Add(time.Second))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushAll(ctx); err != nil {
+		t.Fatalf("flush after the refused batch: %v", err)
+	}
+	if got := archivedReadings(s, "temperature"); got != 1 {
+		t.Errorf("cloud holds %d temperature readings, want the good one", got)
+	}
+}

@@ -60,8 +60,11 @@ type Core struct {
 	// dir, or an in-RAM TimeSeries on a node without one.
 	Series   store.Series
 	segments *segment.Store
-	replay   *protocol.ReplayFilter
-	dups     *metrics.Counter
+	// background: the store's flusher starts once Recover succeeded
+	// (held while it runs, so a refused recovery writes nothing).
+	background bool
+	replay     *protocol.ReplayFilter
+	dups       *metrics.Counter
 	// op numbers the store appends of a durable node: the position of
 	// the record carrying them among the store-carrying records.
 	// Guarded by the journal mutex.
@@ -108,6 +111,7 @@ func Open(journal *wal.Config, storage *segment.Options, retention time.Duration
 	if so.MetricsPrefix == "" {
 		so.MetricsPrefix = prefix
 	}
+	c.background, so.NoBackground = !so.NoBackground, true
 	if c.segments, err = segment.Open(so); err != nil {
 		_ = c.Journal.Close()
 		return nil, fmt.Errorf("storage: %w", err)
@@ -116,20 +120,24 @@ func Open(journal *wal.Config, storage *segment.Options, retention time.Duration
 	return c, nil
 }
 
-// Recovery is the node-specific half of the recovery driver.
+// Recovery is the node-specific half of Recover. Snapshot and Record
+// apply what they decode to the node as they read it, through the
+// transitions the live path runs after its appends — so there is no
+// recovered state beside the node's own to install — and a
+// store-carrying record reaches Store as it is read, in log order.
+// Neither writes a record or counts a metric: recovered state was
+// accounted by its first life.
 type Recovery struct {
-	// Snapshot decodes the node's checkpoint body; Record replays one
-	// log record of the tail, the same transition the live path
-	// journaled.
+	// Snapshot applies the node's checkpoint body; Record applies one
+	// log record of the tail.
 	Snapshot func(data []byte) error
 	Record   func(rec []byte) error
-	// Install moves the recovered state, replay marks included, into
-	// the node, passing each store-carrying tail record's batch to
-	// Store in log order. Metrics are not re-counted: recovered state
-	// was accounted by its first life.
-	Install func() error
+	// Settle, optional, runs once after the log: what a node can only
+	// decide when it has read the whole tail (a fog node seals the
+	// alert windows whose seal records were lost with the crash).
+	Settle func() error
 	// Checkpoint writes the node's checkpoint through Core.Checkpoint.
-	// Recover calls it once Install is done, and only when the log
+	// Recover calls it once Settle is done, and only when the log
 	// ended behind the store's flushed segments.
 	Checkpoint func() error
 }
@@ -142,8 +150,10 @@ const snapshotMark = 0xF2
 
 // Recover rebuilds a node from the journal opened by Open: the store
 // section and the snapshot body, then the log tail in append order,
-// then installation. A refused recovery releases the core and leaves
-// the data dir as it found it. No-op without a journal.
+// then the node's settle. The segment store's flusher is held until
+// it returns: a refused recovery releases the core and leaves the data
+// dir as it found it, even after store appends. No-op without a
+// journal.
 func (c *Core) Recover(r Recovery) (err error) {
 	if c.Journal == nil {
 		return nil
@@ -151,6 +161,8 @@ func (c *Core) Recover(r Recovery) (err error) {
 	defer func() {
 		if err != nil {
 			c.Discard()
+		} else if c.background {
+			c.segments.Start()
 		}
 	}()
 	st := c.Journal.store
@@ -183,8 +195,10 @@ func (c *Core) Recover(r Recovery) (err error) {
 			return err
 		}
 	}
-	if err := r.Install(); err != nil {
-		return err
+	if r.Settle != nil {
+		if err := r.Settle(); err != nil {
+			return err
+		}
 	}
 	// A log that lost its tail to a machine crash (appends are not
 	// fsynced one by one, segment flushes are) can end behind segments
@@ -201,10 +215,10 @@ func (c *Core) Recover(r Recovery) (err error) {
 
 // Store appends a batch to the node's series. On a durable node it is
 // a store op: call it from inside the Journal.Apply of the record that
-// carries b — or, recovering, once per store-carrying tail record in
-// log order — so that its op is the record's position among the
-// store-carrying records. A replayed op the segments already hold
-// reaches only the store's latest map.
+// carries b — or, recovering, from Recovery.Record as it reads a
+// store-carrying record — so that its op is the record's position
+// among the store-carrying records. A replayed op the segments already
+// hold reaches only the store's latest map.
 func (c *Core) Store(b *model.Batch) error {
 	if c.Journal == nil {
 		return c.Series.Append(b)

@@ -148,7 +148,7 @@ func (n *Node) sealAlertGroup(alerts []cq.Alert) {
 // replaces the earlier seal in place — plus a commit of the folded
 // one. Only past maxAlertsPerPush are the oldest instances finally
 // shed. The caller holds the shard lock.
-func (n *Node) foldAlertLocked(typ string, q *outbox, i int) {
+func (n *Node) foldAlertLocked(sh *pendingShard, typ string, q *outbox, i int) {
 	folded, into := &q.items[i], &q.items[i+1]
 	old, err := protocol.DecodeAlertPush(folded.payload)
 	next, err2 := protocol.DecodeAlertPush(into.payload)
@@ -164,10 +164,10 @@ func (n *Node) foldAlertLocked(typ string, q *outbox, i int) {
 	}
 	n.alertsShed.Add(int64(over))
 	n.alertFolds.Inc()
-	into.payload = payload
-	n.dur.Journal.Note(sealRecord(typ, into))
-	n.commit(typ, folded)
-	q.remove(i)
+	resealed, gone := *into, *folded
+	resealed.payload = payload
+	_ = n.sealLocked(sh, typ, resealed, false)
+	n.commitLocked(sh, typ, gone)
 }
 
 // handleAlertPush is a fog tier's receiving half: a child's push is
@@ -184,8 +184,8 @@ func (n *Node) handleAlertPush(payload []byte) ([]byte, error) {
 }
 
 // absorbAlertPush is handleAlertPush's apply. The delivery mark lands
-// under the shard lock, with the seal, so a checkpoint never snapshots
-// the queued push without it.
+// under the shard lock, with the seal (applyPushSeal), so a checkpoint
+// never snapshots the queued push without it.
 func (n *Node) absorbAlertPush(push *protocol.AlertPush, payload []byte) error {
 	// The transport owns payload once Handle returns.
 	it := item{kind: transport.KindAlertPush, origin: push.Origin, seq: push.Seq, class: push.Category, payload: append([]byte(nil), payload...)}
@@ -193,7 +193,6 @@ func (n *Node) absorbAlertPush(push *protocol.AlertPush, payload []byte) error {
 	sh.mu.Lock()
 	err := n.sealLocked(sh, push.TypeName, it, true)
 	if err == nil {
-		n.replay.Mark(push.Origin, push.Seq)
 		n.boundLocked(sh, push.TypeName)
 	}
 	sh.mu.Unlock()

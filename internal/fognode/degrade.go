@@ -21,11 +21,11 @@ import (
 // kind's own overflow policy drops a push.
 //
 // On a durable node the degrade tier is as crash-safe as the raw one:
-// the trim is journaled (replay folds the same readings again), a
-// child's absorbed push is journaled before it is acknowledged, the
-// buffer is part of every snapshot, and a sealed push is an item like
-// any other — so preserved + degraded + shed == accepted holds across
-// a crash between fold and push.
+// the trim is journaled (replay folds the same readings again, through
+// the same transition), a child's absorbed push is journaled before it
+// is acknowledged, the buffer is part of every snapshot, and a sealed
+// push is an item like any other — so preserved + degraded + shed ==
+// accepted holds across a crash between fold and push.
 
 // degradeWindow is the time-window granularity degraded readings are
 // summarized at.
@@ -114,21 +114,15 @@ func (sh *pendingShard) degradeBufLocked(typ string, cat model.Category) *degrad
 	return buf
 }
 
-// degradeLocked folds readings being trimmed from a type's buffer into
-// the shard's degrade buffer. Caller holds the shard lock.
-func (n *Node) degradeLocked(sh *pendingShard, typ string, cat model.Category, readings []model.Reading) {
-	sh.degradeBufLocked(typ, cat).foldAll(readings)
-	n.degradedReads.Add(int64(len(readings)))
-}
-
 // sealSummaryLocked freezes a type's degrade buffer into a push item
-// under a fresh delivery sequence. Caller holds the shard lock.
+// under a fresh delivery sequence; the seal empties the buffer. Caller
+// holds the shard lock.
 func (n *Node) sealSummaryLocked(sh *pendingShard, typ string, buf *degradeBuf) {
 	push := buf.push(n.cfg.Spec.ID, n.seq.Add(1), typ)
-	delete(sh.degraded, typ)
 	payload, err := protocol.EncodeJSON(push)
 	if err != nil {
 		// Finite summaries always encode; what cannot be sent is shed.
+		delete(sh.degraded, typ)
 		n.shedReads.Add(push.Readings())
 		return
 	}
@@ -156,15 +150,23 @@ func (n *Node) handleSummaryPush(payload []byte) ([]byte, error) {
 // lands under the shard lock, with the journal record, so a checkpoint
 // never snapshots the windows without it.
 func (n *Node) absorbSummaryPush(push *protocol.SummaryPush, payload []byte) error {
-	cat, _ := model.ParseCategory(push.Category)
 	sh := n.shardFor(push.TypeName)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := n.dur.Journal.WritePayload(recAbsorb, payload); err != nil {
 		return fmt.Errorf("fognode %s: summary push: %w", n.cfg.Spec.ID, err)
 	}
-	n.replay.Mark(push.Origin, push.Seq)
-	sh.degradeBufLocked(push.TypeName, cat).absorb(push)
+	n.applyAbsorb(sh, push)
 	n.degradedIn.Add(push.Readings())
 	return nil
+}
+
+// applyAbsorb is recAbsorb's transition: a summary push's windows merge
+// into the type's degrade buffer, under the push's delivery mark (none
+// for a checkpointed buffer, which carries no identity). The caller
+// holds the shard lock.
+func (n *Node) applyAbsorb(sh *pendingShard, push *protocol.SummaryPush) {
+	cat, _ := model.ParseCategory(push.Category)
+	sh.degradeBufLocked(push.TypeName, cat).absorb(push)
+	n.replay.Mark(push.Origin, push.Seq)
 }

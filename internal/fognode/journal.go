@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"f2c/internal/cq"
 	"f2c/internal/durable"
@@ -22,10 +23,12 @@ import (
 // durable core (internal/durable); what is fog-specific is here: the
 // record table and the snapshot body. Records are appended under the
 // same lock as the state change they describe (the pending-shard
-// mutex), so replaying the log reproduces the per-type state machine
+// mutex), and each record kind has one transition on the node's own
+// state, which the live path runs right after the append and replay
+// runs for the same record — so replaying the log is the live path,
 // transition by transition. Recovery ordering is the store section
-// and snapshot first, then the log tail, then installation into the
-// shards and the store.
+// and snapshot first, then the log tail, each record applied as it is
+// read, then the continuous-query settle (settle below).
 //
 //	recBatch          readings accepted into a type's pending buffer
 //	                  and the local store; when the batch arrived
@@ -35,23 +38,26 @@ import (
 //	                  recovered receiver either has both the batch and
 //	                  its mark or neither, and a sender's retry is
 //	                  either recognized or re-accepted exactly once
+//	                  (applyBatch)
 //	recShed           readings trimmed oldest-first by
-//	                  MaxPendingReadings; replay drops them again or,
-//	                  on a DegradeToSummary node, folds them into the
-//	                  recovered degrade buffer again
+//	                  MaxPendingReadings, dropped or, on a
+//	                  DegradeToSummary node, folded into the degrade
+//	                  buffer (applyShed)
 //	recAbsorb         a child's summary push merged into the degrade
-//	                  buffer (raw payload, with its (origin, seq) mark)
+//	                  buffer (raw payload, with its (origin, seq) mark;
+//	                  applyAbsorb)
 //	recSeal           a batch item frozen onto its type's outbox, O(1):
-//	                  (seq, count) freezes the next count journaled
-//	                  readings of the pending buffer
+//	                  (seq, count) freezes the head count readings of
+//	                  the pending buffer (applySeal)
 //	recPushSeal       a push item frozen onto its type's outbox, with
 //	                  its payload; an own summary seal also empties the
-//	                  degrade buffer it froze. Replay is keyed by
-//	                  (kind, origin, seq), so an alert fold's re-seal of
-//	                  the merged push replaces the earlier seal in place
+//	                  degrade buffer it froze, and an alert fold's
+//	                  re-seal of the merged push replaces the earlier
+//	                  seal in place, by (kind, origin, seq)
+//	                  (applyPushSeal)
 //	recItemCommit     an item delivered and acknowledged upward, handed
 //	                  to a new owner by a migration, or dropped by its
-//	                  overflow policy; replay removes it
+//	                  overflow policy (applyCommit)
 //	recMigrateStart   a type's state claimed for handoff to a new
 //	                  owner, with the counter after the handoff's
 //	                  transfer sequences were reserved — the items stay
@@ -59,11 +65,10 @@ import (
 //	                  ownership) but the counter must stay past the
 //	                  reserved sequences the target may have marked
 //	recMigrateIn      one absorbed handoff chunk, raw transfer payload
-//	                  (wire version 3, one item list); replay
-//	                  re-absorbs the items and marks verbatim. A log
-//	                  holding an older chunk is refused: only a crash
-//	                  leaves one, since a checkpoint folds absorbed
-//	                  items into the snapshot
+//	                  (wire version 3, one item list; applyMigrateIn).
+//	                  A log holding an older chunk is refused: only a
+//	                  crash leaves one, since a checkpoint folds
+//	                  absorbed items into the snapshot
 //	recSubscribe      a standing subscription registered (JSON)
 //	recUnsubscribe    a subscription cancelled (or handed off by a
 //	                  completed shard migration)
@@ -76,6 +81,9 @@ import (
 // receiver-side replay filter or the cloud's per-instance alert dedup
 // absorbs) rather than loss — and a failed one is counted in
 // <id>.journal.errors.
+//
+// Replay writes no record and changes no metric counter: recovered
+// state was accounted by its first life.
 //
 // Record types 3, 6 and 10 were written before the one-outbox journal
 // and are retired: a log holding one is refused.
@@ -102,15 +110,12 @@ const (
 // journalBatch journals readings accepted into the pending buffer,
 // together with the delivery mark (origin, seq) of the transport hop
 // that carried them (zero when the batch arrived unsequenced — a
-// local edge ingest or a v1 envelope), and stores them under the same
-// journal mutex: the record is the store append's log. The batch is
-// logged with the node's own identity — the shape the pending buffer
-// holds and a recovered flush would send. A node without a journal
-// writes no record, and ingest stores the batch (see there).
-func (n *Node) journalBatch(b *model.Batch, origin string, seq uint64) error {
-	if n.dur.Journal == nil {
-		return nil
-	}
+// local edge ingest or a v1 envelope), and applies the acceptance
+// under the same journal mutex: the record is the store append's log.
+// The batch is logged with the node's own identity — the shape the
+// pending buffer holds and a recovered flush would send. The caller
+// holds the shard lock.
+func (n *Node) journalBatch(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
 	return n.dur.Journal.Apply(func(buf []byte) []byte {
 		up := model.Batch{
 			NodeID:    n.cfg.Spec.ID,
@@ -123,22 +128,25 @@ func (n *Node) journalBatch(b *model.Batch, origin string, seq uint64) error {
 		buf = wal.AppendUint64(buf, seq)
 		buf = wal.AppendString(buf, origin)
 		return sensor.AppendBatch(buf, &up)
-	}, func() error { return n.dur.Store(b) })
+	}, func() error { return n.applyBatch(sh, b, origin, seq) })
 }
 
-// sealRecord encodes one item frozen onto a type's outbox: O(1) for a
-// batch, whose readings the log already holds, with the payload for a
-// push.
-func sealRecord(typ string, it *item) func(buf []byte) []byte {
+// sealRecord encodes a batch seal: O(1), the log already holds the
+// readings.
+func sealRecord(typ string, seq uint64, count int) func(buf []byte) []byte {
 	return func(buf []byte) []byte {
-		if it.b == nil {
-			buf = append(buf, recPushSeal, byte(rank(it.kind)))
-			return wal.AppendBytes(buf, it.payload)
-		}
 		buf = append(buf, recSeal)
-		buf = wal.AppendUint64(buf, it.seq)
-		buf = wal.AppendUvarint(buf, uint64(len(it.b.Readings)))
+		buf = wal.AppendUint64(buf, seq)
+		buf = wal.AppendUvarint(buf, uint64(count))
 		return wal.AppendString(buf, typ)
+	}
+}
+
+// pushSealRecord encodes a push seal, with the payload.
+func pushSealRecord(it *item) func(buf []byte) []byte {
+	return func(buf []byte) []byte {
+		buf = append(buf, recPushSeal, byte(rank(it.kind)))
+		return wal.AppendBytes(buf, it.payload)
 	}
 }
 
@@ -249,106 +257,6 @@ func encodeNodeSnapshot(dst []byte, seqCounter uint64, marks map[string][]uint64
 	return wal.AppendDocs(dst, subs, cq.EncodeSubSnapshot)
 }
 
-// recoveryState accumulates the replayed delivery state before it is
-// installed into a node.
-type recoveryState struct {
-	// self is the recovering node's ID: it decides which item
-	// sequences advance the counter (own seals) and which fired alerts
-	// re-mark the engine's emitted sets (own fires).
-	self string
-	// degrade is set on a node that degrades to summaries: replayed
-	// trims then fold instead of dropping.
-	degrade    bool
-	seqCounter uint64
-	sawSeq     bool
-	marks      []markEntry
-	types      map[string]*typeRecovery
-	// stored collects the tail's recBatch batches in log order;
-	// Install passes each to the durable core's Store, which appends
-	// only what the segments lack.
-	stored []*model.Batch
-	// Continuous-query state. snapSubs are the checkpoint's engine
-	// snapshots; subEvents the tail's subscribe/unsubscribe/handoff
-	// ops in log order. observed holds only the tail's accepted
-	// batches: the engine snapshot already folded everything up to
-	// the checkpoint (batches still pending included), so re-observing
-	// snapshot entries would double-count their readings. alertMarks
-	// carries the (sub, window-start) of every alert this node's own
-	// subscriptions fired, from all alert items ever sealed — applied
-	// before the re-observation so a sealed window cannot refire.
-	snapSubs   []cq.SubSnapshot
-	subEvents  []subOp
-	observed   []*model.Batch
-	alertMarks []alertMark
-}
-
-type markEntry struct {
-	origin string
-	seq    uint64
-}
-
-type subOp struct {
-	remove bool
-	id     string
-	sub    cq.Subscription
-	// snap is set for a migration-absorbed subscription (definition
-	// plus live window state, installed via Engine.Install).
-	snap *cq.SubSnapshot
-}
-
-type alertMark struct {
-	subID string
-	start int64
-}
-
-// typeRecovery is one type's replayed delivery state: its outbox
-// (nothing is claimed during replay), pending buffer and degrade
-// buffer.
-type typeRecovery struct {
-	outbox
-	pending  *model.Batch
-	degraded *degradeBuf
-}
-
-func newRecoveryState() *recoveryState {
-	return &recoveryState{types: make(map[string]*typeRecovery)}
-}
-
-func (rs *recoveryState) typeState(typ string) *typeRecovery {
-	tr, ok := rs.types[typ]
-	if !ok {
-		tr = &typeRecovery{}
-		rs.types[typ] = tr
-	}
-	return tr
-}
-
-func (rs *recoveryState) noteSeq(seq uint64) {
-	if !rs.sawSeq || seq > rs.seqCounter {
-		rs.seqCounter = seq
-	}
-	rs.sawSeq = true
-}
-
-// buffer appends replayed readings to a type's pending buffer. Clone:
-// rs.stored keeps b for the store replay, and later merges and trims
-// must not touch the store's copy.
-func (tr *typeRecovery) buffer(b *model.Batch) {
-	if tr.pending == nil {
-		tr.pending = b.Clone()
-	} else {
-		tr.pending.Readings = append(tr.pending.Readings, b.Readings...)
-	}
-}
-
-// degradeBuf returns the type's recovered degrade buffer.
-func (tr *typeRecovery) degradeBuf(cat model.Category) *degradeBuf {
-	if tr.degraded == nil {
-		tr.degraded = newDegradeBuf(cat)
-	}
-	return tr.degraded
-}
-
 // pushItem builds the outbox item of an encoded push, reading the
 // delivery identity, type and class out of the payload.
 func pushItem(kind transport.Kind, payload []byte) (typ string, it item, err error) {
@@ -371,103 +279,11 @@ func pushItem(kind transport.Kind, payload []byte) (typ string, it item, err err
 	return typ, it, err
 }
 
-// addItem queues one replayed item: counter watermark for own
-// sequences, emitted marks for own fires, and the queue entry —
-// replaced in place when (kind, origin, seq) is already queued (an
-// alert fold's re-seal), queued behind its rank otherwise.
-func (rs *recoveryState) addItem(typ string, it item) {
-	if it.origin == rs.self {
-		rs.noteSeq(it.seq)
-	}
-	tr := rs.typeState(typ)
-	if it.kind == transport.KindAlertPush {
-		if p, err := protocol.DecodeAlertPush(it.payload); err == nil {
-			for i := range p.Alerts {
-				if p.Alerts[i].FiredBy == rs.self {
-					rs.alertMarks = append(rs.alertMarks, alertMark{subID: p.Alerts[i].SubID, start: p.Alerts[i].StartUnix})
-				}
-			}
-		}
-		for i := range tr.items {
-			if q := &tr.items[i]; q.kind == it.kind && q.origin == it.origin && q.seq == it.seq {
-				*q = it
-				return
-			}
-		}
-	}
-	tr.put(it)
-}
-
-// addPush queues one replayed push item from its payload.
-func (rs *recoveryState) addPush(kind transport.Kind, payload []byte) error {
-	typ, it, err := pushItem(kind, payload)
-	if err != nil {
-		return fmt.Errorf("fognode: recovered %s: %w", kind, err)
-	}
-	if it.kind == transport.KindSummaryPush && it.origin == rs.self {
-		// The seal froze the whole degrade buffer.
-		rs.typeState(typ).degraded = nil
-	}
-	rs.addItem(typ, it)
-	return nil
-}
-
-// sealPending replays a batch seal: the next count readings of the
-// type's pending buffer freeze under seq.
-func (rs *recoveryState) sealPending(typ string, seq uint64, count int) {
-	rs.noteSeq(seq)
-	tr := rs.typeState(typ)
-	b := tr.pending
-	if b == nil {
-		return // seal of an empty buffer: nothing to freeze
-	}
-	// A seal covers the whole buffer or, chunked by the adaptive
-	// controller, its head; the count also bounds the item defensively
-	// if log and buffer ever disagree.
-	if count < len(b.Readings) {
-		rest := *b
-		rest.Readings = b.Readings[count:]
-		tr.pending = &rest
-		head := *b
-		head.Readings = b.Readings[:count:count]
-		b = &head
-	} else {
-		tr.pending = nil
-	}
-	tr.put(item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b})
-}
-
-// commit replays an item leaving its outbox; a record written before
-// commits carried an origin has none and matches by sequence alone.
-func (rs *recoveryState) commit(typ, origin string, seq uint64) {
-	if origin == "" || origin == rs.self {
-		// The sequence was used by this node even if its seal record
-		// was lost: keep the recovered counter past it so a fresh item
-		// can never reuse a sequence the parent already marked (which
-		// would be silently deduped — loss, not re-delivery).
-		rs.noteSeq(seq)
-	}
-	rs.typeState(typ).drop(origin, seq)
-}
-
-// shed replays boundReadingsLocked: the same trim, dropping the
-// readings or, on a degrading node, folding them into the degrade
-// buffer again.
-func (rs *recoveryState) shed(tr *typeRecovery, drop int) {
-	tr.trimOldest(tr.pending, drop, func(b *model.Batch, k int, _ bool) {
-		if rs.degrade {
-			tr.degradeBuf(b.Category).foldAll(b.Readings[:k])
-		}
-	})
-	if tr.pending != nil && len(tr.pending.Readings) == 0 {
-		tr.pending = nil
-	}
-}
-
-// transferItems decodes one migration chunk's items into outbox items,
-// identities preserved. Every item must carry a sequence and belong to
-// the chunk's type, or the whole chunk is refused.
-func transferItems(t *protocol.MigrateTransfer) (items []item, readings int64, err error) {
+// decodeChunk decodes one migration chunk's items into outbox items,
+// identities preserved, and its subscription snapshots. Every item
+// must carry a sequence and belong to the chunk's type, or the whole
+// chunk is refused.
+func decodeChunk(t *protocol.MigrateTransfer) (items []item, subs []*cq.SubSnapshot, readings int64, err error) {
 	items = make([]item, 0, len(t.Items))
 	for i, m := range t.Items {
 		var typ string
@@ -493,50 +309,100 @@ func transferItems(t *protocol.MigrateTransfer) (items []item, readings int64, e
 			err = fmt.Errorf("type %q in a %q transfer", typ, t.TypeName)
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("migrate item %d: %w", i, err)
+			return nil, nil, 0, fmt.Errorf("migrate item %d: %w", i, err)
 		}
 		items = append(items, it)
 	}
-	return items, readings, nil
+	subs = make([]*cq.SubSnapshot, 0, len(t.Subs))
+	for i := range t.Subs {
+		snap, err := cq.DecodeSubSnapshot(t.Subs[i])
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("migrate subscription %d: %w", i, err)
+		}
+		subs = append(subs, snap)
+	}
+	return items, subs, readings, nil
 }
 
-func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
+// recovery is the fog node's half of durable.Core.Recover. The
+// snapshot and every log record are applied to the node as they are
+// read, through the transitions the live path runs; the one step left
+// after the log is the continuous-query settle.
+//
+// A batch's readings are offered to the cq engine as its record is
+// read, as the live ingest offered them, and the threshold windows
+// that fire are held as refires. An own alert seal read later marks
+// its windows emitted and takes them off the refires: they were
+// sealed. Windows still held after the log fired in the first life
+// and lost their seal record with the crash, and settle seals them
+// under fresh sequences, so this life's records cover them.
+func (n *Node) recovery() durable.Recovery {
+	var refired []cq.Alert
+	return durable.Recovery{
+		Snapshot: func(data []byte) error { return n.restoreSnapshot(data, &refired) },
+		Record:   func(rec []byte) error { return n.replayRecord(rec, &refired) },
+		Settle: func() error {
+			n.seedSeq()
+			n.sealAlerts(refired)
+			return nil
+		},
+		Checkpoint: n.Checkpoint,
+	}
+}
+
+// markFired applies the emitted marks of this node's own fires in a
+// recovered alert item to the cq engine, and takes those windows off
+// the refires.
+func (n *Node) markFired(it *item, refired *[]cq.Alert) {
+	if it.kind != transport.KindAlertPush {
+		return
+	}
+	p, err := protocol.DecodeAlertPush(it.payload)
+	if err != nil {
+		return
+	}
+	for _, a := range p.Alerts {
+		if a.FiredBy != n.cfg.Spec.ID {
+			continue
+		}
+		n.cqe.MarkEmitted(a.SubID, a.StartUnix)
+		*refired = slices.DeleteFunc(*refired, func(r cq.Alert) bool { return r.SubID == a.SubID && r.StartUnix == a.StartUnix })
+	}
+}
+
+// restoreSnapshot applies a checkpoint body to the node: counter,
+// marks, outbox items, pending and degrade buffers, subscriptions.
+func (n *Node) restoreSnapshot(data []byte, refired *[]cq.Alert) error {
 	if len(data) == 0 {
 		return nil
 	}
 	if version := data[0]; version != journalVersion {
 		return fmt.Errorf("fognode: unsupported snapshot version %d", version)
 	}
-	rest := data[1:]
-	seqCounter, rest, err := wal.ReadUint64(rest)
+	seqCounter, rest, err := wal.ReadUint64(data[1:])
 	if err != nil {
 		return err
 	}
-	rs.noteSeq(seqCounter)
-	rest, err = wal.ReadMarkSet(rest, func(origin string, seq uint64) {
-		rs.marks = append(rs.marks, markEntry{origin: origin, seq: seq})
-	})
-	if err != nil {
+	n.noteSeq(seqCounter)
+	if rest, err = wal.ReadMarkSet(rest, n.replay.Mark); err != nil {
 		return err
 	}
 	entries, rest, err := wal.ReadUvarint(rest)
 	if err != nil {
 		return err
 	}
+	var fired []item
 	for i := uint64(0); i < entries; i++ {
 		if len(rest) == 0 {
 			return fmt.Errorf("fognode: truncated snapshot entry")
 		}
 		kind := int(rest[0])
-		rest = rest[1:]
 		var seq uint64
-		seq, rest, err = wal.ReadUint64(rest)
-		if err != nil {
+		if seq, rest, err = wal.ReadUint64(rest[1:]); err != nil {
 			return err
 		}
 		var body []byte
-		body, rest, err = wal.ReadBytes(rest)
-		if err != nil {
+		if body, rest, err = wal.ReadBytes(rest); err != nil {
 			return err
 		}
 		switch {
@@ -545,40 +411,52 @@ func decodeNodeSnapshot(data []byte, rs *recoveryState) error {
 			if err != nil {
 				return fmt.Errorf("fognode: snapshot batch: %w", err)
 			}
+			sh := n.shardFor(b.TypeName)
 			if kind == snapEntryPending {
-				rs.typeState(b.TypeName).buffer(b)
+				n.bufferLocked(sh, b)
 			} else {
-				rs.addItem(b.TypeName, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b})
+				n.queueLocked(sh, b.TypeName, item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b})
 			}
 		case kind > snapEntryItem && kind < snapEntryDegraded:
-			if err := rs.addPush(kindTable[kind-snapEntryItem].kind, body); err != nil {
-				return err
+			typ, it, err := pushItem(kindTable[kind-snapEntryItem].kind, body)
+			if err != nil {
+				return fmt.Errorf("fognode: snapshot push: %w", err)
 			}
+			n.queueLocked(n.shardFor(typ), typ, it)
+			fired = append(fired, it)
 		case kind == snapEntryDegraded:
 			var push protocol.SummaryPush
 			if err := protocol.DecodeJSON(body, &push); err != nil {
 				return fmt.Errorf("fognode: snapshot degrade buffer: %w", err)
 			}
-			cat, _ := model.ParseCategory(push.Category)
-			rs.typeState(push.TypeName).degradeBuf(cat).absorb(&push)
+			n.applyAbsorb(n.shardFor(push.TypeName), &push)
 		default:
 			return fmt.Errorf("fognode: unknown snapshot entry kind %d", kind)
 		}
 	}
-	_, err = wal.ReadDocs(rest, func(doc []byte) error {
+	if _, err = wal.ReadDocs(rest, func(doc []byte) error {
 		snap, err := cq.DecodeSubSnapshot(doc)
+		if err == nil {
+			err = n.cqe.Install(*snap)
+		}
 		if err != nil {
 			return fmt.Errorf("fognode: snapshot subscription: %w", err)
 		}
-		rs.snapSubs = append(rs.snapSubs, *snap)
 		return nil
-	})
-	return err
+	}); err != nil {
+		return err
+	}
+	// The subscriptions are in: the fires of the queued alert items
+	// mark their windows now.
+	for i := range fired {
+		n.markFired(&fired[i], refired)
+	}
+	return nil
 }
 
-// applyRecord replays one log record onto the recovery state, the same
-// transition the live path journaled.
-func (rs *recoveryState) applyRecord(rec []byte) error {
+// replayRecord applies one log record to the node through the
+// transition the live path ran after appending it.
+func (n *Node) replayRecord(rec []byte, refired *[]cq.Alert) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("fognode: empty journal record")
 	}
@@ -597,18 +475,10 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("fognode: journal batch: %w", err)
 		}
-		if seq != 0 {
-			// The acceptance carried a delivery mark: restore it with
-			// the batch so a recovered receiver still dedupes the
-			// sender's retry.
-			rs.marks = append(rs.marks, markEntry{origin: origin, seq: seq})
+		if err := n.applyBatch(n.shardFor(b.TypeName), b, origin, seq); err != nil {
+			return fmt.Errorf("fognode %s: recover store: %w", n.cfg.Spec.ID, err)
 		}
-		rs.typeState(b.TypeName).buffer(b)
-		rs.stored = append(rs.stored, b)
-		// Tail batches were accepted after the checkpoint's engine
-		// snapshot, so the cq engine must re-observe them (snapshot
-		// entries must not be — their readings are already folded).
-		rs.observed = append(rs.observed, b)
+		*refired = append(*refired, n.cqe.Observe(b)...)
 	case recSeal:
 		seq, rest, err := wal.ReadUint64(body)
 		if err != nil {
@@ -622,7 +492,7 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.sealPending(typ, seq, int(count))
+		n.applySeal(n.shardFor(typ), typ, seq, int(count))
 	case recPushSeal:
 		if len(body) == 0 || int(body[0]) >= len(kindTable) {
 			return fmt.Errorf("fognode: journal seal of unknown kind")
@@ -631,7 +501,12 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		return rs.addPush(kindTable[body[0]].kind, payload)
+		typ, it, err := pushItem(kindTable[body[0]].kind, payload)
+		if err != nil {
+			return fmt.Errorf("fognode: recovered %s: %w", it.kind, err)
+		}
+		n.applyPushSeal(n.shardFor(typ), typ, it)
+		n.markFired(&it, refired)
 	case recItemCommit:
 		seq, rest, err := wal.ReadUint64(body)
 		if err != nil {
@@ -645,7 +520,7 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.commit(typ, origin, seq)
+		n.applyCommit(n.shardFor(typ), typ, origin, seq)
 	case recShed:
 		count, rest, err := wal.ReadUvarint(body)
 		if err != nil {
@@ -655,7 +530,7 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.shed(rs.typeState(typ), int(count))
+		n.applyShed(n.shardFor(typ), typ, int(count))
 	case recAbsorb:
 		payload, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -665,17 +540,13 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err := protocol.DecodeJSON(payload, &push); err != nil {
 			return fmt.Errorf("fognode: journal summary push: %w", err)
 		}
-		cat, _ := model.ParseCategory(push.Category)
-		rs.typeState(push.TypeName).degradeBuf(cat).absorb(&push)
-		rs.marks = append(rs.marks, markEntry{origin: push.Origin, seq: push.Seq})
+		n.applyAbsorb(n.shardFor(push.TypeName), &push)
 	case recMigrateStart:
 		// An uncommitted handoff keeps its items queued, so the
 		// recovered source still owns them and drains upward — the
 		// shared parent dedupes if the target also absorbed a copy. The
-		// watermark advances the counter past the handoff's reserved
-		// transfer sequences: the target may hold replay marks for
-		// them, and minting one again would get a fresh forward
-		// silently deduped there.
+		// watermark keeps the counter past the handoff's reserved
+		// transfer sequences.
 		_, rest, err := wal.ReadString(body)
 		if err != nil {
 			return err
@@ -688,7 +559,7 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		rs.noteSeq(seqHigh)
+		n.noteSeq(seqHigh)
 	case recMigrateIn:
 		payload, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -703,28 +574,13 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("fognode: journal migrate chunk: %w", err)
 		}
-		items, _, err := transferItems(t)
+		items, subs, _, err := decodeChunk(t)
 		if err != nil {
 			return fmt.Errorf("fognode: journal %w", err)
 		}
-		// Absorbed verbatim, foreign identity preserved; the moved
-		// sequences belong to the source's space, so they do not
-		// advance this node's counter.
-		for _, it := range items {
-			rs.addItem(t.TypeName, it)
-		}
-		for origin, seqs := range t.Marks {
-			for _, seq := range seqs {
-				rs.marks = append(rs.marks, markEntry{origin: origin, seq: seq})
-			}
-		}
-		rs.marks = append(rs.marks, markEntry{origin: t.From, seq: t.TransferSeq})
-		for i := range t.Subs {
-			snap, err := cq.DecodeSubSnapshot(t.Subs[i])
-			if err != nil {
-				return fmt.Errorf("fognode: journal migrate subscription %d: %w", i, err)
-			}
-			rs.subEvents = append(rs.subEvents, subOp{snap: snap})
+		n.applyMigrateIn(n.shardFor(t.TypeName), t, items, subs)
+		for i := range items {
+			n.markFired(&items[i], refired)
 		}
 	case recSubscribe:
 		doc, _, err := wal.ReadBytes(body)
@@ -735,97 +591,15 @@ func (rs *recoveryState) applyRecord(rec []byte) error {
 		if err := json.Unmarshal(doc, &sub); err != nil {
 			return fmt.Errorf("fognode: journal subscription: %w", err)
 		}
-		rs.subEvents = append(rs.subEvents, subOp{sub: sub})
+		return n.cqe.Subscribe(sub)
 	case recUnsubscribe:
 		id, _, err := wal.ReadString(body)
 		if err != nil {
 			return err
 		}
-		rs.subEvents = append(rs.subEvents, subOp{remove: true, id: id})
+		n.cqe.Unsubscribe(id)
 	default:
 		return fmt.Errorf("fognode: unknown journal record type %d", rec[0])
 	}
-	return nil
-}
-
-// recovery is the fog node's half of the durable core's recovery
-// driver: the snapshot and record decoders above and the installation
-// into the shards, sequence counter, replay filter and the store.
-func (n *Node) recovery() durable.Recovery {
-	rs := newRecoveryState()
-	rs.self = n.cfg.Spec.ID
-	rs.degrade = n.cfg.DegradeToSummary
-	return durable.Recovery{
-		Snapshot:   func(data []byte) error { return decodeNodeSnapshot(data, rs) },
-		Record:     rs.applyRecord,
-		Install:    func() error { return n.install(rs) },
-		Checkpoint: n.Checkpoint,
-	}
-}
-
-func (n *Node) install(rs *recoveryState) error {
-	// Continuous-query plane: checkpointed engine state first, then
-	// the tail's subscription ops, then the emitted marks of every
-	// window this node is known to have fired — only then are the
-	// tail's accepted batches re-observed, so a sealed window cannot
-	// refire while an unsealed one (its fire lost with the crash)
-	// legitimately does. Refired alerts are sealed last, once the
-	// recovered outboxes are in place.
-	for i := range rs.snapSubs {
-		if err := n.cqe.Install(rs.snapSubs[i]); err != nil {
-			return err
-		}
-	}
-	for _, op := range rs.subEvents {
-		switch {
-		case op.remove:
-			n.cqe.Unsubscribe(op.id)
-		case op.snap != nil:
-			if err := n.cqe.Install(*op.snap); err != nil {
-				return err
-			}
-		default:
-			if err := n.cqe.Subscribe(op.sub); err != nil {
-				return err
-			}
-		}
-	}
-	for _, m := range rs.alertMarks {
-		n.cqe.MarkEmitted(m.subID, m.start)
-	}
-	var refired []cq.Alert
-	for _, b := range rs.observed {
-		if len(b.Readings) == 0 {
-			continue
-		}
-		refired = append(refired, n.cqe.Observe(b)...)
-	}
-	for typ, tr := range rs.types {
-		sh := n.shardFor(typ)
-		if len(tr.items) > 0 {
-			sh.box(typ).items = tr.items
-		}
-		if tr.pending != nil && len(tr.pending.Readings) > 0 {
-			sh.pending[typ] = tr.pending
-		}
-		if tr.degraded != nil && len(tr.degraded.windows) > 0 {
-			sh.degraded[typ] = tr.degraded
-		}
-	}
-	if rs.sawSeq {
-		n.seq.Store(rs.seqCounter)
-	}
-	for _, m := range rs.marks {
-		n.replay.Mark(m.origin, m.seq)
-	}
-	for _, b := range rs.stored {
-		if err := n.dur.Store(b); err != nil {
-			return fmt.Errorf("fognode %s: recover store: %w", n.cfg.Spec.ID, err)
-		}
-	}
-	// Windows recovery legitimately refired (their seal records were
-	// lost with the crash) are sealed now, so this life's records
-	// cover them.
-	n.sealAlerts(refired)
 	return nil
 }

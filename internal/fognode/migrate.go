@@ -49,6 +49,7 @@ package fognode
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"f2c/internal/cq"
@@ -159,7 +160,7 @@ func (n *Node) migrateOut(ctx context.Context, typ, target string, limit int) er
 		n.sealSummaryLocked(sh, typ, buf)
 	}
 	q.claimed = len(q.items)
-	items := q.items[:q.claimed:q.claimed]
+	items := slices.Clone(q.items) // the commits below drop from q.items
 	sh.mu.Unlock()
 	// Standing subscriptions leave with the type, live window state
 	// included, so a half-built window keeps accumulating on the new
@@ -170,18 +171,14 @@ func (n *Node) migrateOut(ctx context.Context, typ, target string, limit int) er
 	subsMoved, err := n.sendTransfers(ctx, typ, target, items, subs, moved, limit)
 
 	sh.mu.Lock()
-	kept := q.items[:0]
-	for i := range q.items {
-		if i < len(moved) && moved[i] {
+	q.claimed = 0
+	for i := range items {
+		if moved[i] {
 			// Acknowledged by the new owner: no longer this node's
 			// responsibility, and recovery must not resurrect it here.
-			n.commit(typ, &q.items[i])
-		} else {
-			kept = append(kept, q.items[i])
+			n.commitLocked(sh, typ, items[i])
 		}
 	}
-	clear(q.items[len(kept):])
-	q.items, q.claimed = kept, 0
 	if err != nil {
 		n.boundLocked(sh, typ)
 	}
@@ -209,11 +206,18 @@ func (n *Node) sendTransfers(ctx context.Context, typ, target string, items []it
 	me := n.cfg.Spec.ID
 	now := n.cfg.Clock.Now()
 
-	// Seal every item up front; the encoded sizes drive the chunking.
+	// Seal every item up front; the encoded sizes drive the chunking. A
+	// batch is sealed from a copy, since sealing sorts it: a handoff
+	// that fails leaves its items queued in the order the log holds
+	// them, so a later trim cuts the readings replay cuts.
 	sc := n.getScratch()
 	payloads := make([][]byte, len(items))
 	for i := range items {
-		if payloads[i], err = n.sealItem(sc, nil, &items[i], now); err != nil {
+		it := items[i]
+		if it.b != nil {
+			it.b = it.b.Clone()
+		}
+		if payloads[i], err = n.sealItem(sc, nil, &it, now); err != nil {
 			n.putScratch(sc)
 			return false, fmt.Errorf("seal entry: %w", err)
 		}
@@ -343,17 +347,9 @@ func (n *Node) handleMigrate(msg transport.Message) ([]byte, error) {
 		return nil, fmt.Errorf("fognode %s: migrate chunk addressed to %q", me, t.To)
 	}
 	return n.dur.Accept(t.From, t.TransferSeq, func() error {
-		items, readings, err := transferItems(t)
+		items, subs, readings, err := decodeChunk(t)
 		if err != nil {
 			return fmt.Errorf("fognode %s: %w", me, err)
-		}
-		subs := make([]*cq.SubSnapshot, 0, len(t.Subs))
-		for i := range t.Subs {
-			snap, err := cq.DecodeSubSnapshot(t.Subs[i])
-			if err != nil {
-				return fmt.Errorf("fognode %s: migrate subscription %d: %w", me, i, err)
-			}
-			subs = append(subs, snap)
 		}
 		return n.absorbMigrate(t, msg.Payload, items, readings, subs)
 	})
@@ -373,14 +369,27 @@ func (n *Node) absorbMigrate(t *protocol.MigrateTransfer, payload []byte, items 
 		sh.mu.Unlock()
 		return fmt.Errorf("fognode %s: migrate: %w", n.cfg.Spec.ID, err)
 	}
-	q := sh.box(t.TypeName)
-	for _, it := range items {
-		q.put(it)
-	}
+	n.applyMigrateIn(sh, t, items, subs)
 	n.boundLocked(sh, t.TypeName)
-	// Moved subscriptions install with their live window state;
-	// Install merges if this node already watches the type with the
-	// same definition (its own partial windows survive the merge).
+	sh.mu.Unlock()
+	// Receiving a chunk is the ownership handshake: this node owns the
+	// type now, so a stale forwarding route must not bounce it back.
+	n.ClearRoute(t.TypeName)
+	n.migInTransfers.Inc()
+	n.migInReads.Add(readings)
+	return nil
+}
+
+// applyMigrateIn is recMigrateIn's transition: the chunk's items queue
+// verbatim, its subscriptions install with their live window state
+// (Install merges if this node already watches the type with the same
+// definition, so its own partial windows survive), and the chunk's
+// own mark and the moved marks land. The moved sequences belong to
+// their origins' spaces. The caller holds the shard lock.
+func (n *Node) applyMigrateIn(sh *pendingShard, t *protocol.MigrateTransfer, items []item, subs []*cq.SubSnapshot) {
+	for _, it := range items {
+		n.queueLocked(sh, t.TypeName, it)
+	}
 	for _, snap := range subs {
 		_ = n.cqe.Install(*snap)
 	}
@@ -390,13 +399,6 @@ func (n *Node) absorbMigrate(t *protocol.MigrateTransfer, payload []byte, items 
 			n.replay.Mark(origin, seq)
 		}
 	}
-	sh.mu.Unlock()
-	// Receiving a chunk is the ownership handshake: this node owns the
-	// type now, so a stale forwarding route must not bounce it back.
-	n.ClearRoute(t.TypeName)
-	n.migInTransfers.Inc()
-	n.migInReads.Add(readings)
-	return nil
 }
 
 // ingestRouted handles an edge ingest of a type whose ownership
@@ -423,11 +425,10 @@ func (n *Node) ingestRouted(b *model.Batch, target string) error {
 	defer q.sendMu.Unlock()
 
 	sh.mu.Lock()
-	if err := n.journalBatch(b, "", 0); err != nil {
+	if err := n.journalBatch(sh, b, "", 0); err != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("fognode %s: ingest: %w", me, err)
 	}
-	n.bufferLocked(sh, b)
 	it := n.sealPendingLocked(sh, typ, 0)
 	q.claimed = len(q.items)
 	sh.mu.Unlock()
@@ -437,14 +438,11 @@ func (n *Node) ingestRouted(b *model.Batch, target string) error {
 	sh.mu.Lock()
 	q.claimed = 0
 	if err == nil {
-		q.drop(it.origin, it.seq)
+		n.commitLocked(sh, typ, it)
 	} else {
 		n.boundLocked(sh, typ)
 	}
 	sh.mu.Unlock()
-	if err == nil {
-		n.commit(typ, &it)
-	}
 	return nil
 }
 
@@ -479,7 +477,13 @@ func (n *Node) forwardSealed(it *item, target string) error {
 		Class:   transport.ClassMigrate,
 		Payload: wire,
 	}
-	if _, err = n.cfg.Transport.Send(context.Background(), msg); err != nil {
+	// The forward runs under the type's send lock, so a new owner that
+	// never answers must not stall this ingest and every later send of
+	// the type: it gets the deadline a flush gets. A timed-out forward
+	// leaves the item queued under its frozen sequence.
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.FlushInterval)
+	defer cancel()
+	if _, err = n.cfg.Transport.Send(ctx, msg); err != nil {
 		return err
 	}
 	n.migOutTransfers.Inc()

@@ -732,81 +732,147 @@ func migrationRecoveryProperty(t *testing.T, seed int64) {
 }
 
 // TestMigrateJournalReplay exercises the two migration record arms of
-// the journal replay directly, and the refusal of the retired third.
+// replay on a node, and the refusal of the retired third.
 func TestMigrateJournalReplay(t *testing.T) {
 	// recMigrateCommit (type 6) was written before the one-outbox
 	// journal: a log holding one is refused, not half-read.
-	rs := newRecoveryState()
-	for _, seq := range []uint64{100, 101, 102} {
-		rs.typeState("traffic").items = append(rs.typeState("traffic").items,
-			item{kind: transport.KindBatch, b: typedBatch("traffic", t0, float64(seq)), seq: seq})
-	}
-	rec := []byte{6}
-	rec = wal.AppendString(rec, "traffic")
-	rec = wal.AppendUvarint(rec, 1)
-	rec = wal.AppendUint64(rec, 100)
-	if err := rs.applyRecord(rec); err == nil {
+	retired := []byte{6}
+	retired = wal.AppendString(retired, "traffic")
+	retired = wal.AppendUvarint(retired, 1)
+	retired = wal.AppendUint64(retired, 100)
+	if _, err := openNodeAt(writeRecords(t, nil, retired)); err == nil {
 		t.Fatal("a retired migrate-commit record replayed")
 	}
 
-	// recMigrateStart leaves the groups alone but advances the counter
-	// past the handoff's reserved transfer sequences.
+	// recMigrateStart leaves the queued items alone but advances the
+	// counter past the handoff's reserved transfer sequences (above any
+	// random base, so only the record can have put it there).
+	const high = 1<<63 + 150
 	start := []byte{recMigrateStart}
 	start = wal.AppendString(start, "traffic")
 	start = wal.AppendString(start, "fog1/d01-s02")
-	start = wal.AppendUint64(start, 150)
-	if err := rs.applyRecord(start); err != nil {
-		t.Fatal(err)
+	start = wal.AppendUint64(start, high)
+	seal3 := func(n *Node) {
+		if err := n.Ingest(typedBatch("traffic", t0, 100, 101, 102)); err != nil {
+			t.Fatal(err)
+		}
+		sh := n.shardFor("traffic")
+		sh.mu.Lock()
+		n.sealPendingLocked(sh, "traffic", 1)
+		sh.mu.Unlock()
 	}
-	if len(rs.types["traffic"].items) != 3 {
-		t.Fatal("migrate start changed the recovered groups")
-	}
-	if rs.seqCounter != 150 {
-		t.Fatalf("seq counter = %d, want 150 (migrate start watermark)", rs.seqCounter)
-	}
-
-	// recMigrateIn re-absorbs the chunk's entries and marks verbatim.
-	b := typedBatch("traffic", t0, 7, 8)
-	b.NodeID = "fog1/d01-s01"
-	payload, err := (&protocol.Sealer{}).SealSeq(nil, b, aggregate.CodecNone, 55)
+	n, err := openNodeAt(writeRecords(t, seal3, start))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &protocol.MigrateTransfer{
-		TypeName: "traffic", From: "fog1/d01-s01", To: "fog1/d01-s02", TransferSeq: 77,
+	if got := len(n.shardFor("traffic").outbox["traffic"].items); got != 3 {
+		t.Fatalf("migrate start changed the recovered outbox: %d items, want 3", got)
+	}
+	if got := n.seq.Load(); got != high {
+		t.Fatalf("seq counter = %d, want %d (migrate start watermark)", got, uint64(high))
+	}
+	n.Discard()
+
+	// recMigrateIn re-absorbs the chunk's items and marks verbatim; the
+	// foreign sequence, though higher, does not advance the counter.
+	b := typedBatch("traffic", t0, 7, 8)
+	b.NodeID = "fog1/d01-s03"
+	payload, err := (&protocol.Sealer{}).SealSeq(nil, b, aggregate.CodecNone, high+350)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := protocol.EncodeMigrateTransfer(&protocol.MigrateTransfer{
+		TypeName: "traffic", From: "fog1/d01-s03", To: fog1Spec().ID, TransferSeq: 77,
 		Items: []protocol.MigrateItem{{Kind: byte(rank(transport.KindBatch)), Payload: payload}},
 		Marks: map[string][]uint64{"edge/e1": {9}},
-	}
-	wire, err := protocol.EncodeMigrateTransfer(tr)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []byte{recMigrateIn}
-	in = wal.AppendBytes(in, wire)
-	rs2 := newRecoveryState()
-	if err := rs2.applyRecord(in); err != nil {
+	in := wal.AppendBytes([]byte{recMigrateIn}, wire)
+	if n, err = openNodeAt(writeRecords(t, nil, start, in)); err != nil {
 		t.Fatal(err)
 	}
-	groups := rs2.types["traffic"].items
-	if len(groups) != 1 || groups[0].seq != 55 || groups[0].b.NodeID != "fog1/d01-s01" {
-		t.Fatalf("replayed absorb groups = %+v, want one foreign batch at seq 55", groups)
+	defer n.Discard()
+	items := n.shardFor("traffic").outbox["traffic"].items
+	if len(items) != 1 || items[0].seq != high+350 || items[0].origin != "fog1/d01-s03" || len(items[0].b.Readings) != 2 {
+		t.Fatalf("replayed absorb queued %+v, want one foreign batch at seq %d", items, uint64(high+350))
 	}
-	wantMarks := map[markEntry]bool{
-		{origin: "edge/e1", seq: 9}:       false,
-		{origin: "fog1/d01-s01", seq: 77}: false,
+	marks := n.replay.Dump()
+	if fmt.Sprint(marks["edge/e1"]) != "[9]" || fmt.Sprint(marks["fog1/d01-s03"]) != "[77]" {
+		t.Errorf("replayed absorb marks = %v, want edge/e1 9 and fog1/d01-s03 77", marks)
 	}
-	for _, m := range rs2.marks {
-		if _, ok := wantMarks[m]; ok {
-			wantMarks[m] = true
+	if got := n.seq.Load(); got != high {
+		t.Errorf("absorbed foreign sequences moved the counter to %d, want %d", got, uint64(high))
+	}
+}
+
+// writeRecords opens a durable node on a fresh dir, runs live on it,
+// appends the raw records, and crashes it, returning the dir.
+func writeRecords(t *testing.T, live func(*Node), recs ...[]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	n := newDurableNode(t, dir, nil, 0)
+	if live != nil {
+		live(n)
+	}
+	for _, rec := range recs {
+		if err := n.dur.Journal.Write(func(buf []byte) []byte { return append(buf, rec...) }); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for m, seen := range wantMarks {
-		if !seen {
-			t.Errorf("replayed absorb missing mark %+v", m)
+	n.Discard()
+	return dir
+}
+
+// silentOwner is a new owner that keeps the connection open and never
+// answers: its sends block until the caller's context ends. The parent
+// acknowledges everything.
+type silentOwner struct {
+	mu        sync.Mutex
+	delivered int
+}
+
+func (s *silentOwner) Send(ctx context.Context, msg transport.Message) ([]byte, error) {
+	if msg.Kind == transport.KindMigrate {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	s.mu.Lock()
+	s.delivered++
+	s.mu.Unlock()
+	return []byte("ok"), nil
+}
+
+// TestRoutedIngestNoHangOnStuckOwner: the forward of a routed edge
+// ingest runs under its type's send lock. An owner that never answers
+// must cost the ingest at most the flush deadline, and a later send of
+// the type must go through, delivering the forwarded item that stayed
+// queued.
+func TestRoutedIngestNoHangOnStuckOwner(t *testing.T) {
+	owner := &silentOwner{}
+	n, err := New(Config{Spec: fog1Spec(), Clock: sim.NewVirtualClock(t0), Transport: owner,
+		Codec: aggregate.CodecNone, FlushInterval: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetRoute("traffic", "fog1/d01-s02")
+	done := make(chan error, 2)
+	go func() {
+		done <- n.Ingest(typedBatch("traffic", t0, 1, 2))
+		done <- n.Flush(context.Background())
+	}()
+	for _, step := range []string{"routed ingest", "later flush"} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s hung on an owner that never answers", step)
 		}
 	}
-	// Foreign sequences must not advance this node's counter.
-	if rs2.sawSeq {
-		t.Errorf("absorbed foreign sequences advanced the local counter to %d", rs2.seqCounter)
+	if owner.delivered != 1 || n.PendingBatches() != 0 {
+		t.Errorf("parent got %d sends, %d batches still pending; want the forwarded item delivered once", owner.delivered, n.PendingBatches())
 	}
 }

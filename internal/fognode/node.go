@@ -334,13 +334,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.dur, n.store = dur, dur.Series
 	n.shardMask = uint32(len(n.shards) - 1)
-	// Delivery sequences start at a random per-process base: a
-	// restarted node must not reuse its predecessor's sequences, or
-	// the parent's replay filter (which remembers the old process
-	// under the same origin) would falsely dedupe the new process's
-	// first batches. The base is halved for overflow headroom and
-	// forced nonzero (sequence 0 means "unidentified").
-	n.seq.Store(rand.Uint64()>>1 | 1)
 	reg := cfg.Registry
 	prefix := cfg.Spec.ID + "."
 	n.ingestedBatches = reg.Counter(prefix + "ingest.batches")
@@ -380,7 +373,25 @@ func New(cfg Config) (*Node, error) {
 	if err := dur.Recover(n.recovery()); err != nil {
 		return nil, fmt.Errorf("fognode %s: %w", cfg.Spec.ID, err)
 	}
+	n.seedSeq()
 	return n, nil
+}
+
+// seedSeq starts the delivery sequences at a random per-process base
+// unless recovery set the counter from the journal: a restarted node
+// must not reuse its predecessor's sequences, or the parent's replay
+// filter (which remembers the old process under the same origin)
+// would falsely dedupe the new process's first batches. The base is
+// halved for overflow headroom and forced nonzero (sequence 0 means
+// "unidentified").
+func (n *Node) seedSeq() { n.seq.CompareAndSwap(0, rand.Uint64()>>1|1) }
+
+// noteSeq keeps the counter at or past one of this node's own
+// sequences — a no-op on the live path, which minted it, and how
+// replay restores the counter.
+func (n *Node) noteSeq(seq uint64) {
+	for cur := n.seq.Load(); cur < seq && !n.seq.CompareAndSwap(cur, seq); cur = n.seq.Load() {
+	}
 }
 
 // ID returns the node identifier.
@@ -485,14 +496,27 @@ func (n *Node) ingest(b *model.Batch, origin string, seq uint64) error {
 func (n *Node) enqueue(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := n.journalBatch(b, origin, seq); err != nil {
+	if err := n.journalBatch(sh, b, origin, seq); err != nil {
 		return fmt.Errorf("fognode %s: ingest: %w", n.cfg.Spec.ID, err)
 	}
-	n.replay.Mark(origin, seq)
-	n.bufferLocked(sh, b)
 	if n.cfg.MaxPendingReadings > 0 { // the one bound an ingest can cross
 		n.boundLocked(sh, b.TypeName)
 	}
+	return nil
+}
+
+// applyBatch is recBatch's transition: on a durable node the store
+// append the record is the log of, then the delivery mark and the
+// pending buffer. The caller holds the shard lock and, live, the
+// record's journal mutex.
+func (n *Node) applyBatch(sh *pendingShard, b *model.Batch, origin string, seq uint64) error {
+	if n.dur.Journal != nil {
+		if err := n.dur.Store(b); err != nil {
+			return err
+		}
+	}
+	n.replay.Mark(origin, seq)
+	n.bufferLocked(sh, b)
 	return nil
 }
 
@@ -508,59 +532,123 @@ func (n *Node) bufferLocked(sh *pendingShard, b *model.Batch) {
 	sh.pending[b.TypeName] = cp
 }
 
-// sealLocked freezes an item onto its type's outbox, journaling the
-// seal first. For an item absorbed from another node the journal
+// sealLocked freezes a push item onto its type's outbox, journaling
+// the seal first. For an item absorbed from another node the journal
 // append is the acceptance gate (gate set: a failure rejects the item
 // and the sender retries); for this node's own seals it is best
 // effort — a lost record degrades toward re-delivery under a fresh
 // sequence, or a refired window, which the receiver's dedup absorbs,
 // never toward loss. The caller holds the shard lock.
 func (n *Node) sealLocked(sh *pendingShard, typ string, it item, gate bool) error {
-	if rec := sealRecord(typ, &it); !gate {
+	if rec := pushSealRecord(&it); !gate {
 		n.dur.Journal.Note(rec)
 	} else if err := n.dur.Journal.Write(rec); err != nil {
 		return err
 	}
-	sh.box(typ).put(it)
+	n.applyPushSeal(sh, typ, it)
 	return nil
+}
+
+// applyPushSeal is recPushSeal's transition. Sealing this node's own
+// summary empties the degrade buffer it froze; a push absorbed from
+// another node lands with its delivery mark.
+func (n *Node) applyPushSeal(sh *pendingShard, typ string, it item) {
+	if it.origin == n.cfg.Spec.ID {
+		if it.kind == transport.KindSummaryPush {
+			delete(sh.degraded, typ)
+		}
+	} else {
+		n.replay.Mark(it.origin, it.seq)
+	}
+	n.queueLocked(sh, typ, it)
+}
+
+// queueLocked queues an item behind its rank — or, an alert fold's
+// re-seal, in place of the queued push of the same (kind, origin,
+// seq) — keeping the counter past the item's sequence when it is
+// this node's own. The caller holds the shard lock.
+func (n *Node) queueLocked(sh *pendingShard, typ string, it item) {
+	if it.origin == n.cfg.Spec.ID {
+		n.noteSeq(it.seq)
+	}
+	q := sh.box(typ)
+	if it.kind == transport.KindAlertPush {
+		for i := range q.items {
+			if p := &q.items[i]; p.kind == it.kind && p.origin == it.origin && p.seq == it.seq {
+				*p = it
+				return
+			}
+		}
+	}
+	q.put(it)
 }
 
 // sealPendingLocked freezes a type's pending buffer as one batch item,
 // or as a run of items of at most size readings (size > 0: the
 // adaptive controller's current batch size), each under its own fresh
-// sequence. The seal record lands in the journal strictly after the
+// sequence. Each seal record lands in the journal strictly after the
 // acceptance records it covers and before any later ingest of the
-// type; replay peels the same runs off the recovered buffer's head.
-// Returns the last item sealed. The caller holds the shard lock.
+// type. Returns the last item sealed. The caller holds the shard lock.
 func (n *Node) sealPendingLocked(sh *pendingShard, typ string, size int) (last item) {
-	p, ok := sh.pending[typ]
-	if !ok {
-		return last
-	}
-	delete(sh.pending, typ)
-	if size <= 0 || size > len(p.Readings) {
-		size = len(p.Readings)
-	}
-	for start := 0; start < len(p.Readings); start += size {
-		end := min(start+size, len(p.Readings))
-		cb := p
-		if end-start < len(p.Readings) {
-			chunk := *p
-			chunk.Readings = p.Readings[start:end:end]
-			cb = &chunk
+	for p := sh.pending[typ]; p != nil; p = sh.pending[typ] {
+		count := len(p.Readings)
+		if size > 0 {
+			count = min(count, size)
 		}
-		last = item{kind: transport.KindBatch, origin: p.NodeID, seq: n.seq.Add(1), class: p.Category.String(), b: cb}
-		_ = n.sealLocked(sh, typ, last, false)
+		seq := n.seq.Add(1)
+		n.dur.Journal.Note(sealRecord(typ, seq, count))
+		last = n.applySeal(sh, typ, seq, count)
 	}
 	return last
 }
 
-// commit journals that an item is no longer this node's
+// applySeal is recSeal's transition: the head count readings of a
+// type's pending buffer freeze under seq as one batch item. The
+// caller holds the shard lock.
+func (n *Node) applySeal(sh *pendingShard, typ string, seq uint64, count int) item {
+	n.noteSeq(seq)
+	p := sh.pending[typ]
+	if p == nil {
+		return item{} // a seal of an empty buffer freezes nothing
+	}
+	b := p
+	if count < len(p.Readings) {
+		head := *p
+		head.Readings = p.Readings[:count:count]
+		p.Readings = p.Readings[count:]
+		b = &head
+	} else {
+		delete(sh.pending, typ)
+	}
+	it := item{kind: transport.KindBatch, origin: b.NodeID, seq: seq, class: b.Category.String(), b: b}
+	sh.box(typ).put(it)
+	return it
+}
+
+// commitLocked journals that an item is no longer this node's
 // responsibility — acknowledged upward, handed to a new owner, or
-// dropped by its overflow policy — so recovery does not resurrect it.
-// Best effort: a lost record degrades toward re-delivery.
-func (n *Node) commit(typ string, it *item) {
+// dropped by its overflow policy — and drops it, so recovery does not
+// resurrect it. Best effort: a lost record degrades toward
+// re-delivery. The caller holds the shard lock.
+func (n *Node) commitLocked(sh *pendingShard, typ string, it item) {
 	n.journalCommit(typ, it.origin, it.seq)
+	n.applyCommit(sh, typ, it.origin, it.seq)
+}
+
+// applyCommit is recItemCommit's transition: the item with the
+// delivery identity leaves its outbox (a record written before
+// commits carried an origin has none and matches by sequence alone).
+// The sequence was this node's own even if its seal record was lost,
+// so the counter stays past it: a fresh item must never reuse a
+// sequence the parent already marked, which would be silently deduped
+// there — loss, not re-delivery. The caller holds the shard lock.
+func (n *Node) applyCommit(sh *pendingShard, typ, origin string, seq uint64) {
+	if origin == "" || origin == n.cfg.Spec.ID {
+		n.noteSeq(seq)
+	}
+	if q := sh.outbox[typ]; q != nil {
+		q.drop(origin, seq)
+	}
 }
 
 // boundLocked enforces the overflow policy of every kind (see
@@ -577,26 +665,24 @@ func (n *Node) boundLocked(sh *pendingShard, typ string) {
 		if err := protocol.DecodeJSON(q.items[lo].payload, &push); err == nil {
 			n.shedReads.Add(push.Readings())
 		}
-		n.commit(typ, &q.items[lo])
-		q.remove(lo)
+		n.commitLocked(sh, typ, q.items[lo])
 	}
 	for lo, hi := q.span(transport.KindAlertPush); hi-lo > maxParkedPushes; hi-- {
-		n.foldAlertLocked(typ, q, lo)
+		n.foldAlertLocked(sh, typ, q, lo)
 	}
 }
 
 // boundReadingsLocked trims a type's buffered readings to max, oldest
 // first: the heads of the parked batch items, then the pending
 // buffer's head — never the outbox's head item, which may already have
-// reached the parent (trimOldest), so the bound can trim less. Without DegradeToSummary the trimmed readings are
-// shed; those trimmed from parked items are additionally counted as
-// DroppedDuringOutage: they were lost because the parent stayed
-// unreachable past the buffer budget, the signal operators alarm on.
-// With DegradeToSummary they fold into the type's degrade buffer
-// instead (resolution lost, counts preserved). The trim is journaled
-// (best effort: losing the record degrades toward re-delivery, never
-// toward loss) so recovery repeats it — dropping the same readings, or
-// folding them into the recovered degrade buffer.
+// reached the parent (trimOldest), so the bound can trim less. Without
+// DegradeToSummary the trimmed readings are shed; those trimmed from
+// parked items are additionally counted as DroppedDuringOutage: they
+// were lost because the parent stayed unreachable past the buffer
+// budget, the signal operators alarm on. With DegradeToSummary they
+// fold into the type's degrade buffer instead (resolution lost, counts
+// preserved). The trim is journaled (best effort: losing the record
+// degrades toward re-delivery, never toward loss).
 func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max int) {
 	p := sh.pending[typ]
 	total := 0
@@ -611,19 +697,35 @@ func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max 
 		return
 	}
 	n.journalShed(typ, drop)
-	q.trimOldest(p, drop, func(b *model.Batch, k int, parked bool) {
+	trimmed, parked := n.applyShed(sh, typ, drop)
+	if n.cfg.DegradeToSummary {
+		n.degradedReads.Add(trimmed)
+	} else {
+		n.shedReads.Add(trimmed)
+		n.outageDrops.Add(parked)
+	}
+}
+
+// applyShed is recShed's transition: the oldest drop readings behind
+// the outbox's head are trimmed and dropped or, on a degrading node,
+// folded into the type's degrade buffer. It reports how many it
+// trimmed and how many of those came from parked items, for the live
+// path's counters. The caller holds the shard lock.
+func (n *Node) applyShed(sh *pendingShard, typ string, drop int) (trimmed, parked int64) {
+	p := sh.pending[typ]
+	sh.box(typ).trimOldest(p, drop, func(b *model.Batch, k int, isParked bool) {
 		if n.cfg.DegradeToSummary {
-			n.degradeLocked(sh, typ, b.Category, b.Readings[:k])
-			return
+			sh.degradeBufLocked(typ, b.Category).foldAll(b.Readings[:k])
 		}
-		n.shedReads.Add(int64(k))
-		if parked {
-			n.outageDrops.Add(int64(k))
+		trimmed += int64(k)
+		if isParked {
+			parked += int64(k)
 		}
 	})
 	if p != nil && len(p.Readings) == 0 {
 		delete(sh.pending, typ)
 	}
+	return trimmed, parked
 }
 
 // ShedReadings reports how many buffered readings were dropped under
@@ -927,9 +1029,8 @@ func (n *Node) drain(ctx context.Context, typ string, now time.Time, sc *flushSc
 			n.flushErrors.Inc()
 			return fmt.Errorf("fognode %s: flush %s: %w", n.cfg.Spec.ID, typ, err)
 		}
-		q.remove(0)
+		n.commitLocked(sh, typ, it)
 		sh.mu.Unlock()
-		n.commit(typ, &it)
 	}
 	return nil
 }

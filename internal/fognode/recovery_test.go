@@ -292,11 +292,11 @@ func TestCheckpointKeepsDeliveryMarks(t *testing.T) {
 		{transport.KindSummaryPush, func(n *Node) error { return n.absorbSummaryPush(&summary, summaryDoc) }, summaryDoc, degraded},
 		{transport.KindAlertPush, func(n *Node) error { return n.absorbAlertPush(alert, alertDoc) }, alertDoc, (*Node).PendingBatches},
 		{transport.KindMigrate, func(n *Node) error {
-			items, readings, err := transferItems(chunk)
+			items, subs, readings, err := decodeChunk(chunk)
 			if err != nil {
 				return err
 			}
-			return n.absorbMigrate(chunk, chunkDoc, items, readings, nil)
+			return n.absorbMigrate(chunk, chunkDoc, items, readings, subs)
 		}, chunkDoc, (*Node).PendingReadings},
 	} {
 		t.Run(string(tc.kind), func(t *testing.T) {
@@ -333,19 +333,21 @@ func TestCheckpointKeepsDeliveryMarks(t *testing.T) {
 // used even when its seal record is missing (a dropped best-effort
 // append), so replay must still keep the recovered counter past it —
 // otherwise a fresh batch could reuse the sequence and be silently
-// deduped by the parent.
+// deduped by the parent. The sequence is above any random base, so
+// only the commit can have put the counter there.
 func TestRecoveryCommitAdvancesSequenceCounter(t *testing.T) {
-	rs := newRecoveryState()
-	rs.self = fog1Spec().ID
+	const orphan = 1<<63 + 9001
 	rec := []byte{recItemCommit}
-	rec = wal.AppendUint64(rec, 9001)
-	rec = wal.AppendString(rec, rs.self)
+	rec = wal.AppendUint64(rec, orphan)
+	rec = wal.AppendString(rec, fog1Spec().ID)
 	rec = wal.AppendString(rec, "traffic")
-	if err := rs.applyRecord(rec); err != nil {
+	n, err := openNodeAt(writeRecords(t, nil, rec))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !rs.sawSeq || rs.seqCounter < 9001 {
-		t.Errorf("recovered seq counter = %d (saw=%v), want >= 9001 from the orphan commit", rs.seqCounter, rs.sawSeq)
+	defer n.Discard()
+	if got := n.seq.Load(); got < orphan {
+		t.Errorf("recovered seq counter = %d, want >= %d from the orphan commit", got, uint64(orphan))
 	}
 }
 

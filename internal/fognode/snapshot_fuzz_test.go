@@ -10,6 +10,7 @@ import (
 	"f2c/internal/cq"
 	"f2c/internal/model"
 	"f2c/internal/protocol"
+	"f2c/internal/sim"
 	"f2c/internal/transport"
 )
 
@@ -145,9 +146,21 @@ func shardIndex(typ string, n int) int {
 	return int(h) & (n - 1)
 }
 
+// restoredNode applies a snapshot body to a fresh in-RAM node.
+func restoredNode(t *testing.T, data []byte) (*Node, error) {
+	n, err := New(Config{Spec: fog1Spec(), Clock: sim.NewVirtualClock(t0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New seeded the counter at a random base; zero it, so what the
+	// restored counter holds came from the snapshot.
+	n.seq.Store(0)
+	return n, n.restoreSnapshot(data, new([]cq.Alert))
+}
+
 // FuzzSnapshotRoundTrip proves the snapshot codec is lossless over the
-// delivery state and size-bounded, and that decoding arbitrary bytes
-// never panics.
+// delivery state and size-bounded, and that restoring arbitrary bytes
+// into a node never panics.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(42), []byte{journalVersion})
@@ -160,9 +173,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seed int64, raw []byte) {
 		// Arbitrary bytes: must error or succeed, never panic.
-		if err := decodeNodeSnapshot(raw, newRecoveryState()); err != nil {
-			_ = err
-		}
+		_, _ = restoredNode(t, raw)
 
 		shards, seqCounter, marks, subs := genShardState(seed)
 		data, err := encodeNodeSnapshot(nil, seqCounter, marks, shards, subs)
@@ -205,19 +216,16 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				len(data), bound, entries, readings, markCount)
 		}
 
-		rs := newRecoveryState()
-		if err := decodeNodeSnapshot(data, rs); err != nil {
-			t.Fatalf("decode of a well-formed snapshot failed: %v", err)
+		n, err := restoredNode(t, data)
+		if err != nil {
+			t.Fatalf("restore of a well-formed snapshot failed: %v", err)
 		}
-		if !rs.sawSeq || rs.seqCounter < seqCounter {
-			t.Fatalf("seq counter = %d (saw=%v), want >= %d", rs.seqCounter, rs.sawSeq, seqCounter)
+		if got := n.seq.Load(); got < seqCounter {
+			t.Fatalf("seq counter = %d, want >= %d", got, seqCounter)
 		}
 
-		// Marks: same multiset per origin, in order.
-		got := make(map[string][]uint64)
-		for _, m := range rs.marks {
-			got[m.origin] = append(got[m.origin], m.seq)
-		}
+		// Marks: same sequences per origin, in order.
+		got := n.replay.Dump()
 		for origin, want := range marks {
 			if len(got[origin]) != len(want) {
 				t.Fatalf("origin %s: %d marks, want %d", origin, len(got[origin]), len(want))
@@ -237,12 +245,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			// position under its (kind, seq), batches with their
 			// readings and alert pushes with their instances intact.
 			for typ, q := range sh.outbox {
-				tr := rs.types[typ]
-				if tr == nil || len(tr.items) != len(q.items) {
-					t.Fatalf("type %s: recovered %v items, want %d", typ, tr, len(q.items))
+				rq := n.shardFor(typ).outbox[typ]
+				if rq == nil || len(rq.items) != len(q.items) {
+					t.Fatalf("type %s: recovered %v, want %d items", typ, rq, len(q.items))
 				}
 				for gi, want := range q.items {
-					got := tr.items[gi]
+					got := rq.items[gi]
 					if got.kind != want.kind || got.seq != want.seq {
 						t.Fatalf("type %s item %d = (%s, %d), want (%s, %d)", typ, gi, got.kind, got.seq, want.kind, want.seq)
 					}
@@ -258,33 +266,34 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				}
 			}
 			for typ, p := range sh.pending {
-				tr := rs.types[typ]
-				if tr == nil || tr.pending == nil {
+				rp := n.shardFor(typ).pending[typ]
+				if rp == nil {
 					t.Fatalf("type %s: pending buffer lost", typ)
 				}
-				assertSameReadings(t, typ, tr.pending.Readings, p.Readings)
+				assertSameReadings(t, typ, rp.Readings, p.Readings)
 			}
 			for typ, buf := range sh.degraded {
-				tr := rs.types[typ]
-				if tr == nil || tr.degraded == nil || tr.degraded.category != buf.category || len(tr.degraded.windows) != len(buf.windows) {
+				rd := n.shardFor(typ).degraded[typ]
+				if rd == nil || rd.category != buf.category || len(rd.windows) != len(buf.windows) {
 					t.Fatalf("type %s: degrade buffer lost or reshaped", typ)
 				}
 				for ws, want := range buf.windows {
-					if got := tr.degraded.windows[ws]; got != want {
+					if got := rd.windows[ws]; got != want {
 						t.Fatalf("type %s degrade window %d = %+v, want %+v", typ, ws, got, want)
 					}
 				}
 			}
 		}
-		if len(rs.snapSubs) != len(subs) {
-			t.Fatalf("recovered %d subscriptions, want %d", len(rs.snapSubs), len(subs))
+		installed := n.cqe.Snapshot() // sorted by ID, as genShardState numbers them
+		if len(installed) != len(subs) {
+			t.Fatalf("recovered %d subscriptions, want %d", len(installed), len(subs))
 		}
 		for i := range subs {
-			if rs.snapSubs[i].Sub != subs[i].Sub {
-				t.Fatalf("subscription %d = %+v, want %+v", i, rs.snapSubs[i].Sub, subs[i].Sub)
+			if installed[i].Sub != subs[i].Sub {
+				t.Fatalf("subscription %d = %+v, want %+v", i, installed[i].Sub, subs[i].Sub)
 			}
-			if rs.snapSubs[i].Watermark != subs[i].Watermark || len(rs.snapSubs[i].Panes) != len(subs[i].Panes) {
-				t.Fatalf("subscription %d state mismatch: %+v vs %+v", i, rs.snapSubs[i], subs[i])
+			if installed[i].Watermark != subs[i].Watermark || len(installed[i].Panes) != len(subs[i].Panes) {
+				t.Fatalf("subscription %d state mismatch: %+v vs %+v", i, installed[i], subs[i])
 			}
 		}
 	})

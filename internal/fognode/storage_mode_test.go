@@ -11,6 +11,7 @@ import (
 
 	"f2c/internal/aggregate"
 	"f2c/internal/durable"
+	"f2c/internal/model"
 	"f2c/internal/segment"
 	"f2c/internal/sim"
 	"f2c/internal/wal"
@@ -186,4 +187,94 @@ func TestPreV3MigrationChunkRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectRefused(t, dir, "migration chunk version 2", "previous binary", "refused, left as it is")
+}
+
+// TestRefusedRecoveryWritesNothing: replay hands each batch record to
+// the store as it reads it, so a log with many batches ahead of a
+// record it refuses (here a retired type 3) fills a small memtable
+// before the refusal. The store's flusher is held until recovery
+// succeeds: the refused open writes no segment and no manifest.
+func TestRefusedRecoveryWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	open := func(storage segment.Options) (*Node, error) {
+		return New(Config{
+			Spec:       fog1Spec(),
+			Clock:      sim.NewVirtualClock(t0),
+			Codec:      aggregate.CodecNone,
+			Durability: &wal.Config{Dir: dir, SnapshotEvery: -1},
+			Storage:    &storage,
+		})
+	}
+	n, err := open(segment.Options{NoBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 50 {
+		if err := n.Ingest(typedBatch("traffic", t0.Add(time.Duration(i)*time.Second), 1, 2, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Discard()
+
+	st, err := wal.Open(wal.Config{Dir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append([]byte{3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	if _, err := open(segment.Options{MemtableBytes: 1}); err == nil || !strings.Contains(err.Error(), "record type 3") {
+		t.Fatalf("open = %v, want the retired record refused", err)
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("the refused boot changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
+// TestUnwireableStringsRefused: the journal logs accepted batches as
+// the text wire, which cannot carry ';' or a line break in a string
+// field. A durable node must refuse such a batch rather than ack it:
+// acked, its record would refuse the dir at the next open, or reopen
+// with the string altered.
+func TestUnwireableStringsRefused(t *testing.T) {
+	dir := t.TempDir()
+	n, err := openNodeAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range []func(b *model.Batch){
+		func(b *model.Batch) { b.Readings[0].SensorID = "a;b" },
+		func(b *model.Batch) { b.Readings[0].SensorID = "x\ny" },
+		func(b *model.Batch) { b.Readings[0].SensorID = "\nlead" },
+		func(b *model.Batch) { b.Readings[0].Unit = "u\r" },
+		func(b *model.Batch) { b.NodeID = "edge;1" },
+		func(b *model.Batch) {
+			b.TypeName = "traffic\n"
+			for i := range b.Readings {
+				b.Readings[i].TypeName = b.TypeName
+			}
+		},
+	} {
+		b := typedBatch("traffic", t0, 1, 2)
+		bad(b)
+		if err := n.Ingest(b); err == nil {
+			t.Errorf("batch %d acked", i)
+		}
+	}
+	if err := n.Ingest(typedBatch("traffic", t0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	n.Discard()
+	re, err := openNodeAt(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Discard()
+	if got := pendingValues(re, "traffic"); len(got) != 1 || got[0] != 3 {
+		t.Errorf("reopened pending values %v, want only the good reading", got)
+	}
 }

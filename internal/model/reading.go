@@ -79,8 +79,24 @@ func (r Reading) Validate() error {
 		return fmt.Errorf("reading %s: invalid category %d", r.SensorID, int(r.Category))
 	case r.Time.IsZero():
 		return fmt.Errorf("reading %s: zero timestamp", r.SensorID)
+	case !wireSafe(r.SensorID) || !wireSafe(r.TypeName) || !wireSafe(r.Unit):
+		return fmt.Errorf("reading %q: a string field holds ';' or a line break", r.SensorID)
 	}
 	return nil
+}
+
+// wireSafe reports whether s holds none of the bytes the text wire
+// delimits with: ';' between fields, line breaks between readings. The
+// journal and the upward hops carry batches as that text, so a string
+// holding one would be acknowledged and then fail to open, or open
+// altered.
+func wireSafe(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == ';' || c == '\n' || c == '\r' {
+			return false
+		}
+	}
+	return true
 }
 
 // Batch is a set of readings of one sensor type collected by one fog
@@ -121,6 +137,9 @@ func (b *Batch) Validate() error {
 	}
 	if b.TypeName == "" {
 		return fmt.Errorf("batch from %s: empty type", b.NodeID)
+	}
+	if !wireSafe(b.NodeID) || !wireSafe(b.TypeName) {
+		return fmt.Errorf("batch from %q: its node id or type holds ';' or a line break", b.NodeID)
 	}
 	for i := range b.Readings {
 		if err := b.Readings[i].Validate(); err != nil {

@@ -319,3 +319,80 @@ func TestAggregateDetailedNoLeakOnStuckOwner(t *testing.T) {
 	close(tr.release)
 	waitGoroutines(t, before)
 }
+
+// TestLatestNoHangOnStuckCloud: after a local miss the point read asks
+// the cloud. A cloud blocked in a context-ignoring Send fails the read
+// at FanoutTimeout instead of holding it, and the stuck goroutine
+// drains after release.
+func TestLatestNoHangOnStuckCloud(t *testing.T) {
+	tr := &stuckTransport{release: make(chan struct{}), stuck: map[string]bool{"cloud": true}}
+	eng, err := query.New(query.Config{
+		Self: "fog1/a", Transport: tr, CloudID: "cloud", Local: nopStore{},
+		FanoutTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := eng.Latest(context.Background(), "s1")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Latest over a stuck cloud: err = %v, want the deadline", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Latest hung on a cloud blocked in Send past FanoutTimeout")
+	}
+	if tr.blockedSends() == 0 {
+		t.Fatal("test harness bug: the stuck cloud never reached the blocking path")
+	}
+	close(tr.release)
+	waitGoroutines(t, before)
+}
+
+// TestAggregateNoHangOnStuckCloud: one district owner and the cloud
+// both block in a context-ignoring Send. The cloud fallback fails at
+// FanoutTimeout, so AggregateDetailed falls through to the partial
+// merge of the district that answered, naming the stuck one, and the
+// stuck goroutines drain after release.
+func TestAggregateNoHangOnStuckCloud(t *testing.T) {
+	tr := &stuckTransport{release: make(chan struct{}), stuck: map[string]bool{"fog2/blocked": true, "cloud": true}}
+	eng, err := query.New(query.Config{
+		Self: "fog1/a", Transport: tr, Districts: []string{"fog2/ok", "fog2/blocked"}, CloudID: "cloud",
+		Local: nopStore{}, FanoutTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	type answer struct {
+		res query.AggregateResult
+		err error
+	}
+	done := make(chan answer, 1)
+	now := time.Now()
+	go func() {
+		res, err := eng.AggregateDetailed(context.Background(), "traffic", now.Add(-time.Minute), now)
+		done <- answer{res, err}
+	}()
+	select {
+	case a := <-done:
+		if a.err != nil {
+			t.Fatalf("AggregateDetailed: %v", a.err)
+		}
+		if !a.res.Partial || a.res.Summary.Count != 3 || len(a.res.Missing) != 1 || a.res.Missing[0] != "fog2/blocked" {
+			t.Fatalf("AggregateDetailed = %+v, want the partial of fog2/ok missing fog2/blocked", a.res)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("AggregateDetailed hung on a cloud blocked in Send past FanoutTimeout")
+	}
+	if tr.blockedSends() < 2 {
+		t.Fatal("test harness bug: the stuck owner and cloud never reached the blocking path")
+	}
+	close(tr.release)
+	waitGoroutines(t, before)
+}

@@ -311,17 +311,9 @@ func (e *Engine) localPages(typeName string, from, to time.Time) pageSource {
 // the transport ignores its context: a stuck parent, cloud or fan-out
 // winner fails the walk at the deadline instead of blocking the read.
 func (e *Engine) remotePages(ctx context.Context, target, typeName string, from, to time.Time) pageSource {
-	targets := []string{target}
 	return pageSource{
 		fetch: func(cursor string) (protocol.QueryPage, error) {
-			req := e.rangeRequest(typeName, from, to, cursor)
-			got, _, err := scatter(ctx, e.cfg.FanoutTimeout, targets, func(ctx context.Context, target string) (protocol.QueryPage, error) {
-				return e.queryPage(ctx, target, req)
-			}, nil)
-			if len(got) == 0 {
-				return protocol.QueryPage{}, err
-			}
-			return got[0].val, nil
+			return e.queryPage(ctx, e.sendBounded, target, e.rangeRequest(typeName, from, to, cursor))
 		},
 		target: target,
 	}
@@ -462,7 +454,7 @@ gather:
 func (e *Engine) fanOutRange(ctx context.Context, targets []string, typeName string, from, to time.Time) (readings []model.Reading, down []string, err error) {
 	req := e.rangeRequest(typeName, from, to, "")
 	got, down, err := scatter(ctx, e.cfg.FanoutTimeout, targets, func(ctx context.Context, target string) (protocol.QueryPage, error) {
-		return e.queryPage(ctx, target, req)
+		return e.queryPage(ctx, e.send, target, req)
 	}, func(page protocol.QueryPage) bool { return len(page.Readings) > 0 })
 	if n := len(got); n > 0 && len(got[n-1].val.Readings) > 0 {
 		w := got[n-1]
@@ -492,9 +484,9 @@ func (e *Engine) Latest(ctx context.Context, sensorID string) (model.Reading, bo
 }
 
 // LatestFrom reads a sensor's newest value from one endpoint over the
-// network.
+// network, bounded by FanoutTimeout.
 func (e *Engine) LatestFrom(ctx context.Context, target, sensorID string) (model.Reading, bool, error) {
-	page, err := e.queryPage(ctx, target, protocol.QueryRequest{SensorID: sensorID})
+	page, err := e.queryPage(ctx, e.sendBounded, target, protocol.QueryRequest{SensorID: sensorID})
 	if err != nil {
 		return model.Reading{}, false, err
 	}
@@ -591,7 +583,7 @@ func (e *Engine) AggregateDetailed(ctx context.Context, typeName string, from, t
 // whether to fall back or degrade. err is set when every owner failed.
 func (e *Engine) gatherSummaries(ctx context.Context, targets []string, typeName string, from, to time.Time) (aggregate.Summary, []string, error) {
 	got, down, err := scatter(ctx, e.cfg.FanoutTimeout, targets, func(ctx context.Context, target string) (aggregate.Summary, error) {
-		return e.SummaryFrom(ctx, target, typeName, from, to)
+		return e.summary(ctx, e.send, target, typeName, from, to)
 	}, nil)
 	if len(down) == len(targets) && len(targets) > 0 {
 		return aggregate.Summary{}, down, fmt.Errorf("query: gather summaries: %w", err)
@@ -603,20 +595,23 @@ func (e *Engine) gatherSummaries(ctx context.Context, targets []string, typeName
 	return total, down, nil
 }
 
-// SummaryFrom fetches one partial summary from an endpoint.
+// SummaryFrom fetches one partial summary from an endpoint, bounded by
+// FanoutTimeout.
 func (e *Engine) SummaryFrom(ctx context.Context, target, typeName string, from, to time.Time) (aggregate.Summary, error) {
+	return e.summary(ctx, e.sendBounded, target, typeName, from, to)
+}
+
+// summary asks target for one partial summary through send.
+func (e *Engine) summary(ctx context.Context, send sender, target, typeName string, from, to time.Time) (aggregate.Summary, error) {
 	req, err := protocol.EncodeJSON(protocol.SummaryRequest{
 		TypeName: typeName, FromUnix: from.UnixNano(), ToUnix: to.UnixNano(),
 	})
 	if err != nil {
 		return aggregate.Summary{}, err
 	}
-	reply, err := e.cfg.Transport.Send(ctx, transport.Message{
-		From: e.cfg.Self, To: target, Kind: transport.KindSummary,
-		Class: transport.ClassQuery, Payload: req,
-	})
+	reply, err := send(ctx, target, transport.KindSummary, req)
 	if err != nil {
-		return aggregate.Summary{}, fmt.Errorf("query: summary from %s: %w", target, err)
+		return aggregate.Summary{}, err
 	}
 	var resp protocol.SummaryResponse
 	if err := protocol.DecodeJSON(reply, &resp); err != nil {
@@ -627,24 +622,53 @@ func (e *Engine) SummaryFrom(ctx context.Context, target, typeName string, from,
 	return resp.Summary.Normalize(), nil
 }
 
-// queryPage sends one query and opens the binary page reply. All
-// engine traffic is tagged transport.ClassQuery so the traffic matrix
-// attributes read bytes separately from sensor flows.
-func (e *Engine) queryPage(ctx context.Context, target string, req protocol.QueryRequest) (protocol.QueryPage, error) {
+// queryPage asks target for one query page through send and opens the
+// binary reply.
+func (e *Engine) queryPage(ctx context.Context, send sender, target string, req protocol.QueryRequest) (protocol.QueryPage, error) {
 	payload, err := protocol.EncodeJSON(req)
 	if err != nil {
 		return protocol.QueryPage{}, err
 	}
-	reply, err := e.cfg.Transport.Send(ctx, transport.Message{
-		From: e.cfg.Self, To: target, Kind: transport.KindQuery,
-		Class: transport.ClassQuery, Payload: payload,
-	})
+	reply, err := send(ctx, target, transport.KindQuery, payload)
 	if err != nil {
-		return protocol.QueryPage{}, fmt.Errorf("query: %s: %w", target, err)
+		return protocol.QueryPage{}, err
 	}
 	page, err := protocol.DecodeQueryPage(reply)
 	if err != nil {
 		return protocol.QueryPage{}, fmt.Errorf("query: %s: %w", target, err)
 	}
 	return page, nil
+}
+
+// sender sends one request and returns the reply: send, or
+// sendBounded for a call on its own.
+type sender func(ctx context.Context, target string, kind transport.Kind, payload []byte) ([]byte, error)
+
+// send sends one request. All engine traffic is tagged
+// transport.ClassQuery so the traffic matrix attributes read bytes
+// separately from sensor flows.
+func (e *Engine) send(ctx context.Context, target string, kind transport.Kind, payload []byte) ([]byte, error) {
+	reply, err := e.cfg.Transport.Send(ctx, transport.Message{
+		From: e.cfg.Self, To: target, Kind: kind, Class: transport.ClassQuery, Payload: payload,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("query: %s: %w", target, err)
+	}
+	return reply, nil
+}
+
+// sendBounded is send as a one-target scatter, so one FanoutTimeout
+// bounds it even when the transport ignores its context: a stuck
+// endpoint fails the call at the deadline instead of blocking it. Only
+// the send runs on the scatter's goroutine; the caller encodes the
+// request and opens the reply on its own stack, which a fresh
+// goroutine would have to grow on every call.
+func (e *Engine) sendBounded(ctx context.Context, target string, kind transport.Kind, payload []byte) ([]byte, error) {
+	got, _, err := scatter(ctx, e.cfg.FanoutTimeout, []string{target}, func(ctx context.Context, target string) ([]byte, error) {
+		return e.send(ctx, target, kind, payload)
+	}, nil)
+	if len(got) == 0 {
+		return nil, err
+	}
+	return got[0].val, nil
 }

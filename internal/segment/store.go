@@ -65,8 +65,10 @@ type Options struct {
 	CompactMinSegments int
 	// Codec compresses segment blocks. Zero selects CodecFlate.
 	Codec aggregate.Codec
-	// NoBackground disables the flusher goroutine; tests drive Flush
-	// and Compact explicitly.
+	// NoBackground holds the flusher goroutine until Start: tests
+	// that never call it drive Flush and Compact explicitly, and a
+	// recovering node starts it once its journal replay succeeded, so
+	// a refused recovery writes nothing.
 	NoBackground bool
 	// Registry receives storage metrics under MetricsPrefix; nil
 	// allocates a private registry.
@@ -127,7 +129,7 @@ type Store struct {
 	stopCh   chan struct{}
 	flushCh  chan struct{}
 	done     chan struct{}
-	bg       bool
+	bg       bool // the flusher runs; guarded by mu
 
 	sm *metrics.StorageMetrics
 
@@ -194,12 +196,22 @@ func Open(o Options) (*Store, error) {
 	s.opCounter.Store(man.FlushedOp)
 	s.updateStorageGauges()
 	if !o.NoBackground {
-		s.bg = true
-		go s.run()
-	} else {
-		close(s.done)
+		s.Start()
 	}
 	return s, nil
+}
+
+// Start runs the background flusher of a store opened with
+// NoBackground; a flush the memtable's cap asked for while it was held
+// runs first. No-op once started or closing.
+func (s *Store) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bg || s.stopping.Load() {
+		return
+	}
+	s.bg = true
+	go s.run()
 }
 
 // releaseSegs drops the store's references during a failed Open.
@@ -293,7 +305,7 @@ func (s *Store) AppendSeq(b *model.Batch, op uint64) error {
 		s.mu.RUnlock()
 		return nil
 	}
-	mem := s.mem
+	mem, bg := s.mem, s.bg
 	mem.add(op, nb)
 	s.updateLatest(nb)
 	s.readings.Add(int64(len(nb.Readings)))
@@ -306,7 +318,7 @@ func (s *Store) AppendSeq(b *model.Batch, op uint64) error {
 		case s.flushCh <- struct{}{}:
 		default:
 		}
-		if s.bg && bytes >= runawayFactor*s.o.MemtableBytes {
+		if bg && bytes >= runawayFactor*s.o.MemtableBytes {
 			_ = s.Flush()
 		}
 	}
@@ -1008,7 +1020,12 @@ func (s *Store) updateStorageGauges() {
 func (s *Store) Close() error {
 	s.stopping.Store(true)
 	s.stopOnce.Do(func() { close(s.stopCh) })
-	<-s.done
+	s.mu.RLock()
+	bg := s.bg
+	s.mu.RUnlock()
+	if bg {
+		<-s.done
+	}
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	s.mu.Lock()
