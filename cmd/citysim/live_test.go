@@ -42,9 +42,9 @@ func clientFor(t *testing.T, c *liveCity) *tcpnet.Transport {
 }
 
 // TestBurst is the overload-control smoke over real sockets: a live
-// loopback city with the ingest rate cap, the buffer bound,
-// degrade-to-summary and adaptive flush on takes a closed-loop burst
-// of batches larger than the bound while a query plane keeps reading.
+// loopback city with the ingest rate cap, the buffer bound and
+// degrade-to-summary on takes a closed-loop burst of batches larger
+// than the bound while a query plane keeps reading.
 // It asserts what is deterministic — degradation engaged and reached
 // the parent, every query was answered, and after the drain the
 // conservation ledger is exact. The burst/idle query-p99 ratio is
@@ -65,7 +65,6 @@ func TestBurst(t *testing.T) {
 	dep.IngestRateBytes = 1 << 20
 	dep.MaxPendingReadings = bound
 	dep.DegradeToSummary = true
-	dep.AdaptiveFlush = true
 	city, err := hostLive(dep, "127.0.0.1")
 	if err != nil {
 		t.Fatal(err)

@@ -139,8 +139,8 @@ func run(args []string) error {
 			return printReply(control(protocol.ControlRequest{Op: protocol.OpMetrics}, nil))
 		}
 		// An optional substring narrows the dump — "sched." shows the
-		// admission scheduler's gauges and counters, "flush.adaptive"
-		// the adaptive controller's state.
+		// admission scheduler's gauges and counters, "flush." the
+		// upward flusher's.
 		var exp metrics.RegistryExport
 		if _, err := control(protocol.ControlRequest{Op: protocol.OpMetrics}, &exp); err != nil {
 			return err

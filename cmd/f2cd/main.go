@@ -22,8 +22,7 @@
 // The flags say what belongs to this process — which node it is and
 // where it listens, dials and keeps its files. What the node does
 // (codec, flush and retention periods, dedup, quality, ingest rate
-// cap, buffer bound, degrade-to-summary, adaptive flush, standing
-// subscriptions) is the deployment document's (-config, default
+// cap, buffer bound, degrade-to-summary, standing subscriptions) is the deployment document's (-config, default
 // config.Barcelona()), shared by every daemon of the city. Admission
 // control is always on, and -data-dir always means journal and
 // segment store together: the profile the benchmark's durable

@@ -25,7 +25,6 @@ func TestNodeFromFlags(t *testing.T) {
 	dep.IngestRateBytes = 4096
 	dep.MaxPendingReadings = 500
 	dep.DegradeToSummary = true
-	dep.AdaptiveFlush = true
 	dep.Subscriptions = []config.SubscriptionSpec{{ID: "w1", Type: "traffic", Kind: "window", WindowSeconds: 60}}
 	if err := dep.Save(doc); err != nil {
 		t.Fatal(err)
@@ -76,7 +75,7 @@ func TestNodeFromFlags(t *testing.T) {
 	// The document's profile reaches the node, at every layer it
 	// applies to.
 	_, mo, subs = resolve(append(fog1, "-config", doc)...)
-	if mo.Overload.Classes["ingest"].Rate != 4096 || mo.MaxPendingReadings != 500 || !mo.DegradeToSummary || !mo.Adaptive {
+	if mo.Overload.Classes["ingest"].Rate != 4096 || mo.MaxPendingReadings != 500 || !mo.DegradeToSummary {
 		t.Errorf("document overload profile lost: %+v", mo)
 	}
 	if mo.Codec.String() != "gzip" || mo.FlushInterval != 30*time.Second || subs != 1 {
@@ -104,7 +103,7 @@ func TestDaemonMatchesSystemHost(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		dep := config.Barcelona()
 		dep.Districts = []config.DistrictSpec{{Name: "A", Sections: 3}, {Name: "B", Sections: 3}}
-		dep.MaxPendingReadings, dep.DegradeToSummary, dep.AdaptiveFlush, dep.IngestRateBytes = 800, true, true, 1<<20
+		dep.MaxPendingReadings, dep.DegradeToSummary, dep.IngestRateBytes = 800, true, 1<<20
 		doc := filepath.Join(t.TempDir(), "city.json")
 		if err := dep.Save(doc); err != nil {
 			t.Fatal(err)

@@ -77,7 +77,7 @@
 // silently; federated reads skip unreachable tiers and flag partial
 // results (query.Engine.RangeDetailed, AggregateDetailed). The
 // internal/chaos harness, chaos.Run(seed), draws a profile (storage,
-// buffer bound, reply loss, elastic ownership, adaptive flush) and a
+// buffer bound, reply loss, elastic ownership) and a
 // per-tick fault mix from one seed over a full city, and asserts
 // exactly-once preservation, the conservation ledger, bounded memory,
 // post-heal convergence and the alert ledger on every profile; a

@@ -82,8 +82,6 @@ type Profile struct {
 	// Elastic routes ingest through the ownership rings and adds joins
 	// and leaves to the event table.
 	Elastic bool
-	// Adaptive turns on RTT-driven flush tuning.
-	Adaptive bool
 }
 
 var (
@@ -92,13 +90,14 @@ var (
 )
 
 func drawProfile(rng *rand.Rand) Profile {
-	return Profile{
+	p := Profile{
 		Storage:   storages[rng.Intn(len(storages))],
 		Buffer:    buffers[rng.Intn(len(buffers))],
 		LossyAcks: rng.Intn(2) == 1,
 		Elastic:   rng.Intn(2) == 1,
-		Adaptive:  rng.Intn(2) == 1,
 	}
+	rng.Intn(2) // the retired flush-policy draw: the same rng draws every event, so each seed keeps its schedule
+	return p
 }
 
 // Result summarizes a completed run.
@@ -231,7 +230,6 @@ func Run(seed int64) (Result, error) {
 		FlushWorkers:       1,
 		MaxPendingReadings: maxPending,
 		DegradeToSummary:   r.prof.Buffer == "degrade",
-		AdaptiveFlush:      r.prof.Adaptive,
 		Overload:           &overload,
 		// Backoff and failover tuned to the tick: first re-probe after
 		// ~1 tick, relay after 2 consecutive failures.

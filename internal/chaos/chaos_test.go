@@ -47,9 +47,8 @@ func covers(n int) bool {
 		got["buffer="+p.Buffer] = true
 		got[fmt.Sprint("lossy=", p.LossyAcks)] = true
 		got[fmt.Sprint("elastic=", p.Elastic)] = true
-		got[fmt.Sprint("adaptive=", p.Adaptive)] = true
 	}
-	return len(got) == len(storages)+len(buffers)+3*2
+	return len(got) == len(storages)+len(buffers)+2*2
 }
 
 // eachSeed runs fn on the result of every seed TestChaos runs.

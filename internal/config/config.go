@@ -6,6 +6,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -82,8 +83,6 @@ type Deployment struct {
 	// summaries forwarded upward instead of dropping them (needs
 	// maxPendingReadings to bite).
 	DegradeToSummary bool `json:"degradeToSummary,omitempty"`
-	// AdaptiveFlush enables RTT-driven flush batch/interval tuning.
-	AdaptiveFlush bool `json:"adaptiveFlush,omitempty"`
 	// ElasticOwnership routes each sensor type's edge ingest to its
 	// consistent-hash ring owner among the district's sections and
 	// enables runtime scale of fog layer 1 (AddFog1Node /
@@ -287,7 +286,6 @@ func (d Deployment) Options(clock sim.Clock) (core.Options, error) {
 		Overload:            &overload,
 		MaxPendingReadings:  d.MaxPendingReadings,
 		DegradeToSummary:    d.DegradeToSummary,
-		AdaptiveFlush:       d.AdaptiveFlush,
 		ElasticOwnership:    d.ElasticOwnership,
 	}, nil
 }
@@ -322,16 +320,25 @@ func OverloadOptions(rateBytes int64) sched.Options {
 	return so
 }
 
-// Parse decodes and validates a JSON document.
+// Parse decodes and validates a JSON document. Documents written while
+// an RTT-driven flush policy existed may carry "adaptiveFlush": false
+// still loads; true is refused here, since every node now flushes at
+// its configured period and would silently run another profile.
 func Parse(data []byte) (Deployment, error) {
-	var d Deployment
-	if err := json.Unmarshal(data, &d); err != nil {
+	var doc struct {
+		Deployment
+		RetiredFlushPolicy bool `json:"adaptiveFlush"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return Deployment{}, fmt.Errorf("config: parse: %w", err)
 	}
-	if err := d.Validate(); err != nil {
+	if doc.RetiredFlushPolicy {
+		return Deployment{}, errors.New("config: adaptiveFlush is retired: every fog node flushes at its fog1FlushSeconds/fog2FlushSeconds period and seals each type's buffer whole (drop the field)")
+	}
+	if err := doc.Validate(); err != nil {
 		return Deployment{}, err
 	}
-	return d, nil
+	return doc.Deployment, nil
 }
 
 // Load reads a deployment from a file.

@@ -201,8 +201,7 @@ func TestProductionProfile(t *testing.T) {
 		"dataDir": "/var/lib/f2c",
 		"ingestRateBytes": 4096,
 		"maxPendingReadings": 500,
-		"degradeToSummary": true,
-		"adaptiveFlush": true
+		"degradeToSummary": true
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +216,9 @@ func TestProductionProfile(t *testing.T) {
 	if opts.Overload == nil || opts.Overload.Classes["ingest"].Rate != 4096 {
 		t.Errorf("overload = %+v, want admission on with the ingest class capped at 4096 B/s", opts.Overload)
 	}
-	if opts.MaxPendingReadings != 500 || !opts.DegradeToSummary || !opts.AdaptiveFlush {
-		t.Errorf("bound %d / degrade %v / adaptive %v did not reach the options",
-			opts.MaxPendingReadings, opts.DegradeToSummary, opts.AdaptiveFlush)
+	if opts.MaxPendingReadings != 500 || !opts.DegradeToSummary {
+		t.Errorf("bound %d / degrade %v did not reach the options",
+			opts.MaxPendingReadings, opts.DegradeToSummary)
 	}
 	ram, err := Barcelona().Options(sim.WallClock{})
 	if err != nil {
@@ -249,6 +248,21 @@ func TestRetiredFieldsStillParse(t *testing.T) {
 	}
 	if opts, err := d.Options(sim.WallClock{}); err != nil || opts.Overload == nil {
 		t.Errorf("options from a parent-era document: overload %v, err %v", opts.Overload, err)
+	}
+}
+
+// TestAdaptiveFlushRefused: the RTT-driven flush policy is retired. A
+// document that asks for it is refused at parse, naming the
+// retirement, so a node never silently runs another profile than the
+// one its document declares; false or absent loads.
+func TestAdaptiveFlushRefused(t *testing.T) {
+	for _, field := range []string{`, "adaptiveFlush": true`, `, "adaptiveFlush": false`, ``} {
+		_, err := Parse([]byte(`{"city": "x", "districts": [{"name": "a", "sections": 1}]` + field + `}`))
+		if refuse := strings.Contains(field, "true"); refuse != (err != nil) {
+			t.Errorf("document with %q: err %v, want refused %v", field, err, refuse)
+		} else if refuse && !strings.Contains(err.Error(), "adaptiveFlush is retired") {
+			t.Errorf("adaptiveFlush true refused with %q, want the retirement named", err)
+		}
 	}
 }
 
@@ -284,7 +298,7 @@ func TestOptionsSurfaceCannotDrift(t *testing.T) {
 		"fog1FlushByCategorySeconds": {"urban": 5},
 		"dataDir": "d", "memtableBytes": 6, "cloudRetentionSeconds": 7,
 		"ingestRateBytes": 8, "maxPendingReadings": 9,
-		"degradeToSummary": true, "adaptiveFlush": true, "elasticOwnership": true
+		"degradeToSummary": true, "elasticOwnership": true
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -324,13 +338,13 @@ func TestSettableValues(t *testing.T) {
 		{core.Options{}, "Topology Clock City Codec Dedup Quality Fog1Retention Fog2Retention " +
 			"Fog1FlushInterval Fog2FlushInterval Fog1FlushByCategory Matrix Registry Emulate Seed " +
 			"FlushConcurrency FlushWorkers MaxPendingReadings RetryBase RetryMax FailoverAfter DataDir " +
-			"SnapshotEvery MemtableBytes Overload DegradeToSummary AdaptiveFlush ElasticOwnership " +
+			"SnapshotEvery MemtableBytes Overload DegradeToSummary ElasticOwnership " +
 			"AlertObserver CloudRetention"},
 		{core.MemberOptions{}, "City Clock Transport Retention FlushInterval Codec Dedup Quality " +
 			"Registry Siblings FlushWorkers MaxPendingReadings RetryBase RetryMax FailoverAfter " +
-			"Durability Storage Overload DegradeToSummary Adaptive CloudRetention AlertObserver"},
+			"Durability Storage Overload DegradeToSummary CloudRetention AlertObserver"},
 		{fognode.Config{}, "Spec City Clock Transport Retention FlushInterval Codec Dedup Quality " +
-			"Registry MaxPendingReadings DegradeToSummary AlertObserver Scheduler Adaptive FlushWorkers " +
+			"Registry MaxPendingReadings DegradeToSummary AlertObserver Scheduler FlushWorkers " +
 			"Siblings RetryBase RetryMax FailoverAfter Durability Storage"},
 		{cloud.Config{}, "ID City Clock Registry Scheduler Retention Durability Storage"},
 		{segment.Options{}, "Dir Retention MemtableBytes BlockReadings CompactMinSegments Codec " +

@@ -60,9 +60,6 @@ type MemberOptions struct {
 	// DegradeToSummary folds buffer-trimmed readings into decomposable
 	// window summaries forwarded upward instead of dropping them.
 	DegradeToSummary bool
-	// Adaptive enables RTT-driven flush batch/interval tuning (false
-	// keeps the fixed FlushInterval and unchunked batches).
-	Adaptive bool
 	// CloudRetention bounds the cloud archive's age (zero keeps it
 	// forever). Ignored on fog nodes, which use Retention.
 	CloudRetention time.Duration
@@ -100,7 +97,6 @@ func (o Options) Member(spec topology.NodeSpec, tr transport.Transport, siblings
 		FailoverAfter:      o.FailoverAfter,
 		Overload:           o.Overload,
 		DegradeToSummary:   o.DegradeToSummary,
-		Adaptive:           o.AdaptiveFlush,
 		CloudRetention:     o.CloudRetention,
 		AlertObserver:      o.AlertObserver,
 	}
@@ -164,7 +160,6 @@ func FogConfig(spec topology.NodeSpec, o MemberOptions) fognode.Config {
 		Storage:            o.Storage,
 		Scheduler:          o.Overload,
 		DegradeToSummary:   o.DegradeToSummary,
-		Adaptive:           o.Adaptive,
 		AlertObserver:      o.AlertObserver,
 	}
 }

@@ -47,7 +47,7 @@ func TestProjectionEquivalence(t *testing.T) {
 				Topology: topo, Dedup: true, Quality: true, Codec: aggregate.CodecGzip,
 				Fog1FlushInterval: 7 * time.Second, Fog2Retention: 36 * time.Hour,
 				Seed: 5, FlushWorkers: 2,
-				MaxPendingReadings: 1000, DegradeToSummary: true, AdaptiveFlush: true,
+				MaxPendingReadings: 1000, DegradeToSummary: true,
 				RetryBase: time.Second, RetryMax: time.Minute, FailoverAfter: 2,
 				Overload: &overload, CloudRetention: 48 * time.Hour,
 				SnapshotEvery: 17, MemtableBytes: p.memtable,

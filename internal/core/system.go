@@ -121,9 +121,6 @@ type Options struct {
 	// degradation: trimmed readings fold into decomposable window
 	// summaries forwarded upward instead of being dropped.
 	DegradeToSummary bool
-	// AdaptiveFlush enables RTT-driven flush batch/interval tuning on
-	// every fog node (false keeps the fixed cadence).
-	AdaptiveFlush bool
 	// ElasticOwnership routes each sensor type's edge ingest to a
 	// consistent-hash owner among the district's fog layer-1 siblings,
 	// and enables runtime scale: AddFog1Node / RemoveFog1Node rebalance

@@ -70,8 +70,14 @@ func (n *Node) observeAlerts(b *model.Batch) {
 }
 
 // harvestAlerts closes and seals the windows that have ended by now —
-// driven from the head of every flush.
+// driven from the head of every flush. On a node with subscriptions
+// the harvest is journaled first, so replay advances the watermarks
+// at the same log position.
 func (n *Node) harvestAlerts(now time.Time) {
+	if n.cqe.Len() == 0 {
+		return
+	}
+	n.journalHarvest(now)
 	if alerts := n.cqe.Harvest(now); len(alerts) != 0 {
 		n.sealAlerts(alerts)
 	}

@@ -197,76 +197,6 @@ func TestDegradeBufWindowCap(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchConvergesUnderSteppedRTT drives the flush
-// controller with a stepped RTT profile: a healthy link grows the
-// batch to its ceiling and accelerates the cadence; stepping the RTT
-// past twice the target decays both; recovering converges back.
-func TestAdaptiveBatchConvergesUnderSteppedRTT(t *testing.T) {
-	cfg := adaptiveBounds{
-		minBatch: 64, maxBatch: 1024,
-		minInterval: time.Second, maxInterval: 8 * time.Second,
-		targetRTT: 50 * time.Millisecond, alpha: 0.5,
-	}
-	c := newFlushController(cfg, nil, "")
-	if got := c.batchSize(); got != (64+1024)/2 {
-		t.Fatalf("initial batch = %d, want midway %d", got, (64+1024)/2)
-	}
-
-	step := func(rtt time.Duration, rounds int) {
-		for i := 0; i < rounds; i++ {
-			c.observeRTT(rtt)
-			c.onFlushDone(0)
-		}
-	}
-	step(10*time.Millisecond, 20)
-	if got := c.batchSize(); got != 1024 {
-		t.Fatalf("healthy-RTT batch = %d, want ceiling 1024", got)
-	}
-	if got := c.interval(); got != time.Second {
-		t.Fatalf("healthy-RTT interval = %v, want floor 1s", got)
-	}
-
-	step(500*time.Millisecond, 30)
-	if got := c.batchSize(); got != 64 {
-		t.Fatalf("high-RTT batch = %d, want floor 64", got)
-	}
-	if got := c.interval(); got != 8*time.Second {
-		t.Fatalf("high-RTT interval = %v, want ceiling 8s", got)
-	}
-
-	step(10*time.Millisecond, 40)
-	if got := c.batchSize(); got != 1024 {
-		t.Fatalf("recovered batch = %d, want ceiling 1024 again", got)
-	}
-}
-
-// TestAdaptiveBackpressureHalvesBatch: a deferred send is an immediate
-// multiplicative decrease, and the round's onFlushDone must not also
-// grow the batch it just halved.
-func TestAdaptiveBackpressureHalvesBatch(t *testing.T) {
-	cfg := adaptiveBounds{
-		minBatch: 64, maxBatch: 1024,
-		minInterval: time.Second, maxInterval: 8 * time.Second,
-		targetRTT: 50 * time.Millisecond, alpha: 0.5,
-	}
-	c := newFlushController(cfg, nil, "")
-	c.observeRTT(10 * time.Millisecond)
-	c.onFlushDone(0) // 544 -> 680, interval 8s -> 6s
-	before := c.batchSize()
-
-	c.onBackpressure()
-	if got := c.batchSize(); got != before/2 {
-		t.Fatalf("batch after backpressure = %d, want %d", got, before/2)
-	}
-	if got := c.interval(); got != 8*time.Second {
-		t.Fatalf("interval after backpressure = %v, want doubled+clamped 8s", got)
-	}
-	c.onFlushDone(0) // same round: the decrease already happened
-	if got := c.batchSize(); got != before/2 {
-		t.Fatalf("batch after post-backpressure flush = %d, want unchanged %d", got, before/2)
-	}
-}
-
 // TestHandleAdmissionOverload: with the node's only handler slot held
 // and the ingest admission queue full, the next ingest is rejected
 // fast with the typed overload error senders treat as backpressure.

@@ -62,20 +62,11 @@ func (n *Node) Start() {
 	go n.run()
 }
 
-// run is the flusher goroutine. It exits when Close is called. With
-// the adaptive controller, each round re-reads the controller's
-// current interval, so the cadence accelerates when the pipe is
-// healthy and backs off under backpressure; without it, the fixed
-// FlushInterval applies.
+// run is the flusher goroutine: one flush every FlushInterval. It
+// exits when Close is called.
 func (n *Node) run() {
 	defer close(n.lc.done)
-	next := func() time.Duration {
-		if n.ctl != nil {
-			return n.ctl.interval()
-		}
-		return n.cfg.FlushInterval
-	}
-	timer := time.NewTimer(next())
+	timer := time.NewTimer(n.cfg.FlushInterval)
 	defer timer.Stop()
 	for {
 		select {
@@ -85,7 +76,7 @@ func (n *Node) run() {
 			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.FlushInterval)
 			_ = n.Flush(ctx)
 			cancel()
-			timer.Reset(next())
+			timer.Reset(n.cfg.FlushInterval)
 		case <-n.lc.stop:
 			return
 		}

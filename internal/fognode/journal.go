@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"f2c/internal/cq"
 	"f2c/internal/durable"
@@ -42,7 +43,10 @@ import (
 //	recShed           readings trimmed oldest-first by
 //	                  MaxPendingReadings, dropped or, on a
 //	                  DegradeToSummary node, folded into the degrade
-//	                  buffer (applyShed)
+//	                  buffer, behind the outbox items a handoff or
+//	                  routed forward had claimed (a record written
+//	                  before the claim was logged replays with none;
+//	                  applyShed)
 //	recAbsorb         a child's summary push merged into the degrade
 //	                  buffer (raw payload, with its (origin, seq) mark;
 //	                  applyAbsorb)
@@ -72,6 +76,12 @@ import (
 //	recSubscribe      a standing subscription registered (JSON)
 //	recUnsubscribe    a subscription cancelled (or handed off by a
 //	                  completed shard migration)
+//	recHarvest        a flush's continuous-query harvest at its clock
+//	                  reading, written before the harvest runs: it
+//	                  advances each subscription's watermark, which
+//	                  decides the window a later late reading folds
+//	                  into (replay runs the harvest; what it fires is
+//	                  held as refires, like a batch's threshold fires)
 //
 // recBatch, recAbsorb, recMigrateIn, recSubscribe and the
 // recPushSeal of a push absorbed from another node are acceptance
@@ -86,7 +96,8 @@ import (
 // state was accounted by its first life.
 //
 // Record types 3, 6 and 10 were written before the one-outbox journal
-// and are retired: a log holding one is refused.
+// and are retired: a log holding one is refused. Type 14 is not used:
+// older logs may hold it.
 const (
 	// journalVersion is the snapshot body layout written by
 	// checkpoints, the only one read.
@@ -102,6 +113,7 @@ const (
 	recItemCommit   = 11
 	recPushSeal     = 12
 	recAbsorb       = 13
+	recHarvest      = 15
 )
 
 // The record table: one encoder per record above, each appending
@@ -160,11 +172,16 @@ func (n *Node) journalCommit(typ, origin string, seq uint64) {
 	})
 }
 
-func (n *Node) journalShed(typ string, count int) {
+// journalShed journals a bound trim with the claim it ran behind: the
+// claim lives only in memory, and replay runs with nothing claimed.
+// The claim trails the type, so an older binary still parses the
+// record.
+func (n *Node) journalShed(typ string, count, claimed int) {
 	n.dur.Journal.Note(func(buf []byte) []byte {
 		buf = append(buf, recShed)
 		buf = wal.AppendUvarint(buf, uint64(count))
-		return wal.AppendString(buf, typ)
+		buf = wal.AppendString(buf, typ)
+		return wal.AppendUvarint(buf, uint64(claimed))
 	})
 }
 
@@ -181,6 +198,15 @@ func (n *Node) journalMigrateStart(typ, target string, seqHigh uint64) {
 		buf = wal.AppendString(buf, typ)
 		buf = wal.AppendString(buf, target)
 		return wal.AppendUint64(buf, seqHigh)
+	})
+}
+
+// journalHarvest journals a harvest before it runs. Best effort, like
+// own seals: a lost record replays the late readings after it into
+// their own windows, the behaviour before the record existed.
+func (n *Node) journalHarvest(now time.Time) {
+	n.dur.Journal.Note(func(buf []byte) []byte {
+		return wal.AppendUint64(append(buf, recHarvest), uint64(now.UnixNano()))
 	})
 }
 
@@ -330,8 +356,9 @@ func decodeChunk(t *protocol.MigrateTransfer) (items []item, subs []*cq.SubSnaps
 // after the log is the continuous-query settle.
 //
 // A batch's readings are offered to the cq engine as its record is
-// read, as the live ingest offered them, and the threshold windows
-// that fire are held as refires. An own alert seal read later marks
+// read, as the live ingest offered them, and a harvest record runs the
+// harvest the live flush ran; the windows that fire are held as
+// refires. An own alert seal read later marks
 // its windows emitted and takes them off the refires: they were
 // sealed. Windows still held after the log fired in the first life
 // and lost their seal record with the crash, and settle seals them
@@ -526,11 +553,17 @@ func (n *Node) replayRecord(rec []byte, refired *[]cq.Alert) error {
 		if err != nil {
 			return err
 		}
-		typ, _, err := wal.ReadString(rest)
+		typ, rest, err := wal.ReadString(rest)
 		if err != nil {
 			return err
 		}
-		n.applyShed(n.shardFor(typ), typ, int(count))
+		var claimed uint64
+		if len(rest) > 0 {
+			if claimed, _, err = wal.ReadUvarint(rest); err != nil {
+				return err
+			}
+		}
+		n.applyShed(n.shardFor(typ), typ, int(count), int(claimed))
 	case recAbsorb:
 		payload, _, err := wal.ReadBytes(body)
 		if err != nil {
@@ -598,6 +631,12 @@ func (n *Node) replayRecord(rec []byte, refired *[]cq.Alert) error {
 			return err
 		}
 		n.cqe.Unsubscribe(id)
+	case recHarvest:
+		now, _, err := wal.ReadUint64(body)
+		if err != nil {
+			return err
+		}
+		*refired = append(*refired, n.cqe.Harvest(time.Unix(0, int64(now)))...)
 	default:
 		return fmt.Errorf("fognode: unknown journal record type %d", rec[0])
 	}

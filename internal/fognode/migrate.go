@@ -155,7 +155,7 @@ func (n *Node) migrateOut(ctx context.Context, typ, target string, limit int) er
 	defer q.sendMu.Unlock()
 
 	sh.mu.Lock()
-	n.sealPendingLocked(sh, typ, 0)
+	n.sealPendingLocked(sh, typ)
 	if buf, ok := sh.degraded[typ]; ok && len(buf.windows) > 0 {
 		n.sealSummaryLocked(sh, typ, buf)
 	}
@@ -429,7 +429,7 @@ func (n *Node) ingestRouted(b *model.Batch, target string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("fognode %s: ingest: %w", me, err)
 	}
-	it := n.sealPendingLocked(sh, typ, 0)
+	it := n.sealPendingLocked(sh, typ)
 	q.claimed = len(q.items)
 	sh.mu.Unlock()
 

@@ -758,7 +758,7 @@ func TestMigrateJournalReplay(t *testing.T) {
 		}
 		sh := n.shardFor("traffic")
 		sh.mu.Lock()
-		n.sealPendingLocked(sh, "traffic", 1)
+		sealChunkedLocked(n, sh, "traffic", 1)
 		sh.mu.Unlock()
 	}
 	n, err := openNodeAt(writeRecords(t, seal3, start))

@@ -30,10 +30,8 @@
 // type's upward buffer, the trimmed readings fold into per-window
 // decomposable summaries pushed upward at the next flush — resolution
 // is lost, counts are not; raw shed remains only as the last resort.
-// Adaptation (Config.Adaptive): an EWMA of parent RTT plus queue depth
-// steers the flush batch size and interval between bounds derived from
-// FlushInterval, halving on backpressure and ramping while the link is
-// healthy.
+// Backpressure from the parent defers a send to the next flush; the
+// cadence stays the operator's FlushInterval.
 package fognode
 
 import (
@@ -119,11 +117,6 @@ type Config struct {
 	// ingest at the node itself. Each node builds its own scheduler
 	// instance from these shared options.
 	Scheduler *sched.Options
-	// Adaptive replaces the fixed flush cadence and whole-buffer batch
-	// sealing with the adaptive controller: an EWMA of parent RTT plus
-	// queue depth steers batch size and flush interval between bounds
-	// derived from FlushInterval, backing off on backpressure.
-	Adaptive bool
 	// FlushWorkers bounds how many batches a flush encodes and sends
 	// concurrently. Sends are network-bound, so the default (4) is
 	// independent of GOMAXPROCS; 1 sends the types one at a time, in
@@ -233,10 +226,8 @@ type Node struct {
 	flightMu sync.RWMutex
 
 	// sched gates the handler path per traffic class (nil = no
-	// admission control); ctl is the adaptive flush controller (nil =
-	// fixed cadence, whole-buffer batches).
+	// admission control).
 	sched *sched.Scheduler
-	ctl   *flushController
 
 	// routes forwards edge ingest of sensor types whose ownership
 	// migrated to a sibling (see migrate.go); routeMu guards it.
@@ -362,9 +353,6 @@ func New(cfg Config) (*Node, error) {
 	n.sent = [...]*metrics.Counter{n.flushedBatches, n.summariesEmitted, n.alertPushesOut}
 	if cfg.Scheduler != nil {
 		n.sched = sched.New(*cfg.Scheduler, cfg.Clock, reg, prefix+"sched.")
-	}
-	if cfg.Adaptive {
-		n.ctl = newFlushController(adaptiveBoundsFor(cfg.FlushInterval), reg, prefix)
 	}
 	if cfg.Quality {
 		n.assessor = quality.NewAssessor(nil)
@@ -583,28 +571,26 @@ func (n *Node) queueLocked(sh *pendingShard, typ string, it item) {
 	q.put(it)
 }
 
-// sealPendingLocked freezes a type's pending buffer as one batch item,
-// or as a run of items of at most size readings (size > 0: the
-// adaptive controller's current batch size), each under its own fresh
-// sequence. Each seal record lands in the journal strictly after the
-// acceptance records it covers and before any later ingest of the
-// type. Returns the last item sealed. The caller holds the shard lock.
-func (n *Node) sealPendingLocked(sh *pendingShard, typ string, size int) (last item) {
-	for p := sh.pending[typ]; p != nil; p = sh.pending[typ] {
-		count := len(p.Readings)
-		if size > 0 {
-			count = min(count, size)
-		}
-		seq := n.seq.Add(1)
-		n.dur.Journal.Note(sealRecord(typ, seq, count))
-		last = n.applySeal(sh, typ, seq, count)
+// sealPendingLocked freezes a type's whole pending buffer as one batch
+// item under a fresh sequence. The seal record lands in the journal
+// strictly after the acceptance records it covers and before any later
+// ingest of the type. Returns the item sealed (zero if nothing was
+// pending). The caller holds the shard lock.
+func (n *Node) sealPendingLocked(sh *pendingShard, typ string) item {
+	p := sh.pending[typ]
+	if p == nil {
+		return item{}
 	}
-	return last
+	seq := n.seq.Add(1)
+	n.dur.Journal.Note(sealRecord(typ, seq, len(p.Readings)))
+	return n.applySeal(sh, typ, seq, len(p.Readings))
 }
 
 // applySeal is recSeal's transition: the head count readings of a
-// type's pending buffer freeze under seq as one batch item. The
-// caller holds the shard lock.
+// type's pending buffer freeze under seq as one batch item. The live
+// path seals the whole buffer; a log written by an older node may hold
+// a seal of fewer readings than were pending, which replays as a head
+// cut. The caller holds the shard lock.
 func (n *Node) applySeal(sh *pendingShard, typ string, seq uint64, count int) item {
 	n.noteSeq(seq)
 	p := sh.pending[typ]
@@ -696,8 +682,8 @@ func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max 
 	if drop <= 0 {
 		return
 	}
-	n.journalShed(typ, drop)
-	trimmed, parked := n.applyShed(sh, typ, drop)
+	n.journalShed(typ, drop, q.claimed)
+	trimmed, parked := n.applyShed(sh, typ, drop, q.claimed)
 	if n.cfg.DegradeToSummary {
 		n.degradedReads.Add(trimmed)
 	} else {
@@ -707,13 +693,14 @@ func (n *Node) boundReadingsLocked(sh *pendingShard, typ string, q *outbox, max 
 }
 
 // applyShed is recShed's transition: the oldest drop readings behind
-// the outbox's head are trimmed and dropped or, on a degrading node,
-// folded into the type's degrade buffer. It reports how many it
-// trimmed and how many of those came from parked items, for the live
-// path's counters. The caller holds the shard lock.
-func (n *Node) applyShed(sh *pendingShard, typ string, drop int) (trimmed, parked int64) {
+// the outbox's head and its first claimed items are trimmed and
+// dropped or, on a degrading node, folded into the type's degrade
+// buffer. It reports how many it trimmed and how many of those came
+// from parked items, for the live path's counters. The caller holds
+// the shard lock.
+func (n *Node) applyShed(sh *pendingShard, typ string, drop, claimed int) (trimmed, parked int64) {
 	p := sh.pending[typ]
-	sh.box(typ).trimOldest(p, drop, func(b *model.Batch, k int, isParked bool) {
+	sh.box(typ).trimOldest(p, claimed, drop, func(b *model.Batch, k int, isParked bool) {
 		if n.cfg.DegradeToSummary {
 			sh.degradeBufLocked(typ, b.Category).foldAll(b.Readings[:k])
 		}
@@ -837,13 +824,7 @@ func (n *Node) DedupStats() (in, kept int64) { return n.deduper.Stats() }
 // eviction. On a durable node a flush is also the checkpoint safe
 // point: when the journal has grown past its snapshot threshold, the
 // delivery state is folded into a snapshot and the log truncated.
-func (n *Node) Flush(ctx context.Context) error {
-	n.flightMu.RLock()
-	err := n.flush(ctx, "")
-	n.flightMu.RUnlock()
-	n.maybeCheckpoint()
-	return err
-}
+func (n *Node) Flush(ctx context.Context) error { return n.flush(ctx, "") }
 
 // FlushCategory moves only one category's pending data upward — the
 // paper's per-data-class update-frequency policy ("the smart city
@@ -853,11 +834,7 @@ func (n *Node) FlushCategory(ctx context.Context, cat model.Category) error {
 	if !cat.Valid() {
 		return fmt.Errorf("fognode %s: flush: invalid category %d", n.cfg.Spec.ID, int(cat))
 	}
-	n.flightMu.RLock()
-	err := n.flush(ctx, cat.String())
-	n.flightMu.RUnlock()
-	n.maybeCheckpoint()
-	return err
+	return n.flush(ctx, cat.String())
 }
 
 // Checkpoint folds a durable node's delivery state — pending and
@@ -906,7 +883,12 @@ var errDeferred = errors.New("fognode: delivery deferred by backoff")
 // flush seals the pending and degrade buffers of the given class ("" =
 // all) onto their outboxes, then drains every outbox of the class
 // upward with a bounded worker pool, one type per worker at a time.
+// It runs as a sender (flightMu), evicts past retention, and then, out
+// of the senders' side, takes a checkpoint if one is due.
 func (n *Node) flush(ctx context.Context, class string) error {
+	defer n.maybeCheckpoint()
+	n.flightMu.RLock()
+	defer n.flightMu.RUnlock()
 	defer n.store.Evict(n.cfg.Clock.Now())
 
 	now := n.cfg.Clock.Now()
@@ -921,17 +903,13 @@ func (n *Node) flush(ctx context.Context, class string) error {
 	// flush, so their alert pushes ride the same round.
 	n.harvestAlerts(now)
 
-	size := 0
-	if n.ctl != nil {
-		size = n.ctl.batchSize()
-	}
 	var types []string
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.mu.Lock()
 		for typ, p := range sh.pending {
 			if class == "" || p.Category.String() == class {
-				n.sealPendingLocked(sh, typ, size)
+				n.sealPendingLocked(sh, typ)
 			}
 		}
 		for typ, buf := range sh.degraded {
@@ -948,9 +926,6 @@ func (n *Node) flush(ctx context.Context, class string) error {
 		sh.mu.Unlock()
 	}
 	if len(types) == 0 {
-		if n.ctl != nil {
-			n.ctl.onFlushDone(0)
-		}
 		return nil
 	}
 	// Deterministic send/error order for tests and accounting.
@@ -977,12 +952,6 @@ func (n *Node) flush(ctx context.Context, class string) error {
 	}
 	close(jobs)
 	wg.Wait()
-	if n.ctl != nil {
-		// Close the adaptive round with the post-flush queue depth:
-		// what the sends could not clear (plus what ingested meanwhile)
-		// steers the next round's batch size and cadence.
-		n.ctl.onFlushDone(n.PendingReadings())
-	}
 	return errors.Join(errs...)
 }
 
@@ -1073,12 +1042,8 @@ func (n *Node) deliver(ctx context.Context, kind transport.Kind, class string, p
 	}
 	var parentErr error
 	if n.up.parentDue(now) {
-		start := time.Now()
 		if _, err := n.cfg.Transport.Send(ctx, msg); err == nil {
 			n.up.onParentSuccess()
-			if n.ctl != nil {
-				n.ctl.observeRTT(time.Since(start))
-			}
 			n.sent[r].Inc()
 			n.flushedBytes.Add(msg.WireSize())
 			return nil
@@ -1087,11 +1052,7 @@ func (n *Node) deliver(ctx context.Context, kind transport.Kind, class string, p
 			// admission queue full) are not failure: the parent is
 			// alive but saturated. Keep the item queued and defer to
 			// the next flush — escalating to sibling relays would only
-			// shift the overload sideways. The adaptive controller
-			// backs the batch size off in response.
-			if n.ctl != nil {
-				n.ctl.onBackpressure()
-			}
+			// shift the overload sideways.
 			n.deferredFlushes.Inc()
 			return errDeferred
 		} else {

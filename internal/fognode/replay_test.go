@@ -288,10 +288,10 @@ func replayMatchesLive(t *testing.T, seed int64, covered map[string]int64) {
 				send(transport.KindBatch, payload)
 			case k < 42:
 				_ = n.Flush(ctx)
-			case k < 47: // a chunked seal, as the adaptive controller cuts one
+			case k < 47: // a chunked seal, as logs of older nodes hold
 				sh := n.shardFor(typ)
 				sh.mu.Lock()
-				n.sealPendingLocked(sh, typ, 1+rng.Intn(4))
+				sealChunkedLocked(n, sh, typ, 1+rng.Intn(4))
 				sh.mu.Unlock()
 				count("op.chunked_seal")
 			case k < 52:
@@ -365,6 +365,21 @@ func replayMatchesLive(t *testing.T, seed int64, covered map[string]int64) {
 	n.Discard()
 }
 
+// sealChunkedLocked freezes a type's pending buffer as a run of items
+// of at most size readings, each under its own sequence and seal
+// record. No live path cuts a buffer any more, but logs written by
+// nodes that ran an RTT-driven flush policy hold such seals, and
+// replay must keep honouring a seal record's count. The caller holds
+// the shard lock.
+func sealChunkedLocked(n *Node, sh *pendingShard, typ string, size int) {
+	for p := sh.pending[typ]; p != nil; p = sh.pending[typ] {
+		count := min(len(p.Readings), size)
+		seq := n.seq.Add(1)
+		n.dur.Journal.Note(sealRecord(typ, seq, count))
+		n.applySeal(sh, typ, seq, count)
+	}
+}
+
 // TestFailedHandoffTrimMatchesReplay: a handoff seals every queued
 // batch, and sealing sorts a batch's readings by time. When the
 // handoff fails the items stay queued, and a later bound trim cuts
@@ -396,13 +411,104 @@ func TestFailedHandoffTrimMatchesReplay(t *testing.T) {
 		}
 		sh := n.shardFor("traffic")
 		sh.mu.Lock()
-		n.sealPendingLocked(sh, "traffic", 0)
+		n.sealPendingLocked(sh, "traffic")
 		sh.mu.Unlock()
 	}
 	if err := n.MigrateOut(context.Background(), "traffic", "fog1/d01-s02"); err == nil {
 		t.Fatal("handoff to an unreachable sibling succeeded")
 	}
 	if err := n.Ingest(newestFirst(100)); err != nil { // over the bound: trims a parked item
+		t.Fatal(err)
+	}
+	live := viewOf(n)
+	n.Discard()
+	re := open()
+	defer re.Discard()
+	if d := live.diff(viewOf(re)); d != "" {
+		t.Fatalf("the recovered node differs from the live one:\n%s", d)
+	}
+}
+
+// TestReplayShedUnderClaim: a bound trim that runs while a handoff
+// claims a type's whole outbox cuts only readings behind the claim.
+// Replay runs with nothing claimed, so the shed record must carry the
+// claim, or the rebuilt node trims the parked items instead: readings
+// shed live come back after a crash, and others are lost.
+func TestReplayShedUnderClaim(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	net := &replayNet{linkUp: true, nodes: map[string]transport.Handler{}} // parent down
+	net.attach("fog1/d01-s02", transport.HandlerFunc(func(context.Context, transport.Message) ([]byte, error) {
+		close(entered)
+		<-release
+		return []byte("ok"), nil
+	}))
+	dir := t.TempDir()
+	open := func() *Node {
+		n, err := New(Config{Spec: fog1Spec(), Clock: sim.NewVirtualClock(t0), Transport: net, Codec: aggregate.CodecNone,
+			MaxPendingReadings: 6, Durability: &wal.Config{Dir: dir, SnapshotEvery: -1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n := open()
+	for i := 0; i < 3; i++ { // three parked items of two readings
+		if err := n.Ingest(typedBatch("traffic", t0.Add(time.Duration(i)*time.Second), float64(10*i+1), float64(10*i+2))); err != nil {
+			t.Fatal(err)
+		}
+		_ = n.Flush(context.Background())
+	}
+	handoff := make(chan error, 1)
+	go func() { handoff <- n.MigrateOut(context.Background(), "traffic", "fog1/d01-s02") }()
+	<-entered // the handoff claims every queued item
+	vals := []float64{101, 102, 103, 104, 105, 106, 107, 108}
+	if err := n.Ingest(typedBatch("traffic", t0.Add(time.Minute), vals...)); err != nil { // past the bound: trims behind the claim
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-handoff; err != nil {
+		t.Fatal(err)
+	}
+	if got := n.ShedReadings(); got != 2 {
+		t.Fatalf("shed %d readings, want 2 cut from the pending buffer", got)
+	}
+	live := viewOf(n)
+	n.Discard()
+	re := open()
+	defer re.Discard()
+	if d := live.diff(viewOf(re)); d != "" {
+		t.Fatalf("the recovered node differs from the live one:\n%s", d)
+	}
+}
+
+// TestReplayLateReadingAfterHarvest: a flush's harvest advances each
+// subscription's watermark, and a later reading older than it folds
+// forward into the watermark's window. Replay must run the harvest at
+// the same log position, or the late reading maps to its own window on
+// recovery and seals an alert that never fired.
+func TestReplayLateReadingAfterHarvest(t *testing.T) {
+	net := &replayNet{nodes: map[string]transport.Handler{}} // parent down: the pushes stay queued
+	clock := sim.NewVirtualClock(t0)
+	dir := t.TempDir()
+	open := func() *Node {
+		n, err := New(Config{Spec: fog1Spec(), Clock: clock, Transport: net, Codec: aggregate.CodecNone,
+			Durability: &wal.Config{Dir: dir, SnapshotEvery: -1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n := open()
+	if err := n.Subscribe(cq.Subscription{ID: "hot", TypeName: "traffic", Kind: cq.KindThreshold,
+		Window: 10 * time.Second, Predicate: cq.PredAbove, Threshold: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Ingest(typedBatch("traffic", clock.Now(), 70)); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(30 * time.Second)
+	_ = n.Flush(context.Background()) // harvests past the first window
+	if err := n.Ingest(typedBatch("traffic", clock.Now().Add(-50*time.Second), 80)); err != nil {
 		t.Fatal(err)
 	}
 	live := viewOf(n)

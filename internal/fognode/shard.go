@@ -151,22 +151,23 @@ func (q *outbox) drop(origin string, seq uint64) {
 }
 
 // trimOldest removes up to drop of the oldest readings buffered
-// behind the outbox's head — the heads of the parked batch items, then
-// the head of the pending buffer p — showing take each run before it
-// goes. The head item is never trimmed, claimed or not: a send stops
-// the drain at its first failure, so the head is the one item that may
-// have reached the parent, and trimming it would deliver its readings
-// twice (raw, and folded into a summary). Recovery replays a trim
-// through here too, so it repeats the same decision.
-func (q *outbox) trimOldest(p *model.Batch, drop int, take func(b *model.Batch, k int, parked bool)) {
+// behind the outbox's head and its first claimed items — the heads of
+// the parked batch items, then the head of the pending buffer p —
+// showing take each run before it goes. The head item is never
+// trimmed, claimed or not: a send stops the drain at its first
+// failure, so the head is the one item that may have reached the
+// parent, and trimming it would deliver its readings twice (raw, and
+// folded into a summary). Recovery replays a trim through here too,
+// with the claim the live trim saw, so it repeats the same decision.
+func (q *outbox) trimOldest(p *model.Batch, claimed, drop int, take func(b *model.Batch, k int, parked bool)) {
 	cut := func(b *model.Batch, parked bool) {
 		k := min(len(b.Readings), drop)
 		take(b, k, parked)
 		b.Readings = b.Readings[k:]
 		drop -= k
 	}
-	lo, hi := q.span(transport.KindBatch)
-	for lo = max(lo, 1); drop > 0 && lo < hi; hi-- {
+	// Batch items rank first: the parked ones start behind the claim.
+	for lo := max(claimed, 1); drop > 0 && lo < len(q.items) && q.items[lo].kind == transport.KindBatch; {
 		cut(q.items[lo].b, true)
 		if len(q.items[lo].b.Readings) > 0 {
 			return
